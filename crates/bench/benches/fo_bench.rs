@@ -26,18 +26,6 @@ fn bench_perturb() {
                         .collect::<Vec<Report>>()
                 },
             );
-            let mut rng = StdRng::seed_from_u64(1);
-            let mut out: Vec<Report> = Vec::new();
-            bench(
-                &format!("fo_perturb_1k_users/{}/{domain}/batched", kind.name()),
-                2,
-                20,
-                || {
-                    out.clear();
-                    oracle.perturb_batch(&inputs, &mut rng, &mut out);
-                    out.len()
-                },
-            );
         }
     }
 }
@@ -51,18 +39,9 @@ fn bench_aggregate_estimate() {
         let reports: Vec<Report> = (0..1000)
             .map(|i| oracle.perturb(i % domain, &mut rng))
             .collect();
-        bench(
-            &format!("fo_aggregate_estimate_1k_reports/{}/scalar", kind.name()),
-            2,
-            20,
-            || {
-                let supports = oracle.aggregate(&reports);
-                oracle.estimate(&supports, reports.len())
-            },
-        );
         let mut arena = fedhh_fo::SupportCounts::zeros(domain);
         bench(
-            &format!("fo_aggregate_estimate_1k_reports/{}/batched", kind.name()),
+            &format!("fo_aggregate_estimate_1k_reports/{}/scalar", kind.name()),
             2,
             20,
             || {

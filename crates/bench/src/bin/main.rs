@@ -978,13 +978,13 @@ fn trial_command(args: &[String]) -> Result<ExitCode, String> {
     let mut k = 10usize;
     let mut parallelism = 1usize;
     let mut dropout = 0.0f64;
-    let mut transport = TransportKind::Auto;
+    let mut transport = TransportKind::InProcess;
     let mut trace_path: Option<String> = None;
     let mut cursor = ArgCursor::new("trial", &rest);
     while let Some(arg) = cursor.next_option() {
         match arg {
             "--transport" => match cursor.raw_value("--transport")? {
-                "memory" => transport = TransportKind::Memory,
+                "memory" => transport = TransportKind::InProcess,
                 "tcp" => transport = TransportKind::Tcp,
                 other => return Err(format!("--transport must be memory or tcp, got {other:?}")),
             },
@@ -1049,7 +1049,7 @@ fn trial_command(args: &[String]) -> Result<ExitCode, String> {
     println!("mechanism        {mechanism}");
     println!("dataset          {dataset}");
     println!("parallelism      {}", engine.parallelism);
-    if engine.transport != TransportKind::Auto {
+    if engine.transport != TransportKind::InProcess {
         println!("transport        {:?}", engine.transport);
     }
     if dropout > 0.0 {

@@ -9,15 +9,14 @@
 //!
 //! | Entry name | Workload |
 //! |---|---|
-//! | `fo_perturb/<fo>/<path>` | Perturb a fixed report stream (scalar `perturb` loop vs `perturb_batch` vs counter-RNG `perturb_vectorized`) |
-//! | `fo_aggregate/<fo>/<path>` | Aggregate + estimate the stream (allocating `aggregate` vs arena `aggregate_into` vs columnar `aggregate_vectorized`) |
+//! | `fo_perturb/<fo>/<path>` | Perturb a fixed report stream (scalar `perturb` loop vs counter-RNG `perturb_vectorized`) |
+//! | `fo_aggregate/<fo>/<path>` | Aggregate + estimate the stream (arena `aggregate_into` vs columnar `aggregate_vectorized`) |
 //! | `mech_e2e/fedpem/<path>` | FedPEM end-to-end on the RDB stand-in (one leg per [`FoExec`] path) |
-//! | `mech_e2e/{gtf,tap,taps}/batched` | The other mechanisms end-to-end on the batched hot path |
+//! | `mech_e2e/{gtf,tap,taps}/vectorized` | The other mechanisms end-to-end on the vectorized hot path |
 //!
-//! `<fo>` is `krr`, `oue` or `olh`; `<path>` is `scalar`, `batched` or
-//! `vectorized`.  All legs are measured **in the same run**, so the batched
-//! and vectorized speed-ups are visible in every emitted report,
-//! machine-independent.
+//! `<fo>` is `krr`, `oue` or `olh`; `<path>` is `scalar` or `vectorized`.
+//! Both paths are measured **in the same run**, so the vectorized speed-up
+//! is visible in every emitted report, machine-independent.
 //!
 //! ## `BENCH_perf.json` schema (version 1)
 //!
@@ -27,7 +26,7 @@
 //!   "suite": "quick",
 //!   "entries": [
 //!     {
-//!       "name": "fo_perturb/krr/batched",
+//!       "name": "fo_perturb/krr/scalar",
 //!       "reports": 20000,
 //!       "ns_per_report": 14.2,
 //!       "reports_per_sec": 70422535.2,
@@ -75,7 +74,7 @@ use std::time::Instant;
 /// One measured workload of the pinned suite.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfEntry {
-    /// Stable workload identifier, e.g. `fo_perturb/krr/batched`.
+    /// Stable workload identifier, e.g. `fo_perturb/krr/scalar`.
     pub name: String,
     /// Number of user reports processed per timed iteration.
     pub reports: u64,
@@ -364,7 +363,7 @@ pub fn run_suite(quick: bool) -> Result<PerfReport, String> {
     run_suite_impl(quick, None)
 }
 
-/// Like [`run_suite`] but with a JSONL trace sink attached to the six
+/// Like [`run_suite`] but with a JSONL trace sink attached to the five
 /// mechanism end-to-end legs (`fedhh-bench perf --trace`).  The
 /// frequency-oracle kernel legs stay telemetry-free — they never touch the
 /// `Run` machinery, so a sink would only add noise to the numbers the gate
@@ -392,9 +391,8 @@ fn run_suite_impl(
         let oracle = Oracle::try_new(kind, budget, size.fo_domain).map_err(|e| e.to_string())?;
         let inputs: Vec<usize> = (0..size.fo_reports).map(|i| i % size.fo_domain).collect();
 
-        // Perturbation: scalar loop vs batched, same RNG seed (the batch
-        // contract guarantees identical reports, so the comparison is
-        // work-for-work).
+        // Perturbation: the sequential-RNG scalar loop vs the counter-RNG
+        // kernel, over the same inputs.
         let scalar_secs = time_best(
             size.trials,
             size.warmup,
@@ -407,19 +405,6 @@ fn run_suite_impl(
                     .map(|i| oracle.perturb(*i, &mut rng))
                     .collect();
                 reports
-            },
-        );
-        let mut batch_buf: Vec<Report> = Vec::new();
-        let batch_secs = time_best(
-            size.trials,
-            size.warmup,
-            size.min_iters,
-            size.min_window,
-            || {
-                let mut rng = StdRng::seed_from_u64(42);
-                batch_buf.clear();
-                oracle.perturb_batch(&inputs, &mut rng, &mut batch_buf);
-                batch_buf.len()
             },
         );
         let mut vec_batch = ReportBatch::new();
@@ -442,32 +427,21 @@ fn run_suite_impl(
             report_bits,
         ));
         entries.push(entry(
-            format!("fo_perturb/{kind}/batched"),
-            size.fo_reports,
-            batch_secs,
-            report_bits,
-        ));
-        entries.push(entry(
             format!("fo_perturb/{kind}/vectorized"),
             size.fo_reports,
             vec_secs,
             vec_batch.size_bits() as u64,
         ));
 
-        // Aggregation + estimation: allocating scalar aggregate vs the
-        // caller-owned arena.
+        // Aggregation + estimation into the caller-owned arena, as the
+        // estimator's `Scalar` and `Vectorized` arms fold a chunk.
         let mut rng = StdRng::seed_from_u64(7);
-        let mut reports: Vec<Report> = Vec::new();
-        oracle.perturb_batch(&inputs, &mut rng, &mut reports);
-        let agg_scalar_secs = time_best(
-            size.trials,
-            size.warmup,
-            size.min_iters,
-            size.min_window,
-            || oracle.estimate(&oracle.aggregate(&reports), reports.len()),
-        );
+        let reports: Vec<Report> = inputs
+            .iter()
+            .map(|i| oracle.perturb(*i, &mut rng))
+            .collect();
         let mut arena = SupportCounts::zeros(size.fo_domain);
-        let agg_batch_secs = time_best(
+        let agg_scalar_secs = time_best(
             size.trials,
             size.warmup,
             size.min_iters,
@@ -493,12 +467,6 @@ fn run_suite_impl(
             format!("fo_aggregate/{kind}/scalar"),
             size.fo_reports,
             agg_scalar_secs,
-            0,
-        ));
-        entries.push(entry(
-            format!("fo_aggregate/{kind}/batched"),
-            size.fo_reports,
-            agg_batch_secs,
             0,
         ));
         entries.push(entry(
@@ -580,18 +548,17 @@ fn run_suite_impl(
     })
 }
 
-/// The six pinned mechanism end-to-end legs, in suite order.
-const E2E_LEGS: [(MechanismKind, FoExec, &str); 6] = [
+/// The five pinned mechanism end-to-end legs, in suite order.
+const E2E_LEGS: [(MechanismKind, FoExec, &str); 5] = [
     (MechanismKind::FedPem, FoExec::Scalar, "fedpem/scalar"),
-    (MechanismKind::FedPem, FoExec::Batched, "fedpem/batched"),
     (
         MechanismKind::FedPem,
         FoExec::Vectorized,
         "fedpem/vectorized",
     ),
-    (MechanismKind::Gtf, FoExec::Batched, "gtf/batched"),
-    (MechanismKind::Tap, FoExec::Batched, "tap/batched"),
-    (MechanismKind::Taps, FoExec::Batched, "taps/batched"),
+    (MechanismKind::Gtf, FoExec::Vectorized, "gtf/vectorized"),
+    (MechanismKind::Tap, FoExec::Vectorized, "tap/vectorized"),
+    (MechanismKind::Taps, FoExec::Vectorized, "taps/vectorized"),
 ];
 
 /// Measures telemetry overhead the only way wall-clock noise allows:
@@ -941,14 +908,14 @@ mod tests {
             suite: "quick".to_string(),
             entries: vec![
                 PerfEntry {
-                    name: "fo_perturb/krr/batched".to_string(),
+                    name: "fo_perturb/krr/scalar".to_string(),
                     reports: 20_000,
                     ns_per_report: 14.25,
                     reports_per_sec: 70_175_438.6,
                     uplink_bits: 640_000,
                 },
                 PerfEntry {
-                    name: "mech_e2e/fedpem/batched".to_string(),
+                    name: "mech_e2e/fedpem/scalar".to_string(),
                     reports: 5_000,
                     ns_per_report: 800.0,
                     reports_per_sec: 1_250_000.0,
@@ -1002,7 +969,7 @@ mod tests {
         current.entries[0].ns_per_report = baseline.entries[0].ns_per_report * 3.0;
         let violations = check_report(&current, &baseline, 2.0);
         assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].name, "fo_perturb/krr/batched");
+        assert_eq!(violations[0].name, "fo_perturb/krr/scalar");
         assert!(violations[0].to_string().contains("3.00x"));
     }
 
@@ -1013,7 +980,7 @@ mod tests {
         current.entries.remove(1);
         let violations = check_report(&current, &baseline, 10.0);
         assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].name, "mech_e2e/fedpem/batched");
+        assert_eq!(violations[0].name, "mech_e2e/fedpem/scalar");
         assert!(violations[0].current_ns.is_none());
         assert!(violations[0]
             .to_string()
@@ -1051,7 +1018,7 @@ mod tests {
         assert_eq!(report.schema, 1);
         assert_eq!(report.suite, "quick");
         for kind in ["krr", "oue", "olh"] {
-            for path in ["scalar", "batched", "vectorized"] {
+            for path in ["scalar", "vectorized"] {
                 for family in ["fo_perturb", "fo_aggregate"] {
                     let name = format!("{family}/{kind}/{path}");
                     assert!(
@@ -1063,11 +1030,10 @@ mod tests {
         }
         for name in [
             "mech_e2e/fedpem/scalar",
-            "mech_e2e/fedpem/batched",
             "mech_e2e/fedpem/vectorized",
-            "mech_e2e/gtf/batched",
-            "mech_e2e/tap/batched",
-            "mech_e2e/taps/batched",
+            "mech_e2e/gtf/vectorized",
+            "mech_e2e/tap/vectorized",
+            "mech_e2e/taps/vectorized",
         ] {
             assert!(
                 report.entries.iter().any(|e| e.name == name),

@@ -39,7 +39,7 @@ fn perf_emits_json_and_check_gates_regressions() {
     assert!(report
         .entries
         .iter()
-        .any(|e| e.name == "mech_e2e/fedpem/batched"));
+        .any(|e| e.name == "mech_e2e/fedpem/scalar"));
 
     // 2. A doctored baseline with an injected slowdown (one entry claiming
     //    to have run 1000x faster) AND a vanished workload (one entry

@@ -117,7 +117,7 @@ pub fn run_pem_traced(
     let mut local_report_bits = 0usize;
     let mut extension_trace = Vec::with_capacity(config.granularity as usize);
     let mut level_trace = Vec::with_capacity(config.granularity as usize);
-    // One batched-estimation arena for the whole party: report buffers and
+    // One estimation arena for the whole party: report buffers and
     // support counts are allocated once and reused level after level.
     let mut scratch = EstimateScratch::new();
     scratch.set_telemetry(telemetry);

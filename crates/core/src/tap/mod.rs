@@ -88,7 +88,7 @@ impl PartyRun {
     /// subset), and returns the estimate together with the extended
     /// candidate list.
     ///
-    /// `scratch` is the caller's (per-driver, hence per-worker) batched
+    /// `scratch` is the caller's (per-driver, hence per-worker)
     /// estimation arena, reused level after level.
     pub fn estimate_level(
         &self,
@@ -144,7 +144,7 @@ pub(crate) struct TapPhase2Driver<'a> {
     pub(crate) config: ProtocolConfig,
     pub(crate) extension: ExtensionStrategy,
     pub(crate) debug: bool,
-    /// Per-driver batched estimation arena.
+    /// Per-driver estimation arena.
     pub(crate) scratch: EstimateScratch,
     /// Telemetry handle for the per-level spans (disabled handles are
     /// inert, so untraced runs pay one branch per level).

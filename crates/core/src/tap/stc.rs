@@ -33,7 +33,7 @@ pub(crate) struct Phase1Driver<'a> {
     pub(crate) config: ProtocolConfig,
     pub(crate) extension: ExtensionStrategy,
     pub(crate) gs: u8,
-    /// Per-driver batched estimation arena.
+    /// Per-driver estimation arena.
     pub(crate) scratch: EstimateScratch,
     /// Telemetry handle for the per-level spans (inert when disabled).
     pub(crate) telemetry: Telemetry,

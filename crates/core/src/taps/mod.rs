@@ -103,7 +103,7 @@ struct TapsChainDriver<'a> {
     is_last: bool,
     /// Total federation population |U| for the γ term.
     total_users: usize,
-    /// Per-driver batched estimation arena (levels and validation splits).
+    /// Per-driver estimation arena (levels and validation splits).
     scratch: EstimateScratch,
     /// Telemetry handle for the per-level spans (inert when disabled).
     telemetry: Telemetry,

@@ -55,36 +55,32 @@ impl ExecMode {
 
 /// How the level estimator drives the frequency oracle.
 ///
-/// `Scalar` and `Batched` are **bit-identical** to each other (the batched
-/// implementations consume the same sequential RNG stream); the scalar path
-/// exists as the reference baseline for the `fedhh-bench perf` regression
-/// suite and for debugging, not as a behavioural option.  `Vectorized` is a
-/// third, deliberately *different* pinned path: counter-based randomness
-/// (`fedhh_fo::ctr`) drives branch-free SoA kernels, so its output is
-/// deterministic per seed and bit-identical across any chunk size and
-/// engine parallelism, but numerically different from `Scalar`/`Batched`
-/// at the same seed.  The path travels in the wire handshake config, so a
-/// federation can never mix paths across processes.
+/// `Scalar` is the semantic reference: one report at a time off the
+/// sequential RNG stream, folded into the scratch's support arena — the
+/// path every seed-baseline digest in `tests/kernels.rs` is recorded
+/// against.  `Vectorized` is a second, deliberately *different* pinned
+/// path: counter-based randomness (`fedhh_fo::ctr`) drives branch-free SoA
+/// kernels, so its output is deterministic per seed and bit-identical
+/// across any chunk size and engine parallelism, but numerically different
+/// from `Scalar` at the same seed.  The path travels in the wire handshake
+/// config, so a federation can never mix paths across processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FoExec {
-    /// Batched perturbation and aggregation — the sequential-RNG hot path.
+    /// One-report-at-a-time reference path on the sequential RNG stream.
     #[default]
-    Batched,
-    /// One-report-at-a-time reference path.
     Scalar,
     /// Counter-RNG SoA kernels — the fastest path, pinned on its own
-    /// stream (not bit-compatible with the sequential paths).
+    /// stream (not bit-compatible with the sequential path).
     Vectorized,
 }
 
 impl FoExec {
     /// All execution paths, in `kernel-equivalence` CI matrix order.
-    pub const ALL: [FoExec; 3] = [FoExec::Scalar, FoExec::Batched, FoExec::Vectorized];
+    pub const ALL: [FoExec; 2] = [FoExec::Scalar, FoExec::Vectorized];
 
     /// Stable lowercase name for reports, CLI arguments and env knobs.
     pub fn name(&self) -> &'static str {
         match self {
-            FoExec::Batched => "batched",
             FoExec::Scalar => "scalar",
             FoExec::Vectorized => "vectorized",
         }
@@ -93,20 +89,10 @@ impl FoExec {
     /// Parses a CLI/env name into an execution path.
     pub fn parse(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
-            "batched" => Some(FoExec::Batched),
             "scalar" => Some(FoExec::Scalar),
             "vectorized" | "vec" => Some(FoExec::Vectorized),
             _ => None,
         }
-    }
-
-    /// The execution path named by the `FEDHH_TEST_FO_EXEC` environment
-    /// variable, if set and valid — the knob the `kernel-equivalence` CI
-    /// job uses to sweep the whole test suite across paths.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("FEDHH_TEST_FO_EXEC")
-            .ok()
-            .and_then(|v| Self::parse(&v))
     }
 }
 
@@ -142,8 +128,8 @@ pub struct ProtocolConfig {
     pub dividing_ratio: f64,
     /// RNG seed for the run (group assignment and perturbation noise).
     pub seed: u64,
-    /// Whether the frequency oracle runs on the batched or the scalar
-    /// reference path (bit-identical results either way).
+    /// Which pinned path drives the frequency oracle: the sequential-RNG
+    /// reference or the counter-RNG kernels (each pinned on its own).
     pub fo_exec: FoExec,
     /// How the report pipeline buffers a level group's reports: eagerly or
     /// in fixed-size chunks (bit-identical results either way;
@@ -171,7 +157,7 @@ impl Default for ProtocolConfig {
             phase1_user_fraction: 0.25,
             dividing_ratio: 0.1,
             seed: 7,
-            fo_exec: FoExec::Batched,
+            fo_exec: FoExec::Scalar,
             exec_mode: ExecMode::Auto,
             topology: Topology::Flat,
             quorum: QuorumPolicy::full(),
@@ -230,8 +216,7 @@ impl ProtocolConfig {
         self
     }
 
-    /// Returns a copy with a different frequency-oracle execution path
-    /// (used by the perf baseline suite to pin the scalar reference).
+    /// Returns a copy with a different frequency-oracle execution path.
     pub fn with_fo_exec(mut self, fo_exec: FoExec) -> Self {
         self.fo_exec = fo_exec;
         self

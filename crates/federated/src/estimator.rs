@@ -18,7 +18,7 @@ use fedhh_trie::Prefix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Reusable per-worker scratch for the batched estimation hot path.
+/// Reusable per-worker scratch for the estimation hot path.
 ///
 /// One level estimate needs an input buffer (encoded domain indices), a
 /// report buffer and a support-count arena.  A driver that owns one scratch
@@ -219,21 +219,19 @@ impl LevelEstimator {
     ///
     /// The group is processed in chunks selected by
     /// [`ExecMode::chunk_for`](crate::ExecMode::chunk_for): each chunk's
-    /// prefixes are encoded, perturbed
-    /// with `perturb_batch` and folded straight into the scratch's
-    /// [`SupportCounts`] arena before the next chunk is touched, so at most
-    /// one chunk of inputs and reports is ever resident — **no full
-    /// per-group report vector exists** under a chunked mode.  Because the
-    /// RNG is consumed in the same per-report order regardless of chunk
-    /// boundaries (and support counts are whole-number sums, exact in
-    /// `f64`), results are bit-identical to [`LevelEstimator::estimate`] at
-    /// every chunk size — and, via the oracles' batch contract, to the
-    /// scalar one-report-at-a-time path (selected by [`FoExec::Scalar`]).
+    /// prefixes are encoded, perturbed and folded straight into the
+    /// scratch's [`SupportCounts`] arena before the next chunk is touched,
+    /// so at most one chunk of inputs and reports is ever resident — **no
+    /// full per-group report vector exists** under a chunked mode.  Under
+    /// [`FoExec::Scalar`] the RNG is consumed in the same per-report order
+    /// regardless of chunk boundaries (and support counts are whole-number
+    /// sums, exact in `f64`), so results are bit-identical to
+    /// [`LevelEstimator::estimate`] at every chunk size.
     ///
     /// Under [`FoExec::Vectorized`] the chunk loop instead drives the
     /// counter-RNG SoA kernels: chunk invariance holds by construction
     /// (report k depends only on `(seed ^ noise_seed, k)`), while the
-    /// results are a *different* pinned stream than the sequential paths.
+    /// results are a *different* pinned stream than the sequential path.
     pub fn estimate_with(
         &self,
         scratch: &mut EstimateScratch,
@@ -291,20 +289,11 @@ impl LevelEstimator {
 
             scratch.reports.clear();
             match self.config.fo_exec {
-                FoExec::Batched => {
-                    {
-                        let _perturb = telemetry.span(SpanName::Perturb);
-                        oracle.perturb_batch(&scratch.inputs, &mut rng, &mut scratch.reports);
-                    }
-                    let _aggregate = telemetry.span(SpanName::Aggregate);
-                    oracle.aggregate_into(&scratch.reports, &mut scratch.supports);
-                    report_bits += scratch.reports.iter().map(Report::size_bits).sum::<usize>();
-                }
                 FoExec::Scalar => {
-                    // The reference path: one perturb call per report and a
-                    // freshly allocated aggregation, as the 0.3 estimator
-                    // ran (chunk sums of whole-number supports are exact,
-                    // so chunking cannot perturb the reference results).
+                    // The reference path: one perturb call per report off
+                    // the sequential stream, folded into the arena (chunk
+                    // sums of whole-number supports are exact, so chunking
+                    // cannot perturb the reference results).
                     {
                         let _perturb = telemetry.span(SpanName::Perturb);
                         scratch.reports.reserve(chunk.len());
@@ -313,7 +302,7 @@ impl LevelEstimator {
                         }
                     }
                     let _aggregate = telemetry.span(SpanName::Aggregate);
-                    scratch.supports.merge(&oracle.aggregate(&scratch.reports));
+                    oracle.aggregate_into(&scratch.reports, &mut scratch.supports);
                     report_bits += scratch.reports.iter().map(Report::size_bits).sum::<usize>();
                 }
                 FoExec::Vectorized => {
@@ -440,34 +429,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_scalar_and_scratch_paths_are_bit_identical() {
+    fn scratch_reuse_is_bit_identical_to_a_fresh_scratch() {
         let base = config();
-        let scalar_config = ProtocolConfig {
-            fo_exec: crate::config::FoExec::Scalar,
-            ..base
-        };
         let items: Vec<u64> = (0..3000).map(|i| (i % 11) << 4 | (i % 13)).collect();
         let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
         for fo in fedhh_fo::FoKind::ALL {
-            let batched = LevelEstimator::new(ProtocolConfig { fo, ..base }).unwrap();
-            let scalar = LevelEstimator::new(ProtocolConfig {
-                fo,
-                ..scalar_config
-            })
-            .unwrap();
-            let a = batched.estimate(&candidates, 2, &items, 77);
-            let b = scalar.estimate(&candidates, 2, &items, 77);
-            assert_eq!(a.frequencies, b.frequencies, "fo {fo}");
-            assert_eq!(a.counts, b.counts, "fo {fo}");
-            assert_eq!(a.report_bits, b.report_bits, "fo {fo}");
+            let estimator = LevelEstimator::new(ProtocolConfig { fo, ..base }).unwrap();
+            let fresh = estimator.estimate(&candidates, 2, &items, 77);
 
             // A scratch reused across calls (levels) must not leak state.
             let mut scratch = EstimateScratch::new();
-            let warm = batched.estimate_with(&mut scratch, &[0b0u64, 0b1], 1, &items, 5);
+            let warm = estimator.estimate_with(&mut scratch, &[0b0u64, 0b1], 1, &items, 5);
             assert_eq!(warm.users, items.len());
-            let c = batched.estimate_with(&mut scratch, &candidates, 2, &items, 77);
-            assert_eq!(a.frequencies, c.frequencies, "fo {fo} (scratch reuse)");
-            assert_eq!(a.report_bits, c.report_bits, "fo {fo} (scratch reuse)");
+            let reused = estimator.estimate_with(&mut scratch, &candidates, 2, &items, 77);
+            assert_eq!(fresh.frequencies, reused.frequencies, "fo {fo}");
+            assert_eq!(fresh.counts, reused.counts, "fo {fo}");
+            assert_eq!(fresh.report_bits, reused.report_bits, "fo {fo}");
         }
     }
 
@@ -496,42 +473,34 @@ mod tests {
         let items: Vec<u64> = (0..3001).map(|i| (i % 13) << 4 | (i % 7)).collect();
         let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
         for fo in fedhh_fo::FoKind::ALL {
-            for fo_exec in [
-                crate::config::FoExec::Batched,
-                crate::config::FoExec::Scalar,
-            ] {
-                let eager = LevelEstimator::new(ProtocolConfig {
+            let eager = LevelEstimator::new(ProtocolConfig {
+                fo,
+                exec_mode: ExecMode::Eager,
+                ..base
+            })
+            .unwrap();
+            let reference = eager.estimate(&candidates, 2, &items, 31);
+            for chunk in [1usize, 7, 64, usize::MAX] {
+                let chunked = LevelEstimator::new(ProtocolConfig {
                     fo,
-                    fo_exec,
-                    exec_mode: ExecMode::Eager,
+                    exec_mode: ExecMode::Chunked(NonZeroUsize::new(chunk).unwrap()),
                     ..base
                 })
                 .unwrap();
-                let reference = eager.estimate(&candidates, 2, &items, 31);
-                for chunk in [1usize, 7, 64, usize::MAX] {
-                    let chunked = LevelEstimator::new(ProtocolConfig {
-                        fo,
-                        fo_exec,
-                        exec_mode: ExecMode::Chunked(NonZeroUsize::new(chunk).unwrap()),
-                        ..base
-                    })
-                    .unwrap();
-                    let got = chunked.estimate(&candidates, 2, &items, 31);
-                    assert_eq!(got.frequencies, reference.frequencies, "{fo} chunk {chunk}");
-                    assert_eq!(got.counts, reference.counts, "{fo} chunk {chunk}");
-                    assert_eq!(got.report_bits, reference.report_bits, "{fo} chunk {chunk}");
-                }
-                // Auto resolves to one of the two bit-identical paths.
-                let auto = LevelEstimator::new(ProtocolConfig {
-                    fo,
-                    fo_exec,
-                    exec_mode: ExecMode::Auto,
-                    ..base
-                })
-                .unwrap();
-                let got = auto.estimate(&candidates, 2, &items, 31);
-                assert_eq!(got.frequencies, reference.frequencies, "{fo} auto");
+                let got = chunked.estimate(&candidates, 2, &items, 31);
+                assert_eq!(got.frequencies, reference.frequencies, "{fo} chunk {chunk}");
+                assert_eq!(got.counts, reference.counts, "{fo} chunk {chunk}");
+                assert_eq!(got.report_bits, reference.report_bits, "{fo} chunk {chunk}");
             }
+            // Auto resolves to one of the two bit-identical modes.
+            let auto = LevelEstimator::new(ProtocolConfig {
+                fo,
+                exec_mode: ExecMode::Auto,
+                ..base
+            })
+            .unwrap();
+            let got = auto.estimate(&candidates, 2, &items, 31);
+            assert_eq!(got.frequencies, reference.frequencies, "{fo} auto");
         }
     }
 
@@ -574,7 +543,7 @@ mod tests {
 
     #[test]
     fn vectorized_path_is_pinned_separately_from_the_sequential_paths() {
-        // Vectorized is *not* bit-compatible with Batched/Scalar at the
+        // Vectorized is *not* bit-compatible with Scalar at the
         // same seed — it is its own pinned stream.  Both still estimate
         // the same distribution: the dominant prefix agrees.
         let base = config();
@@ -589,14 +558,14 @@ mod tests {
             .collect();
         let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
         for fo in fedhh_fo::FoKind::ALL {
-            let batched = LevelEstimator::new(ProtocolConfig { fo, ..base }).unwrap();
+            let scalar = LevelEstimator::new(ProtocolConfig { fo, ..base }).unwrap();
             let vectorized = LevelEstimator::new(ProtocolConfig {
                 fo,
                 fo_exec: crate::config::FoExec::Vectorized,
                 ..base
             })
             .unwrap();
-            let a = batched.estimate(&candidates, 2, &items, 77);
+            let a = scalar.estimate(&candidates, 2, &items, 77);
             let b = vectorized.estimate(&candidates, 2, &items, 77);
             assert_ne!(a.frequencies, b.frequencies, "fo {fo}: paths should differ");
             assert_eq!(a.top_t(1), b.top_t(1), "fo {fo}: same mechanism");
@@ -615,6 +584,7 @@ mod tests {
             Some(crate::config::FoExec::Vectorized)
         );
         assert_eq!(crate::config::FoExec::parse("nope"), None);
+        assert_eq!(crate::config::FoExec::parse("batched"), None);
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub use session::{
 };
 pub use socket::SocketTransport;
 pub use topology::{QuorumPolicy, Topology};
-pub use transport::{InMemoryTransport, ShardedTransport, Transport};
+pub use transport::{ShardedTransport, Transport};
 
 // The wire error is part of this crate's error surface
 // (`ProtocolError::Transport`), so re-export it for matchers.

@@ -86,8 +86,8 @@ pub enum AdversaryModel {
     },
     /// The TCP transport flips one byte in a seeded fraction of upload
     /// frames.  Only the [`crate::TransportKind::Tcp`] path has frames, so
-    /// [`crate::TransportKind::Auto`] routes to it when this model is
-    /// active; the in-memory transports are unaffected.
+    /// the default [`crate::TransportKind::InProcess`] routes to it when
+    /// this model is active.
     CorruptFrames {
         /// Fraction of `(party, round)` upload slots corrupted, in `[0, 1]`.
         fraction: f64,

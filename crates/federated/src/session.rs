@@ -31,7 +31,7 @@ use crate::observer::{LevelEstimated, PruningDecision};
 use crate::scenario::{apply_report_flip, AdversaryModel, FlipMode, ScenarioPlan};
 use crate::socket::SocketTransport;
 use crate::topology::{QuorumPolicy, Topology};
-use crate::transport::{InMemoryTransport, ShardedTransport, Transport};
+use crate::transport::{ShardedTransport, Transport};
 use fedhh_telemetry::{Counter, SpanName, Telemetry, ValueHist};
 
 /// Which [`Transport`] implementation a session routes its uploads through.
@@ -40,14 +40,12 @@ use fedhh_telemetry::{Counter, SpanName, Telemetry, ValueHist};
 /// canonical order — only how the bytes move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TransportKind {
-    /// Pick automatically: in-memory for sequential sessions, sharded for
-    /// parallel ones.
+    /// The in-process [`ShardedTransport`], one shard per worker.  A
+    /// scenario that corrupts frames needs frames to corrupt, so under
+    /// [`AdversaryModel::CorruptFrames`] this routes to the socket
+    /// transport instead.
     #[default]
-    Auto,
-    /// The single-queue [`InMemoryTransport`].
-    Memory,
-    /// The per-worker [`ShardedTransport`].
-    Sharded,
+    InProcess,
     /// The loopback [`SocketTransport`]: every upload crosses a real TCP
     /// socket in the `fedhh-wire` frame format.
     Tcp,
@@ -83,7 +81,7 @@ impl EngineConfig {
         Self {
             parallelism: 1,
             scenario: ScenarioPlan::benign(),
-            transport: TransportKind::Auto,
+            transport: TransportKind::InProcess,
             chunk: None,
             topology: None,
             quorum: None,
@@ -120,7 +118,7 @@ impl EngineConfig {
     /// Returns a copy routing uploads through the given transport.
     ///
     /// [`TransportKind::Tcp`] sends every upload across a real loopback
-    /// socket; results are bit-identical to the in-memory transports.
+    /// socket; results are bit-identical to the in-process transport.
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.transport = transport;
         self
@@ -370,10 +368,7 @@ impl Session {
     /// Creates a session for `party_count` parties, validating the engine
     /// configuration and resolving the fault plan's dropouts up front.
     ///
-    /// The transport follows [`EngineConfig::transport`];
-    /// [`TransportKind::Auto`] picks an [`InMemoryTransport`] for sequential
-    /// sessions and a [`ShardedTransport`] with one shard per worker for
-    /// parallel ones.
+    /// The transport follows [`EngineConfig::transport`].
     pub fn new(engine: &EngineConfig, party_count: usize) -> Result<Self, ProtocolError> {
         Self::with_link(engine, party_count, None)
     }
@@ -390,24 +385,15 @@ impl Session {
             link.validate(party_count)
                 .map_err(ProtocolError::Transport)?;
         }
-        // Frame corruption lives on the framed (TCP) path: route Auto there
-        // when the scenario corrupts frames, so the attack surface exists.
+        // Frame corruption lives on the framed (TCP) path: route the
+        // in-process default there when the scenario corrupts frames, so
+        // the attack surface exists.
         let corruption = engine.scenario.corruption();
         let transport: Box<dyn Transport> = match engine.transport {
-            TransportKind::Auto if corruption.is_some() => Box::new(
-                SocketTransport::loopback_with(engine.parallelism, corruption)
-                    .map_err(ProtocolError::Transport)?,
-            ),
-            TransportKind::Auto => {
-                if engine.parallelism > 1 {
-                    Box::new(ShardedTransport::new(engine.parallelism))
-                } else {
-                    Box::new(InMemoryTransport::new())
-                }
+            TransportKind::InProcess if corruption.is_none() => {
+                Box::new(ShardedTransport::new(engine.parallelism))
             }
-            TransportKind::Memory => Box::new(InMemoryTransport::new()),
-            TransportKind::Sharded => Box::new(ShardedTransport::new(engine.parallelism)),
-            TransportKind::Tcp => Box::new(
+            TransportKind::InProcess | TransportKind::Tcp => Box::new(
                 SocketTransport::loopback_with(engine.parallelism, corruption)
                     .map_err(ProtocolError::Transport)?,
             ),
@@ -1101,7 +1087,7 @@ mod tests {
             }
             rounds
         };
-        let memory = collect(TransportKind::Auto, 1);
+        let memory = collect(TransportKind::InProcess, 1);
         for parallelism in [1usize, 4] {
             assert_eq!(
                 collect(TransportKind::Tcp, parallelism),
@@ -1113,12 +1099,7 @@ mod tests {
 
     #[test]
     fn explicit_transport_kinds_are_honoured() {
-        for kind in [
-            TransportKind::Auto,
-            TransportKind::Memory,
-            TransportKind::Sharded,
-            TransportKind::Tcp,
-        ] {
+        for kind in [TransportKind::InProcess, TransportKind::Tcp] {
             let engine = EngineConfig::sequential().transport(kind);
             let mut session = Session::new(&engine, 3).unwrap();
             let mut drivers = drivers(3);

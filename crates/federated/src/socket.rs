@@ -15,7 +15,7 @@
 //! and blocks until each reader has observed it.  TCP preserves per-stream
 //! order, and the engine only drains after its workers joined, so the
 //! barrier guarantees the drain sees every message sent before it — the
-//! exact contract the in-memory transports provide.  A given sender always
+//! exact contract the in-process transport provides.  A given sender always
 //! maps to one stream, so the stable canonical sort preserves each party's
 //! submission order, and results stay bit-identical to the in-memory
 //! transports.
@@ -109,7 +109,7 @@ impl Shared {
 }
 
 /// A [`Transport`] over loopback TCP: real sockets, real frames, the same
-/// canonical-order drain contract as the in-memory transports.
+/// canonical-order drain contract as the in-process transport.
 ///
 /// Select it with [`crate::TransportKind::Tcp`] on an
 /// [`crate::EngineConfig`]; results are bit-identical to the in-memory
@@ -452,7 +452,7 @@ impl std::fmt::Debug for SocketTransport {
 mod tests {
     use super::*;
     use crate::message::{CandidateReport, RoundPayload};
-    use crate::transport::InMemoryTransport;
+    use crate::transport::ShardedTransport;
 
     fn message(from: usize, round: u32, tag: u64) -> RoundMessage {
         RoundMessage {
@@ -471,7 +471,7 @@ mod tests {
     #[test]
     fn socket_transport_matches_the_in_memory_order() {
         let socket = SocketTransport::loopback(3).unwrap();
-        let memory = InMemoryTransport::new();
+        let memory = ShardedTransport::new(1);
         for (from, round) in [(4, 0), (1, 0), (3, 1), (0, 0), (2, 0), (1, 1)] {
             socket.send(message(from, round, from as u64)).unwrap();
             memory.send(message(from, round, from as u64)).unwrap();

@@ -7,17 +7,16 @@
 //! messages into the canonical `(round, from)` order, so the protocol's
 //! results never depend on which worker happened to finish first.
 //!
-//! Three implementations are provided:
+//! Two implementations are provided:
 //!
-//! * [`InMemoryTransport`] — a single mutex-guarded queue, ideal for
-//!   sequential sessions (`parallelism = 1`).
-//! * [`ShardedTransport`] — one queue per worker shard, keyed by sender
-//!   index, so concurrent party workers never contend on one lock.
+//! * [`ShardedTransport`] — the in-process queue: one mutex-guarded queue
+//!   per worker shard, keyed by sender index, so concurrent party workers
+//!   never contend on one lock (a sequential session gets one shard).
 //! * [`crate::SocketTransport`] — the same contract over real loopback TCP
 //!   sockets, using the `fedhh-wire` frame format.
 //!
 //! Sending and draining are fallible ([`fedhh_wire::WireError`]) because
-//! socket transports can fail; the in-memory transports never do.
+//! socket transports can fail; the in-process transport never does.
 
 use crate::message::RoundMessage;
 use fedhh_telemetry::Telemetry;
@@ -36,7 +35,7 @@ pub trait Transport: Send + Sync {
 
     /// Attaches a telemetry handle for wire-level accounting (bytes and
     /// frames on the wire, reader queue depth).  The default is a no-op:
-    /// the in-memory transports have no wire, so only
+    /// the in-process transport has no wire, so only
     /// [`crate::SocketTransport`] overrides it.  Recording must never
     /// change what `send`/`drain` return — telemetry is observation only.
     fn attach_telemetry(&self, _telemetry: &Telemetry) {}
@@ -55,39 +54,9 @@ pub(crate) fn canonical_sort(messages: &mut [RoundMessage]) {
     messages.sort_by_key(|m| (m.round, m.from));
 }
 
-/// The single-queue transport: one mutex, suitable for sequential sessions
-/// or low party counts.
-#[derive(Debug, Default)]
-pub struct InMemoryTransport {
-    queue: Mutex<Vec<RoundMessage>>,
-}
-
-impl InMemoryTransport {
-    /// Creates an empty transport.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Transport for InMemoryTransport {
-    fn send(&self, message: RoundMessage) -> Result<(), WireError> {
-        self.queue.lock().expect("transport poisoned").push(message);
-        Ok(())
-    }
-
-    fn drain(&self) -> Result<Vec<RoundMessage>, WireError> {
-        // `mem::take` swaps in a brand-new (unallocated) vector under the
-        // lock: the drained messages move out without a clone and the queue
-        // retains no stale capacity between rounds.
-        let mut messages = std::mem::take(&mut *self.queue.lock().expect("transport poisoned"));
-        canonical_sort(&mut messages);
-        Ok(messages)
-    }
-}
-
-/// The thread-sharded transport: senders hash to `from % shards`, so
-/// workers running disjoint party ranges (the engine's chunking) rarely
-/// touch the same lock.
+/// The in-process transport: senders hash to `from % shards`, so workers
+/// running disjoint party ranges (the engine's chunking) rarely touch the
+/// same lock.
 #[derive(Debug)]
 pub struct ShardedTransport {
     shards: Vec<Mutex<Vec<RoundMessage>>>,
@@ -118,10 +87,11 @@ impl Transport for ShardedTransport {
     }
 
     fn drain(&self) -> Result<Vec<RoundMessage>, WireError> {
-        // Same `mem::take`-under-the-lock contract as the single queue; a
-        // given sender always maps to one shard, so concatenating shards in
-        // index order plus the stable canonical sort preserves each party's
-        // submission order.
+        // `mem::take` swaps in a brand-new (unallocated) vector under each
+        // lock: the drained messages move out without a clone and no shard
+        // retains stale capacity between rounds.  A given sender always
+        // maps to one shard, so concatenating shards in index order plus
+        // the stable canonical sort preserves each party's submission order.
         let mut messages: Vec<RoundMessage> = self
             .shards
             .iter()
@@ -168,7 +138,7 @@ mod tests {
 
     #[test]
     fn in_memory_transport_drains_in_canonical_order() {
-        let transport = InMemoryTransport::new();
+        let transport = ShardedTransport::new(1);
         transport.send(message(2, 0)).unwrap();
         transport.send(message(0, 1)).unwrap();
         transport.send(message(1, 0)).unwrap();
@@ -185,15 +155,11 @@ mod tests {
 
     /// The stability contract of the canonical order: a party that uploads
     /// several messages in one round (e.g. a report followed by a pruning
-    /// dictionary) keeps its submission order through every transport, even
-    /// with other parties' messages interleaved.
+    /// dictionary) keeps its submission order at any shard count, even with
+    /// other parties' messages interleaved.
     #[test]
     fn canonical_sort_is_stable_for_equal_keys() {
-        let transports: Vec<Box<dyn Transport>> = vec![
-            Box::new(InMemoryTransport::new()),
-            Box::new(ShardedTransport::new(3)),
-        ];
-        for transport in transports {
+        for transport in [ShardedTransport::new(1), ShardedTransport::new(3)] {
             // Party 1 submits tags 10, 11, 12 in round 0, interleaved with
             // other senders and rounds.
             transport.send(message_tagged(1, 0, 10)).unwrap();
@@ -217,25 +183,18 @@ mod tests {
 
     #[test]
     fn drain_leaves_no_capacity_behind() {
-        let transport = InMemoryTransport::new();
-        for i in 0..256 {
-            transport.send(message(i, 0)).unwrap();
+        for shards in [1usize, 3] {
+            let transport = ShardedTransport::new(shards);
+            for i in 0..256 {
+                transport.send(message(i, 0)).unwrap();
+            }
+            let drained = transport.drain().unwrap();
+            assert_eq!(drained.len(), 256);
+            // After the take-based drain every shard is a fresh vector.
+            for shard in &transport.shards {
+                assert_eq!(shard.lock().unwrap().capacity(), 0);
+            }
         }
-        let drained = transport.drain().unwrap();
-        assert_eq!(drained.len(), 256);
-        // After the take-based drain the internal queue is a fresh vector.
-        assert_eq!(transport.queue.lock().unwrap().capacity(), 0);
-    }
-
-    #[test]
-    fn sharded_transport_matches_the_in_memory_order() {
-        let sharded = ShardedTransport::new(3);
-        let reference = InMemoryTransport::new();
-        for (from, round) in [(4, 0), (1, 0), (3, 1), (0, 0), (2, 0), (1, 1)] {
-            sharded.send(message(from, round)).unwrap();
-            reference.send(message(from, round)).unwrap();
-        }
-        assert_eq!(order_after_drain(&sharded), order_after_drain(&reference));
     }
 
     #[test]

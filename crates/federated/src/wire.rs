@@ -409,18 +409,9 @@ impl Encode for ScenarioPlan {
 }
 
 impl Decode for ScenarioPlan {
-    /// Decodes a scenario — including **legacy frames** that carried a bare
-    /// [`FaultPlan`] where a scenario now travels: the fault fields come
-    /// first on the wire, so when the reader is exhausted after them the
-    /// frame predates the scenario plane and decodes to the benign
-    /// scenario of those faults.
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        let faults = FaultPlan::decode(reader)?;
-        if reader.remaining() == 0 {
-            return Ok(ScenarioPlan::from_faults(faults));
-        }
         Ok(ScenarioPlan {
-            faults,
+            faults: FaultPlan::decode(reader)?,
             adversary: AdversaryModel::decode(reader)?,
             seed: reader.take_u64_fixed()?,
         })
@@ -448,13 +439,13 @@ fn fo_kind_from_u8(raw: u8) -> Result<FoKind, WireError> {
     }
 }
 
-/// Stable one-byte discriminants for [`FoExec`] (`Batched`/`Scalar` since
-/// wire schema 1, `Vectorized` added in schema 4).  The execution path
-/// rides in the handshake config so coordinator and parties can never mix
-/// pinned FO streams within one federation.
+/// Stable one-byte discriminants for [`FoExec`] (`Scalar` since wire
+/// schema 1, `Vectorized` added in schema 4; discriminant 0 was retired in
+/// schema 6 and is rejected).  The execution path rides in the handshake
+/// config so coordinator and parties can never mix pinned FO streams
+/// within one federation.
 fn fo_exec_to_u8(exec: FoExec) -> u8 {
     match exec {
-        FoExec::Batched => 0,
         FoExec::Scalar => 1,
         FoExec::Vectorized => 2,
     }
@@ -462,7 +453,6 @@ fn fo_exec_to_u8(exec: FoExec) -> u8 {
 
 fn fo_exec_from_u8(raw: u8) -> Result<FoExec, WireError> {
     match raw {
-        0 => Ok(FoExec::Batched),
         1 => Ok(FoExec::Scalar),
         2 => Ok(FoExec::Vectorized),
         other => Err(WireError::InvalidValue {
@@ -566,14 +556,8 @@ impl Encode for ProtocolConfig {
 }
 
 impl Decode for ProtocolConfig {
-    /// Decodes a configuration — including **legacy payloads** from before
-    /// the topology axis: the schema-gated frame layer already rejects
-    /// cross-version peers, but checkpoints and tests still carry bare
-    /// payloads, so when the reader is exhausted after the execution mode
-    /// the config decodes to the flat star with a full quorum (exactly the
-    /// pre-topology behaviour).
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut config = ProtocolConfig {
+        Ok(ProtocolConfig {
             k: usize::decode(reader)?,
             epsilon: f64::decode(reader)?,
             fo: fo_kind_from_u8(reader.take_u8()?)?,
@@ -585,14 +569,9 @@ impl Decode for ProtocolConfig {
             seed: reader.take_u64_fixed()?,
             fo_exec: fo_exec_from_u8(reader.take_u8()?)?,
             exec_mode: decode_exec_mode(reader)?,
-            topology: Topology::Flat,
-            quorum: QuorumPolicy::full(),
-        };
-        if reader.remaining() > 0 {
-            config.topology = decode_topology(reader)?;
-            config.quorum = QuorumPolicy::decode(reader)?;
-        }
-        Ok(config)
+            topology: decode_topology(reader)?,
+            quorum: QuorumPolicy::decode(reader)?,
+        })
     }
 }
 
@@ -750,6 +729,28 @@ mod tests {
     }
 
     #[test]
+    fn retired_fo_exec_discriminant_is_rejected_on_decode() {
+        let config = ProtocolConfig::default();
+        let mut bytes = to_bytes(&config);
+        // The execution-path byte sits right before the execution mode +
+        // topology + quorum suffix; forge it to the retired value 0.
+        let mut suffix = Vec::new();
+        encode_exec_mode(config.exec_mode, &mut suffix);
+        encode_topology(config.topology, &mut suffix);
+        config.quorum.encode(&mut suffix);
+        let exec_at = bytes.len() - suffix.len() - 1;
+        assert_eq!(bytes[exec_at], fo_exec_to_u8(config.fo_exec));
+        bytes[exec_at] = 0;
+        assert!(matches!(
+            from_bytes::<ProtocolConfig>(&bytes),
+            Err(WireError::InvalidValue {
+                what: "frequency oracle execution path",
+                value: 0,
+            })
+        ));
+    }
+
+    #[test]
     fn tree_configs_round_trip() {
         round_trip(ProtocolConfig {
             topology: Topology::Tree {
@@ -769,22 +770,6 @@ mod tests {
             },
             ..ProtocolConfig::test_default()
         });
-    }
-
-    #[test]
-    fn legacy_config_payloads_decode_to_the_flat_star() {
-        // A pre-topology payload ends at the execution mode; strip the
-        // appended topology + quorum suffix to reconstruct one.
-        let config = ProtocolConfig::default();
-        let mut bytes = to_bytes(&config);
-        let mut suffix = Vec::new();
-        encode_topology(config.topology, &mut suffix);
-        config.quorum.encode(&mut suffix);
-        bytes.truncate(bytes.len() - suffix.len());
-        let back: ProtocolConfig = from_bytes(&bytes).unwrap();
-        assert_eq!(back, config);
-        assert!(back.topology.is_flat());
-        assert!(!back.quorum.is_partial());
     }
 
     #[test]
@@ -842,21 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_fault_plan_frames_decode_to_the_benign_scenario() {
-        // A peer from before the scenario plane encoded a bare FaultPlan
-        // where a ScenarioPlan now travels; its faults come through with no
-        // adversary attached.
-        let faults = FaultPlan {
-            dropout_fraction: 0.25,
-            stragglers: true,
-            seed: 42,
-        };
-        let legacy = to_bytes(&faults);
-        let scenario: ScenarioPlan = from_bytes(&legacy).unwrap();
-        assert_eq!(scenario, ScenarioPlan::from_faults(faults));
-    }
-
-    #[test]
     fn unknown_adversary_tags_are_typed_errors() {
         let plan = ScenarioPlan {
             faults: FaultPlan::none(),
@@ -885,15 +855,13 @@ mod tests {
             },
             seed: 4,
         });
-        // Every cut except the bare fault plan (the legacy form, which
-        // decodes by design) must fail cleanly.
+        // Every strict prefix — the 17-byte bare fault plan included —
+        // must fail cleanly.
         for cut in 0..bytes.len() {
-            let result = from_bytes::<ScenarioPlan>(&bytes[..cut]);
-            if cut == 17 {
-                assert!(result.is_ok(), "the 17-byte prefix is a legacy fault plan");
-            } else {
-                assert!(result.is_err(), "cut at {cut}");
-            }
+            assert!(
+                from_bytes::<ScenarioPlan>(&bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
         }
     }
 

@@ -67,7 +67,7 @@ fn random_config(rng: &mut StdRng) -> ProtocolConfig {
         dividing_ratio: rng.gen::<f64>() * 0.49,
         seed: rng.gen(),
         fo_exec: if rng.gen::<bool>() {
-            FoExec::Batched
+            FoExec::Vectorized
         } else {
             FoExec::Scalar
         },
@@ -172,12 +172,12 @@ fn merged_supports_round_trip_bit_exactly() {
     }
 }
 
-/// Every prefix cut of a tree-topology handshake payload is either a typed
-/// `WireError` or (at the exact pre-topology boundary) a legacy decode to
-/// the flat-star defaults — never a panic, and never a tree config invented
+/// Every strict prefix of a tree-topology handshake payload is a typed
+/// `WireError` — never a panic, never a flat-star config decoded from a
+/// payload cut at the execution mode, and never a tree config invented
 /// from a truncated suffix.
 #[test]
-fn topology_handshake_payload_cuts_are_typed_errors_or_legacy_defaults() {
+fn topology_handshake_payload_cuts_are_typed_errors() {
     let mut rng = rng(22);
     for _ in 0..50 {
         let mut config = random_config(&mut rng);
@@ -187,17 +187,9 @@ fn topology_handshake_payload_cuts_are_typed_errors_or_legacy_defaults() {
         };
         let bytes = to_bytes(&config);
         for cut in 0..bytes.len() {
-            match from_bytes::<ProtocolConfig>(&bytes[..cut]) {
-                // A cut that lands on the legacy (pre-topology) payload
-                // boundary decodes with the compatibility defaults.
-                Ok(decoded) => {
-                    assert_eq!(decoded.topology, Topology::Flat);
-                    assert_eq!(decoded.quorum, QuorumPolicy::full());
-                }
-                Err(err) => {
-                    let _ = err.to_string(); // typed, printable, no panic
-                }
-            }
+            let err = from_bytes::<ProtocolConfig>(&bytes[..cut])
+                .expect_err("a truncated config must not decode");
+            let _ = err.to_string(); // typed, printable, no panic
         }
         // Bit flips anywhere in the payload must never panic either.
         let mut corrupt = bytes.clone();
@@ -291,26 +283,6 @@ fn random_scenario_plans_round_trip_bit_exactly() {
             seed: rng.gen(),
         };
         assert_eq!(from_bytes::<ScenarioPlan>(&to_bytes(&plan)).unwrap(), plan);
-    }
-}
-
-/// Back-compat: a pre-scenario peer sends a bare `FaultPlan` where a
-/// `ScenarioPlan` now travels (the node handshake).  Such frames decode to
-/// the benign scenario carrying those faults — old coordinators keep
-/// working against new parties.
-#[test]
-fn legacy_fault_plan_frames_decode_to_benign_scenarios() {
-    let mut rng = rng(18);
-    for _ in 0..100 {
-        let faults = FaultPlan {
-            dropout_fraction: rng.gen(),
-            stragglers: rng.gen(),
-            seed: rng.gen(),
-        };
-        let scenario: ScenarioPlan = from_bytes(&to_bytes(&faults)).unwrap();
-        assert_eq!(scenario.faults, faults);
-        assert_eq!(scenario.adversary, AdversaryModel::None);
-        assert_eq!(scenario.seed, 0);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Structure-of-arrays report storage for the vectorized kernels.
 //!
-//! The `Scalar`/`Batched` execution paths move reports as `Vec<Report>` —
+//! The `Scalar` execution path moves reports as `Vec<Report>` —
 //! one heap allocation per OUE report (its `Vec<bool>` bit vector) and an
 //! enum tag per report.  The `Vectorized` path instead fills a
 //! [`ReportBatch`]: one arena holding *all* reports of a chunk in columnar

@@ -1,11 +1,11 @@
 //! Counter-based (splittable) randomness for the vectorized FO kernels.
 //!
-//! The sequential RNG contract shared by the `Scalar` and `Batched`
-//! execution paths — "the batch consumes the RNG stream in exactly the
-//! scalar order" — is what forces those kernels to produce one report at a
-//! time.  This module removes the sequential dependency: draw *i* of report
-//! *j* is a **pure function** of `(key, j, i)`, so any chunk of reports can
-//! be produced in any order, on any worker, and still come out bit-identical.
+//! The sequential RNG contract of the `Scalar` execution path — report *j*
+//! consumes the stream exactly where report *j − 1* left it — is what
+//! forces that kernel to produce one report at a time.  This module
+//! removes the sequential dependency: draw *i* of report *j* is a **pure
+//! function** of `(key, j, i)`, so any chunk of reports can be produced in
+//! any order, on any worker, and still come out bit-identical.
 //!
 //! The generator is a two-level counter construction in the spirit of
 //! Philox/Threefry and SplitMix-style splittable RNGs: a strong 64-bit

@@ -50,7 +50,7 @@ impl SupportCounts {
         self.reports += 1;
     }
 
-    /// Records `n` more aggregated reports in one step (batched aggregation
+    /// Records `n` more aggregated reports in one step (`aggregate_into`
     /// counts a whole chunk at once instead of once per report).
     #[inline]
     pub fn record_reports(&mut self, n: usize) {
@@ -91,7 +91,7 @@ impl SupportCounts {
     }
 
     /// Mutable access to the supports in slot order, for allocation-free
-    /// batched aggregation loops.  Callers adding supports directly must
+    /// `aggregate_into` loops.  Callers adding supports directly must
     /// account the reports themselves via [`SupportCounts::record_reports`].
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.counts

@@ -82,29 +82,6 @@ impl FrequencyOracle for GrrOracle {
         }
     }
 
-    fn perturb_batch<R: Rng + ?Sized>(&self, inputs: &[usize], rng: &mut R, out: &mut Vec<Report>) {
-        // Same RNG stream as the scalar loop; the batched win is hoisting
-        // the probability threshold and domain bound out of the loop and
-        // growing the output once.
-        let p = self.p;
-        let d = self.domain_size;
-        out.reserve(inputs.len());
-        for &input in inputs {
-            debug_assert!(input < d, "input index out of domain");
-            let keep: f64 = rng.gen();
-            let value = if keep < p {
-                input as u32
-            } else {
-                let mut other = rng.gen_range(0..d - 1);
-                if other >= input {
-                    other += 1;
-                }
-                other as u32
-            };
-            out.push(Report::Item(value));
-        }
-    }
-
     fn perturb_vectorized(&self, inputs: &[usize], rng: &CtrRng, base: u64, out: &mut ReportBatch) {
         // Counter-addressed draws (draw 0: keep coin, draw 1: flip target)
         // and a branch-free select; report k depends only on

@@ -50,52 +50,39 @@
 //! assert_eq!(domain.value_at(best), Some(&0b10));
 //! ```
 //!
-//! ## Batched hot path (0.4)
+//! ## Arena aggregation
 //!
-//! [`FrequencyOracle::perturb_batch`] and
-//! [`FrequencyOracle::aggregate_into`] are the batched equivalents of
-//! `perturb`/`aggregate`: bit-identical results (same RNG stream, same
-//! support sums), amortized overhead, and a caller-owned [`SupportCounts`]
-//! arena that many aggregation calls reuse without allocating.  External
-//! `FrequencyOracle` impls written against the 0.3 trait keep compiling —
-//! both methods have default scalar fallbacks.
+//! [`FrequencyOracle::aggregate_into`] is `aggregate` folding into a
+//! caller-owned [`SupportCounts`] arena: same support sums, no allocation,
+//! and one arena serves any number of chunks.  It is how the federated
+//! layer's `Scalar` path consumes a chunked report stream.
 //!
 //! ```
 //! use fedhh_fo::{FoKind, FrequencyOracle, Oracle, PrivacyBudget, SupportCounts};
 //! use rand::SeedableRng;
 //!
 //! let oracle = Oracle::new(FoKind::Grr, PrivacyBudget::new(2.0).unwrap(), 8);
-//! let inputs = vec![3usize; 1000];
-//!
-//! // Batched: one call perturbs the whole group...
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let mut reports = Vec::new();
-//! oracle.perturb_batch(&inputs, &mut rng, &mut reports);
+//! let reports: Vec<_> = (0..1000).map(|_| oracle.perturb(3, &mut rng)).collect();
 //!
-//! // ...and aggregation accumulates into a reusable arena.
 //! let mut arena = SupportCounts::zeros(8);
 //! for chunk in reports.chunks(256) {
 //!     oracle.aggregate_into(chunk, &mut arena);
 //! }
-//!
-//! // Bit-identical to the scalar path.
-//! let mut scalar_rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let scalar: Vec<_> = inputs.iter().map(|i| oracle.perturb(*i, &mut scalar_rng)).collect();
-//! assert_eq!(reports, scalar);
 //! assert_eq!(arena, oracle.aggregate(&reports));
 //! ```
 //!
 //! ## Vectorized hot path (0.8)
 //!
 //! [`FrequencyOracle::perturb_vectorized`] and
-//! [`FrequencyOracle::aggregate_vectorized`] are a third, deliberately
+//! [`FrequencyOracle::aggregate_vectorized`] are a second, deliberately
 //! *different* execution path: driven by the counter-based [`CtrRng`]
 //! (every draw a pure function of `(key, report, draw)`), they fill and
 //! consume structure-of-arrays [`ReportBatch`] arenas with branch-free
 //! kernels.  The output is deterministic per key and bit-identical across
 //! any chunking or evaluation order — but it is **not** the sequential RNG
-//! stream, so `Vectorized` results differ numerically from
-//! `Scalar`/`Batched` at the same seed (each path is pinned on its own).
+//! stream, so `Vectorized` results differ numerically from `Scalar` at
+//! the same seed (each path is pinned on its own).
 //!
 //! ```
 //! use fedhh_fo::{CtrRng, FoKind, FrequencyOracle, Oracle, PrivacyBudget, ReportBatch, SupportCounts};

@@ -143,36 +143,11 @@ impl FrequencyOracle for OlhOracle {
         Report::Hashed { seed, value }
     }
 
-    fn perturb_batch<R: Rng + ?Sized>(&self, inputs: &[usize], rng: &mut R, out: &mut Vec<Report>) {
-        // Same RNG stream as the scalar loop (seed draw, keep draw, flip
-        // draw), with the bucket count and keep threshold hoisted.
-        let p = self.p;
-        let buckets = self.buckets;
-        out.reserve(inputs.len());
-        for &input in inputs {
-            debug_assert!(input < self.domain_size, "input index out of domain");
-            let seed: u64 = rng.gen();
-            let hash = UniversalHash::new(seed, buckets);
-            let true_bucket = hash.hash(input as u64);
-            let keep: f64 = rng.gen();
-            let value = if keep < p {
-                true_bucket
-            } else {
-                let mut other = rng.gen_range(0..buckets - 1);
-                if other >= true_bucket {
-                    other += 1;
-                }
-                other
-            };
-            out.push(Report::Hashed { seed, value });
-        }
-    }
-
     fn perturb_vectorized(&self, inputs: &[usize], rng: &CtrRng, base: u64, out: &mut ReportBatch) {
         // Counter-addressed draws (0: hash seed, 1: keep coin, 2: flip
         // target) into parallel seed/value columns.  The vectorized path
         // uses its own division-free hash family (`vec_bucket`), pinned
-        // independently of the Scalar/Batched `UniversalHash` family —
+        // independently of the Scalar path's `UniversalHash` family —
         // both sides of this path (perturb and aggregate) must agree, and
         // they do because a batch never crosses an execution-path boundary.
         let t_p = ctr::bernoulli_threshold(self.p);

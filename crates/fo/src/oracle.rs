@@ -22,32 +22,15 @@ use rand::{Rng, SeedableRng};
 
 /// The frequency-oracle interface shared by GRR, OUE and OLH.
 ///
-/// The scalar methods ([`perturb`](Self::perturb),
-/// [`aggregate`](Self::aggregate)) define the semantics; the batched
-/// methods ([`perturb_batch`](Self::perturb_batch),
-/// [`aggregate_into`](Self::aggregate_into)) are the hot path the federated
-/// layer drives.  Their default implementations fall back to the scalar
-/// path, so external oracle implementations written against the 0.3 trait
-/// keep compiling unchanged — but every batched override **must** stay
-/// bit-identical to the scalar loop: same RNG consumption order, same
-/// report values, same support sums.  The property tests in
-/// `tests/properties.rs` enforce this for the built-in oracles.
+/// [`perturb`](Self::perturb) and [`aggregate`](Self::aggregate) define the
+/// semantics on the sequential RNG stream (`FoExec::Scalar`);
+/// [`aggregate_into`](Self::aggregate_into) is the same fold into a
+/// caller-owned arena, which is what the federated layer's chunked pipeline
+/// drives.  The `*_vectorized` pair is the counter-RNG production path
+/// (`FoExec::Vectorized`), pinned on its own.
 pub trait FrequencyOracle {
     /// Perturbs one user's domain index into a report satisfying ε-LDP.
     fn perturb<R: Rng + ?Sized>(&self, input: usize, rng: &mut R) -> Report;
-
-    /// Perturbs a whole batch of domain indices, appending one report per
-    /// input to `out`.
-    ///
-    /// Equivalent to calling [`perturb`](Self::perturb) once per input in
-    /// order — implementations amortize per-call overhead (probability
-    /// threshold loads, output growth) but never change the RNG stream.
-    fn perturb_batch<R: Rng + ?Sized>(&self, inputs: &[usize], rng: &mut R, out: &mut Vec<Report>) {
-        out.reserve(inputs.len());
-        for &input in inputs {
-            out.push(self.perturb(input, rng));
-        }
-    }
 
     /// Aggregates reports into per-slot support counts.
     fn aggregate(&self, reports: &[Report]) -> SupportCounts;
@@ -56,8 +39,8 @@ pub trait FrequencyOracle {
     /// whatever supports it already holds.
     ///
     /// `supports` must have as many slots as the oracle's domain.
-    /// Equivalent to `supports.merge(&self.aggregate(reports))`; batched
-    /// implementations write into the accumulator directly so the inner
+    /// Equivalent to `supports.merge(&self.aggregate(reports))`; the
+    /// built-in oracles write into the accumulator directly so the inner
     /// loop is allocation-free and a reused arena serves many calls.
     fn aggregate_into(&self, reports: &[Report], supports: &mut SupportCounts) {
         supports.merge(&self.aggregate(reports));
@@ -68,14 +51,13 @@ pub trait FrequencyOracle {
     /// `(rng.key(), base + k)`, independent of chunking and evaluation
     /// order.
     ///
-    /// This is the `FoExec::Vectorized` hot path.  Unlike
-    /// [`perturb_batch`](Self::perturb_batch) it does **not** reproduce the
-    /// sequential RNG stream — `Vectorized` is its own pinned output,
-    /// deterministic per key but numerically different from
-    /// `Scalar`/`Batched`.  The default implementation derives one
-    /// sequential RNG per report from the counter stream, so external
-    /// oracle implementations keep compiling (and stay chunk-invariant)
-    /// without writing a kernel.
+    /// This is the `FoExec::Vectorized` hot path.  It does **not**
+    /// reproduce the sequential RNG stream of [`perturb`](Self::perturb) —
+    /// `Vectorized` is its own pinned output, deterministic per key but
+    /// numerically different from `Scalar`.  The default implementation
+    /// derives one sequential RNG per report from the counter stream, so
+    /// external oracle implementations keep compiling (and stay
+    /// chunk-invariant) without writing a kernel.
     fn perturb_vectorized(&self, inputs: &[usize], rng: &CtrRng, base: u64, out: &mut ReportBatch) {
         for (offset, &input) in inputs.iter().enumerate() {
             let mut derived = StdRng::seed_from_u64(rng.word(base + offset as u64, 0));
@@ -238,15 +220,6 @@ impl FrequencyOracle for Oracle {
         }
     }
 
-    fn perturb_batch<R: Rng + ?Sized>(&self, inputs: &[usize], rng: &mut R, out: &mut Vec<Report>) {
-        // One dispatch per batch instead of one per report.
-        match self {
-            Oracle::Grr(o) => o.perturb_batch(inputs, rng, out),
-            Oracle::Oue(o) => o.perturb_batch(inputs, rng, out),
-            Oracle::Olh(o) => o.perturb_batch(inputs, rng, out),
-        }
-    }
-
     fn perturb_vectorized(&self, inputs: &[usize], rng: &CtrRng, base: u64, out: &mut ReportBatch) {
         match self {
             Oracle::Grr(o) => o.perturb_vectorized(inputs, rng, base, out),
@@ -314,8 +287,10 @@ pub fn run_oracle<R: Rng + ?Sized>(
     inputs: &[usize],
     rng: &mut R,
 ) -> (FrequencyEstimate, usize) {
-    let mut reports: Vec<Report> = Vec::new();
-    oracle.perturb_batch(inputs, rng, &mut reports);
+    let reports: Vec<Report> = inputs
+        .iter()
+        .map(|&input| oracle.perturb(input, rng))
+        .collect();
     let bits: usize = reports.iter().map(|r| r.size_bits()).sum();
     let estimate = oracle.estimate(&oracle.aggregate(&reports), inputs.len());
     (estimate, bits)

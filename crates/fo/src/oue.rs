@@ -82,25 +82,6 @@ impl FrequencyOracle for OueOracle {
         Report::Bits(bits)
     }
 
-    fn perturb_batch<R: Rng + ?Sized>(&self, inputs: &[usize], rng: &mut R, out: &mut Vec<Report>) {
-        // Same per-bit RNG stream as the scalar loop, with the thresholds
-        // held in registers across the whole batch.  The per-report bit
-        // vector is part of the report shape and cannot be elided.
-        let p = self.p;
-        let q = self.q;
-        let d = self.domain_size;
-        out.reserve(inputs.len());
-        for &input in inputs {
-            debug_assert!(input < d, "input index out of domain");
-            let mut bits = Vec::with_capacity(d);
-            for slot in 0..d {
-                let threshold = if slot == input { p } else { q };
-                bits.push(rng.gen::<f64>() < threshold);
-            }
-            out.push(Report::Bits(bits));
-        }
-    }
-
     fn perturb_vectorized(&self, inputs: &[usize], rng: &CtrRng, base: u64, out: &mut ReportBatch) {
         // Branch-free bit-packed kernel: all 64 slots of a block flip their
         // q-coins at once.  Per slot the 53-bit uniform is split as

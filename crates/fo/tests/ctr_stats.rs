@@ -2,7 +2,7 @@
 //! kernels built on it.
 //!
 //! `FoExec::Vectorized` deliberately abandons the sequential RNG stream, so
-//! bit-identity with `Scalar`/`Batched` cannot be the test.  What must hold
+//! bit-identity with `Scalar` cannot be the test.  What must hold
 //! instead is *distributional* identity: the counter-driven kernels flip
 //! the same Bernoulli coins with the same probabilities as the sequential
 //! path (exactly the same thresholds, by construction — see

@@ -155,46 +155,6 @@ fn domain_pruning_is_sound() {
     }
 }
 
-/// `perturb_batch` is bit-identical to the scalar `perturb` loop for every
-/// oracle kind: same seed, same inputs, same reports, same RNG stream
-/// afterwards.
-#[test]
-fn perturb_batch_is_bit_identical_to_scalar() {
-    for kind in FoKind::ALL {
-        for eps in [0.5f64, 2.0, 6.0] {
-            for domain in [2usize, 5, 16, 257] {
-                for seed in [1u64, 77, 0xDEAD_BEEF] {
-                    let budget = PrivacyBudget::new(eps).unwrap();
-                    let oracle = Oracle::new(kind, budget, domain);
-                    let inputs: Vec<usize> = (0..500).map(|i| (i * 31) % domain).collect();
-
-                    let mut scalar_rng = StdRng::seed_from_u64(seed);
-                    let scalar: Vec<Report> = inputs
-                        .iter()
-                        .map(|i| oracle.perturb(*i, &mut scalar_rng))
-                        .collect();
-
-                    let mut batch_rng = StdRng::seed_from_u64(seed);
-                    let mut batched = Vec::new();
-                    oracle.perturb_batch(&inputs, &mut batch_rng, &mut batched);
-
-                    assert_eq!(
-                        scalar, batched,
-                        "kind {kind} eps {eps} domain {domain} seed {seed}"
-                    );
-                    // The streams must stay aligned after the batch, so
-                    // interleaving batched and scalar calls is safe.
-                    assert_eq!(
-                        scalar_rng.gen::<u64>(),
-                        batch_rng.gen::<u64>(),
-                        "kind {kind}: RNG streams diverged after the batch"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// `aggregate` and `aggregate_into` match an independently written scalar
 /// reference (per-report support counting straight from the paper's
 /// definitions), bit for bit, for every oracle kind.
@@ -243,9 +203,9 @@ fn aggregation_matches_a_scalar_reference() {
             let oracle = Oracle::new(kind, budget, domain);
             let olh = OlhOracle::new(budget, domain).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut reports = Vec::new();
-            let inputs: Vec<usize> = (0..400).map(|i| i % domain).collect();
-            oracle.perturb_batch(&inputs, &mut rng, &mut reports);
+            let mut reports: Vec<Report> = (0..400)
+                .map(|i| oracle.perturb(i % domain, &mut rng))
+                .collect();
             // A foreign report must be counted but contribute no support.
             reports.push(match kind {
                 FoKind::Grr => Report::Bits(vec![true; domain]),
@@ -283,9 +243,9 @@ fn chunked_aggregation_matches_whole_batch() {
         let budget = PrivacyBudget::new(3.0).unwrap();
         let oracle = Oracle::new(kind, budget, domain);
         let mut rng = StdRng::seed_from_u64(99);
-        let inputs: Vec<usize> = (0..300).map(|i| (i * 7) % domain).collect();
-        let mut reports = Vec::new();
-        oracle.perturb_batch(&inputs, &mut rng, &mut reports);
+        let reports: Vec<Report> = (0..300)
+            .map(|i| oracle.perturb((i * 7) % domain, &mut rng))
+            .collect();
 
         let whole = oracle.aggregate(&reports);
         let mut arena = fedhh_fo::SupportCounts::zeros(domain);

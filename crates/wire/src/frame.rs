@@ -30,8 +30,12 @@ use std::io::{Read, Write};
 /// the protocol configuration and added the `MergedSupports` cohort
 /// payload to the round messages — a pre-topology peer can neither merge
 /// nor unpack cohort frames, so it must fail its first frame rather than
-/// mis-aggregate.
-pub const WIRE_SCHEMA: u8 = 5;
+/// mis-aggregate; schema 6 (0.10) retired frequency-oracle execution-path
+/// discriminant 0 and the two per-payload legacy layouts (a scenario
+/// ending after its fault fields, a configuration ending after its
+/// execution mode) — a build speaks exactly one schema, and a payload is
+/// decoded by exactly one layout.
+pub const WIRE_SCHEMA: u8 = 6;
 
 /// The largest frame a reader will accept, in bytes (schema + payload +
 /// crc).  Guards against a corrupt length prefix allocating gigabytes.

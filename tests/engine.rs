@@ -68,41 +68,6 @@ fn engine_output_is_bit_identical_across_parallelism_for_every_mechanism() {
     }
 }
 
-/// The batched FO hot path is the engine default; it must be bit-identical
-/// to the scalar reference path at any parallelism, for every mechanism —
-/// same heavy hitters, same counts (to the bit), same traffic.  This is the
-/// run-level face of the per-oracle batch contract: engine workers
-/// aggregating shard-locally into reused arenas change *how fast* supports
-/// are counted, never the counts themselves.
-#[test]
-fn batched_submission_matches_scalar_reference_at_any_parallelism() {
-    let ds = dataset();
-    for kind in MechanismKind::ALL {
-        let scalar_config = ProtocolConfig {
-            fo_exec: FoExec::Scalar,
-            ..config()
-        };
-        let scalar = Run::mechanism(kind)
-            .dataset(&ds)
-            .config(scalar_config)
-            .engine(EngineConfig::sequential())
-            .execute()
-            .unwrap_or_else(|e| panic!("{kind}: {e}"));
-        for parallelism in [1usize, 8] {
-            let batched = execute(kind, &ds, EngineConfig::parallel(parallelism));
-            assert_eq!(
-                fingerprint(&batched),
-                fingerprint(&scalar),
-                "{kind}: batched path diverged from scalar at parallelism {parallelism}"
-            );
-            assert_eq!(
-                batched.local_results, scalar.local_results,
-                "{kind}: local results diverged from scalar at parallelism {parallelism}"
-            );
-        }
-    }
-}
-
 /// Fault plans are part of the scenario, not a source of nondeterminism:
 /// the same plan produces bit-identical output at any parallelism.
 #[test]

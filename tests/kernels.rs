@@ -1,19 +1,19 @@
-//! Kernel-equivalence suite: the CI matrix gate for the three pinned FO
+//! Kernel-equivalence suite: the CI matrix gate for the two pinned FO
 //! execution paths.
 //!
 //! The `kernel-equivalence` CI job runs this file under every combination
 //! of `FEDHH_TEST_PARALLELISM={1,8}` × `FEDHH_TEST_FO_EXEC={scalar,
-//! batched,vectorized}`.  Three guarantees are enforced:
+//! vectorized}`.  Three guarantees are enforced:
 //!
 //! 1. **The selected path is invariant** across chunk sizes
 //!    {1, 7, 64, usize::MAX} × parallelism {1, 8} and under the env-driven
 //!    default engine — for every mechanism, bit-for-bit.
-//! 2. **Scalar/Batched are byte-stable against pinned seed baselines**: a
-//!    digest of each mechanism's full output must equal the committed
-//!    constant, so no refactor can silently move the sequential RNG stream.
+//! 2. **Scalar is byte-stable against pinned seed baselines**: a digest of
+//!    each mechanism's full output must equal the committed constant, so no
+//!    refactor can silently move the sequential RNG stream.
 //! 3. **Vectorized is deterministic and pinned separately**: same seed →
 //!    same digest on repeat runs, and the digest differs from the
-//!    sequential paths' (it is a third stream, not a reordering).
+//!    sequential path's (it is a second stream, not a reordering).
 
 use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
 use fedhh_federated::{EngineConfig, ExecMode, FoExec, ProtocolConfig};
@@ -35,10 +35,13 @@ fn config(fo_exec: FoExec) -> ProtocolConfig {
     }
 }
 
-/// The execution path under test: the CI matrix knob, defaulting to the
-/// production path.
+/// The execution path under test: the `FEDHH_TEST_FO_EXEC` CI matrix knob,
+/// defaulting to the configuration default.
 fn selected_exec() -> FoExec {
-    FoExec::from_env().unwrap_or(FoExec::Batched)
+    std::env::var("FEDHH_TEST_FO_EXEC")
+        .ok()
+        .and_then(|v| FoExec::parse(&v))
+        .unwrap_or_default()
 }
 
 fn run(
@@ -117,9 +120,9 @@ fn selected_path_is_invariant_across_chunking_and_parallelism() {
     }
 }
 
-/// Per-mechanism pinned digests of the two sequential paths on the seeded
+/// Per-mechanism pinned digests of the sequential path on the seeded
 /// test-scale dataset.  These constants are the "seed baseline": any change
-/// here means the Scalar/Batched RNG stream moved, which is a compatibility
+/// here means the Scalar RNG stream moved, which is a compatibility
 /// break for pinned experiments and must be deliberate (see
 /// ARCHITECTURE.md, "Determinism and bit-identity").
 const SEQUENTIAL_DIGESTS: [(MechanismKind, u64); 4] = [
@@ -129,9 +132,8 @@ const SEQUENTIAL_DIGESTS: [(MechanismKind, u64); 4] = [
     (MechanismKind::Taps, 0xCF29_ADEC_9E8F_2132),
 ];
 
-/// Guarantee 2: Scalar and Batched reproduce the committed seed baselines
-/// byte-for-byte (they share one digest — the batch contract makes Batched
-/// a bit-identical reordering of Scalar's work, not a new stream).
+/// Guarantee 2: Scalar reproduces the committed seed baselines
+/// byte-for-byte.
 #[test]
 fn sequential_paths_match_the_pinned_seed_baselines() {
     let ds = dataset();
@@ -142,25 +144,18 @@ fn sequential_paths_match_the_pinned_seed_baselines() {
             config(FoExec::Scalar),
             Some(EngineConfig::sequential()),
         ));
-        let batched = digest(&run(
-            kind,
-            &ds,
-            config(FoExec::Batched),
-            Some(EngineConfig::sequential()),
-        ));
         assert_eq!(scalar, pin, "{kind}: scalar digest {scalar:#018X} moved");
-        assert_eq!(batched, pin, "{kind}: batched digest {batched:#018X} moved");
     }
 }
 
 /// Guarantee 3: Vectorized is deterministic per seed and is genuinely a
-/// third pinned stream — its digest repeats exactly and differs from the
+/// second pinned stream — its digest repeats exactly and differs from the
 /// sequential baseline for at least one mechanism.
 #[test]
 fn vectorized_path_is_deterministic_and_pinned_separately() {
     let ds = dataset();
     let mut any_diverged = false;
-    for kind in MechanismKind::ALL {
+    for (kind, scalar_pin) in SEQUENTIAL_DIGESTS {
         let first = digest(&run(
             kind,
             &ds,
@@ -174,16 +169,10 @@ fn vectorized_path_is_deterministic_and_pinned_separately() {
             Some(EngineConfig::sequential()),
         ));
         assert_eq!(first, second, "{kind}: vectorized rerun diverged");
-        let batched = digest(&run(
-            kind,
-            &ds,
-            config(FoExec::Batched),
-            Some(EngineConfig::sequential()),
-        ));
-        any_diverged |= first != batched;
+        any_diverged |= first != scalar_pin;
     }
     assert!(
         any_diverged,
-        "vectorized outputs matched batched everywhere — the path is not a distinct stream"
+        "vectorized outputs matched scalar everywhere — the path is not a distinct stream"
     );
 }

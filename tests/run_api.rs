@@ -330,7 +330,7 @@ fn observers_do_not_change_results() {
 
 /// The observer↔tracker exactness invariant holds on the `Vectorized`
 /// frequency-oracle path too — the kernel lane must route its uplink
-/// through the same funnel as the scalar and batched paths.
+/// through the same funnel as the scalar path.
 #[test]
 fn observer_uplink_matches_comm_tracker_on_the_vectorized_path() {
     let ds = dataset();

@@ -72,9 +72,9 @@ fn drain_stats(telemetry: &Telemetry) -> TraceStats {
 #[test]
 fn telemetry_is_inert_across_exec_paths_parallelism_and_transports() {
     let ds = dataset();
-    for fo_exec in [FoExec::Scalar, FoExec::Batched, FoExec::Vectorized] {
+    for fo_exec in FoExec::ALL {
         for parallelism in [1usize, 8] {
-            for transport in [TransportKind::Memory, TransportKind::Tcp] {
+            for transport in [TransportKind::InProcess, TransportKind::Tcp] {
                 let cfg = config().with_fo_exec(fo_exec);
                 let engine = EngineConfig::parallel(parallelism).transport(transport);
                 let what = format!("{fo_exec:?}/p{parallelism}/{transport:?}");

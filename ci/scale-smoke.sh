@@ -9,10 +9,13 @@
 #      coarse 512 MB ceiling.
 #   2. The discriminating gate: the paper's full UBA population (6.48M
 #      users) at scales 0.5 and 1.0 under a 96 MB ceiling.  Measured
-#      peaks: streamed data plane ≈ 71 MB, the eager (pre-0.6) pipeline
-#      ≈ 115 MB — so this fails if the streaming data plane regresses to
-#      materializing pipelines, with ~25 MB of headroom on both sides for
-#      runner noise.
+#      peaks of this very sweep since the group store became one arena:
+#      streamed data plane ≈ 74 MB, the eager (pre-0.6, `--eager`)
+#      pipeline ≈ 111 MB — so this fails if the streaming data plane
+#      regresses to materializing pipelines, with 22 MB of headroom below
+#      the ceiling and 15 MB above it for runner noise.  (The 1.0 point
+#      alone peaks at ≈ 68 MB streamed; the 0.5 point that runs first in
+#      the same process leaves ≈ 6 MB of freed heap the allocator keeps.)
 # BENCH_scale.json and BENCH_scale_uba.json are left in the working
 # directory for CI to upload.
 set -euo pipefail

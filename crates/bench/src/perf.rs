@@ -11,6 +11,8 @@
 //! |---|---|
 //! | `fo_perturb/<fo>/<path>` | Perturb a fixed report stream (scalar `perturb` loop vs counter-RNG `perturb_vectorized`) |
 //! | `fo_aggregate/<fo>/<path>` | Aggregate + estimate the stream (arena `aggregate_into` vs columnar `aggregate_vectorized`) |
+//! | `assign/weighted` | `GroupAssignment::weighted_owned`: shuffle + deal one party's users into g = 24 groups, g_s = 6 (ns per user) |
+//! | `estimate/level/krr` | `LevelEstimator::estimate_with`, vectorized k-RR, one level: prefix → domain index, perturb, aggregate (40 candidates + dummy, ~20 % of users in-domain, chunk 16 384) |
 //! | `mech_e2e/fedpem/<path>` | FedPEM end-to-end on the RDB stand-in (one leg per [`FoExec`] path) |
 //! | `mech_e2e/{gtf,tap,taps}/vectorized` | The other mechanisms end-to-end on the vectorized hot path |
 //!
@@ -59,14 +61,17 @@
 use crate::report::json_string;
 use crate::runner::ExperimentScale;
 use fedhh_datasets::DatasetKind;
-use fedhh_federated::{EngineConfig, FoExec};
+use fedhh_federated::{
+    EngineConfig, EstimateScratch, ExecMode, FoExec, GroupAssignment, LevelEstimator,
+    ProtocolConfig,
+};
 use fedhh_fo::{
     CtrRng, FoKind, FrequencyOracle, Oracle, PrivacyBudget, Report, ReportBatch, SupportCounts,
 };
 use fedhh_mechanisms::{MechanismKind, Run};
 use fedhh_telemetry::{Telemetry, TraceLine};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -259,6 +264,11 @@ impl PerfReport {
         })
     }
 }
+
+/// Users per iteration of the per-layer legs (`assign/*`, `estimate/*`).
+/// One size for both suite flavours: below ~10^6 users the group arena fits
+/// in cache and the legs would time a workload no party has.
+const LAYER_USERS: usize = 1_000_000;
 
 /// Suite sizing: how many reports per FO iteration and how long each
 /// workload is measured.
@@ -476,6 +486,77 @@ fn run_suite_impl(
             0,
         ));
     }
+
+    // --- Per-layer workloads ---------------------------------------------
+    // The two per-user steps between the kernels above and the end-to-end
+    // legs below, at the paper's protocol shape (48-bit codes, g = 24).
+    let layer_config = ProtocolConfig::default()
+        .with_fo_exec(FoExec::Vectorized)
+        .with_exec_mode(ExecMode::Chunked(
+            std::num::NonZeroUsize::new(16_384).expect("non-zero literal"),
+        ));
+    // 40 candidate 16-bit prefixes; one user in five holds one of them, the
+    // rest a uniform prefix (in-domain with probability 40 / 65 536).  Drawn
+    // from an RNG so the hit/miss sequence has no period to learn.
+    let prefix_len = 16u8;
+    let candidates: Vec<u64> = (0..40u64).map(|i| (i * 1_637 + 11) & 0xFFFF).collect();
+    let mut rng = StdRng::seed_from_u64(5);
+    let items: Vec<u64> = (0..LAYER_USERS)
+        .map(|_| {
+            let prefix = if rng.gen_range(0..5u32) == 0 {
+                candidates[rng.gen_range(0..candidates.len())]
+            } else {
+                rng.gen_range(0..1u64 << prefix_len)
+            };
+            (prefix << (layer_config.max_bits - prefix_len)) | rng.gen_range(0..1u64 << 32)
+        })
+        .collect();
+
+    // Timed by hand: the deal consumes its input, and the copy handed to
+    // it must stay outside the clock.
+    let mut assign_secs = f64::INFINITY;
+    for _ in 0..size.e2e_reps {
+        let owned = items.clone();
+        let start = Instant::now();
+        let assignment = GroupAssignment::weighted_owned(
+            owned,
+            layer_config.granularity,
+            6,
+            layer_config.phase1_user_fraction,
+            42,
+        )
+        .map_err(|e| e.to_string())?;
+        assign_secs = assign_secs.min(start.elapsed().as_secs_f64());
+        black_box(assignment);
+    }
+    entries.push(entry(
+        "assign/weighted".to_string(),
+        LAYER_USERS,
+        assign_secs,
+        0,
+    ));
+
+    let estimator = LevelEstimator::new(layer_config).map_err(|e| e.to_string())?;
+    let mut scratch = EstimateScratch::new();
+    let mut level_bits = 0u64;
+    let level_secs = time_best(
+        size.trials,
+        size.warmup,
+        size.min_iters,
+        size.min_window,
+        || {
+            let estimate =
+                estimator.estimate_with(&mut scratch, &candidates, prefix_len, &items, 1);
+            level_bits = estimate.report_bits as u64;
+            estimate
+        },
+    );
+    entries.push(entry(
+        "estimate/level/krr".to_string(),
+        LAYER_USERS,
+        level_secs,
+        level_bits,
+    ));
 
     // --- Mechanism end-to-end workloads ---------------------------------
     // Pinned to the quick protocol shape (16-bit codes, 8 levels), the RDB
@@ -1029,6 +1110,8 @@ mod tests {
             }
         }
         for name in [
+            "assign/weighted",
+            "estimate/level/krr",
             "mech_e2e/fedpem/scalar",
             "mech_e2e/fedpem/vectorized",
             "mech_e2e/gtf/vectorized",

@@ -36,10 +36,17 @@ fn perf_emits_json_and_check_gates_regressions() {
     let text = std::fs::read_to_string(&out).expect("BENCH_perf.json missing");
     let report = PerfReport::from_json(&text).expect("emitted JSON must parse");
     assert_eq!(report.schema, 1);
-    assert!(report
-        .entries
-        .iter()
-        .any(|e| e.name == "mech_e2e/fedpem/scalar"));
+    for name in [
+        "fo_perturb/krr/scalar",
+        "assign/weighted",
+        "estimate/level/krr",
+        "mech_e2e/fedpem/scalar",
+    ] {
+        assert!(
+            report.entries.iter().any(|e| e.name == name),
+            "missing {name}"
+        );
+    }
 
     // 2. A doctored baseline with an injected slowdown (one entry claiming
     //    to have run 1000x faster) AND a vanished workload (one entry

@@ -275,17 +275,16 @@ impl LevelEstimator {
         scratch.supports.reset(domain.len());
         let mut report_bits = 0usize;
         let mut chunk_base = 0u64;
+        let (prefix_shift, prefix_mask) = prefix_operands(self.config.max_bits, prefix_len);
 
         for chunk in group_items.chunks(chunk_size) {
             scratch.inputs.clear();
-            scratch.inputs.reserve(chunk.len());
-            for item in chunk {
-                let prefix = Prefix::of_item(*item, self.config.max_bits, prefix_len).value();
-                let input = domain
+            scratch.inputs.extend(chunk.iter().map(|item| {
+                let prefix = item.checked_shr(prefix_shift).unwrap_or(0) & prefix_mask;
+                domain
                     .encode(&prefix)
-                    .expect("domain has a dummy slot, encode cannot fail");
-                scratch.inputs.push(input);
-            }
+                    .expect("domain has a dummy slot, encode cannot fail")
+            }));
 
             scratch.reports.clear();
             match self.config.fo_exec {
@@ -328,8 +327,17 @@ impl LevelEstimator {
         }
         let estimate = oracle.estimate(&scratch.supports, users);
 
-        let frequencies: Vec<f64> = (0..candidates.len())
-            .map(|i| estimate.frequency(i))
+        // Through the domain rather than by position: a repeated candidate
+        // shares its first occurrence's slot, and position `i` of a list
+        // with repeats can be the dummy's.
+        let frequencies: Vec<f64> = candidates
+            .iter()
+            .map(|c| {
+                let slot = domain
+                    .index_of(c)
+                    .expect("a candidate is in its own domain");
+                estimate.frequency(slot)
+            })
             .collect();
         let counts: Vec<f64> = frequencies.iter().map(|f| f * users as f64).collect();
         LevelEstimate {
@@ -343,10 +351,21 @@ impl LevelEstimator {
     }
 }
 
+/// The shift and mask with which
+/// `item.checked_shr(shift).unwrap_or(0) & mask` equals
+/// `Prefix::of_item(item, max_bits, prefix_len).value()` for every item.
+///
+/// Both are the same for every user of a level, so the encode loop derives
+/// them once: the all-ones probe yields the mask and runs `of_item`'s range
+/// checks once per level instead of once per user.
+fn prefix_operands(max_bits: u8, prefix_len: u8) -> (u32, u64) {
+    let mask = Prefix::of_item(u64::MAX, max_bits, prefix_len).value();
+    (u32::from(max_bits - prefix_len), mask)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedhh_trie::Prefix;
 
     fn config() -> ProtocolConfig {
         ProtocolConfig {
@@ -601,9 +620,48 @@ mod tests {
 
     #[test]
     fn prefix_extraction_matches_trie_prefixes() {
-        // Sanity link between the estimator's internal prefixing and the
-        // trie crate's Prefix::of_item.
-        let item = 0b1011_0110u64;
-        assert_eq!(Prefix::of_item(item, 8, 2).value(), 0b10);
+        // The encode loop's hoisted shift/mask against the trie crate's
+        // Prefix::of_item, including the edges where a bare `>>` would
+        // overflow (zero-length prefix of a 64-bit code) or mask nothing.
+        let items = [0u64, 1, 0b1011_0110, 0xDEAD_BEEF_F00D_CAFE, u64::MAX];
+        for max_bits in [1u8, 8, 16, 48, 63, 64] {
+            for prefix_len in 0..=max_bits {
+                let (shift, mask) = prefix_operands(max_bits, prefix_len);
+                for item in items {
+                    assert_eq!(
+                        item.checked_shr(shift).unwrap_or(0) & mask,
+                        Prefix::of_item(item, max_bits, prefix_len).value(),
+                        "item {item:#x}, m {max_bits}, l {prefix_len}"
+                    );
+                }
+            }
+        }
+        assert_eq!(prefix_operands(8, 2), (6, 0b11));
+    }
+
+    #[test]
+    fn duplicate_candidates_and_an_all_out_of_domain_group_report_the_dummy() {
+        // Candidates with repeats collapse to {00, 01} + dummy (slot 2);
+        // every user's prefix is 11, so every true input is the dummy slot.
+        // At this budget k-RR keeps the true input (flip probability
+        // ~1e-17), so all support sits on the dummy and every candidate —
+        // repeats included, which read their first occurrence's slot, not
+        // position 2 — estimates to zero.
+        let items: Vec<u64> = vec![0b1100_0000; 2000];
+        let candidates = vec![0b00u64, 0b01, 0b00, 0b01, 0b01];
+        for fo_exec in crate::config::FoExec::ALL {
+            let estimator = LevelEstimator::new(ProtocolConfig {
+                epsilon: 40.0,
+                fo_exec,
+                ..config()
+            })
+            .unwrap();
+            let est = estimator.estimate(&candidates, 2, &items, 6);
+            assert_eq!(est.users, items.len());
+            assert_eq!(est.candidates, candidates);
+            for f in &est.frequencies {
+                assert!(f.abs() < 1e-9, "{fo_exec}: candidate frequency {f}");
+            }
+        }
     }
 }

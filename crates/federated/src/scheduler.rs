@@ -17,10 +17,15 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// The assignment of one party's users to trie levels.
+///
+/// All groups live in one arena, level after level, so a party holds
+/// exactly 8 bytes per user once the deal is done.
 #[derive(Debug, Clone)]
 pub struct GroupAssignment {
-    /// `groups[h - 1]` holds the item codes of the users assigned to level h.
-    groups: Vec<Vec<u64>>,
+    /// Item codes of every user, grouped by level.
+    arena: Vec<u64>,
+    /// `arena[bounds[h - 1]..bounds[h]]` is the group of level h.
+    bounds: Vec<usize>,
 }
 
 impl GroupAssignment {
@@ -42,12 +47,7 @@ impl GroupAssignment {
         }
         let mut rng = StdRng::seed_from_u64(seed);
         items.shuffle(&mut rng);
-        let g = g as usize;
-        let mut groups: Vec<Vec<u64>> = vec![Vec::new(); g];
-        for (i, item) in items.into_iter().enumerate() {
-            groups[i % g].push(item);
-        }
-        Ok(Self { groups })
+        Ok(Self::deal(&items, &[(items.len(), g as usize)]))
     }
 
     /// Splits `items` into `g` groups where the first `phase1_levels` groups
@@ -96,33 +96,66 @@ impl GroupAssignment {
 
         let phase1_fraction = phase1_fraction.min(0.9);
         let n = shuffled.len();
-        let phase1_total = ((n as f64) * phase1_fraction).round() as usize;
-        let (phase1_items, phase2_items) = shuffled.split_at(phase1_total.min(n));
-
-        let mut groups: Vec<Vec<u64>> = vec![Vec::new(); g as usize];
-        for (i, item) in phase1_items.iter().enumerate() {
-            groups[i % phase1_levels as usize].push(*item);
-        }
-        let phase2_levels = (g - phase1_levels) as usize;
-        for (i, item) in phase2_items.iter().enumerate() {
-            groups[phase1_levels as usize + (i % phase2_levels)].push(*item);
-        }
-        Ok(Self { groups })
+        let phase1_total = (((n as f64) * phase1_fraction).round() as usize).min(n);
+        Ok(Self::deal(
+            &shuffled,
+            &[
+                (phase1_total, phase1_levels as usize),
+                (n - phase1_total, (g - phase1_levels) as usize),
+            ],
+        ))
     }
 
-    /// The users (item codes) assigned to level `h` (1-based).
+    /// Deals `shuffled` into consecutive regions of `(users, width)`: each
+    /// region's users go round-robin to its own `width` groups, so user `i`
+    /// of a region is row `i / width` of the region's group `i % width`.
+    ///
+    /// Every group's size follows from `(users, width)` alone, so all bounds
+    /// are fixed before an item moves and each item is written straight to
+    /// its final place — walking the region in rows of `width` needs no
+    /// division per user and no vector ever regrows.
+    fn deal(shuffled: &[u64], regions: &[(usize, usize)]) -> Self {
+        let mut arena = vec![0u64; shuffled.len()];
+        let mut bounds = vec![0usize];
+        let mut rest = shuffled;
+        for &(users, width) in regions {
+            let first = bounds.len() - 1;
+            for j in 0..width {
+                let size = users / width + usize::from(j < users % width);
+                bounds.push(bounds[first + j] + size);
+            }
+            let (region, tail) = rest.split_at(users);
+            rest = tail;
+            let starts = &bounds[first..first + width];
+            for (row, dealt) in region.chunks(width).enumerate() {
+                for (&item, &start) in dealt.iter().zip(starts) {
+                    arena[start + row] = item;
+                }
+            }
+        }
+        Self { arena, bounds }
+    }
+
+    /// The users (item codes) assigned to level `h`.
+    ///
+    /// Levels are 1-based; panics when `h` is outside `1..=levels()`.
     pub fn level(&self, h: u8) -> &[u64] {
-        &self.groups[(h - 1) as usize]
+        assert!(
+            (1..=self.levels()).contains(&h),
+            "level {h} is outside 1..={}",
+            self.levels()
+        );
+        &self.arena[self.bounds[h as usize - 1]..self.bounds[h as usize]]
     }
 
     /// Number of levels.
     pub fn levels(&self) -> u8 {
-        self.groups.len() as u8
+        (self.bounds.len() - 1) as u8
     }
 
     /// Total number of users across all groups.
     pub fn total_users(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
+        self.arena.len()
     }
 }
 
@@ -191,6 +224,92 @@ mod tests {
         for h in 1..=4u8 {
             assert!(a.level(h).is_empty());
         }
+    }
+
+    /// The deal this module shipped before the arena: shuffle, then push
+    /// user `i` of a region onto group `i % width`.  Kept as the oracle the
+    /// arena deal must match element for element.
+    fn dealt_by_push(
+        items: &[u64],
+        g: u8,
+        phase1_levels: u8,
+        phase1_fraction: f64,
+        seed: u64,
+    ) -> Vec<Vec<u64>> {
+        let mut shuffled = items.to_vec();
+        shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
+        let mut groups: Vec<Vec<u64>> = vec![Vec::new(); g as usize];
+        if phase1_levels == 0 || phase1_levels == g || phase1_fraction <= 0.0 {
+            for (i, item) in shuffled.into_iter().enumerate() {
+                groups[i % g as usize].push(item);
+            }
+            return groups;
+        }
+        let n = shuffled.len();
+        let phase1_total = ((n as f64) * phase1_fraction.min(0.9)).round() as usize;
+        let (phase1_items, phase2_items) = shuffled.split_at(phase1_total.min(n));
+        for (i, item) in phase1_items.iter().enumerate() {
+            groups[i % phase1_levels as usize].push(*item);
+        }
+        let phase2_levels = (g - phase1_levels) as usize;
+        for (i, item) in phase2_items.iter().enumerate() {
+            groups[phase1_levels as usize + (i % phase2_levels)].push(*item);
+        }
+        groups
+    }
+
+    #[test]
+    fn arena_deal_matches_the_push_deal_element_for_element() {
+        for g in [1u8, 2, 24, 255] {
+            let g_us = g as usize;
+            for n in [0, 1, g_us - 1, g_us, g_us + 1, 1000, 100_003] {
+                let items: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37) ^ 5).collect();
+                for seed in [0u64, 7, u64::MAX] {
+                    let uniform = GroupAssignment::uniform(&items, g, seed).unwrap();
+                    let expected = dealt_by_push(&items, g, 0, 0.0, seed);
+                    assert_eq!(uniform.levels(), g);
+                    assert_eq!(uniform.total_users(), n);
+                    for h in 1..=g {
+                        assert_eq!(
+                            uniform.level(h),
+                            expected[h as usize - 1],
+                            "uniform n {n} g {g} seed {seed} level {h}"
+                        );
+                    }
+                    for phase1_levels in [0, 1, g - 1, g] {
+                        // 0.95 is clamped to 0.9; 1e-9 leaves phase 1 empty.
+                        for fraction in [0.0, 0.1, 0.5, 0.95, 1e-9] {
+                            let weighted =
+                                GroupAssignment::weighted(&items, g, phase1_levels, fraction, seed)
+                                    .unwrap();
+                            let expected = dealt_by_push(&items, g, phase1_levels, fraction, seed);
+                            assert_eq!(weighted.levels(), g);
+                            assert_eq!(weighted.total_users(), n);
+                            for h in 1..=g {
+                                assert_eq!(
+                                    weighted.level(h),
+                                    expected[h as usize - 1],
+                                    "weighted n {n} g {g} g_s {phase1_levels} \
+                                     fraction {fraction} seed {seed} level {h}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "level 0 is outside 1..=4")]
+    fn level_zero_is_an_explicit_panic() {
+        GroupAssignment::uniform(&[1, 2, 3], 4, 0).unwrap().level(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "level 5 is outside 1..=4")]
+    fn level_past_the_last_is_an_explicit_panic() {
+        GroupAssignment::uniform(&[1, 2, 3], 4, 0).unwrap().level(5);
     }
 
     #[test]

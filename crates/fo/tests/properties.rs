@@ -155,6 +155,97 @@ fn domain_pruning_is_sound() {
     }
 }
 
+/// The flat reverse index of `CandidateDomain` agrees with the structure it
+/// replaced — a `std::collections::HashMap` filled first-occurrence-wins —
+/// on `len`, `index_of` and `encode` (with and without a dummy slot), for
+/// every member and for more than 10 000 non-members per candidate list.
+#[test]
+fn candidate_domain_matches_a_hash_map_oracle() {
+    use std::collections::HashMap;
+
+    // Mirrors the first multiplier of the table's hash (`domain.rs`): with
+    // its inverse mod 2^64, the value `k · INV` hashes to `k`, whose top
+    // bits are zero — so these values share bucket 0 under that multiplier
+    // at *every* table size and only a change of multiplier separates them.
+    const FIRST_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut inverse = FIRST_MULTIPLIER;
+    for _ in 0..6 {
+        inverse = inverse.wrapping_mul(2u64.wrapping_sub(FIRST_MULTIPLIER.wrapping_mul(inverse)));
+    }
+    assert_eq!(FIRST_MULTIPLIER.wrapping_mul(inverse), 1);
+
+    let mut rng = StdRng::seed_from_u64(0xD0_4A11);
+    let mut lists: Vec<Vec<u64>> = vec![
+        vec![],
+        vec![0],
+        vec![u64::MAX],
+        vec![0, u64::MAX, 0, 1, u64::MAX, u64::MAX - 1],
+        vec![7; 100],
+    ];
+    for size in [1usize, 2, 3, 4, 5, 8, 40, 41, 255, 256, 1000, 2048] {
+        // Uniform 64-bit values, then the same with every third repeated.
+        let uniform: Vec<u64> = (0..size).map(|_| rng.gen_range(0..=u64::MAX)).collect();
+        let repeats = (0..size).map(|i| uniform[i - i % 3]).collect();
+        // A dense range, as a full small domain would be.
+        let dense = (0..size as u64).collect();
+        // 48-bit prefixes that differ only above a shared 20-bit tail.
+        let tails = (0..size)
+            .map(|_| (rng.gen_range(0..1u64 << 28) << 20) | 0xA_BCDE)
+            .collect();
+        // Children of a few parents: runs of four consecutive values.
+        let children = (0..size as u64)
+            .map(|i| ((i / 4).wrapping_mul(0x1_0003) << 2) | (i % 4))
+            .collect();
+        let colliding = (0..size as u64).map(|k| k.wrapping_mul(inverse)).collect();
+        lists.extend([uniform, repeats, dense, tails, children, colliding]);
+    }
+    for _ in 0..24 {
+        // Small value range: many duplicates, and non-members that are near
+        // misses rather than far-away random words.
+        let size = rng.gen_range(0usize..=2048);
+        lists.push((0..size).map(|_| rng.gen_range(0u64..3000)).collect());
+    }
+
+    for list in &lists {
+        let mut oracle: HashMap<u64, usize> = HashMap::new();
+        let mut ordered = Vec::new();
+        for &v in list {
+            oracle.entry(v).or_insert_with(|| {
+                ordered.push(v);
+                ordered.len() - 1
+            });
+        }
+        let mut probes: Vec<u64> = (0..10_000).map(|_| rng.gen_range(0..=u64::MAX)).collect();
+        probes.extend((0..2_000).map(|_| rng.gen_range(0u64..6000)));
+        probes.extend([0, 1, u64::MAX, u64::MAX - 1, inverse]);
+        for &v in ordered.iter().take(64) {
+            probes.extend([v.wrapping_add(1), v.wrapping_sub(1), v ^ (1 << 63), !v]);
+        }
+
+        for dummy in [false, true] {
+            let domain = if dummy {
+                CandidateDomain::with_dummy(list.clone())
+            } else {
+                CandidateDomain::new(list.clone())
+            };
+            let what = format!(
+                "{} values (first {:?}), dummy {dummy}",
+                list.len(),
+                list.first()
+            );
+            assert_eq!(domain.candidate_count(), oracle.len(), "{what}");
+            assert_eq!(domain.len(), oracle.len() + usize::from(dummy), "{what}");
+            assert_eq!(domain.to_vec(), ordered, "{what}");
+            let miss = dummy.then_some(oracle.len());
+            for v in list.iter().chain(&probes) {
+                let expected = oracle.get(v).copied();
+                assert_eq!(domain.index_of(v), expected, "{what}: index_of {v}");
+                assert_eq!(domain.encode(v), expected.or(miss), "{what}: encode {v}");
+            }
+        }
+    }
+}
+
 /// `aggregate` and `aggregate_into` match an independently written scalar
 /// reference (per-report support counting straight from the paper's
 /// definitions), bit for bit, for every oracle kind.

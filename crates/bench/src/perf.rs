@@ -15,6 +15,7 @@
 //! | `estimate/level/krr` | `LevelEstimator::estimate_with`, vectorized k-RR, one level: prefix → domain index, perturb, aggregate (40 candidates + dummy, ~20 % of users in-domain, chunk 16 384) |
 //! | `mech_e2e/fedpem/<path>` | FedPEM end-to-end on the RDB stand-in (one leg per [`FoExec`] path) |
 //! | `mech_e2e/{gtf,tap,taps}/vectorized` | The other mechanisms end-to-end on the vectorized hot path |
+//! | `mech_e2e/{tap,taps}/vectorized/p2` | TAP and TAPS with OLH on a skewed population (YCM: one party holds 61 % of the users) under `EngineConfig::parallel(2)` — the legs where a worker without a party takes part of the big party's levels, and TAPS' one-party-at-a-time chain uses the second core at all |
 //!
 //! `<fo>` is `krr`, `oue` or `olh`; `<path>` is `scalar` or `vectorized`.
 //! Both paths are measured **in the same run**, so the vectorized speed-up
@@ -60,7 +61,7 @@
 
 use crate::report::json_string;
 use crate::runner::ExperimentScale;
-use fedhh_datasets::DatasetKind;
+use fedhh_datasets::{DatasetKind, FederatedDataset};
 use fedhh_federated::{
     EngineConfig, EstimateScratch, ExecMode, FoExec, GroupAssignment, LevelEstimator,
     ProtocolConfig,
@@ -390,7 +391,7 @@ pub fn run_suite_traced(quick: bool, trace: &mut dyn std::io::Write) -> Result<P
 
 fn run_suite_impl(
     quick: bool,
-    mut trace: Option<&mut dyn std::io::Write>,
+    trace: Option<&mut dyn std::io::Write>,
 ) -> Result<PerfReport, String> {
     let size = SuiteSize::new(quick);
     let mut entries = Vec::new();
@@ -558,7 +559,23 @@ fn run_suite_impl(
         level_bits,
     ));
 
-    // --- Mechanism end-to-end workloads ---------------------------------
+    mechanism_legs(&size, trace, &mut entries)?;
+
+    Ok(PerfReport {
+        schema: 1,
+        suite: if quick { "quick" } else { "full" }.to_string(),
+        entries,
+    })
+}
+
+/// The mechanism end-to-end legs of the suite, appended to `entries` (and,
+/// traced, one mark-delimited section per leg to `trace`).
+#[inline(never)]
+fn mechanism_legs(
+    size: &SuiteSize,
+    mut trace: Option<&mut dyn std::io::Write>,
+    entries: &mut Vec<PerfEntry>,
+) -> Result<(), String> {
     // Pinned to the quick protocol shape (16-bit codes, 8 levels), the RDB
     // stand-in and the sequential engine so timings measure the hot path,
     // not thread setup — but with a boosted user population so per-report
@@ -568,15 +585,15 @@ fn run_suite_impl(
         ..ExperimentScale::quick()
     };
     let dataset = scale.dataset_config(11).build(DatasetKind::Rdb);
-    let users = dataset.total_users();
-    let engine = EngineConfig::sequential();
-    let mut e2e = |kind: MechanismKind, fo_exec: FoExec, label: &str| -> Result<(), String> {
+    let base_config = scale.protocol_config(23).with_epsilon(4.0).with_k(10);
+    let mut e2e = |kind: MechanismKind,
+                   config: ProtocolConfig,
+                   dataset: &FederatedDataset,
+                   engine: EngineConfig,
+                   label: &str|
+     -> Result<(), String> {
         let mechanism = kind.build();
-        let config = scale
-            .protocol_config(23)
-            .with_epsilon(4.0)
-            .with_k(10)
-            .with_fo_exec(fo_exec);
+        let users = dataset.total_users();
         // One fresh sink per leg so each flushes as its own mark-delimited
         // section; disabled (one branch per record) when untraced.
         let telemetry = if trace.is_some() {
@@ -587,7 +604,7 @@ fn run_suite_impl(
         let mut uplink_bits = 0u64;
         let mut run_once = || -> Result<f64, String> {
             let output = Run::custom(mechanism.as_ref())
-                .dataset(&dataset)
+                .dataset(dataset)
                 .config(config)
                 .engine(engine)
                 .telemetry(&telemetry)
@@ -619,14 +636,38 @@ fn run_suite_impl(
         Ok(())
     };
     for (kind, fo_exec, label) in E2E_LEGS {
-        e2e(kind, fo_exec, label)?;
+        e2e(
+            kind,
+            base_config.with_fo_exec(fo_exec),
+            &dataset,
+            EngineConfig::sequential(),
+            label,
+        )?;
+    }
+    // The parallel legs: two workers on a population one party dominates,
+    // with the oracle whose levels are worth splitting (OLH is O(n·d)).
+    // One size for both suite flavours — below it the big party's levels
+    // stop carrying the work a helper needs, and the legs would time a
+    // schedule no skewed federation gets.
+    let skewed = ExperimentScale {
+        user_scale: SKEWED_USER_SCALE,
+        ..ExperimentScale::quick()
+    }
+    .dataset_config(11)
+    .build(DatasetKind::Ycm);
+    for (kind, label) in PARALLEL_LEGS {
+        e2e(
+            kind,
+            base_config
+                .with_fo(FoKind::Olh)
+                .with_fo_exec(FoExec::Vectorized),
+            &skewed,
+            EngineConfig::parallel(2),
+            label,
+        )?;
     }
 
-    Ok(PerfReport {
-        schema: 1,
-        suite: if quick { "quick" } else { "full" }.to_string(),
-        entries,
-    })
+    Ok(())
 }
 
 /// The five pinned mechanism end-to-end legs, in suite order.
@@ -641,6 +682,17 @@ const E2E_LEGS: [(MechanismKind, FoExec, &str); 5] = [
     (MechanismKind::Tap, FoExec::Vectorized, "tap/vectorized"),
     (MechanismKind::Taps, FoExec::Vectorized, "taps/vectorized"),
 ];
+
+/// The two legs on the parallel engine, in suite order.
+const PARALLEL_LEGS: [(MechanismKind, &str); 2] = [
+    (MechanismKind::Tap, "tap/vectorized/p2"),
+    (MechanismKind::Taps, "taps/vectorized/p2"),
+];
+
+/// User-population multiplier of the parallel legs' YCM stand-in: 400 814
+/// users, 243 690 of them in one party, so that party's Phase II levels
+/// (≈ 36 500 users over ≈ 40 slots) each carry ≈ 1.5 ms of OLH kernel work.
+const SKEWED_USER_SCALE: f64 = 0.3;
 
 /// Measures telemetry overhead the only way wall-clock noise allows:
 /// **interleaved in one process**.  Comparing two separate `perf`
@@ -1117,6 +1169,8 @@ mod tests {
             "mech_e2e/gtf/vectorized",
             "mech_e2e/tap/vectorized",
             "mech_e2e/taps/vectorized",
+            "mech_e2e/tap/vectorized/p2",
+            "mech_e2e/taps/vectorized/p2",
         ] {
             assert!(
                 report.entries.iter().any(|e| e.name == name),

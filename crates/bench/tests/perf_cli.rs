@@ -41,6 +41,8 @@ fn perf_emits_json_and_check_gates_regressions() {
         "assign/weighted",
         "estimate/level/krr",
         "mech_e2e/fedpem/scalar",
+        "mech_e2e/tap/vectorized/p2",
+        "mech_e2e/taps/vectorized/p2",
     ] {
         assert!(
             report.entries.iter().any(|e| e.name == name),

@@ -13,12 +13,13 @@
 
 use crate::extension::ExtensionStrategy;
 use crate::mechanism::{Mechanism, MechanismOutput};
-use crate::pem::run_pem_traced;
+use crate::pem::run_pem_with;
 use crate::run::RunContext;
 use crate::tap::locals_from_reports;
 use fedhh_federated::{
-    aggregate_reports_into, top_k_from_counts, Broadcast, CandidateReport, LevelEstimated,
-    PartyDriver, ProtocolConfig, ProtocolError, RoundInput, RoundOutcome, RoundPayload, RunPhase,
+    aggregate_reports_into, top_k_from_counts, Broadcast, CandidateReport, EstimateScratch,
+    LevelEstimated, PartyDriver, ProtocolConfig, ProtocolError, RoundInput, RoundOutcome,
+    RoundPayload, RunPhase,
 };
 use std::collections::HashMap;
 use std::time::Instant;
@@ -66,7 +67,8 @@ struct FedPemDriver<'a> {
     config: ProtocolConfig,
     extension: ExtensionStrategy,
     seed: u64,
-    telemetry: fedhh_telemetry::Telemetry,
+    /// Per-driver estimation arena.
+    scratch: EstimateScratch,
 }
 
 impl PartyDriver for FedPemDriver<'_> {
@@ -75,13 +77,13 @@ impl PartyDriver for FedPemDriver<'_> {
     }
 
     fn run_round(&mut self, _input: &RoundInput) -> Result<RoundOutcome, ProtocolError> {
-        let outcome = run_pem_traced(
+        let outcome = run_pem_with(
             self.name,
             &self.items,
             &self.config,
             self.extension,
             self.seed,
-            &self.telemetry,
+            &mut self.scratch,
         )?;
         let report = outcome.local.to_report(self.config.granularity);
         let mut round = RoundOutcome::default();
@@ -125,7 +127,7 @@ impl Mechanism for FedPem {
                 config,
                 extension,
                 seed: ctx.party_seed(idx),
-                telemetry: ctx.telemetry().clone(),
+                scratch: session.scratch(),
             })
             .collect();
 

@@ -135,11 +135,7 @@ impl Mechanism for Gtf {
                     estimator: &estimator,
                     config,
                     seed: ctx.party_seed(idx),
-                    scratch: {
-                        let mut scratch = EstimateScratch::new();
-                        scratch.set_telemetry(ctx.telemetry());
-                        scratch
-                    },
+                    scratch: session.scratch(),
                 })
             })
             .collect::<Result<_, ProtocolError>>()?;

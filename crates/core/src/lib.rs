@@ -64,7 +64,7 @@ pub use extension::ExtensionStrategy;
 pub use fedpem::FedPem;
 pub use gtf::Gtf;
 pub use mechanism::{Mechanism, MechanismKind, MechanismOutput, ParseMechanismKindError};
-pub use pem::{run_pem, run_pem_traced, PemLevelTrace, PemPartyOutcome};
+pub use pem::{run_pem, run_pem_with, PemLevelTrace, PemPartyOutcome};
 pub use run::{Run, RunContext};
 pub use tap::Tap;
 pub use taps::Taps;

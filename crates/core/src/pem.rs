@@ -13,7 +13,7 @@ use fedhh_datasets::ItemStream;
 use fedhh_federated::{
     EstimateScratch, GroupAssignment, LevelEstimate, LevelEstimator, ProtocolConfig, ProtocolError,
 };
-use fedhh_telemetry::{SpanName, Telemetry};
+use fedhh_telemetry::SpanName;
 use fedhh_trie::extend_prefix_values;
 
 /// Diagnostics of one PEM level inside one party, kept so callers (and run
@@ -80,26 +80,29 @@ pub fn run_pem(
     extension: ExtensionStrategy,
     noise_seed: u64,
 ) -> Result<PemPartyOutcome, ProtocolError> {
-    run_pem_traced(
+    run_pem_with(
         party_name,
         items,
         config,
         extension,
         noise_seed,
-        &Telemetry::disabled(),
+        &mut EstimateScratch::new(),
     )
 }
 
-/// [`run_pem`] with a telemetry handle: each trie level runs under a
-/// `level` span and the estimator's perturb/aggregate kernels are timed.
-/// The outcome is bit-identical to [`run_pem`] — telemetry only observes.
-pub fn run_pem_traced(
+/// [`run_pem`] in a caller-owned estimation arena.  With a scratch from
+/// [`Session::scratch`](fedhh_federated::Session::scratch) each trie level
+/// runs under a `level` span of the session's telemetry handle, the
+/// estimator's perturb/aggregate kernels are timed, and `Vectorized` levels
+/// may borrow the round's idle workers.  The outcome is bit-identical to
+/// [`run_pem`] — the scratch only observes and schedules.
+pub fn run_pem_with(
     party_name: &str,
     items: &ItemStream,
     config: &ProtocolConfig,
     extension: ExtensionStrategy,
     noise_seed: u64,
-    telemetry: &Telemetry,
+    scratch: &mut EstimateScratch,
 ) -> Result<PemPartyOutcome, ProtocolError> {
     config.validate()?;
     let schedule = config.schedule();
@@ -117,10 +120,10 @@ pub fn run_pem_traced(
     let mut local_report_bits = 0usize;
     let mut extension_trace = Vec::with_capacity(config.granularity as usize);
     let mut level_trace = Vec::with_capacity(config.granularity as usize);
-    // One estimation arena for the whole party: report buffers and
-    // support counts are allocated once and reused level after level.
-    let mut scratch = EstimateScratch::new();
-    scratch.set_telemetry(telemetry);
+    // One estimation arena (the caller's) for the whole party: report
+    // buffers and support counts are allocated once and reused level after
+    // level.
+    let telemetry = scratch.telemetry().clone();
 
     for h in schedule.levels() {
         let _level_span = telemetry.span_idx(SpanName::Level, u64::from(h));
@@ -128,7 +131,7 @@ pub fn run_pem_traced(
         let len = schedule.prefix_len(h);
         let candidates = extend_prefix_values(&current, current_len, step);
         let estimate = estimator.estimate_with(
-            &mut scratch,
+            scratch,
             &candidates,
             len,
             assignment.level(h),

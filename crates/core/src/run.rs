@@ -93,8 +93,9 @@ impl<'a> RunContext<'a> {
     }
 
     /// The run's telemetry handle (disabled unless one was attached).
-    /// Mechanisms use this to open `level` spans in their drivers and to
-    /// attach the handle to their [`fedhh_federated::EstimateScratch`]es.
+    /// Mechanisms use this to open `level` spans in their drivers; their
+    /// [`fedhh_federated::EstimateScratch`]es get the same handle from
+    /// [`Session::scratch`].
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }

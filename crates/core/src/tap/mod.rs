@@ -330,11 +330,7 @@ impl Mechanism for Tap {
                 config,
                 extension: self.extension,
                 debug,
-                scratch: {
-                    let mut scratch = EstimateScratch::new();
-                    scratch.set_telemetry(ctx.telemetry());
-                    scratch
-                },
+                scratch: session.scratch(),
                 telemetry: ctx.telemetry().clone(),
             })
             .collect();

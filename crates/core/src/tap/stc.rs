@@ -124,11 +124,7 @@ pub(crate) fn shared_trie_construction(
             config,
             extension,
             gs,
-            scratch: {
-                let mut scratch = EstimateScratch::new();
-                scratch.set_telemetry(ctx.telemetry());
-                scratch
-            },
+            scratch: session.scratch(),
             telemetry: ctx.telemetry().clone(),
         })
         .collect();

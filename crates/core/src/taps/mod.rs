@@ -133,10 +133,12 @@ impl PartyDriver for TapsChainDriver<'_> {
             let pruning_level = Taps::is_pruning_level(h, g, gs);
             let schedule = config.schedule();
             let len = schedule.prefix_len(h);
-            let group: Vec<u64> = self.party.assignment.level(h).to_vec();
+            // Borrowed straight from the assignment arena; the borrow ends
+            // with the level's estimate, before `advance` needs the party.
+            let group = self.party.assignment.level(h);
 
             // Work out the user split and the consensus pruning set.
-            let mut main_users: &[u64] = &group;
+            let mut main_users = group;
             let validation_size = ((group.len() as f64) * config.dividing_ratio).floor() as usize;
             let mut pruned: Vec<u64> = Vec::new();
             if self.use_pruning && pruning_level && validation_size > 0 {
@@ -188,13 +190,12 @@ impl PartyDriver for TapsChainDriver<'_> {
                 }
             }
 
-            let main_users: Vec<u64> = main_users.to_vec();
             let (candidates, estimate) = self.party.estimate_level(
                 &mut self.scratch,
                 self.estimator,
                 &config,
                 h,
-                Some(&main_users),
+                Some(main_users),
                 &pruned,
             );
             round.level(LevelEstimated {
@@ -343,11 +344,7 @@ impl Mechanism for Taps {
                 use_pruning: self.use_pruning,
                 is_last,
                 total_users,
-                scratch: {
-                    let mut scratch = EstimateScratch::new();
-                    scratch.set_telemetry(ctx.telemetry());
-                    scratch
-                },
+                scratch: session.scratch(),
                 telemetry: ctx.telemetry().clone(),
             };
             let collection = session.run_solo_round(party_idx, &mut driver, &input)?;

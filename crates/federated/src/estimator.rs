@@ -9,8 +9,9 @@
 
 use crate::config::{FoExec, ProtocolConfig};
 use crate::error::ProtocolError;
+use crate::session::IdleWorkers;
 use fedhh_fo::{
-    CandidateDomain, CtrRng, FrequencyOracle, Oracle, PrivacyBudget, Report, ReportBatch,
+    CandidateDomain, CtrRng, FoKind, FrequencyOracle, Oracle, PrivacyBudget, Report, ReportBatch,
     SupportCounts,
 };
 use fedhh_telemetry::{SpanName, Telemetry};
@@ -48,17 +49,42 @@ use rand::SeedableRng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EstimateScratch {
-    inputs: Vec<usize>,
+    /// The calling thread's buffers: the whole level under
+    /// `FoExec::Scalar`, part 0 of it under `FoExec::Vectorized`.
+    own: PartScratch,
+    /// One set of buffers per level helper (parts 1..), grown on the first
+    /// split and reused afterwards.
+    helpers: Vec<PartScratch>,
+    /// Row-oriented reports of the `FoExec::Scalar` path.
     reports: Vec<Report>,
-    /// SoA report arena for the `FoExec::Vectorized` path.
-    batch: ReportBatch,
-    supports: SupportCounts,
     /// Cached oracle, keyed by (kind, ε bits, domain size).
-    oracle: Option<(fedhh_fo::FoKind, u64, usize, Oracle)>,
+    oracle: Option<(FoKind, u64, usize, Oracle)>,
     /// Telemetry handle: when enabled, each chunk's perturbation and
     /// aggregation run under `perturb` / `aggregate` spans.  Disabled by
     /// default — a fresh scratch records nothing.
     telemetry: Telemetry,
+    /// The owning session's idle-worker count; detached by default, so a
+    /// fresh scratch never splits a level.
+    idle: IdleWorkers,
+}
+
+/// The buffers one contiguous range of a level's users is estimated in.
+#[derive(Debug, Clone)]
+struct PartScratch {
+    inputs: Vec<usize>,
+    /// SoA report arena for the `FoExec::Vectorized` path.
+    batch: ReportBatch,
+    supports: SupportCounts,
+}
+
+impl PartScratch {
+    fn new() -> Self {
+        Self {
+            inputs: Vec::new(),
+            batch: ReportBatch::new(),
+            supports: SupportCounts::zeros(0),
+        }
+    }
 }
 
 impl EstimateScratch {
@@ -66,12 +92,12 @@ impl EstimateScratch {
     /// first use and are reused afterwards.
     pub fn new() -> Self {
         Self {
-            inputs: Vec::new(),
+            own: PartScratch::new(),
+            helpers: Vec::new(),
             reports: Vec::new(),
-            batch: ReportBatch::new(),
-            supports: SupportCounts::zeros(0),
             oracle: None,
             telemetry: Telemetry::disabled(),
+            idle: IdleWorkers::default(),
         }
     }
 
@@ -83,12 +109,25 @@ impl EstimateScratch {
         self.telemetry = telemetry.clone();
     }
 
+    /// The attached telemetry handle (disabled on a fresh scratch).
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    /// Attaches a session's idle-worker count (see
+    /// [`Session::scratch`](crate::Session::scratch)): `Vectorized` levels
+    /// estimated with this scratch may borrow workers the round leaves
+    /// idle.  The estimates are bit-identical with or without it.
+    pub(crate) fn set_idle_workers(&mut self, idle: &IdleWorkers) {
+        self.idle = idle.clone();
+    }
+
     /// Returns the cached oracle for this configuration, constructing (and
     /// caching) it only when the kind, budget or domain size changed since
     /// the previous call.
     fn oracle_for(
         &mut self,
-        kind: fedhh_fo::FoKind,
+        kind: FoKind,
         budget: PrivacyBudget,
         domain_size: usize,
     ) -> Result<Oracle, fedhh_fo::FoError> {
@@ -232,6 +271,14 @@ impl LevelEstimator {
     /// counter-RNG SoA kernels: chunk invariance holds by construction
     /// (report k depends only on `(seed ^ noise_seed, k)`), while the
     /// results are a *different* pinned stream than the sequential path.
+    /// For the same reason a `Vectorized` level is the engine's second unit
+    /// of parallel work: with a scratch from
+    /// [`Session::scratch`](crate::Session::scratch), a level large enough
+    /// to pay for a thread spawn is cut into contiguous user ranges that
+    /// workers the round leaves idle estimate concurrently.  How many are
+    /// idle depends on timing; the estimate does not (whole-number supports
+    /// and integer report bits sum exactly in any grouping).  `Scalar`
+    /// levels are never split — their RNG stream is sequential.
     pub fn estimate_with(
         &self,
         scratch: &mut EstimateScratch,
@@ -261,71 +308,34 @@ impl LevelEstimator {
             }
         };
 
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ noise_seed);
-        // The vectorized path keys its counter RNG with the same seed
-        // combination; report k of this call is a pure function of
-        // (key, k), so chunk boundaries and evaluation order cannot move
-        // any draw.
-        let ctr = CtrRng::new(self.config.seed ^ noise_seed);
-        let chunk_size = self.config.exec_mode.chunk_for(users);
-        // Cloned out of the scratch so the spans below don't fight the
-        // buffer borrows (a handle is one `Option<Arc>` — the clone is
-        // cheaper than a clock read).
+        // Cloned out of the scratch so the spans don't fight the buffer
+        // borrows (a handle is one `Option<Arc>` — the clone is cheaper
+        // than a clock read).
         let telemetry = scratch.telemetry.clone();
-        scratch.supports.reset(domain.len());
-        let mut report_bits = 0usize;
-        let mut chunk_base = 0u64;
-        let (prefix_shift, prefix_mask) = prefix_operands(self.config.max_bits, prefix_len);
-
-        for chunk in group_items.chunks(chunk_size) {
-            scratch.inputs.clear();
-            scratch.inputs.extend(chunk.iter().map(|item| {
-                let prefix = item.checked_shr(prefix_shift).unwrap_or(0) & prefix_mask;
-                domain
-                    .encode(&prefix)
-                    .expect("domain has a dummy slot, encode cannot fail")
-            }));
-
-            scratch.reports.clear();
-            match self.config.fo_exec {
-                FoExec::Scalar => {
-                    // The reference path: one perturb call per report off
-                    // the sequential stream, folded into the arena (chunk
-                    // sums of whole-number supports are exact, so chunking
-                    // cannot perturb the reference results).
-                    {
-                        let _perturb = telemetry.span(SpanName::Perturb);
-                        scratch.reports.reserve(chunk.len());
-                        for &input in &scratch.inputs {
-                            scratch.reports.push(oracle.perturb(input, &mut rng));
-                        }
-                    }
-                    let _aggregate = telemetry.span(SpanName::Aggregate);
-                    oracle.aggregate_into(&scratch.reports, &mut scratch.supports);
-                    report_bits += scratch.reports.iter().map(Report::size_bits).sum::<usize>();
-                }
-                FoExec::Vectorized => {
-                    // Counter-driven SoA kernels; `chunk_base` carries the
-                    // global report offset so any chunking yields the same
-                    // reports bit for bit.
-                    scratch.batch.clear();
-                    {
-                        let _perturb = telemetry.span(SpanName::Perturb);
-                        oracle.perturb_vectorized(
-                            &scratch.inputs,
-                            &ctr,
-                            chunk_base,
-                            &mut scratch.batch,
-                        );
-                    }
-                    let _aggregate = telemetry.span(SpanName::Aggregate);
-                    oracle.aggregate_vectorized(&scratch.batch, &mut scratch.supports);
-                    report_bits += scratch.batch.size_bits();
-                }
+        let level = Level::new(
+            &self.config,
+            &oracle,
+            &domain,
+            prefix_len,
+            users,
+            &telemetry,
+        );
+        let key = self.config.seed ^ noise_seed;
+        let report_bits = match self.config.fo_exec {
+            FoExec::Scalar => level.scalar(scratch, group_items, key),
+            FoExec::Vectorized => {
+                // Borrow workers the round leaves idle — as many as the
+                // level has work for, never waiting for one.  How many
+                // happen to be idle cannot move the output (see
+                // `Level::split`).
+                let worth = parts_worth_having(oracle.kind(), domain.len(), users);
+                let helpers = scratch.idle.try_acquire(worth - 1);
+                let bits = level.split(scratch, group_items, &CtrRng::new(key), helpers + 1);
+                scratch.idle.release(helpers);
+                bits
             }
-            chunk_base += chunk.len() as u64;
-        }
-        let estimate = oracle.estimate(&scratch.supports, users);
+        };
+        let estimate = oracle.estimate(&scratch.own.supports, users);
 
         // Through the domain rather than by position: a repeated candidate
         // shares its first occurrence's slot, and position `i` of a list
@@ -349,6 +359,186 @@ impl LevelEstimator {
             report_bits,
         }
     }
+}
+
+/// What every chunk of one level estimate shares.
+struct Level<'a> {
+    oracle: &'a Oracle,
+    domain: &'a CandidateDomain,
+    prefix_shift: u32,
+    prefix_mask: u64,
+    chunk_size: usize,
+    telemetry: &'a Telemetry,
+}
+
+impl<'a> Level<'a> {
+    fn new(
+        config: &ProtocolConfig,
+        oracle: &'a Oracle,
+        domain: &'a CandidateDomain,
+        prefix_len: u8,
+        users: usize,
+        telemetry: &'a Telemetry,
+    ) -> Self {
+        let (prefix_shift, prefix_mask) = prefix_operands(config.max_bits, prefix_len);
+        Self {
+            oracle,
+            domain,
+            prefix_shift,
+            prefix_mask,
+            chunk_size: config.exec_mode.chunk_for(users),
+            telemetry,
+        }
+    }
+
+    /// Encodes a chunk's prefixes into domain indices (out-of-domain
+    /// prefixes go to the dummy slot).
+    #[inline]
+    fn encode(&self, chunk: &[u64], inputs: &mut Vec<usize>) {
+        inputs.clear();
+        inputs.extend(chunk.iter().map(|item| {
+            let prefix = item.checked_shr(self.prefix_shift).unwrap_or(0) & self.prefix_mask;
+            self.domain
+                .encode(&prefix)
+                .expect("domain has a dummy slot, encode cannot fail")
+        }));
+    }
+
+    /// The reference path: one perturb call per report off the sequential
+    /// stream seeded with `key`, folded into the scratch's own arena chunk
+    /// by chunk (chunk sums of whole-number supports are exact, so chunking
+    /// cannot perturb the reference results).  Returns the report bits.
+    ///
+    /// Never split across workers: report *j* consumes the stream where
+    /// report *j − 1* left it.
+    fn scalar(&self, scratch: &mut EstimateScratch, items: &[u64], key: u64) -> usize {
+        let mut rng = StdRng::seed_from_u64(key);
+        let own = &mut scratch.own;
+        own.supports.reset(self.domain.len());
+        let mut report_bits = 0usize;
+        for chunk in items.chunks(self.chunk_size) {
+            self.encode(chunk, &mut own.inputs);
+            scratch.reports.clear();
+            {
+                let _perturb = self.telemetry.span(SpanName::Perturb);
+                scratch.reports.reserve(chunk.len());
+                for &input in &own.inputs {
+                    scratch.reports.push(self.oracle.perturb(input, &mut rng));
+                }
+            }
+            let _aggregate = self.telemetry.span(SpanName::Aggregate);
+            self.oracle
+                .aggregate_into(&scratch.reports, &mut own.supports);
+            report_bits += scratch.reports.iter().map(Report::size_bits).sum::<usize>();
+        }
+        report_bits
+    }
+
+    /// The `Vectorized` chunk loop over one contiguous range of the level's
+    /// users: `items` are reports `base..base + items.len()` of the level.
+    /// Counter-driven SoA kernels fold every chunk into `part.supports`
+    /// (reset first); `base` carries the global report offset, so any
+    /// chunking — and any cut of the level into ranges — yields the same
+    /// reports bit for bit.  Returns the range's report bits.
+    fn vectorized_range(
+        &self,
+        part: &mut PartScratch,
+        items: &[u64],
+        ctr: &CtrRng,
+        base: u64,
+    ) -> usize {
+        part.supports.reset(self.domain.len());
+        let mut report_bits = 0usize;
+        let mut chunk_base = base;
+        for chunk in items.chunks(self.chunk_size) {
+            self.encode(chunk, &mut part.inputs);
+            part.batch.clear();
+            {
+                let _perturb = self.telemetry.span(SpanName::Perturb);
+                self.oracle
+                    .perturb_vectorized(&part.inputs, ctr, chunk_base, &mut part.batch);
+            }
+            let _aggregate = self.telemetry.span(SpanName::Aggregate);
+            self.oracle
+                .aggregate_vectorized(&part.batch, &mut part.supports);
+            report_bits += part.batch.size_bits();
+            chunk_base += chunk.len() as u64;
+        }
+        report_bits
+    }
+
+    /// Estimates a `Vectorized` level in `parts` contiguous ranges of
+    /// near-equal size: range 0 on the calling thread, every further one on
+    /// a scoped helper thread with its own buffers, the supports merged
+    /// into the scratch's own arena afterwards.  One part is the unsplit
+    /// level — [`Level::vectorized_range`] called once on the whole group.
+    ///
+    /// The result does not depend on `parts`: report *k*'s draws are a pure
+    /// function of `(key, k)` wherever the cuts fall, supports are whole
+    /// numbers (exact in `f64` far beyond any population) and the report
+    /// bits an integer sum.  Trailing ranges a small group leaves empty are
+    /// simply not run.
+    fn split(
+        &self,
+        scratch: &mut EstimateScratch,
+        items: &[u64],
+        ctr: &CtrRng,
+        parts: usize,
+    ) -> usize {
+        if parts <= 1 {
+            return self.vectorized_range(&mut scratch.own, items, ctr, 0);
+        }
+        let per_part = items.len().div_ceil(parts).max(1);
+        let (head, tail) = items.split_at(per_part.min(items.len()));
+        if scratch.helpers.len() < parts - 1 {
+            scratch.helpers.resize_with(parts - 1, PartScratch::new);
+        }
+        let (own, helpers, idle) = (&mut scratch.own, &mut scratch.helpers, &scratch.idle);
+        let ranges = tail.chunks(per_part).len();
+        let report_bits = std::thread::scope(|scope| {
+            let handles: Vec<_> = tail
+                .chunks(per_part)
+                .zip(helpers.iter_mut())
+                .enumerate()
+                .map(|(i, (range, part))| {
+                    let base = ((i + 1) * per_part) as u64;
+                    scope.spawn(move || {
+                        let _working = idle.enter();
+                        self.vectorized_range(part, range, ctr, base)
+                    })
+                })
+                .collect();
+            let mut report_bits = self.vectorized_range(own, head, ctr, 0);
+            for handle in handles {
+                report_bits += handle.join().expect("level helper panicked");
+            }
+            report_bits
+        });
+        for part in &helpers[..ranges] {
+            own.supports.merge(&part.supports);
+        }
+        report_bits
+    }
+}
+
+/// Kernel work one part of a split level must carry, in nanoseconds: half a
+/// millisecond against the ~30–60 µs a scoped spawn and join costs.
+const MIN_PART_NS: usize = 500_000;
+
+/// How many parts a `Vectorized` level of `users` reports over `slots`
+/// domain slots is worth cutting into (at least 1), from a per-report cost
+/// class per oracle: k-RR is O(1) per report, OUE and OLH are O(d).  The
+/// constants are the committed `fo_perturb/*/vectorized` +
+/// `fo_aggregate/*/vectorized` legs of `ci/perf-baseline.json` (d = 64:
+/// k-RR 4.5 ns, OUE 31 ns, OLH 66 ns per report) plus ~4 ns of prefix
+/// encoding (`estimate/level/krr` − the k-RR kernels).
+fn parts_worth_having(kind: FoKind, slots: usize, users: usize) -> usize {
+    let ns_per_report = match kind {
+        FoKind::Grr => 8,
+        FoKind::Oue => 4 + slots / 2,
+        FoKind::Olh => 4 + slots,
+    };
+    (users.saturating_mul(ns_per_report) / MIN_PART_NS).max(1)
 }
 
 /// The shift and mask with which
@@ -558,6 +748,95 @@ mod tests {
             let other = eager.estimate(&candidates, 2, &items, 32);
             assert_ne!(other.frequencies, reference.frequencies, "{fo} reseed");
         }
+    }
+
+    /// Drives the private split primitive directly: the supports and report
+    /// bits of `items` cut into `parts` ranges.
+    fn split_level(
+        estimator: &LevelEstimator,
+        candidates: &[u64],
+        prefix_len: u8,
+        items: &[u64],
+        noise_seed: u64,
+        parts: usize,
+    ) -> (SupportCounts, usize) {
+        let config = estimator.config;
+        let domain = CandidateDomain::with_dummy(candidates.to_vec());
+        let oracle = Oracle::try_new(config.fo, estimator.budget, domain.len()).unwrap();
+        let telemetry = Telemetry::disabled();
+        let level = Level::new(
+            &config,
+            &oracle,
+            &domain,
+            prefix_len,
+            items.len(),
+            &telemetry,
+        );
+        let mut scratch = EstimateScratch::new();
+        let ctr = CtrRng::new(config.seed ^ noise_seed);
+        let bits = level.split(&mut scratch, items, &ctr, parts);
+        (scratch.own.supports, bits)
+    }
+
+    #[test]
+    fn split_levels_are_bit_identical_at_every_part_count() {
+        use crate::config::ExecMode;
+        use std::num::NonZeroUsize;
+        let candidates = vec![0b00u64, 0b01, 0b10];
+        // Prefix 11 is out of domain: the second population sends a quarter
+        // of its users to the dummy slot, the first none.
+        let in_domain: Vec<u64> = (0..1009).map(|i| (i % 3) << 6 | (i % 7)).collect();
+        let with_strays: Vec<u64> = (0..1009).map(|i| (i % 4) << 6 | (i % 5)).collect();
+        // 5 users in 7 parts: one-user ranges and empty trailing parts.
+        let tiny: Vec<u64> = vec![0b0100_0000, 0b1100_0001, 0, 0b1000_0000, 0b0100_0010];
+        for fo in FoKind::ALL {
+            // Chunks of 64: no cut of 1009 users into 2, 3 or 7 ranges
+            // (505, 337, 145 users each) falls on a chunk boundary.
+            for exec_mode in [
+                ExecMode::Eager,
+                ExecMode::Chunked(NonZeroUsize::new(64).unwrap()),
+            ] {
+                let estimator = LevelEstimator::new(ProtocolConfig {
+                    fo,
+                    fo_exec: FoExec::Vectorized,
+                    exec_mode,
+                    ..config()
+                })
+                .unwrap();
+                for items in [&in_domain, &with_strays, &tiny] {
+                    let unsplit = estimator.estimate(&candidates, 2, items, 19);
+                    for parts in [1usize, 2, 3, 7] {
+                        let what =
+                            format!("{fo} {exec_mode:?} {} users {parts} parts", items.len());
+                        let (supports, bits) =
+                            split_level(&estimator, &candidates, 2, items, 19, parts);
+                        assert_eq!(bits, unsplit.report_bits, "{what}");
+                        assert_eq!(supports.reports(), items.len(), "{what}");
+                        let oracle =
+                            Oracle::try_new(fo, estimator.budget, candidates.len() + 1).unwrap();
+                        let debiased = oracle.estimate(&supports, items.len());
+                        assert_eq!(
+                            debiased.frequencies()[..candidates.len()],
+                            unsplit.frequencies[..],
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_levels_with_work_for_two_parts_ask_for_a_helper() {
+        // Half a millisecond per part: k-RR needs 62 500 reports per part,
+        // the O(d) oracles proportionally fewer as the domain grows.
+        assert_eq!(parts_worth_having(FoKind::Grr, 41, 124_999), 1);
+        assert_eq!(parts_worth_having(FoKind::Grr, 41, 125_000), 2);
+        assert_eq!(parts_worth_having(FoKind::Olh, 41, 20_000), 1);
+        assert_eq!(parts_worth_having(FoKind::Olh, 41, 40_000), 3);
+        assert_eq!(parts_worth_having(FoKind::Oue, 41, 40_000), 1);
+        assert_eq!(parts_worth_having(FoKind::Oue, 4096, 40_000), 164);
+        assert_eq!(parts_worth_having(FoKind::Olh, 41, 0), 1);
     }
 
     #[test]

@@ -132,8 +132,8 @@ pub use scenario::{AdversaryModel, FlipMode, FrameCorruption, ScenarioPlan};
 pub use scheduler::GroupAssignment;
 pub use server::{aggregate_reports, aggregate_reports_into, federated_top_k, top_k_from_counts};
 pub use session::{
-    Broadcast, EngineConfig, PartyDriver, PartyEvent, RoundCollection, RoundInput, RoundOutcome,
-    Session, TransportKind,
+    Broadcast, EngineConfig, IdleWorkers, PartyDriver, PartyEvent, RoundCollection, RoundInput,
+    RoundOutcome, Session, TransportKind,
 };
 pub use socket::SocketTransport;
 pub use topology::{QuorumPolicy, Topology};

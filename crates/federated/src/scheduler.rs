@@ -13,8 +13,7 @@
 
 use crate::error::ProtocolError;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// The assignment of one party's users to trie levels.
 ///
@@ -45,8 +44,7 @@ impl GroupAssignment {
         if g == 0 {
             return Err(ProtocolError::InvalidGroupCount { groups: g });
         }
-        let mut rng = StdRng::seed_from_u64(seed);
-        items.shuffle(&mut rng);
+        shuffle(&mut items, seed);
         Ok(Self::deal(&items, &[(items.len(), g as usize)]))
     }
 
@@ -91,8 +89,7 @@ impl GroupAssignment {
             return Self::uniform_owned(items, g, seed);
         }
         let mut shuffled = items;
-        let mut rng = StdRng::seed_from_u64(seed);
-        shuffled.shuffle(&mut rng);
+        shuffle(&mut shuffled, seed);
 
         let phase1_fraction = phase1_fraction.min(0.9);
         let n = shuffled.len();
@@ -159,9 +156,23 @@ impl GroupAssignment {
     }
 }
 
+/// Fisher–Yates over `items` on the `StdRng` stream of `seed` — draw for
+/// draw what `SliceRandom::shuffle` does, with the bounded draw spelled out:
+/// `(next_u64 · (i + 1)) >> 64` is the exact value `gen_range(0..=i)`
+/// returns.  Monomorphic and local so the deal's speed does not hinge on
+/// how the inliner treats the generic `gen_range` chain this release.
+fn shuffle(items: &mut [u64], seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..items.len()).rev() {
+        let j = ((rng.next_u64() as u128 * (i as u128 + 1)) >> 64) as usize;
+        items.swap(i, j);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
 
     #[test]
     fn uniform_split_preserves_users_and_balances_groups() {

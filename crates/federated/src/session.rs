@@ -15,6 +15,14 @@
 //!    adversarial report perturbation), and hands the mechanism a
 //!    [`RoundCollection`] to aggregate and broadcast from.
 //!
+//! Parties are the engine's first unit of parallel work; the second is a
+//! contiguous range of one level's users.  Workers a round leaves without a
+//! party are counted in the session's [`IdleWorkers`], and a
+//! `FoExec::Vectorized` level estimated with a scratch from
+//! [`Session::scratch`] borrows them for part of its group — so one
+//! dominant party, or a round with a single party, no longer pins the
+//! round to one core.
+//!
 //! Because drivers derive all randomness from per-party seeds and the
 //! collection order is canonical, a round's result is **bit-identical** at
 //! any parallelism level: threads only change who computes, never what is
@@ -24,6 +32,7 @@
 //! parties — and the attack itself — replay bit-identically.
 
 use crate::error::ProtocolError;
+use crate::estimator::EstimateScratch;
 use crate::fault::FaultPlan;
 use crate::message::{MergedSupports, PruneDictionary, RoundMessage, RoundPayload};
 use crate::node::SessionLink;
@@ -33,6 +42,8 @@ use crate::socket::SocketTransport;
 use crate::topology::{QuorumPolicy, Topology};
 use crate::transport::{ShardedTransport, Transport};
 use fedhh_telemetry::{Counter, SpanName, Telemetry, ValueHist};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Which [`Transport`] implementation a session routes its uploads through.
 ///
@@ -226,6 +237,109 @@ pub(crate) fn parse_parallelism(value: &str) -> Option<usize> {
     value.trim().parse::<usize>().ok().filter(|p| *p >= 1)
 }
 
+/// A session's count of idle engine workers — the token pool through which
+/// a `Vectorized` level borrows the workers a round leaves without a party
+/// (see [`Session::scratch`]).
+///
+/// The count is `parallelism − party threads` when a round starts, grows by
+/// one whenever a party thread finishes its list, and is 0 between rounds.
+/// A level takes tokens with one compare-and-swap that never waits and
+/// returns them when its helper threads have joined, so party threads plus
+/// level helpers never exceed [`EngineConfig::parallelism`].  The default
+/// handle is detached — attached to no session, as in every scratch not made
+/// by one — and never has a token.
+#[derive(Debug, Clone, Default)]
+pub struct IdleWorkers(Option<Arc<WorkerCounts>>);
+
+/// Every access is `Relaxed`: the counts publish no data.  What a helper
+/// reads and writes crosses threads through its scoped spawn and join, which
+/// synchronise on their own; a token only says a thread may be started.
+#[derive(Debug, Default)]
+struct WorkerCounts {
+    idle: AtomicUsize,
+    /// Threads doing party or level work right now, and the most there
+    /// ever were — the measured side of the `parallelism` cap.
+    busy: AtomicUsize,
+    peak_busy: AtomicUsize,
+}
+
+/// Marks the current thread as doing party or level work until dropped.
+pub(crate) struct Working<'a>(Option<&'a WorkerCounts>);
+
+impl Drop for Working<'_> {
+    fn drop(&mut self) {
+        if let Some(counts) = self.0 {
+            counts.busy.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+impl IdleWorkers {
+    fn attached() -> Self {
+        Self(Some(Arc::default()))
+    }
+
+    /// The idle workers a level could borrow right now.
+    pub fn available(&self) -> usize {
+        self.0
+            .as_ref()
+            .map_or(0, |counts| counts.idle.load(Ordering::Relaxed))
+    }
+
+    /// The most threads that ever did party or level work at the same time
+    /// under this session.
+    pub fn peak_busy(&self) -> usize {
+        self.0
+            .as_ref()
+            .map_or(0, |counts| counts.peak_busy.load(Ordering::Relaxed))
+    }
+
+    fn set(&self, idle: usize) {
+        if let Some(counts) = &self.0 {
+            counts.idle.store(idle, Ordering::Relaxed);
+        }
+    }
+
+    /// Takes up to `want` idle workers — one compare-and-swap, no retry, so
+    /// a contended count reads as "none idle" instead of a wait.
+    pub(crate) fn try_acquire(&self, want: usize) -> usize {
+        let Some(counts) = &self.0 else { return 0 };
+        let idle = counts.idle.load(Ordering::Relaxed);
+        let take = idle.min(want);
+        if take == 0 {
+            return 0;
+        }
+        let swapped =
+            counts
+                .idle
+                .compare_exchange(idle, idle - take, Ordering::Relaxed, Ordering::Relaxed);
+        if swapped.is_ok() {
+            take
+        } else {
+            0
+        }
+    }
+
+    /// Returns `count` workers to the pool.
+    pub(crate) fn release(&self, count: usize) {
+        if let (Some(counts), true) = (&self.0, count > 0) {
+            counts.idle.fetch_add(count, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts the current thread as busy until the guard drops.  A thread
+    /// that held a token must drop its guard *before* the token returns, so
+    /// the busy count can never overshoot the cap.
+    pub(crate) fn enter(&self) -> Working<'_> {
+        let counts = self.0.as_deref();
+        if let Some(counts) = counts {
+            let busy = counts.busy.fetch_add(1, Ordering::Relaxed) + 1;
+            counts.peak_busy.fetch_max(busy, Ordering::Relaxed);
+        }
+        Working(counts)
+    }
+}
+
 /// The server → party broadcast opening a round.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Broadcast {
@@ -362,6 +476,7 @@ pub struct Session {
     party_count: usize,
     link: Option<SessionLink>,
     telemetry: Telemetry,
+    idle: IdleWorkers,
 }
 
 impl Session {
@@ -410,6 +525,7 @@ impl Session {
             party_count,
             link,
             telemetry: Telemetry::disabled(),
+            idle: IdleWorkers::attached(),
         })
     }
 
@@ -420,6 +536,23 @@ impl Session {
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.telemetry = telemetry.clone();
         self.transport.attach_telemetry(telemetry);
+    }
+
+    /// An estimation scratch wired to this session: it carries the
+    /// session's telemetry handle and its [`IdleWorkers`] count, so the
+    /// `Vectorized` levels estimated with it can borrow the workers a round
+    /// leaves idle.  Drivers should take their scratches from here (after
+    /// [`Session::set_telemetry`], if a handle is attached at all).
+    pub fn scratch(&self) -> EstimateScratch {
+        let mut scratch = EstimateScratch::new();
+        scratch.set_telemetry(&self.telemetry);
+        scratch.set_idle_workers(&self.idle);
+        scratch
+    }
+
+    /// This session's idle-worker count.
+    pub fn idle_workers(&self) -> &IdleWorkers {
+        &self.idle
     }
 
     /// The half-open range of party indices this session executes locally
@@ -521,61 +654,60 @@ impl Session {
 
         let transport = self.transport.as_ref();
         let telemetry = &self.telemetry;
-        let mut results: Vec<(usize, Result<Vec<PartyEvent>, ProtocolError>)> =
-            if self.parallelism <= 1 || selected.len() <= 1 {
-                selected
-                    .iter_mut()
-                    .map(|(idx, driver)| {
-                        run_party(
-                            *idx,
-                            &mut **driver,
-                            input,
-                            round,
-                            transport,
-                            flips[*idx],
-                            telemetry,
-                        )
-                    })
-                    .collect()
-            } else {
-                // Deal parties round-robin over the workers: federations
-                // have skewed populations, and interleaving spreads the
-                // heavy parties instead of handing one worker a contiguous
-                // run of them.
-                let workers = self.parallelism.min(selected.len());
-                let mut groups: Vec<Vec<(usize, &mut D)>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (i, item) in selected.into_iter().enumerate() {
-                    groups[i % workers].push(item);
-                }
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .into_iter()
-                        .map(|mut group| {
-                            scope.spawn(move || {
-                                group
-                                    .iter_mut()
-                                    .map(|(idx, driver)| {
-                                        run_party(
-                                            *idx,
-                                            &mut **driver,
-                                            input,
-                                            round,
-                                            transport,
-                                            flips[*idx],
-                                            telemetry,
-                                        )
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("party worker panicked"))
-                        .collect()
+        let idle = &self.idle;
+        // Party threads this round; whatever is left of `parallelism` is
+        // idle from the start, and every party thread that runs out of
+        // parties joins the idle count.
+        let workers = if self.parallelism <= 1 || selected.len() <= 1 {
+            1
+        } else {
+            self.parallelism.min(selected.len())
+        };
+        idle.set(self.parallelism - workers);
+        let run_list = |list: &mut [(usize, &mut D)]| {
+            let working = idle.enter();
+            let results: Vec<_> = list
+                .iter_mut()
+                .map(|(idx, driver)| {
+                    run_party(
+                        *idx,
+                        &mut **driver,
+                        input,
+                        round,
+                        transport,
+                        flips[*idx],
+                        telemetry,
+                    )
                 })
-            };
+                .collect();
+            drop(working);
+            idle.release(1);
+            results
+        };
+        let mut results: Vec<(usize, Result<Vec<PartyEvent>, ProtocolError>)> = if workers == 1 {
+            run_list(&mut selected)
+        } else {
+            // Deal parties round-robin over the workers: federations
+            // have skewed populations, and interleaving spreads the
+            // heavy parties instead of handing one worker a contiguous
+            // run of them.
+            let mut groups: Vec<Vec<(usize, &mut D)>> = (0..workers).map(|_| Vec::new()).collect();
+            for (i, item) in selected.into_iter().enumerate() {
+                groups[i % workers].push(item);
+            }
+            let run_list = &run_list;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = groups
+                    .into_iter()
+                    .map(|mut group| scope.spawn(move || run_list(&mut group)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("party worker panicked"))
+                    .collect()
+            })
+        };
+        idle.set(0);
 
         results.sort_by_key(|(idx, _)| *idx);
         let mut events = Vec::with_capacity(results.len());
@@ -608,6 +740,9 @@ impl Session {
             return self.complete_round(round, Vec::new());
         }
         let flip = self.flip_for(index);
+        // One party thread (this one): every other worker is idle.
+        self.idle.set(self.parallelism - 1);
+        let working = self.idle.enter();
         let (idx, result) = run_party(
             index,
             driver,
@@ -617,6 +752,8 @@ impl Session {
             flip,
             &self.telemetry,
         );
+        drop(working);
+        self.idle.set(0);
         match result {
             Ok(events) => self.complete_round(round, vec![(idx, events)]),
             Err(err) => Err(self.fail_round(round, idx, err)),
@@ -1349,6 +1486,169 @@ mod tests {
             run(EngineConfig::sequential().with_quorum(QuorumPolicy::full())),
             baseline
         );
+    }
+
+    /// A driver doing real level work: three `estimate_with` calls per
+    /// round over its own users, through a scratch from its session.
+    struct EstimatingDriver<'a> {
+        name: String,
+        items: Vec<u64>,
+        estimator: &'a crate::LevelEstimator,
+        scratch: EstimateScratch,
+        idle: IdleWorkers,
+        parallelism: usize,
+        fail: bool,
+    }
+
+    impl PartyDriver for EstimatingDriver<'_> {
+        fn party(&self) -> &str {
+            &self.name
+        }
+
+        fn run_round(&mut self, input: &RoundInput) -> Result<RoundOutcome, ProtocolError> {
+            // This thread is busy, so at most `parallelism - 1` are idle.
+            assert!(self.idle.available() < self.parallelism);
+            if self.fail {
+                return Err(ProtocolError::InvalidQuery { k: 0 });
+            }
+            let candidates: Vec<u64> = (0..64).collect();
+            let mut outcome = RoundOutcome::default();
+            for level in 1..=3u8 {
+                let estimate = self.estimator.estimate_with(
+                    &mut self.scratch,
+                    &candidates,
+                    6,
+                    &self.items,
+                    u64::from(input.round) << 8 | u64::from(level),
+                );
+                outcome.upload(RoundPayload::Report(CandidateReport {
+                    party: self.name.clone(),
+                    level,
+                    candidates: candidates.iter().copied().zip(estimate.counts).collect(),
+                    users: estimate.users,
+                }));
+            }
+            Ok(outcome)
+        }
+    }
+
+    /// Runs a skewed three-party federation (80 % / 10 % / 10 %) for two
+    /// rounds plus one failing round; returns the collections and the
+    /// session's thread high-water mark.  The big party's OLH levels are
+    /// 40 000 × 65 slots ≈ 2.7 ms of kernel work — worth five parts.
+    fn run_skewed(fo_exec: crate::FoExec, parallelism: usize) -> (Vec<RoundCollection>, usize) {
+        let estimator = crate::LevelEstimator::new(crate::ProtocolConfig {
+            fo: fedhh_fo::FoKind::Olh,
+            fo_exec,
+            max_bits: 8,
+            granularity: 4,
+            ..crate::ProtocolConfig::default()
+        })
+        .unwrap();
+        let mut session = Session::new(&EngineConfig::parallel(parallelism), 3).unwrap();
+        let mut drivers: Vec<EstimatingDriver<'_>> = [40_000u64, 5_000, 5_000]
+            .into_iter()
+            .enumerate()
+            .map(|(i, users)| EstimatingDriver {
+                name: format!("p{i}"),
+                items: (0..users).map(|u| (u * 37 + i as u64) % 256).collect(),
+                estimator: &estimator,
+                scratch: session.scratch(),
+                idle: session.idle_workers().clone(),
+                parallelism,
+                fail: false,
+            })
+            .collect();
+        let active = session.active_parties();
+        assert_eq!(session.idle_workers().available(), 0, "idle before a round");
+        let mut rounds = Vec::new();
+        for round in 0..2 {
+            rounds.push(
+                session
+                    .run_round(&mut drivers, &active, &start(round))
+                    .unwrap(),
+            );
+            assert_eq!(session.idle_workers().available(), 0, "idle between rounds");
+        }
+        // A solo round leaves every other worker idle from the start.
+        rounds.push(
+            session
+                .run_solo_round(0, &mut drivers[0], &start(2))
+                .unwrap(),
+        );
+        assert_eq!(
+            session.idle_workers().available(),
+            0,
+            "idle after a solo round"
+        );
+        drivers[1].fail = true;
+        session
+            .run_round(&mut drivers, &active, &start(3))
+            .unwrap_err();
+        assert_eq!(
+            session.idle_workers().available(),
+            0,
+            "idle after a failed round"
+        );
+        (rounds, session.idle_workers().peak_busy())
+    }
+
+    #[test]
+    fn idle_workers_split_levels_without_exceeding_parallelism_or_moving_a_bit() {
+        let (sequential, peak) = run_skewed(crate::FoExec::Vectorized, 1);
+        assert_eq!(peak, 1, "parallelism 1 never spawns a thread");
+        for parallelism in [2usize, 3, 8] {
+            let (rounds, peak) = run_skewed(crate::FoExec::Vectorized, parallelism);
+            assert_eq!(rounds, sequential, "parallelism {parallelism}");
+            assert!(
+                peak <= parallelism,
+                "parallelism {parallelism}: {peak} threads worked at once"
+            );
+            // The solo round alone guarantees helpers: nothing competes for
+            // its `parallelism - 1` idle workers.
+            assert!(
+                peak >= parallelism.min(5),
+                "parallelism {parallelism}: the big party's levels are worth five \
+                 parts, but at most {peak} threads worked at once"
+            );
+        }
+    }
+
+    #[test]
+    fn scalar_levels_are_never_split() {
+        let (sequential, _) = run_skewed(crate::FoExec::Scalar, 1);
+        for parallelism in [2usize, 8] {
+            let (rounds, peak) = run_skewed(crate::FoExec::Scalar, parallelism);
+            assert_eq!(rounds, sequential, "parallelism {parallelism}");
+            // Idle workers were there for the taking (5 of 8, and all but
+            // one in the solo round); the high-water mark is party threads.
+            assert!(
+                peak <= parallelism.min(3),
+                "parallelism {parallelism}: {peak} threads worked at once"
+            );
+        }
+    }
+
+    #[test]
+    fn a_detached_handle_never_has_a_worker() {
+        let idle = IdleWorkers::default();
+        assert_eq!(idle.try_acquire(4), 0);
+        idle.release(2);
+        assert_eq!(idle.available(), 0);
+        assert_eq!(idle.peak_busy(), 0);
+    }
+
+    #[test]
+    fn tokens_are_taken_in_one_step_and_never_overdrawn() {
+        let idle = IdleWorkers::attached();
+        assert_eq!(idle.try_acquire(3), 0, "0 between rounds");
+        idle.set(3);
+        assert_eq!(idle.try_acquire(0), 0);
+        assert_eq!(idle.try_acquire(2), 2);
+        assert_eq!(idle.try_acquire(2), 1, "only what is left");
+        assert_eq!(idle.try_acquire(1), 0);
+        idle.release(3);
+        assert_eq!(idle.available(), 3);
     }
 
     #[test]

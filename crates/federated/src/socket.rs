@@ -166,8 +166,8 @@ impl SocketTransport {
             std::thread::spawn(move || -> Vec<JoinHandle<()>> {
                 let mut readers = Vec::with_capacity(shards);
                 for index in 0..shards {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
+                    match listener.accept().and_then(|(stream, _)| no_delay(stream)) {
+                        Ok(stream) => {
                             let shared = std::sync::Arc::clone(&shared);
                             readers.push(std::thread::spawn(move || {
                                 read_loop(index, stream, &shared);
@@ -186,7 +186,7 @@ impl SocketTransport {
         let mut clients = Vec::with_capacity(shards);
         let mut connect_error = None;
         for _ in 0..shards {
-            match TcpStream::connect(addr) {
+            match TcpStream::connect(addr).and_then(no_delay) {
                 Ok(stream) => clients.push(Mutex::new(stream)),
                 Err(err) => {
                     connect_error = Some(WireError::from(err));
@@ -315,6 +315,15 @@ impl SocketTransport {
         self.count_tx(&self.telemetry(), bytes.len());
         Ok(())
     }
+}
+
+/// Turns Nagle's algorithm off on one end of a transport stream.  Every
+/// frame goes out in one write and is barriered on at once (the `Flush`
+/// marker after an upload), so coalescing could only hold a frame back until
+/// the peer's delayed ACK — hundreds of microseconds per round trip.
+fn no_delay(stream: TcpStream) -> std::io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// A reader thread: decode frames off one accepted connection into the
@@ -478,6 +487,14 @@ mod tests {
         }
         assert_eq!(socket.drain().unwrap(), memory.drain().unwrap());
         assert!(socket.drain().unwrap().is_empty(), "drain empties queues");
+    }
+
+    #[test]
+    fn client_streams_have_nagle_turned_off() {
+        let socket = SocketTransport::loopback(3).unwrap();
+        for client in &socket.clients {
+            assert!(client.lock().unwrap().nodelay().unwrap());
+        }
     }
 
     #[test]

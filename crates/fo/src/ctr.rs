@@ -31,7 +31,7 @@
 //! to the `FoExec::Vectorized` execution path and must be treated like a
 //! wire-format bump.
 //!
-//! See `ARCHITECTURE.md` ("Three execution paths") for how this slots into
+//! See `ARCHITECTURE.md` ("Two execution paths") for how this slots into
 //! the federated layer.
 
 /// Multiplier folding the report counter into the key (odd, so

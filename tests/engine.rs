@@ -185,3 +185,137 @@ fn invalid_engine_configs_are_typed_errors() {
         .unwrap_err();
     assert_eq!(err, ProtocolError::InvalidDropout { fraction: 1.5 });
 }
+
+/// A three-party federation whose first party holds 75 % of the users.
+/// With OLH over 16-bit codes in 4 levels (every level extends by 4 bits,
+/// so domains are 80+ slots wide) that party's ≈ 15 000-user levels carry
+/// well over a millisecond of kernel work each — past the estimator's real
+/// threshold for borrowing an idle worker, which nothing here configures.
+fn skewed_dataset() -> FederatedDataset {
+    let encoder = fedhh::trie::ItemEncoder::new(16, 3);
+    let party = |name: &str, users: u64, shift: u64| {
+        let items = (0..users)
+            .map(|u| encoder.encode((u % 89) % (1 + (u + shift) % 17)))
+            .collect();
+        PartyData::new(name, items, 16)
+    };
+    FederatedDataset::new(
+        "skewed",
+        vec![
+            party("big", 60_000, 0),
+            party("mid", 12_000, 5),
+            party("small", 8_000, 11),
+        ],
+        16,
+        encoder,
+    )
+}
+
+fn skewed_config(fo_exec: FoExec) -> ProtocolConfig {
+    ProtocolConfig {
+        k: 5,
+        epsilon: 4.0,
+        max_bits: 16,
+        granularity: 4,
+        fo: FoKind::Olh,
+        fo_exec,
+        ..Default::default()
+    }
+}
+
+/// Runs under a telemetry sink; returns the output and how many `perturb`
+/// spans the run recorded.  At one chunk per range that count is the number
+/// of ranges estimated: levels, plus one per level helper.
+fn execute_counting_ranges(
+    kind: MechanismKind,
+    ds: &FederatedDataset,
+    config: ProtocolConfig,
+    engine: EngineConfig,
+) -> (MechanismOutput, u64) {
+    let telemetry = Telemetry::new();
+    let output = Run::mechanism(kind)
+        .dataset(ds)
+        .config(config)
+        .engine(engine)
+        .telemetry(&telemetry)
+        .execute()
+        .unwrap_or_else(|e| panic!("{kind}: {e}"));
+    let ranges = telemetry
+        .snapshot()
+        .span_us
+        .iter()
+        .find(|(name, _)| *name == fedhh::telemetry::SpanName::Perturb)
+        .map_or(0, |(_, hist)| hist.count);
+    (output, ranges)
+}
+
+/// The second unit of parallel work — a contiguous range of one level's
+/// users, taken by a worker the round leaves idle — can split a level or
+/// not, depending on timing; the output cannot tell.  TAPS' chain rounds
+/// cover `run_solo_round`, where every worker but one is idle.
+#[test]
+fn split_levels_are_bit_identical_on_a_skewed_federation_for_every_mechanism() {
+    use std::num::NonZeroUsize;
+    let ds = skewed_dataset();
+    let whole = NonZeroUsize::MAX;
+    for kind in MechanismKind::ALL {
+        let config = skewed_config(FoExec::Vectorized);
+        let (sequential, unsplit_ranges) = execute_counting_ranges(
+            kind,
+            &ds,
+            config,
+            EngineConfig::sequential().chunk_size(whole),
+        );
+        for parallelism in [1usize, 2, 3, 8] {
+            for chunk in [7, 64, usize::MAX] {
+                let chunk = NonZeroUsize::new(chunk).unwrap();
+                let engine = EngineConfig::parallel(parallelism).chunk_size(chunk);
+                let (output, ranges) = execute_counting_ranges(kind, &ds, config, engine);
+                assert_eq!(
+                    fingerprint(&output),
+                    fingerprint(&sequential),
+                    "{kind} diverged at parallelism {parallelism}, chunk {chunk}"
+                );
+                assert_eq!(output.local_results, sequential.local_results);
+                if chunk == whole && parallelism == 1 {
+                    assert_eq!(ranges, unsplit_ranges, "{kind}: no token at parallelism 1");
+                }
+                // Eight workers for three parties: five are idle from the
+                // first instant of every round, so the big party's levels
+                // do get split — the matrix above compared split runs.
+                if chunk == whole && parallelism == 8 {
+                    assert!(
+                        ranges > unsplit_ranges,
+                        "{kind}: no level was split ({ranges} ranges at parallelism 8, \
+                         {unsplit_ranges} sequentially)"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `Scalar` consumes one sequential RNG stream per level, so its levels are
+/// never split — even with five of eight workers idle.
+#[test]
+fn scalar_levels_stay_whole_when_workers_idle() {
+    let ds = skewed_dataset();
+    let whole = std::num::NonZeroUsize::MAX;
+    for kind in MechanismKind::ALL {
+        let config = skewed_config(FoExec::Scalar);
+        let (sequential, unsplit_ranges) = execute_counting_ranges(
+            kind,
+            &ds,
+            config,
+            EngineConfig::sequential().chunk_size(whole),
+        );
+        let (output, ranges) = execute_counting_ranges(
+            kind,
+            &ds,
+            config,
+            EngineConfig::parallel(8).chunk_size(whole),
+        );
+        assert_eq!(fingerprint(&output), fingerprint(&sequential), "{kind}");
+        assert_eq!(ranges, unsplit_ranges, "{kind}: a Scalar level was split");
+    }
+}

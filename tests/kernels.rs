@@ -2,7 +2,7 @@
 //! execution paths.
 //!
 //! The `kernel-equivalence` CI job runs this file under every combination
-//! of `FEDHH_TEST_PARALLELISM={1,8}` × `FEDHH_TEST_FO_EXEC={scalar,
+//! of `FEDHH_TEST_PARALLELISM={1,3,8}` × `FEDHH_TEST_FO_EXEC={scalar,
 //! vectorized}`.  Three guarantees are enforced:
 //!
 //! 1. **The selected path is invariant** across chunk sizes

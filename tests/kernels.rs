@@ -12,8 +12,9 @@
 //!    each mechanism's full output must equal the committed constant, so no
 //!    refactor can silently move the sequential RNG stream.
 //! 3. **Vectorized is deterministic and pinned separately**: same seed →
-//!    same digest on repeat runs, and the digest differs from the
-//!    sequential path's (it is a second stream, not a reordering).
+//!    same digest on repeat runs, equal to its own committed constant, and
+//!    different from the sequential path's (it is a second stream, not a
+//!    reordering).
 
 use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
 use fedhh_federated::{EngineConfig, ExecMode, FoExec, ProtocolConfig};
@@ -148,14 +149,27 @@ fn sequential_paths_match_the_pinned_seed_baselines() {
     }
 }
 
-/// Guarantee 3: Vectorized is deterministic per seed and is genuinely a
-/// second pinned stream — its digest repeats exactly and differs from the
-/// sequential baseline for at least one mechanism.
+/// Per-mechanism pinned digests of the `Vectorized` path on the same
+/// dataset — the counter-RNG stream every `BENCHMARK.json` workload runs.
+/// Recorded on the mechanism code of PR 16, before the level loops were
+/// merged; a change here means the vectorized report stream (or a
+/// mechanism's use of it) moved.
+const VECTORIZED_DIGESTS: [(MechanismKind, u64); 4] = [
+    (MechanismKind::FedPem, 0x17C2_80B3_9D83_7C67),
+    (MechanismKind::Gtf, 0xECC5_AC8E_6F9F_C879),
+    (MechanismKind::Tap, 0xDA2C_7314_0C47_37E7),
+    (MechanismKind::Taps, 0xE40E_7192_5933_31BD),
+];
+
+/// Guarantee 3: Vectorized reproduces its own committed baselines
+/// byte-for-byte and is genuinely a second pinned stream — its digest
+/// repeats exactly and differs from the sequential baseline for at least
+/// one mechanism.
 #[test]
 fn vectorized_path_is_deterministic_and_pinned_separately() {
     let ds = dataset();
     let mut any_diverged = false;
-    for (kind, scalar_pin) in SEQUENTIAL_DIGESTS {
+    for ((kind, pin), (_, scalar_pin)) in VECTORIZED_DIGESTS.into_iter().zip(SEQUENTIAL_DIGESTS) {
         let first = digest(&run(
             kind,
             &ds,
@@ -169,6 +183,7 @@ fn vectorized_path_is_deterministic_and_pinned_separately() {
             Some(EngineConfig::sequential()),
         ));
         assert_eq!(first, second, "{kind}: vectorized rerun diverged");
+        assert_eq!(first, pin, "{kind}: vectorized digest {first:#018X} moved");
         any_diverged |= first != scalar_pin;
     }
     assert!(

@@ -7,7 +7,13 @@
 //! `frequency × |U_i|`.  Summing these counts across parties is exactly the
 //! numerator of Definition 4.1.
 
-use fedhh_federated::{CandidateReport, LevelEstimate};
+use crate::mechanism::MechanismOutput;
+use crate::run::RunContext;
+use fedhh_federated::{
+    aggregate_reports_into, top_k_from_counts, CandidateReport, LevelEstimate, RoundCollection,
+};
+use std::collections::HashMap;
+use std::time::Instant;
 
 /// A party's final upload: its local heavy hitters and their estimated
 /// party-wide counts.
@@ -81,6 +87,56 @@ pub fn local_result_to_report(
     }
 }
 
+/// Rebuilds the parties' [`PartyLocalResult`]s from the final reports they
+/// uploaded, in party-index order (`to_report` is lossless, so this is the
+/// exact inverse).
+fn locals_from_reports(reports: &[(usize, &CandidateReport)]) -> Vec<PartyLocalResult> {
+    let mut keyed: Vec<(usize, PartyLocalResult)> = reports
+        .iter()
+        .map(|(from, report)| {
+            (
+                *from,
+                PartyLocalResult {
+                    party: report.party.clone(),
+                    users: report.users,
+                    local_heavy_hitters: report.values(),
+                    reported_counts: report.candidates.clone(),
+                },
+            )
+        })
+        .collect();
+    keyed.sort_by_key(|(from, _)| *from);
+    keyed.into_iter().map(|(_, local)| local).collect()
+}
+
+/// The final aggregation (step ⑪) of FedPEM, TAP and TAPS: one server-side
+/// pass over the round that collected the parties' top-k reports sums the
+/// counts of identical items and ranks the federated top-k.  The parties'
+/// local results are rebuilt from the reports they uploaded, so a
+/// distributed coordinator — whose process never ran the drivers —
+/// reconstructs them identically.  Takes the run's communication out of
+/// `ctx`; `start` is when the mechanism began executing.
+pub(crate) fn final_output(
+    ctx: &mut RunContext<'_>,
+    collection: &RoundCollection,
+    start: Instant,
+) -> MechanismOutput {
+    let reports: Vec<(usize, &CandidateReport)> = collection
+        .messages
+        .iter()
+        .filter_map(|m| m.as_report().map(|r| (m.from, r)))
+        .collect();
+    let mut totals: HashMap<u64, f64> = HashMap::new();
+    aggregate_reports_into(reports.iter().map(|(_, r)| *r), &mut totals);
+    MechanismOutput {
+        heavy_hitters: top_k_from_counts(&totals, ctx.config().k),
+        counts: totals,
+        local_results: locals_from_reports(&reports),
+        comm: ctx.take_comm(),
+        elapsed: start.elapsed(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,5 +175,23 @@ mod tests {
         let values: Vec<u64> = report.candidates.iter().map(|(v, _)| *v).collect();
         assert_eq!(values, vec![10, 30, 40]);
         assert_eq!(report.party, "p");
+    }
+
+    #[test]
+    fn locals_rebuild_losslessly_from_reports_in_party_order() {
+        let report = |party: &str, users: usize| CandidateReport {
+            party: party.to_string(),
+            level: 8,
+            candidates: vec![(1, 10.0), (2, 5.0)],
+            users,
+        };
+        let (c, a) = (report("c", 30), report("a", 10));
+        let locals = locals_from_reports(&[(2, &c), (0, &a)]);
+        assert_eq!(locals.len(), 2);
+        assert_eq!(locals[0].party, "a");
+        assert_eq!(locals[0].users, 10);
+        assert_eq!(locals[1].party, "c");
+        assert_eq!(locals[0].local_heavy_hitters, vec![1, 2]);
+        assert_eq!(locals[0].reported_counts, vec![(1, 10.0), (2, 5.0)]);
     }
 }

@@ -6,22 +6,20 @@
 //! global top-k.  FedPEM ignores the non-IID structure entirely, which is
 //! exactly the weakness the paper's TAP/TAPS address.
 //!
-//! As an engine protocol FedPEM is a single round: the server broadcasts
-//! `Start`, every active party runs full local PEM through its
-//! [`PartyDriver`] and uploads its top-k [`CandidateReport`]; the server
-//! aggregates the collected reports.
+//! As an engine protocol FedPEM is a single `Start` round: every active
+//! party descends all g levels through its [`PartyDriver`] and uploads its
+//! top-k report; the server aggregates the collected reports.
 
+use crate::aggregate::final_output;
 use crate::extension::ExtensionStrategy;
 use crate::mechanism::{Mechanism, MechanismOutput};
-use crate::pem::run_pem_with;
+use crate::pem::{PartyRun, Report, Seeding};
 use crate::run::RunContext;
-use crate::tap::locals_from_reports;
+use fedhh_datasets::ItemStream;
 use fedhh_federated::{
-    aggregate_reports_into, top_k_from_counts, Broadcast, CandidateReport, EstimateScratch,
-    LevelEstimated, PartyDriver, ProtocolConfig, ProtocolError, RoundInput, RoundOutcome,
-    RoundPayload, RunPhase,
+    Broadcast, EstimateScratch, LevelEstimator, PartyDriver, ProtocolError, RoundInput,
+    RoundOutcome, RunPhase,
 };
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// The FedPEM baseline.
@@ -56,15 +54,15 @@ impl FedPem {
     }
 }
 
-/// One party's FedPEM round: run local PEM end-to-end and upload the
-/// resulting top-k report.  The driver holds an [`ItemStream`] handle
-/// (cheap to clone, `Send`); the items are materialized only inside
-/// `run_pem`, once, into the group-shuffle arena — the report pipeline
-/// past that point stays chunked.
+/// One party's FedPEM round: descend every level and upload the top-k
+/// report.  The driver holds an [`ItemStream`] handle (cheap to clone,
+/// `Send`); the party state — the materialized, shuffled items — is built
+/// inside the round, on the worker, and dropped with it, so one arena is
+/// resident per worker rather than one per party.
 struct FedPemDriver<'a> {
     name: &'a str,
-    items: fedhh_datasets::ItemStream,
-    config: ProtocolConfig,
+    items: ItemStream,
+    estimator: &'a LevelEstimator,
     extension: ExtensionStrategy,
     seed: u64,
     /// Per-driver estimation arena.
@@ -77,30 +75,18 @@ impl PartyDriver for FedPemDriver<'_> {
     }
 
     fn run_round(&mut self, _input: &RoundInput) -> Result<RoundOutcome, ProtocolError> {
-        let outcome = run_pem_with(
-            self.name,
-            &self.items,
-            &self.config,
-            self.extension,
-            self.seed,
-            &mut self.scratch,
-        )?;
-        let report = outcome.local.to_report(self.config.granularity);
+        let config = self.estimator.config();
+        let mut party = PartyRun::new(self.name, &self.items, config, Seeding::FedPem, self.seed)?;
         let mut round = RoundOutcome::default();
-        // Replay the per-level progression; the final level additionally
-        // carries the party's top-k upload.
-        let last = outcome.level_trace.len().saturating_sub(1);
-        for (i, trace) in outcome.level_trace.iter().enumerate() {
-            round.level(LevelEstimated {
-                party: self.name.to_string(),
-                level: trace.level,
-                candidates: trace.candidates,
-                users: trace.users,
-                report_bits: trace.report_bits,
-                uplink_bits: if i == last { report.size_bits() } else { 0 },
-            });
-        }
-        round.upload(RoundPayload::Report(report));
+        party.descend(
+            &mut self.scratch,
+            self.estimator,
+            1..=config.granularity,
+            self.extension,
+            None,
+            &mut round,
+        );
+        party.upload_report(Report::TopK, config, &mut round);
         Ok(round)
     }
 }
@@ -114,6 +100,7 @@ impl Mechanism for FedPem {
         let config = ctx.config();
         let start = Instant::now();
         let dataset = ctx.dataset();
+        let estimator = LevelEstimator::new(config)?;
         let extension = self.effective_extension(config.k);
 
         let mut session = ctx.session(dataset.party_count())?;
@@ -124,7 +111,7 @@ impl Mechanism for FedPem {
             .map(|(idx, party)| FedPemDriver {
                 name: party.name(),
                 items: ctx.party_stream(idx),
-                config,
+                estimator: &estimator,
                 extension,
                 seed: ctx.party_seed(idx),
                 scratch: session.scratch(),
@@ -141,31 +128,7 @@ impl Mechanism for FedPem {
         ctx.replay(&collection);
 
         ctx.phase(RunPhase::Aggregation);
-        // One server-side pass over the round's collected reports — no
-        // cloning, no second aggregation for the ranking.  The parties'
-        // local results are rebuilt from the reports they uploaded
-        // (`to_report` is lossless), so a distributed coordinator — whose
-        // process never ran the drivers — reconstructs them identically.
-        let reports: Vec<(usize, CandidateReport)> = collection
-            .messages
-            .iter()
-            .filter_map(|m| m.as_report().map(|r| (m.from, r.clone())))
-            .collect();
-        let locals = locals_from_reports(&reports);
-        let mut totals: HashMap<u64, f64> = HashMap::new();
-        aggregate_reports_into(
-            collection.messages.iter().filter_map(|m| m.as_report()),
-            &mut totals,
-        );
-        let heavy_hitters = top_k_from_counts(&totals, config.k);
-
-        Ok(MechanismOutput {
-            heavy_hitters,
-            counts: totals,
-            local_results: locals,
-            comm: ctx.take_comm(),
-            elapsed: start.elapsed(),
-        })
+        Ok(final_output(ctx, &collection, start))
     }
 }
 

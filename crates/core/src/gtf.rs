@@ -16,21 +16,21 @@
 //!   aggressive, size-oblivious filtering that the paper criticises;
 //! * the final level's global top-k items are the answer.
 //!
-//! As an engine protocol GTF is one round per trie level: the server
-//! broadcasts the current global candidate set, every active party extends
-//! and estimates it on its level group and uploads its local top-k
-//! frequencies, and the server filters the collected reports into the next
-//! round's broadcast.
+//! As an engine protocol GTF is one `Candidates` round per trie level:
+//! every active party estimates the broadcast set's extension on its level
+//! group and uploads its local top-k frequencies, which the server filters
+//! into the next round's broadcast.
 
 use crate::aggregate::PartyLocalResult;
 use crate::mechanism::{Mechanism, MechanismOutput};
+use crate::pem::{PartyRun, Seeding};
 use crate::run::RunContext;
 use fedhh_federated::{
-    Broadcast, EstimateScratch, GroupAssignment, LevelEstimated, LevelEstimator, PartyDriver,
-    ProtocolConfig, ProtocolError, RoundInput, RoundOutcome, RoundPayload, RunPhase, PAIR_BITS,
+    aggregate_reports_into, Broadcast, CandidateReport, EstimateScratch, LevelEstimator,
+    PartyDriver, ProtocolError, RoundCollection, RoundInput, RoundOutcome, RoundPayload, RunPhase,
+    PAIR_BITS,
 };
 use fedhh_telemetry::SpanName;
-use fedhh_trie::extend_prefix_values;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -38,15 +38,12 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gtf;
 
-/// One party's GTF round: extend the broadcast global candidates by one
-/// level, estimate them on the level's user group, and upload the local
-/// top-k frequencies.
+/// One party's GTF round: adopt the broadcast global candidates, estimate
+/// their one-level extension on the level's user group, and upload the
+/// local top-k frequencies.
 struct GtfDriver<'a> {
-    name: &'a str,
-    assignment: GroupAssignment,
+    party: PartyRun,
     estimator: &'a LevelEstimator,
-    config: ProtocolConfig,
-    seed: u64,
     /// Per-driver estimation arena, reused across the per-level rounds so
     /// each engine worker aggregates into its own buffers.
     scratch: EstimateScratch,
@@ -54,7 +51,7 @@ struct GtfDriver<'a> {
 
 impl PartyDriver for GtfDriver<'_> {
     fn party(&self) -> &str {
-        self.name
+        &self.party.name
     }
 
     fn run_round(&mut self, input: &RoundInput) -> Result<RoundOutcome, ProtocolError> {
@@ -68,32 +65,26 @@ impl PartyDriver for GtfDriver<'_> {
             return Ok(RoundOutcome::default());
         };
         let h = *level;
-        let schedule = self.config.schedule();
-        let candidates = extend_prefix_values(values, *value_len, schedule.step(h));
-        let estimate = self.estimator.estimate_with(
+        self.party.adopt(values, *value_len);
+        let (mut event, estimate) = self.party.step(
             &mut self.scratch,
-            &candidates,
-            schedule.prefix_len(h),
-            self.assignment.level(h),
-            self.seed ^ ((h as u64) << 32),
+            self.estimator,
+            h,
+            self.party.assignment.level(h),
+            &[],
         );
-        // The party reports its top-k candidates with frequencies.
+        // The party reports its top-k candidates with frequencies; the
+        // upload rides on the level's own event.
         let top: Vec<(u64, f64)> = estimate
             .ranked_candidates()
             .into_iter()
-            .take(self.config.k)
+            .take(self.estimator.config().k)
             .collect();
+        event.uplink_bits = top.len() * PAIR_BITS;
         let mut round = RoundOutcome::default();
-        round.level(LevelEstimated {
-            party: self.name.to_string(),
-            level: h,
-            candidates: candidates.len(),
-            users: estimate.users,
-            report_bits: estimate.report_bits,
-            uplink_bits: top.len() * PAIR_BITS,
-        });
-        round.upload(RoundPayload::Report(fedhh_federated::CandidateReport {
-            party: self.name.to_string(),
+        round.level(event);
+        round.upload(RoundPayload::Report(CandidateReport {
+            party: self.party.name.clone(),
             level: h,
             candidates: top,
             users: estimate.users,
@@ -111,42 +102,27 @@ impl Mechanism for Gtf {
         let config = ctx.config();
         let start = Instant::now();
         let dataset = ctx.dataset();
-        // Constructing the estimator validates the configuration, so no
-        // invalid parameter survives past this line.
         let estimator = LevelEstimator::new(config)?;
         let schedule = config.schedule();
 
         let mut session = ctx.session(dataset.party_count())?;
         // Per-party group assignments: every user still reports only once.
-        let mut drivers: Vec<GtfDriver<'_>> = dataset
-            .parties()
-            .iter()
-            .enumerate()
-            .map(|(idx, p)| {
-                Ok(GtfDriver {
-                    name: p.name(),
-                    // The stream is materialized exactly once, into the
-                    // shuffle; reports then flow chunked per level.
-                    assignment: GroupAssignment::uniform_owned(
-                        ctx.party_stream(idx).materialize(),
-                        config.granularity,
-                        ctx.party_seed(idx),
-                    )?,
-                    estimator: &estimator,
-                    config,
-                    seed: ctx.party_seed(idx),
-                    scratch: session.scratch(),
-                })
+        let mut drivers: Vec<GtfDriver<'_>> = PartyRun::initialise(ctx, Seeding::Gtf)?
+            .into_iter()
+            .map(|party| GtfDriver {
+                party,
+                estimator: &estimator,
+                scratch: session.scratch(),
             })
-            .collect::<Result<_, ProtocolError>>()?;
+            .collect();
         let active = session.active_parties();
 
         let mut global: Vec<u64> = vec![0];
         let mut global_len: u8 = 0;
-        // Average (population-oblivious) frequency of each surviving
-        // candidate at the last processed level.
-        let mut last_avg: HashMap<u64, f64> = HashMap::new();
-        let mut last_local: Vec<PartyLocalResult> = Vec::new();
+        // The last processed level: its filtered averages (population-
+        // oblivious frequencies, best first) and the round they came from.
+        let mut last_avg: Vec<(u64, f64)> = Vec::new();
+        let mut last_round: Option<RoundCollection> = None;
         // Server-side accumulator, merged once per round and reused across
         // levels.
         let mut freq_sums: HashMap<u64, f64> = HashMap::new();
@@ -165,35 +141,13 @@ impl Mechanism for Gtf {
             let collection = session.run_round(&mut drivers, &active, &input)?;
             ctx.replay(&collection);
 
+            // Population-oblivious filtering: average of reported
+            // frequencies, keep exactly the global top-k.
             freq_sums.clear();
-            fedhh_federated::aggregate_reports_into(
+            aggregate_reports_into(
                 collection.messages.iter().filter_map(|m| m.as_report()),
                 &mut freq_sums,
             );
-            let mut locals: Vec<(usize, PartyLocalResult)> = Vec::new();
-            for message in &collection.messages {
-                let Some(report) = message.as_report() else {
-                    continue;
-                };
-                let users = dataset.parties()[message.from].user_count();
-                locals.push((
-                    message.from,
-                    PartyLocalResult {
-                        party: report.party.clone(),
-                        users,
-                        local_heavy_hitters: report.values(),
-                        reported_counts: report
-                            .candidates
-                            .iter()
-                            .map(|(v, f)| (*v, (f * users as f64).max(0.0)))
-                            .collect(),
-                    },
-                ));
-            }
-            locals.sort_by_key(|(from, _)| *from);
-
-            // Population-oblivious filtering: average of reported
-            // frequencies, keep exactly the global top-k.
             let party_count = active.len().max(1) as f64;
             let mut averaged: Vec<(u64, f64)> = freq_sums
                 .iter()
@@ -203,45 +157,53 @@ impl Mechanism for Gtf {
             averaged.truncate(config.k);
             global = averaged.iter().map(|(v, _)| *v).collect();
             global_len = schedule.prefix_len(h);
-            // Incremental-trie warm start (epoch service): graft the
-            // previous epoch's surviving heavy hitters back into the
-            // filtered set at this level, so a persistent heavy item one
-            // epoch's noise pushed out of the top-k is never lost from
-            // the trie.  Cold runs have no warm prefixes and keep the
-            // exact one-shot candidate set.
-            let warm = ctx.warm_prefixes(global_len);
-            if !warm.is_empty() {
-                global.extend(warm);
-                global.sort_unstable();
-                global.dedup();
-            }
+            ctx.graft_warm_prefixes(&mut global, global_len);
             // Broadcast the filtered candidate set to every surviving party.
             for &idx in &active {
                 ctx.record_downlink(dataset.parties()[idx].name(), global.len() * PAIR_BITS);
             }
-            last_avg = averaged.into_iter().collect();
-            last_local = locals.into_iter().map(|(_, l)| l).collect();
+            last_avg = averaged;
+            last_round = Some(collection);
             if global.is_empty() {
                 break;
             }
         }
 
-        // Scale the (population-oblivious) average frequencies to counts so
+        // Scale the (population-oblivious) frequencies to counts so
         // downstream reporting has comparable units.
         ctx.phase(RunPhase::Aggregation);
+        let mut locals: Vec<(usize, PartyLocalResult)> = last_round
+            .iter()
+            .flat_map(|collection| &collection.messages)
+            .filter_map(|message| {
+                let report = message.as_report()?;
+                let users = dataset.parties()[message.from].user_count();
+                let local = PartyLocalResult {
+                    party: report.party.clone(),
+                    users,
+                    local_heavy_hitters: report.values(),
+                    reported_counts: report
+                        .candidates
+                        .iter()
+                        .map(|(v, f)| (*v, (f * users as f64).max(0.0)))
+                        .collect(),
+                };
+                Some((message.from, local))
+            })
+            .collect();
+        locals.sort_by_key(|(from, _)| *from);
         let total_users = dataset.total_users() as f64;
         let counts: HashMap<u64, f64> = last_avg
             .iter()
             .map(|(v, f)| (*v, f * total_users))
             .collect();
-        let mut heavy_hitters: Vec<u64> = last_avg.keys().copied().collect();
+        let mut heavy_hitters: Vec<u64> = last_avg.iter().map(|(v, _)| *v).collect();
         heavy_hitters.sort_by(|a, b| counts[b].total_cmp(&counts[a]).then(a.cmp(b)));
-        heavy_hitters.truncate(config.k);
 
         Ok(MechanismOutput {
             heavy_hitters,
             counts,
-            local_results: last_local,
+            local_results: locals.into_iter().map(|(_, local)| local).collect(),
             comm: ctx.take_comm(),
             elapsed: start.elapsed(),
         })
@@ -331,12 +293,19 @@ mod tests {
         let dataset = DatasetConfig::test_scale().build(DatasetKind::Rdb);
         let truth = dataset.ground_truth_top_k(5);
         let output = run(&dataset, config());
-        // GTF is weak but not useless: at large ε it should usually catch at
-        // least one globally popular item on the RDB stand-in.  We only
-        // assert the output is well-formed plus non-trivially overlapping
-        // with the level domain (weak assertion to avoid flakiness).
+        // GTF is weak but not useless: at large ε it still catches globally
+        // popular items on the RDB stand-in (the run is seeded, so the
+        // overlap is a fixed number, not a flaky one).
         assert!(output.heavy_hitters.iter().all(|v| *v < (1 << 16)));
-        let _ = truth;
+        let hits = truth
+            .iter()
+            .filter(|t| output.heavy_hitters.contains(t))
+            .count();
+        assert!(
+            hits >= 1,
+            "expected a true heavy hitter in {:?}",
+            output.heavy_hitters
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod extension;
 pub mod fedpem;
 pub mod gtf;
 pub mod mechanism;
-pub mod pem;
+mod pem;
 pub mod run;
 pub mod tap;
 pub mod taps;
@@ -64,7 +64,6 @@ pub use extension::ExtensionStrategy;
 pub use fedpem::FedPem;
 pub use gtf::Gtf;
 pub use mechanism::{Mechanism, MechanismKind, MechanismOutput, ParseMechanismKindError};
-pub use pem::{run_pem, run_pem_with, PemLevelTrace, PemPartyOutcome};
 pub use run::{Run, RunContext};
 pub use tap::Tap;
 pub use taps::Taps;

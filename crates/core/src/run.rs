@@ -93,8 +93,8 @@ impl<'a> RunContext<'a> {
     }
 
     /// The run's telemetry handle (disabled unless one was attached).
-    /// Mechanisms use this to open `level` spans in their drivers; their
-    /// [`fedhh_federated::EstimateScratch`]es get the same handle from
+    /// Party-side `level` spans open under the same handle, which the
+    /// drivers' [`fedhh_federated::EstimateScratch`]es get from
     /// [`Session::scratch`].
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -193,6 +193,21 @@ impl<'a> RunContext<'a> {
         prefixes.sort_unstable();
         prefixes.dedup();
         prefixes
+    }
+
+    /// The incremental-trie warm start (epoch service): unions the
+    /// warm-start prefixes of length `len` into a server-side candidate
+    /// set of `len`-bit values, so a persistent heavy item one epoch's
+    /// noise pushed out of the set is never lost from the trie.  A cold run
+    /// has no warm prefixes and keeps its exact one-shot candidate set,
+    /// order included.
+    pub fn graft_warm_prefixes(&self, candidates: &mut Vec<u64>, len: u8) {
+        let warm = self.warm_prefixes(len);
+        if !warm.is_empty() {
+            candidates.extend(warm);
+            candidates.sort_unstable();
+            candidates.dedup();
+        }
     }
 
     /// The resident item slice of party `party_index`, as a typed failure

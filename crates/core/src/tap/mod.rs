@@ -9,225 +9,158 @@
 //! estimated counts; the server sums the counts and reports the federated
 //! top-k.
 //!
-//! As an engine protocol TAP is two rounds: Phase I is one `Start` round
-//! (each party runs its shared levels and uploads a level-g_s candidate
-//! report), Phase II one `Candidates` round seeded with the shared prefixes
-//! (each party descends to level g and uploads its final top-k report).
-//! Both rounds run every active party concurrently.
+//! As an engine protocol TAP is two rounds, each running every active party
+//! concurrently: Phase I uploads the level-g_s candidate reports, the server
+//! seeds every party with the shared prefixes, and Phase II descends to
+//! level g and uploads the final top-k reports.  TAPS is the same routine
+//! (`two_phase`) on a different Phase II schedule — the pruning chain of
+//! [`crate::taps`] — so TAPS without pruning *is* TAP.
 
 pub mod stc;
 
-use crate::aggregate::{local_result_from_estimate, PartyLocalResult};
+use crate::aggregate::final_output;
 use crate::extension::ExtensionStrategy;
 use crate::mechanism::{Mechanism, MechanismOutput};
+use crate::pem::{PartyRun, Report, Seeding};
 use crate::run::RunContext;
+use crate::taps::{self, ChainLink, ChainSlot};
 use fedhh_federated::{
-    aggregate_reports_into, top_k_from_counts, Broadcast, CandidateReport, EstimateScratch,
-    GroupAssignment, LevelEstimate, LevelEstimated, LevelEstimator, PartyDriver, ProtocolConfig,
-    ProtocolError, RoundInput, RoundOutcome, RoundPayload, RunPhase,
+    Broadcast, EstimateScratch, LevelEstimator, PartyDriver, ProtocolError, RoundCollection,
+    RoundInput, RoundOutcome, RunPhase, Session,
 };
-use fedhh_telemetry::{SpanName, Telemetry};
-use fedhh_trie::extend_prefix_values;
-use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::time::Instant;
 
-/// The per-party running state shared by TAP and TAPS.
-#[derive(Debug, Clone)]
-pub(crate) struct PartyRun {
-    /// Party display name.
-    pub name: String,
-    /// Total user population |U_i|.
-    pub users_total: usize,
-    /// The party's user-to-level assignment.
-    pub assignment: GroupAssignment,
-    /// The surviving candidate prefixes C_{h−1} (raw values).
-    pub current: Vec<u64>,
-    /// Length in bits of the prefixes in `current`.
-    pub current_len: u8,
-    /// The most recent level estimate.
-    pub last_estimate: Option<LevelEstimate>,
-    /// Per-party noise-decorrelation seed.
-    pub noise_seed: u64,
-}
-
-impl PartyRun {
-    /// Initialises the run state for every party of a dataset, deriving
-    /// each party's randomness from [`RunContext::party_seed`].
-    pub fn initialise(ctx: &RunContext<'_>) -> Result<Vec<PartyRun>, ProtocolError> {
-        let config = ctx.config();
-        let gs = config.shared_levels();
-        ctx.dataset()
-            .parties()
-            .iter()
-            .enumerate()
-            .map(|(idx, party)| {
-                let seed = ctx.party_seed(idx);
-                Ok(PartyRun {
-                    name: party.name().to_string(),
-                    users_total: party.user_count(),
-                    // The stream is materialized exactly once, into the
-                    // shuffle; reports then flow chunked per level.
-                    assignment: GroupAssignment::weighted_owned(
-                        ctx.party_stream(idx).materialize(),
-                        config.granularity,
-                        gs,
-                        config.phase1_user_fraction,
-                        seed,
-                    )?,
-                    current: vec![0],
-                    current_len: 0,
-                    last_estimate: None,
-                    noise_seed: seed,
-                })
-            })
-            .collect()
-    }
-
-    /// Runs the `Estimate` step for one level: extends the current
-    /// candidates, estimates them on the level's user group (or an explicit
-    /// subset), and returns the estimate together with the extended
-    /// candidate list.
-    ///
-    /// `scratch` is the caller's (per-driver, hence per-worker)
-    /// estimation arena, reused level after level.
-    pub fn estimate_level(
-        &self,
-        scratch: &mut EstimateScratch,
-        estimator: &LevelEstimator,
-        config: &ProtocolConfig,
-        h: u8,
-        users_override: Option<&[u64]>,
-        excluded: &[u64],
-    ) -> (Vec<u64>, LevelEstimate) {
-        let schedule = config.schedule();
-        let step = schedule.step(h);
-        let len = schedule.prefix_len(h);
-        let mut candidates = extend_prefix_values(&self.current, self.current_len, step);
-        if !excluded.is_empty() {
-            let excluded: std::collections::HashSet<u64> = excluded.iter().copied().collect();
-            candidates.retain(|c| !excluded.contains(c));
-        }
-        let users = users_override.unwrap_or_else(|| self.assignment.level(h));
-        let estimate = estimator.estimate_with(
-            scratch,
-            &candidates,
-            len,
-            users,
-            self.noise_seed ^ ((h as u64) << 40),
-        );
-        (candidates, estimate)
-    }
-
-    /// Advances the run state after a level: keep the top-t candidates.
-    pub fn advance(&mut self, config: &ProtocolConfig, h: u8, estimate: LevelEstimate, t: usize) {
-        self.current = estimate.top_t(t);
-        self.current_len = config.schedule().prefix_len(h);
-        self.last_estimate = Some(estimate);
-    }
-
-    /// Builds the party's final upload from the last estimate.
-    pub fn final_local_result(&self, k: usize) -> PartyLocalResult {
-        let estimate = self
-            .last_estimate
-            .as_ref()
-            .expect("final_local_result called before any level was estimated");
-        local_result_from_estimate(&self.name, self.users_total, estimate, k)
-    }
-}
-
-/// One party's TAP Phase II round: adopt the broadcast shared prefixes (if
-/// any), extend level by level down to the granularity, and upload the
-/// final top-k report.
-pub(crate) struct TapPhase2Driver<'a> {
+/// One party's round of a TAP/TAPS run: descend `levels` — inside the TAPS
+/// chain, pruning around each level and uploading the dictionary for the
+/// successor — then upload `report`, if the round collects one.
+pub(crate) struct DescentDriver<'a> {
     pub(crate) party: &'a mut PartyRun,
     pub(crate) estimator: &'a LevelEstimator,
-    pub(crate) config: ProtocolConfig,
+    pub(crate) levels: RangeInclusive<u8>,
     pub(crate) extension: ExtensionStrategy,
-    pub(crate) debug: bool,
-    /// Per-driver estimation arena.
+    /// The party's place in the TAPS pruning chain, in a chain round.
+    pub(crate) chain: Option<ChainSlot>,
+    pub(crate) report: Option<Report>,
+    /// Per-driver estimation arena (levels and validation splits).
     pub(crate) scratch: EstimateScratch,
-    /// Telemetry handle for the per-level spans (disabled handles are
-    /// inert, so untraced runs pay one branch per level).
-    pub(crate) telemetry: Telemetry,
 }
 
-impl PartyDriver for TapPhase2Driver<'_> {
+impl PartyDriver for DescentDriver<'_> {
     fn party(&self) -> &str {
         &self.party.name
     }
 
     fn run_round(&mut self, input: &RoundInput) -> Result<RoundOutcome, ProtocolError> {
-        let config = self.config;
-        if let Broadcast::Candidates {
-            values, value_len, ..
-        } = &input.broadcast
-        {
-            self.party.current = values.clone();
-            self.party.current_len = *value_len;
-        }
-        let gs = config.shared_levels();
         let mut round = RoundOutcome::default();
-        for h in (gs + 1)..=config.granularity {
-            let _level_span = self.telemetry.span_idx(SpanName::Level, u64::from(h));
-            let (candidates, estimate) =
-                self.party
-                    .estimate_level(&mut self.scratch, self.estimator, &config, h, None, &[]);
-            let t = self.extension.extension_count(&estimate, config.k);
-            if self.debug {
-                eprintln!(
-                    "[tap] {} level {h}: |domain|={} users={} t={t} sigma={:.4}",
-                    self.party.name,
-                    candidates.len(),
-                    estimate.users,
-                    estimate.std_dev
-                );
-            }
-            round.level(LevelEstimated {
-                party: self.party.name.clone(),
-                level: h,
-                candidates: candidates.len(),
-                users: estimate.users,
-                report_bits: estimate.report_bits,
-                uplink_bits: 0,
-            });
-            self.party.advance(&config, h, estimate, t);
+        let mut link = self
+            .chain
+            .map(|slot| ChainLink::new(slot, &input.broadcast));
+        self.party.descend(
+            &mut self.scratch,
+            self.estimator,
+            self.levels.clone(),
+            self.extension,
+            link.as_mut(),
+            &mut round,
+        );
+        let config = self.estimator.config();
+        if let Some(link) = link {
+            link.upload(self.party, config.granularity, &mut round);
         }
-        // The final top-k upload (step ⑪), attributed to the deepest level.
-        let local = self.party.final_local_result(config.k);
-        let report = local.to_report(config.granularity);
-        round.level(LevelEstimated {
-            party: self.party.name.clone(),
-            level: config.granularity,
-            candidates: report.candidates.len(),
-            users: 0,
-            report_bits: 0,
-            uplink_bits: report.size_bits(),
-        });
-        round.upload(RoundPayload::Report(report));
+        if let Some(report) = self.report {
+            self.party.upload_report(report, config, &mut round);
+        }
         Ok(round)
     }
 }
 
-/// Rebuilds the parties' [`PartyLocalResult`]s from the final reports they
-/// uploaded, in party-index order (`to_report` is lossless, so this is the
-/// exact inverse).
-pub(crate) fn locals_from_reports(messages: &[(usize, CandidateReport)]) -> Vec<PartyLocalResult> {
-    let mut keyed: Vec<(usize, PartyLocalResult)> = messages
-        .iter()
-        .map(|(from, report)| {
-            (
-                *from,
-                PartyLocalResult {
-                    party: report.party.clone(),
-                    users: report.users,
-                    local_heavy_hitters: report.values(),
-                    reported_counts: report.candidates.clone(),
-                },
-            )
-        })
-        .collect();
-    keyed.sort_by_key(|(from, _)| *from);
-    keyed.into_iter().map(|(_, local)| local).collect()
+/// What a TAP/TAPS run carries from round to round.
+pub(crate) struct TwoPhaseRun<'a> {
+    pub(crate) session: Session,
+    pub(crate) parties: Vec<PartyRun>,
+    pub(crate) estimator: &'a LevelEstimator,
+    pub(crate) extension: ExtensionStrategy,
+}
+
+impl TwoPhaseRun<'_> {
+    /// Runs one round over every active party, outside the pruning chain:
+    /// each party descends `levels` and uploads `report`.  With no level
+    /// left to run it is the closing round of TAPS.
+    pub(crate) fn round(
+        &mut self,
+        ctx: &mut RunContext<'_>,
+        levels: RangeInclusive<u8>,
+        report: Report,
+    ) -> Result<RoundCollection, ProtocolError> {
+        let input = RoundInput {
+            round: self.session.rounds_completed(),
+            broadcast: Broadcast::Start,
+        };
+        let mut drivers: Vec<DescentDriver<'_>> = self
+            .parties
+            .iter_mut()
+            .map(|party| DescentDriver {
+                party,
+                estimator: self.estimator,
+                levels: levels.clone(),
+                extension: self.extension,
+                chain: None,
+                report: Some(report),
+                scratch: self.session.scratch(),
+            })
+            .collect();
+        let active = self.session.active_parties();
+        let collection = self.session.run_round(&mut drivers, &active, &input)?;
+        ctx.replay(&collection);
+        Ok(collection)
+    }
+}
+
+/// TAP and TAPS: Phase I, the shared-prefix hand-over, then Phase II on
+/// the schedule `use_pruning` selects — one parallel round that also
+/// uploads the final reports (TAP), or the solo pruning chain followed by
+/// a final-report round (TAPS) — and the final aggregation.
+pub(crate) fn two_phase(
+    ctx: &mut RunContext<'_>,
+    extension: ExtensionStrategy,
+    use_shared_trie: bool,
+    use_pruning: bool,
+) -> Result<MechanismOutput, ProtocolError> {
+    let config = ctx.config();
+    let start = Instant::now();
+    let estimator = LevelEstimator::new(config)?;
+    let mut run = TwoPhaseRun {
+        session: ctx.session(ctx.dataset().party_count())?,
+        parties: PartyRun::initialise(ctx, Seeding::Tap)?,
+        estimator: &estimator,
+        extension,
+    };
+    let gs = config.shared_levels();
+
+    // Phase I: shared shallow trie construction (Algorithm 2).  A warm
+    // start grafts the previous epoch's heavy hitters into its result, so
+    // they descend even if this epoch's shallow estimation missed them.
+    let mut shared = stc::shared_trie_construction(&mut run, ctx)?;
+    let shared_len = config.schedule().prefix_len(gs);
+    ctx.graft_warm_prefixes(&mut shared, shared_len);
+    if use_shared_trie {
+        for idx in run.session.active_parties() {
+            run.parties[idx].adopt(&shared, shared_len);
+        }
+    }
+
+    // Phase II: independent estimation from the shared prefixes.
+    ctx.phase(RunPhase::LocalEstimation);
+    let levels = (gs + 1)..=config.granularity;
+    let final_reports = if use_pruning {
+        taps::pruning_chain(&mut run, ctx, levels)?
+    } else {
+        let collection = run.round(ctx, levels, Report::TopK)?;
+        ctx.phase(RunPhase::Aggregation);
+        collection
+    };
+    Ok(final_output(ctx, &final_reports, start))
 }
 
 /// The TAP mechanism (Algorithm 3).
@@ -274,89 +207,7 @@ impl Mechanism for Tap {
     }
 
     fn execute(&self, ctx: &mut RunContext<'_>) -> Result<MechanismOutput, ProtocolError> {
-        let config = ctx.config();
-        let start = Instant::now();
-        // Constructing the estimator validates the configuration, so no
-        // invalid parameter survives past this line.
-        let estimator = LevelEstimator::new(config)?;
-        let mut session = ctx.session(ctx.dataset().party_count())?;
-        let mut parties = PartyRun::initialise(ctx)?;
-        let gs = config.shared_levels();
-
-        // Phase I: shared shallow trie construction (Algorithm 2).
-        let mut shared = stc::shared_trie_construction(
-            &mut session,
-            &mut parties,
-            &estimator,
-            ctx,
-            self.extension,
-        )?;
-        // Incremental-trie warm start (epoch service): graft the previous
-        // epoch's surviving heavy hitters into the shared prefixes handed
-        // to Phase II, so persistent heavy items descend even if this
-        // epoch's shallow estimation missed them.  Cold runs add nothing.
-        let warm = ctx.warm_prefixes(config.schedule().prefix_len(gs));
-        if !warm.is_empty() {
-            shared.extend(warm);
-            shared.sort_unstable();
-            shared.dedup();
-        }
-        let debug = std::env::var("FEDHH_DEBUG_SHARED").is_ok();
-        if debug {
-            eprintln!("[tap] shared prefixes at level {gs}: {shared:?}");
-        }
-
-        // Phase II: independent estimation with a warm start.
-        ctx.phase(RunPhase::LocalEstimation);
-        let broadcast = if self.use_shared_trie {
-            Broadcast::Candidates {
-                values: shared,
-                value_len: config.schedule().prefix_len(gs),
-                level: gs + 1,
-            }
-        } else {
-            Broadcast::Start
-        };
-        let active = session.active_parties();
-        let input = RoundInput {
-            round: session.rounds_completed(),
-            broadcast,
-        };
-        let mut drivers: Vec<TapPhase2Driver<'_>> = parties
-            .iter_mut()
-            .map(|party| TapPhase2Driver {
-                party,
-                estimator: &estimator,
-                config,
-                extension: self.extension,
-                debug,
-                scratch: session.scratch(),
-                telemetry: ctx.telemetry().clone(),
-            })
-            .collect();
-        let collection = session.run_round(&mut drivers, &active, &input)?;
-        drop(drivers);
-        ctx.replay(&collection);
-
-        // Final aggregation (step ⑪).
-        ctx.phase(RunPhase::Aggregation);
-        let reports: Vec<(usize, CandidateReport)> = collection
-            .messages
-            .iter()
-            .filter_map(|m| m.as_report().map(|r| (m.from, r.clone())))
-            .collect();
-        let locals = locals_from_reports(&reports);
-        let mut totals: HashMap<u64, f64> = HashMap::new();
-        aggregate_reports_into(reports.iter().map(|(_, r)| r), &mut totals);
-        let heavy_hitters = top_k_from_counts(&totals, config.k);
-
-        Ok(MechanismOutput {
-            heavy_hitters,
-            counts: totals,
-            local_results: locals,
-            comm: ctx.take_comm(),
-            elapsed: start.elapsed(),
-        })
+        two_phase(ctx, self.extension, self.use_shared_trie, false)
     }
 }
 
@@ -365,6 +216,7 @@ mod tests {
     use super::*;
     use crate::run::Run;
     use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
+    use fedhh_federated::ProtocolConfig;
 
     fn run(tap: &Tap, dataset: &FederatedDataset, config: ProtocolConfig) -> MechanismOutput {
         Run::custom(tap)
@@ -429,29 +281,12 @@ mod tests {
         let cfg = config();
         let mut observer = fedhh_federated::NullObserver;
         let ctx = RunContext::new(&dataset, cfg, &mut observer);
-        let runs = PartyRun::initialise(&ctx).unwrap();
+        let runs = PartyRun::initialise(&ctx, Seeding::Tap).unwrap();
         assert_eq!(runs.len(), 4);
         for (run, party) in runs.iter().zip(dataset.parties()) {
             assert_eq!(run.users_total, party.user_count());
             assert_eq!(run.assignment.total_users(), party.user_count());
             assert_eq!(run.current, vec![0]);
         }
-    }
-
-    #[test]
-    fn locals_rebuild_losslessly_from_reports_in_party_order() {
-        let report = |party: &str, users: usize| CandidateReport {
-            party: party.to_string(),
-            level: 8,
-            candidates: vec![(1, 10.0), (2, 5.0)],
-            users,
-        };
-        let locals = locals_from_reports(&[(2, report("c", 30)), (0, report("a", 10))]);
-        assert_eq!(locals.len(), 2);
-        assert_eq!(locals[0].party, "a");
-        assert_eq!(locals[0].users, 10);
-        assert_eq!(locals[1].party, "c");
-        assert_eq!(locals[0].local_heavy_hitters, vec![1, 2]);
-        assert_eq!(locals[0].reported_counts, vec![(1, 10.0), (2, 5.0)]);
     }
 }

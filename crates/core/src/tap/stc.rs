@@ -9,128 +9,30 @@
 //! population — into the global top-k prefixes C_{g_s} that seed Phase II
 //! in every party.
 //!
-//! Phase I is one engine round: the server broadcasts `Start`, every active
-//! party runs its shared levels through a `Phase1Driver` (concurrently
-//! under a parallel engine) and uploads its level-g_s candidate report,
-//! and the session collects the reports for aggregation.
+//! Phase I is one round of the two-phase run: every active party descends
+//! its shared levels (concurrently under a parallel engine) and uploads its
+//! level-g_s candidate report for the server to aggregate.
 
-use crate::aggregate::local_result_to_report;
-use crate::extension::ExtensionStrategy;
+use crate::pem::Report;
 use crate::run::RunContext;
-use crate::tap::PartyRun;
+use crate::tap::TwoPhaseRun;
 use fedhh_federated::{
-    aggregate_reports_into, top_k_from_counts, Broadcast, EstimateScratch, LevelEstimated,
-    LevelEstimator, PartyDriver, ProtocolConfig, ProtocolError, RoundInput, RoundOutcome,
-    RoundPayload, RunPhase, Session, PAIR_BITS,
+    aggregate_reports_into, top_k_from_counts, ProtocolError, RunPhase, PAIR_BITS,
 };
-use fedhh_telemetry::{SpanName, Telemetry};
 
-/// One party's Phase I round: estimate levels 1..=g_s with the configured
-/// extension and upload the level-g_s candidate report.
-pub(crate) struct Phase1Driver<'a> {
-    pub(crate) party: &'a mut PartyRun,
-    pub(crate) estimator: &'a LevelEstimator,
-    pub(crate) config: ProtocolConfig,
-    pub(crate) extension: ExtensionStrategy,
-    pub(crate) gs: u8,
-    /// Per-driver estimation arena.
-    pub(crate) scratch: EstimateScratch,
-    /// Telemetry handle for the per-level spans (inert when disabled).
-    pub(crate) telemetry: Telemetry,
-}
-
-impl PartyDriver for Phase1Driver<'_> {
-    fn party(&self) -> &str {
-        &self.party.name
-    }
-
-    fn run_round(&mut self, _input: &RoundInput) -> Result<RoundOutcome, ProtocolError> {
-        let mut round = RoundOutcome::default();
-        // Estimate levels 1..=g_s on the Phase I user groups, extending
-        // adaptively (Algorithm 2, lines 2–8).
-        for h in 1..=self.gs {
-            let _level_span = self.telemetry.span_idx(SpanName::Level, u64::from(h));
-            let (candidates, estimate) = self.party.estimate_level(
-                &mut self.scratch,
-                self.estimator,
-                &self.config,
-                h,
-                None,
-                &[],
-            );
-            let t = self.extension.extension_count(&estimate, self.config.k);
-            round.level(LevelEstimated {
-                party: self.party.name.clone(),
-                level: h,
-                candidates: candidates.len(),
-                users: estimate.users,
-                report_bits: estimate.report_bits,
-                uplink_bits: 0,
-            });
-            self.party.advance(&self.config, h, estimate, t);
-        }
-        // Report the level-g_s candidates with non-zero estimated counts
-        // (line 9); the upload rides on a dedicated level event so the
-        // observer sees every uplink bit the phase causes.
-        let estimate = self
-            .party
-            .last_estimate
-            .as_ref()
-            .expect("phase I estimated at least one level");
-        let report =
-            local_result_to_report(&self.party.name, self.party.users_total, estimate, self.gs);
-        round.level(LevelEstimated {
-            party: self.party.name.clone(),
-            level: self.gs,
-            candidates: report.candidates.len(),
-            users: 0,
-            report_bits: 0,
-            uplink_bits: report.size_bits(),
-        });
-        round.upload(RoundPayload::Report(report));
-        Ok(round)
-    }
-}
-
-/// Runs Phase I as one engine round over the session's active parties and
-/// returns the globally frequent prefixes C_{g_s} (at most k values, each
-/// `schedule.prefix_len(g_s)` bits long).
+/// Runs Phase I as one engine round over the session's active parties —
+/// each estimates levels 1..=g_s, extending adaptively (Algorithm 2, lines
+/// 2–8), and reports its level-g_s candidates (line 9) — and returns the
+/// globally frequent prefixes C_{g_s} (at most k values, each
+/// `schedule.prefix_len(g_s)` bits long).  There is always a shared level
+/// to run: `LevelSchedule::shared_levels` clamps g_s to `1..=g`.
 pub(crate) fn shared_trie_construction(
-    session: &mut Session,
-    parties: &mut [PartyRun],
-    estimator: &LevelEstimator,
+    run: &mut TwoPhaseRun<'_>,
     ctx: &mut RunContext<'_>,
-    extension: ExtensionStrategy,
 ) -> Result<Vec<u64>, ProtocolError> {
-    let config = ctx.config();
-    let gs = config.shared_levels();
-    if gs == 0 {
-        // A shared ratio below 1/g leaves no shared levels: Phase I is a
-        // no-op and the "shared trie" is just the root prefix.
-        return Ok(vec![0]);
-    }
     ctx.phase(RunPhase::SharedTrie);
-
-    let active = session.active_parties();
-    let input = RoundInput {
-        round: session.rounds_completed(),
-        broadcast: Broadcast::Start,
-    };
-    let mut drivers: Vec<Phase1Driver<'_>> = parties
-        .iter_mut()
-        .map(|party| Phase1Driver {
-            party,
-            estimator,
-            config,
-            extension,
-            gs,
-            scratch: session.scratch(),
-            telemetry: ctx.telemetry().clone(),
-        })
-        .collect();
-    let collection = session.run_round(&mut drivers, &active, &input)?;
-    drop(drivers);
-    ctx.replay(&collection);
+    let config = ctx.config();
+    let collection = run.round(ctx, 1..=config.shared_levels(), Report::Candidates)?;
 
     // The server aggregates the reported counts — one pass straight off the
     // collected messages, no report cloning — and broadcasts the top-k
@@ -141,8 +43,8 @@ pub(crate) fn shared_trie_construction(
         &mut totals,
     );
     let shared = top_k_from_counts(&totals, config.k);
-    for &idx in &active {
-        ctx.record_downlink(&parties[idx].name, shared.len() * PAIR_BITS);
+    for idx in run.session.active_parties() {
+        ctx.record_downlink(&run.parties[idx].name, shared.len() * PAIR_BITS);
     }
     Ok(shared)
 }
@@ -150,8 +52,10 @@ pub(crate) fn shared_trie_construction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extension::ExtensionStrategy;
+    use crate::pem::{PartyRun, Seeding};
     use fedhh_datasets::{FederatedDataset, PartyData};
-    use fedhh_federated::{EngineConfig, NullObserver, ProtocolConfig};
+    use fedhh_federated::{EngineConfig, LevelEstimator, NullObserver, ProtocolConfig, Session};
     use fedhh_trie::{ItemEncoder, Prefix};
 
     /// Runs Phase I over a toy dataset and returns the shared prefixes plus
@@ -163,18 +67,15 @@ mod tests {
         let estimator = LevelEstimator::new(cfg).unwrap();
         let mut observer = NullObserver;
         let mut ctx = RunContext::new(dataset, cfg, &mut observer);
-        let mut session = Session::new(&EngineConfig::sequential(), dataset.party_count()).unwrap();
-        let mut parties = PartyRun::initialise(&ctx).unwrap();
-        let shared = shared_trie_construction(
-            &mut session,
-            &mut parties,
-            &estimator,
-            &mut ctx,
-            ExtensionStrategy::Adaptive,
-        )
-        .unwrap();
+        let mut run = TwoPhaseRun {
+            session: Session::new(&EngineConfig::sequential(), dataset.party_count()).unwrap(),
+            parties: PartyRun::initialise(&ctx, Seeding::Tap).unwrap(),
+            estimator: &estimator,
+            extension: ExtensionStrategy::Adaptive,
+        };
+        let shared = shared_trie_construction(&mut run, &mut ctx).unwrap();
         let comm = ctx.take_comm();
-        (shared, parties, comm)
+        (shared, run.parties, comm)
     }
 
     /// Two parties with opposite local skews but one shared globally

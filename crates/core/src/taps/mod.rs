@@ -1,8 +1,8 @@
 //! TAPS: TAP with the consensus-based pruning strategy (Algorithm 4).
 //!
-//! Phase I is identical to TAP.  Phase II is rewritten as a *sequential*
-//! estimation: parties are sorted by user population, descending, and each
-//! party (except the first) receives from the server the pruning dictionary
+//! Phase I is TAP's.  Phase II is rewritten as a *sequential* estimation:
+//! parties are sorted by user population, descending, and each party
+//! (except the first) receives from the server the pruning dictionary
 //! produced by its predecessor.  At the pruning levels the party spends a β
 //! fraction of the level's users validating the predecessor's infrequent and
 //! frequent candidate sets, derives the consensus pruning set (Equations
@@ -11,28 +11,31 @@
 //! dictionary (Equation 4) for the next party.
 //!
 //! As an engine protocol TAPS is Phase I's round followed by one round per
-//! surviving party: each chain round has a single active party whose
-//! broadcast carries the predecessor's [`PruneDictionary`]; the party's
-//! driver uploads its own dictionary for the server to forward.  The chain
-//! is inherently sequential, so engine parallelism speeds up Phase I while
-//! the fault plan (dropout shortening the chain, stragglers reordering
-//! collected uploads) applies uniformly, like in every other mechanism.
+//! surviving party — a single active party whose broadcast carries the
+//! predecessor's [`PruneDictionary`] and whose driver uploads its own for
+//! the server to forward — and a closing round that collects every final
+//! top-k report.  The chain is inherently sequential, so engine parallelism
+//! speeds up Phase I only; the fault plan (dropout shortening the chain,
+//! stragglers reordering uploads) applies as in every other mechanism.
+//!
+//! Everything outside the chain is `tap::two_phase`; this module
+//! holds what pruning adds around a level (`ChainLink`) and the chain's
+//! round schedule (`pruning_chain`).
 
 pub mod pruning;
 
 use crate::extension::ExtensionStrategy;
 use crate::mechanism::{Mechanism, MechanismOutput};
+use crate::pem::{PartyRun, Report};
 use crate::run::RunContext;
-use crate::tap::{locals_from_reports, stc, PartyRun};
+use crate::tap::{two_phase, DescentDriver, TwoPhaseRun};
 use fedhh_federated::{
-    aggregate_reports_into, top_k_from_counts, Broadcast, CandidateReport, EstimateScratch,
-    LevelEstimated, LevelEstimator, PartyDriver, ProtocolConfig, ProtocolError, PruneCandidates,
-    PruneDictionary, PruningDecision, RoundInput, RoundOutcome, RoundPayload, RunPhase, PAIR_BITS,
+    Broadcast, EstimateScratch, LevelEstimate, LevelEstimator, ProtocolConfig, ProtocolError,
+    PruneDictionary, PruningDecision, RoundCollection, RoundInput, RoundOutcome, RoundPayload,
+    RunPhase, PAIR_BITS,
 };
-use fedhh_telemetry::{SpanName, Telemetry};
 use pruning::{consensus_pruning_set, population_confidence, select_prune_candidates};
-use std::collections::HashMap;
-use std::time::Instant;
+use std::ops::RangeInclusive;
 
 /// The TAPS mechanism (Algorithm 4).
 #[derive(Debug, Clone, Copy)]
@@ -43,7 +46,8 @@ pub struct Taps {
     /// Whether Phase I constructs the shared shallow trie (Table 6 ablation).
     pub use_shared_trie: bool,
     /// Whether Phase II applies the consensus-based pruning (disabling it
-    /// turns TAPS into TAP; kept as a flag for the Figure 7 comparison).
+    /// runs TAP's Phase II instead; kept as a flag for the Figure 7
+    /// comparison).
     pub use_pruning: bool,
 }
 
@@ -89,183 +93,191 @@ impl Taps {
     }
 }
 
-/// One party's TAPS chain round: validate and prune against the
-/// predecessor's dictionary, estimate the Phase II levels, and upload the
-/// party's own dictionary for the successor.
-struct TapsChainDriver<'a> {
-    party: &'a mut PartyRun,
-    estimator: &'a LevelEstimator,
-    config: ProtocolConfig,
-    extension: ExtensionStrategy,
-    use_pruning: bool,
+/// Where a party stands in the pruning chain.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChainSlot {
     /// The last party in the chain selects no dictionary (Equation 4 has
     /// no successor to serve).
-    is_last: bool,
+    pub(crate) is_last: bool,
     /// Total federation population |U| for the γ term.
-    total_users: usize,
-    /// Per-driver estimation arena (levels and validation splits).
-    scratch: EstimateScratch,
-    /// Telemetry handle for the per-level spans (inert when disabled).
-    telemetry: Telemetry,
+    pub(crate) total_users: usize,
 }
 
-impl PartyDriver for TapsChainDriver<'_> {
-    fn party(&self) -> &str {
-        &self.party.name
+/// One chain round's pruning state: the predecessor's dictionary comes in
+/// with the broadcast, the party's own dictionary goes out as its upload.
+pub(crate) struct ChainLink<'a> {
+    slot: ChainSlot,
+    /// Carries the predecessor's dictionary and population (`Start` for the
+    /// first party of the chain).
+    broadcast: &'a Broadcast,
+    own: PruneDictionary,
+}
+
+impl<'a> ChainLink<'a> {
+    pub(crate) fn new(slot: ChainSlot, broadcast: &'a Broadcast) -> Self {
+        ChainLink {
+            slot,
+            broadcast,
+            own: PruneDictionary::default(),
+        }
     }
 
-    fn run_round(&mut self, input: &RoundInput) -> Result<RoundOutcome, ProtocolError> {
-        let config = self.config;
-        let gs = config.shared_levels();
-        let g = config.granularity;
-        let previous = match &input.broadcast {
-            Broadcast::Dictionary {
-                dictionary,
-                holder_users,
-            } => Some((dictionary, *holder_users)),
-            _ => None,
+    /// Before level `h` is estimated: at a pruning level the predecessor
+    /// has an entry for, spend two β-sized slices of the level's `group`
+    /// validating its infrequent and frequent sets.  Returns the users left
+    /// for the level's own estimate and the consensus pruning set to drop
+    /// from its candidates (the whole group and nothing, otherwise).
+    pub(crate) fn prune<'u>(
+        &self,
+        party: &PartyRun,
+        scratch: &mut EstimateScratch,
+        estimator: &LevelEstimator,
+        h: u8,
+        group: &'u [u64],
+        round: &mut RoundOutcome,
+    ) -> (&'u [u64], Vec<u64>) {
+        let config = estimator.config();
+        let Broadcast::Dictionary {
+            dictionary,
+            holder_users,
+        } = self.broadcast
+        else {
+            return (group, Vec::new());
         };
-
-        let mut round = RoundOutcome::default();
-        let mut own_dictionary = PruneDictionary::default();
-        for h in (gs + 1)..=g {
-            let _level_span = self.telemetry.span_idx(SpanName::Level, u64::from(h));
-            let pruning_level = Taps::is_pruning_level(h, g, gs);
-            let schedule = config.schedule();
-            let len = schedule.prefix_len(h);
-            // Borrowed straight from the assignment arena; the borrow ends
-            // with the level's estimate, before `advance` needs the party.
-            let group = self.party.assignment.level(h);
-
-            // Work out the user split and the consensus pruning set.
-            let mut main_users = group;
-            let validation_size = ((group.len() as f64) * config.dividing_ratio).floor() as usize;
-            let mut pruned: Vec<u64> = Vec::new();
-            if self.use_pruning && pruning_level && validation_size > 0 {
-                if let Some((dict, prev_users)) = &previous {
-                    if let Some(candidates) = dict.level(h) {
-                        let (val0, rest) = group.split_at(validation_size.min(group.len()));
-                        let (val1, rest) = rest.split_at(validation_size.min(rest.len()));
-                        main_users = rest;
-
-                        let noise = self.party.noise_seed ^ ((h as u64) << 20);
-                        let validated_infrequent = self.estimator.estimate_with(
-                            &mut self.scratch,
-                            &candidates.infrequent,
-                            len,
-                            val0,
-                            noise ^ 0x0F0F,
-                        );
-                        let frequent_values: Vec<u64> =
-                            candidates.frequent.iter().map(|(v, _)| *v).collect();
-                        let validated_frequent = self.estimator.estimate_with(
-                            &mut self.scratch,
-                            &frequent_values,
-                            len,
-                            val1,
-                            noise ^ 0xF0F0,
-                        );
-                        round.validation_reports(
-                            &self.party.name,
-                            validated_infrequent.report_bits + validated_frequent.report_bits,
-                        );
-                        let gamma = population_confidence(*prev_users, self.total_users);
-                        pruned = consensus_pruning_set(
-                            candidates,
-                            &validated_infrequent,
-                            &validated_frequent,
-                            config.k,
-                            config.epsilon,
-                            gamma,
-                        );
-                        if !pruned.is_empty() {
-                            round.pruning(PruningDecision {
-                                party: self.party.name.clone(),
-                                level: h,
-                                pruned: pruned.clone(),
-                                gamma,
-                            });
-                        }
-                    }
-                }
+        let validation_size = ((group.len() as f64) * config.dividing_ratio).floor() as usize;
+        let candidates = match dictionary.level(h) {
+            Some(candidates) if self.is_pruning_level(config, h) && validation_size > 0 => {
+                candidates
             }
+            _ => return (group, Vec::new()),
+        };
+        let (val0, rest) = group.split_at(validation_size.min(group.len()));
+        let (val1, main_users) = rest.split_at(validation_size.min(rest.len()));
 
-            let (candidates, estimate) = self.party.estimate_level(
-                &mut self.scratch,
-                self.estimator,
-                &config,
-                h,
-                Some(main_users),
-                &pruned,
-            );
-            round.level(LevelEstimated {
-                party: self.party.name.clone(),
+        let len = config.schedule().prefix_len(h);
+        let noise = party.party_seed ^ ((h as u64) << 20);
+        let validated_infrequent =
+            estimator.estimate_with(scratch, &candidates.infrequent, len, val0, noise ^ 0x0F0F);
+        let frequent_values: Vec<u64> = candidates.frequent.iter().map(|(v, _)| *v).collect();
+        let validated_frequent =
+            estimator.estimate_with(scratch, &frequent_values, len, val1, noise ^ 0xF0F0);
+        round.validation_reports(
+            &party.name,
+            validated_infrequent.report_bits + validated_frequent.report_bits,
+        );
+        let gamma = population_confidence(*holder_users, self.slot.total_users);
+        let pruned = consensus_pruning_set(
+            candidates,
+            &validated_infrequent,
+            &validated_frequent,
+            config.k,
+            config.epsilon,
+            gamma,
+        );
+        if !pruned.is_empty() {
+            round.pruning(PruningDecision {
+                party: party.name.clone(),
                 level: h,
-                candidates: candidates.len(),
-                users: estimate.users,
-                report_bits: estimate.report_bits,
-                uplink_bits: 0,
+                pruned: pruned.clone(),
+                gamma,
             });
-            let t = self.extension.extension_count(&estimate, config.k);
+        }
+        (main_users, pruned)
+    }
 
-            // Select the pruning dictionary entry for the next party
-            // before advancing (Equation 4).
-            if self.use_pruning && pruning_level && !self.is_last {
-                own_dictionary.insert(h, select_prune_candidates(&estimate, config.k));
+    /// After level `h` is estimated: select this party's dictionary entry
+    /// for the successor (Equation 4).
+    pub(crate) fn select(&mut self, config: &ProtocolConfig, h: u8, estimate: &LevelEstimate) {
+        if self.is_pruning_level(config, h) && !self.slot.is_last {
+            self.own
+                .insert(h, select_prune_candidates(estimate, config.k));
+        }
+    }
+
+    /// Uploads the party's dictionary; the server forwards it to the next
+    /// party in the sequence.
+    pub(crate) fn upload(self, party: &PartyRun, g: u8, round: &mut RoundOutcome) {
+        if !self.own.is_empty() {
+            party.upload(g, RoundPayload::Dictionary(self.own), round);
+        }
+    }
+
+    fn is_pruning_level(&self, config: &ProtocolConfig, h: u8) -> bool {
+        Taps::is_pruning_level(h, config.granularity, config.shared_levels())
+    }
+}
+
+/// TAPS' Phase II schedule: one solo round per surviving party, in
+/// descending population order, each seeded with its predecessor's
+/// dictionary; then the closing round in which every party uploads its
+/// final top-k report through the session, so a distributed coordinator
+/// (whose process never ran the chain drivers) receives them through the
+/// exchange like any other upload.  Returns that round's collection.
+pub(crate) fn pruning_chain(
+    run: &mut TwoPhaseRun<'_>,
+    ctx: &mut RunContext<'_>,
+    levels: RangeInclusive<u8>,
+) -> Result<RoundCollection, ProtocolError> {
+    let total_users = ctx.dataset().total_users();
+    let active = run.session.active_parties();
+    let mut order = active.clone();
+    order.sort_by(|a, b| {
+        run.parties[*b]
+            .users_total
+            .cmp(&run.parties[*a].users_total)
+    });
+
+    // Each party's broadcast carries the dictionary its predecessor handed
+    // the server, together with that party's population for the γ term.
+    let mut broadcast = Broadcast::Start;
+    for (seq, &party_idx) in order.iter().enumerate() {
+        let input = RoundInput {
+            round: run.session.rounds_completed(),
+            broadcast,
+        };
+        let mut driver = DescentDriver {
+            party: &mut run.parties[party_idx],
+            estimator: run.estimator,
+            levels: levels.clone(),
+            extension: run.extension,
+            chain: Some(ChainSlot {
+                is_last: seq + 1 == order.len(),
+                total_users,
+            }),
+            report: None,
+            scratch: run.session.scratch(),
+        };
+        let collection = run.session.run_solo_round(party_idx, &mut driver, &input)?;
+        ctx.replay(&collection);
+
+        // The server forwards the party's dictionary to its successor.
+        let dictionary = collection
+            .messages
+            .iter()
+            .find_map(|m| m.as_dictionary().cloned())
+            .unwrap_or_default();
+        if !dictionary.is_empty() {
+            if let Some(&next_idx) = order.get(seq + 1) {
+                ctx.record_downlink(&run.parties[next_idx].name, dictionary.size_bits());
             }
-            self.party.advance(&config, h, estimate, t);
         }
-
-        // Upload the pruning dictionary; the server forwards it to the
-        // next party in the sequence.
-        if !own_dictionary.is_empty() {
-            let bits = own_dictionary.size_bits();
-            round.level(LevelEstimated {
-                party: self.party.name.clone(),
-                level: g,
-                candidates: bits / PAIR_BITS,
-                users: 0,
-                report_bits: 0,
-                uplink_bits: bits,
-            });
-            round.upload(RoundPayload::Dictionary(own_dictionary));
-        }
-        Ok(round)
-    }
-}
-
-/// The closing round of TAPS: every surviving party uploads its final
-/// top-k report (step ⑪) through the session, attributed to the deepest
-/// level — exactly the accounting the server-side shortcut used to apply,
-/// but flowing through the transport so distributed runs see it too.
-struct FinalReportDriver<'a> {
-    party: &'a PartyRun,
-    k: usize,
-    granularity: u8,
-}
-
-impl PartyDriver for FinalReportDriver<'_> {
-    fn party(&self) -> &str {
-        &self.party.name
+        broadcast = Broadcast::Dictionary {
+            dictionary,
+            holder_users: run.parties[party_idx].users_total,
+        };
     }
 
-    fn run_round(&mut self, _input: &RoundInput) -> Result<RoundOutcome, ProtocolError> {
-        let mut round = RoundOutcome::default();
-        let report = self
-            .party
-            .final_local_result(self.k)
-            .to_report(self.granularity);
-        round.level(LevelEstimated {
-            party: self.party.name.clone(),
-            level: self.granularity,
-            candidates: report.candidates.len(),
-            users: 0,
-            report_bits: 0,
-            uplink_bits: report.size_bits(),
-        });
-        round.upload(RoundPayload::Report(report));
-        Ok(round)
+    // The closing round: a TAP Phase II round with no level left to run.
+    ctx.phase(RunPhase::Aggregation);
+    let g = run.estimator.config().granularity;
+    let collection = run.round(ctx, (g + 1)..=g, Report::TopK)?;
+
+    // Account the Phase I broadcast of protocol parameters (step ①) — a
+    // constant per party, charged here for completeness.
+    for &idx in &active {
+        ctx.record_downlink(&run.parties[idx].name, PAIR_BITS);
     }
+    Ok(collection)
 }
 
 impl Mechanism for Taps {
@@ -274,146 +286,9 @@ impl Mechanism for Taps {
     }
 
     fn execute(&self, ctx: &mut RunContext<'_>) -> Result<MechanismOutput, ProtocolError> {
-        let config = ctx.config();
-        let start = Instant::now();
-        let dataset = ctx.dataset();
-        // Constructing the estimator validates the configuration, so no
-        // invalid parameter survives past this line.
-        let estimator = LevelEstimator::new(config)?;
-        let gs = config.shared_levels();
-        let g = config.granularity;
-        let total_users = dataset.total_users();
-
-        let mut session = ctx.session(dataset.party_count())?;
-        let mut parties = PartyRun::initialise(ctx)?;
-
-        // Phase I: shared shallow trie construction (identical to TAP).
-        let mut shared = stc::shared_trie_construction(
-            &mut session,
-            &mut parties,
-            &estimator,
-            ctx,
-            self.extension,
-        )?;
-        // Incremental-trie warm start (epoch service): graft the previous
-        // epoch's surviving heavy hitters into the shared prefixes every
-        // party descends from — identical semantics to TAP's hook.
-        let warm = ctx.warm_prefixes(config.schedule().prefix_len(gs));
-        if !warm.is_empty() {
-            shared.extend(warm);
-            shared.sort_unstable();
-            shared.dedup();
-        }
-        let active = session.active_parties();
-        if self.use_shared_trie {
-            let shared_len = config.schedule().prefix_len(gs);
-            for &idx in &active {
-                parties[idx].current = shared.clone();
-                parties[idx].current_len = shared_len;
-            }
-        }
-
-        // Phase II: one chain round per surviving party, in descending
-        // population order.
-        ctx.phase(RunPhase::LocalEstimation);
-        let mut order: Vec<usize> = active.clone();
-        order.sort_by(|a, b| parties[*b].users_total.cmp(&parties[*a].users_total));
-
-        // Dictionary handed from the previous party (via the server),
-        // together with that party's population for the γ term.
-        let mut previous: Option<(PruneDictionary, usize)> = None;
-
-        for (seq, &party_idx) in order.iter().enumerate() {
-            let is_last = seq + 1 == order.len();
-            let broadcast = match previous.take() {
-                Some((dictionary, holder_users)) => Broadcast::Dictionary {
-                    dictionary,
-                    holder_users,
-                },
-                None => Broadcast::Start,
-            };
-            let input = RoundInput {
-                round: session.rounds_completed(),
-                broadcast,
-            };
-            let mut driver = TapsChainDriver {
-                party: &mut parties[party_idx],
-                estimator: &estimator,
-                config,
-                extension: self.extension,
-                use_pruning: self.use_pruning,
-                is_last,
-                total_users,
-                scratch: session.scratch(),
-                telemetry: ctx.telemetry().clone(),
-            };
-            let collection = session.run_solo_round(party_idx, &mut driver, &input)?;
-            ctx.replay(&collection);
-
-            // The server forwards the party's dictionary to its successor.
-            let dictionary = collection
-                .messages
-                .iter()
-                .find_map(|m| m.as_dictionary().cloned())
-                .unwrap_or_default();
-            if !dictionary.is_empty() {
-                if let Some(&next_idx) = order.get(seq + 1) {
-                    ctx.record_downlink(&parties[next_idx].name, dictionary.size_bits());
-                }
-            }
-            previous = Some((dictionary, parties[party_idx].users_total));
-        }
-
-        // Final aggregation (step ⑪) — identical to TAP, but the final
-        // top-k reports travel as a real engine round so a distributed
-        // coordinator (whose process never ran the chain drivers) receives
-        // them through the exchange like any other upload.
-        ctx.phase(RunPhase::Aggregation);
-        let input = RoundInput {
-            round: session.rounds_completed(),
-            broadcast: Broadcast::Start,
-        };
-        let mut final_drivers: Vec<FinalReportDriver<'_>> = parties
-            .iter()
-            .map(|party| FinalReportDriver {
-                party,
-                k: config.k,
-                granularity: g,
-            })
-            .collect();
-        let collection = session.run_round(&mut final_drivers, &active, &input)?;
-        drop(final_drivers);
-        ctx.replay(&collection);
-
-        let reports: Vec<(usize, CandidateReport)> = collection
-            .messages
-            .iter()
-            .filter_map(|m| m.as_report().map(|r| (m.from, r.clone())))
-            .collect();
-        let locals = locals_from_reports(&reports);
-        let mut totals: HashMap<u64, f64> = HashMap::new();
-        aggregate_reports_into(reports.iter().map(|(_, r)| r), &mut totals);
-        let heavy_hitters = top_k_from_counts(&totals, config.k);
-
-        // Account the Phase I broadcast of protocol parameters (step ①) —
-        // a constant per party, charged here for completeness.
-        for &idx in &active {
-            ctx.record_downlink(&parties[idx].name, PAIR_BITS);
-        }
-
-        Ok(MechanismOutput {
-            heavy_hitters,
-            counts: totals,
-            local_results: locals,
-            comm: ctx.take_comm(),
-            elapsed: start.elapsed(),
-        })
+        two_phase(ctx, self.extension, self.use_shared_trie, self.use_pruning)
     }
 }
-
-/// Compile-time guard: `PruneCandidates` must stay re-exported from the
-/// federated crate because the pruning API is expressed in terms of it.
-const _: fn() -> PruneCandidates = PruneCandidates::default;
 
 #[cfg(test)]
 mod tests {

@@ -826,6 +826,88 @@ mod tests {
     }
 
     #[test]
+    fn to_json_matches_the_pinned_bytes() {
+        // Two arms, a capped and an uncapped head, shortest-round-trip floats.
+        let mut report = run_report_stub();
+        report.dataset = "R\"D\"B".to_string();
+        report.churn_fraction = 0.1 + 0.2;
+        report.arms.push(EpochArm {
+            warm_start: "previous".to_string(),
+            points: vec![
+                EpochPoint {
+                    epoch: 0,
+                    f1: 1.0,
+                    ncr: 1.0 / 3.0,
+                    uplink_bits: 100,
+                    enrolled_users: 15,
+                    refused_users: 0,
+                },
+                EpochPoint {
+                    epoch: 1,
+                    f1: 0.0,
+                    ncr: 1e-7,
+                    uplink_bits: 0,
+                    enrolled_users: 0,
+                    refused_users: 15,
+                },
+            ],
+        });
+        assert_eq!(
+            report.to_json(),
+            r#"{
+  "schema": 1,
+  "dataset": "R\"D\"B",
+  "mechanism": "TAPS",
+  "epochs": 1,
+  "churn_fraction": 0.30000000000000004,
+  "drift_stride": 2,
+  "epsilon": 4,
+  "epsilon_cap": 8,
+  "arms": [
+    {
+      "warm_start": "cold",
+      "points": [
+        {"epoch": 0, "f1": 0.5, "ncr": 0.25, "uplink_bits": 99, "enrolled_users": 12, "refused_users": 3}
+      ]
+    },
+    {
+      "warm_start": "previous",
+      "points": [
+        {"epoch": 0, "f1": 1, "ncr": 0.3333333333333333, "uplink_bits": 100, "enrolled_users": 15, "refused_users": 0},
+        {"epoch": 1, "f1": 0, "ncr": 0.0000001, "uplink_bits": 0, "enrolled_users": 0, "refused_users": 15}
+      ]
+    }
+  ]
+}
+"#
+        );
+        report.epsilon_cap = None;
+        report.arms.truncate(1);
+        report.arms[0].points.clear();
+        assert_eq!(
+            report.to_json(),
+            r#"{
+  "schema": 1,
+  "dataset": "R\"D\"B",
+  "mechanism": "TAPS",
+  "epochs": 1,
+  "churn_fraction": 0.30000000000000004,
+  "drift_stride": 2,
+  "epsilon": 4,
+  "epsilon_cap": null,
+  "arms": [
+    {
+      "warm_start": "cold",
+      "points": [
+      ]
+    }
+  ]
+}
+"#
+        );
+    }
+
+    #[test]
     fn report_parser_rejects_foreign_schemas() {
         let mut report = run_report_stub();
         report.schema = 1;

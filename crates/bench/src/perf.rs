@@ -1059,6 +1059,36 @@ mod tests {
     }
 
     #[test]
+    fn to_json_matches_the_pinned_bytes() {
+        let mut report = sample_report();
+        report.entries[1].name = "weird \"name\" with \\ and \t\u{1}".to_string();
+        report.entries[1].ns_per_report = 0.0004;
+        assert_eq!(
+            report.to_json(),
+            r#"{
+  "schema": 1,
+  "suite": "quick",
+  "entries": [
+    {"name": "fo_perturb/krr/scalar", "reports": 20000, "ns_per_report": 14.250, "reports_per_sec": 70175438.6, "uplink_bits": 640000},
+    {"name": "weird \"name\" with \\ and \t\u0001", "reports": 5000, "ns_per_report": 0.000, "reports_per_sec": 1250000.0, "uplink_bits": 12800}
+  ]
+}
+"#
+        );
+        report.entries.clear();
+        assert_eq!(
+            report.to_json(),
+            r#"{
+  "schema": 1,
+  "suite": "quick",
+  "entries": [
+  ]
+}
+"#
+        );
+    }
+
+    #[test]
     fn json_round_trips() {
         let mut report = sample_report();
         // Names needing JSON escaping survive the round trip.

@@ -453,6 +453,26 @@ mod tests {
     }
 
     #[test]
+    fn to_json_matches_the_pinned_bytes() {
+        let mut report = sample_report();
+        report.dataset = "R\"D\\B\n".to_string();
+        assert_eq!(
+            report.to_json(),
+            r#"{
+  "schema": 1,
+  "dataset": "R\"D\\B\n",
+  "mechanism": "TAPS",
+  "mode": "streamed",
+  "points": [
+    {"user_scale": 0.050000, "users": 17642, "elapsed_ms": 64.250, "reports_per_sec": 274583.0, "uplink_bits": 98304, "peak_rss_kb": 30720},
+    {"user_scale": 1.000000, "users": 352830, "elapsed_ms": 1250.500, "reports_per_sec": 282152.2, "uplink_bits": 123456, "peak_rss_kb": null}
+  ]
+}
+"#
+        );
+    }
+
+    #[test]
     fn json_round_trips_including_null_rss() {
         let report = sample_report();
         let parsed = ScaleReport::from_json(&report.to_json()).unwrap();

@@ -481,6 +481,26 @@ mod tests {
     }
 
     #[test]
+    fn to_json_matches_the_pinned_bytes() {
+        let mut report = sample_report();
+        report.rows[1].error = "transport: \"reset\"\tby peer".to_string();
+        report.rows[1].fraction = 1.0 / 3.0;
+        assert_eq!(
+            report.to_json(),
+            r#"{
+  "schema": 1,
+  "suite": "quick",
+  "dataset": "RDB",
+  "rows": [
+    {"mechanism": "TAPS", "adversary": "none", "fraction": 0.000000, "ok": true, "error": "", "f1": 0.900000, "ncr": 0.950000, "f1_drop": 0.000000, "ncr_drop": 0.000000},
+    {"mechanism": "TAPS", "adversary": "corrupt-frames", "fraction": 0.333333, "ok": false, "error": "transport: \"reset\"\tby peer", "f1": 0.000000, "ncr": 0.000000, "f1_drop": 0.900000, "ncr_drop": 0.950000}
+  ]
+}
+"#
+        );
+    }
+
+    #[test]
     fn json_round_trips_including_failed_cells() {
         let report = sample_report();
         let parsed = ScenarioReport::from_json(&report.to_json()).unwrap();

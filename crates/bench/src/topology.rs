@@ -439,6 +439,27 @@ mod tests {
     }
 
     #[test]
+    fn to_json_matches_the_pinned_bytes() {
+        let mut report = sample_report();
+        report.dataset = "S\\Y\"N".to_string();
+        report.rows[1].uplink_kb = 150.4325;
+        report.rows[1].root_bytes = u64::MAX;
+        assert_eq!(
+            report.to_json(),
+            r#"{
+  "schema": 1,
+  "suite": "quick",
+  "dataset": "S\\Y\"N",
+  "rows": [
+    {"mechanism": "TAPS", "topology": "flat", "fraction": 1.000000, "f1": 0.900000, "uplink_kb": 12.500000, "root_frames": 0, "root_bytes": 0, "flat_bytes": 0},
+    {"mechanism": "TAPS", "topology": "tree:4", "fraction": 0.500000, "f1": 0.900000, "uplink_kb": 150.432500, "root_frames": 8, "root_bytes": 18446744073709551615, "flat_bytes": 9216}
+  ]
+}
+"#
+        );
+    }
+
+    #[test]
     fn json_round_trips_including_counter_columns() {
         let report = sample_report();
         let parsed = TopologyReport::from_json(&report.to_json()).unwrap();

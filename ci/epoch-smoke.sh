@@ -15,7 +15,9 @@
 #      epochs as already complete and its FINAL lines must be byte-identical
 #      to the reference.
 #   3. Ablation artifact: `fedhh-bench epochs --quick` writes
-#      BENCH_epochs.json (cold vs previous warm start), uploaded by CI.
+#      BENCH_epochs.json (cold vs previous warm start), uploaded by CI —
+#      run twice and gated on byte-identity, like the scenario and
+#      topology sweeps: the report carries no timings.
 set -euo pipefail
 
 . "$(dirname "$0")/lib.sh"
@@ -72,7 +74,11 @@ if ! diff -u "$WORKDIR/reference.final" "$WORKDIR/resumed.final"; then
 fi
 log "resumed FINAL lines are bit-identical to the reference"
 
-log "warm-start ablation: fedhh-bench epochs --quick"
+log "warm-start ablation: fedhh-bench epochs --quick, twice"
 "$BENCH_BIN" epochs --quick --out BENCH_epochs.json
+"$BENCH_BIN" epochs --quick --out "$WORKDIR/rerun.json"
+assert_identical BENCH_epochs.json "$WORKDIR/rerun.json" \
+    "reruns of the same epoch sweep differ"
+log "reruns are byte-identical"
 
 log "OK"

@@ -6,7 +6,7 @@
 # Gates, in order:
 #   1. Overhead <= 3%: `perf --overhead-gate 1.03` interleaves traced and
 #      untraced mechanism e2e runs rep by rep in one process and gates the
-#      per-leg minimum ratios through the standard check_report machinery.
+#      per-leg minimum ratios through the same check as every baseline gate.
 #      (Two separate perf invocations cannot resolve a 3% effect — on
 #      shared CI hardware consecutive identical runs drift 5-20%.)
 #   2. Schema: every line of the emitted JSONL trace must re-parse through

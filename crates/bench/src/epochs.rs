@@ -52,29 +52,28 @@
 //! * `enrolled_users` / `refused_users` — the budget ledger's per-epoch
 //!   admission split.
 //!
-//! The parser round-trips the schema:
+//! The arms nest one level down, each point one inline object:
 //!
 //! ```
-//! use fedhh_bench::epochs::EpochsReport;
+//! use fedhh_bench::epochs::{EpochArm, EpochPoint, EpochsReport};
 //!
-//! let json = r#"{
-//!   "schema": 1, "dataset": "RDB", "mechanism": "TAPS", "epochs": 1,
-//!   "churn_fraction": 0.2, "drift_stride": 2, "epsilon": 4.0,
-//!   "epsilon_cap": 12.0,
-//!   "arms": [
-//!     {"warm_start": "cold",
-//!      "points": [{"epoch": 0, "f1": 0.8, "ncr": 0.9,
-//!                  "uplink_bits": 42, "enrolled_users": 10,
-//!                  "refused_users": 0}]}
-//!   ]
-//! }"#;
-//! let report = EpochsReport::from_json(json).expect("valid schema");
-//! assert_eq!(report.arms[0].points[0].epoch, 0);
-//! assert_eq!(EpochsReport::from_json(&report.to_json()).unwrap(), report);
+//! let arm = EpochArm {
+//!     warm_start: "cold".to_string(),
+//!     points: vec![EpochPoint::default()],
+//! };
+//! let report = EpochsReport {
+//!     arms: vec![arm],
+//!     ..EpochsReport::default()
+//! };
+//! let json = report.to_json();
+//! assert!(json.contains("  \"epsilon_cap\": null,\n  \"arms\": [\n    {\n      \"warm_start\": \"cold\",\n"));
+//! assert!(json.contains(
+//!     r#"        {"epoch": 0, "f1": 0, "ncr": 0, "uplink_bits": 0, "enrolled_users": 0, "refused_users": 0}"#
+//! ));
 //! ```
 
-use crate::perf::json;
-use crate::report::json_string;
+use crate::json::Fmt;
+use crate::report::{self, column, Column, Row, Shown, SCHEMA};
 use fedhh_datasets::{
     DatasetConfig, DatasetKind, EvolutionPlan, FederatedDataset, PartyData, PopulationEvolver,
 };
@@ -85,7 +84,6 @@ use fedhh_federated::{
 use fedhh_mechanisms::{MechanismKind, Run};
 use fedhh_metrics::{f1_score, ncr_score};
 use fedhh_wire::{from_bytes, put_f64, put_u64_fixed, to_bytes, Decode, Encode, Reader, WireError};
-use std::fmt::Write as _;
 
 /// Everything that defines one epoch-service run: the mechanism, the base
 /// dataset generator, the evolution plan and the epoch-loop parameters.
@@ -475,7 +473,7 @@ impl EpochsOptions {
 
 /// One epoch of one warm-start arm, scored against that epoch's exact
 /// ground truth.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EpochPoint {
     /// The epoch index.
     pub epoch: u32,
@@ -502,7 +500,7 @@ pub struct EpochArm {
 
 /// A whole epochs benchmark: the workload identity, the evolution plan and
 /// one arm per [`WarmStart`] mode.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EpochsReport {
     /// Schema version of the JSON serialization (currently 1).
     pub schema: u32,
@@ -524,142 +522,57 @@ pub struct EpochsReport {
     pub arms: Vec<EpochArm>,
 }
 
+impl Row for EpochPoint {
+    type Report = EpochsReport;
+    const NAME: &'static str = "epochs";
+    const HEAD: &'static [Column<EpochsReport>] = &[
+        column!(dataset, "", Info),
+        column!(mechanism, "", Info),
+        column!(epochs, "", Info),
+        column!(churn_fraction, "", Info),
+        column!(drift_stride, "", Info),
+        column!(epsilon, "", Info),
+        column!(epsilon_cap, "", Info),
+    ];
+    const ROWS: &'static str = "points";
+    const COLUMNS: &'static [Column<Self>] = &[
+        column!(epoch, "epoch", Key),
+        column!(f1, "F1", Info, Fmt::Shortest, Shown::Fixed(3)),
+        column!(ncr, "NCR", Info, Fmt::Shortest, Shown::Fixed(3)),
+        column!(
+            uplink_bits,
+            "uplink kb",
+            Info,
+            Fmt::Shortest,
+            Shown::Per(1000.0, 1)
+        ),
+        column!(enrolled_users, "enrolled", Info),
+        column!(refused_users, "refused", Info),
+    ];
+    const NESTING: Option<(&'static str, &'static str, &'static str)> =
+        Some(("arms", "warm_start", "warm"));
+    fn title(report: &EpochsReport) -> String {
+        format!(
+            "fedhh epoch sweep ({} on {}, churn {:.2}, drift {})",
+            report.mechanism, report.dataset, report.churn_fraction, report.drift_stride
+        )
+    }
+    fn groups(report: &EpochsReport) -> Vec<(&str, &[Self])> {
+        let arms = report.arms.iter();
+        arms.map(|arm| (arm.warm_start.as_str(), arm.points.as_slice()))
+            .collect()
+    }
+}
+
 impl EpochsReport {
     /// Renders the report as an aligned plain-text table.
     pub fn to_table(&self) -> String {
-        let mut out = format!(
-            "# fedhh epoch sweep ({} on {}, churn {:.2}, drift {})\n",
-            self.mechanism, self.dataset, self.churn_fraction, self.drift_stride
-        );
-        let _ = writeln!(
-            out,
-            "{:>9} {:>6} {:>7} {:>7} {:>12} {:>9} {:>8}",
-            "warm", "epoch", "F1", "NCR", "uplink kb", "enrolled", "refused"
-        );
-        for arm in &self.arms {
-            for p in &arm.points {
-                let _ = writeln!(
-                    out,
-                    "{:>9} {:>6} {:>7.3} {:>7.3} {:>12.1} {:>9} {:>8}",
-                    arm.warm_start,
-                    p.epoch,
-                    p.f1,
-                    p.ncr,
-                    p.uplink_bits as f64 / 1000.0,
-                    p.enrolled_users,
-                    p.refused_users
-                );
-            }
-        }
-        out
+        report::to_table::<EpochPoint>(self)
     }
 
-    /// Serializes the report as schema-1 JSON (hand-rolled: the workspace
-    /// builds without external dependencies).
+    /// Serializes the report as schema-1 JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", self.schema);
-        let _ = writeln!(out, "  \"dataset\": {},", json_string(&self.dataset));
-        let _ = writeln!(out, "  \"mechanism\": {},", json_string(&self.mechanism));
-        let _ = writeln!(out, "  \"epochs\": {},", self.epochs);
-        let _ = writeln!(out, "  \"churn_fraction\": {},", self.churn_fraction);
-        let _ = writeln!(out, "  \"drift_stride\": {},", self.drift_stride);
-        let _ = writeln!(out, "  \"epsilon\": {},", self.epsilon);
-        let cap = match self.epsilon_cap {
-            Some(cap) => format!("{cap}"),
-            None => "null".to_string(),
-        };
-        let _ = writeln!(out, "  \"epsilon_cap\": {cap},");
-        out.push_str("  \"arms\": [\n");
-        for (a, arm) in self.arms.iter().enumerate() {
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(
-                out,
-                "      \"warm_start\": {},",
-                json_string(&arm.warm_start)
-            );
-            out.push_str("      \"points\": [\n");
-            for (i, p) in arm.points.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "        {{\"epoch\": {}, \"f1\": {}, \"ncr\": {}, \
-                     \"uplink_bits\": {}, \"enrolled_users\": {}, \"refused_users\": {}}}",
-                    p.epoch, p.f1, p.ncr, p.uplink_bits, p.enrolled_users, p.refused_users
-                );
-                out.push_str(if i + 1 < arm.points.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            out.push_str("      ]\n");
-            out.push_str(if a + 1 < self.arms.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Parses a schema-1 JSON report (the inverse of
-    /// [`EpochsReport::to_json`], tolerant of whitespace and key order).
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object().ok_or("top level must be an object")?;
-        let schema = json::get_number(obj, "schema")? as u32;
-        if schema != 1 {
-            return Err(format!(
-                "unsupported epochs schema version {schema} (this build reads schema 1)"
-            ));
-        }
-        let epsilon_cap = match json::get(obj, "epsilon_cap")? {
-            json::Value::Null => None,
-            json::Value::Number(n) => Some(*n),
-            other => {
-                return Err(format!(
-                    "\"epsilon_cap\" must be a number or null: {other:?}"
-                ))
-            }
-        };
-        let arms_value = json::get(obj, "arms")?;
-        let arms_array = arms_value.as_array().ok_or("\"arms\" must be an array")?;
-        let mut arms = Vec::with_capacity(arms_array.len());
-        for arm in arms_array {
-            let arm_obj = arm.as_object().ok_or("arm must be an object")?;
-            let points_value = json::get(arm_obj, "points")?;
-            let points_array = points_value
-                .as_array()
-                .ok_or("\"points\" must be an array")?;
-            let mut points = Vec::with_capacity(points_array.len());
-            for item in points_array {
-                let point = item.as_object().ok_or("point must be an object")?;
-                points.push(EpochPoint {
-                    epoch: json::get_number(point, "epoch")? as u32,
-                    f1: json::get_number(point, "f1")?,
-                    ncr: json::get_number(point, "ncr")?,
-                    uplink_bits: json::get_number(point, "uplink_bits")? as u64,
-                    enrolled_users: json::get_number(point, "enrolled_users")? as u64,
-                    refused_users: json::get_number(point, "refused_users")? as u64,
-                });
-            }
-            arms.push(EpochArm {
-                warm_start: json::get_string(arm_obj, "warm_start")?,
-                points,
-            });
-        }
-        Ok(Self {
-            schema,
-            dataset: json::get_string(obj, "dataset")?,
-            mechanism: json::get_string(obj, "mechanism")?,
-            epochs: json::get_number(obj, "epochs")? as u32,
-            churn_fraction: json::get_number(obj, "churn_fraction")?,
-            drift_stride: json::get_number(obj, "drift_stride")? as usize,
-            epsilon: json::get_number(obj, "epsilon")?,
-            epsilon_cap,
-            arms,
-        })
+        report::to_json::<EpochPoint>(self)
     }
 }
 
@@ -713,7 +626,7 @@ pub fn run_epochs(options: &EpochsOptions) -> Result<EpochsReport, String> {
         });
     }
     Ok(EpochsReport {
-        schema: 1,
+        schema: SCHEMA,
         dataset: options.dataset.name().to_string(),
         mechanism: options.mechanism.name().to_string(),
         epochs: options.epochs,
@@ -818,8 +731,6 @@ mod tests {
                 assert_eq!(p.refused_users, 0);
             }
         }
-        let parsed = EpochsReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed, report);
         let table = report.to_table();
         assert!(table.contains("cold"));
         assert!(table.contains("previous"));
@@ -905,17 +816,6 @@ mod tests {
 }
 "#
         );
-    }
-
-    #[test]
-    fn report_parser_rejects_foreign_schemas() {
-        let mut report = run_report_stub();
-        report.schema = 1;
-        let good = report.to_json();
-        let bad = good.replace("\"schema\": 1", "\"schema\": 9");
-        let err = EpochsReport::from_json(&bad).unwrap_err();
-        assert!(err.contains("schema version 9"), "{err}");
-        assert!(err.contains("this build reads schema 1"), "{err}");
     }
 
     fn run_report_stub() -> EpochsReport {

@@ -22,29 +22,28 @@
 //! `fedhh-bench run all` reproduces the entire evaluation and prints every
 //! table to stdout (and optionally JSON for EXPERIMENTS.md).
 //!
-//! Besides the accuracy experiments, `fedhh-bench perf` runs the pinned
-//! performance-baseline suite of the [`perf`] module: frequency-oracle and
-//! mechanism hot-path workloads measured as ns/report and reports/sec,
-//! emitted as machine-readable `BENCH_perf.json`, with
-//! `--check <baseline.json>` acting as the CI regression gate (see the
-//! [`perf`] module docs for the schema and gate semantics); and
-//! `fedhh-bench scale` sweeps `user_scale` up through the paper's full
-//! populations on the streamed chunked data plane, emitting
-//! `BENCH_scale.json` with throughput and peak-RSS per point (see the
-//! [`scale`] module docs and CI's `scale-smoke` ceiling); and
-//! `fedhh-bench epochs` runs the epoch service over a churning, drifting
-//! population through both warm-start arms, emitting `BENCH_epochs.json`
-//! with per-epoch F1/NCR/uplink and the budget ledger's admission split
-//! (see the [`epochs`] module docs and CI's `epoch-smoke` job); and
-//! `fedhh-bench scenario` sweeps every mechanism against every adversary
-//! model of the scenario plane over a list of compromised fractions,
-//! emitting the deterministic robustness matrix `BENCH_scenario.json`
-//! with F1/NCR degradation per cell (see the [`scenario`] module docs and
-//! CI's `scenario-smoke` job); and `fedhh-bench topology` sweeps the
-//! aggregation tree's fanouts × quorum fractions against the flat star,
-//! emitting `BENCH_topology.json` with per-cell F1, uplink and the
-//! root-inbound frame/byte counters (see the [`topology`] module docs and
-//! CI's `topology-smoke` job).
+//! Besides the accuracy experiments, five subcommands each run one sweep
+//! and write one machine-readable report:
+//!
+//! | Subcommand | Report | Sweep | Gate |
+//! |---|---|---|---|
+//! | `perf` | `BENCH_perf.json` | pinned FO + mechanism hot-path suite, ns/report ([`perf`]) | `--check`, ratio on `ns_per_report` |
+//! | `scale` | `BENCH_scale.json` | `user_scale` up to the paper's populations, throughput + peak RSS ([`scale`]) | `--max-rss-mb` |
+//! | `epochs` | `BENCH_epochs.json` | epoch service under churn + drift, both warm-start arms ([`epochs`]) | — |
+//! | `scenario` | `BENCH_scenario.json` | mechanism × adversary × fraction robustness matrix ([`scenario`]) | `--check`, delta on F1/NCR |
+//! | `topology` | `BENCH_topology.json` | mechanism × (flat, tree fanouts) × quorum fraction ([`topology`]) | `--check`, delta on F1/uplink |
+//!
+//! All five share **one report layer** ([`report`]): a report is head
+//! fields plus rows of one row type, the row type declares its columns once
+//! ([`Row`]), and writing, reading, table rendering and the baseline gate
+//! ([`check`]) are derived from that declaration over the one JSON module
+//! ([`json`]).  Each report module's docs keep only what is its own: the
+//! sweep, the schema example and what its columns mean.  The two binaries
+//! share **one option grammar and one command driver** ([`cli`]): a
+//! `--check BASELINE` is loaded (and its suite matched) before the sweep
+//! starts, the fresh report is re-parsed from its own JSON so `--threshold
+//! 0` means "byte-equal files", and a cell present on only one side fails
+//! the gate on every subcommand.
 //!
 //! The harness's place in the system is mapped in `ARCHITECTURE.md` at the
 //! repository root.
@@ -52,9 +51,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod cli;
 pub mod epochs;
 pub mod experiments;
-pub mod microbench;
+pub mod json;
 pub mod nodespec;
 pub mod perf;
 pub mod report;
@@ -63,17 +63,14 @@ pub mod scale;
 pub mod scenario;
 pub mod topology;
 
-pub use epochs::{run_epochs, EpochServiceSpec, EpochsOptions, EpochsReport, MechanismExecutor};
+pub use epochs::{
+    run_epochs, EpochPoint, EpochServiceSpec, EpochsOptions, EpochsReport, MechanismExecutor,
+};
 pub use experiments::BenchError;
 pub use nodespec::{partition_parties, NodeRunSpec};
-pub use perf::{
-    check_report, run_overhead_suite, run_suite, run_suite_traced, PerfEntry, PerfReport,
-    PerfViolation,
-};
-pub use report::ExperimentReport;
+pub use perf::{run_overhead_suite, run_suite, run_suite_traced, PerfEntry, PerfReport};
+pub use report::{check, ExperimentReport, Row};
 pub use runner::{ExperimentScale, TrialMetrics};
 pub use scale::{run_scale, run_scale_traced, ScaleOptions, ScalePoint, ScaleReport};
-pub use scenario::{
-    adversary_by_name, check_scenario, run_scenario, ScenarioOptions, ScenarioReport, ScenarioRow,
-};
-pub use topology::{check_topology, run_topology, TopologyOptions, TopologyReport, TopologyRow};
+pub use scenario::{adversary_by_name, run_scenario, ScenarioOptions, ScenarioReport, ScenarioRow};
+pub use topology::{run_topology, TopologyOptions, TopologyReport, TopologyRow};

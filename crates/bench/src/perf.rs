@@ -39,12 +39,11 @@
 //! }
 //! ```
 //!
-//! * `name` — stable workload identifier (the regression-check join key).
+//! * `name` — stable workload identifier (the gate's join key).
 //! * `reports` — user reports processed per timed iteration.
 //! * `ns_per_report` — wall-clock nanoseconds per report from the fastest
-//!   of several timing rounds (lower is better; the quantity the
-//!   regression gate compares — the minimum, not the mean, because
-//!   scheduler noise only ever adds time).
+//!   of several timing rounds (lower is better; the one gated column — the
+//!   minimum, not the mean, because scheduler noise only ever adds time).
 //! * `reports_per_sec` — the same measurement as a throughput.
 //! * `uplink_bits` — party → server traffic per iteration (0 for pure
 //!   client-side workloads).
@@ -52,14 +51,14 @@
 //! ## The regression gate
 //!
 //! `fedhh-bench perf --check <baseline.json> --threshold 2.0` re-runs the
-//! suite and fails (non-zero exit) when any entry's `ns_per_report` exceeds
-//! `threshold ×` its baseline value, when a baseline entry is missing from
-//! the fresh run (a silently shrunken suite must not pass), or when the
-//! fresh run carries a workload the baseline has never seen (a stale
-//! baseline must be regenerated, not silently skipped).  Either mismatch
-//! names the offending workload in the error.
+//! suite and fails (non-zero exit) through the shared gate
+//! ([`crate::report::check`]): `ns_per_report` is the one
+//! [`Role::Ratio`](crate::report::Role) column, so an entry more than
+//! `threshold ×` slower than its baseline is a violation, as is a workload
+//! present on only one side.
 
-use crate::report::json_string;
+use crate::json::Fmt;
+use crate::report::{self, column, Column, Row, Shown, SCHEMA};
 use crate::runner::ExperimentScale;
 use fedhh_datasets::{DatasetKind, FederatedDataset};
 use fedhh_federated::{
@@ -73,12 +72,11 @@ use fedhh_mechanisms::{MechanismKind, Run};
 use fedhh_telemetry::{Telemetry, TraceLine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
 /// One measured workload of the pinned suite.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerfEntry {
     /// Stable workload identifier, e.g. `fo_perturb/krr/scalar`.
     pub name: String,
@@ -94,7 +92,7 @@ pub struct PerfEntry {
 }
 
 /// A whole perf run: schema version, suite flavour and measured entries.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerfReport {
     /// Schema version of the JSON serialization (currently 1).
     pub schema: u32,
@@ -104,164 +102,63 @@ pub struct PerfReport {
     pub entries: Vec<PerfEntry>,
 }
 
-/// One regression found by [`check_report`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfViolation {
-    /// The offending entry name.
-    pub name: String,
-    /// Baseline ns/report (`None` when the workload is new in the current
-    /// run and the baseline has never seen it).
-    pub baseline_ns: Option<f64>,
-    /// Current ns/report (`None` when the entry vanished from the run).
-    pub current_ns: Option<f64>,
-}
-
-impl std::fmt::Display for PerfViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match (self.current_ns, self.baseline_ns) {
-            (Some(current), Some(baseline)) => write!(
-                f,
-                "{}: {:.1} ns/report vs baseline {:.1} ns/report ({:.2}x)",
-                self.name,
-                current,
-                baseline,
-                current / baseline
-            ),
-            (None, _) => write!(f, "{}: missing from the current run", self.name),
-            (Some(_), None) => write!(
-                f,
-                "{}: new workload missing from the baseline (regenerate it)",
-                self.name
-            ),
-        }
+impl Row for PerfEntry {
+    type Report = PerfReport;
+    const NAME: &'static str = "perf";
+    const HEAD: &'static [Column<PerfReport>] = &[column!(suite, "", Info)];
+    const ROWS: &'static str = "entries";
+    const COLUMNS: &'static [Column<Self>] = &[
+        column!(name, "workload", Key),
+        column!(reports, "reports", Info),
+        column!(
+            ns_per_report,
+            "ns/report",
+            Ratio,
+            Fmt::Fixed(3),
+            Shown::Fixed(1)
+        ),
+        column!(
+            reports_per_sec,
+            "reports/sec",
+            Info,
+            Fmt::Fixed(1),
+            Shown::Fixed(0)
+        ),
+        column!(
+            uplink_bits,
+            "uplink kb",
+            Info,
+            Fmt::Shortest,
+            Shown::Per(1000.0, 1)
+        ),
+    ];
+    fn title(report: &PerfReport) -> String {
+        format!("fedhh perf baseline ({} suite)", report.suite)
     }
-}
-
-/// Compares a fresh run against a baseline: every baseline entry must be
-/// present and at most `threshold ×` slower (by `ns_per_report`), and every
-/// current entry must exist in the baseline.  Both directions of drift are
-/// violations, each naming the workload: a vanished entry means the suite
-/// silently shrank, a new entry means the committed baseline is stale and
-/// must be regenerated so the new workload is actually gated.
-///
-/// Callers must compare reports of the same suite flavour — quick and full
-/// runs size their workloads differently under the same entry names (the
-/// `perf` CLI rejects a suite mismatch before measuring).
-pub fn check_report(
-    current: &PerfReport,
-    baseline: &PerfReport,
-    threshold: f64,
-) -> Vec<PerfViolation> {
-    let mut violations = Vec::new();
-    for base in &baseline.entries {
-        match current.entries.iter().find(|e| e.name == base.name) {
-            None => violations.push(PerfViolation {
-                name: base.name.clone(),
-                baseline_ns: Some(base.ns_per_report),
-                current_ns: None,
-            }),
-            Some(entry) if entry.ns_per_report > base.ns_per_report * threshold => {
-                violations.push(PerfViolation {
-                    name: base.name.clone(),
-                    baseline_ns: Some(base.ns_per_report),
-                    current_ns: Some(entry.ns_per_report),
-                });
-            }
-            Some(_) => {}
-        }
+    fn groups(report: &PerfReport) -> Vec<(&str, &[Self])> {
+        vec![("", &report.entries)]
     }
-    for entry in &current.entries {
-        if !baseline.entries.iter().any(|b| b.name == entry.name) {
-            violations.push(PerfViolation {
-                name: entry.name.clone(),
-                baseline_ns: None,
-                current_ns: Some(entry.ns_per_report),
-            });
-        }
-    }
-    violations
 }
 
 impl PerfReport {
     /// Renders the report as an aligned plain-text table.
     pub fn to_table(&self) -> String {
-        let mut out = format!("# fedhh perf baseline ({} suite)\n", self.suite);
-        let _ = writeln!(
-            out,
-            "{:<28} {:>10} {:>14} {:>16} {:>12}",
-            "workload", "reports", "ns/report", "reports/sec", "uplink kb"
-        );
-        for e in &self.entries {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>10} {:>14.1} {:>16.0} {:>12.1}",
-                e.name,
-                e.reports,
-                e.ns_per_report,
-                e.reports_per_sec,
-                e.uplink_bits as f64 / 1000.0
-            );
-        }
-        out
+        report::to_table::<PerfEntry>(self)
     }
 
-    /// Serializes the report as schema-1 JSON (hand-rolled: the workspace
-    /// builds without external dependencies).
+    /// Serializes the report as schema-1 JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", self.schema);
-        let _ = writeln!(out, "  \"suite\": {},", json_string(&self.suite));
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"reports\": {}, \"ns_per_report\": {:.3}, \
-                 \"reports_per_sec\": {:.1}, \"uplink_bits\": {}}}",
-                json_string(&e.name),
-                e.reports,
-                e.ns_per_report,
-                e.reports_per_sec,
-                e.uplink_bits
-            );
-            out.push_str(if i + 1 < self.entries.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        report::to_json::<PerfEntry>(self)
     }
 
     /// Parses a schema-1 JSON report (the inverse of
     /// [`PerfReport::to_json`], tolerant of whitespace and key order).
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object().ok_or("top level must be an object")?;
-        let schema = json::get_number(obj, "schema")? as u32;
-        if schema != 1 {
-            return Err(format!("unsupported perf schema version {schema}"));
-        }
-        let suite = json::get_string(obj, "suite")?;
-        let entries_value = json::get(obj, "entries")?;
-        let entries_array = entries_value
-            .as_array()
-            .ok_or("\"entries\" must be an array")?;
-        let mut entries = Vec::with_capacity(entries_array.len());
-        for item in entries_array {
-            let entry = item.as_object().ok_or("entry must be an object")?;
-            entries.push(PerfEntry {
-                name: json::get_string(entry, "name")?,
-                reports: json::get_number(entry, "reports")? as u64,
-                ns_per_report: json::get_number(entry, "ns_per_report")?,
-                reports_per_sec: json::get_number(entry, "reports_per_sec")?,
-                uplink_bits: json::get_number(entry, "uplink_bits")? as u64,
-            });
-        }
+        let (head, entries) = report::from_json::<PerfEntry>(text)?;
         Ok(Self {
-            schema,
-            suite,
+            schema: SCHEMA,
             entries,
+            ..head
         })
     }
 }
@@ -409,14 +306,7 @@ fn run_suite_impl(
             size.warmup,
             size.min_iters,
             size.min_window,
-            || {
-                let mut rng = StdRng::seed_from_u64(42);
-                let reports: Vec<Report> = inputs
-                    .iter()
-                    .map(|i| oracle.perturb(*i, &mut rng))
-                    .collect();
-                reports
-            },
+            || perturb_scalar(&oracle, &inputs, 42),
         );
         let mut vec_batch = ReportBatch::new();
         let vec_secs = time_best(
@@ -446,11 +336,7 @@ fn run_suite_impl(
 
         // Aggregation + estimation into the caller-owned arena, as the
         // estimator's `Scalar` and `Vectorized` arms fold a chunk.
-        let mut rng = StdRng::seed_from_u64(7);
-        let reports: Vec<Report> = inputs
-            .iter()
-            .map(|i| oracle.perturb(*i, &mut rng))
-            .collect();
+        let reports = perturb_scalar(&oracle, &inputs, 7);
         let mut arena = SupportCounts::zeros(size.fo_domain);
         let agg_scalar_secs = time_best(
             size.trials,
@@ -562,10 +448,32 @@ fn run_suite_impl(
     mechanism_legs(&size, trace, &mut entries)?;
 
     Ok(PerfReport {
-        schema: 1,
+        schema: SCHEMA,
         suite: if quick { "quick" } else { "full" }.to_string(),
         entries,
     })
+}
+
+/// The scalar perturbation loop of the `fo_perturb/*/scalar` legs, one
+/// monomorphic loop per oracle.  Left as `oracle.perturb(..)` inside
+/// `run_suite_impl`, whether LLVM inlined the enum dispatch and the RNG
+/// draws under it flipped with unrelated edits to this crate (k-RR read
+/// 10 or 15 ns/report for the same kernel); dispatching once, outside the
+/// loop, times the kernel and nothing else.
+#[inline(never)]
+fn perturb_scalar(oracle: &Oracle, inputs: &[usize], seed: u64) -> Vec<Report> {
+    fn stream(oracle: &impl FrequencyOracle, inputs: &[usize], seed: u64) -> Vec<Report> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        inputs
+            .iter()
+            .map(|i| oracle.perturb(*i, &mut rng))
+            .collect()
+    }
+    match oracle {
+        Oracle::Grr(o) => stream(o, inputs, seed),
+        Oracle::Oue(o) => stream(o, inputs, seed),
+        Oracle::Olh(o) => stream(o, inputs, seed),
+    }
 }
 
 /// The mechanism end-to-end legs of the suite, appended to `entries` (and,
@@ -706,7 +614,7 @@ const SKEWED_USER_SCALE: f64 = 0.3;
 /// Returns `(untraced, traced)` reports holding only the `mech_e2e/*`
 /// entries (the frequency-oracle kernels never touch the `Run` machinery,
 /// so a sink cannot slow them down).  Both carry identical entry names, so
-/// the pair feeds straight into [`check_report`] — the same gate CI uses
+/// the pair's entries feed straight into [`report::check`] — the same gate CI uses
 /// for ordinary perf regressions, here with a tight threshold like 1.03.
 ///
 /// Both flavours measure at the **full** suite's end-to-end population.
@@ -781,254 +689,16 @@ fn run_overhead_suite_impl(quick: bool, reps: u64) -> Result<(PerfReport, PerfRe
     let suite = if quick { "quick" } else { "full" }.to_string();
     Ok((
         PerfReport {
-            schema: 1,
+            schema: SCHEMA,
             suite: suite.clone(),
             entries: untraced_entries,
         },
         PerfReport {
-            schema: 1,
+            schema: SCHEMA,
             suite,
             entries: traced_entries,
         },
     ))
-}
-
-/// A minimal JSON reader for the perf schema (objects, arrays, strings,
-/// numbers); the workspace builds hermetically, so no serde.
-pub(crate) mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// An object, as insertion-ordered key/value pairs.
-        Object(Vec<(String, Value)>),
-        /// An array.
-        Array(Vec<Value>),
-        /// A string.
-        String(String),
-        /// A number (all JSON numbers read as f64).
-        Number(f64),
-        /// `true` / `false`.
-        Bool(bool),
-        /// `null`.
-        Null,
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Object(fields) => Some(fields),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing key {key:?}"))
-    }
-
-    pub fn get_number(obj: &[(String, Value)], key: &str) -> Result<f64, String> {
-        match get(obj, key)? {
-            Value::Number(n) => Ok(*n),
-            other => Err(format!("key {key:?} is not a number: {other:?}")),
-        }
-    }
-
-    pub fn get_string(obj: &[(String, Value)], key: &str) -> Result<String, String> {
-        match get(obj, key)? {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(format!("key {key:?} is not a string: {other:?}")),
-        }
-    }
-
-    /// Parses one JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
-        if bytes.get(*pos) == Some(&want) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                want as char,
-                pos,
-                bytes.get(*pos).map(|b| *b as char)
-            ))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-            Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
-            Some(_) => parse_number(bytes, pos),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn parse_literal(
-        bytes: &[u8],
-        pos: &mut usize,
-        literal: &str,
-        value: Value,
-    ) -> Result<Value, String> {
-        if bytes[*pos..].starts_with(literal.as_bytes()) {
-            *pos += literal.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {pos}"))
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            skip_ws(bytes, pos);
-            expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            fields.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
-            }
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let mut out = String::new();
-        while let Some(&b) = bytes.get(*pos) {
-            *pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let escaped = bytes.get(*pos).copied().ok_or("unterminated escape")?;
-                    *pos += 1;
-                    match escaped {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = bytes
-                                .get(*pos..*pos + 4)
-                                .ok_or("truncated \\u escape")
-                                .and_then(|h| {
-                                    std::str::from_utf8(h).map_err(|_| "non-utf8 \\u escape")
-                                })?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("invalid \\u escape {hex:?}"))?;
-                            *pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    }
-                }
-                other => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let start = *pos - 1;
-                    let len = utf8_len(other);
-                    let chunk = bytes
-                        .get(start..start + len)
-                        .ok_or("truncated utf8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    *pos = start + len;
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn utf8_len(first: u8) -> usize {
-        match first {
-            b if b < 0x80 => 1,
-            b if b >= 0xF0 => 4,
-            b if b >= 0xE0 => 3,
-            _ => 2,
-        }
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while let Some(&b) = bytes.get(*pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                *pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-    }
 }
 
 #[cfg(test)]
@@ -1093,17 +763,7 @@ mod tests {
         let mut report = sample_report();
         // Names needing JSON escaping survive the round trip.
         report.entries[1].name = "weird \"name\" with \\ and \t".to_string();
-        let parsed = PerfReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.schema, 1);
-        assert_eq!(parsed.suite, "quick");
-        assert_eq!(parsed.entries.len(), 2);
-        for (a, b) in parsed.entries.iter().zip(&report.entries) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.reports, b.reports);
-            assert!((a.ns_per_report - b.ns_per_report).abs() < 1e-3);
-            assert!((a.reports_per_sec - b.reports_per_sec).abs() < 1.0);
-            assert_eq!(a.uplink_bits, b.uplink_bits);
-        }
+        assert_eq!(PerfReport::from_json(&report.to_json()), Ok(report));
     }
 
     #[test]
@@ -1119,35 +779,41 @@ mod tests {
         let mut doc = sample_report().to_json();
         doc.push_str("{}");
         assert!(PerfReport::from_json(&doc).is_err());
+        // Numbers that do not fit their field are errors, not casts.
+        report::assert_reader_is_strict::<PerfEntry>(&sample_report());
+        // Every committed baseline still parses.
+        let committed = include_str!("../../../ci/perf-baseline.json");
+        assert!(!PerfReport::from_json(committed).unwrap().entries.is_empty());
     }
 
     #[test]
     fn check_passes_within_threshold_and_fails_on_injected_slowdown() {
-        let baseline = sample_report();
-        let mut current = sample_report();
+        let baseline = sample_report().entries;
+        let mut current = baseline.clone();
         // 1.5x slower: inside the 2x budget.
-        current.entries[0].ns_per_report = baseline.entries[0].ns_per_report * 1.5;
-        assert!(check_report(&current, &baseline, 2.0).is_empty());
+        current[0].ns_per_report = baseline[0].ns_per_report * 1.5;
+        assert!(report::check(&current, &baseline, 2.0).is_empty());
         // 3x slower: a regression the gate must catch.
-        current.entries[0].ns_per_report = baseline.entries[0].ns_per_report * 3.0;
-        let violations = check_report(&current, &baseline, 2.0);
+        current[0].ns_per_report = baseline[0].ns_per_report * 3.0;
+        let violations = report::check(&current, &baseline, 2.0);
         assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].name, "fo_perturb/krr/scalar");
-        assert!(violations[0].to_string().contains("3.00x"));
+        assert!(violations[0].starts_with("fo_perturb/krr/scalar: ns_per_report"));
+        assert!(violations[0].contains("3.00x"), "{}", violations[0]);
+        // Only ns_per_report is gated: the other columns may move freely.
+        current[0].ns_per_report = baseline[0].ns_per_report;
+        current[0].reports_per_sec *= 100.0;
+        current[0].uplink_bits += 1;
+        assert!(report::check(&current, &baseline, 2.0).is_empty());
     }
 
     #[test]
     fn check_flags_entries_missing_from_the_current_run() {
-        let baseline = sample_report();
-        let mut current = sample_report();
-        current.entries.remove(1);
-        let violations = check_report(&current, &baseline, 10.0);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].name, "mech_e2e/fedpem/scalar");
-        assert!(violations[0].current_ns.is_none());
-        assert!(violations[0]
-            .to_string()
-            .contains("missing from the current run"));
+        let baseline = sample_report().entries;
+        let violations = report::check(&baseline[..1], &baseline, 10.0);
+        assert_eq!(
+            violations,
+            ["mech_e2e/fedpem/scalar: missing from the current run"]
+        );
     }
 
     #[test]
@@ -1155,23 +821,11 @@ mod tests {
         // A workload the baseline has never seen is a violation too — the
         // committed baseline is stale and the new entry would otherwise run
         // ungated forever.
-        let baseline = sample_report();
-        let mut grown = sample_report();
-        grown.entries.push(PerfEntry {
-            name: "fo_perturb/oue/vectorized".to_string(),
-            reports: 1,
-            ns_per_report: 1.0,
-            reports_per_sec: 1e9,
-            uplink_bits: 0,
-        });
-        let violations = check_report(&grown, &baseline, 2.0);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].name, "fo_perturb/oue/vectorized");
-        assert!(violations[0].baseline_ns.is_none());
-        let message = violations[0].to_string();
-        assert!(
-            message.contains("fo_perturb/oue/vectorized") && message.contains("baseline"),
-            "unhelpful message: {message}"
+        let grown = sample_report().entries;
+        let violations = report::check(&grown, &grown[..1], 2.0);
+        assert_eq!(
+            violations,
+            ["mech_e2e/fedpem/scalar: new cell missing from the baseline (regenerate it)"]
         );
     }
 
@@ -1218,7 +872,7 @@ mod tests {
             .filter(|e| e.name.starts_with("mech_e2e/"))
             .all(|e| e.uplink_bits > 0));
         // And a run checks clean against itself.
-        assert!(check_report(&report, &report, 1.0 + 1e-9).is_empty());
+        assert!(report::check(&report.entries, &report.entries, 1.0 + 1e-9).is_empty());
     }
 
     #[test]
@@ -1228,7 +882,7 @@ mod tests {
         assert_eq!(untraced.suite, "quick");
         assert_eq!(traced.suite, "quick");
         assert_eq!(untraced.entries.len(), E2E_LEGS.len());
-        // Entry names line up pairwise, so check_report joins them all —
+        // Entry names line up pairwise, so the gate joins them all —
         // a generous threshold must pass (both sides measure real work).
         for (a, b) in untraced.entries.iter().zip(&traced.entries) {
             assert_eq!(a.name, b.name);
@@ -1236,6 +890,6 @@ mod tests {
             assert!(a.ns_per_report > 0.0 && b.ns_per_report > 0.0);
             assert_eq!(a.uplink_bits, b.uplink_bits, "{}: same seeds", a.name);
         }
-        assert!(check_report(&traced, &untraced, 1000.0).is_empty());
+        assert!(report::check(&traced.entries, &untraced.entries, 1000.0).is_empty());
     }
 }

@@ -50,28 +50,24 @@
 //!   process-lifetime high-water mark, so within one sweep it is
 //!   non-decreasing; the final point is the sweep's peak.
 //!
-//! The parser round-trips the schema:
+//! The file carries each point as one inline object on its own line, an
+//! unavailable RSS reading as `null`:
 //!
 //! ```
-//! use fedhh_bench::scale::ScaleReport;
+//! use fedhh_bench::scale::{ScalePoint, ScaleReport};
 //!
-//! let json = r#"{
-//!   "schema": 1,
-//!   "dataset": "RDB",
-//!   "mechanism": "TAPS",
-//!   "mode": "streamed",
-//!   "points": [
-//!     {"user_scale": 0.5, "users": 176415, "elapsed_ms": 640.0,
-//!      "reports_per_sec": 275648.4, "uplink_bits": 98304,
-//!      "peak_rss_kb": 40960}
-//!   ]
-//! }"#;
-//! let report = ScaleReport::from_json(json).expect("valid schema");
-//! assert_eq!(report.points.len(), 1);
-//! assert_eq!(report.points[0].users, 176_415);
-//! assert_eq!(report.points[0].peak_rss_kb, Some(40_960));
-//! let back = ScaleReport::from_json(&report.to_json()).unwrap();
-//! assert_eq!(back, report);
+//! let point = ScalePoint {
+//!     users: 176_415,
+//!     ..ScalePoint::default()
+//! };
+//! let report = ScaleReport {
+//!     points: vec![point],
+//!     ..ScaleReport::default()
+//! };
+//! assert!(report.to_json().contains(
+//!     r#"    {"user_scale": 0.000000, "users": 176415, "elapsed_ms": 0.000, "reports_per_sec": 0.0, "uplink_bits": 0, "peak_rss_kb": null}"#
+//! ));
+//! assert_eq!(report.peak_rss_kb(), None);
 //! ```
 //!
 //! ## The CI `scale-smoke` gate
@@ -81,17 +77,16 @@
 //! guard that the streamed data plane keeps memory bounded as populations
 //! grow.
 
-use crate::perf::json;
-use crate::report::json_string;
+use crate::json::Fmt;
+use crate::report::{self, column, Column, Row, Shown, SCHEMA};
 use fedhh_datasets::{DatasetConfig, DatasetKind};
 use fedhh_federated::{EngineConfig, ExecMode, ProtocolConfig};
 use fedhh_mechanisms::{MechanismKind, Run};
 use fedhh_telemetry::{Telemetry, TraceLine};
-use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 
 /// One measured point of a scale sweep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScalePoint {
     /// Multiplier on the paper's user populations.
     pub user_scale: f64,
@@ -112,7 +107,7 @@ pub struct ScalePoint {
 
 /// A whole scale sweep: schema version, workload identity and points in
 /// ascending `user_scale` order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScaleReport {
     /// Schema version of the JSON serialization (currently 1).
     pub schema: u32,
@@ -135,107 +130,70 @@ impl ScaleReport {
 
     /// Renders the report as an aligned plain-text table.
     pub fn to_table(&self) -> String {
-        let mut out = format!(
-            "# fedhh scale sweep ({} on {}, {} data plane)\n",
-            self.mechanism, self.dataset, self.mode
-        );
-        let _ = writeln!(
-            out,
-            "{:>10} {:>10} {:>12} {:>16} {:>12} {:>12}",
-            "user_scale", "users", "elapsed ms", "reports/sec", "uplink kb", "peak rss mb"
-        );
-        for p in &self.points {
-            let rss = match p.peak_rss_kb {
-                Some(kb) => format!("{:.1}", kb as f64 / 1024.0),
-                None => "n/a".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "{:>10.3} {:>10} {:>12.1} {:>16.0} {:>12.1} {:>12}",
-                p.user_scale,
-                p.users,
-                p.elapsed_ms,
-                p.reports_per_sec,
-                p.uplink_bits as f64 / 1000.0,
-                rss
-            );
-        }
-        out
+        report::to_table::<ScalePoint>(self)
     }
 
-    /// Serializes the report as schema-1 JSON (hand-rolled: the workspace
-    /// builds without external dependencies).
+    /// Serializes the report as schema-1 JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", self.schema);
-        let _ = writeln!(out, "  \"dataset\": {},", json_string(&self.dataset));
-        let _ = writeln!(out, "  \"mechanism\": {},", json_string(&self.mechanism));
-        let _ = writeln!(out, "  \"mode\": {},", json_string(&self.mode));
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let rss = match p.peak_rss_kb {
-                Some(kb) => kb.to_string(),
-                None => "null".to_string(),
-            };
-            let _ = write!(
-                out,
-                "    {{\"user_scale\": {:.6}, \"users\": {}, \"elapsed_ms\": {:.3}, \
-                 \"reports_per_sec\": {:.1}, \"uplink_bits\": {}, \"peak_rss_kb\": {}}}",
-                p.user_scale, p.users, p.elapsed_ms, p.reports_per_sec, p.uplink_bits, rss
-            );
-            out.push_str(if i + 1 < self.points.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        report::to_json::<ScalePoint>(self)
     }
+}
 
-    /// Parses a schema-1 JSON report (the inverse of
-    /// [`ScaleReport::to_json`], tolerant of whitespace and key order).
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object().ok_or("top level must be an object")?;
-        let schema = json::get_number(obj, "schema")? as u32;
-        if schema != 1 {
-            return Err(format!(
-                "unsupported scale schema version {schema} (this build reads schema 1)"
-            ));
-        }
-        let points_value = json::get(obj, "points")?;
-        let points_array = points_value
-            .as_array()
-            .ok_or("\"points\" must be an array")?;
-        let mut points = Vec::with_capacity(points_array.len());
-        for item in points_array {
-            let point = item.as_object().ok_or("point must be an object")?;
-            let peak_rss_kb = match json::get(point, "peak_rss_kb")? {
-                json::Value::Null => None,
-                json::Value::Number(n) => Some(*n as u64),
-                other => {
-                    return Err(format!(
-                        "\"peak_rss_kb\" must be a number or null: {other:?}"
-                    ))
-                }
-            };
-            points.push(ScalePoint {
-                user_scale: json::get_number(point, "user_scale")?,
-                users: json::get_number(point, "users")? as u64,
-                elapsed_ms: json::get_number(point, "elapsed_ms")?,
-                reports_per_sec: json::get_number(point, "reports_per_sec")?,
-                uplink_bits: json::get_number(point, "uplink_bits")? as u64,
-                peak_rss_kb,
-            });
-        }
-        Ok(Self {
-            schema,
-            dataset: json::get_string(obj, "dataset")?,
-            mechanism: json::get_string(obj, "mechanism")?,
-            mode: json::get_string(obj, "mode")?,
-            points,
-        })
+impl Row for ScalePoint {
+    type Report = ScaleReport;
+    const NAME: &'static str = "scale";
+    const HEAD: &'static [Column<ScaleReport>] = &[
+        column!(dataset, "", Info),
+        column!(mechanism, "", Info),
+        column!(mode, "", Info),
+    ];
+    const ROWS: &'static str = "points";
+    const COLUMNS: &'static [Column<Self>] = &[
+        column!(
+            user_scale,
+            "user_scale",
+            Key,
+            Fmt::Fixed(6),
+            Shown::Fixed(3)
+        ),
+        column!(users, "users", Info),
+        column!(
+            elapsed_ms,
+            "elapsed ms",
+            Info,
+            Fmt::Fixed(3),
+            Shown::Fixed(1)
+        ),
+        column!(
+            reports_per_sec,
+            "reports/sec",
+            Info,
+            Fmt::Fixed(1),
+            Shown::Fixed(0)
+        ),
+        column!(
+            uplink_bits,
+            "uplink kb",
+            Info,
+            Fmt::Shortest,
+            Shown::Per(1000.0, 1)
+        ),
+        column!(
+            peak_rss_kb,
+            "peak rss mb",
+            Info,
+            Fmt::Shortest,
+            Shown::Per(1024.0, 1)
+        ),
+    ];
+    fn title(report: &ScaleReport) -> String {
+        format!(
+            "fedhh scale sweep ({} on {}, {} data plane)",
+            report.mechanism, report.dataset, report.mode
+        )
+    }
+    fn groups(report: &ScaleReport) -> Vec<(&str, &[Self])> {
+        vec![("", &report.points)]
     }
 }
 
@@ -413,7 +371,7 @@ pub fn run_scale_traced(
         );
     }
     Ok(ScaleReport {
-        schema: 1,
+        schema: SCHEMA,
         dataset: options.dataset.name().to_string(),
         mechanism: options.mechanism.name().to_string(),
         mode: if options.eager { "eager" } else { "streamed" }.to_string(),
@@ -470,28 +428,6 @@ mod tests {
 }
 "#
         );
-    }
-
-    #[test]
-    fn json_round_trips_including_null_rss() {
-        let report = sample_report();
-        let parsed = ScaleReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed, report);
-        assert_eq!(parsed.peak_rss_kb(), Some(30_720));
-    }
-
-    #[test]
-    fn parser_rejects_malformed_documents() {
-        assert!(ScaleReport::from_json("").is_err());
-        assert!(ScaleReport::from_json("{\"schema\": 1}").is_err());
-        let err = ScaleReport::from_json(
-            "{\"schema\": 2, \"dataset\": \"RDB\", \"mechanism\": \"TAPS\", \
-             \"mode\": \"streamed\", \"points\": []}",
-        )
-        .unwrap_err();
-        // The version error names both the found and the supported schema.
-        assert!(err.contains("schema version 2"), "{err}");
-        assert!(err.contains("this build reads schema 1"), "{err}");
     }
 
     #[test]

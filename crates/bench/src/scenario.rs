@@ -49,18 +49,17 @@
 //! ```
 //!
 //! The `adversary = "none"` row of each mechanism is the benign baseline
-//! its drops are measured against.  `fedhh-bench scenario --check
-//! <baseline.json>` re-runs the sweep and fails when any baseline row is
-//! missing, flips its `ok` flag, or moves by more than the tolerance.
+//! its drops are measured against.  Under `--check` (the shared gate,
+//! [`crate::report::check`]) a cell is `mechanism/adversary/fraction`, `ok`
+//! must not flip and `f1` / `ncr` must stay within the threshold.
 
-use crate::perf::json;
-use crate::report::json_string;
+use crate::json::Fmt;
+use crate::report::{self, column, Column, Row, Shown, SCHEMA};
 use crate::runner::{run_engine_trial, ExperimentScale, TrialMetrics};
 use fedhh_datasets::DatasetKind;
 use fedhh_federated::{AdversaryModel, EngineConfig, FlipMode, ProtocolError, ScenarioPlan};
 use fedhh_mechanisms::MechanismKind;
 use fedhh_metrics::degradation;
-use std::fmt::Write as _;
 
 /// The adversary names of the matrix, in column order.
 pub const ADVERSARIES: [&str; 5] = [
@@ -147,7 +146,7 @@ impl ScenarioOptions {
 }
 
 /// One cell of the robustness matrix.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioRow {
     /// Mechanism name (`FedPEM`, `GTF`, `TAP`, `TAPS`).
     pub mechanism: String,
@@ -171,7 +170,7 @@ pub struct ScenarioRow {
 
 /// A whole scenario sweep: schema version, suite flavour, dataset and the
 /// matrix cells in sweep order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioReport {
     /// Schema version of the JSON serialization (currently 1).
     pub schema: u32,
@@ -278,7 +277,7 @@ pub fn run_scenario(options: &ScenarioOptions) -> Result<ScenarioReport, String>
         }
     }
     Ok(ScenarioReport {
-        schema: 1,
+        schema: SCHEMA,
         suite: if options.quick { "quick" } else { "full" }.to_string(),
         dataset: options.dataset.to_string(),
         rows,
@@ -293,145 +292,56 @@ fn benign_cell_matches(row: &ScenarioRow, baseline: &TrialMetrics) -> bool {
         && row.ncr.to_bits() == baseline.ncr.to_bits()
 }
 
-/// Compares a fresh sweep against a committed baseline report: every
-/// baseline row must be present (joined on mechanism/adversary/fraction),
-/// keep its `ok` flag, and stay within `tolerance` on F1 and NCR.
-/// Returns human-readable violations; empty means the gate passes.
-pub fn check_scenario(
-    current: &ScenarioReport,
-    baseline: &ScenarioReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    for base in &baseline.rows {
-        let found = current.rows.iter().find(|r| {
-            r.mechanism == base.mechanism
-                && r.adversary == base.adversary
-                && r.fraction == base.fraction
-        });
-        let cell = format!("{}/{}@{}", base.mechanism, base.adversary, base.fraction);
-        match found {
-            None => violations.push(format!("{cell}: missing from the current run")),
-            Some(row) if row.ok != base.ok => {
-                violations.push(format!("{cell}: ok flipped from {} to {}", base.ok, row.ok))
-            }
-            Some(row)
-                if (row.f1 - base.f1).abs() > tolerance
-                    || (row.ncr - base.ncr).abs() > tolerance =>
-            {
-                violations.push(format!(
-                    "{cell}: f1 {} vs baseline {}, ncr {} vs baseline {} (tolerance {tolerance})",
-                    row.f1, base.f1, row.ncr, base.ncr
-                ));
-            }
-            Some(_) => {}
-        }
+impl Row for ScenarioRow {
+    type Report = ScenarioReport;
+    const NAME: &'static str = "scenario";
+    const HEAD: &'static [Column<ScenarioReport>] =
+        &[column!(suite, "", Info), column!(dataset, "", Info)];
+    const ROWS: &'static str = "rows";
+    const COLUMNS: &'static [Column<Self>] = &[
+        column!(mechanism, "mech", Key),
+        column!(adversary, "adversary", Key),
+        column!(fraction, "fraction", Key, Fmt::Fixed(6), Shown::Fixed(3)),
+        column!(ok, "ok", Equal),
+        column!(error, "error", Info),
+        column!(f1, "f1", Delta, Fmt::Fixed(6), Shown::Fixed(3)),
+        column!(ncr, "ncr", Delta, Fmt::Fixed(6), Shown::Fixed(3)),
+        column!(f1_drop, "f1_drop", Info, Fmt::Fixed(6), Shown::Fixed(3)),
+        column!(ncr_drop, "ncr_drop", Info, Fmt::Fixed(6), Shown::Fixed(3)),
+    ];
+    fn title(report: &ScenarioReport) -> String {
+        format!(
+            "fedhh scenario robustness ({} suite, {})",
+            report.suite, report.dataset
+        )
     }
-    violations
+    fn groups(report: &ScenarioReport) -> Vec<(&str, &[Self])> {
+        vec![("", &report.rows)]
+    }
 }
 
 impl ScenarioReport {
     /// Renders the matrix as an aligned plain-text table.
     pub fn to_table(&self) -> String {
-        let mut out = format!(
-            "# fedhh scenario robustness ({} suite, {})\n",
-            self.suite, self.dataset
-        );
-        let _ = writeln!(
-            out,
-            "{:<8} {:<16} {:>9} {:>4} {:>10} {:>8} {:>8} {:>9} {:>9}",
-            "mech", "adversary", "fraction", "ok", "error", "f1", "ncr", "f1_drop", "ncr_drop"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<8} {:<16} {:>9.3} {:>4} {:>10} {:>8.3} {:>8.3} {:>9.3} {:>9.3}",
-                r.mechanism,
-                r.adversary,
-                r.fraction,
-                if r.ok { "yes" } else { "no" },
-                if r.error.is_empty() { "-" } else { &r.error },
-                r.f1,
-                r.ncr,
-                r.f1_drop,
-                r.ncr_drop
-            );
-        }
-        out
+        report::to_table::<ScenarioRow>(self)
     }
 
     /// Serializes the report as schema-1 JSON.  Deterministic: fixed key
     /// order, fixed float formatting, no timings — the same sweep options
     /// produce the same bytes.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", self.schema);
-        let _ = writeln!(out, "  \"suite\": {},", json_string(&self.suite));
-        let _ = writeln!(out, "  \"dataset\": {},", json_string(&self.dataset));
-        out.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"mechanism\": {}, \"adversary\": {}, \"fraction\": {:.6}, \
-                 \"ok\": {}, \"error\": {}, \"f1\": {:.6}, \"ncr\": {:.6}, \
-                 \"f1_drop\": {:.6}, \"ncr_drop\": {:.6}}}",
-                json_string(&r.mechanism),
-                json_string(&r.adversary),
-                r.fraction,
-                r.ok,
-                json_string(&r.error),
-                r.f1,
-                r.ncr,
-                r.f1_drop,
-                r.ncr_drop
-            );
-            out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        report::to_json::<ScenarioRow>(self)
     }
 
     /// Parses a schema-1 JSON report (the inverse of
     /// [`ScenarioReport::to_json`], tolerant of whitespace and key order).
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object().ok_or("top level must be an object")?;
-        let schema = json::get_number(obj, "schema")? as u32;
-        if schema != 1 {
-            return Err(format!("unsupported scenario schema version {schema}"));
-        }
-        let suite = json::get_string(obj, "suite")?;
-        let dataset = json::get_string(obj, "dataset")?;
-        let rows_value = json::get(obj, "rows")?;
-        let rows_array = rows_value.as_array().ok_or("\"rows\" must be an array")?;
-        let mut rows = Vec::with_capacity(rows_array.len());
-        for item in rows_array {
-            let row = item.as_object().ok_or("row must be an object")?;
-            rows.push(ScenarioRow {
-                mechanism: json::get_string(row, "mechanism")?,
-                adversary: json::get_string(row, "adversary")?,
-                fraction: json::get_number(row, "fraction")?,
-                ok: get_bool(row, "ok")?,
-                error: json::get_string(row, "error")?,
-                f1: json::get_number(row, "f1")?,
-                ncr: json::get_number(row, "ncr")?,
-                f1_drop: json::get_number(row, "f1_drop")?,
-                ncr_drop: json::get_number(row, "ncr_drop")?,
-            });
-        }
+        let (head, rows) = report::from_json::<ScenarioRow>(text)?;
         Ok(Self {
-            schema,
-            suite,
-            dataset,
+            schema: SCHEMA,
             rows,
+            ..head
         })
-    }
-}
-
-fn get_bool(obj: &[(String, json::Value)], key: &str) -> Result<bool, String> {
-    match json::get(obj, key)? {
-        json::Value::Bool(b) => Ok(*b),
-        other => Err(format!("key {key:?} is not a bool: {other:?}")),
     }
 }
 
@@ -503,15 +413,7 @@ mod tests {
     #[test]
     fn json_round_trips_including_failed_cells() {
         let report = sample_report();
-        let parsed = ScenarioReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.schema, 1);
-        assert_eq!(parsed.suite, "quick");
-        assert_eq!(parsed.dataset, "RDB");
-        assert_eq!(parsed.rows.len(), 2);
-        assert!(parsed.rows[0].ok);
-        assert!(!parsed.rows[1].ok);
-        assert_eq!(parsed.rows[1].error, "transport");
-        assert!((parsed.rows[1].f1_drop - 0.9).abs() < 1e-9);
+        assert_eq!(ScenarioReport::from_json(&report.to_json()), Ok(report));
     }
 
     #[test]
@@ -522,28 +424,43 @@ mod tests {
             "{\"schema\": 9, \"suite\": \"x\", \"dataset\": \"y\", \"rows\": []}"
         )
         .is_err());
+        report::assert_reader_is_strict::<ScenarioRow>(&sample_report());
     }
 
     #[test]
     fn check_joins_on_cell_identity_and_flags_every_drift_kind() {
-        let baseline = sample_report();
+        let baseline = sample_report().rows;
         // Identical runs pass at zero tolerance.
-        assert!(check_scenario(&baseline, &baseline, 0.0).is_empty());
-        // A missing cell is a violation.
-        let mut shrunk = sample_report();
-        shrunk.rows.remove(1);
-        let violations = check_scenario(&shrunk, &baseline, 0.1);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("missing"));
+        assert!(report::check(&baseline, &baseline, 0.0).is_empty());
+        // A cell missing on either side is a violation naming it: an empty
+        // or stale baseline no longer passes.
+        let violations = report::check(&baseline[..1], &baseline, 0.1);
+        assert_eq!(
+            violations,
+            ["TAPS/corrupt-frames/0.5: missing from the current run"]
+        );
+        let violations = report::check(&baseline, &[], 0.1);
+        assert_eq!(violations.len(), 2);
+        assert!(violations[0].starts_with("TAPS/none/0: new cell missing from the baseline"));
         // A flipped ok is a violation even inside the score tolerance.
-        let mut flipped = sample_report();
-        flipped.rows[1].ok = true;
-        assert!(check_scenario(&flipped, &baseline, 10.0)[0].contains("ok flipped"));
+        let mut flipped = baseline.clone();
+        flipped[1].ok = true;
+        assert_eq!(
+            report::check(&flipped, &baseline, 10.0),
+            ["TAPS/corrupt-frames/0.5: ok moved from false to true"]
+        );
         // A score outside tolerance is a violation; inside passes.
-        let mut drifted = sample_report();
-        drifted.rows[0].f1 = 0.7;
-        assert_eq!(check_scenario(&drifted, &baseline, 0.3).len(), 0);
-        assert_eq!(check_scenario(&drifted, &baseline, 0.1).len(), 1);
+        let mut drifted = baseline.clone();
+        drifted[0].f1 = 0.7;
+        assert_eq!(report::check(&drifted, &baseline, 0.3).len(), 0);
+        let violations = report::check(&drifted, &baseline, 0.1);
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].starts_with("TAPS/none/0: f1 0.7 vs baseline 0.9"));
+        // The informational columns are not gated.
+        drifted[0].f1 = 0.9;
+        drifted[0].f1_drop = 0.5;
+        drifted[1].error = "other".to_string();
+        assert!(report::check(&drifted, &baseline, 0.0).is_empty());
     }
 
     #[test]
@@ -579,6 +496,6 @@ mod tests {
             .iter()
             .any(|r| !r.ok || (r.fraction > 0.0 && r.f1_drop > 0.0)));
         // And the sweep itself checks clean against itself.
-        assert!(check_scenario(&a, &b, 0.0).is_empty());
+        assert!(report::check(&a.rows, &b.rows, 0.0).is_empty());
     }
 }

@@ -39,17 +39,17 @@
 //! `root_frames`/`root_bytes`/`flat_bytes` are the telemetry plane's
 //! `tree.root.frames` / `tree.root.bytes` / `tree.flat.bytes` counters;
 //! flat rows report zero for all three (the star never routes through the
-//! tree).  `fedhh-bench topology --check <baseline.json>` re-runs the
-//! sweep and fails when any baseline row is missing or drifts.
+//! tree).  Under `--check` (the shared gate, [`crate::report::check`]) a
+//! cell is `mechanism/topology/fraction`, `root_frames` must match exactly
+//! and `f1` / `uplink_kb` must stay within the threshold.
 
-use crate::perf::json;
-use crate::report::json_string;
+use crate::json::Fmt;
+use crate::report::{self, column, Column, Row, Shown, SCHEMA};
 use crate::runner::{run_engine_trial_traced, ExperimentScale};
 use fedhh_datasets::DatasetKind;
 use fedhh_federated::{EngineConfig, QuorumPolicy, Topology};
 use fedhh_mechanisms::MechanismKind;
 use fedhh_telemetry::{Counter, Telemetry};
-use std::fmt::Write as _;
 
 /// What `fedhh-bench topology` sweeps.
 #[derive(Debug, Clone)]
@@ -109,7 +109,7 @@ impl TopologyOptions {
 }
 
 /// One cell of the topology sweep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TopologyRow {
     /// Mechanism name (`FedPEM`, `GTF`, `TAP`, `TAPS`).
     pub mechanism: String,
@@ -132,7 +132,7 @@ pub struct TopologyRow {
 
 /// A whole topology sweep: schema version, suite flavour, dataset and the
 /// cells in sweep order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TopologyReport {
     /// Schema version of the JSON serialization (currently 1).
     pub schema: u32,
@@ -220,7 +220,7 @@ pub fn run_topology(options: &TopologyOptions) -> Result<TopologyReport, String>
         }
     }
     Ok(TopologyReport {
-        schema: 1,
+        schema: SCHEMA,
         suite: if options.quick { "quick" } else { "full" }.to_string(),
         dataset: options.dataset.to_string(),
         rows,
@@ -262,144 +262,60 @@ fn gate_tree_cell(row: &TopologyRow, rows: &[TopologyRow], fraction: f64) -> Res
     Ok(())
 }
 
-/// Compares a fresh sweep against a committed baseline report: every
-/// baseline row must be present (joined on mechanism/topology/fraction),
-/// keep its exact frame count, and stay within `tolerance` on F1 and
-/// uplink.  Returns human-readable violations; empty means the gate
-/// passes.
-pub fn check_topology(
-    current: &TopologyReport,
-    baseline: &TopologyReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    for base in &baseline.rows {
-        let found = current.rows.iter().find(|r| {
-            r.mechanism == base.mechanism
-                && r.topology == base.topology
-                && r.fraction == base.fraction
-        });
-        let cell = format!("{}/{}@{}", base.mechanism, base.topology, base.fraction);
-        match found {
-            None => violations.push(format!("{cell}: missing from the current run")),
-            Some(row) if row.root_frames != base.root_frames => violations.push(format!(
-                "{cell}: root frames moved from {} to {}",
-                base.root_frames, row.root_frames
-            )),
-            Some(row)
-                if (row.f1 - base.f1).abs() > tolerance
-                    || (row.uplink_kb - base.uplink_kb).abs() > tolerance =>
-            {
-                violations.push(format!(
-                    "{cell}: f1 {} vs baseline {}, uplink {} vs baseline {} \
-                     (tolerance {tolerance})",
-                    row.f1, base.f1, row.uplink_kb, base.uplink_kb
-                ));
-            }
-            Some(_) => {}
-        }
+impl Row for TopologyRow {
+    type Report = TopologyReport;
+    const NAME: &'static str = "topology";
+    const HEAD: &'static [Column<TopologyReport>] =
+        &[column!(suite, "", Info), column!(dataset, "", Info)];
+    const ROWS: &'static str = "rows";
+    const COLUMNS: &'static [Column<Self>] = &[
+        column!(mechanism, "mech", Key),
+        column!(topology, "topology", Key),
+        column!(fraction, "fraction", Key, Fmt::Fixed(6), Shown::Fixed(3)),
+        column!(f1, "f1", Delta, Fmt::Fixed(6), Shown::Fixed(3)),
+        column!(
+            uplink_kb,
+            "uplink_kb",
+            Delta,
+            Fmt::Fixed(6),
+            Shown::Fixed(3)
+        ),
+        column!(root_frames, "root_frames", Equal),
+        column!(root_bytes, "root_bytes", Info),
+        column!(flat_bytes, "flat_bytes", Info),
+    ];
+    fn title(report: &TopologyReport) -> String {
+        format!(
+            "fedhh aggregation topology ({} suite, {})",
+            report.suite, report.dataset
+        )
     }
-    violations
+    fn groups(report: &TopologyReport) -> Vec<(&str, &[Self])> {
+        vec![("", &report.rows)]
+    }
 }
 
 impl TopologyReport {
     /// Renders the sweep as an aligned plain-text table.
     pub fn to_table(&self) -> String {
-        let mut out = format!(
-            "# fedhh aggregation topology ({} suite, {})\n",
-            self.suite, self.dataset
-        );
-        let _ = writeln!(
-            out,
-            "{:<8} {:<10} {:>9} {:>8} {:>12} {:>12} {:>12} {:>12}",
-            "mech",
-            "topology",
-            "fraction",
-            "f1",
-            "uplink_kb",
-            "root_frames",
-            "root_bytes",
-            "flat_bytes"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<8} {:<10} {:>9.3} {:>8.3} {:>12.3} {:>12} {:>12} {:>12}",
-                r.mechanism,
-                r.topology,
-                r.fraction,
-                r.f1,
-                r.uplink_kb,
-                r.root_frames,
-                r.root_bytes,
-                r.flat_bytes
-            );
-        }
-        out
+        report::to_table::<TopologyRow>(self)
     }
 
     /// Serializes the report as schema-1 JSON.  Deterministic: fixed key
     /// order, fixed float formatting, no timings — the same sweep options
     /// produce the same bytes.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", self.schema);
-        let _ = writeln!(out, "  \"suite\": {},", json_string(&self.suite));
-        let _ = writeln!(out, "  \"dataset\": {},", json_string(&self.dataset));
-        out.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"mechanism\": {}, \"topology\": {}, \"fraction\": {:.6}, \
-                 \"f1\": {:.6}, \"uplink_kb\": {:.6}, \"root_frames\": {}, \
-                 \"root_bytes\": {}, \"flat_bytes\": {}}}",
-                json_string(&r.mechanism),
-                json_string(&r.topology),
-                r.fraction,
-                r.f1,
-                r.uplink_kb,
-                r.root_frames,
-                r.root_bytes,
-                r.flat_bytes
-            );
-            out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        report::to_json::<TopologyRow>(self)
     }
 
     /// Parses a schema-1 JSON report (the inverse of
     /// [`TopologyReport::to_json`], tolerant of whitespace and key order).
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object().ok_or("top level must be an object")?;
-        let schema = json::get_number(obj, "schema")? as u32;
-        if schema != 1 {
-            return Err(format!("unsupported topology schema version {schema}"));
-        }
-        let suite = json::get_string(obj, "suite")?;
-        let dataset = json::get_string(obj, "dataset")?;
-        let rows_value = json::get(obj, "rows")?;
-        let rows_array = rows_value.as_array().ok_or("\"rows\" must be an array")?;
-        let mut rows = Vec::with_capacity(rows_array.len());
-        for item in rows_array {
-            let row = item.as_object().ok_or("row must be an object")?;
-            rows.push(TopologyRow {
-                mechanism: json::get_string(row, "mechanism")?,
-                topology: json::get_string(row, "topology")?,
-                fraction: json::get_number(row, "fraction")?,
-                f1: json::get_number(row, "f1")?,
-                uplink_kb: json::get_number(row, "uplink_kb")?,
-                root_frames: json::get_number(row, "root_frames")? as u64,
-                root_bytes: json::get_number(row, "root_bytes")? as u64,
-                flat_bytes: json::get_number(row, "flat_bytes")? as u64,
-            });
-        }
+        let (head, rows) = report::from_json::<TopologyRow>(text)?;
         Ok(Self {
-            schema,
-            suite,
-            dataset,
+            schema: SCHEMA,
             rows,
+            ..head
         })
     }
 }
@@ -462,16 +378,7 @@ mod tests {
     #[test]
     fn json_round_trips_including_counter_columns() {
         let report = sample_report();
-        let parsed = TopologyReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.schema, 1);
-        assert_eq!(parsed.suite, "quick");
-        assert_eq!(parsed.dataset, "SYN");
-        assert_eq!(parsed.rows.len(), 2);
-        assert_eq!(parsed.rows[0].topology, "flat");
-        assert_eq!(parsed.rows[1].root_frames, 8);
-        assert_eq!(parsed.rows[1].root_bytes, 4096);
-        assert_eq!(parsed.rows[1].flat_bytes, 9216);
-        assert!((parsed.rows[1].uplink_kb - 12.5).abs() < 1e-9);
+        assert_eq!(TopologyReport::from_json(&report.to_json()), Ok(report));
     }
 
     #[test]
@@ -482,28 +389,41 @@ mod tests {
             "{\"schema\": 9, \"suite\": \"x\", \"dataset\": \"y\", \"rows\": []}"
         )
         .is_err());
+        report::assert_reader_is_strict::<TopologyRow>(&sample_report());
     }
 
     #[test]
     fn check_joins_on_cell_identity_and_flags_every_drift_kind() {
-        let baseline = sample_report();
+        let baseline = sample_report().rows;
         // Identical runs pass at zero tolerance.
-        assert!(check_topology(&baseline, &baseline, 0.0).is_empty());
-        // A missing cell is a violation.
-        let mut shrunk = sample_report();
-        shrunk.rows.remove(1);
-        let violations = check_topology(&shrunk, &baseline, 0.1);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("missing"));
+        assert!(report::check(&baseline, &baseline, 0.0).is_empty());
+        // A cell missing on either side is a violation naming it: an empty
+        // or stale baseline no longer passes.
+        let violations = report::check(&baseline[..1], &baseline, 0.1);
+        assert_eq!(
+            violations,
+            ["TAPS/tree:4/0.5: missing from the current run"]
+        );
+        let violations = report::check(&baseline, &baseline[..1], 0.1);
+        assert_eq!(
+            violations,
+            ["TAPS/tree:4/0.5: new cell missing from the baseline (regenerate it)"]
+        );
         // A moved frame count is a violation even inside the tolerance.
-        let mut reframed = sample_report();
-        reframed.rows[1].root_frames = 9;
-        assert!(check_topology(&reframed, &baseline, 10.0)[0].contains("root frames"));
+        let mut reframed = baseline.clone();
+        reframed[1].root_frames = 9;
+        assert_eq!(
+            report::check(&reframed, &baseline, 10.0),
+            ["TAPS/tree:4/0.5: root_frames moved from 8 to 9"]
+        );
         // A score outside tolerance is a violation; inside passes.
-        let mut drifted = sample_report();
-        drifted.rows[0].f1 = 0.7;
-        assert_eq!(check_topology(&drifted, &baseline, 0.3).len(), 0);
-        assert_eq!(check_topology(&drifted, &baseline, 0.1).len(), 1);
+        let mut drifted = baseline.clone();
+        drifted[0].f1 = 0.7;
+        assert_eq!(report::check(&drifted, &baseline, 0.3).len(), 0);
+        assert_eq!(report::check(&drifted, &baseline, 0.1).len(), 1);
+        drifted[0].f1 = 0.9;
+        drifted[0].uplink_kb += 1.0;
+        assert_eq!(report::check(&drifted, &baseline, 0.1).len(), 1);
     }
 
     #[test]
@@ -566,6 +486,6 @@ mod tests {
             }
         }
         // And the sweep itself checks clean against itself.
-        assert!(check_topology(&a, &b, 0.0).is_empty());
+        assert!(report::check(&a.rows, &b.rows, 0.0).is_empty());
     }
 }

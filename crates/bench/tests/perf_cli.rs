@@ -4,7 +4,7 @@
 //!
 //! Kept to two measured suite runs (the missing-baseline probe fails before
 //! any measurement): the pass/fail split of the gate logic itself is
-//! unit-tested on `check_report`, so this test only needs to prove the CLI
+//! unit-tested on the shared `check`, so this test only needs to prove the CLI
 //! wiring — emit, parse, gate, exit code.
 
 use fedhh_bench::PerfReport;
@@ -54,7 +54,7 @@ fn perf_emits_json_and_check_gates_regressions() {
     //    to have run 1000x faster) AND a vanished workload (one entry
     //    renamed to something the suite no longer produces) must make
     //    --check exit non-zero.  One invocation covers both failure modes;
-    //    their individual classification is unit-tested on check_report.
+    //    their individual classification is unit-tested on the shared check.
     let mut doctored = report.clone();
     doctored.entries[0].ns_per_report /= 1000.0;
     doctored.entries[0].reports_per_sec *= 1000.0;

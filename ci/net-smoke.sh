@@ -8,7 +8,9 @@
 # processes for a quick TAPS trial on the 4-party YCM stand-in, then repeats
 # with a `fedhh-bench trial --transport tcp` leg.  The coordinator exits
 # non-zero unless the distributed MechanismOutput (top-k, estimates, uplink
-# bits) is bit-identical to the in-memory run at the same seed.
+# bits) is bit-identical to the in-memory run at the same seed.  A last,
+# negative leg binds a coordinator on 0.0.0.0 that no party dials: it must
+# fail with the accept timeout within 10 s, not hang.
 set -euo pipefail
 
 . "$(dirname "$0")/lib.sh"
@@ -57,5 +59,18 @@ grep -q '^CHECK bit-identical' "$WORKDIR/coordinator.out" \
 
 log "fedhh-bench trial over the tcp transport"
 "$BENCH_BIN" trial taps ycm --quick --transport tcp
+
+log "a coordinator on 0.0.0.0 that no party dials times out"
+STATUS=0
+timeout 10 "$NODE_BIN" coordinator \
+    --mechanism taps --dataset ycm --quick \
+    --listen 0.0.0.0:0 --timeout-secs 1 \
+    > "$WORKDIR/lonely.out" 2> "$WORKDIR/lonely.err" || STATUS=$?
+if [ "$STATUS" -eq 0 ] || [ "$STATUS" -eq 124 ]; then
+    die "lonely coordinator exited with status $STATUS (want a failure within 10 s)" \
+        "$WORKDIR/lonely.err"
+fi
+grep -q "no party process connected for rank 0 within 1s" "$WORKDIR/lonely.err" \
+    || die "lonely coordinator did not report the accept timeout" "$WORKDIR/lonely.err"
 
 log "OK"

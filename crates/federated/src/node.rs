@@ -65,7 +65,8 @@ use crate::transport::canonical_sort;
 use crate::ProtocolConfig;
 use fedhh_wire::{read_frame, write_frame, Decode, Encode, Reader, WireError};
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// Everything a party process needs to reconstruct the run: the protocol
@@ -286,8 +287,8 @@ impl NodeServer {
         })
     }
 
-    /// Overrides the per-read timeout applied to every party connection
-    /// (`None` disables it).
+    /// Overrides the timeout that bounds each accept of a party process and
+    /// each read on a party connection (`None` disables it).
     pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.timeout = timeout;
         self
@@ -312,11 +313,14 @@ impl NodeServer {
     /// joiners can be drained with a typed `Abort` each round instead of
     /// hanging on an unread socket.
     ///
-    /// Each accept is bounded by the server's timeout (see
-    /// [`NodeServer::with_timeout`]): a party process that never connects
-    /// fails the handshake with a timeout error instead of hanging the
-    /// coordinator forever.
+    /// Each accept blocks until a party process dials, bounded by the
+    /// server's timeout (see [`NodeServer::with_timeout`]): a party process
+    /// that never connects fails the handshake with a timeout error instead
+    /// of hanging the coordinator forever.  A welcome whose tree topology is
+    /// malformed (see [`Topology::is_valid`]) is refused before any party is
+    /// accepted.
     pub fn accept_parties(self, welcome: &NodeWelcome) -> Result<CoordinatorLink, WireError> {
+        check_topology(&welcome.config.topology)?;
         let ranks = welcome.assignments.len();
         let mut peers = Vec::with_capacity(ranks);
         for rank in 0..ranks {
@@ -375,9 +379,17 @@ impl NodeServer {
     }
 }
 
-/// Accepts one connection, bounded by `timeout`.  A blocking `accept` has
-/// no native timeout, so the listener polls non-blocking against a
-/// deadline; the accepted stream is switched back to blocking before use.
+/// Accepts one connection on a blocking listener, bounded by `timeout`
+/// (`None` waits forever).
+///
+/// The accept blocks, so a peer is accepted the moment it dials.  `accept`
+/// has no native deadline, so a scoped watchdog thread supplies one: an
+/// accept that returns first dismisses it, and it exits untouched; a
+/// watchdog whose `timeout` expires first marks the accept expired and
+/// dials the listener itself to wake it.  An expired accept fails with a
+/// `TimedOut` error worded by `describe`, whatever connection woke it; the
+/// caller then drops the listener with the failed handshake, so the wake
+/// connection is never answered.
 fn accept_with_timeout(
     listener: &TcpListener,
     timeout: Option<Duration>,
@@ -387,28 +399,44 @@ fn accept_with_timeout(
         let (stream, _) = listener.accept()?;
         return Ok(stream);
     };
-    let deadline = std::time::Instant::now() + timeout;
-    listener.set_nonblocking(true)?;
-    let result = loop {
-        match listener.accept() {
-            Ok((stream, _)) => break Ok(stream),
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                if std::time::Instant::now() >= deadline {
-                    break Err(WireError::Io {
-                        kind: std::io::ErrorKind::TimedOut,
-                        detail: describe(timeout),
-                    });
-                }
-                std::thread::sleep(Duration::from_millis(10));
+    let wake = wake_address(listener.local_addr()?);
+    let (accepted, expired) = std::thread::scope(|scope| {
+        let (dismiss, dismissed) = mpsc::channel::<()>();
+        let watchdog = scope.spawn(move || {
+            let expired = dismissed.recv_timeout(timeout) == Err(RecvTimeoutError::Timeout);
+            if expired {
+                // A failed dial leaves the accept to the next peer that
+                // dials; there is nothing better to do with the error.
+                let _ = TcpStream::connect(wake);
             }
-            Err(err) => break Err(WireError::from(err)),
-        }
-    };
-    // Restore blocking mode for subsequent accepts and for the stream.
-    listener.set_nonblocking(false)?;
-    let stream = result?;
-    stream.set_nonblocking(false)?;
-    Ok(stream)
+            expired
+        });
+        let accepted = listener.accept();
+        drop(dismiss);
+        let expired = watchdog.join().expect("the accept watchdog does not panic");
+        (accepted, expired)
+    });
+    if expired {
+        return Err(WireError::Io {
+            kind: std::io::ErrorKind::TimedOut,
+            detail: describe(timeout),
+        });
+    }
+    Ok(accepted?.0)
+}
+
+/// The address a watchdog dials to wake an accept on a listener bound to
+/// `local`: the listener's own, with an unspecified IP (`0.0.0.0`, `[::]`)
+/// replaced by the loopback address of the same family.
+fn wake_address(mut local: SocketAddr) -> SocketAddr {
+    if local.ip().is_unspecified() {
+        let loopback: IpAddr = match local {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        };
+        local.set_ip(loopback);
+    }
+    local
 }
 
 /// Connects a party process to the coordinator and performs the handshake;
@@ -417,12 +445,22 @@ pub fn connect_party<A: ToSocketAddrs>(addr: A) -> Result<(PartyLink, NodeWelcom
     connect_party_with_timeout(addr, Some(DEFAULT_NODE_TIMEOUT))
 }
 
-/// [`connect_party`] with an explicit per-read timeout (`None` disables it).
+/// [`connect_party`] with an explicit timeout bounding every read and, on a
+/// sub-aggregator, every accept of a cohort leaf (`None` disables it).
 pub fn connect_party_with_timeout<A: ToSocketAddrs>(
     addr: A,
     timeout: Option<Duration>,
 ) -> Result<(PartyLink, NodeWelcome), WireError> {
-    let stream = TcpStream::connect(addr)?;
+    handshake(TcpStream::connect(addr)?, timeout)
+}
+
+/// The party's side of the handshake over an already-connected stream:
+/// Hello out, then the Welcome (or a late-join Abort) back, then this rank's
+/// place in the uplink topology.
+fn handshake(
+    stream: TcpStream,
+    timeout: Option<Duration>,
+) -> Result<(PartyLink, NodeWelcome), WireError> {
     let mut link = FrameStream::new(stream, timeout)?;
     link.send(&NodeFrame::Hello)?;
     match link.recv()? {
@@ -470,6 +508,7 @@ fn resolve_role(
     let Topology::Tree { fanout, .. } = welcome.config.topology else {
         return Ok(PartyRole::Leaf);
     };
+    check_topology(&welcome.config.topology)?;
     let ranks = welcome.assignments.len();
     let cohort_start = (rank / fanout) * fanout;
     let cohort_end = (cohort_start + fanout).min(ranks);
@@ -520,6 +559,20 @@ fn resolve_role(
                 detail: format!("expected Route, got {other:?}"),
             }),
         }
+    }
+}
+
+/// Refuses a tree topology the cohort arithmetic cannot use: a welcome's
+/// topology is decoded from a socket, and fanout 0 would divide by zero.
+fn check_topology(topology: &Topology) -> Result<(), WireError> {
+    match *topology {
+        Topology::Tree { fanout, depth } if !topology.is_valid() => Err(WireError::Protocol {
+            detail: format!(
+                "welcome carries an invalid tree topology (fanout {fanout}, depth {depth}); \
+                 a tree needs fanout >= 2 and depth in 1..=8"
+            ),
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -976,6 +1029,11 @@ mod tests {
         assert_eq!(ranks, vec![0, 1]);
         assert_eq!(links[0].range, (0, 2));
         assert_eq!(links[1].range, (2, 4));
+        // No accept watchdog dialled the listener: the late-join drain
+        // finds nothing to answer.
+        let listener = coordinator.listener.as_ref().unwrap();
+        let err = listener.accept().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock, "{err}");
     }
 
     #[test]
@@ -1134,12 +1192,11 @@ mod tests {
             link.exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
         });
         let mut coordinator = SessionLink::Coordinator(coordinator.join().unwrap());
-        // The latecomer dials once the federation is complete; the
-        // connection lands in the backlog and the next exchange drains it.
-        let late = std::thread::spawn(move || {
-            connect_party_with_timeout(addr, Some(Duration::from_secs(10)))
-        });
-        std::thread::sleep(Duration::from_millis(200));
+        // The latecomer dials once the federation is complete.  On loopback
+        // a returned `connect` is already in the accept queue, so the next
+        // exchange's drain answers it.
+        let late = TcpStream::connect(addr).unwrap();
+        let late = std::thread::spawn(move || handshake(late, Some(Duration::from_secs(10))));
         coordinator
             .exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
             .unwrap();
@@ -1233,6 +1290,131 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    /// The watchdog wakes a listener bound to an unspecified address through
+    /// the loopback address of the same family.
+    #[test]
+    fn unspecified_listeners_still_time_out() {
+        let mut binds = vec!["0.0.0.0:0"];
+        if TcpListener::bind("[::1]:0").is_ok() {
+            binds.push("[::]:0");
+        }
+        for bind in binds {
+            let server = NodeServer::bind(bind)
+                .unwrap()
+                .with_timeout(Some(Duration::from_millis(50)));
+            let err = server.accept_parties(&welcome()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    WireError::Io {
+                        kind: std::io::ErrorKind::TimedOut,
+                        ..
+                    }
+                ),
+                "{bind}: {err}"
+            );
+            assert!(
+                err.to_string().contains("rank 0 within 50ms"),
+                "{bind}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_leaf_that_never_joins_times_out_its_sub_aggregator() {
+        let server = NodeServer::bind("127.0.0.1:0")
+            .unwrap()
+            .with_timeout(Some(Duration::from_secs(10)));
+        let addr = server.local_addr().unwrap();
+        let tree_welcome = NodeWelcome {
+            config: ProtocolConfig {
+                topology: Topology::Tree {
+                    fanout: 2,
+                    depth: 1,
+                },
+                ..ProtocolConfig::test_default()
+            },
+            scenario: ScenarioPlan::benign(),
+            parallelism: 1,
+            assignments: vec![(0, 1), (1, 2)],
+            app: Vec::new(),
+        };
+        let coordinator = std::thread::spawn(move || server.accept_parties(&tree_welcome));
+        // Ranks follow dial order: the real party dials first and becomes
+        // rank 0, the cohort's sub-aggregator; rank 1 greets the coordinator
+        // but never dials the cohort socket it is routed to.
+        let sub_aggregator = TcpStream::connect(addr).unwrap();
+        let mut leaf = TcpStream::connect(addr).unwrap();
+        write_frame(&mut leaf, &NodeFrame::Hello).unwrap();
+        let sub_aggregator =
+            std::thread::spawn(move || handshake(sub_aggregator, Some(Duration::from_millis(250))));
+        coordinator.join().unwrap().unwrap();
+        let err = sub_aggregator.join().unwrap().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WireError::Io {
+                    kind: std::io::ErrorKind::TimedOut,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("a leaf did not join"), "{err}");
+    }
+
+    /// A welcome is decoded from a socket, so a tree with fanout 0 must be
+    /// a typed error on both sides, never a division by zero.  One rank: a
+    /// coordinator without the check goes from its one Welcome straight to
+    /// the cohort split.
+    fn zero_fanout_welcome() -> NodeWelcome {
+        let mut welcome = welcome();
+        welcome.config.topology = Topology::Tree {
+            fanout: 0,
+            depth: 1,
+        };
+        welcome.assignments = vec![(0, 4)];
+        welcome
+    }
+
+    #[test]
+    fn a_zero_fanout_welcome_is_refused_before_any_party_is_accepted() {
+        let server = NodeServer::bind("127.0.0.1:0")
+            .unwrap()
+            .with_timeout(Some(Duration::from_secs(10)));
+        let addr = server.local_addr().unwrap();
+        let party = std::thread::spawn(move || {
+            connect_party_with_timeout(addr, Some(Duration::from_secs(10)))
+        });
+        let err = server.accept_parties(&zero_fanout_welcome()).unwrap_err();
+        assert!(matches!(err, WireError::Protocol { .. }), "{err}");
+        assert!(err.to_string().contains("fanout 0"), "{err}");
+        // The listener went with the refused handshake: the party's dial is
+        // refused or reset, never welcomed.
+        party.join().unwrap().unwrap_err();
+    }
+
+    #[test]
+    fn a_zero_fanout_welcome_is_refused_by_the_party() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let coordinator = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut peer = FrameStream::new(stream, Some(Duration::from_secs(10))).unwrap();
+            assert_eq!(peer.recv().unwrap(), NodeFrame::Hello);
+            peer.send(&NodeFrame::Welcome {
+                rank: 0,
+                welcome: zero_fanout_welcome(),
+            })
+            .unwrap();
+            peer
+        });
+        let err = connect_party_with_timeout(addr, Some(Duration::from_secs(10))).unwrap_err();
+        assert!(matches!(err, WireError::Protocol { .. }), "{err}");
+        assert!(err.to_string().contains("fanout 0"), "{err}");
+        coordinator.join().unwrap();
     }
 
     #[test]

@@ -261,6 +261,10 @@ struct WorkerCounts {
     /// ever were — the measured side of the `parallelism` cap.
     busy: AtomicUsize,
     peak_busy: AtomicUsize,
+    /// Tokens ever taken: a count tests can assert exactly, where
+    /// `peak_busy` depends on whether helpers happened to overlap.
+    #[cfg(test)]
+    lent: AtomicUsize,
 }
 
 /// Marks the current thread as doing party or level work until dropped.
@@ -314,6 +318,8 @@ impl IdleWorkers {
                 .idle
                 .compare_exchange(idle, idle - take, Ordering::Relaxed, Ordering::Relaxed);
         if swapped.is_ok() {
+            #[cfg(test)]
+            counts.lent.fetch_add(take, Ordering::Relaxed);
             take
         } else {
             0
@@ -1533,10 +1539,15 @@ mod tests {
     }
 
     /// Runs a skewed three-party federation (80 % / 10 % / 10 %) for two
-    /// rounds plus one failing round; returns the collections and the
-    /// session's thread high-water mark.  The big party's OLH levels are
-    /// 40 000 × 65 slots ≈ 2.7 ms of kernel work — worth five parts.
-    fn run_skewed(fo_exec: crate::FoExec, parallelism: usize) -> (Vec<RoundCollection>, usize) {
+    /// rounds, one solo round of the big party and one failing round;
+    /// returns the collections, the session's thread high-water mark and
+    /// the helper tokens the solo round's levels took.  The big party's OLH
+    /// levels are 40 000 × 65 slots ≈ 2.7 ms of kernel work — worth five
+    /// parts.
+    fn run_skewed(
+        fo_exec: crate::FoExec,
+        parallelism: usize,
+    ) -> (Vec<RoundCollection>, usize, usize) {
         let estimator = crate::LevelEstimator::new(crate::ProtocolConfig {
             fo: fedhh_fo::FoKind::Olh,
             fo_exec,
@@ -1571,11 +1582,17 @@ mod tests {
             assert_eq!(session.idle_workers().available(), 0, "idle between rounds");
         }
         // A solo round leaves every other worker idle from the start.
+        let lent = |session: &Session| {
+            let counts = session.idle_workers().0.as_ref().expect("attached");
+            counts.lent.load(Ordering::Relaxed)
+        };
+        let lent_before_solo = lent(&session);
         rounds.push(
             session
                 .run_solo_round(0, &mut drivers[0], &start(2))
                 .unwrap(),
         );
+        let solo_lent = lent(&session) - lent_before_solo;
         assert_eq!(
             session.idle_workers().available(),
             0,
@@ -1590,36 +1607,41 @@ mod tests {
             0,
             "idle after a failed round"
         );
-        (rounds, session.idle_workers().peak_busy())
+        (rounds, session.idle_workers().peak_busy(), solo_lent)
     }
 
     #[test]
     fn idle_workers_split_levels_without_exceeding_parallelism_or_moving_a_bit() {
-        let (sequential, peak) = run_skewed(crate::FoExec::Vectorized, 1);
+        let (sequential, peak, solo_lent) = run_skewed(crate::FoExec::Vectorized, 1);
         assert_eq!(peak, 1, "parallelism 1 never spawns a thread");
+        assert_eq!(solo_lent, 0, "parallelism 1 has no idle worker");
         for parallelism in [2usize, 3, 8] {
-            let (rounds, peak) = run_skewed(crate::FoExec::Vectorized, parallelism);
+            let (rounds, peak, solo_lent) = run_skewed(crate::FoExec::Vectorized, parallelism);
             assert_eq!(rounds, sequential, "parallelism {parallelism}");
             assert!(
                 peak <= parallelism,
                 "parallelism {parallelism}: {peak} threads worked at once"
             );
-            // The solo round alone guarantees helpers: nothing competes for
-            // its `parallelism - 1` idle workers.
-            assert!(
-                peak >= parallelism.min(5),
-                "parallelism {parallelism}: the big party's levels are worth five \
-                 parts, but at most {peak} threads worked at once"
+            // Whether helpers overlap in time is up to the scheduler; what
+            // the solo round's levels take is not, because nothing competes
+            // for its `parallelism - 1` idle workers: each of the three
+            // levels is worth five parts, so it takes four helpers or every
+            // idle worker, whichever is fewer.
+            assert_eq!(
+                solo_lent,
+                3 * (parallelism.min(5) - 1),
+                "parallelism {parallelism}: helper tokens of the solo round"
             );
         }
     }
 
     #[test]
     fn scalar_levels_are_never_split() {
-        let (sequential, _) = run_skewed(crate::FoExec::Scalar, 1);
+        let (sequential, _, _) = run_skewed(crate::FoExec::Scalar, 1);
         for parallelism in [2usize, 8] {
-            let (rounds, peak) = run_skewed(crate::FoExec::Scalar, parallelism);
+            let (rounds, peak, solo_lent) = run_skewed(crate::FoExec::Scalar, parallelism);
             assert_eq!(rounds, sequential, "parallelism {parallelism}");
+            assert_eq!(solo_lent, 0, "parallelism {parallelism}");
             // Idle workers were there for the taking (5 of 8, and all but
             // one in the solo round); the high-water mark is party threads.
             assert!(

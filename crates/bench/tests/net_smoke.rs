@@ -134,6 +134,14 @@ fn four_process_taps_matches_the_in_memory_engine() {
 }
 
 #[test]
+fn four_process_gtf_under_stragglers_matches_the_in_memory_engine() {
+    // GTF's server filter depends on report order, so the coordinator's
+    // straggler permutation must reorder exactly as the in-memory engine.
+    let lines = run_distributed("gtf", &["--stragglers"]);
+    assert_bit_identical("GTF+stragglers", &lines);
+}
+
+#[test]
 fn distributed_runs_survive_engine_parallelism_and_dropout() {
     // Each party process runs its local drivers on 2 workers while half the
     // parties drop out; the coordinator still matches the in-memory engine

@@ -7,7 +7,6 @@
 //! harness can print the same columns.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 /// Accumulated traffic statistics for one run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -82,15 +81,6 @@ impl CommTracker {
     }
 }
 
-/// A tracker that can be shared across worker threads in the benchmark
-/// harness (parties are simulated in parallel for the baselines).
-pub type SharedCommTracker = Arc<Mutex<CommTracker>>;
-
-/// Creates a new shared tracker.
-pub fn shared_tracker() -> SharedCommTracker {
-    Arc::new(Mutex::new(CommTracker::new()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,22 +112,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.uplink_of("x"), 12);
         assert_eq!(a.total_downlink_bits(), 3);
-    }
-
-    #[test]
-    fn shared_tracker_is_thread_safe() {
-        let tracker = shared_tracker();
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let tracker = Arc::clone(&tracker);
-                std::thread::spawn(move || {
-                    tracker.lock().unwrap().record_uplink(&format!("p{i}"), 10);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(tracker.lock().unwrap().total_uplink_bits(), 40);
     }
 }

@@ -107,7 +107,7 @@ pub mod transport;
 pub mod wire;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
-pub use comm::{shared_tracker, CommTracker, SharedCommTracker};
+pub use comm::CommTracker;
 pub use config::{ExecMode, FoExec, ProtocolConfig};
 pub use epoch::{
     BudgetLedger, EpochConfig, EpochExecutor, EpochOutput, EpochRecord, EpochRunner, EpochState,

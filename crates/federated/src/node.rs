@@ -6,65 +6,55 @@
 //! engine round, a process runs the drivers of the parties it owns, ships
 //! their uploads and events to the coordinator in one `RoundDone` frame,
 //! and blocks until the coordinator broadcasts the assembled
-//! [`RoundCollection`] back.  Because every process then aggregates the
-//! identical collection, all server-side state (broadcast candidates,
-//! pruning hand-overs, final rankings) evolves identically everywhere —
-//! which is what makes a 4-process run bit-identical to the in-memory
-//! engine at the same seed.
-//!
-//! The wire protocol is tiny and lockstep:
+//! [`RoundCollection`] back.  Every process then aggregates the identical
+//! collection, which is what makes a 4-process run bit-identical to the
+//! in-memory engine at the same seed.
 //!
 //! ```text
-//! party → coordinator   Hello                       (once, on connect)
-//! coordinator → party   Welcome { rank, welcome }   (config + partition)
-//! party → coordinator   RoundDone { round, ... }    (each engine round)
-//! coordinator → party   Collection { ... } | Abort  (each engine round)
+//! party → coordinator   Hello                           (once, on connect)
+//! coordinator → party   Welcome { rank, welcome }       (config + partition)
+//! subagg → coordinator  AggregatorReady { rank, addr }  (tree: cohort socket)
+//! coordinator → leaf    Route { addr }                  (tree: where to uplink)
+//! leaf → subagg         JoinCohort { rank }             (tree: once, on connect)
+//! party → uplink        RoundDone { round, ... }        (each engine round)
+//! coordinator → party   Collection { ... } | Abort      (each engine round)
 //! ```
 //!
-//! ## The aggregation tree over ranks
+//! Under a tree [`ProtocolConfig::topology`] of fanout `f`, ranks form
+//! cohorts of `f` consecutive ranks; the first rank of each multi-rank
+//! cohort is its **sub-aggregator**, folds its leaves' `RoundDone` frames
+//! and forwards one merged frame (a lossless
+//! [`crate::message::MergedSupports`]), so the coordinator reads O(cohorts)
+//! round frames.  The downlink stays a star, and the broadcast collection
+//! is flattened first, so a tree run is bit-identical to the flat star.
 //!
-//! When the welcome's [`ProtocolConfig::topology`] is
-//! [`Topology::Tree`]`{ fanout, .. }`, ranks are grouped into cohorts of
-//! `fanout` consecutive ranks and the *uplink* becomes two-level: the first
-//! rank of each multi-rank cohort plays **sub-aggregator**, the other
-//! cohort members ship their `RoundDone` frames to it, and it forwards one
-//! merged frame (reports coalesced into a lossless
-//! [`crate::message::MergedSupports`]) to the coordinator — which therefore
-//! receives O(cohorts) round frames instead of O(ranks).  Three handshake
-//! frames establish the edges after the Welcome:
+//! Every decision about frames — which frame may come next, what to send,
+//! when a round closes, whom an Abort names — lives in the socket-free
+//! `protocol` core, which closes rounds through the in-memory session's
+//! assembly.  This module is its blocking socket driver, the only node code
+//! that binds, accepts, connects, reads or writes; a read timeout reaches
+//! the core as a missed deadline.  Tests also drive the core through a
+//! seeded simulator (`sim`).
 //!
-//! ```text
-//! subagg → coordinator  AggregatorReady { rank, addr }  (its cohort socket)
-//! coordinator → leaf    Route { addr }                  (where to uplink)
-//! leaf → subagg         JoinCohort { rank }             (once, on connect)
-//! ```
-//!
-//! The *downlink* stays a star: the coordinator broadcasts the assembled
-//! `Collection` to every rank directly, and the collection is flattened
-//! (merged frames unpacked, canonical order restored) before broadcast, so
-//! a tree run stays bit-identical to the flat star and to the in-memory
-//! engine at the same seed.  The node plane always uses depth 1 over ranks
-//! regardless of the configured in-memory depth — interior levels beyond
-//! the first change which process folds bytes, never the bytes themselves.
-//!
-//! A party process that connects *after* the federation is complete (every
-//! rank accepted and a round already closed) is not left hanging on an
-//! unread socket: the coordinator drains late joiners each round and
-//! answers with a typed `Abort` naming the closed round.
-//!
-//! All frames travel in the `fedhh-wire` format (schema byte + CRC), so an
-//! incompatible or corrupt peer fails with a typed [`WireError`] folded
-//! into [`crate::ProtocolError::Transport`].
+//! A rank that closes, misses a deadline or breaks the protocol during a
+//! round is a failure of its first party, and every survivor receives one
+//! typed `Abort` naming it; a party process that dials a full federation
+//! gets one naming the closed round.  Frames travel in the `fedhh-wire`
+//! format (schema byte + CRC), so a corrupt peer fails with a typed
+//! [`WireError`] folded into [`crate::ProtocolError::Transport`].
+
+pub(crate) mod protocol;
+#[cfg(test)]
+mod sim;
 
 use crate::fault::FaultPlan;
-use crate::message::{MergedSupports, RoundMessage, RoundPayload};
+use crate::message::RoundMessage;
 use crate::scenario::ScenarioPlan;
 use crate::session::{PartyEvent, RoundCollection};
-use crate::topology::Topology;
-use crate::transport::canonical_sort;
 use crate::ProtocolConfig;
-use fedhh_wire::{read_frame, write_frame, Decode, Encode, Reader, WireError};
-use std::io::BufReader;
+use fedhh_wire::{read_frame, write_frame, WireError};
+use protocol::{late_join, Action, Event, Input, Node, NodeFrame, Peer, Share, Wait};
+use std::io::{BufReader, ErrorKind};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
@@ -90,144 +80,8 @@ pub struct NodeWelcome {
     pub app: Vec<u8>,
 }
 
-impl Encode for NodeWelcome {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.config.encode(out);
-        self.scenario.encode(out);
-        self.parallelism.encode(out);
-        self.assignments.encode(out);
-        self.app.len().encode(out);
-        out.extend_from_slice(&self.app);
-    }
-}
-
-impl Decode for NodeWelcome {
-    fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NodeWelcome {
-            config: ProtocolConfig::decode(reader)?,
-            scenario: ScenarioPlan::decode(reader)?,
-            parallelism: usize::decode(reader)?,
-            assignments: Vec::decode(reader)?,
-            app: {
-                let len = usize::decode(reader)?;
-                reader.take_bytes(len)?.to_vec()
-            },
-        })
-    }
-}
-
-/// One frame on a node control connection.
-#[derive(Debug, Clone, PartialEq)]
-enum NodeFrame {
-    /// Party → coordinator greeting.
-    Hello,
-    /// Coordinator → party: your rank plus the run description.
-    Welcome { rank: usize, welcome: NodeWelcome },
-    /// Party → coordinator: this process's share of one engine round.
-    RoundDone {
-        round: u32,
-        messages: Vec<RoundMessage>,
-        events: Vec<(usize, Vec<PartyEvent>)>,
-        /// `(party index, error text)` when a local driver failed.
-        failure: Option<(usize, String)>,
-    },
-    /// Coordinator → party: the assembled round.
-    Collection(RoundCollection),
-    /// Coordinator → party: the run is over because some party failed.
-    Abort { detail: String },
-    /// Sub-aggregator → coordinator: the cohort socket is bound and
-    /// accepting; route my cohort's leaves to `addr`.
-    AggregatorReady { rank: usize, addr: String },
-    /// Coordinator → leaf: uplink your `RoundDone` frames to `addr`
-    /// (your cohort's sub-aggregator) instead of here.
-    Route { addr: String },
-    /// Leaf → sub-aggregator: greeting on the cohort connection.
-    JoinCohort { rank: usize },
-}
-
-impl Encode for NodeFrame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            NodeFrame::Hello => out.push(0),
-            NodeFrame::Welcome { rank, welcome } => {
-                out.push(1);
-                rank.encode(out);
-                welcome.encode(out);
-            }
-            NodeFrame::RoundDone {
-                round,
-                messages,
-                events,
-                failure,
-            } => {
-                out.push(2);
-                round.encode(out);
-                messages.encode(out);
-                events.encode(out);
-                failure.encode(out);
-            }
-            NodeFrame::Collection(collection) => {
-                out.push(3);
-                collection.encode(out);
-            }
-            NodeFrame::Abort { detail } => {
-                out.push(4);
-                detail.encode(out);
-            }
-            NodeFrame::AggregatorReady { rank, addr } => {
-                out.push(5);
-                rank.encode(out);
-                addr.encode(out);
-            }
-            NodeFrame::Route { addr } => {
-                out.push(6);
-                addr.encode(out);
-            }
-            NodeFrame::JoinCohort { rank } => {
-                out.push(7);
-                rank.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for NodeFrame {
-    fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        match reader.take_u8()? {
-            0 => Ok(NodeFrame::Hello),
-            1 => Ok(NodeFrame::Welcome {
-                rank: usize::decode(reader)?,
-                welcome: NodeWelcome::decode(reader)?,
-            }),
-            2 => Ok(NodeFrame::RoundDone {
-                round: u32::decode(reader)?,
-                messages: Vec::decode(reader)?,
-                events: Vec::decode(reader)?,
-                failure: Option::decode(reader)?,
-            }),
-            3 => Ok(NodeFrame::Collection(RoundCollection::decode(reader)?)),
-            4 => Ok(NodeFrame::Abort {
-                detail: String::decode(reader)?,
-            }),
-            5 => Ok(NodeFrame::AggregatorReady {
-                rank: usize::decode(reader)?,
-                addr: String::decode(reader)?,
-            }),
-            6 => Ok(NodeFrame::Route {
-                addr: String::decode(reader)?,
-            }),
-            7 => Ok(NodeFrame::JoinCohort {
-                rank: usize::decode(reader)?,
-            }),
-            other => Err(WireError::InvalidValue {
-                what: "node frame tag",
-                value: other as u64,
-            }),
-        }
-    }
-}
-
 /// A framed, buffered TCP connection to one peer.
+#[derive(Debug)]
 struct FrameStream {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -259,9 +113,91 @@ impl FrameStream {
     }
 }
 
-impl std::fmt::Debug for FrameStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrameStream").finish_non_exhaustive()
+/// One process's connections, each under the name its core gives the peer,
+/// and the timeout that bounds its accepts and the reads of new streams.
+#[derive(Debug, Default)]
+struct Sockets(Vec<(Peer, FrameStream)>, Option<Duration>);
+
+impl Sockets {
+    fn get(&mut self, peer: Peer) -> Result<&mut FrameStream, WireError> {
+        let found = self.0.iter_mut().find(|(p, _)| *p == peer);
+        let closed = || std::io::Error::from(ErrorKind::NotConnected).into();
+        found.map(|(_, stream)| stream).ok_or_else(closed)
+    }
+
+    /// Reads `peer`'s next frame for the core: a read timeout is a missed
+    /// deadline, any other failure a closed peer.
+    fn read(&mut self, peer: Peer) -> Event {
+        let input = match self.get(peer).and_then(FrameStream::recv) {
+            Ok(frame) => Input::Frame(frame),
+            Err(WireError::Io {
+                kind: ErrorKind::WouldBlock | ErrorKind::TimedOut,
+                ..
+            }) => Input::Deadline,
+            Err(err) => Input::Closed(err),
+        };
+        Event::Peer(peer, input)
+    }
+}
+
+/// Runs one process's core over its sockets — performs its actions, blocks
+/// on what it waits for, feeds that back — until it delivers a collection
+/// (`Some`), waits for the next round (`None`) or aborts (the error).
+/// `Wait::Accept` accepts on `listener`, where a sub-aggregator binds its
+/// cohort socket.
+fn drive(
+    node: &mut Node,
+    sockets: &mut Sockets,
+    listener: &mut Option<TcpListener>,
+    mut actions: Vec<Action>,
+) -> Result<Option<RoundCollection>, WireError> {
+    let timeout = sockets.1;
+    loop {
+        for action in actions {
+            match action {
+                Action::Send(peer, frame) => sockets.get(peer)?.send(&frame)?,
+                // A rank that cannot be written is gone, and its next read
+                // folds it as a disconnect.
+                Action::Broadcast(payload) => {
+                    for (_, stream) in &mut sockets.0 {
+                        let _ = stream.send_bytes(&payload);
+                    }
+                }
+                Action::Close(peer) => sockets.0.retain(|(p, _)| *p != peer),
+                Action::Dial(addr) => {
+                    let stream = FrameStream::new(TcpStream::connect(addr)?, timeout)?;
+                    sockets.0.push((Peer::SubAggregator, stream));
+                }
+                Action::Deliver(collection) => return Ok(Some(collection)),
+                Action::Abort(err) => return Err(err),
+            }
+        }
+        let event = match node.wait() {
+            Wait::Read(peer) => sockets.read(peer),
+            Wait::Accept(peer) => {
+                let describe = |timeout| match (node.joined(), peer) {
+                    (None, Peer::Accepted(rank)) => {
+                        format!("no party process connected for rank {rank} within {timeout:?}")
+                    }
+                    (joined, _) => format!(
+                        "cohort of rank {}: a leaf did not join within {timeout:?}",
+                        joined.map_or(0, |(rank, _)| rank)
+                    ),
+                };
+                let bound = listener.as_ref().expect("a node accepts on a bound socket");
+                let stream = accept_with_timeout(bound, timeout, &describe)?;
+                sockets.0.push((peer, FrameStream::new(stream, timeout)?));
+                sockets.read(peer)
+            }
+            Wait::Listen => {
+                let bound = TcpListener::bind("127.0.0.1:0")?;
+                let addr = bound.local_addr()?.to_string();
+                *listener = Some(bound);
+                Event::Listening(addr)
+            }
+            Wait::Local => return Ok(None),
+        };
+        actions = node.step(event);
     }
 }
 
@@ -300,96 +236,42 @@ impl NodeServer {
     }
 
     /// Accepts one party process per entry in `welcome.assignments`,
-    /// performing the Hello/Welcome handshake with each, and returns the
-    /// coordinator's side of the links.  Ranks are assigned in accept
-    /// order; the partition itself is part of the welcome, so which OS
-    /// process ends up with which rank never affects results.
+    /// performing the handshake with each (and, under a tree topology,
+    /// routing each cohort's leaves to its sub-aggregator), and returns the
+    /// coordinator's side of the links.  Ranks follow accept order; the
+    /// partition is part of the welcome, so which OS process gets which rank
+    /// never affects results.  The listener stays on the link, non-blocking,
+    /// to answer late joiners with a typed `Abort` each round.
     ///
-    /// When the welcome's config carries a tree topology, the handshake
-    /// continues past the Welcomes: each multi-rank cohort's first rank
-    /// reports its cohort socket with `AggregatorReady`, and the
-    /// coordinator routes the cohort's other ranks to it with `Route`.
-    /// The listener is kept (non-blocking) on the returned link so late
-    /// joiners can be drained with a typed `Abort` each round instead of
-    /// hanging on an unread socket.
-    ///
-    /// Each accept blocks until a party process dials, bounded by the
-    /// server's timeout (see [`NodeServer::with_timeout`]): a party process
-    /// that never connects fails the handshake with a timeout error instead
-    /// of hanging the coordinator forever.  A welcome whose tree topology is
-    /// malformed (see [`Topology::is_valid`]) is refused before any party is
-    /// accepted.
+    /// Each accept is bounded by the server's timeout (see
+    /// [`NodeServer::with_timeout`]), so a party process that never dials
+    /// fails the handshake instead of hanging it.  A welcome whose tree
+    /// topology is malformed (see [`crate::Topology::is_valid`]) is refused
+    /// before any party is accepted.
     pub fn accept_parties(self, welcome: &NodeWelcome) -> Result<CoordinatorLink, WireError> {
-        check_topology(&welcome.config.topology)?;
-        let ranks = welcome.assignments.len();
-        let mut peers = Vec::with_capacity(ranks);
-        for rank in 0..ranks {
-            let stream = accept_with_timeout(&self.listener, self.timeout, &|timeout| {
-                format!("no party process connected for rank {rank} within {timeout:?}")
-            })?;
-            let mut peer = FrameStream::new(stream, self.timeout)?;
-            match peer.recv()? {
-                NodeFrame::Hello => {}
-                other => {
-                    return Err(WireError::Protocol {
-                        detail: format!("expected Hello from rank {rank}, got {other:?}"),
-                    })
-                }
-            }
-            peer.send(&NodeFrame::Welcome {
-                rank,
-                welcome: welcome.clone(),
-            })?;
-            peers.push(peer);
-        }
-        // Tree uplink handshake: collect each multi-rank cohort's
-        // sub-aggregator socket, then route its leaves there.  Singleton
-        // cohorts keep their direct uplink.
-        let mut uplink_source = vec![true; ranks];
-        if let Topology::Tree { fanout, .. } = welcome.config.topology {
-            for cohort_start in (0..ranks).step_by(fanout) {
-                let cohort_end = (cohort_start + fanout).min(ranks);
-                if cohort_end - cohort_start < 2 {
-                    continue;
-                }
-                let addr = match peers[cohort_start].recv()? {
-                    NodeFrame::AggregatorReady { rank, addr } if rank == cohort_start => addr,
-                    other => {
-                        return Err(WireError::Protocol {
-                            detail: format!(
-                                "expected AggregatorReady from rank {cohort_start}, got {other:?}"
-                            ),
-                        })
-                    }
-                };
-                for rank in cohort_start + 1..cohort_end {
-                    peers[rank].send(&NodeFrame::Route { addr: addr.clone() })?;
-                    uplink_source[rank] = false;
-                }
-            }
-        }
+        let (mut node, actions) = Node::coordinator(welcome.clone());
+        let mut sockets = Sockets(Vec::new(), self.timeout);
+        let mut listener = Some(self.listener);
+        drive(&mut node, &mut sockets, &mut listener, actions)?;
         // Keep the listener for the per-round late-join drain.
-        self.listener.set_nonblocking(true)?;
+        if let Some(listener) = &listener {
+            listener.set_nonblocking(true)?;
+        }
         Ok(CoordinatorLink {
-            peers,
+            node,
+            sockets,
             assignments: welcome.assignments.clone(),
-            uplink_source,
-            listener: Some(self.listener),
+            listener,
         })
     }
 }
 
 /// Accepts one connection on a blocking listener, bounded by `timeout`
-/// (`None` waits forever).
-///
-/// The accept blocks, so a peer is accepted the moment it dials.  `accept`
-/// has no native deadline, so a scoped watchdog thread supplies one: an
-/// accept that returns first dismisses it, and it exits untouched; a
-/// watchdog whose `timeout` expires first marks the accept expired and
-/// dials the listener itself to wake it.  An expired accept fails with a
-/// `TimedOut` error worded by `describe`, whatever connection woke it; the
-/// caller then drops the listener with the failed handshake, so the wake
-/// connection is never answered.
+/// (`None` waits forever).  `accept` has no deadline of its own, so a scoped
+/// watchdog supplies one: an accept that returns first dismisses it; a
+/// watchdog that expires first dials the listener to wake the accept, which
+/// then fails with a `TimedOut` error worded by `describe` (the caller drops
+/// the listener with the failed handshake, so the wake is never answered).
 fn accept_with_timeout(
     listener: &TcpListener,
     timeout: Option<Duration>,
@@ -418,7 +300,7 @@ fn accept_with_timeout(
     });
     if expired {
         return Err(WireError::Io {
-            kind: std::io::ErrorKind::TimedOut,
+            kind: ErrorKind::TimedOut,
             detail: describe(timeout),
         });
     }
@@ -461,131 +343,29 @@ fn handshake(
     stream: TcpStream,
     timeout: Option<Duration>,
 ) -> Result<(PartyLink, NodeWelcome), WireError> {
-    let mut link = FrameStream::new(stream, timeout)?;
-    link.send(&NodeFrame::Hello)?;
-    match link.recv()? {
-        NodeFrame::Welcome { rank, welcome } => {
-            let range = *welcome
-                .assignments
-                .get(rank)
-                .ok_or_else(|| WireError::Protocol {
-                    detail: format!(
-                        "welcome assigns {} ranges but this process got rank {rank}",
-                        welcome.assignments.len()
-                    ),
-                })?;
-            let role = resolve_role(&mut link, rank, &welcome, timeout)?;
-            Ok((
-                PartyLink {
-                    stream: link,
-                    rank,
-                    range,
-                    role,
-                },
-                welcome,
-            ))
-        }
-        // A coordinator whose federation is already complete answers a late
-        // Hello with a typed Abort naming the closed round.
-        NodeFrame::Abort { detail } => Err(WireError::Remote { detail }),
-        other => Err(WireError::Protocol {
-            detail: format!("expected Welcome, got {other:?}"),
-        }),
-    }
-}
-
-/// Resolves this rank's place in the uplink topology after the Welcome:
-/// the first rank of a multi-rank cohort binds the cohort socket, reports
-/// it with `AggregatorReady` and accepts its leaves' `JoinCohort`s; the
-/// other cohort ranks wait for their `Route` and dial it.  Flat runs and
-/// singleton cohorts keep the direct star uplink.
-fn resolve_role(
-    link: &mut FrameStream,
-    rank: usize,
-    welcome: &NodeWelcome,
-    timeout: Option<Duration>,
-) -> Result<PartyRole, WireError> {
-    let Topology::Tree { fanout, .. } = welcome.config.topology else {
-        return Ok(PartyRole::Leaf);
+    let stream = FrameStream::new(stream, timeout)?;
+    let mut sockets = Sockets(vec![(Peer::Coordinator, stream)], timeout);
+    let (mut node, actions) = Node::party();
+    // A sub-aggregator's cohort socket lives until its leaves have joined.
+    drive(&mut node, &mut sockets, &mut None, actions)?;
+    let (rank, welcome) = node.joined().expect("a finished handshake was welcomed");
+    let (range, welcome) = (welcome.assignments[rank], welcome.clone());
+    let link = PartyLink {
+        node,
+        sockets,
+        rank,
+        range,
     };
-    check_topology(&welcome.config.topology)?;
-    let ranks = welcome.assignments.len();
-    let cohort_start = (rank / fanout) * fanout;
-    let cohort_end = (cohort_start + fanout).min(ranks);
-    if cohort_end - cohort_start < 2 {
-        return Ok(PartyRole::Leaf);
-    }
-    if rank == cohort_start {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        link.send(&NodeFrame::AggregatorReady {
-            rank,
-            addr: listener.local_addr()?.to_string(),
-        })?;
-        let mut cohort = Vec::with_capacity(cohort_end - cohort_start - 1);
-        for _ in cohort_start + 1..cohort_end {
-            let stream = accept_with_timeout(&listener, timeout, &|timeout| {
-                format!("cohort of rank {rank}: a leaf did not join within {timeout:?}")
-            })?;
-            let mut peer = FrameStream::new(stream, timeout)?;
-            match peer.recv()? {
-                NodeFrame::JoinCohort { rank: leaf_rank } => {
-                    let first_party = welcome
-                        .assignments
-                        .get(leaf_rank)
-                        .map_or(leaf_rank, |range| range.0);
-                    cohort.push((leaf_rank, first_party, peer));
-                }
-                other => {
-                    return Err(WireError::Protocol {
-                        detail: format!("expected JoinCohort, got {other:?}"),
-                    })
-                }
-            }
-        }
-        // Join order is racy (leaves dial concurrently); fold in rank order
-        // so the merged frame is a pure function of the plan.
-        cohort.sort_by_key(|(leaf_rank, _, _)| *leaf_rank);
-        Ok(PartyRole::SubAggregator { cohort })
-    } else {
-        match link.recv()? {
-            NodeFrame::Route { addr } => {
-                let stream = TcpStream::connect(addr)?;
-                let mut uplink = FrameStream::new(stream, timeout)?;
-                uplink.send(&NodeFrame::JoinCohort { rank })?;
-                Ok(PartyRole::CohortLeaf { uplink })
-            }
-            NodeFrame::Abort { detail } => Err(WireError::Remote { detail }),
-            other => Err(WireError::Protocol {
-                detail: format!("expected Route, got {other:?}"),
-            }),
-        }
-    }
-}
-
-/// Refuses a tree topology the cohort arithmetic cannot use: a welcome's
-/// topology is decoded from a socket, and fanout 0 would divide by zero.
-fn check_topology(topology: &Topology) -> Result<(), WireError> {
-    match *topology {
-        Topology::Tree { fanout, depth } if !topology.is_valid() => Err(WireError::Protocol {
-            detail: format!(
-                "welcome carries an invalid tree topology (fanout {fanout}, depth {depth}); \
-                 a tree needs fanout >= 2 and depth in 1..=8"
-            ),
-        }),
-        _ => Ok(()),
-    }
+    Ok((link, welcome))
 }
 
 /// The coordinator's side of a distributed session: one connection per
 /// party process plus the agreed partition.
 #[derive(Debug)]
 pub struct CoordinatorLink {
-    peers: Vec<FrameStream>,
+    node: Node,
+    sockets: Sockets,
     assignments: Vec<(usize, usize)>,
-    /// `uplink_source[rank]` — whether this rank sends `RoundDone` frames
-    /// directly to the coordinator (sub-aggregators and singleton cohorts)
-    /// or through its cohort's sub-aggregator (tree leaves).
-    uplink_source: Vec<bool>,
     /// The (non-blocking) accept socket, kept to drain late joiners with a
     /// typed `Abort` each round.
     listener: Option<TcpListener>,
@@ -596,32 +376,18 @@ impl CoordinatorLink {
     /// sub-aggregator or singleton cohort under a tree topology, one per
     /// rank under the flat star.
     pub fn round_frames(&self) -> usize {
-        self.uplink_source.iter().filter(|s| **s).count()
+        self.node.round_frames()
     }
-}
-
-/// A party process's place in the uplink topology (see [`resolve_role`]).
-#[derive(Debug)]
-enum PartyRole {
-    /// Flat star or singleton cohort: `RoundDone` goes straight upstream.
-    Leaf,
-    /// Tree leaf: `RoundDone` goes to the cohort's sub-aggregator.
-    CohortLeaf { uplink: FrameStream },
-    /// Sub-aggregator: folds its cohort's `(rank, first party, stream)`
-    /// connections into one merged frame per round.
-    SubAggregator {
-        cohort: Vec<(usize, usize, FrameStream)>,
-    },
 }
 
 /// A party process's side of a distributed session.
 #[derive(Debug)]
 pub struct PartyLink {
-    stream: FrameStream,
+    node: Node,
+    sockets: Sockets,
     /// This process's rank (its index in the welcome's assignments).
     pub rank: usize,
     range: (usize, usize),
-    role: PartyRole,
 }
 
 /// The session's handle on a distributed run: either the coordinator's
@@ -646,62 +412,34 @@ impl SessionLink {
         }
     }
 
-    /// Validates the link's partition against the session's party count:
-    /// ranges must tile `0..party_count` contiguously.
+    /// Validates the link's partition against the session's party count
+    /// (the core already checked that the welcome's ranges tile `0..n`): the
+    /// coordinator's must cover exactly the dataset's parties, a party's
+    /// range must lie inside them.
     pub(crate) fn validate(&self, party_count: usize) -> Result<(), WireError> {
-        let assignments: &[(usize, usize)] = match self {
-            SessionLink::Coordinator(link) => &link.assignments,
-            SessionLink::Party(party) => std::slice::from_ref(&party.range),
+        let (end, fits) = match self {
+            SessionLink::Coordinator(link) => {
+                let end = link.assignments.last().map_or(0, |range| range.1);
+                (end, end == party_count)
+            }
+            SessionLink::Party(party) => (party.range.1, party.range.1 <= party_count),
         };
-        match self {
-            SessionLink::Coordinator(_) => {
-                let mut expected = 0usize;
-                for &(start, end) in assignments {
-                    if start != expected || end < start {
-                        return Err(WireError::Protocol {
-                            detail: format!(
-                                "party assignments must tile 0..{party_count} contiguously, \
-                                 found range {start}..{end} where {expected} was expected"
-                            ),
-                        });
-                    }
-                    expected = end;
-                }
-                if expected != party_count {
-                    return Err(WireError::Protocol {
-                        detail: format!(
-                            "party assignments cover 0..{expected} but the dataset has \
-                             {party_count} parties"
-                        ),
-                    });
-                }
-                Ok(())
-            }
-            SessionLink::Party(party) => {
-                let (start, end) = party.range;
-                if start > end || end > party_count {
-                    return Err(WireError::Protocol {
-                        detail: format!(
-                            "assigned range {start}..{end} exceeds the dataset's \
-                             {party_count} parties"
-                        ),
-                    });
-                }
-                Ok(())
-            }
+        match fits {
+            true => Ok(()),
+            false => Err(WireError::Protocol {
+                detail: format!(
+                    "the welcome's party ranges end at {end} but the dataset has \
+                     {party_count} parties"
+                ),
+            }),
         }
     }
 
-    /// Completes one engine round across the federation.
-    ///
-    /// `messages`/`events` are what this process's local drivers produced
-    /// (already drained in canonical order); `failure` carries a local
-    /// driver error.  Returns the round's assembled collection — identical
-    /// in every process — or an error if any process failed.  On the
-    /// coordinator, a peer that disconnected between rounds counts as a
-    /// failure of its first assigned party: every surviving peer receives
-    /// a typed `Abort` and the exchange returns [`WireError::Remote`]
-    /// instead of hanging on the dead socket.
+    /// Completes one engine round across the federation: `messages` and
+    /// `events` are this process's local drivers' (drained in canonical
+    /// order), `failure` a local driver error.  Returns the round's
+    /// collection — identical in every process — or, if any process failed,
+    /// the error; every survivor then holds the same [`WireError::Remote`].
     pub(crate) fn exchange(
         &mut self,
         round: u32,
@@ -710,238 +448,36 @@ impl SessionLink {
         failure: Option<(usize, String)>,
         faults: &FaultPlan,
     ) -> Result<RoundCollection, WireError> {
-        match self {
-            SessionLink::Party(party) => {
-                let mut messages = messages;
-                let mut events = events;
-                let mut failures: Vec<(usize, String)> = failure.into_iter().collect();
-                // A sub-aggregator first folds its cohort's frames into its
-                // own, coalescing the reports into one lossless merged
-                // frame, so the coordinator sees one uplink frame per
-                // cohort.
-                if let PartyRole::SubAggregator { cohort } = &mut party.role {
-                    for (leaf_rank, first_party, peer) in cohort.iter_mut() {
-                        match peer.recv() {
-                            Ok(NodeFrame::RoundDone {
-                                round: peer_round,
-                                messages: peer_messages,
-                                events: peer_events,
-                                failure: peer_failure,
-                            }) => {
-                                if peer_round != round {
-                                    return Err(WireError::Protocol {
-                                        detail: format!(
-                                            "rank {leaf_rank} reported round {peer_round} while \
-                                             its cohort is in round {round}"
-                                        ),
-                                    });
-                                }
-                                messages.extend(peer_messages);
-                                events.extend(peer_events);
-                                failures.extend(peer_failure);
-                            }
-                            Ok(other) => {
-                                return Err(WireError::Protocol {
-                                    detail: format!(
-                                        "expected RoundDone from rank {leaf_rank}, got {other:?}"
-                                    ),
-                                })
-                            }
-                            Err(err) => {
-                                failures.push((
-                                    *first_party,
-                                    format!("rank {leaf_rank} disconnected: {err}"),
-                                ));
-                            }
-                        }
-                    }
-                    canonical_sort(&mut messages);
-                    messages = merge_cohort(round, messages);
-                }
-                let failure = failures.into_iter().min();
-                let frame = NodeFrame::RoundDone {
-                    round,
-                    messages,
-                    events,
-                    failure,
-                };
-                match &mut party.role {
-                    PartyRole::CohortLeaf { uplink } => uplink.send(&frame)?,
-                    _ => party.stream.send(&frame)?,
-                }
-                // The downlink is a star regardless of topology: every rank
-                // hears the assembled collection from the coordinator.
-                match party.stream.recv()? {
-                    NodeFrame::Collection(collection) => {
-                        if collection.round != round {
-                            return Err(WireError::Protocol {
-                                detail: format!(
-                                    "coordinator sent round {} while this process is in \
-                                     round {round}",
-                                    collection.round
-                                ),
-                            });
-                        }
-                        Ok(collection)
-                    }
-                    NodeFrame::Abort { detail } => Err(WireError::Remote { detail }),
-                    other => Err(WireError::Protocol {
-                        detail: format!("expected Collection, got {other:?}"),
-                    }),
-                }
-            }
+        let (node, sockets) = match self {
             SessionLink::Coordinator(link) => {
-                // Answer any party process that connected after the
-                // federation was filled: a typed Abort naming the round in
-                // progress, instead of an unread socket that hangs the
-                // joiner until its timeout.
                 if let Some(listener) = &link.listener {
                     drain_late_joiners(listener, round);
                 }
-                let mut all_messages = messages;
-                let mut all_events = events;
-                let mut failures: Vec<(usize, String)> = failure.into_iter().collect();
-                for (rank, peer) in link.peers.iter_mut().enumerate() {
-                    // Tree leaves uplink through their sub-aggregator; the
-                    // coordinator only reads frames from uplink sources.
-                    if !link.uplink_source[rank] {
-                        continue;
-                    }
-                    // A peer that vanished between rounds (socket error,
-                    // EOF, timeout) is a dropout, not a protocol bug: fold
-                    // it into the failure set — attributed to its first
-                    // assigned party, matching FaultPlan's lowest-index
-                    // dropout attribution — so the surviving peers get a
-                    // typed Abort below instead of a hung exchange.
-                    let frame = match peer.recv() {
-                        Ok(frame) => frame,
-                        Err(err) => {
-                            let party = link.assignments.get(rank).map_or(rank, |r| r.0);
-                            failures.push((party, format!("rank {rank} disconnected: {err}")));
-                            continue;
-                        }
-                    };
-                    match frame {
-                        NodeFrame::RoundDone {
-                            round: peer_round,
-                            messages,
-                            events,
-                            failure,
-                        } => {
-                            if peer_round != round {
-                                return Err(WireError::Protocol {
-                                    detail: format!(
-                                        "rank {rank} reported round {peer_round} while the \
-                                         coordinator is in round {round}"
-                                    ),
-                                });
-                            }
-                            all_messages.extend(messages);
-                            all_events.extend(events);
-                            failures.extend(failure);
-                        }
-                        other => {
-                            return Err(WireError::Protocol {
-                                detail: format!(
-                                    "expected RoundDone from rank {rank}, got {other:?}"
-                                ),
-                            })
-                        }
-                    }
-                }
-                if let Some((index, detail)) = failures.into_iter().min() {
-                    let detail = format!("party {index} failed: {detail}");
-                    for peer in link.peers.iter_mut() {
-                        let _ = peer.send(&NodeFrame::Abort {
-                            detail: detail.clone(),
-                        });
-                    }
-                    return Err(WireError::Remote { detail });
-                }
-                // Unpack merged cohort frames back into their constituent
-                // flat messages: the broadcast collection is identical to
-                // the flat star's, whatever the uplink topology was.
-                let mut flat = Vec::with_capacity(all_messages.len());
-                for message in all_messages {
-                    match message.payload {
-                        RoundPayload::MergedSupports(merged) => {
-                            flat.extend(merged.into_messages(message.round));
-                        }
-                        _ => flat.push(message),
-                    }
-                }
-                let mut all_messages = flat;
-                // Per-party subsequences arrive in each process's canonical
-                // order and no party spans two processes, so the stable sort
-                // reproduces exactly the order a single-process drain yields.
-                canonical_sort(&mut all_messages);
-                let order = faults.straggler_order(all_messages.len(), round);
-                let mut slots: Vec<Option<RoundMessage>> =
-                    all_messages.into_iter().map(Some).collect();
-                let messages = order
-                    .into_iter()
-                    .map(|i| slots[i].take().expect("straggler order is a permutation"))
-                    .collect();
-                all_events.sort_by_key(|(index, _)| *index);
-                let collection = RoundCollection {
-                    round,
-                    messages,
-                    events: all_events,
-                };
-                // Encode the broadcast frame once and fan the same bytes
-                // out to every peer — no per-peer clone or re-encode.
-                let mut payload = Vec::new();
-                payload.push(3); // NodeFrame::Collection tag
-                collection.encode(&mut payload);
-                for peer in link.peers.iter_mut() {
-                    peer.send_bytes(&payload)?;
-                }
-                Ok(collection)
+                (&mut link.node, &mut link.sockets)
             }
-        }
+            SessionLink::Party(link) => (&mut link.node, &mut link.sockets),
+        };
+        let share = Share {
+            round,
+            messages,
+            events,
+            failure,
+        };
+        let actions = node.step(Event::Local(share, *faults));
+        let collection = drive(node, sockets, &mut None, actions)?;
+        Ok(collection.expect("a round ends in a delivery or an abort"))
     }
 }
 
-/// Coalesces a cohort's already-canonical report messages into one
-/// lossless [`MergedSupports`] frame.  Mirrors the in-memory engine's
-/// singleton/mixed-round rules: fewer than two messages, or any
-/// non-report payload in the round (dictionary hand-overs are
-/// point-to-point), pass through unmerged.
-fn merge_cohort(round: u32, messages: Vec<RoundMessage>) -> Vec<RoundMessage> {
-    let all_reports = messages
-        .iter()
-        .all(|m| matches!(m.payload, RoundPayload::Report(_)));
-    if !all_reports || messages.len() < 2 {
-        return messages;
-    }
-    let mut parts = Vec::with_capacity(messages.len());
-    for message in messages {
-        if let RoundPayload::Report(report) = message.payload {
-            parts.push((message.from, report));
-        }
-    }
-    vec![RoundMessage {
-        from: parts[0].0,
-        party: parts[0].1.party.clone(),
-        round,
-        payload: RoundPayload::MergedSupports(MergedSupports { parts }),
-    }]
-}
-
-/// Accepts every pending late-join connection and answers it with a typed
-/// `Abort` naming the round in progress.  The listener is non-blocking, so
-/// this returns as soon as the backlog is empty; errors are swallowed —
-/// a late joiner that vanished mid-drain must not fail the round.
+/// Accepts every pending late-join connection and answers it with the
+/// core's late-join `Abort`.  The listener is non-blocking, so this returns
+/// as soon as the backlog is empty; errors are swallowed — a late joiner
+/// that vanished mid-drain must not fail the round.
 fn drain_late_joiners(listener: &TcpListener, round: u32) {
     while let Ok((stream, _)) = listener.accept() {
         let _ = stream.set_nonblocking(false);
         if let Ok(mut peer) = FrameStream::new(stream, Some(Duration::from_secs(5))) {
-            let _ = peer.send(&NodeFrame::Abort {
-                detail: format!(
-                    "late join rejected: the federation is full and round {round} \
-                     has already closed"
-                ),
-            });
+            let _ = peer.send(&late_join(round));
         }
     }
 }
@@ -949,7 +485,8 @@ fn drain_late_joiners(listener: &TcpListener, round: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::CandidateReport;
+    use crate::message::{CandidateReport, RoundPayload};
+    use crate::topology::Topology;
     use fedhh_wire::{from_bytes, to_bytes};
 
     fn welcome() -> NodeWelcome {
@@ -970,7 +507,7 @@ mod tests {
                 rank: 1,
                 welcome: welcome(),
             },
-            NodeFrame::RoundDone {
+            NodeFrame::RoundDone(Share {
                 round: 4,
                 messages: vec![RoundMessage {
                     from: 2,
@@ -985,7 +522,7 @@ mod tests {
                 }],
                 events: vec![(2, vec![])],
                 failure: Some((2, "boom".to_string())),
-            },
+            }),
             NodeFrame::Collection(RoundCollection {
                 round: 4,
                 messages: vec![],
@@ -1274,6 +811,55 @@ mod tests {
         assert!(err.to_string().contains("disconnected"), "{err}");
     }
 
+    /// A rank that reports the wrong round is a failure of its first party:
+    /// the coordinator folds it into the round like a disconnect, so the
+    /// healthy rank hears one typed Abort naming the offender.
+    #[test]
+    fn a_wrong_round_aborts_every_survivor_naming_the_offender() {
+        let server = NodeServer::bind("127.0.0.1:0")
+            .unwrap()
+            .with_timeout(Some(Duration::from_secs(10)));
+        let addr = server.local_addr().unwrap();
+        let run_welcome = NodeWelcome {
+            scenario: ScenarioPlan::benign(),
+            ..welcome()
+        };
+        let server_welcome = run_welcome.clone();
+        let coordinator =
+            std::thread::spawn(move || server.accept_parties(&server_welcome).unwrap());
+        // Rank 0 dials first and speaks the protocol by hand: in round 0 it
+        // reports round 7.
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut offender = FrameStream::new(stream, Some(Duration::from_secs(10))).unwrap();
+        offender.send(&NodeFrame::Hello).unwrap();
+        let healthy = std::thread::spawn(move || {
+            let (link, _) = connect_party(addr).unwrap();
+            let mut link = SessionLink::Party(link);
+            link.exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
+        });
+        assert!(matches!(
+            offender.recv().unwrap(),
+            NodeFrame::Welcome { rank: 0, .. }
+        ));
+        let wrong_round = Share {
+            round: 7,
+            messages: Vec::new(),
+            events: Vec::new(),
+            failure: None,
+        };
+        offender.send(&NodeFrame::RoundDone(wrong_round)).unwrap();
+        let mut coordinator = SessionLink::Coordinator(coordinator.join().unwrap());
+        let coordinator_err = coordinator
+            .exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
+            .unwrap_err();
+        let err = healthy.join().unwrap().unwrap_err();
+        assert!(matches!(err, WireError::Remote { .. }), "{err}");
+        assert_eq!(err, coordinator_err);
+        let detail = err.to_string();
+        assert!(detail.contains("party 0 failed: rank 0"), "{detail}");
+        assert!(detail.contains("round 7"), "{detail}");
+    }
+
     #[test]
     fn accepting_with_no_party_times_out_instead_of_hanging() {
         let server = NodeServer::bind("127.0.0.1:0")
@@ -1420,17 +1006,20 @@ mod tests {
     #[test]
     fn link_partitions_are_validated() {
         let party = SessionLink::Party(PartyLink {
-            stream: {
-                // A connected pair purely to own a stream; never used.
-                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-                let addr = listener.local_addr().unwrap();
-                let client = TcpStream::connect(addr).unwrap();
-                let _ = listener.accept().unwrap();
-                FrameStream::new(client, None).unwrap()
-            },
+            sockets: Sockets(
+                vec![(Peer::Coordinator, {
+                    // A connected pair purely to own a stream; never used.
+                    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                    let addr = listener.local_addr().unwrap();
+                    let client = TcpStream::connect(addr).unwrap();
+                    let _ = listener.accept().unwrap();
+                    FrameStream::new(client, None).unwrap()
+                })],
+                None,
+            ),
             rank: 0,
             range: (2, 9),
-            role: PartyRole::Leaf,
+            node: Node::party().0,
         });
         assert!(party.validate(9).is_ok());
         assert!(party.validate(8).is_err());

@@ -40,7 +40,7 @@ use crate::observer::{LevelEstimated, PruningDecision};
 use crate::scenario::{apply_report_flip, AdversaryModel, FlipMode, ScenarioPlan};
 use crate::socket::SocketTransport;
 use crate::topology::{QuorumPolicy, Topology};
-use crate::transport::{ShardedTransport, Transport};
+use crate::transport::{canonical_sort, ShardedTransport, Transport};
 use fedhh_telemetry::{Counter, SpanName, Telemetry, ValueHist};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -506,16 +506,20 @@ impl Session {
             link.validate(party_count)
                 .map_err(ProtocolError::Transport)?;
         }
+        // One shard per party thread a round can run, and a round never runs
+        // more party threads than parties: a node's parallelism is decoded
+        // from a socket, so it must not size an allocation by itself.
+        let shards = engine.parallelism.min(party_count).max(1);
         // Frame corruption lives on the framed (TCP) path: route the
         // in-process default there when the scenario corrupts frames, so
         // the attack surface exists.
         let corruption = engine.scenario.corruption();
         let transport: Box<dyn Transport> = match engine.transport {
             TransportKind::InProcess if corruption.is_none() => {
-                Box::new(ShardedTransport::new(engine.parallelism))
+                Box::new(ShardedTransport::new(shards))
             }
             TransportKind::InProcess | TransportKind::Tcp => Box::new(
-                SocketTransport::loopback_with(engine.parallelism, corruption)
+                SocketTransport::loopback_with(shards, corruption)
                     .map_err(ProtocolError::Transport)?,
             ),
         };
@@ -627,36 +631,56 @@ impl Session {
         active: &[usize],
         input: &RoundInput,
     ) -> Result<RoundCollection, ProtocolError> {
-        let round = input.round;
-        self.round = self.round.max(round) + 1;
-        let _round_span = self.telemetry.span_idx(SpanName::Round, u64::from(round));
-
         // Quorum closure: the on-time subset is drawn from the *full*
         // active list before any local-range filtering, so every process
         // of a distributed run excludes the same parties.  Excluded
         // parties simply do not execute this round — the same per-round
         // semantics as a fault-plan dropout.
-        let on_time = self.quorum.on_time(round, active);
-        let active = on_time.as_slice();
-
+        let on_time = self.quorum.on_time(input.round, active);
         let (local_start, local_end) = self.local_range();
+        let local = local_start..local_end.min(drivers.len());
         let mut is_selected = vec![false; drivers.len()];
-        for &i in active {
-            if i < local_start || i >= local_end {
-                continue;
-            }
-            if let Some(flag) = is_selected.get_mut(i) {
-                *flag = true;
-            }
+        for i in on_time.into_iter().filter(|i| local.contains(i)) {
+            is_selected[i] = true;
         }
-        let flips: Vec<Option<(FlipMode, u64)>> =
-            (0..drivers.len()).map(|i| self.flip_for(i)).collect();
-        let flips = &flips;
-        let mut selected: Vec<(usize, &mut D)> = drivers
+        let selected = drivers
             .iter_mut()
             .enumerate()
             .filter(|(i, _)| is_selected[*i])
             .collect();
+        self.run_parties(selected, input)
+    }
+
+    /// Runs a round with a single active party, executed inline — the shape
+    /// of TAPS' sequential chain, where building (and skipping) a driver
+    /// per inactive party every round would be wasted work.
+    ///
+    /// With a [`SessionLink`] attached, the driver only executes in the
+    /// process that owns `index`; every other process still joins the
+    /// round's exchange and receives the same collection.
+    pub fn run_solo_round<D: PartyDriver>(
+        &mut self,
+        index: usize,
+        driver: &mut D,
+        input: &RoundInput,
+    ) -> Result<RoundCollection, ProtocolError> {
+        let selected = self.is_local(index).then_some((index, driver));
+        self.run_parties(selected.into_iter().collect(), input)
+    }
+
+    /// Executes the selected `(party index, driver)` pairs for one round —
+    /// concurrently when the engine is parallel — and completes the round.
+    fn run_parties<D: PartyDriver>(
+        &mut self,
+        mut selected: Vec<(usize, &mut D)>,
+        input: &RoundInput,
+    ) -> Result<RoundCollection, ProtocolError> {
+        let round = input.round;
+        self.round = self.round.max(round) + 1;
+        let _round_span = self.telemetry.span_idx(SpanName::Round, u64::from(round));
+        let flips: Vec<Option<(FlipMode, u64)>> =
+            (0..self.party_count).map(|i| self.flip_for(i)).collect();
+        let flips = &flips;
 
         let transport = self.transport.as_ref();
         let telemetry = &self.telemetry;
@@ -675,15 +699,8 @@ impl Session {
             let results: Vec<_> = list
                 .iter_mut()
                 .map(|(idx, driver)| {
-                    run_party(
-                        *idx,
-                        &mut **driver,
-                        input,
-                        round,
-                        transport,
-                        flips[*idx],
-                        telemetry,
-                    )
+                    let flip = flips.get(*idx).copied().flatten();
+                    run_party(*idx, &mut **driver, input, transport, flip, telemetry)
                 })
                 .collect();
             drop(working);
@@ -726,46 +743,6 @@ impl Session {
         self.complete_round(round, events)
     }
 
-    /// Runs a round with a single active party, executed inline — the shape
-    /// of TAPS' sequential chain, where building (and skipping) a driver
-    /// per inactive party every round would be wasted work.
-    ///
-    /// With a [`SessionLink`] attached, the driver only executes in the
-    /// process that owns `index`; every other process still joins the
-    /// round's exchange and receives the same collection.
-    pub fn run_solo_round<D: PartyDriver>(
-        &mut self,
-        index: usize,
-        driver: &mut D,
-        input: &RoundInput,
-    ) -> Result<RoundCollection, ProtocolError> {
-        let round = input.round;
-        self.round = self.round.max(round) + 1;
-        let _round_span = self.telemetry.span_idx(SpanName::Round, u64::from(round));
-        if !self.is_local(index) {
-            return self.complete_round(round, Vec::new());
-        }
-        let flip = self.flip_for(index);
-        // One party thread (this one): every other worker is idle.
-        self.idle.set(self.parallelism - 1);
-        let working = self.idle.enter();
-        let (idx, result) = run_party(
-            index,
-            driver,
-            input,
-            round,
-            self.transport.as_ref(),
-            flip,
-            &self.telemetry,
-        );
-        drop(working);
-        self.idle.set(0);
-        match result {
-            Ok(events) => self.complete_round(round, vec![(idx, events)]),
-            Err(err) => Err(self.fail_round(round, idx, err)),
-        }
-    }
-
     /// Finishes a round after the local drivers ran: assembles the
     /// collection locally, or — with a link — completes it through the
     /// coordinator exchange.
@@ -783,17 +760,7 @@ impl Session {
                         tree_route(round, messages, fanout, depth, &self.telemetry)?
                     }
                 };
-                let order = self.scenario.faults.straggler_order(messages.len(), round);
-                let mut slots: Vec<Option<RoundMessage>> = messages.into_iter().map(Some).collect();
-                let messages = order
-                    .into_iter()
-                    .map(|i| slots[i].take().expect("straggler order is a permutation"))
-                    .collect();
-                Ok(RoundCollection {
-                    round,
-                    messages,
-                    events,
-                })
+                Ok(assemble(round, messages, events, &self.scenario.faults))
             }
             Some(link) => link
                 .exchange(round, messages, events, None, &self.scenario.faults)
@@ -847,16 +814,15 @@ impl std::fmt::Debug for Session {
 /// pruning hand-over) are not reports and travel untouched.  The
 /// perturbation keys on `(seed, party, round, payload index)` — all stable
 /// protocol coordinates — so it replays bit-identically at any parallelism.
-#[allow(clippy::too_many_arguments)]
 fn run_party<D: PartyDriver>(
     idx: usize,
     driver: &mut D,
     input: &RoundInput,
-    round: u32,
     transport: &dyn Transport,
     flip: Option<(FlipMode, u64)>,
     telemetry: &Telemetry,
 ) -> (usize, Result<Vec<PartyEvent>, ProtocolError>) {
+    let round = input.round;
     // Straggler quantiles: time the whole party turn — local work plus the
     // transport sends — but only read the clock when telemetry is on, so a
     // disabled handle costs one branch.
@@ -923,36 +889,31 @@ fn tree_route(
     }
 
     // The flat baseline: what these uploads would cost as one frame each.
+    let framed = |message: &RoundMessage| {
+        let mut framed = Vec::new();
+        fedhh_wire::write_frame(&mut framed, message).map_err(ProtocolError::Transport)?;
+        Ok::<_, ProtocolError>(framed)
+    };
     let mut flat_bytes = 0u64;
     for message in &messages {
-        flat_bytes += framed_len(message).map_err(ProtocolError::Transport)? as u64;
+        flat_bytes += framed(message)?.len() as u64;
     }
 
-    // Units start as one (sender, report) per message — the transport
-    // drains them in canonical ascending order — and coalesce level by
-    // level; a unit's key is its smallest constituent sender.
-    let mut units: Vec<Vec<(usize, crate::message::CandidateReport)>> = messages
-        .into_iter()
-        .map(|message| {
-            let RoundMessage { from, payload, .. } = message;
-            match payload {
-                RoundPayload::Report(report) => vec![(from, report)],
-                _ => unreachable!("tree_route only runs on all-report rounds"),
-            }
-        })
-        .collect();
+    // Units start as one message each — the transport drains them in
+    // canonical ascending order — and group level by level; a unit's key is
+    // its smallest constituent sender.
+    let mut units: Vec<Vec<RoundMessage>> = messages.into_iter().map(|m| vec![m]).collect();
     for level in 1..=depth {
         let divisor = fanout.saturating_pow(level as u32).max(1);
-        let mut grouped: Vec<Vec<(usize, crate::message::CandidateReport)>> =
-            Vec::with_capacity(units.len());
+        let mut grouped: Vec<Vec<RoundMessage>> = Vec::with_capacity(units.len());
         let mut iter = units.into_iter().peekable();
         while let Some(first) = iter.next() {
-            let cohort = first[0].0 / divisor;
+            let cohort = first[0].from / divisor;
             let mut parts = first;
             let mut merge_span = None;
             while iter
                 .peek()
-                .is_some_and(|unit| unit[0].0 / divisor == cohort)
+                .is_some_and(|unit| unit[0].from / divisor == cohort)
             {
                 if merge_span.is_none() {
                     merge_span = Some(telemetry.span_idx(SpanName::AggregateMerge, cohort as u64));
@@ -967,43 +928,18 @@ fn tree_route(
 
     // Frame each final unit through the real wire codec and decode it
     // back: the byte counters are real framed lengths and the lossless
-    // reconstruction is exercised, not assumed.
+    // reconstruction is exercised, not assumed ([`assemble`] unpacks it).
     let mut root_frames = 0u64;
     let mut root_bytes = 0u64;
     let mut routed = Vec::new();
-    for mut parts in units {
-        let frame = if parts.len() == 1 {
-            let (from, report) = parts.pop().expect("one part");
-            RoundMessage {
-                from,
-                party: report.party.clone(),
-                round,
-                payload: RoundPayload::Report(report),
-            }
-        } else {
-            let from = parts[0].0;
-            let party = parts[0].1.party.clone();
-            RoundMessage {
-                from,
-                party,
-                round,
-                payload: RoundPayload::MergedSupports(MergedSupports { parts }),
-            }
-        };
-        let mut framed = Vec::new();
-        fedhh_wire::write_frame(&mut framed, &frame).map_err(ProtocolError::Transport)?;
+    for frame in units.into_iter().flat_map(|unit| coalesce(round, unit)) {
+        let framed = framed(&frame)?;
         root_frames += 1;
         root_bytes += framed.len() as u64;
-        let decoded: RoundMessage =
-            fedhh_wire::read_frame(&mut framed.as_slice()).map_err(ProtocolError::Transport)?;
-        match decoded.payload {
-            RoundPayload::MergedSupports(merged) => {
-                routed.extend(merged.into_messages(decoded.round))
-            }
-            _ => routed.push(decoded),
-        }
+        routed.push(
+            fedhh_wire::read_frame(&mut framed.as_slice()).map_err(ProtocolError::Transport)?,
+        );
     }
-    crate::transport::canonical_sort(&mut routed);
 
     telemetry.add(Counter::TreeRootFrames, root_frames);
     telemetry.add(Counter::TreeRootBytes, root_bytes);
@@ -1011,12 +947,64 @@ fn tree_route(
     Ok(routed)
 }
 
-/// The exact framed length of one value on the wire (length prefix,
-/// schema byte and CRC included).
-fn framed_len<T: fedhh_wire::Encode>(value: &T) -> Result<usize, fedhh_wire::WireError> {
-    let mut framed = Vec::new();
-    fedhh_wire::write_frame(&mut framed, value)?;
-    Ok(framed.len())
+/// Coalesces one cohort's canonical messages into what its aggregator
+/// forwards: two or more reports become one lossless [`MergedSupports`]
+/// frame; anything else passes through.  The in-memory tree and the node
+/// plane's sub-aggregator both merge through here.
+pub(crate) fn coalesce(round: u32, messages: Vec<RoundMessage>) -> Vec<RoundMessage> {
+    let all_reports = messages
+        .iter()
+        .all(|m| matches!(m.payload, RoundPayload::Report(_)));
+    if !all_reports || messages.len() < 2 {
+        return messages;
+    }
+    let report = |m: RoundMessage| match m.payload {
+        RoundPayload::Report(report) => Some((m.from, report)),
+        _ => None,
+    };
+    let parts: Vec<_> = messages.into_iter().filter_map(report).collect();
+    vec![RoundMessage {
+        from: parts[0].0,
+        party: parts[0].1.party.clone(),
+        round,
+        payload: RoundPayload::MergedSupports(MergedSupports { parts }),
+    }]
+}
+
+/// Closes a round: unpacks merged cohort frames, restores the canonical
+/// order (stable: each party's messages arrive in its own canonical order
+/// from one sender), applies the straggler permutation and sorts the events
+/// by party.  The in-memory session and the node plane's coordinator both
+/// close their rounds here, so a distributed run collects exactly what the
+/// in-memory engine does.
+pub(crate) fn assemble(
+    round: u32,
+    messages: Vec<RoundMessage>,
+    mut events: Vec<(usize, Vec<PartyEvent>)>,
+    faults: &FaultPlan,
+) -> RoundCollection {
+    let mut flat = Vec::with_capacity(messages.len());
+    for message in messages {
+        match message.payload {
+            RoundPayload::MergedSupports(merged) => {
+                flat.extend(merged.into_messages(message.round))
+            }
+            _ => flat.push(message),
+        }
+    }
+    canonical_sort(&mut flat);
+    let order = faults.straggler_order(flat.len(), round);
+    let mut slots: Vec<Option<RoundMessage>> = flat.into_iter().map(Some).collect();
+    let messages = order
+        .into_iter()
+        .map(|i| slots[i].take().expect("straggler order is a permutation"))
+        .collect();
+    events.sort_by_key(|(index, _)| *index);
+    RoundCollection {
+        round,
+        messages,
+        events,
+    }
 }
 
 #[cfg(test)]
@@ -1098,6 +1086,22 @@ mod tests {
         assert_eq!(senders, vec![0, 1, 2, 3, 4, 5, 6]);
         let indices: Vec<usize> = sequential.events.iter().map(|(i, _)| *i).collect();
         assert_eq!(indices, vec![0, 1, 2, 3, 4, 5, 6]);
+    }
+
+    /// A node's parallelism is decoded from a socket: a huge one must size
+    /// nothing by itself, and the round must match a sane parallelism.
+    #[test]
+    fn parallelism_beyond_the_party_count_allocates_no_extra_shards() {
+        for transport in [TransportKind::InProcess, TransportKind::Tcp] {
+            let collect = |parallelism: usize| {
+                let engine = EngineConfig::parallel(parallelism).transport(transport);
+                let mut session = Session::new(&engine, 4).unwrap();
+                let mut drivers = drivers(4);
+                let active = session.active_parties();
+                session.run_round(&mut drivers, &active, &start(0)).unwrap()
+            };
+            assert_eq!(collect(1 << 40), collect(4), "{transport:?}");
+        }
     }
 
     #[test]

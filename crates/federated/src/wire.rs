@@ -2,7 +2,8 @@
 //!
 //! Every type a round exchange ships between processes — round messages and
 //! their payloads, party events, collected rounds, the protocol
-//! configuration, the fault plan and the scenario plan — implements
+//! configuration, the fault plan, the scenario plan and the node plane's
+//! control frames — implements
 //! [`Encode`]/[`Decode`] here.
 //! Two representation rules matter:
 //!
@@ -23,6 +24,8 @@ use crate::fault::FaultPlan;
 use crate::message::{
     CandidateReport, MergedSupports, PruneCandidates, PruneDictionary, RoundMessage, RoundPayload,
 };
+use crate::node::protocol::{NodeFrame, Share};
+use crate::node::NodeWelcome;
 use crate::observer::{LevelEstimated, PruningDecision};
 use crate::scenario::{AdversaryModel, FlipMode, ScenarioPlan};
 use crate::session::{PartyEvent, RoundCollection};
@@ -303,6 +306,111 @@ impl Decode for RoundCollection {
             messages: Vec::decode(reader)?,
             events: Vec::decode(reader)?,
         })
+    }
+}
+
+impl Encode for NodeWelcome {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.config.encode(out);
+        self.scenario.encode(out);
+        self.parallelism.encode(out);
+        self.assignments.encode(out);
+        self.app.len().encode(out);
+        out.extend_from_slice(&self.app);
+    }
+}
+
+impl Decode for NodeWelcome {
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(NodeWelcome {
+            config: ProtocolConfig::decode(reader)?,
+            scenario: ScenarioPlan::decode(reader)?,
+            parallelism: usize::decode(reader)?,
+            assignments: Vec::decode(reader)?,
+            app: {
+                let len = usize::decode(reader)?;
+                reader.take_bytes(len)?.to_vec()
+            },
+        })
+    }
+}
+
+impl Encode for NodeFrame {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            NodeFrame::Hello => out.push(0),
+            NodeFrame::Welcome { rank, welcome } => {
+                out.push(1);
+                rank.encode(out);
+                welcome.encode(out);
+            }
+            NodeFrame::RoundDone(share) => {
+                out.push(2);
+                share.round.encode(out);
+                share.messages.encode(out);
+                share.events.encode(out);
+                share.failure.encode(out);
+            }
+            NodeFrame::Collection(collection) => {
+                out.push(NodeFrame::COLLECTION_TAG);
+                collection.encode(out);
+            }
+            NodeFrame::Abort { detail } => {
+                out.push(4);
+                detail.encode(out);
+            }
+            NodeFrame::AggregatorReady { rank, addr } => {
+                out.push(5);
+                rank.encode(out);
+                addr.encode(out);
+            }
+            NodeFrame::Route { addr } => {
+                out.push(6);
+                addr.encode(out);
+            }
+            NodeFrame::JoinCohort { rank } => {
+                out.push(7);
+                rank.encode(out);
+            }
+        }
+    }
+}
+
+impl Decode for NodeFrame {
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
+        match reader.take_u8()? {
+            0 => Ok(NodeFrame::Hello),
+            1 => Ok(NodeFrame::Welcome {
+                rank: usize::decode(reader)?,
+                welcome: NodeWelcome::decode(reader)?,
+            }),
+            2 => Ok(NodeFrame::RoundDone(Share {
+                round: u32::decode(reader)?,
+                messages: Vec::decode(reader)?,
+                events: Vec::decode(reader)?,
+                failure: Option::decode(reader)?,
+            })),
+            NodeFrame::COLLECTION_TAG => {
+                Ok(NodeFrame::Collection(RoundCollection::decode(reader)?))
+            }
+            4 => Ok(NodeFrame::Abort {
+                detail: String::decode(reader)?,
+            }),
+            5 => Ok(NodeFrame::AggregatorReady {
+                rank: usize::decode(reader)?,
+                addr: String::decode(reader)?,
+            }),
+            6 => Ok(NodeFrame::Route {
+                addr: String::decode(reader)?,
+            }),
+            7 => Ok(NodeFrame::JoinCohort {
+                rank: usize::decode(reader)?,
+            }),
+            other => Err(WireError::InvalidValue {
+                what: "node frame tag",
+                value: other as u64,
+            }),
+        }
     }
 }
 

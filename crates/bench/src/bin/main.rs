@@ -3,30 +3,28 @@
 //! Run it without arguments for the synopsis (`USAGE` below): every
 //! subcommand with exactly the options it accepts.
 //!
-//! `run all` reproduces every table and figure of the paper's evaluation and
-//! prints them to stdout; `--json PATH` additionally writes the structured
-//! results so EXPERIMENTS.md can be regenerated from them.  `trial` runs a
-//! single mechanism/dataset/FO combination through the `Run` builder —
-//! mechanism, dataset and FO names are parsed with their `FromStr` impls, so
-//! any case works (`taps`, `TAPS`, `k-RR`, ...).  `--parallelism N` executes
-//! party work on N engine workers (bit-identical results, lower wall-clock);
-//! `--dropout F` makes a fraction F of the parties drop out for the run;
-//! `--transport tcp` routes every upload across a real loopback TCP socket
-//! in the `fedhh-wire` frame format (still bit-identical to `memory`).
+//! `run <experiment|all>` regenerates the paper's tables and figures from
+//! their declarations (`fedhh_bench::experiments`; `list` names them), and
+//! `run all --out results/experiments.json` at the default scale rewrites
+//! the committed results EXPERIMENTS.md reads.  `trial` runs one
+//! mechanism/dataset/FO combination through the same repetition loop;
+//! names parse case-insensitively through their `FromStr` impls (`taps`,
+//! `TAPS`, `k-RR`, ...).  `--parallelism N` spreads party work over N
+//! engine workers and `--transport tcp` routes every upload over a real
+//! loopback socket in the `fedhh-wire` frame format (both bit-identical);
+//! `--dropout F` makes a fraction F of the parties drop out.
 //!
-//! `perf`, `scale`, `epochs`, `scenario` and `topology` each run one sweep
-//! and write one report, `BENCH_<subcommand>.json` unless `--out` says
-//! otherwise; the `fedhh_bench` module of the same name documents the
-//! sweep and the schema.  All five are option arms around one command body
-//! (`fedhh_bench::cli::run_report`) over one report layer
-//! (`fedhh_bench::report`, described once in the crate docs), so `--check
-//! BASELINE` / `--threshold F` mean the same thing wherever they are
-//! accepted: the baseline is read and suite-matched before the sweep
-//! starts, `--threshold 0` means "byte-equal files", and a cell present on
-//! only one side fails the gate.  What each report gates is its own
-//! column declaration — `perf`: `ns_per_report` as a ratio (default 2.0x);
-//! `scenario`: `ok` exactly, F1/NCR as a delta (default 0.05); `topology`:
-//! `root_frames` exactly, F1/uplink as a delta (default 0.05).
+//! `run`, `perf`, `scale`, `epochs`, `scenario` and `topology` each write
+//! one report (`BENCH_<subcommand>.json`, `run`'s `BENCH_experiments.json`,
+//! unless `--out` says otherwise) through one command body
+//! (`fedhh_bench::cli::run_report`) over one report layer, described once
+//! in the crate docs: a `--check BASELINE` is suite-matched before the
+//! sweep starts, `--threshold 0` means "byte-equal files", and a cell
+//! present on only one side fails the gate.  What each report gates is its
+//! own column declaration — `run`: `mean` as a delta (default 0.05);
+//! `perf`: `ns_per_report` as a ratio (default 2.0x); `scenario`: `ok`
+//! exactly, F1/NCR as a delta (default 0.05); `topology`: `root_frames`
+//! exactly, F1/uplink as a delta (default 0.05).
 //!
 //! The subcommand-specific gates: `perf --overhead-gate RATIO` is a
 //! standalone mode that re-runs the mechanism end-to-end legs with traced
@@ -52,15 +50,14 @@
 //! because every run in a perf leg uses identical seeds.
 
 use fedhh_bench::cli::{self, ArgCursor, CheckedOutput};
-use fedhh_bench::experiments::{run_by_name, ALL_EXPERIMENTS};
-use fedhh_bench::report::reports_to_json;
-use fedhh_bench::runner::averaged_engine_trial_traced;
+use fedhh_bench::experiments::{self, ExperimentRow, EXPERIMENTS};
+use fedhh_bench::runner::{repeat_trials, run_trial};
 use fedhh_bench::{
-    EpochPoint, EpochsOptions, ExperimentReport, ExperimentScale, PerfEntry, PerfReport,
-    ScaleOptions, ScalePoint, ScenarioOptions, ScenarioRow, TopologyOptions, TopologyRow,
+    EpochPoint, EpochsOptions, ExperimentScale, PerfEntry, PerfReport, ScaleOptions, ScalePoint,
+    ScenarioOptions, ScenarioRow, TopologyOptions, TopologyRow, TrialMetrics,
 };
-use fedhh_datasets::DatasetKind;
-use fedhh_federated::{EngineConfig, FaultPlan, TransportKind};
+use fedhh_datasets::{DatasetKind, FederatedDataset};
+use fedhh_federated::{EngineConfig, FaultPlan, ProtocolConfig, TransportKind};
 use fedhh_fo::FoKind;
 use fedhh_mechanisms::MechanismKind;
 use fedhh_telemetry::{Telemetry, TraceStats};
@@ -71,8 +68,8 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("list") => {
             println!("available experiments:");
-            for name in ALL_EXPERIMENTS {
-                println!("  {name}");
+            for experiment in &EXPERIMENTS {
+                println!("  {:<7} {}", experiment.id, experiment.title);
             }
             return ExitCode::SUCCESS;
         }
@@ -111,7 +108,8 @@ const SUBCOMMANDS: &str = "list, run, trial, perf, scale, epochs, scenario, topo
 const USAGE: &str = "\
 usage: fedhh-bench <list|run|trial|perf|scale|epochs|scenario|topology|trace-check> [args] [options]
   list
-  run <experiment|all> [--quick] [--reps N] [--user-scale F] [--markdown] [--json PATH]
+  run <experiment|all> [--quick] [--reps N] [--user-scale F] [--out PATH]
+      [--check BASELINE] [--threshold F]
   trial <mechanism> <dataset> [--fo KIND] [--epsilon F] [--k N] [--quick] [--reps N]
         [--user-scale F] [--parallelism N] [--dropout F] [--transport {memory,tcp}]
         [--trace PATH]
@@ -140,8 +138,8 @@ fn scale_option(
 ) -> Result<bool, String> {
     match option {
         "--quick" => *scale = ExperimentScale::quick(),
-        "--reps" => scale.repetitions = cursor.value("--reps")?,
-        "--user-scale" => scale.user_scale = cursor.value("--user-scale")?,
+        "--reps" => scale.repetitions = cursor.value_where(option, |v| *v > 0, "be at least 1")?,
+        "--user-scale" => scale.user_scale = cursor.user_scale(option)?,
         _ => return Ok(false),
     }
     Ok(true)
@@ -167,59 +165,28 @@ fn exit_code(passed: bool) -> ExitCode {
 }
 
 fn run_command(args: &[String]) -> Result<ExitCode, String> {
-    let Some(target) = args.first() else {
+    let Some(selection) = args.first() else {
         return Err("usage: fedhh-bench run <experiment|all> [options]".to_string());
     };
-    let target = target.clone();
-
+    experiments::select(selection)?;
     let mut scale = ExperimentScale::default();
-    let mut markdown = false;
-    let mut json_path: Option<String> = None;
+    let mut output = CheckedOutput::new::<ExperimentRow>(0.05);
     let mut cursor = ArgCursor::new("fedhh-bench run", &args[1..]);
     while let Some(arg) = cursor.next_option() {
-        if scale_option(arg, &mut cursor, &mut scale)? {
-            continue;
-        }
-        match arg {
-            "--markdown" => markdown = true,
-            "--json" => json_path = Some(cursor.raw_value("--json")?.to_string()),
-            other => return Err(cursor.unknown(other)),
+        let known =
+            output.consume(arg, &mut cursor)? || scale_option(arg, &mut cursor, &mut scale)?;
+        if !known {
+            return Err(cursor.unknown(arg));
         }
     }
 
-    let names: Vec<&str> = if target == "all" {
-        ALL_EXPERIMENTS.to_vec()
-    } else if ALL_EXPERIMENTS.contains(&target.as_str()) {
-        vec![target.as_str()]
-    } else {
-        return Err(format!(
-            "unknown experiment {target}; run `fedhh-bench list`"
-        ));
-    };
-
-    let mut reports: Vec<ExperimentReport> = Vec::new();
-    for name in names {
-        eprintln!("[fedhh-bench] running {name} ...");
-        let start = std::time::Instant::now();
-        let report = run_by_name(name, &scale).map_err(|err| format!("{name} failed: {err}"))?;
-        eprintln!(
-            "[fedhh-bench] {name} finished in {:.1}s",
-            start.elapsed().as_secs_f64()
-        );
-        if markdown {
-            println!("{}", report.to_markdown());
-        } else {
-            println!("{}", report.to_table());
-        }
-        reports.push(report);
-    }
-
-    if let Some(path) = json_path {
-        let json = reports_to_json(&reports);
-        std::fs::write(&path, json).map_err(|err| format!("failed to write {path}: {err}"))?;
-        eprintln!("[fedhh-bench] wrote {path}");
-    }
-    Ok(ExitCode::SUCCESS)
+    // The suite names the selection and the scale: a baseline recorded on
+    // another of either is refused before the sweep starts.
+    let suite = experiments::suite(selection, &scale);
+    let run = || experiments::run_experiments(selection, &scale);
+    let passed =
+        cli::run_report::<ExperimentRow>(&output, &suite, "paper evaluation", run)?.is_some();
+    Ok(exit_code(passed))
 }
 
 fn perf_command(args: &[String]) -> Result<ExitCode, String> {
@@ -283,20 +250,7 @@ fn perf_overhead_gate(quick: bool, threshold: f64) -> Result<ExitCode, String> {
         "[fedhh-bench] overhead suite finished in {:.1}s",
         start.elapsed().as_secs_f64()
     );
-    let mut table = ExperimentReport::new(
-        &format!("{suite} suite"),
-        "fedhh telemetry overhead",
-        &["workload", "off ns/rpt", "on ns/rpt", "ratio"],
-    );
-    for (off, on) in untraced.entries.iter().zip(&traced.entries) {
-        table.push_row(vec![
-            off.name.clone(),
-            format!("{:.1}", off.ns_per_report),
-            format!("{:.1}", on.ns_per_report),
-            format!("{:.3}", on.ns_per_report / off.ns_per_report),
-        ]);
-    }
-    print!("{}", table.to_table());
+    print!("{}", fedhh_bench::perf::overhead_table(&untraced, &traced));
     let violations = fedhh_bench::check(&traced.entries, &untraced.entries, threshold);
     let legs = untraced.entries.len();
     let passed = cli::gate_passed("telemetry overhead", legs, threshold, &violations);
@@ -324,11 +278,7 @@ fn scale_command(args: &[String]) -> Result<ExitCode, String> {
                 None => return Err("--chunk must be at least 1".to_string()),
             },
             "--parallelism" => options.parallelism = cursor.value("--parallelism")?,
-            "--user-scales" => {
-                let positive = |s: &f64| *s > 0.0 && s.is_finite();
-                explicit_scales =
-                    Some(cursor.list("--user-scales", positive, "be positive and finite")?);
-            }
+            "--user-scales" => explicit_scales = Some(cursor.user_scales("--user-scales")?),
             "--max-rss-mb" => {
                 max_rss_mb = Some(cursor.value_where("--max-rss-mb", |v| *v > 0, "be positive")?)
             }
@@ -556,15 +506,16 @@ fn trial_command(args: &[String]) -> Result<ExitCode, String> {
          parallelism = {}, dropout = {dropout}, transport = {:?})",
         scale.repetitions, engine.parallelism, engine.transport
     );
-    let metrics =
-        averaged_engine_trial_traced(mechanism, dataset, &scale, &engine, &telemetry, |c| {
-            let c = c.with_epsilon(epsilon).with_k(k);
-            match fo {
-                Some(fo) => c.with_fo(fo),
-                None => c,
-            }
-        })
+    let mut protocol = scale.protocol_config(0).with_epsilon(epsilon).with_k(k);
+    protocol.fo = fo.unwrap_or(protocol.fo);
+    let built = mechanism.build();
+    let trial = |data: &FederatedDataset, config: &ProtocolConfig| {
+        run_trial(built.as_ref(), data, config, &engine, &telemetry)
+    };
+    let (reps, data) = (scale.repetitions, scale.dataset_config(0));
+    let trials = repeat_trials(reps, dataset, data, protocol, trial)
         .map_err(|err| format!("trial failed: {err}"))?;
+    let metrics = TrialMetrics::mean(&trials);
     if let Some(path) = &trace_path {
         // The repetitions use different seeds, so unlike a perf section the
         // counter is not runs × a per-run constant — but the section still

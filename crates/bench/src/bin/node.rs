@@ -260,7 +260,7 @@ fn parse_coordinator_options(args: &[String]) -> Result<CoordinatorOptions, Stri
             "--listen" => options.listen = cursor.raw_value(arg)?.to_string(),
             "--seed" => options.seed = cursor.value(arg)?,
             "--quick" => options.quick = true,
-            "--user-scale" => options.user_scale = Some(cursor.value(arg)?),
+            "--user-scale" => options.user_scale = Some(cursor.user_scale(arg)?),
             "--k" => options.k = cursor.value(arg)?,
             "--epsilon" => options.epsilon = cursor.value(arg)?,
             "--fo" => options.fo = Some(cursor.parsed(arg)?),

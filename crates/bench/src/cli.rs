@@ -107,11 +107,32 @@ impl<'a> ArgCursor<'a> {
         }
     }
 
+    /// Consumes a population multiplier (`--user-scale`), range-checked by
+    /// the one rule every multiplier obeys.
+    pub fn user_scale(&mut self, option: &str) -> Result<f64, String> {
+        self.value_where(option, is_user_scale, USER_SCALE_RULE)
+    }
+
+    /// Consumes a list of population multipliers (`--user-scales`), each
+    /// range-checked by the same rule.
+    pub fn user_scales(&mut self, option: &str) -> Result<Vec<f64>, String> {
+        self.list(option, is_user_scale, USER_SCALE_RULE)
+    }
+
     /// The error for an option this command does not understand.
     pub fn unknown(&self, option: &str) -> String {
         format!("unknown option {option} for `{}`", self.command)
     }
 }
+
+/// The one range check of a population multiplier: no population can be
+/// generated at zero, a negative, NaN or an infinite scale.
+fn is_user_scale(scale: &f64) -> bool {
+    *scale > 0.0 && scale.is_finite()
+}
+
+/// The rule [`is_user_scale`] enforces, as an error message completes it.
+const USER_SCALE_RULE: &str = "be positive and finite";
 
 /// The `--out PATH` / `--check BASELINE` / `--threshold F` trio of the
 /// report-writing subcommands.  Whether a report can be gated at all, and
@@ -294,7 +315,7 @@ pub fn epoch_option(
         "--cap" => options.epsilon_cap = Some(cursor.value(option)?),
         "--k" => options.k = cursor.value(option)?,
         "--seed" => options.seed = cursor.value(option)?,
-        "--user-scale" => options.user_scale = cursor.value(option)?,
+        "--user-scale" => options.user_scale = cursor.user_scale(option)?,
         "--parallelism" => options.parallelism = cursor.value(option)?,
         _ => return Ok(false),
     }

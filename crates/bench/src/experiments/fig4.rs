@@ -1,67 +1,25 @@
 //! Figure 4: F1 score vs privacy budget ε for k ∈ {10, 20, 40} on all five
 //! dataset groups, comparing GTF, FedPEM and TAPS.
 
-use super::{EPSILONS, QUERIES};
-use crate::report::ExperimentReport;
-use crate::runner::{averaged_trial, fmt3, ExperimentScale};
-use fedhh_datasets::DatasetKind;
-use fedhh_federated::ProtocolError;
-use fedhh_mechanisms::MechanismKind;
+use super::*;
 
-/// Runs the Figure 4 sweep.
-pub fn run(scale: &ExperimentScale) -> Result<ExperimentReport, ProtocolError> {
-    run_with_metric(scale, "fig4", "Figure 4: F1 score vs privacy budget", |m| {
-        m.f1
-    })
-}
-
-/// Shared sweep used by Figures 4 (F1) and 5 (NCR).
-pub(crate) fn run_with_metric(
-    scale: &ExperimentScale,
-    id: &str,
-    title: &str,
-    metric: impl Fn(&crate::runner::TrialMetrics) -> f64,
-) -> Result<ExperimentReport, ProtocolError> {
-    let mut report = ExperimentReport::new(
-        id,
-        title,
-        &["dataset", "k", "epsilon", "GTF", "FedPEM", "TAPS"],
-    );
-    for dataset in DatasetKind::ALL {
-        for k in QUERIES {
-            for epsilon in EPSILONS {
-                let mut row = vec![
-                    dataset.name().to_string(),
-                    k.to_string(),
-                    format!("{epsilon}"),
-                ];
-                for kind in MechanismKind::MAIN_COMPARISON {
-                    let metrics = averaged_trial(kind, dataset, scale, |c| {
-                        c.with_epsilon(epsilon).with_k(k)
-                    })?;
-                    row.push(fmt3(metric(&metrics)));
-                }
-                report.push_row(row);
-            }
-        }
-    }
-    Ok(report)
-}
+/// The Figure 4 sweep.
+pub const FIG4: Experiment = Experiment {
+    id: "fig4",
+    title: "Figure 4: F1 score vs privacy budget",
+    metrics: &[F1],
+    cells: |scale| grid(scale, &DatasetKind::ALL, &QUERIES, &EPSILONS, &MAIN),
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::quick_rows;
 
     #[test]
     fn quick_scale_produces_full_grid() {
-        // Restrict to a single dataset/k/epsilon by reusing the inner sweep
-        // machinery at quick scale; the full grid is exercised by the
-        // harness binary, not by unit tests.
-        let scale = ExperimentScale::quick();
-        let metrics = averaged_trial(MechanismKind::Taps, DatasetKind::Rdb, &scale, |c| {
-            c.with_epsilon(4.0).with_k(5)
-        })
-        .unwrap();
-        assert!((0.0..=1.0).contains(&metrics.f1));
+        let rows = quick_rows("fig4");
+        // 5 datasets × 3 queries × 5 budgets × 3 mechanisms.
+        assert_eq!(rows.len(), 5 * 3 * 5 * 3);
+        assert!(rows.iter().all(|r| r.metric == "f1" && r.mean <= 1.0));
     }
 }

@@ -1,17 +1,12 @@
 //! Figure 5: NCR score vs privacy budget ε for k ∈ {10, 20, 40} on all five
 //! dataset groups, comparing GTF, FedPEM and TAPS.
 
-use super::fig4::run_with_metric;
-use crate::report::ExperimentReport;
-use crate::runner::ExperimentScale;
-use fedhh_federated::ProtocolError;
+use super::*;
 
-/// Runs the Figure 5 sweep.
-pub fn run(scale: &ExperimentScale) -> Result<ExperimentReport, ProtocolError> {
-    run_with_metric(
-        scale,
-        "fig5",
-        "Figure 5: NCR score vs privacy budget",
-        |m| m.ncr,
-    )
-}
+/// The Figure 5 sweep: Figure 4's cells, scored by NCR.
+pub const FIG5: Experiment = Experiment {
+    id: "fig5",
+    title: "Figure 5: NCR score vs privacy budget",
+    metrics: &[NCR],
+    cells: |scale| grid(scale, &DatasetKind::ALL, &QUERIES, &EPSILONS, &MAIN),
+};

@@ -1,55 +1,33 @@
 //! Figure 6: F1 score vs privacy budget under the OUE and OLH frequency
 //! oracles (k = 10), confirming TAPS is robust to the choice of FO.
 
-use super::EPSILONS;
-use crate::report::ExperimentReport;
-use crate::runner::{averaged_trial, fmt3, ExperimentScale};
-use fedhh_datasets::DatasetKind;
-use fedhh_federated::ProtocolError;
-use fedhh_fo::FoKind;
-use fedhh_mechanisms::MechanismKind;
+use super::*;
 
-/// Runs the Figure 6 sweep.
-pub fn run(scale: &ExperimentScale) -> Result<ExperimentReport, ProtocolError> {
-    let mut report = ExperimentReport::new(
-        "fig6",
-        "Figure 6: F1 score vs privacy budget under OUE and OLH (k = 10)",
-        &["dataset", "fo", "epsilon", "GTF", "FedPEM", "TAPS"],
-    );
-    for fo in [FoKind::Oue, FoKind::Olh] {
-        for dataset in DatasetKind::ALL {
-            for epsilon in EPSILONS {
-                let mut row = vec![
-                    dataset.name().to_string(),
-                    fo.name().to_string(),
-                    format!("{epsilon}"),
-                ];
-                for kind in MechanismKind::MAIN_COMPARISON {
-                    let metrics = averaged_trial(kind, dataset, scale, |c| {
-                        c.with_epsilon(epsilon).with_k(10).with_fo(fo)
-                    })?;
-                    row.push(fmt3(metrics.f1));
-                }
-                report.push_row(row);
-            }
-        }
-    }
-    Ok(report)
-}
+/// The Figure 6 sweep.
+pub const FIG6: Experiment = Experiment {
+    id: "fig6",
+    title: "Figure 6: F1 score vs privacy budget under OUE and OLH (k = 10)",
+    metrics: &[F1],
+    cells: |scale| {
+        let under = |fo: FoKind| {
+            let cells = grid(scale, &DatasetKind::ALL, &[10], &EPSILONS, &MAIN);
+            swept(cells, String::new(), |cell| cell.protocol.fo = fo)
+        };
+        [under(FoKind::Oue), under(FoKind::Olh)].concat()
+    },
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::quick_rows;
 
     #[test]
     fn oue_and_olh_trials_run_at_quick_scale() {
-        let scale = ExperimentScale::quick();
-        for fo in [FoKind::Oue, FoKind::Olh] {
-            let metrics = averaged_trial(MechanismKind::Taps, DatasetKind::Rdb, &scale, |c| {
-                c.with_epsilon(4.0).with_k(5).with_fo(fo)
-            })
-            .unwrap();
-            assert!((0.0..=1.0).contains(&metrics.f1), "fo {fo}");
+        let rows = quick_rows("fig6");
+        for fo in ["oue", "olh"] {
+            let under: Vec<_> = rows.iter().filter(|r| r.oracle == fo).collect();
+            assert_eq!(under.len(), 5 * 5 * 3, "{fo}");
+            assert!(under.iter().all(|r| r.mean <= 1.0), "{fo}");
         }
     }
 }

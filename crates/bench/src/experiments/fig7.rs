@@ -1,54 +1,30 @@
 //! Figure 7: F1 of TAPS versus TAP (the consensus-based pruning ablation)
 //! across privacy budgets and query sizes.
 
-use super::{EPSILONS, QUERIES};
-use crate::report::ExperimentReport;
-use crate::runner::{averaged_trial, fmt3, ExperimentScale};
-use fedhh_datasets::DatasetKind;
-use fedhh_federated::ProtocolError;
-use fedhh_mechanisms::MechanismKind;
+use super::*;
 
-/// Runs the Figure 7 comparison.
-pub fn run(scale: &ExperimentScale) -> Result<ExperimentReport, ProtocolError> {
-    let mut report = ExperimentReport::new(
-        "fig7",
-        "Figure 7: F1 of TAPS (with pruning) vs TAP (without pruning)",
-        &["dataset", "k", "epsilon", "TAP", "TAPS"],
-    );
-    for dataset in DatasetKind::ALL {
-        for k in QUERIES {
-            for epsilon in EPSILONS {
-                let mut row = vec![
-                    dataset.name().to_string(),
-                    k.to_string(),
-                    format!("{epsilon}"),
-                ];
-                for kind in [MechanismKind::Tap, MechanismKind::Taps] {
-                    let metrics = averaged_trial(kind, dataset, scale, |c| {
-                        c.with_epsilon(epsilon).with_k(k)
-                    })?;
-                    row.push(fmt3(metrics.f1));
-                }
-                report.push_row(row);
-            }
-        }
-    }
-    Ok(report)
-}
+/// The Figure 7 comparison.
+pub const FIG7: Experiment = Experiment {
+    id: "fig7",
+    title: "Figure 7: F1 of TAPS (with pruning) vs TAP (without pruning)",
+    metrics: &[F1],
+    cells: |scale| {
+        let variants = [MechanismKind::Tap, MechanismKind::Taps].map(Variant::Kind);
+        grid(scale, &DatasetKind::ALL, &QUERIES, &EPSILONS, &variants)
+    },
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::quick_rows;
 
     #[test]
     fn tap_and_taps_trials_run_at_quick_scale() {
-        let scale = ExperimentScale::quick();
-        for kind in [MechanismKind::Tap, MechanismKind::Taps] {
-            let metrics = averaged_trial(kind, DatasetKind::Syn, &scale, |c| {
-                c.with_epsilon(4.0).with_k(5)
-            })
-            .unwrap();
-            assert!((0.0..=1.0).contains(&metrics.f1));
+        let rows = quick_rows("fig7");
+        for mechanism in ["TAP", "TAPS"] {
+            let of: Vec<_> = rows.iter().filter(|r| r.mechanism == mechanism).collect();
+            assert_eq!(of.len(), 5 * 3 * 5, "{mechanism}");
+            assert!(of.iter().all(|r| r.mean <= 1.0), "{mechanism}");
         }
     }
 }

@@ -1,97 +1,53 @@
 //! Table 1: communication and computation costs of the compared approaches.
 //!
-//! The paper's Table 1 is an asymptotic cost model; this experiment prints
-//! the model alongside *measured* traffic from one run of each feasible
-//! mechanism (on the YCM stand-in) and the analytic traffic the infeasible
-//! direct-upload approaches (OUE / OLH over the full item domain) would
-//! need, to show the gap the prefix-tree mechanisms close.
+//! The paper's Table 1 is an asymptotic cost model (b bits per report, k
+//! the query, |P| parties, g* the levels TAPS prunes, |U| users, |X| the
+//! item domain):
+//!
+//! | Approach | Communication | Computation |
+//! |---|---|---|
+//! | GTF, FedPEM | O(b·k·\|P\|) | O(k·\|P\|) |
+//! | TAPS | O(b·k·\|P\|·g*) | O(k·\|P\|) |
+//! | OUE direct upload | O(\|U\|·\|X\|) | O(\|U\|·\|X\|) |
+//! | OLH direct upload | O(b·\|U\|) | O(\|U\|·\|X\|) |
+//!
+//! This experiment measures the server traffic of each feasible mechanism
+//! on the YCM stand-in next to the analytic traffic of the infeasible
+//! direct uploads (`Variant::Direct`), to show the gap the prefix-tree
+//! mechanisms close.
 
-use crate::report::ExperimentReport;
-use crate::runner::{run_trial, ExperimentScale};
-use fedhh_datasets::DatasetKind;
-use fedhh_federated::ProtocolError;
-use fedhh_mechanisms::MechanismKind;
+use super::*;
 
-/// Runs the Table 1 comparison.
-pub fn run(scale: &ExperimentScale) -> Result<ExperimentReport, ProtocolError> {
-    let mut report = ExperimentReport::new(
-        "table1",
-        "Table 1: communication and computation costs",
-        &[
-            "approach",
-            "comm model",
-            "comp model",
-            "measured server traffic (kb)",
-        ],
-    );
-    let dataset = scale.dataset_config(1).build(DatasetKind::Ycm);
-    let config = scale.protocol_config(2).with_epsilon(4.0).with_k(10);
-    let users = dataset.total_users() as f64;
-    // The full item domain the direct approaches would have to encode: the
-    // paper's 2^m codes collapse in practice to the distinct-item count, so
-    // we charge the (much kinder) distinct-item domain and the gap is still
-    // enormous.
-    let domain = dataset.distinct_items() as f64;
-
-    for kind in [
-        MechanismKind::Gtf,
-        MechanismKind::FedPem,
-        MechanismKind::Taps,
-    ] {
-        let mechanism = kind.build();
-        let metrics = run_trial(mechanism.as_ref(), &dataset, &config)?;
-        let (comm_model, comp_model) = match kind {
-            MechanismKind::Gtf | MechanismKind::FedPem => ("O(b·k·|P|)", "O(k·|P|)"),
-            MechanismKind::Taps => ("O(b·k·|P|·g*)", "O(k·|P|)"),
-            MechanismKind::Tap => ("O(b·k·|P|)", "O(k·|P|)"),
-        };
-        report.push_row(vec![
-            kind.name().to_string(),
-            comm_model.to_string(),
-            comp_model.to_string(),
-            format!("{:.1}", metrics.server_traffic_kb),
-        ]);
-    }
-
-    // Direct OUE upload: every user ships a |X|-bit vector.
-    let oue_kb = users * domain / 1000.0;
-    report.push_row(vec![
-        "OUE (direct upload)".to_string(),
-        "O(|U|·|X|)".to_string(),
-        "O(|U|·|X|)".to_string(),
-        format!("{oue_kb:.0}"),
-    ]);
-    // Direct OLH upload: every user ships a constant-size report, but the
-    // server must scan the whole domain per report.
-    let olh_kb = users * 96.0 / 1000.0;
-    report.push_row(vec![
-        "OLH (direct upload)".to_string(),
-        "O(b·|U|)".to_string(),
-        "O(|U|·|X|)".to_string(),
-        format!("{olh_kb:.0}"),
-    ]);
-    Ok(report)
-}
+/// The Table 1 comparison.
+pub const TABLE1: Experiment = Experiment {
+    id: "table1",
+    title: "Table 1: communication costs (eps = 4, k = 10)",
+    metrics: &[SERVER_KB],
+    cells: |scale| {
+        let variants = [&MAIN[..], &DIRECT].concat();
+        grid(scale, &[DatasetKind::Ycm], &[10], &[4.0], &variants)
+    },
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::runner::ExperimentScale;
+    use super::super::tests::quick_rows;
 
     #[test]
     fn table1_orders_costs_as_the_paper_does() {
-        let report = run(&ExperimentScale::quick()).unwrap();
-        assert_eq!(report.rows.len(), 5);
-        let traffic: Vec<f64> = report
-            .rows
-            .iter()
-            .map(|r| r[3].parse::<f64>().unwrap())
-            .collect();
-        // The prefix-tree mechanisms (rows 0..3) must be far below direct
-        // OUE upload (row 3) — the central claim of Table 1.
-        assert!(traffic[0] < traffic[3] / 10.0);
-        assert!(traffic[2] < traffic[3] / 10.0);
+        let rows = quick_rows("table1");
+        let traffic = |mechanism: &str| {
+            let row = rows.iter().find(|r| r.mechanism == mechanism).unwrap();
+            row.mean
+        };
+        assert_eq!(rows.len(), 5);
+        // The prefix-tree mechanisms must be far below direct OUE upload —
+        // the central claim of Table 1.
+        let direct = traffic("OUE direct");
+        assert!(traffic("GTF") < direct / 10.0);
+        assert!(traffic("TAPS") < direct / 10.0);
         // TAPS spends at least as much as FedPEM (pruning dictionaries).
-        assert!(traffic[2] >= traffic[1] * 0.5);
+        assert!(traffic("TAPS") >= traffic("FedPEM") * 0.5);
+        assert!(traffic("OLH direct") > 0.0);
     }
 }

@@ -4,63 +4,45 @@
 //! paper sweeps step sizes {2, 4, 6}; with m = 48 these correspond to
 //! granularities g = 24, 12 and 8.
 
-use crate::report::ExperimentReport;
-use crate::runner::{averaged_trial, fmt3, ExperimentScale};
-use fedhh_datasets::DatasetKind;
-use fedhh_federated::ProtocolError;
-use fedhh_mechanisms::MechanismKind;
+use super::*;
 
 /// The step sizes swept by Table 3.
 pub const STEP_SIZES: [u8; 3] = [2, 4, 6];
 
-/// Runs the Table 3 sweep.
-pub fn run(scale: &ExperimentScale) -> Result<ExperimentReport, ProtocolError> {
-    let mut report = ExperimentReport::new(
-        "table3",
-        "Table 3: F1 score with varying step sizes (eps = 4, k = 10)",
-        &["dataset", "step", "GTF", "FedPEM", "TAPS"],
-    );
-    for dataset in DatasetKind::ALL {
-        for step in STEP_SIZES {
-            // Choose the granularity that realises this step size for the
+/// The Table 3 sweep.
+pub const TABLE3: Experiment = Experiment {
+    id: "table3",
+    title: "Table 3: F1 score with varying step sizes (eps = 4, k = 10)",
+    metrics: &[F1],
+    cells: |scale| {
+        let at = |step: u8| {
+            let cells = grid(scale, &DatasetKind::ALL, &[10], &[4.0], &MAIN);
+            // The granularity that realises this step size for the
             // configured code width (e.g. 48/2 = 24 levels).
             let granularity = (scale.code_bits / step).max(1);
-            let step_scale = ExperimentScale {
-                granularity,
-                ..*scale
-            };
-            let mut row = vec![dataset.name().to_string(), step.to_string()];
-            for kind in MechanismKind::MAIN_COMPARISON {
-                let metrics = averaged_trial(kind, dataset, &step_scale, |c| {
-                    c.with_epsilon(4.0).with_k(10)
-                })?;
-                row.push(fmt3(metrics.f1));
-            }
-            report.push_row(row);
-        }
-    }
-    Ok(report)
-}
+            swept(cells, format!("step={step}"), |c| {
+                c.protocol.granularity = granularity
+            })
+        };
+        STEP_SIZES.into_iter().flat_map(at).collect()
+    },
+};
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::quick_rows;
     use super::*;
+    use crate::runner::ExperimentScale;
 
     #[test]
     fn step_sizes_map_to_granularities() {
-        let scale = ExperimentScale {
-            code_bits: 48,
-            ..ExperimentScale::default()
-        };
-        for step in STEP_SIZES {
-            assert!((scale.code_bits / step) * step <= 48);
+        let cells = (TABLE3.cells)(&ExperimentScale::default());
+        for cell in &cells {
+            let step = 48 / cell.protocol.granularity;
+            assert_eq!(cell.parameter, format!("step={step}"));
         }
-        // Quick-scale smoke test of a single cell.
-        let quick = ExperimentScale::quick();
-        let metrics = averaged_trial(MechanismKind::FedPem, DatasetKind::Rdb, &quick, |c| {
-            c.with_epsilon(4.0).with_k(5)
-        })
-        .unwrap();
-        assert!((0.0..=1.0).contains(&metrics.f1));
+        let granularities: Vec<u8> = cells.iter().map(|c| c.protocol.granularity).collect();
+        assert!([24, 12, 8].iter().all(|g| granularities.contains(g)));
+        assert_eq!(quick_rows("table3").len(), 5 * 3 * 3);
     }
 }

@@ -1,76 +1,53 @@
 //! Table 4: scalability under varying user population on UBA (ε = 4,
-//! k = 10): F1 score, server-side communication and running time for each
-//! mechanism, plus the analytic cost of the infeasible direct uploads.
+//! k = 10): F1 score and server-side communication for each mechanism,
+//! plus the analytic cost of the infeasible direct uploads.  Each fraction
+//! generates UBA at that fraction of the scale's user population.
 
-use crate::report::ExperimentReport;
-use crate::runner::{fmt3, run_trial, ExperimentScale, TrialMetrics};
-use fedhh_datasets::DatasetKind;
-use fedhh_federated::ProtocolError;
-use fedhh_mechanisms::MechanismKind;
+use super::*;
 
 /// The user-population fractions swept by Table 4.
 pub const FRACTIONS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
 
-/// Runs the Table 4 sweep.
-pub fn run(scale: &ExperimentScale) -> Result<ExperimentReport, ProtocolError> {
-    let mut report = ExperimentReport::new(
-        "table4",
-        "Table 4: scalability on UBA (eps = 4, k = 10)",
-        &[
-            "fraction",
-            "mechanism",
-            "F1",
-            "server traffic (kb)",
-            "running time (ms)",
-            "OUE direct (kb)",
-            "OLH direct (kb)",
-        ],
-    );
-    let base = scale.dataset_config(11).build(DatasetKind::Uba);
-    for fraction in FRACTIONS {
-        let dataset = base.sample_fraction(fraction);
-        let users = dataset.total_users() as f64;
-        let domain = dataset.distinct_items() as f64;
-        let oue_kb = users * domain / 1000.0;
-        let olh_kb = users * 96.0 / 1000.0;
-        for kind in MechanismKind::MAIN_COMPARISON {
-            let mechanism = kind.build();
-            let trials: Vec<TrialMetrics> = (0..scale.repetitions)
-                .map(|rep| {
-                    let config = scale
-                        .protocol_config(900 + rep * 131)
-                        .with_epsilon(4.0)
-                        .with_k(10);
-                    run_trial(mechanism.as_ref(), &dataset, &config)
-                })
-                .collect::<Result<_, _>>()?;
-            let metrics = TrialMetrics::mean(&trials);
-            report.push_row(vec![
-                format!("{:.0}%", fraction * 100.0),
-                kind.name().to_string(),
-                fmt3(metrics.f1),
-                format!("{:.1}", metrics.server_traffic_kb),
-                format!("{:.1}", metrics.elapsed_ms),
-                format!("{oue_kb:.0}"),
-                format!("{olh_kb:.0}"),
-            ]);
-        }
-    }
-    Ok(report)
-}
+/// The Table 4 sweep.
+pub const TABLE4: Experiment = Experiment {
+    id: "table4",
+    title: "Table 4: scalability on UBA (eps = 4, k = 10)",
+    metrics: &[F1, SERVER_KB],
+    cells: |scale| {
+        let variants = [&MAIN[..], &DIRECT].concat();
+        let at = |fraction: f64| {
+            let cells = grid(scale, &[DatasetKind::Uba], &[10], &[4.0], &variants);
+            let users = format!("users={:.0}%", fraction * 100.0);
+            swept(cells, users, |c| {
+                c.data.user_scale = scale.user_scale * fraction
+            })
+        };
+        FRACTIONS.into_iter().flat_map(at).collect()
+    },
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::quick_rows;
+    use super::FRACTIONS;
 
     #[test]
     fn table4_covers_every_fraction_and_mechanism() {
-        let report = run(&ExperimentScale::quick()).unwrap();
-        assert_eq!(report.rows.len(), FRACTIONS.len() * 3);
-        // Traffic and running time columns parse as numbers.
-        for row in &report.rows {
-            assert!(row[3].parse::<f64>().is_ok());
-            assert!(row[4].parse::<f64>().is_ok());
+        let rows = quick_rows("table4");
+        // Per fraction: F1 and traffic for each of the three mechanisms,
+        // traffic alone for the two direct uploads.
+        assert_eq!(rows.len(), FRACTIONS.len() * (3 * 2 + 2));
+        for fraction in FRACTIONS {
+            let users = format!("users={:.0}%", fraction * 100.0);
+            assert_eq!(rows.iter().filter(|r| r.parameter == users).count(), 8);
         }
+        // The direct uploads grow with the population.
+        let olh = |users: &str| {
+            let row = rows
+                .iter()
+                .find(|r| r.parameter == users && r.mechanism == "OLH direct");
+            row.unwrap().mean
+        };
+        assert!(olh("users=25%") < olh("users=100%"));
     }
 }

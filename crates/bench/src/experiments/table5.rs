@@ -1,62 +1,45 @@
 //! Table 5: F1 of TAPS with fixed extension numbers t ∈ {⌊k/2⌋, k, 2k, 3k}
 //! versus the adaptive extension rule (ε = 4, k = 10).
 
-use super::{averaged_custom_trial, build_dataset};
-use crate::report::ExperimentReport;
-use crate::runner::{fmt3, ExperimentScale};
-use fedhh_datasets::DatasetKind;
-use fedhh_federated::ProtocolError;
-use fedhh_mechanisms::{ExtensionStrategy, Taps};
+use super::*;
+use fedhh_mechanisms::ExtensionStrategy;
 
-/// Runs the Table 5 ablation.
-pub fn run(scale: &ExperimentScale) -> Result<ExperimentReport, ProtocolError> {
-    let k = 10usize;
-    let mut report = ExperimentReport::new(
-        "table5",
-        "Table 5: fixed vs adaptive extension numbers (eps = 4, k = 10)",
-        &["dataset", "t=k/2", "t=k", "t=2k", "t=3k", "adaptive"],
-    );
-    let strategies = [
-        ExtensionStrategy::Fixed(k / 2),
-        ExtensionStrategy::Fixed(k),
-        ExtensionStrategy::Fixed(2 * k),
-        ExtensionStrategy::Fixed(3 * k),
-        ExtensionStrategy::Adaptive,
-    ];
-    for dataset in DatasetKind::ALL {
-        let mut row = vec![dataset.name().to_string()];
-        for strategy in strategies {
-            let mechanism = Taps::with_extension(strategy);
-            let metrics = averaged_custom_trial(
-                &mechanism,
-                scale,
-                |c| c.with_epsilon(4.0).with_k(k),
-                |seed| build_dataset(dataset, scale, seed),
-            )?;
-            row.push(fmt3(metrics.f1));
-        }
-        report.push_row(row);
-    }
-    Ok(report)
-}
+/// The extension rules Table 5 compares at k = 10, with their labels.
+pub(crate) const STRATEGIES: [(&str, ExtensionStrategy); 5] = [
+    ("t=k/2", ExtensionStrategy::Fixed(5)),
+    ("t=k", ExtensionStrategy::Fixed(10)),
+    ("t=2k", ExtensionStrategy::Fixed(20)),
+    ("t=3k", ExtensionStrategy::Fixed(30)),
+    ("adaptive", ExtensionStrategy::Adaptive),
+];
+
+/// The Table 5 ablation.
+pub const TABLE5: Experiment = Experiment {
+    id: "table5",
+    title: "Table 5: fixed vs adaptive extension numbers (eps = 4, k = 10)",
+    metrics: &[F1],
+    cells: |scale| {
+        let with = |(label, strategy): (&str, ExtensionStrategy)| {
+            let taps = Variant::Taps(Taps::with_extension(strategy));
+            let cells = grid(scale, &DatasetKind::ALL, &[10], &[4.0], &[taps]);
+            swept(cells, label.to_string(), |_| {})
+        };
+        STRATEGIES.into_iter().flat_map(with).collect()
+    },
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::quick_rows;
+    use super::STRATEGIES;
 
     #[test]
     fn fixed_and_adaptive_variants_run_at_quick_scale() {
-        let scale = ExperimentScale::quick();
-        for strategy in [ExtensionStrategy::Fixed(5), ExtensionStrategy::Adaptive] {
-            let mechanism = Taps::with_extension(strategy);
-            let metrics = averaged_custom_trial(
-                &mechanism,
-                &scale,
-                |c| c.with_epsilon(4.0).with_k(5),
-                |seed| build_dataset(DatasetKind::Rdb, &scale, seed),
-            )
-            .unwrap();
-            assert!((0.0..=1.0).contains(&metrics.f1));
+        let rows = quick_rows("table5");
+        for (label, _) in STRATEGIES {
+            let with: Vec<_> = rows.iter().filter(|r| r.parameter == label).collect();
+            assert_eq!(with.len(), 5, "{label}");
+            assert!(with.iter().all(|r| r.mechanism == "TAPS" && r.mean <= 1.0));
         }
     }
 }

@@ -1,52 +1,43 @@
 //! Table 6: F1 of TAPS with and without the shared shallow trie (ε = 4,
 //! k = 10).
 
-use super::{averaged_custom_trial, build_dataset};
-use crate::report::ExperimentReport;
-use crate::runner::{fmt3, ExperimentScale};
-use fedhh_datasets::DatasetKind;
-use fedhh_federated::ProtocolError;
-use fedhh_mechanisms::Taps;
+use super::*;
 
-/// Runs the Table 6 ablation.
-pub fn run(scale: &ExperimentScale) -> Result<ExperimentReport, ProtocolError> {
-    let mut report = ExperimentReport::new(
-        "table6",
-        "Table 6: TAPS with / without the shared shallow trie (eps = 4, k = 10)",
-        &["dataset", "TAPS (w/o shared trie)", "TAPS"],
-    );
-    for dataset in DatasetKind::ALL {
-        let mut row = vec![dataset.name().to_string()];
-        for mechanism in [Taps::without_shared_trie(), Taps::default()] {
-            let metrics = averaged_custom_trial(
-                &mechanism,
+/// The Table 6 ablation.
+pub const TABLE6: Experiment = Experiment {
+    id: "table6",
+    title: "Table 6: TAPS with / without the shared shallow trie (eps = 4, k = 10)",
+    metrics: &[F1],
+    cells: |scale| {
+        let with = |(label, taps): (&str, Taps)| {
+            let cells = grid(
                 scale,
-                |c| c.with_epsilon(4.0).with_k(10),
-                |seed| build_dataset(dataset, scale, seed),
-            )?;
-            row.push(fmt3(metrics.f1));
-        }
-        report.push_row(row);
-    }
-    Ok(report)
-}
+                &DatasetKind::ALL,
+                &[10],
+                &[4.0],
+                &[Variant::Taps(taps)],
+            );
+            swept(cells, label.to_string(), |_| {})
+        };
+        let arms = [
+            ("without shared trie", Taps::without_shared_trie()),
+            ("with shared trie", Taps::default()),
+        ];
+        arms.into_iter().flat_map(with).collect()
+    },
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::quick_rows;
 
     #[test]
     fn both_variants_run_at_quick_scale() {
-        let scale = ExperimentScale::quick();
-        for mechanism in [Taps::without_shared_trie(), Taps::default()] {
-            let metrics = averaged_custom_trial(
-                &mechanism,
-                &scale,
-                |c| c.with_epsilon(4.0).with_k(5),
-                |seed| build_dataset(DatasetKind::Syn, &scale, seed),
-            )
-            .unwrap();
-            assert!((0.0..=1.0).contains(&metrics.f1));
+        let rows = quick_rows("table6");
+        for arm in ["without shared trie", "with shared trie"] {
+            let of: Vec<_> = rows.iter().filter(|r| r.parameter == arm).collect();
+            assert_eq!(of.len(), 5, "{arm}");
+            assert!(of.iter().all(|r| r.mean <= 1.0), "{arm}");
         }
     }
 }

@@ -2,60 +2,24 @@
 //! heavy hitters (ε = 4, k = 10) — the paper's measure of how well each
 //! mechanism copes with statistical heterogeneity.
 
-use crate::report::ExperimentReport;
-use crate::runner::{averaged_trial, fmt3, ExperimentScale};
-use fedhh_datasets::DatasetKind;
-use fedhh_federated::ProtocolError;
-use fedhh_mechanisms::MechanismKind;
+use super::*;
 
-/// Runs the Table 7 comparison.
-pub fn run(scale: &ExperimentScale) -> Result<ExperimentReport, ProtocolError> {
-    let mut report = ExperimentReport::new(
-        "table7",
-        "Table 7: average local recall of global ground truths (eps = 4, k = 10)",
-        &[
-            "dataset",
-            "#parties",
-            "GTF",
-            "FedPEM",
-            "TAPS",
-            "TAPS uplift",
-        ],
-    );
-    for dataset in DatasetKind::ALL {
-        let mut row = vec![
-            dataset.name().to_string(),
-            dataset.party_count().to_string(),
-        ];
-        let mut scores = Vec::new();
-        for kind in MechanismKind::MAIN_COMPARISON {
-            let metrics = averaged_trial(kind, dataset, scale, |c| c.with_epsilon(4.0).with_k(10))?;
-            scores.push(metrics.avg_local_recall);
-            row.push(fmt3(metrics.avg_local_recall));
-        }
-        let best_baseline = scores[0].max(scores[1]);
-        let uplift = if best_baseline > 0.0 {
-            (scores[2] - best_baseline) / best_baseline * 100.0
-        } else {
-            0.0
-        };
-        row.push(format!("{uplift:+.1}%"));
-        report.push_row(row);
-    }
-    Ok(report)
-}
+/// The Table 7 comparison.
+pub const TABLE7: Experiment = Experiment {
+    id: "table7",
+    title: "Table 7: average local recall of global ground truths (eps = 4, k = 10)",
+    metrics: &[LOCAL_RECALL],
+    cells: |scale| grid(scale, &DatasetKind::ALL, &[10], &[4.0], &MAIN),
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::quick_rows;
 
     #[test]
     fn recall_scores_are_probabilities() {
-        let scale = ExperimentScale::quick();
-        let metrics = averaged_trial(MechanismKind::Taps, DatasetKind::Ycm, &scale, |c| {
-            c.with_epsilon(4.0).with_k(5)
-        })
-        .unwrap();
-        assert!((0.0..=1.0).contains(&metrics.avg_local_recall));
+        let rows = quick_rows("table7");
+        assert_eq!(rows.len(), 5 * 3);
+        assert!(rows.iter().all(|r| (0.0..=1.0).contains(&r.mean)));
     }
 }

@@ -1,59 +1,41 @@
 //! Table 8: F1 under varying data heterogeneity on SYN, controlled by the
 //! Dirichlet concentration β ∈ {0.2, 0.5, 0.8} (ε = 4, k = 10).
 
-use crate::report::ExperimentReport;
-use crate::runner::{fmt3, run_trial, ExperimentScale, TrialMetrics};
-use fedhh_datasets::DatasetKind;
-use fedhh_federated::ProtocolError;
-use fedhh_mechanisms::MechanismKind;
+use super::*;
 
 /// The Dirichlet concentrations swept by Table 8 (smaller = more non-IID).
 pub const BETAS: [f64; 3] = [0.2, 0.5, 0.8];
 
-/// Runs the Table 8 sweep.
-pub fn run(scale: &ExperimentScale) -> Result<ExperimentReport, ProtocolError> {
-    let mut report = ExperimentReport::new(
-        "table8",
-        "Table 8: F1 vs data heterogeneity (Dirichlet beta) on SYN (eps = 4, k = 10)",
-        &["beta", "GTF", "FedPEM", "TAPS"],
-    );
-    for beta in BETAS {
-        let mut row = vec![format!("Dir({beta})")];
-        for kind in MechanismKind::MAIN_COMPARISON {
-            let mechanism = kind.build();
-            let trials: Vec<TrialMetrics> = (0..scale.repetitions)
-                .map(|rep| {
-                    let seed = 500 + rep * 101;
-                    let mut dataset_config = scale.dataset_config(seed);
-                    dataset_config.syn_beta = beta;
-                    let dataset = dataset_config.build(DatasetKind::Syn);
-                    let config = scale
-                        .protocol_config(seed ^ 0xABCD)
-                        .with_epsilon(4.0)
-                        .with_k(10);
-                    run_trial(mechanism.as_ref(), &dataset, &config)
-                })
-                .collect::<Result<_, _>>()?;
-            row.push(fmt3(TrialMetrics::mean(&trials).f1));
-        }
-        report.push_row(row);
-    }
-    Ok(report)
-}
+/// The Table 8 sweep.
+pub const TABLE8: Experiment = Experiment {
+    id: "table8",
+    title: "Table 8: F1 vs data heterogeneity (Dirichlet beta) on SYN (eps = 4, k = 10)",
+    metrics: &[F1],
+    cells: |scale| {
+        let at = |beta: f64| {
+            let cells = grid(scale, &[DatasetKind::Syn], &[10], &[4.0], &MAIN);
+            swept(cells, format!("beta={beta}"), |c| c.data.syn_beta = beta)
+        };
+        BETAS.into_iter().flat_map(at).collect()
+    },
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::quick_rows;
+    use super::BETAS;
 
     #[test]
     fn table8_has_one_row_per_beta() {
-        let report = run(&ExperimentScale::quick()).unwrap();
-        assert_eq!(report.rows.len(), BETAS.len());
-        for row in &report.rows {
-            for cell in &row[1..] {
-                let v: f64 = cell.parse().unwrap();
-                assert!((0.0..=1.0).contains(&v));
-            }
+        let rows = quick_rows("table8");
+        for beta in BETAS {
+            let at: Vec<_> = rows
+                .iter()
+                .filter(|r| r.parameter == format!("beta={beta}"))
+                .collect();
+            // One row per mechanism.
+            assert_eq!(at.len(), 3, "beta {beta}");
+            assert!(at.iter().all(|r| (0.0..=1.0).contains(&r.mean)));
         }
     }
 }

@@ -701,6 +701,23 @@ fn run_overhead_suite_impl(quick: bool, reps: u64) -> Result<(PerfReport, PerfRe
     ))
 }
 
+/// The `--overhead-gate` table: each leg's untraced and traced ns/report
+/// and their ratio.
+pub fn overhead_table(untraced: &PerfReport, traced: &PerfReport) -> String {
+    let mut rows = Vec::new();
+    for (off, on) in untraced.entries.iter().zip(&traced.entries) {
+        rows.push(vec![
+            off.name.clone(),
+            format!("{:.1}", off.ns_per_report),
+            format!("{:.1}", on.ns_per_report),
+            format!("{:.3}", on.ns_per_report / off.ns_per_report),
+        ]);
+    }
+    let header = ["workload", "off ns/rpt", "on ns/rpt", "ratio"];
+    let (table, suite) = (report::align(&header, &rows), &untraced.suite);
+    format!("# fedhh telemetry overhead ({suite} suite)\n{table}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,144 +1,18 @@
-//! Reports: the paper-table [`ExperimentReport`] and the **one report
-//! layer** behind every `BENCH_*.json` file.
+//! The **one report layer** behind every report file: the `BENCH_*.json`
+//! reports and the paper evaluation's `results/experiments.json`.
 //!
-//! A `BENCH_*.json` report is head fields plus rows of one row type.  The
-//! row type implements [`Row`]: it names its report struct and declares the
+//! A report is head fields plus rows of one row type.  The row type
+//! implements [`Row`]: it names its report struct and declares the
 //! head fields and its own columns **once**, each as a [`Column`] — JSON
 //! key, JSON float format, table heading and format, and its [`Role`] in a
 //! baseline gate.  Everything else is derived here: [`to_json`] (through
 //! [`json::document`], byte-stable), [`from_json`] (strict, through
-//! [`json::Scalar`]), [`to_table`] (through [`ExperimentReport`]'s aligner)
-//! and the single gate [`check`].
+//! [`json::Scalar`]), [`to_table`] and the single gate [`check`].
 
 use crate::json::{self, Fmt, Value};
-use std::fmt::Write as _;
-
-/// A printable, serializable experiment result: a header row plus data rows,
-/// mirroring the corresponding table/figure of the paper.
-#[derive(Debug, Clone)]
-pub struct ExperimentReport {
-    /// Experiment identifier, e.g. `"fig4"`.
-    pub id: String,
-    /// Human-readable title, e.g. `"Figure 4: F1 vs epsilon"`.
-    pub title: String,
-    /// Column names.
-    pub header: Vec<String>,
-    /// Data rows (already formatted as strings).
-    pub rows: Vec<Vec<String>>,
-}
-
-impl ExperimentReport {
-    /// Creates an empty report with a header.
-    pub fn new(id: &str, title: &str, header: &[&str]) -> Self {
-        Self {
-            id: id.to_string(),
-            title: title.to_string(),
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a data row.
-    pub fn push_row(&mut self, row: Vec<String>) {
-        debug_assert_eq!(row.len(), self.header.len(), "row width must match header");
-        self.rows.push(row);
-    }
-
-    /// Renders the report as an aligned plain-text table.
-    pub fn to_table(&self) -> String {
-        format!("# {} ({})\n{}", self.title, self.id, self.aligned())
-    }
-
-    /// The aligned header, rule and rows, without the title line.
-    pub(crate) fn aligned(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                if cell.len() > widths[i] {
-                    widths[i] = cell.len();
-                }
-            }
-        }
-        let render = |cells: &[String]| {
-            cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:width$}", c, width = widths[i]))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        let mut out = render(&self.header);
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&render(row));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Serializes the report as a JSON object (hand-rolled: the workspace
-    /// builds without external dependencies).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"id\":{},", json::string(&self.id));
-        let _ = write!(out, "\"title\":{},", json::string(&self.title));
-        let _ = write!(out, "\"header\":{},", json_string_array(&self.header));
-        out.push_str("\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string_array(row));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Renders the report as a GitHub-flavoured markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### {} ({})\n\n", self.title, self.id));
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!(
-            "|{}|\n",
-            self.header
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
-}
-
-/// Serializes a list of reports as a pretty-enough JSON array (one report
-/// per line).
-pub fn reports_to_json(reports: &[ExperimentReport]) -> String {
-    let mut out = String::from("[\n");
-    for (i, report) in reports.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(&report.to_json());
-        if i + 1 < reports.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push(']');
-    out
-}
-
-fn json_string_array(items: &[String]) -> String {
-    let cells: Vec<String> = items.iter().map(|s| json::string(s)).collect();
-    format!("[{}]", cells.join(","))
-}
 
 /// The schema version this build writes into, and accepts from, every
-/// `BENCH_*.json` file.
+/// report file.
 pub const SCHEMA: u32 = 1;
 
 /// What a column means to the baseline gate ([`check`]).
@@ -219,14 +93,14 @@ macro_rules! column {
 }
 pub(crate) use column;
 
-/// A row type of a `BENCH_*.json` report.  Implemented by exactly the five
-/// row structs; the implementation *is* the file format — nothing else in
+/// A row type of a report.  Implemented by exactly the six row structs; the implementation *is* the file format — nothing else in
 /// the crate knows a key, a float precision or a gate rule.
 pub trait Row: Sized + Default + 'static {
     /// The report struct these rows live in.
     type Report: Default;
-    /// The subcommand that writes the report, which is also the file stem
-    /// (`"perf"` writes `BENCH_perf.json`).
+    /// The report's name, which is also the default file stem (`"perf"`
+    /// writes `BENCH_perf.json`); the subcommand that writes it, except for
+    /// `run`'s `"experiments"`.
     const NAME: &'static str;
     /// The head fields after `"schema"`, in file order.
     const HEAD: &'static [Column<Self::Report>];
@@ -315,15 +189,38 @@ pub fn to_table<R: Row>(report: &R::Report) -> String {
     let label_heading = R::NESTING.map(|(_, _, heading)| heading);
     let headings = R::COLUMNS.iter().map(|c| c.heading);
     let header: Vec<&str> = label_heading.into_iter().chain(headings).collect();
-    let mut table = ExperimentReport::new("", "", &header);
+    let mut cells = Vec::new();
     for (label, rows) in R::groups(report) {
         for row in rows {
             let label = label_heading.map(|_| label.to_string());
-            let cells = R::COLUMNS.iter().map(|c| shown(&(c.get)(row), c.shown));
-            table.push_row(label.into_iter().chain(cells).collect());
+            let shown = R::COLUMNS.iter().map(|c| shown(&(c.get)(row), c.shown));
+            cells.push(label.into_iter().chain(shown).collect());
         }
     }
-    format!("# {}\n{}", R::title(report), table.aligned())
+    format!("# {}\n{}", R::title(report), align(&header, &cells))
+}
+
+/// The aligned header, rule and rows of a plain-text table.
+pub(crate) fn align(header: &[&str], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    for row in rows {
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
+        }
+    }
+    let render = |cells: Vec<&str>| {
+        let padded: Vec<String> = (cells.iter().zip(&widths))
+            .map(|(cell, width)| format!("{cell:width$}"))
+            .collect();
+        padded.join("  ") + "\n"
+    };
+    let mut out = render(header.to_vec());
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    out.push('\n');
+    for row in rows {
+        out.push_str(&render(row.iter().map(String::as_str).collect()));
+    }
+    out
 }
 
 /// **The** baseline gate.  Rows are joined on their [`Role::Key`] columns;
@@ -421,44 +318,14 @@ pub(crate) fn assert_reader_is_strict<R: Row>(report: &R::Report) {
 mod tests {
     use super::*;
 
-    fn sample() -> ExperimentReport {
-        let mut r = ExperimentReport::new("figX", "Sample", &["dataset", "eps", "f1"]);
-        r.push_row(vec!["RDB".into(), "1".into(), "0.50".into()]);
-        r.push_row(vec!["SYN".into(), "5".into(), "0.90".into()]);
-        r
-    }
-
     #[test]
     fn table_rendering_contains_all_cells() {
-        let text = sample().to_table();
-        for cell in ["dataset", "eps", "f1", "RDB", "SYN", "0.50", "0.90"] {
-            assert!(text.contains(cell), "missing {cell} in\n{text}");
-        }
-    }
-
-    #[test]
-    fn markdown_rendering_is_a_valid_table() {
-        let md = sample().to_markdown();
-        assert!(md.contains("| dataset | eps | f1 |"));
-        assert!(md.contains("|---|---|---|"));
-        assert_eq!(md.matches('\n').count(), 6);
-    }
-
-    #[test]
-    fn json_rendering_is_well_formed() {
-        let mut report = sample();
-        report.rows.push(vec![
-            "quote \" and backslash \\".into(),
-            "1".into(),
-            "2".into(),
-        ]);
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"id\":\"figX\""));
-        assert!(json.contains("\"header\":[\"dataset\",\"eps\",\"f1\"]"));
-        assert!(json.contains("quote \\\" and backslash \\\\"));
-        let all = reports_to_json(&[report.clone(), report]);
-        assert!(all.starts_with("[\n") && all.ends_with(']'));
-        assert_eq!(all.matches("\"id\"").count(), 2);
+        let rows = [["RDB", "1", "0.50"], ["SYN", "15", "0.90"]];
+        let rows: Vec<Vec<String>> = rows.iter().map(|r| r.map(String::from).to_vec()).collect();
+        let text = align(&["dataset", "eps", "f1"], &rows);
+        assert_eq!(
+            text,
+            "dataset  eps  f1  \n------------------\nRDB      1    0.50\nSYN      15   0.90\n"
+        );
     }
 }

@@ -1,8 +1,9 @@
-//! Shared experiment machinery: scales, trials and averaging.
+//! Shared experiment machinery: the scale, the one single run
+//! ([`run_trial`]) and the one repetition loop ([`repeat_trials`]).
 
 use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
 use fedhh_federated::{EngineConfig, ProtocolConfig, ProtocolError};
-use fedhh_mechanisms::{Mechanism, MechanismKind, Run};
+use fedhh_mechanisms::{Mechanism, Run};
 use fedhh_metrics::{average_local_recall, f1_score, ncr_score};
 use fedhh_telemetry::Telemetry;
 
@@ -114,34 +115,12 @@ impl TrialMetrics {
     }
 }
 
-/// Runs one mechanism once over a dataset (through the [`Run`] builder) and
-/// scores it against the exact ground truth, with the environment-default
-/// engine.
+/// **The** single run: one mechanism once over a dataset (through the
+/// [`Run`] builder) on `engine`, with `telemetry` attached, scored against
+/// the exact ground truth.  A disabled telemetry handle is the untraced
+/// path; an enabled one records the run's spans, counters and uplink trace
+/// for the caller to flush.
 pub fn run_trial(
-    mechanism: &dyn Mechanism,
-    dataset: &FederatedDataset,
-    config: &ProtocolConfig,
-) -> Result<TrialMetrics, ProtocolError> {
-    run_engine_trial(mechanism, dataset, config, &EngineConfig::from_env())
-}
-
-/// Like [`run_trial`] but with an explicit [`EngineConfig`] (parallelism and
-/// fault plan) — the entry point behind `fedhh-bench trial --parallelism` /
-/// `--dropout`.
-pub fn run_engine_trial(
-    mechanism: &dyn Mechanism,
-    dataset: &FederatedDataset,
-    config: &ProtocolConfig,
-    engine: &EngineConfig,
-) -> Result<TrialMetrics, ProtocolError> {
-    run_engine_trial_traced(mechanism, dataset, config, engine, &Telemetry::disabled())
-}
-
-/// Like [`run_engine_trial`] but with a [`Telemetry`] handle attached to the
-/// run.  A disabled handle makes this identical to the untraced path; an
-/// enabled one records the run's spans, counters and uplink trace into the
-/// handle for the caller to flush (`fedhh-bench trial --trace`).
-pub fn run_engine_trial_traced(
     mechanism: &dyn Mechanism,
     dataset: &FederatedDataset,
     config: &ProtocolConfig,
@@ -170,104 +149,31 @@ pub fn run_engine_trial_traced(
     })
 }
 
-/// Runs a mechanism `scale.repetitions` times (different dataset and
-/// protocol seeds) and averages the metrics, mirroring the paper's
-/// average-of-50-runs protocol.
-pub fn averaged_trial(
-    kind: MechanismKind,
-    dataset_kind: DatasetKind,
-    scale: &ExperimentScale,
-    configure: impl Fn(ProtocolConfig) -> ProtocolConfig,
-) -> Result<TrialMetrics, ProtocolError> {
-    averaged_trial_with(kind, scale, configure, |seed| {
-        scale.dataset_config(seed).build(dataset_kind)
-    })
-}
-
-/// Like [`averaged_trial`] but with an explicit engine configuration
-/// applied to every repetition.
-pub fn averaged_engine_trial(
-    kind: MechanismKind,
-    dataset_kind: DatasetKind,
-    scale: &ExperimentScale,
-    engine: &EngineConfig,
-    configure: impl Fn(ProtocolConfig) -> ProtocolConfig,
-) -> Result<TrialMetrics, ProtocolError> {
-    averaged_engine_trial_traced(
-        kind,
-        dataset_kind,
-        scale,
-        engine,
-        &Telemetry::disabled(),
-        configure,
-    )
-}
-
-/// Like [`averaged_engine_trial`] but with a [`Telemetry`] handle shared by
-/// every repetition, so `fedhh-bench trial --trace` captures all of them in
-/// one trace file.
-pub fn averaged_engine_trial_traced(
-    kind: MechanismKind,
-    dataset_kind: DatasetKind,
-    scale: &ExperimentScale,
-    engine: &EngineConfig,
-    telemetry: &Telemetry,
-    configure: impl Fn(ProtocolConfig) -> ProtocolConfig,
-) -> Result<TrialMetrics, ProtocolError> {
-    averaged_engine_trial_with(kind, scale, engine, telemetry, configure, |seed| {
-        scale.dataset_config(seed).build(dataset_kind)
-    })
-}
-
-/// Like [`averaged_trial`] but with a custom dataset builder (used by the
-/// Table 8 heterogeneity sweep, which varies the SYN Dirichlet β).
-pub fn averaged_trial_with(
-    kind: MechanismKind,
-    scale: &ExperimentScale,
-    configure: impl Fn(ProtocolConfig) -> ProtocolConfig,
-    build_dataset: impl Fn(u64) -> FederatedDataset,
-) -> Result<TrialMetrics, ProtocolError> {
-    averaged_engine_trial_with(
-        kind,
-        scale,
-        &EngineConfig::from_env(),
-        &Telemetry::disabled(),
-        configure,
-        build_dataset,
-    )
-}
-
-/// The shared repetition loop behind every averaged trial: one dataset and
-/// protocol seed pair per repetition, mirroring the paper's
-/// average-of-50-runs protocol.
-fn averaged_engine_trial_with(
-    kind: MechanismKind,
-    scale: &ExperimentScale,
-    engine: &EngineConfig,
-    telemetry: &Telemetry,
-    configure: impl Fn(ProtocolConfig) -> ProtocolConfig,
-    build_dataset: impl Fn(u64) -> FederatedDataset,
-) -> Result<TrialMetrics, ProtocolError> {
-    let mechanism = kind.build();
-    let trials: Vec<TrialMetrics> = (0..scale.repetitions)
+/// **The** repetition loop, mirroring the paper's average-of-50-runs
+/// protocol: repetition `rep` builds `kind` from `data` at seed
+/// `1000 + rep·7919` and hands it to `trial` with `protocol` at seed
+/// `that ^ 0xBEEF`.  The seeds of `data` and `protocol` are ignored;
+/// every other field is the caller's.
+pub fn repeat_trials(
+    repetitions: u64,
+    kind: DatasetKind,
+    data: DatasetConfig,
+    protocol: ProtocolConfig,
+    mut trial: impl FnMut(&FederatedDataset, &ProtocolConfig) -> Result<TrialMetrics, ProtocolError>,
+) -> Result<Vec<TrialMetrics>, ProtocolError> {
+    (0..repetitions)
         .map(|rep| {
             let seed = 1000 + rep * 7919;
-            let dataset = build_dataset(seed);
-            let config = configure(scale.protocol_config(seed ^ 0xBEEF));
-            run_engine_trial_traced(mechanism.as_ref(), &dataset, &config, engine, telemetry)
+            let dataset = DatasetConfig { seed, ..data }.build(kind);
+            trial(&dataset, &protocol.with_seed(seed ^ 0xBEEF))
         })
-        .collect::<Result<_, _>>()?;
-    Ok(TrialMetrics::mean(&trials))
-}
-
-/// Formats a metric with three decimals for the report tables.
-pub fn fmt3(value: f64) -> String {
-    format!("{value:.3}")
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedhh_mechanisms::MechanismKind;
 
     #[test]
     fn mean_of_trials_averages_every_field() {
@@ -297,13 +203,42 @@ mod tests {
         assert_eq!(TrialMetrics::mean(&[]).f1, 0.0);
     }
 
+    /// The repetition loop at quick scale (ε = 4, k = 5) on `engine`.
+    fn quick_trials(
+        kind: MechanismKind,
+        dataset: DatasetKind,
+        engine: &EngineConfig,
+    ) -> Vec<TrialMetrics> {
+        let scale = ExperimentScale::quick();
+        let mechanism = kind.build();
+        let protocol = scale.protocol_config(0).with_epsilon(4.0).with_k(5);
+        let trial = |data: &FederatedDataset, config: &ProtocolConfig| {
+            run_trial(
+                mechanism.as_ref(),
+                data,
+                config,
+                engine,
+                &Telemetry::disabled(),
+            )
+        };
+        repeat_trials(2, dataset, scale.dataset_config(0), protocol, trial).unwrap()
+    }
+
     #[test]
     fn run_trial_produces_scores_in_range() {
         let scale = ExperimentScale::quick();
         let dataset = scale.dataset_config(1).build(DatasetKind::Rdb);
         let config = scale.protocol_config(2).with_epsilon(4.0).with_k(5);
         let mechanism = MechanismKind::Taps.build();
-        let metrics = run_trial(mechanism.as_ref(), &dataset, &config).unwrap();
+        let engine = EngineConfig::sequential();
+        let metrics = run_trial(
+            mechanism.as_ref(),
+            &dataset,
+            &config,
+            &engine,
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         assert!((0.0..=1.0).contains(&metrics.f1));
         assert!((0.0..=1.0).contains(&metrics.ncr));
         assert!((0.0..=1.0).contains(&metrics.avg_local_recall));
@@ -313,72 +248,48 @@ mod tests {
 
     #[test]
     fn averaged_trial_is_reproducible() {
-        let scale = ExperimentScale::quick();
-        let a = averaged_trial(MechanismKind::FedPem, DatasetKind::Rdb, &scale, |c| {
-            c.with_epsilon(4.0).with_k(5)
-        })
-        .unwrap();
-        let b = averaged_trial(MechanismKind::FedPem, DatasetKind::Rdb, &scale, |c| {
-            c.with_epsilon(4.0).with_k(5)
-        })
-        .unwrap();
-        assert_eq!(a.f1, b.f1);
-        assert_eq!(a.ncr, b.ncr);
-    }
-
-    #[test]
-    fn fmt3_rounds_to_three_decimals() {
-        assert_eq!(fmt3(0.123456), "0.123");
-        assert_eq!(fmt3(1.0), "1.000");
+        let engine = EngineConfig::sequential();
+        let a = quick_trials(MechanismKind::FedPem, DatasetKind::Rdb, &engine);
+        let b = quick_trials(MechanismKind::FedPem, DatasetKind::Rdb, &engine);
+        for (a, b) in a.iter().zip(&b) {
+            assert_eq!((a.f1, a.ncr, a.uplink_kb), (b.f1, b.ncr, b.uplink_kb));
+        }
+        assert_eq!(a.len(), 2);
     }
 
     #[test]
     fn engine_trials_match_sequential_results_at_any_parallelism() {
-        let scale = ExperimentScale::quick();
-        let configure = |c: ProtocolConfig| c.with_epsilon(4.0).with_k(5);
-        let sequential = averaged_engine_trial(
+        let sequential = quick_trials(
             MechanismKind::Taps,
             DatasetKind::Rdb,
-            &scale,
             &EngineConfig::sequential(),
-            configure,
-        )
-        .unwrap();
-        let parallel = averaged_engine_trial(
+        );
+        let parallel = quick_trials(
             MechanismKind::Taps,
             DatasetKind::Rdb,
-            &scale,
             &EngineConfig::parallel(4),
-            configure,
-        )
-        .unwrap();
-        assert_eq!(sequential.f1, parallel.f1);
-        assert_eq!(sequential.ncr, parallel.ncr);
-        assert_eq!(sequential.uplink_kb, parallel.uplink_kb);
-        assert_eq!(sequential.server_traffic_kb, parallel.server_traffic_kb);
+        );
+        for (s, p) in sequential.iter().zip(&parallel) {
+            assert_eq!(s.f1, p.f1);
+            assert_eq!(s.ncr, p.ncr);
+            assert_eq!(s.uplink_kb, p.uplink_kb);
+            assert_eq!(s.server_traffic_kb, p.server_traffic_kb);
+        }
     }
 
     #[test]
     fn dropout_trials_complete_with_reduced_uplink() {
         use fedhh_federated::FaultPlan;
-        let scale = ExperimentScale::quick();
-        let configure = |c: ProtocolConfig| c.with_epsilon(4.0).with_k(5);
-        let healthy = averaged_engine_trial(
-            MechanismKind::FedPem,
-            DatasetKind::Ycm,
-            &scale,
-            &EngineConfig::sequential(),
-            configure,
-        )
-        .unwrap();
-        let faulty = averaged_engine_trial(
-            MechanismKind::FedPem,
-            DatasetKind::Ycm,
-            &scale,
-            &EngineConfig::sequential().with_faults(FaultPlan::dropout(0.5, 3)),
-            configure,
-        )
-        .unwrap();
-        assert!(faulty.uplink_kb < healthy.uplink_kb);
+        let healthy = EngineConfig::sequential();
+        let faulty = healthy.with_faults(FaultPlan::dropout(0.5, 3));
+        let uplink = |engine| {
+            TrialMetrics::mean(&quick_trials(
+                MechanismKind::FedPem,
+                DatasetKind::Ycm,
+                engine,
+            ))
+            .uplink_kb
+        };
+        assert!(uplink(&faulty) < uplink(&healthy));
     }
 }

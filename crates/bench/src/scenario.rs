@@ -55,11 +55,12 @@
 
 use crate::json::Fmt;
 use crate::report::{self, column, Column, Row, Shown, SCHEMA};
-use crate::runner::{run_engine_trial, ExperimentScale, TrialMetrics};
+use crate::runner::{run_trial, ExperimentScale, TrialMetrics};
 use fedhh_datasets::DatasetKind;
 use fedhh_federated::{AdversaryModel, EngineConfig, FlipMode, ProtocolError, ScenarioPlan};
 use fedhh_mechanisms::MechanismKind;
 use fedhh_metrics::degradation;
+use fedhh_telemetry::Telemetry;
 
 /// The adversary names of the matrix, in column order.
 pub const ADVERSARIES: [&str; 5] = [
@@ -117,7 +118,7 @@ pub struct ScenarioOptions {
     /// only attacked from `0.5` up.
     pub fractions: Vec<f64>,
     /// Dataset-generation seed (the protocol seed is derived from it the
-    /// same way `averaged_trial` derives it).
+    /// same way [`crate::runner::repeat_trials`] derives it).
     pub seed: u64,
     /// The adversary decision seed shipped in every [`ScenarioPlan`].
     pub scenario_seed: u64,
@@ -208,13 +209,12 @@ pub fn run_scenario(options: &ScenarioOptions) -> Result<ScenarioReport, String>
     for kind in MechanismKind::ALL {
         let mechanism = kind.build();
         let name = kind.to_string();
-        let baseline = run_engine_trial(
-            mechanism.as_ref(),
-            &dataset,
-            &config,
-            &EngineConfig::sequential(),
-        )
-        .map_err(|e| format!("{name} baseline failed: {e}"))?;
+        let trial = |engine: &EngineConfig| {
+            let off = Telemetry::disabled();
+            run_trial(mechanism.as_ref(), &dataset, &config, engine, &off)
+        };
+        let baseline = trial(&EngineConfig::sequential())
+            .map_err(|e| format!("{name} baseline failed: {e}"))?;
         rows.push(ScenarioRow {
             mechanism: name.clone(),
             adversary: "none".to_string(),
@@ -232,7 +232,7 @@ pub fn run_scenario(options: &ScenarioOptions) -> Result<ScenarioReport, String>
                     .expect("ADVERSARIES only lists known names");
                 let plan = ScenarioPlan::benign().with_adversary(model, options.scenario_seed);
                 let engine = EngineConfig::sequential().with_scenario(plan);
-                let row = match run_engine_trial(mechanism.as_ref(), &dataset, &config, &engine) {
+                let row = match trial(&engine) {
                     Ok(metrics) => ScenarioRow {
                         mechanism: name.clone(),
                         adversary: adversary.to_string(),

@@ -45,7 +45,7 @@
 
 use crate::json::Fmt;
 use crate::report::{self, column, Column, Row, Shown, SCHEMA};
-use crate::runner::{run_engine_trial_traced, ExperimentScale};
+use crate::runner::{run_trial, ExperimentScale};
 use fedhh_datasets::DatasetKind;
 use fedhh_federated::{EngineConfig, QuorumPolicy, Topology};
 use fedhh_mechanisms::MechanismKind;
@@ -193,14 +193,8 @@ pub fn run_topology(options: &TopologyOptions) -> Result<TopologyReport, String>
                     .with_topology(*topology)
                     .with_quorum(quorum);
                 let telemetry = Telemetry::new();
-                let metrics = run_engine_trial_traced(
-                    mechanism.as_ref(),
-                    &dataset,
-                    &config,
-                    &engine,
-                    &telemetry,
-                )
-                .map_err(|e| format!("{name} under {topology}@{fraction} failed: {e}"))?;
+                let metrics = run_trial(mechanism.as_ref(), &dataset, &config, &engine, &telemetry)
+                    .map_err(|e| format!("{name} under {topology}@{fraction} failed: {e}"))?;
                 let snapshot = telemetry.snapshot();
                 let row = TopologyRow {
                     mechanism: name.clone(),

@@ -75,6 +75,25 @@ fn fedhh_bench_rejects_malformed_command_lines_before_running_anything() {
             ("scenario --threshold -1", &["must be non-negative"]),
             ("perf --overhead-gate 0.5", &["must be at least 1.0"]),
             ("trial taps rdb --transport udp", &["memory or tcp"]),
+            // Zero repetitions used to print an all-zero table and exit 0.
+            ("run fig4 --reps 0", &["--reps must be at least 1"]),
+            ("trial taps rdb --reps 0", &["--reps must be at least 1"]),
+            // An unusable population used to be accepted (0, NaN, negative)
+            // or to panic with a capacity overflow (inf).
+            (
+                "run fig4 --user-scale inf",
+                &["--user-scale must be positive and finite"],
+            ),
+            (
+                "trial taps rdb --user-scale NaN",
+                &["--user-scale must be positive"],
+            ),
+            (
+                "epochs --user-scale 0",
+                &["--user-scale must be positive and finite"],
+            ),
+            ("run nope", &["unknown experiment \"nope\""]),
+            ("run fig4 --json x.json", &["unknown option --json"]),
         ],
     );
 }
@@ -114,6 +133,10 @@ fn a_check_baseline_is_vetted_before_the_sweep_starts() {
         (
             line("scenario", &path("full")),
             &["recorded by the \"full\" suite", "\"quick\""][..],
+        ),
+        (
+            line("run fig4", &path("full")),
+            &["recorded by the \"full\" suite", "\"fig4 at user scale"][..],
         ),
         (
             line("topology", &path("schema")),
@@ -167,6 +190,14 @@ fn fedhh_node_rejects_malformed_command_lines_before_running_anything() {
             ("service --churn 1.5", &["--churn must be in [0, 1]"]),
             ("service --warm tepid", &["must be cold or previous"]),
             ("service --mechanism taps", &["--dataset are required"]),
+            (
+                "coordinator --user-scale inf",
+                &["--user-scale must be positive and finite"],
+            ),
+            (
+                "service --user-scale -1",
+                &["--user-scale must be positive"],
+            ),
         ],
     );
 }

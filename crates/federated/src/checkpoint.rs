@@ -253,6 +253,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The on-disk format, byte for byte: how `save` encodes and frames may
+    /// change, the file it leaves may not.
+    #[test]
+    fn saved_files_match_the_pinned_bytes() {
+        let dir = std::env::temp_dir().join(format!("fedhh-ckpt-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pinned.ckpt");
+        let ckpt = Checkpoint {
+            spec: vec![42, 0, 255],
+            state: sample_state(),
+        };
+        save(&path, &ckpt).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "530000000601032a00ff020203000000000000f03f00000000000004400000000000000000\
+             010000000000001040010307090b010102070902078080808080808085400980808080808080\
+             fc7f8020800104019284ea3d"
+        );
+    }
+
     #[test]
     fn foreign_checkpoint_schema_is_rejected() {
         let mut payload = vec![CHECKPOINT_SCHEMA + 1];

@@ -11,7 +11,9 @@
 //!    `build_streamed` regenerates exactly the item sequences `build`
 //!    materializes, and mechanisms produce identical outputs over either.
 
-use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
+use fedhh_datasets::{
+    DatasetConfig, DatasetKind, EvolutionPlan, FederatedDataset, PopulationEvolver,
+};
 use fedhh_federated::{EngineConfig, ExecMode, ProtocolConfig};
 use fedhh_mechanisms::{MechanismKind, MechanismOutput, Run};
 use std::num::NonZeroUsize;
@@ -218,14 +220,109 @@ fn eager_item_sequences_match_the_pre_0_6_generators() {
     ];
     for (kind, want) in expected {
         let ds = DatasetConfig::test_scale().build(kind);
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for party in ds.parties() {
-            for item in party.items() {
-                hash ^= *item;
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
+        let items = ds.parties().iter().map(|party| party.items().to_vec());
+        assert_eq!(
+            fnv(items),
+            want,
+            "{kind}: eager item sequence diverged from 0.5"
+        );
+    }
+}
+
+/// FNV-1a over every party's item sequence, in party order.
+fn fnv(parties: impl IntoIterator<Item = Vec<u64>>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for items in parties {
+        for item in items {
+            hash ^= item;
+            hash = hash.wrapping_mul(0x100_0000_01b3);
         }
-        assert_eq!(hash, want, "{kind}: eager item sequence diverged from 0.5");
+    }
+    hash
+}
+
+/// Evolved populations are pinned independently of how churn is computed:
+/// epochs 0..=8 of RDB and SYN under churn 0.2 and 1.0 (drift 2), digested
+/// from the materialized streams.  Eager-vs-streamed equality cannot catch
+/// a change to the churn sampler, because both sides would move together.
+#[test]
+fn evolved_epochs_match_pinned_digests() {
+    let expected: [(DatasetKind, f64, [u64; 9]); 4] = [
+        (
+            DatasetKind::Rdb,
+            0.2,
+            [
+                0xed93_1451_26b2_e08c,
+                0xa714_d0db_c0ee_1bc2,
+                0x69ef_3ea4_8105_2e6e,
+                0xf606_cc66_abc9_38e1,
+                0x4bea_ca4a_6508_2062,
+                0x28c1_a330_53fa_48c5,
+                0x3703_6542_773c_591a,
+                0x78d1_fd88_c1c1_ec2e,
+                0x52ac_82b4_1792_286a,
+            ],
+        ),
+        (
+            DatasetKind::Rdb,
+            1.0,
+            [
+                0xed93_1451_26b2_e08c,
+                0xef1b_c85a_d84f_4f6b,
+                0xf398_fd5e_1188_29c4,
+                0x3553_5dea_71dd_2f18,
+                0x21f9_6d14_f6ab_d120,
+                0x2c40_ece8_20f8_48b8,
+                0x75db_52ec_15a6_26f7,
+                0x46cc_cdaf_7e58_d53c,
+                0x336c_6ac5_81e9_900b,
+            ],
+        ),
+        (
+            DatasetKind::Syn,
+            0.2,
+            [
+                0x73e7_3354_dcca_144d,
+                0xe994_9152_3e93_932f,
+                0x89ab_af0d_c216_2674,
+                0x25ec_fedf_e817_2956,
+                0x0282_96c8_f475_7f49,
+                0x23e9_5030_1107_ea81,
+                0x3f8f_4b4d_6e64_ba9a,
+                0x9891_19da_4cc5_cdf3,
+                0x3c72_bfa7_b218_d2cd,
+            ],
+        ),
+        (
+            DatasetKind::Syn,
+            1.0,
+            [
+                0x73e7_3354_dcca_144d,
+                0x3fe2_6097_616f_b911,
+                0x9f86_fe52_1eec_c07d,
+                0x247e_6e07_4f02_2cfc,
+                0xd60a_67a8_9cc4_05cd,
+                0xc4c6_3fd2_9467_4e55,
+                0x6bb4_f568_2232_a65c,
+                0xfe02_b1dd_92e7_7b85,
+                0x3274_0acf_f6ce_44ee,
+            ],
+        ),
+    ];
+    for (kind, churn_fraction, want) in expected {
+        let plan = EvolutionPlan {
+            churn_fraction,
+            drift_stride: 2,
+            seed: 7,
+        };
+        let evolver = PopulationEvolver::new(DatasetConfig::test_scale().build(kind), plan);
+        let got: Vec<u64> = (0..=8u32)
+            .map(|e| {
+                let epoch = evolver.epoch(e);
+                fnv(epoch.parties().iter().map(|p| p.stream().materialize()))
+            })
+            .collect();
+        assert_eq!(got, want, "{kind} churn {churn_fraction}");
     }
 }
 

@@ -37,11 +37,13 @@
 //! );
 //! ```
 
+use crate::cdf::GuidedCdf;
 use crate::federated::FederatedDataset;
 use crate::party::PartyData;
-use crate::stream::ChurnGen;
+use crate::stream::{ChurnGen, ItemStream};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// How a population evolves between epochs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,8 +73,10 @@ impl EvolutionPlan {
 struct PartyPool {
     /// Base popularity-ranked item codes (`codes[rank]`).
     codes: Vec<u64>,
-    /// Cumulative distribution over ranks, from the base counts.
-    cdf: Vec<f64>,
+    /// Cumulative distribution over ranks, from the base counts; guided
+    /// once here and shared by every epoch's layer (drift rotates codes,
+    /// not ranks).
+    cdf: Arc<GuidedCdf>,
 }
 
 impl PartyPool {
@@ -88,7 +92,10 @@ impl PartyPool {
                 acc
             })
             .collect();
-        Self { codes, cdf }
+        Self {
+            codes,
+            cdf: Arc::new(GuidedCdf::new(cdf)),
+        }
     }
 
     /// The pool drifted to `epoch`: rank weights stay, the rank→code
@@ -150,8 +157,12 @@ impl PopulationEvolver {
     }
 
     /// The population at epoch `epoch`: the base dataset with `epoch` churn
-    /// layers applied.  `epoch(0)` is the base unchanged.  Construction is
-    /// `O(epoch · parties)` handle work; no item vector is materialized.
+    /// layers applied.  `epoch(0)` is the base unchanged.  Construction
+    /// copies one drifted code pool per layer and party; no item vector is
+    /// materialized.  The layers form one fused stack ([`ChurnGen`]), so a
+    /// pass over an epoch-*e* party costs, per user slot, *e* decide draws
+    /// plus at most one CDF lookup — linear in the epoch, not one pass per
+    /// layer.
     pub fn epoch(&self, epoch: u32) -> FederatedDataset {
         if epoch == 0 {
             return self.base.clone();
@@ -166,11 +177,10 @@ impl PopulationEvolver {
                 for e in 1..=epoch {
                     let (decide, resample) = self.transition_rngs(e, p);
                     let codes = self.pools[p].drifted(self.plan.drift_stride, e);
-                    let cdf = self.pools[p].cdf.clone();
-                    stream = crate::stream::ItemStream::from_churn(ChurnGen::new(
+                    stream = ItemStream::from_churn(ChurnGen::new(
                         stream,
                         codes,
-                        cdf,
+                        Arc::clone(&self.pools[p].cdf),
                         self.plan.churn_fraction,
                         decide,
                         resample,

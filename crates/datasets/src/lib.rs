@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod cdf;
 pub mod dirichlet;
 pub mod evolve;
 pub mod federated;
@@ -42,6 +43,7 @@ pub mod stream;
 pub mod synthetic;
 pub mod zipf;
 
+pub use cdf::GuidedCdf;
 pub use dirichlet::DirichletSampler;
 pub use evolve::{EvolutionPlan, PopulationEvolver};
 pub use federated::FederatedDataset;

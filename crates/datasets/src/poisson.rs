@@ -6,13 +6,13 @@
 //! comparable frequencies around rank λ, which stresses the mechanisms'
 //! ability to separate near-ties under LDP noise.
 
-use crate::zipf::{cumulative, sample_cdf};
+use crate::cdf::{cumulative, GuidedCdf};
 use rand::Rng;
 
 /// A sampler over ranks `0..n` weighted by the Poisson(λ) pmf.
 #[derive(Debug, Clone)]
 pub struct PoissonWeights {
-    cdf: Vec<f64>,
+    cdf: GuidedCdf,
     lambda: f64,
 }
 
@@ -23,7 +23,7 @@ impl PoissonWeights {
         assert!(lambda > 0.0 && lambda.is_finite(), "λ must be positive");
         let weights: Vec<f64> = (0..n).map(|r| poisson_pmf(r, lambda)).collect();
         Self {
-            cdf: cumulative(&weights),
+            cdf: GuidedCdf::new(cumulative(&weights)),
             lambda,
         }
     }
@@ -45,22 +45,19 @@ impl PoissonWeights {
 
     /// Probability of rank `r` after normalization over `0..n`.
     pub fn probability(&self, r: usize) -> f64 {
-        if r >= self.cdf.len() {
-            return 0.0;
-        }
-        let prev = if r == 0 { 0.0 } else { self.cdf[r - 1] };
-        self.cdf[r] - prev
+        self.cdf.probability(r)
     }
 
     /// Samples a rank in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        sample_cdf(&self.cdf, rng)
+        self.cdf.sample(rng)
     }
 
-    /// Consumes the sampler, returning its cumulative distribution (used by
-    /// the streaming dataset generators, which sample the CDF directly so a
-    /// party's item sequence can be regenerated chunk by chunk).
-    pub fn into_cdf(self) -> Vec<f64> {
+    /// Consumes the sampler, returning its guided cumulative distribution
+    /// (used by the streaming dataset generators, which sample the CDF
+    /// directly so a party's item sequence can be regenerated chunk by
+    /// chunk).
+    pub fn into_cdf(self) -> GuidedCdf {
         self.cdf
     }
 }

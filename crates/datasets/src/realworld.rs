@@ -18,6 +18,7 @@
 //! See DESIGN.md, substitution 1, for why this preserves the evaluation's
 //! qualitative conclusions.
 
+use crate::cdf::GuidedCdf;
 use crate::federated::FederatedDataset;
 use crate::party::PartyData;
 use crate::stream::ItemGen;
@@ -114,7 +115,7 @@ pub fn generate_group_streamed(
 pub(crate) fn finish_party(
     name: String,
     codes: Vec<u64>,
-    cdf: Vec<f64>,
+    cdf: GuidedCdf,
     users: usize,
     code_bits: u8,
     rng: &mut StdRng,

@@ -14,11 +14,12 @@
 //!   ranking, sampling CDF and the pinned RNG state at the head of the
 //!   party's sampling sequence); each chunk is regenerated on the fly and
 //!   dropped, so resident memory is `O(chunk)`, not `O(users)`.
-//! * **Churned** — an epoch transition layered over an inner stream
-//!   ([`ChurnGen`]): a deterministic fraction of user slots is replaced by
+//! * **Churned** — epoch transitions over a base stream ([`ChurnGen`]):
+//!   each transition replaces a deterministic fraction of user slots by
 //!   fresh users resampled from a (possibly drifted) popularity pool.
-//!   Layers compose, so epoch *e* is *e* churn layers over the base
-//!   stream, still `O(chunk)` resident.
+//!   Epoch *e* is one flat stack of *e* churn layers, applied to each base
+//!   slot in a single fused pass: per slot, *e* decide draws and at most
+//!   one CDF lookup, still `O(chunk)` resident.
 //! * **Mapped** — a pure per-item transform over an inner stream
 //!   ([`ItemStream::map`]): how the scenario plane's input-poisoning and
 //!   Sybil adversaries rewrite a compromised party's items without
@@ -28,7 +29,9 @@
 //! replays exactly the draws the eager build performed (one RNG word per
 //! user), so `stream.materialize()` equals the eager `items()` vector for
 //! the same dataset spec and seed.  The equality is enforced per
-//! [`crate::DatasetKind`] by `tests/streaming.rs`.
+//! [`crate::DatasetKind`] by `tests/streaming.rs`.  Every draw inverts its
+//! CDF through a [`GuidedCdf`], one guide-table lookup instead of a binary
+//! search.
 //!
 //! ```
 //! use fedhh_datasets::{DatasetConfig, DatasetKind};
@@ -48,7 +51,7 @@
 //! assert_eq!(stream.materialize(), seen); // streams are re-iterable
 //! ```
 
-use crate::zipf::sample_cdf;
+use crate::cdf::GuidedCdf;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
@@ -70,7 +73,7 @@ pub struct ItemGen {
     /// Popularity-ranked, pre-encoded item codes (`codes[rank]`).
     codes: Arc<Vec<u64>>,
     /// Cumulative distribution over ranks (`cdf[rank] = P(r <= rank)`).
-    cdf: Arc<Vec<f64>>,
+    cdf: Arc<GuidedCdf>,
     /// RNG state at the head of the party's sampling sequence.
     rng: StdRng,
     /// Number of users (items) in the stream.
@@ -80,7 +83,7 @@ pub struct ItemGen {
 impl ItemGen {
     /// Creates a generator from the ranked code pool, its sampling CDF and
     /// the RNG state at the head of the sequence.
-    pub fn new(codes: Vec<u64>, cdf: Vec<f64>, rng: StdRng, len: usize) -> Self {
+    pub fn new(codes: Vec<u64>, cdf: GuidedCdf, rng: StdRng, len: usize) -> Self {
         assert_eq!(codes.len(), cdf.len(), "one CDF entry per ranked item code");
         assert!(!codes.is_empty() || len == 0, "non-empty pool required");
         Self {
@@ -96,7 +99,7 @@ impl ItemGen {
     pub(crate) fn fill_into(&self, rng: &mut StdRng, buf: &mut Vec<u64>, count: usize) {
         buf.reserve(count);
         for _ in 0..count {
-            buf.push(self.codes[sample_cdf(&self.cdf, rng)]);
+            buf.push(self.codes[self.cdf.sample(rng)]);
         }
     }
 
@@ -111,47 +114,62 @@ impl ItemGen {
     }
 }
 
-/// Deterministic per-user churn layered over an inner stream: the epoch
-/// transition of the epoch service (see `fedhh-federated`'s `epoch`
-/// module).
+/// Deterministic per-user churn over a base stream: the epoch transitions
+/// of the epoch service (see `fedhh-federated`'s `epoch` module).
 ///
-/// Each user slot of the inner stream is either **retained** (the slot
-/// keeps the inner item — the same user re-enrolls) or **churned** (the
-/// slot is taken over by a fresh user whose item is resampled from a —
-/// possibly drifted — popularity pool).  Two *independent* pinned RNGs
-/// drive the transition:
+/// A churn generator is one flat stack of **layers**, one per transition,
+/// over a base stream that is never itself churned.  Each layer either
+/// **retains** a user slot (the slot keeps the item the layers below left
+/// there — the same user re-enrolls) or **churns** it (the slot is taken
+/// over by a fresh user whose item is resampled from a — possibly drifted —
+/// popularity pool).  Two *independent* pinned RNGs drive each layer:
 ///
 /// * `decide` consumes exactly one draw per user slot, so the fresh-user
 ///   mask can be replayed without touching the item sequence
 ///   ([`ChurnGen::fresh_mask`]), and
-/// * `resample` consumes one draw per *churned* slot only.
+/// * `resample` consumes one draw per slot the layer churns.
 ///
-/// Because both RNGs are pinned at the head of the sequence and advance a
+/// A pass applies the whole stack to each base slot at once: every layer
+/// draws its decision, every churning layer draws its resample value, and
+/// only the topmost churning layer's value is looked up in its CDF — the
+/// items lower layers would have drawn are overwritten anyway.  A slot of
+/// an *e*-layer stack thus costs *e* decide draws plus at most one lookup,
+/// not *e* passes over the stream.
+///
+/// Because every RNG is pinned at the head of the sequence and advances a
 /// fixed number of draws per slot, the churned stream is — like every other
 /// backing — deterministic, re-iterable and chunk-size independent.
 #[derive(Debug, Clone)]
 pub struct ChurnGen {
-    /// The previous epoch's stream (any backing, including another churn
-    /// layer — epochs compose).
-    inner: Box<ItemStream>,
+    /// The stream under the bottom layer (any backing but churn: stacking
+    /// churn on churn extends the stack instead).
+    base: Box<ItemStream>,
+    /// The layers, bottom (oldest) first; never empty.
+    layers: Vec<ChurnLayer>,
+    /// Number of user slots (equals the base stream's length).
+    len: usize,
+}
+
+/// One epoch transition of a [`ChurnGen`] stack.
+#[derive(Debug, Clone)]
+struct ChurnLayer {
     /// Popularity-ranked resample pool for fresh users (`codes[rank]`).
     codes: Arc<Vec<u64>>,
     /// Cumulative distribution over pool ranks.
-    cdf: Arc<Vec<f64>>,
-    /// Fraction of user slots churned per epoch, in `[0, 1]`.
+    cdf: Arc<GuidedCdf>,
+    /// Fraction of user slots churned, in `[0, 1]`.
     fraction: f64,
     /// RNG deciding, per slot, whether the user churns (one draw each).
     decide: StdRng,
     /// RNG sampling replacement items (one draw per churned slot).
     resample: StdRng,
-    /// Number of user slots (equals the inner stream's length).
-    len: usize,
 }
 
 impl ChurnGen {
     /// Layers churn over `inner`: each user slot churns with probability
     /// `fraction`, drawing its replacement item from the ranked
-    /// `codes`/`cdf` pool.
+    /// `codes`/`cdf` pool.  When `inner` is itself churned, the layer joins
+    /// its stack.
     ///
     /// # Panics
     ///
@@ -160,7 +178,7 @@ impl ChurnGen {
     pub fn new(
         inner: ItemStream,
         codes: Vec<u64>,
-        cdf: Vec<f64>,
+        cdf: Arc<GuidedCdf>,
         fraction: f64,
         decide: StdRng,
         resample: StdRng,
@@ -174,37 +192,54 @@ impl ChurnGen {
             !codes.is_empty() || fraction == 0.0 || inner.is_empty(),
             "non-empty resample pool required when churn is possible"
         );
-        let len = inner.len();
-        Self {
-            inner: Box::new(inner),
+        let len = inner.len;
+        let layer = ChurnLayer {
             codes: Arc::new(codes),
-            cdf: Arc::new(cdf),
+            cdf,
             fraction,
             decide,
             resample,
-            len,
-        }
+        };
+        let (base, mut layers) = match inner.backing {
+            Backing::Churned(gen) => (gen.base, gen.layers),
+            backing => (Box::new(ItemStream { backing, len }), Vec::new()),
+        };
+        layers.push(layer);
+        Self { base, layers, len }
     }
 
-    /// Replays only the `decide` sequence: `mask[u]` is true when slot `u`
-    /// holds a fresh (churned-in) user this epoch.  Consumes no item or
-    /// resample draws, so the mask provably agrees with the stream.
+    /// Replays only the top layer's `decide` sequence: `mask[u]` is true
+    /// when slot `u` holds a fresh (churned-in) user this epoch.  Consumes
+    /// no item or resample draws, so the mask provably agrees with the
+    /// stream.
     pub fn fresh_mask(&self) -> Vec<bool> {
-        let mut decide = self.decide.clone();
+        let top = self.layers.last().expect("a churn stack has a layer");
+        let mut decide = top.decide.clone();
         (0..self.len)
-            .map(|_| decide.gen::<f64>() < self.fraction)
+            .map(|_| decide.gen::<f64>() < top.fraction)
             .collect()
     }
 
-    /// Transforms one inner chunk into the churned chunk, advancing the
-    /// RNG copies by exactly the draws this chunk owns.
-    fn apply(&self, decide: &mut StdRng, resample: &mut StdRng, buf: &mut Vec<u64>, chunk: &[u64]) {
-        buf.reserve(chunk.len());
-        for &item in chunk {
-            if decide.gen::<f64>() < self.fraction {
-                buf.push(self.codes[sample_cdf(&self.cdf, resample)]);
-            } else {
-                buf.push(item);
+    /// Every layer's `(decide, resample)` RNGs at the head of the sequence.
+    fn rngs(&self) -> Vec<(StdRng, StdRng)> {
+        self.layers
+            .iter()
+            .map(|layer| (layer.decide.clone(), layer.resample.clone()))
+            .collect()
+    }
+
+    /// Churns base items in place, advancing every layer's RNGs by exactly
+    /// the draws these slots own.
+    fn apply(&self, rngs: &mut [(StdRng, StdRng)], items: &mut [u64]) {
+        for item in items {
+            let mut fresh = None;
+            for (layer, (decide, resample)) in self.layers.iter().zip(rngs.iter_mut()) {
+                if decide.gen::<f64>() < layer.fraction {
+                    fresh = Some((layer, resample.gen::<f64>()));
+                }
+            }
+            if let Some((layer, u)) = fresh {
+                *item = layer.codes[layer.cdf.index(u)];
             }
         }
     }
@@ -213,12 +248,8 @@ impl ChurnGen {
     fn truncated(&self, len: usize) -> Self {
         let len = len.min(self.len);
         Self {
-            inner: Box::new(self.inner.take(len)),
-            codes: Arc::clone(&self.codes),
-            cdf: Arc::clone(&self.cdf),
-            fraction: self.fraction,
-            decide: self.decide.clone(),
-            resample: self.resample.clone(),
+            base: Box::new(self.base.take(len)),
+            layers: self.layers.clone(),
             len,
         }
     }
@@ -259,7 +290,7 @@ enum Backing {
     Eager(Arc<Vec<u64>>),
     /// Deterministic regeneration; chunks are produced on demand.
     Generated(ItemGen),
-    /// Deterministic churn over an inner stream (epoch transitions).
+    /// A stack of churn layers over a base stream (epoch transitions).
     Churned(ChurnGen),
     /// A pure per-item transform over an inner stream.
     Mapped(MapGen),
@@ -297,7 +328,7 @@ impl ItemStream {
         }
     }
 
-    /// A stream backed by a churn layer over a previous epoch's stream.
+    /// A stream backed by a stack of churn layers over a base stream.
     pub fn from_churn(gen: ChurnGen) -> Self {
         let len = gen.len;
         Self {
@@ -336,7 +367,7 @@ impl ItemStream {
         !matches!(self.backing, Backing::Eager(_))
     }
 
-    /// The churn layer when this stream is an epoch transition (`None`
+    /// The churn stack when this stream is an epoch transition (`None`
     /// otherwise).
     pub fn churn(&self) -> Option<&ChurnGen> {
         match &self.backing {
@@ -362,9 +393,8 @@ impl ItemStream {
             },
             Backing::Churned(gen) => ChunkState::Churned {
                 gen,
-                inner: Box::new(gen.inner.chunks(chunk_size)),
-                decide: gen.decide.clone(),
-                resample: gen.resample.clone(),
+                base: Box::new(gen.base.chunks(chunk_size)),
+                rngs: gen.rngs(),
                 buf: Vec::new(),
             },
             Backing::Mapped(gen) => ChunkState::Mapped {
@@ -403,15 +433,8 @@ impl ItemStream {
                 out
             }
             Backing::Churned(gen) => {
-                let mut decide = gen.decide.clone();
-                let mut resample = gen.resample.clone();
-                let mut out = Vec::with_capacity(self.len);
-                gen.apply(
-                    &mut decide,
-                    &mut resample,
-                    &mut out,
-                    &gen.inner.materialize(),
-                );
+                let mut out = gen.base.materialize();
+                gen.apply(&mut gen.rngs(), &mut out);
                 out
             }
             Backing::Mapped(gen) => {
@@ -461,9 +484,8 @@ enum ChunkState<'a> {
     },
     Churned {
         gen: &'a ChurnGen,
-        inner: Box<PartyChunks<'a>>,
-        decide: StdRng,
-        resample: StdRng,
+        base: Box<PartyChunks<'a>>,
+        rngs: Vec<(StdRng, StdRng)>,
         buf: Vec<u64>,
     },
     Mapped {
@@ -517,14 +539,14 @@ impl PartyChunks<'_> {
             }
             ChunkState::Churned {
                 gen,
-                inner,
-                decide,
-                resample,
+                base,
+                rngs,
                 buf,
             } => {
-                let chunk = inner.next_chunk()?;
+                let chunk = base.next_chunk()?;
                 buf.clear();
-                gen.apply(decide, resample, buf, chunk);
+                buf.extend_from_slice(chunk);
+                gen.apply(rngs, buf);
                 Some(buf.as_slice())
             }
             ChunkState::Mapped { gen, inner, buf } => {
@@ -548,7 +570,7 @@ mod tests {
         let codes = vec![10, 20, 30, 40];
         let cdf = vec![0.25, 0.5, 0.75, 1.0];
         let rng = StdRng::seed_from_u64(99);
-        let gen = ItemGen::new(codes.clone(), cdf.clone(), rng.clone(), len);
+        let gen = ItemGen::new(codes, GuidedCdf::new(cdf), rng.clone(), len);
         let mut reference = Vec::new();
         let mut r = rng;
         gen.fill_into(&mut r, &mut reference, len);
@@ -630,7 +652,7 @@ mod tests {
         ItemStream::from_churn(ChurnGen::new(
             inner,
             vec![100, 200, 300],
-            vec![0.5, 0.8, 1.0],
+            Arc::new(GuidedCdf::new(vec![0.5, 0.8, 1.0])),
             fraction,
             StdRng::seed_from_u64(7),
             StdRng::seed_from_u64(8),
@@ -746,5 +768,75 @@ mod tests {
         // Truncation replays the prefix of the same per-slot draws.
         assert_eq!(twice.take(40).materialize(), reference[..40]);
         assert_eq!(twice.take(500).len(), 150);
+    }
+
+    /// Eight layers with the evolver's shape: one shared CDF, a rotated
+    /// code pool and fresh RNGs per layer, fractions from none to all.
+    fn stack(base: ItemStream) -> ItemStream {
+        let pool: Vec<u64> = (0..40).map(|rank| 1_000 + rank).collect();
+        let cdf = Arc::new(GuidedCdf::new(crate::cdf::cumulative(
+            &(1..=40).map(|r| 1.0 / r as f64).collect::<Vec<f64>>(),
+        )));
+        let fractions = [0.3, 0.0, 1.0, 0.05, 0.5, 0.2, 0.9, 0.25];
+        fractions
+            .iter()
+            .enumerate()
+            .fold(base, |inner, (l, &fraction)| {
+                let mut codes = pool.clone();
+                codes.rotate_left(3 * l);
+                ItemStream::from_churn(ChurnGen::new(
+                    inner,
+                    codes,
+                    Arc::clone(&cdf),
+                    fraction,
+                    StdRng::seed_from_u64(100 + l as u64),
+                    StdRng::seed_from_u64(200 + l as u64),
+                ))
+            })
+    }
+
+    /// The stack evaluated one layer at a time, each a full pass over the
+    /// layer below's output, plus the top layer's decisions.
+    fn layered(gen: &ChurnGen) -> (Vec<u64>, Vec<bool>) {
+        let mut items = gen.base.materialize();
+        let mut mask = Vec::new();
+        for layer in &gen.layers {
+            let mut decide = layer.decide.clone();
+            let mut resample = layer.resample.clone();
+            mask.clear();
+            for item in items.iter_mut() {
+                let fresh = decide.gen::<f64>() < layer.fraction;
+                if fresh {
+                    *item = layer.codes[layer.cdf.sample(&mut resample)];
+                }
+                mask.push(fresh);
+            }
+        }
+        (items, mask)
+    }
+
+    #[test]
+    fn fused_stack_equals_the_layer_at_a_time_reference() {
+        let (base, _) = gen_stream(40_000);
+        let stream = stack(base);
+        let gen = stream.churn().unwrap();
+        assert_eq!(gen.layers.len(), 8, "stacking churn flattens");
+        assert!(gen.base.churn().is_none());
+        let (reference, top_mask) = layered(gen);
+        assert_eq!(stream.materialize(), reference);
+        for chunk_size in [1usize, 13, DEFAULT_CHUNK_SIZE, usize::MAX] {
+            let mut seen = Vec::new();
+            let mut chunks = stream.chunks(chunk_size);
+            while let Some(chunk) = chunks.next_chunk() {
+                seen.extend_from_slice(chunk);
+            }
+            assert_eq!(seen, reference, "chunk size {chunk_size}");
+        }
+        for n in [0, 1, 17_000] {
+            let head = stream.take(n);
+            assert_eq!(head.materialize(), reference[..n], "take {n}");
+            assert_eq!(layered(head.churn().unwrap()).0, reference[..n]);
+        }
+        assert_eq!(gen.fresh_mask(), top_mask, "mask of the top layer");
     }
 }

@@ -5,13 +5,14 @@
 //! proportional to r^(−α).  The paper's SYN parties use α ∈ {1.1, 1.3, 1.5,
 //! 1.7}; the real-world stand-ins use α ≈ 1.1 by default.
 
+use crate::cdf::{cumulative, GuidedCdf};
 use rand::Rng;
 
 /// A sampler over ranks `0..n` with Zipf(α) probabilities.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     /// Cumulative distribution over ranks, cdf[r] = P(rank ≤ r).
-    cdf: Vec<f64>,
+    cdf: GuidedCdf,
     alpha: f64,
 }
 
@@ -25,7 +26,7 @@ impl ZipfSampler {
         );
         let weights: Vec<f64> = (1..=n).map(|r| (r as f64).powf(-alpha)).collect();
         Self {
-            cdf: cumulative(&weights),
+            cdf: GuidedCdf::new(cumulative(&weights)),
             alpha,
         }
     }
@@ -47,49 +48,20 @@ impl ZipfSampler {
 
     /// Probability of rank `r`.
     pub fn probability(&self, r: usize) -> f64 {
-        if r >= self.cdf.len() {
-            return 0.0;
-        }
-        let prev = if r == 0 { 0.0 } else { self.cdf[r - 1] };
-        self.cdf[r] - prev
+        self.cdf.probability(r)
     }
 
     /// Samples a rank in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        sample_cdf(&self.cdf, rng)
+        self.cdf.sample(rng)
     }
 
-    /// Consumes the sampler, returning its cumulative distribution (used by
-    /// the streaming dataset generators, which sample the CDF directly so a
-    /// party's item sequence can be regenerated chunk by chunk).
-    pub fn into_cdf(self) -> Vec<f64> {
+    /// Consumes the sampler, returning its guided cumulative distribution
+    /// (used by the streaming dataset generators, which sample the CDF
+    /// directly so a party's item sequence can be regenerated chunk by
+    /// chunk).
+    pub fn into_cdf(self) -> GuidedCdf {
         self.cdf
-    }
-}
-
-/// Builds a normalized CDF from non-negative weights.
-pub(crate) fn cumulative(weights: &[f64]) -> Vec<f64> {
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "weights must not all be zero");
-    let mut acc = 0.0;
-    let mut cdf = Vec::with_capacity(weights.len());
-    for w in weights {
-        acc += w / total;
-        cdf.push(acc);
-    }
-    // Guard against floating point drift so the last bucket always catches.
-    if let Some(last) = cdf.last_mut() {
-        *last = 1.0;
-    }
-    cdf
-}
-
-/// Samples an index from a CDF by inverse transform (binary search).
-pub(crate) fn sample_cdf<R: Rng + ?Sized>(cdf: &[f64], rng: &mut R) -> usize {
-    let u: f64 = rng.gen();
-    match cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
-        Ok(i) => i,
-        Err(i) => i.min(cdf.len() - 1),
     }
 }
 

@@ -23,9 +23,7 @@
 //! seeds plus the epoch index, so the epoch index *is* the RNG position.
 
 use crate::epoch::{BudgetLedger, EpochRecord, EpochState, WarmSet};
-use fedhh_wire::{
-    read_frame_bytes, to_bytes, write_frame_bytes, Decode, Encode, Reader, WireError,
-};
+use fedhh_wire::{read_frame_bytes, write_frame, Decode, Encode, Reader, WireError};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::path::Path;
@@ -139,16 +137,25 @@ impl Decode for Checkpoint {
     }
 }
 
-/// Atomically writes `checkpoint` to `path`: encode → frame → temp file →
-/// fsync → rename.  A crash at any point leaves either the previous
+/// A checkpoint as a frame payload: the [`CHECKPOINT_SCHEMA`] byte, then
+/// the checkpoint itself.
+struct Payload<'a>(&'a Checkpoint);
+
+impl Encode for Payload<'_> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(CHECKPOINT_SCHEMA);
+        self.0.encode(out);
+    }
+}
+
+/// Atomically writes `checkpoint` to `path`: encode into the frame → temp
+/// file → fsync → rename.  A crash at any point leaves either the previous
 /// checkpoint or the new one, never a torn file.
 pub fn save(path: &Path, checkpoint: &Checkpoint) -> Result<(), WireError> {
-    let mut payload = vec![CHECKPOINT_SCHEMA];
-    payload.extend_from_slice(&to_bytes(checkpoint));
     let tmp = temp_path(path);
     {
         let mut writer = BufWriter::new(File::create(&tmp)?);
-        write_frame_bytes(&mut writer, &payload)?;
+        write_frame(&mut writer, &Payload(checkpoint))?;
         writer.flush()?;
         writer.get_ref().sync_all()?;
     }
@@ -201,6 +208,7 @@ fn temp_path(path: &Path) -> std::path::PathBuf {
 mod tests {
     use super::*;
     use crate::epoch::{EpochConfig, EpochRunner, WarmStart};
+    use fedhh_wire::to_bytes;
 
     fn sample_state() -> EpochState {
         let mut ledger = BudgetLedger::new();

@@ -12,7 +12,7 @@
 //! payload, so incompatible peers fail loudly at the first frame.  The
 //! trailing CRC-32 covers the schema byte and the payload.
 
-use crate::codec::{from_bytes, to_bytes, Decode, Encode};
+use crate::codec::{from_bytes, Decode, Encode};
 use crate::crc::crc32;
 use crate::error::WireError;
 use std::io::{Read, Write};
@@ -41,27 +41,45 @@ pub const WIRE_SCHEMA: u8 = 6;
 /// crc).  Guards against a corrupt length prefix allocating gigabytes.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
-/// Encodes `value` and writes it as one frame.
+/// Encodes `value` and writes it as one frame.  The payload is encoded
+/// straight into the frame buffer, never copied.
 pub fn write_frame<W: Write, T: Encode + ?Sized>(
     writer: &mut W,
     value: &T,
 ) -> Result<(), WireError> {
-    write_frame_bytes(writer, &to_bytes(value))
+    let mut body = frame_head(0);
+    value.encode(&mut body);
+    finish_frame(writer, body)
 }
 
 /// Writes an already-encoded payload as one frame.
 pub fn write_frame_bytes<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    let length = 1 + payload.len() + 4;
+    let mut body = frame_head(payload.len());
+    body.extend_from_slice(payload);
+    finish_frame(writer, body)
+}
+
+/// A frame buffer holding a length placeholder and the schema byte, with
+/// room for `payload` bytes and the checksum.
+fn frame_head(payload: usize) -> Vec<u8> {
+    let mut body = Vec::with_capacity(4 + 1 + payload + 4);
+    body.extend_from_slice(&[0; 4]);
+    body.push(WIRE_SCHEMA);
+    body
+}
+
+/// Fills in the length of a [`frame_head`] buffer its payload has been
+/// appended to, appends the checksum and writes the frame.
+fn finish_frame<W: Write>(writer: &mut W, mut body: Vec<u8>) -> Result<(), WireError> {
+    // Everything after the prefix (schema + payload) plus the 4-byte crc.
+    let length = body.len();
     if length > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge {
             length,
             max: MAX_FRAME_LEN,
         });
     }
-    let mut body = Vec::with_capacity(4 + length);
-    body.extend_from_slice(&(length as u32).to_le_bytes());
-    body.push(WIRE_SCHEMA);
-    body.extend_from_slice(payload);
+    body[..4].copy_from_slice(&(length as u32).to_le_bytes());
     // The checksum covers schema byte + payload, which `body` already holds
     // contiguously after the length prefix — no second copy needed.
     let crc = crc32(&body[4..]);

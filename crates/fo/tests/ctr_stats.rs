@@ -252,3 +252,28 @@ fn vectorized_kernels_are_pinned_by_known_answers() {
         other => panic!("unexpected report {other:?}"),
     }
 }
+
+/// Known-answer pins for the aggregation kernels: the exact support counts
+/// each oracle's `aggregate_vectorized` derives from a fixed 300-report
+/// batch (more than one 256-report OLH block).  Supports are whole numbers,
+/// so the pins are exact; a failure means an aggregation kernel stopped
+/// counting the reports its perturb kernel emits.
+#[test]
+fn vectorized_aggregation_is_pinned_by_known_answers() {
+    let budget = PrivacyBudget::new(2.0).unwrap();
+    let inputs: Vec<usize> = (0..300).map(|i| [2, 2, 5, i % 8][i % 4]).collect();
+    let pins: [(FoKind, [u32; 8]); 3] = [
+        (FoKind::Grr, [14, 26, 90, 40, 14, 54, 25, 37]),
+        (FoKind::Oue, [37, 28, 93, 46, 38, 63, 47, 42]),
+        (FoKind::Olh, [29, 30, 79, 54, 31, 58, 35, 52]),
+    ];
+    for (kind, pin) in pins {
+        let oracle = Oracle::new(kind, budget, 8);
+        let mut batch = ReportBatch::new();
+        oracle.perturb_vectorized(&inputs, &CtrRng::new(1234), 0, &mut batch);
+        let mut supports = SupportCounts::zeros(8);
+        oracle.aggregate_vectorized(&batch, &mut supports);
+        assert_eq!(supports.reports(), inputs.len(), "{kind}");
+        assert_eq!(supports.as_slice(), pin.map(f64::from), "{kind}");
+    }
+}

@@ -18,6 +18,7 @@
 
 use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
 use fedhh_federated::{EngineConfig, ExecMode, FoExec, ProtocolConfig};
+use fedhh_fo::FoKind;
 use fedhh_mechanisms::{MechanismKind, MechanismOutput, Run};
 use std::num::NonZeroUsize;
 
@@ -190,4 +191,48 @@ fn vectorized_path_is_deterministic_and_pinned_separately() {
         any_diverged,
         "vectorized outputs matched scalar everywhere — the path is not a distinct stream"
     );
+}
+
+/// Per-mechanism pinned digests of the `Vectorized` path under the two
+/// O(d) oracles, whose aggregation kernels the k-RR pins above never reach:
+/// OLH (the oracle of the `kernel-ycm-tap-olh` benchmark workload) and OUE.
+/// A change here means one of those kernels, or a mechanism's use of it,
+/// moved.
+const VECTORIZED_OD_DIGESTS: [(FoKind, [(MechanismKind, u64); 4]); 2] = [
+    (
+        FoKind::Olh,
+        [
+            (MechanismKind::FedPem, 0x6E87_0109_F529_4AA3),
+            (MechanismKind::Gtf, 0xDB32_931D_AA46_2099),
+            (MechanismKind::Tap, 0xBA89_2165_DC44_F656),
+            (MechanismKind::Taps, 0x7B90_4CBF_3D5B_D821),
+        ],
+    ),
+    (
+        FoKind::Oue,
+        [
+            (MechanismKind::FedPem, 0x10D1_8436_A648_7B21),
+            (MechanismKind::Gtf, 0xA7A5_13DA_E2FF_28C1),
+            (MechanismKind::Tap, 0x3A8C_42DB_1208_2892),
+            (MechanismKind::Taps, 0x826D_E1D2_AE0F_07C9),
+        ],
+    ),
+];
+
+/// Guarantee 3, per oracle: the OLH and OUE vectorized kernels reproduce
+/// their committed baselines byte-for-byte under every mechanism.
+#[test]
+fn vectorized_olh_and_oue_outputs_match_their_pinned_digests() {
+    let ds = dataset();
+    for (fo, pins) in VECTORIZED_OD_DIGESTS {
+        for (kind, pin) in pins {
+            let got = digest(&run(
+                kind,
+                &ds,
+                config(FoExec::Vectorized).with_fo(fo),
+                Some(EngineConfig::sequential()),
+            ));
+            assert_eq!(got, pin, "{kind}/{fo}: vectorized digest {got:#018X} moved");
+        }
+    }
 }

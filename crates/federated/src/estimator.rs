@@ -528,10 +528,15 @@ const MIN_PART_NS: usize = 500_000;
 /// How many parts a `Vectorized` level of `users` reports over `slots`
 /// domain slots is worth cutting into (at least 1), from a per-report cost
 /// class per oracle: k-RR is O(1) per report, OUE and OLH are O(d).  The
-/// constants are the committed `fo_perturb/*/vectorized` +
-/// `fo_aggregate/*/vectorized` legs of `ci/perf-baseline.json` (d = 64:
-/// k-RR 4.5 ns, OUE 31 ns, OLH 66 ns per report) plus ~4 ns of prefix
-/// encoding (`estimate/level/krr` − the k-RR kernels).
+/// constants were derived from the `fo_perturb/*/vectorized` +
+/// `fo_aggregate/*/vectorized` legs of `ci/perf-baseline.json` as they
+/// stood before OLH aggregation gained its AVX2 copy (d = 64: k-RR 4.5 ns,
+/// OUE 31 ns, OLH 66 ns per report) plus ~4 ns of prefix encoding
+/// (`estimate/level/krr` − the k-RR kernels).  OLH keeps its constant:
+/// the portable copy still costs that much, re-deriving it from the AVX2
+/// legs (`17 + d/3`) moved no end-to-end measurement, and the overestimate
+/// only cuts an AVX2 level into smaller parts, each still several times the
+/// spawn cost.
 fn parts_worth_having(kind: FoKind, slots: usize, users: usize) -> usize {
     let ns_per_report = match kind {
         FoKind::Grr => 8,

@@ -84,6 +84,12 @@
 //! stream, so `Vectorized` results differ numerically from `Scalar` at
 //! the same seed (each path is pinned on its own).
 //!
+//! OLH's vectorized aggregation loop is compiled twice from one body — for
+//! the build target's baseline ISA and, on `x86_64`, for AVX2 — and the
+//! copy is picked at run time from the CPU's features.  Both copies count
+//! the same whole-number supports and add them in the same order, so the
+//! output does not depend on the CPU either.
+//!
 //! ```
 //! use fedhh_fo::{CtrRng, FoKind, FrequencyOracle, Oracle, PrivacyBudget, ReportBatch, SupportCounts};
 //!
@@ -113,6 +119,7 @@
 //! `LevelEstimator` drives these oracles for every trie level; the full
 //! system map lives in `ARCHITECTURE.md` at the repository root.
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod batch;

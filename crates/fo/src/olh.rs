@@ -42,7 +42,7 @@ fn vec_preseed(seed: u64) -> u32 {
 /// Combines the two hoisted halves into the 32-bit hash value (lowbias32
 /// scramble).  This is the only per-(candidate, report) work on the
 /// aggregation path; everything here is 32-bit on purpose, so the compiler
-/// can keep four hash lanes in flight per SSE register.
+/// can keep four hash lanes in flight per SSE register, eight per AVX2 one.
 #[inline]
 fn vec_combine(premix: u32, preseed: u32) -> u32 {
     let x = premix ^ preseed;
@@ -64,6 +64,80 @@ fn vec_bucket(premix: u32, preseed: u32, buckets: u32) -> u32 {
 #[inline]
 fn vec_boundary(v: u64, buckets: u64) -> u64 {
     (v << 32).div_ceil(buckets)
+}
+
+/// Adds to `counts[x]` the number of reports `(seeds[j], values[j])` that
+/// support candidate `x`, on the widest copy of [`count_supports_body`] the
+/// CPU runs.  Both copies produce the same `u32` hit counts and add them
+/// into `counts` in the same order, so the result is bit-identical on every
+/// CPU.
+#[allow(unsafe_code)]
+fn count_supports(seeds: &[u64], values: &[u32], buckets: u32, counts: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the check above proved this CPU executes AVX2, the only
+        // precondition of calling a `#[target_feature(enable = "avx2")]`
+        // function.
+        return unsafe { count_supports_avx2(seeds, values, buckets, counts) };
+    }
+    count_supports_portable(seeds, values, buckets, counts)
+}
+
+/// [`count_supports_body`] compiled for the build target's baseline ISA
+/// (SSE2 on `x86_64`, where it emulates the 32-bit lane multiply).
+fn count_supports_portable(seeds: &[u64], values: &[u32], buckets: u32, counts: &mut [f64]) {
+    count_supports_body(seeds, values, buckets, counts);
+}
+
+/// [`count_supports_body`] compiled with AVX2: eight hash lanes per
+/// register and a native 32-bit lane multiply (`vpmulld`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn count_supports_avx2(seeds: &[u64], values: &[u32], buckets: u32, counts: &mut [f64]) {
+    count_supports_body(seeds, values, buckets, counts);
+}
+
+/// The OLH aggregation loop, written once and inlined into each
+/// instantiation above.
+///
+/// Blocked, with the per-candidate hash state hoisted: for each block of
+/// reports the per-report halves (preseed) and the reported bucket's
+/// Lemire interval `[lo, lo+span)` are computed once; the candidate loop
+/// then tests membership with one combine (two multiplies) and one compare
+/// per (candidate, report) pair.  A value outside `[0, buckets)` — a report
+/// perturbed under a larger budget — gets the empty interval and supports
+/// nothing, as on the row path.
+#[inline(always)]
+fn count_supports_body(seeds: &[u64], values: &[u32], buckets: u32, counts: &mut [f64]) {
+    let buckets = u64::from(buckets);
+    let interval: Vec<(u32, u32)> = (0..buckets)
+        .map(|v| {
+            let lo = vec_boundary(v, buckets);
+            let hi = vec_boundary(v + 1, buckets);
+            (lo as u32, (hi - lo) as u32)
+        })
+        .collect();
+    const BLOCK: usize = 256;
+    let mut pre = [0u32; BLOCK];
+    let mut lo = [0u32; BLOCK];
+    let mut span = [0u32; BLOCK];
+    for (seed_block, value_block) in seeds.chunks(BLOCK).zip(values.chunks(BLOCK)) {
+        let len = seed_block.len();
+        for (j, (&seed, &value)) in seed_block.iter().zip(value_block).enumerate() {
+            pre[j] = vec_preseed(seed);
+            (lo[j], span[j]) = interval.get(value as usize).copied().unwrap_or((0, 0));
+        }
+        let (pre, lo, span) = (&pre[..len], &lo[..len], &span[..len]);
+        for (candidate, slot) in counts.iter_mut().enumerate() {
+            let premix = vec_premix(candidate as u64);
+            let mut hits = 0u32;
+            for ((&p, &l), &s) in pre.iter().zip(lo).zip(span) {
+                let h = vec_combine(premix, p);
+                hits += u32::from(h.wrapping_sub(l) < s);
+            }
+            *slot += f64::from(hits);
+        }
+    }
 }
 
 /// The optimized local hashing oracle.
@@ -175,47 +249,7 @@ impl FrequencyOracle for OlhOracle {
             // Foreign batch shape: the row-oriented path handles it.
             _ => return self.aggregate_into(&batch.to_reports(), supports),
         };
-        // Blocked inner loop with the per-candidate hash state hoisted:
-        // for each block of reports the per-report halves (preseed) and the
-        // reported bucket's Lemire interval [lo, lo+span) are computed
-        // once; the candidate loop then tests membership with one combine
-        // (two multiplies) and one compare per (candidate, report) pair.
-        let buckets = self.buckets as u64;
-        let interval: Vec<(u32, u32)> = (0..buckets)
-            .map(|v| {
-                let lo = vec_boundary(v, buckets);
-                let hi = vec_boundary(v + 1, buckets);
-                (lo as u32, (hi - lo) as u32)
-            })
-            .collect();
-        const BLOCK: usize = 256;
-        let counts = supports.as_mut_slice();
-        let mut pre = [0u32; BLOCK];
-        let mut lo = [0u32; BLOCK];
-        let mut span = [0u32; BLOCK];
-        for (start, seed_block) in seeds.chunks(BLOCK).enumerate().map(|(i, c)| (i * BLOCK, c)) {
-            let len = seed_block.len();
-            for (j, (&seed, &value)) in seed_block
-                .iter()
-                .zip(&values[start..start + len])
-                .enumerate()
-            {
-                pre[j] = vec_preseed(seed);
-                let (l, s) = interval[value as usize];
-                lo[j] = l;
-                span[j] = s;
-            }
-            let (pre, lo, span) = (&pre[..len], &lo[..len], &span[..len]);
-            for (candidate, slot) in counts.iter_mut().enumerate() {
-                let premix = vec_premix(candidate as u64);
-                let mut hits = 0u32;
-                for ((&p, &l), &s) in pre.iter().zip(lo).zip(span) {
-                    let h = vec_combine(premix, p);
-                    hits += u32::from(h.wrapping_sub(l) < s);
-                }
-                *slot += f64::from(hits);
-            }
-        }
+        count_supports(seeds, values, self.buckets, supports.as_mut_slice());
         supports.record_reports(seeds.len());
     }
 
@@ -264,6 +298,7 @@ impl FrequencyOracle for OlhOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctr::CtrRng;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -331,5 +366,95 @@ mod tests {
     #[test]
     fn rejects_tiny_domains() {
         assert!(OlhOracle::new(PrivacyBudget::new(1.0).unwrap(), 1).is_err());
+    }
+
+    /// Whether `count_supports` runs the AVX2 copy on this CPU.
+    fn dispatches_avx2() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    /// The dispatched copy of the aggregation loop (AVX2 where the CPU has
+    /// it) and the portable copy produce identical supports on identical
+    /// batches: block-boundary batch sizes, domains around the SIMD widths,
+    /// and budgets from 3 to 2 982 buckets.  The portable copy is also
+    /// checked against the per-pair bucket definition, so a CPU without
+    /// AVX2 still tests the one copy it runs.
+    #[test]
+    fn dispatched_and_portable_loops_count_identical_supports() {
+        if !dispatches_avx2() {
+            eprintln!("no AVX2 on this CPU: checking the portable aggregation loop alone");
+        }
+        for eps in [0.5, 4.0, 8.0] {
+            for domain in [2, 41, 65, 2049] {
+                let o = oracle(eps, domain);
+                for n in [0, 1, 255, 256, 257, 16_387] {
+                    let inputs: Vec<usize> = (0..n).map(|i| i * 7919 % domain).collect();
+                    let mut batch = ReportBatch::new();
+                    o.perturb_vectorized(&inputs, &CtrRng::new(n as u64), 0, &mut batch);
+                    let (seeds, values) = batch.hashed_mut();
+                    let mut dispatched = SupportCounts::zeros(domain);
+                    count_supports(seeds, values, o.buckets, dispatched.as_mut_slice());
+                    let mut portable = SupportCounts::zeros(domain);
+                    count_supports_portable(seeds, values, o.buckets, portable.as_mut_slice());
+                    assert_eq!(dispatched, portable, "eps {eps}, domain {domain}, n {n}");
+                    if n > 257 {
+                        continue;
+                    }
+                    let reference: Vec<f64> = (0..domain)
+                        .map(|x| {
+                            let premix = vec_premix(x as u64);
+                            let hits =
+                                seeds.iter().zip(values.iter()).filter(|&(&seed, &value)| {
+                                    vec_bucket(premix, vec_preseed(seed), o.buckets) == value
+                                });
+                            hits.count() as f64
+                        })
+                        .collect();
+                    assert_eq!(
+                        portable.as_slice(),
+                        reference,
+                        "eps {eps}, domain {domain}, n {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A batch perturbed under ε = 8 (2 982 buckets) and aggregated by an
+    /// ε = 1 oracle (4 buckets) carries values past the aggregator's last
+    /// bucket.  Those reports support nothing, as on the row path, and the
+    /// rest count as if the batch held them alone.
+    #[test]
+    fn out_of_range_values_support_nothing() {
+        let (wide, narrow) = (oracle(8.0, 8), oracle(1.0, 8));
+        let n = 20_000;
+        let inputs: Vec<usize> = (0..n).map(|i| i % 8).collect();
+        let mut batch = ReportBatch::new();
+        wide.perturb_vectorized(&inputs, &CtrRng::new(3), 0, &mut batch);
+        let mut in_range = ReportBatch::new();
+        let (seeds, values) = in_range.hashed_mut();
+        for report in batch.to_reports() {
+            if let Report::Hashed { seed, value } = report {
+                if value < narrow.buckets() {
+                    seeds.push(seed);
+                    values.push(value);
+                }
+            }
+        }
+        assert!(
+            (1..n).contains(&in_range.len()),
+            "{} in range",
+            in_range.len()
+        );
+
+        let mut got = SupportCounts::zeros(8);
+        narrow.aggregate_vectorized(&batch, &mut got);
+        let mut want = SupportCounts::zeros(8);
+        narrow.aggregate_vectorized(&in_range, &mut want);
+        assert_eq!(got.as_slice(), want.as_slice());
+        assert_eq!(got.reports(), n);
     }
 }

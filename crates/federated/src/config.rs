@@ -157,7 +157,7 @@ impl Default for ProtocolConfig {
             phase1_user_fraction: 0.25,
             dividing_ratio: 0.1,
             seed: 7,
-            fo_exec: FoExec::Scalar,
+            fo_exec: FoExec::Vectorized,
             exec_mode: ExecMode::Auto,
             topology: Topology::Flat,
             quorum: QuorumPolicy::full(),

@@ -861,7 +861,12 @@ mod tests {
             .collect();
         let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
         for fo in fedhh_fo::FoKind::ALL {
-            let scalar = LevelEstimator::new(ProtocolConfig { fo, ..base }).unwrap();
+            let scalar = LevelEstimator::new(ProtocolConfig {
+                fo,
+                fo_exec: FoExec::Scalar,
+                ..base
+            })
+            .unwrap();
             let vectorized = LevelEstimator::new(ProtocolConfig {
                 fo,
                 fo_exec: crate::config::FoExec::Vectorized,

@@ -9,17 +9,18 @@
 //!
 //! | Entry name | Workload |
 //! |---|---|
-//! | `fo_perturb/<fo>/<path>` | Perturb a fixed report stream (scalar `perturb` loop vs counter-RNG `perturb_vectorized`) |
+//! | `fo_perturb/<fo>/<path>` | Perturb a fixed report stream (`fedhh-fo`'s row `perturb` loop vs counter-RNG `perturb_vectorized`) |
 //! | `fo_aggregate/<fo>/<path>` | Aggregate + estimate the stream (arena `aggregate_into` vs columnar `aggregate_vectorized`) |
 //! | `assign/weighted` | `GroupAssignment::weighted_owned`: shuffle + deal one party's users into g = 24 groups, g_s = 6 (ns per user) |
 //! | `estimate/level/krr` | `LevelEstimator::estimate_with`, vectorized k-RR, one level: prefix → domain index, perturb, aggregate (40 candidates + dummy, ~20 % of users in-domain, chunk 16 384) |
-//! | `mech_e2e/fedpem/<path>` | FedPEM end-to-end on the RDB stand-in (one leg per [`FoExec`] path) |
-//! | `mech_e2e/{gtf,tap,taps}/vectorized` | The other mechanisms end-to-end on the vectorized hot path |
+//! | `mech_e2e/{fedpem,gtf,tap,taps}/vectorized` | Each mechanism end-to-end on the RDB stand-in |
 //! | `mech_e2e/{tap,taps}/vectorized/p2` | TAP and TAPS with OLH on a skewed population (YCM: one party holds 61 % of the users) under `EngineConfig::parallel(2)` — the legs where a worker without a party takes part of the big party's levels, and TAPS' one-party-at-a-time chain uses the second core at all |
 //!
-//! `<fo>` is `krr`, `oue` or `olh`; `<path>` is `scalar` or `vectorized`.
-//! Both paths are measured **in the same run**, so the vectorized speed-up
-//! is visible in every emitted report, machine-independent.
+//! `<fo>` is `krr`, `oue` or `olh`; `<path>` is `scalar` (the row API
+//! `fedhh-fo` keeps as the reference its tests compare the kernels
+//! against) or `vectorized` (the kernels every run executes).  Both are
+//! measured **in the same run**, so the kernels' speed-up over the
+//! reference is visible in every emitted report, machine-independent.
 //!
 //! ## `BENCH_perf.json` schema (version 1)
 //!
@@ -62,8 +63,7 @@ use crate::report::{self, column, Column, Row, Shown, SCHEMA};
 use crate::runner::ExperimentScale;
 use fedhh_datasets::{DatasetKind, FederatedDataset};
 use fedhh_federated::{
-    EngineConfig, EstimateScratch, ExecMode, FoExec, GroupAssignment, LevelEstimator,
-    ProtocolConfig,
+    EngineConfig, EstimateScratch, ExecMode, GroupAssignment, LevelEstimator, ProtocolConfig,
 };
 use fedhh_fo::{
     CtrRng, FoKind, FrequencyOracle, Oracle, PrivacyBudget, Report, ReportBatch, SupportCounts,
@@ -271,7 +271,7 @@ pub fn run_suite(quick: bool) -> Result<PerfReport, String> {
     run_suite_impl(quick, None)
 }
 
-/// Like [`run_suite`] but with a JSONL trace sink attached to the five
+/// Like [`run_suite`] but with a JSONL trace sink attached to the
 /// mechanism end-to-end legs (`fedhh-bench perf --trace`).  The
 /// frequency-oracle kernel legs stay telemetry-free — they never touch the
 /// `Run` machinery, so a sink would only add noise to the numbers the gate
@@ -299,8 +299,8 @@ fn run_suite_impl(
         let oracle = Oracle::try_new(kind, budget, size.fo_domain).map_err(|e| e.to_string())?;
         let inputs: Vec<usize> = (0..size.fo_reports).map(|i| i % size.fo_domain).collect();
 
-        // Perturbation: the sequential-RNG scalar loop vs the counter-RNG
-        // kernel, over the same inputs.
+        // Perturbation: the row reference's sequential-RNG loop vs the
+        // counter-RNG kernel, over the same inputs.
         let scalar_secs = time_best(
             size.trials,
             size.warmup,
@@ -334,8 +334,8 @@ fn run_suite_impl(
             vec_batch.size_bits() as u64,
         ));
 
-        // Aggregation + estimation into the caller-owned arena, as the
-        // estimator's `Scalar` and `Vectorized` arms fold a chunk.
+        // Aggregation + estimation into the caller-owned arena: the row
+        // reference vs the columnar kernel the estimator folds a chunk with.
         let reports = perturb_scalar(&oracle, &inputs, 7);
         let mut arena = SupportCounts::zeros(size.fo_domain);
         let agg_scalar_secs = time_best(
@@ -377,11 +377,9 @@ fn run_suite_impl(
     // --- Per-layer workloads ---------------------------------------------
     // The two per-user steps between the kernels above and the end-to-end
     // legs below, at the paper's protocol shape (48-bit codes, g = 24).
-    let layer_config = ProtocolConfig::default()
-        .with_fo_exec(FoExec::Vectorized)
-        .with_exec_mode(ExecMode::Chunked(
-            std::num::NonZeroUsize::new(16_384).expect("non-zero literal"),
-        ));
+    let layer_config = ProtocolConfig::default().with_exec_mode(ExecMode::Chunked(
+        std::num::NonZeroUsize::new(16_384).expect("non-zero literal"),
+    ));
     // 40 candidate 16-bit prefixes; one user in five holds one of them, the
     // rest a uniform prefix (in-domain with probability 40 / 65 536).  Drawn
     // from an RNG so the hit/miss sequence has no period to learn.
@@ -454,7 +452,7 @@ fn run_suite_impl(
     })
 }
 
-/// The scalar perturbation loop of the `fo_perturb/*/scalar` legs, one
+/// The row-reference perturbation loop of the `fo_perturb/*/scalar` legs, one
 /// monomorphic loop per oracle.  Left as `oracle.perturb(..)` inside
 /// `run_suite_impl`, whether LLVM inlined the enum dispatch and the RNG
 /// draws under it flipped with unrelated edits to this crate (k-RR read
@@ -543,10 +541,10 @@ fn mechanism_legs(
         }
         Ok(())
     };
-    for (kind, fo_exec, label) in E2E_LEGS {
+    for (kind, label) in E2E_LEGS {
         e2e(
             kind,
-            base_config.with_fo_exec(fo_exec),
+            base_config,
             &dataset,
             EngineConfig::sequential(),
             label,
@@ -566,9 +564,7 @@ fn mechanism_legs(
     for (kind, label) in PARALLEL_LEGS {
         e2e(
             kind,
-            base_config
-                .with_fo(FoKind::Olh)
-                .with_fo_exec(FoExec::Vectorized),
+            base_config.with_fo(FoKind::Olh),
             &skewed,
             EngineConfig::parallel(2),
             label,
@@ -578,17 +574,12 @@ fn mechanism_legs(
     Ok(())
 }
 
-/// The five pinned mechanism end-to-end legs, in suite order.
-const E2E_LEGS: [(MechanismKind, FoExec, &str); 5] = [
-    (MechanismKind::FedPem, FoExec::Scalar, "fedpem/scalar"),
-    (
-        MechanismKind::FedPem,
-        FoExec::Vectorized,
-        "fedpem/vectorized",
-    ),
-    (MechanismKind::Gtf, FoExec::Vectorized, "gtf/vectorized"),
-    (MechanismKind::Tap, FoExec::Vectorized, "tap/vectorized"),
-    (MechanismKind::Taps, FoExec::Vectorized, "taps/vectorized"),
+/// The four pinned mechanism end-to-end legs, in suite order.
+const E2E_LEGS: [(MechanismKind, &str); 4] = [
+    (MechanismKind::FedPem, "fedpem/vectorized"),
+    (MechanismKind::Gtf, "gtf/vectorized"),
+    (MechanismKind::Tap, "tap/vectorized"),
+    (MechanismKind::Taps, "taps/vectorized"),
 ];
 
 /// The two legs on the parallel engine, in suite order.
@@ -639,13 +630,9 @@ fn run_overhead_suite_impl(quick: bool, reps: u64) -> Result<(PerfReport, PerfRe
     let engine = EngineConfig::sequential();
     let mut untraced_entries = Vec::new();
     let mut traced_entries = Vec::new();
-    for (kind, fo_exec, label) in E2E_LEGS {
+    for (kind, label) in E2E_LEGS {
         let mechanism = kind.build();
-        let config = scale
-            .protocol_config(23)
-            .with_epsilon(4.0)
-            .with_k(10)
-            .with_fo_exec(fo_exec);
+        let config = scale.protocol_config(23).with_epsilon(4.0).with_k(10);
         let telemetry = Telemetry::new();
         let disabled = Telemetry::disabled();
         let mut uplink_bits = 0u64;
@@ -735,7 +722,7 @@ mod tests {
                     uplink_bits: 640_000,
                 },
                 PerfEntry {
-                    name: "mech_e2e/fedpem/scalar".to_string(),
+                    name: "mech_e2e/fedpem/vectorized".to_string(),
                     reports: 5_000,
                     ns_per_report: 800.0,
                     reports_per_sec: 1_250_000.0,
@@ -829,7 +816,7 @@ mod tests {
         let violations = report::check(&baseline[..1], &baseline, 10.0);
         assert_eq!(
             violations,
-            ["mech_e2e/fedpem/scalar: missing from the current run"]
+            ["mech_e2e/fedpem/vectorized: missing from the current run"]
         );
     }
 
@@ -842,7 +829,7 @@ mod tests {
         let violations = report::check(&grown, &grown[..1], 2.0);
         assert_eq!(
             violations,
-            ["mech_e2e/fedpem/scalar: new cell missing from the baseline (regenerate it)"]
+            ["mech_e2e/fedpem/vectorized: new cell missing from the baseline (regenerate it)"]
         );
     }
 
@@ -865,7 +852,6 @@ mod tests {
         for name in [
             "assign/weighted",
             "estimate/level/krr",
-            "mech_e2e/fedpem/scalar",
             "mech_e2e/fedpem/vectorized",
             "mech_e2e/gtf/vectorized",
             "mech_e2e/tap/vectorized",

@@ -40,7 +40,7 @@ fn perf_emits_json_and_check_gates_regressions() {
         "fo_perturb/krr/scalar",
         "assign/weighted",
         "estimate/level/krr",
-        "mech_e2e/fedpem/scalar",
+        "mech_e2e/fedpem/vectorized",
         "mech_e2e/tap/vectorized/p2",
         "mech_e2e/taps/vectorized/p2",
     ] {

@@ -262,7 +262,11 @@ mod tests {
     }
 
     /// The on-disk format, byte for byte: how `save` encodes and frames may
-    /// change, the file it leaves may not.
+    /// change, the file it leaves may not.  Wire schema 7 (one FO execution
+    /// path) moved exactly the frame's schema byte and CRC, deliberately: a
+    /// schema-6 checkpoint may have been written by a sequential-RNG run,
+    /// and resuming it would continue on a different report stream, so
+    /// `load` refuses it with `SchemaMismatch`.
     #[test]
     fn saved_files_match_the_pinned_bytes() {
         let dir = std::env::temp_dir().join(format!("fedhh-ckpt-pin-{}", std::process::id()));
@@ -278,9 +282,9 @@ mod tests {
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
-            "530000000601032a00ff020203000000000000f03f00000000000004400000000000000000\
+            "530000000701032a00ff020203000000000000f03f00000000000004400000000000000000\
              010000000000001040010307090b010102070902078080808080808085400980808080808080\
-             fc7f8020800104019284ea3d"
+             fc7f802080010401c3f31376"
         );
     }
 

@@ -53,53 +53,19 @@ impl ExecMode {
     }
 }
 
-/// How the level estimator drives the frequency oracle.
+/// The one frequency-oracle execution path: counter-based randomness
+/// (`fedhh_fo::ctr`) driving branch-free SoA kernels.
 ///
-/// `Scalar` is the semantic reference: one report at a time off the
-/// sequential RNG stream, folded into the scratch's support arena — the
-/// path every seed-baseline digest in `tests/kernels.rs` is recorded
-/// against.  `Vectorized` is a second, deliberately *different* pinned
-/// path: counter-based randomness (`fedhh_fo::ctr`) drives branch-free SoA
-/// kernels, so its output is deterministic per seed and bit-identical
-/// across any chunk size and engine parallelism, but numerically different
-/// from `Scalar` at the same seed.  The path travels in the wire handshake
-/// config, so a federation can never mix paths across processes.
+/// Kept only for the benchmark crate, whose workload setup
+/// (`benchmark/src/workload.rs`) is its one caller through
+/// [`ProtocolConfig::with_fo_exec`]; the next change to the benchmark
+/// deletes both.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FoExec {
-    /// One-report-at-a-time reference path on the sequential RNG stream.
+    /// Counter-RNG SoA kernels.
     #[default]
-    Scalar,
-    /// Counter-RNG SoA kernels — the fastest path, pinned on its own
-    /// stream (not bit-compatible with the sequential path).
     Vectorized,
-}
-
-impl FoExec {
-    /// All execution paths, in `kernel-equivalence` CI matrix order.
-    pub const ALL: [FoExec; 2] = [FoExec::Scalar, FoExec::Vectorized];
-
-    /// Stable lowercase name for reports, CLI arguments and env knobs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FoExec::Scalar => "scalar",
-            FoExec::Vectorized => "vectorized",
-        }
-    }
-
-    /// Parses a CLI/env name into an execution path.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "scalar" => Some(FoExec::Scalar),
-            "vectorized" | "vec" => Some(FoExec::Vectorized),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for FoExec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// The full parameter set of a federated heavy hitter run.
@@ -128,9 +94,6 @@ pub struct ProtocolConfig {
     pub dividing_ratio: f64,
     /// RNG seed for the run (group assignment and perturbation noise).
     pub seed: u64,
-    /// Which pinned path drives the frequency oracle: the sequential-RNG
-    /// reference or the counter-RNG kernels (each pinned on its own).
-    pub fo_exec: FoExec,
     /// How the report pipeline buffers a level group's reports: eagerly or
     /// in fixed-size chunks (bit-identical results either way;
     /// [`EngineConfig::chunk_size`](crate::EngineConfig::chunk_size) pins
@@ -157,7 +120,6 @@ impl Default for ProtocolConfig {
             phase1_user_fraction: 0.25,
             dividing_ratio: 0.1,
             seed: 7,
-            fo_exec: FoExec::Vectorized,
             exec_mode: ExecMode::Auto,
             topology: Topology::Flat,
             quorum: QuorumPolicy::full(),
@@ -216,9 +178,12 @@ impl ProtocolConfig {
         self
     }
 
-    /// Returns a copy with a different frequency-oracle execution path.
-    pub fn with_fo_exec(mut self, fo_exec: FoExec) -> Self {
-        self.fo_exec = fo_exec;
+    /// Returns `self` unchanged: there is one execution path.  Kept only
+    /// for the benchmark crate (`benchmark/src/workload.rs` is its one
+    /// caller); the next change to the benchmark deletes it with
+    /// [`FoExec`].
+    #[doc(hidden)]
+    pub fn with_fo_exec(self, _fo_exec: FoExec) -> Self {
         self
     }
 
@@ -252,6 +217,11 @@ impl ProtocolConfig {
         if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
             return Err(ProtocolError::InvalidBudget {
                 epsilon: self.epsilon,
+            });
+        }
+        if !(1..=64).contains(&self.max_bits) {
+            return Err(ProtocolError::InvalidBitWidth {
+                max_bits: self.max_bits,
             });
         }
         if self.granularity == 0 || self.granularity > self.max_bits {
@@ -338,6 +308,15 @@ mod tests {
             }
             .validate(),
             Err(ProtocolError::InvalidBudget { epsilon: -1.0 })
+        );
+        assert_eq!(
+            ProtocolConfig {
+                max_bits: 65,
+                granularity: 8,
+                ..Default::default()
+            }
+            .validate(),
+            Err(ProtocolError::InvalidBitWidth { max_bits: 65 })
         );
         assert_eq!(
             ProtocolConfig {

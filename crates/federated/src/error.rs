@@ -24,6 +24,11 @@ pub enum ProtocolError {
         /// The rejected budget.
         epsilon: f64,
     },
+    /// The item-code width m must satisfy `1 <= m <= 64`.
+    InvalidBitWidth {
+        /// The rejected code width.
+        max_bits: u8,
+    },
     /// The granularity g must satisfy `1 <= g <= max_bits`.
     InvalidGranularity {
         /// The rejected granularity.
@@ -129,6 +134,9 @@ impl fmt::Display for ProtocolError {
                     f,
                     "privacy budget must be positive and finite, got {epsilon}"
                 )
+            }
+            ProtocolError::InvalidBitWidth { max_bits } => {
+                write!(f, "max_bits must be in 1..=64, got {max_bits}")
             }
             ProtocolError::InvalidGranularity {
                 granularity,
@@ -246,6 +254,7 @@ mod tests {
         let cases: Vec<(ProtocolError, &str)> = vec![
             (ProtocolError::InvalidQuery { k: 0 }, "query k"),
             (ProtocolError::InvalidBudget { epsilon: -1.0 }, "-1"),
+            (ProtocolError::InvalidBitWidth { max_bits: 65 }, "65"),
             (
                 ProtocolError::InvalidGranularity {
                     granularity: 64,

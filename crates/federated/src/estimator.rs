@@ -7,24 +7,23 @@
 //! aggregates the reports into noisy frequency estimates for every candidate
 //! (Algorithm 2, Estimate procedure).
 
-use crate::config::{FoExec, ProtocolConfig};
+use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
 use crate::session::IdleWorkers;
 use fedhh_fo::{
-    CandidateDomain, CtrRng, FoKind, FrequencyOracle, Oracle, PrivacyBudget, Report, ReportBatch,
+    CandidateDomain, CtrRng, FoKind, FrequencyOracle, Oracle, PrivacyBudget, ReportBatch,
     SupportCounts,
 };
 use fedhh_telemetry::{SpanName, Telemetry};
 use fedhh_trie::Prefix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Reusable per-worker scratch for the estimation hot path.
 ///
 /// One level estimate needs an input buffer (encoded domain indices), a
-/// report buffer and a support-count arena.  A driver that owns one scratch
-/// and passes it to every [`LevelEstimator::estimate_with`] call pays for
-/// those allocations once per worker instead of once per level, and reuses
+/// columnar report batch and a support-count arena.  A driver that owns one
+/// scratch and passes it to every [`LevelEstimator::estimate_with`] call
+/// pays for those allocations once per worker instead of once per level,
+/// and reuses
 /// the constructed [`Oracle`] whenever consecutive levels share a candidate
 /// domain size — this is the "aggregate shard-locally, allocate never"
 /// contract the engine workers rely on.
@@ -49,14 +48,12 @@ use rand::SeedableRng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EstimateScratch {
-    /// The calling thread's buffers: the whole level under
-    /// `FoExec::Scalar`, part 0 of it under `FoExec::Vectorized`.
+    /// The calling thread's buffers: part 0 of the level (the whole level
+    /// when it is not split).
     own: PartScratch,
     /// One set of buffers per level helper (parts 1..), grown on the first
     /// split and reused afterwards.
     helpers: Vec<PartScratch>,
-    /// Row-oriented reports of the `FoExec::Scalar` path.
-    reports: Vec<Report>,
     /// Cached oracle, keyed by (kind, ε bits, domain size).
     oracle: Option<(FoKind, u64, usize, Oracle)>,
     /// Telemetry handle: when enabled, each chunk's perturbation and
@@ -72,7 +69,7 @@ pub struct EstimateScratch {
 #[derive(Debug, Clone)]
 struct PartScratch {
     inputs: Vec<usize>,
-    /// SoA report arena for the `FoExec::Vectorized` path.
+    /// SoA report arena the counter-RNG kernels fill.
     batch: ReportBatch,
     supports: SupportCounts,
 }
@@ -94,7 +91,6 @@ impl EstimateScratch {
         Self {
             own: PartScratch::new(),
             helpers: Vec::new(),
-            reports: Vec::new(),
             oracle: None,
             telemetry: Telemetry::disabled(),
             idle: IdleWorkers::default(),
@@ -115,9 +111,9 @@ impl EstimateScratch {
     }
 
     /// Attaches a session's idle-worker count (see
-    /// [`Session::scratch`](crate::Session::scratch)): `Vectorized` levels
-    /// estimated with this scratch may borrow workers the round leaves
-    /// idle.  The estimates are bit-identical with or without it.
+    /// [`Session::scratch`](crate::Session::scratch)): levels estimated
+    /// with this scratch may borrow workers the round leaves idle.  The
+    /// estimates are bit-identical with or without it.
     pub(crate) fn set_idle_workers(&mut self, idle: &IdleWorkers) {
         self.idle = idle.clone();
     }
@@ -258,27 +254,21 @@ impl LevelEstimator {
     ///
     /// The group is processed in chunks selected by
     /// [`ExecMode::chunk_for`](crate::ExecMode::chunk_for): each chunk's
-    /// prefixes are encoded, perturbed and folded straight into the
-    /// scratch's [`SupportCounts`] arena before the next chunk is touched,
-    /// so at most one chunk of inputs and reports is ever resident — **no
-    /// full per-group report vector exists** under a chunked mode.  Under
-    /// [`FoExec::Scalar`] the RNG is consumed in the same per-report order
-    /// regardless of chunk boundaries (and support counts are whole-number
-    /// sums, exact in `f64`), so results are bit-identical to
-    /// [`LevelEstimator::estimate`] at every chunk size.
+    /// prefixes are encoded, perturbed by the counter-RNG SoA kernels and
+    /// folded straight into the scratch's [`SupportCounts`] arena before the
+    /// next chunk is touched, so at most one chunk of inputs and reports is
+    /// ever resident — **no full per-group report vector exists** under a
+    /// chunked mode.  Report k depends only on `(seed ^ noise_seed, k)`, so
+    /// results are bit-identical to [`LevelEstimator::estimate`] at every
+    /// chunk size.
     ///
-    /// Under [`FoExec::Vectorized`] the chunk loop instead drives the
-    /// counter-RNG SoA kernels: chunk invariance holds by construction
-    /// (report k depends only on `(seed ^ noise_seed, k)`), while the
-    /// results are a *different* pinned stream than the sequential path.
-    /// For the same reason a `Vectorized` level is the engine's second unit
-    /// of parallel work: with a scratch from
+    /// For the same reason a level is the engine's second unit of parallel
+    /// work: with a scratch from
     /// [`Session::scratch`](crate::Session::scratch), a level large enough
     /// to pay for a thread spawn is cut into contiguous user ranges that
     /// workers the round leaves idle estimate concurrently.  How many are
     /// idle depends on timing; the estimate does not (whole-number supports
-    /// and integer report bits sum exactly in any grouping).  `Scalar`
-    /// levels are never split — their RNG stream is sequential.
+    /// and integer report bits sum exactly in any grouping).
     pub fn estimate_with(
         &self,
         scratch: &mut EstimateScratch,
@@ -320,21 +310,14 @@ impl LevelEstimator {
             users,
             &telemetry,
         );
-        let key = self.config.seed ^ noise_seed;
-        let report_bits = match self.config.fo_exec {
-            FoExec::Scalar => level.scalar(scratch, group_items, key),
-            FoExec::Vectorized => {
-                // Borrow workers the round leaves idle — as many as the
-                // level has work for, never waiting for one.  How many
-                // happen to be idle cannot move the output (see
-                // `Level::split`).
-                let worth = parts_worth_having(oracle.kind(), domain.len(), users);
-                let helpers = scratch.idle.try_acquire(worth - 1);
-                let bits = level.split(scratch, group_items, &CtrRng::new(key), helpers + 1);
-                scratch.idle.release(helpers);
-                bits
-            }
-        };
+        // Borrow workers the round leaves idle — as many as the level has
+        // work for, never waiting for one.  How many happen to be idle
+        // cannot move the output (see `Level::split`).
+        let worth = parts_worth_having(oracle.kind(), domain.len(), users);
+        let helpers = scratch.idle.try_acquire(worth - 1);
+        let ctr = CtrRng::new(self.config.seed ^ noise_seed);
+        let report_bits = level.split(scratch, group_items, &ctr, helpers + 1);
+        scratch.idle.release(helpers);
         let estimate = oracle.estimate(&scratch.own.supports, users);
 
         // Through the domain rather than by position: a repeated candidate
@@ -404,38 +387,8 @@ impl<'a> Level<'a> {
         }));
     }
 
-    /// The reference path: one perturb call per report off the sequential
-    /// stream seeded with `key`, folded into the scratch's own arena chunk
-    /// by chunk (chunk sums of whole-number supports are exact, so chunking
-    /// cannot perturb the reference results).  Returns the report bits.
-    ///
-    /// Never split across workers: report *j* consumes the stream where
-    /// report *j − 1* left it.
-    fn scalar(&self, scratch: &mut EstimateScratch, items: &[u64], key: u64) -> usize {
-        let mut rng = StdRng::seed_from_u64(key);
-        let own = &mut scratch.own;
-        own.supports.reset(self.domain.len());
-        let mut report_bits = 0usize;
-        for chunk in items.chunks(self.chunk_size) {
-            self.encode(chunk, &mut own.inputs);
-            scratch.reports.clear();
-            {
-                let _perturb = self.telemetry.span(SpanName::Perturb);
-                scratch.reports.reserve(chunk.len());
-                for &input in &own.inputs {
-                    scratch.reports.push(self.oracle.perturb(input, &mut rng));
-                }
-            }
-            let _aggregate = self.telemetry.span(SpanName::Aggregate);
-            self.oracle
-                .aggregate_into(&scratch.reports, &mut own.supports);
-            report_bits += scratch.reports.iter().map(Report::size_bits).sum::<usize>();
-        }
-        report_bits
-    }
-
-    /// The `Vectorized` chunk loop over one contiguous range of the level's
-    /// users: `items` are reports `base..base + items.len()` of the level.
+    /// The chunk loop over one contiguous range of the level's users:
+    /// `items` are reports `base..base + items.len()` of the level.
     /// Counter-driven SoA kernels fold every chunk into `part.supports`
     /// (reset first); `base` carries the global report offset, so any
     /// chunking — and any cut of the level into ranges — yields the same
@@ -467,7 +420,7 @@ impl<'a> Level<'a> {
         report_bits
     }
 
-    /// Estimates a `Vectorized` level in `parts` contiguous ranges of
+    /// Estimates a level in `parts` contiguous ranges of
     /// near-equal size: range 0 on the calling thread, every further one on
     /// a scoped helper thread with its own buffers, the supports merged
     /// into the scratch's own arena afterwards.  One part is the unsplit
@@ -525,7 +478,7 @@ impl<'a> Level<'a> {
 /// millisecond against the ~30–60 µs a scoped spawn and join costs.
 const MIN_PART_NS: usize = 500_000;
 
-/// How many parts a `Vectorized` level of `users` reports over `slots`
+/// How many parts a level of `users` reports over `slots`
 /// domain slots is worth cutting into (at least 1), from a per-report cost
 /// class per oracle: k-RR is O(1) per report, OUE and OLH are O(d).  The
 /// constants were derived from the `fo_perturb/*/vectorized` +
@@ -715,38 +668,6 @@ mod tests {
             .unwrap();
             let got = auto.estimate(&candidates, 2, &items, 31);
             assert_eq!(got.frequencies, reference.frequencies, "{fo} auto");
-        }
-    }
-
-    #[test]
-    fn vectorized_execution_is_bit_identical_at_every_chunk_size() {
-        use crate::config::ExecMode;
-        use std::num::NonZeroUsize;
-        let base = config();
-        let items: Vec<u64> = (0..3001).map(|i| (i % 13) << 4 | (i % 7)).collect();
-        let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
-        for fo in fedhh_fo::FoKind::ALL {
-            let eager = LevelEstimator::new(ProtocolConfig {
-                fo,
-                fo_exec: crate::config::FoExec::Vectorized,
-                exec_mode: ExecMode::Eager,
-                ..base
-            })
-            .unwrap();
-            let reference = eager.estimate(&candidates, 2, &items, 31);
-            for chunk in [1usize, 7, 64, usize::MAX] {
-                let chunked = LevelEstimator::new(ProtocolConfig {
-                    fo,
-                    fo_exec: crate::config::FoExec::Vectorized,
-                    exec_mode: ExecMode::Chunked(NonZeroUsize::new(chunk).unwrap()),
-                    ..base
-                })
-                .unwrap();
-                let got = chunked.estimate(&candidates, 2, &items, 31);
-                assert_eq!(got.frequencies, reference.frequencies, "{fo} chunk {chunk}");
-                assert_eq!(got.counts, reference.counts, "{fo} chunk {chunk}");
-                assert_eq!(got.report_bits, reference.report_bits, "{fo} chunk {chunk}");
-            }
             // Deterministic per seed; a different noise seed moves it.
             let again = eager.estimate(&candidates, 2, &items, 31);
             assert_eq!(again.frequencies, reference.frequencies, "{fo} rerun");
@@ -803,7 +724,6 @@ mod tests {
             ] {
                 let estimator = LevelEstimator::new(ProtocolConfig {
                     fo,
-                    fo_exec: FoExec::Vectorized,
                     exec_mode,
                     ..config()
                 })
@@ -845,54 +765,20 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_path_is_pinned_separately_from_the_sequential_paths() {
-        // Vectorized is *not* bit-compatible with Scalar at the
-        // same seed — it is its own pinned stream.  Both still estimate
-        // the same distribution: the dominant prefix agrees.
-        let base = config();
-        let items: Vec<u64> = (0..4000)
-            .map(|i| {
-                if i % 4 == 0 {
-                    0b0100_0000
-                } else {
-                    0b1000_0000 + (i % 64)
-                }
-            })
-            .collect();
-        let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
-        for fo in fedhh_fo::FoKind::ALL {
-            let scalar = LevelEstimator::new(ProtocolConfig {
-                fo,
-                fo_exec: FoExec::Scalar,
-                ..base
-            })
-            .unwrap();
-            let vectorized = LevelEstimator::new(ProtocolConfig {
-                fo,
-                fo_exec: crate::config::FoExec::Vectorized,
-                ..base
-            })
-            .unwrap();
-            let a = scalar.estimate(&candidates, 2, &items, 77);
-            let b = vectorized.estimate(&candidates, 2, &items, 77);
-            assert_ne!(a.frequencies, b.frequencies, "fo {fo}: paths should differ");
-            assert_eq!(a.top_t(1), b.top_t(1), "fo {fo}: same mechanism");
-            assert_eq!(a.report_bits, b.report_bits, "fo {fo}: same wire cost");
-        }
-    }
-
-    #[test]
-    fn fo_exec_names_round_trip() {
-        for exec in crate::config::FoExec::ALL {
-            assert_eq!(crate::config::FoExec::parse(exec.name()), Some(exec));
-            assert_eq!(exec.to_string(), exec.name());
-        }
+    fn code_widths_past_64_bits_are_rejected_before_any_estimate() {
+        // The trie's bit helpers assert a width of at most 64 bits, so a
+        // configuration that validates must never exceed it.
+        let config = ProtocolConfig {
+            max_bits: 65,
+            granularity: 8,
+            ..ProtocolConfig::test_default()
+        };
+        let result = LevelEstimator::new(config)
+            .map(|estimator| estimator.estimate(&[0b0, 0b1], 1, &[1, 2, 3], 1).users);
         assert_eq!(
-            crate::config::FoExec::parse("VEC"),
-            Some(crate::config::FoExec::Vectorized)
+            result.unwrap_err().to_string(),
+            "max_bits must be in 1..=64, got 65"
         );
-        assert_eq!(crate::config::FoExec::parse("nope"), None);
-        assert_eq!(crate::config::FoExec::parse("batched"), None);
     }
 
     #[test]
@@ -938,19 +824,16 @@ mod tests {
         // position 2 — estimates to zero.
         let items: Vec<u64> = vec![0b1100_0000; 2000];
         let candidates = vec![0b00u64, 0b01, 0b00, 0b01, 0b01];
-        for fo_exec in crate::config::FoExec::ALL {
-            let estimator = LevelEstimator::new(ProtocolConfig {
-                epsilon: 40.0,
-                fo_exec,
-                ..config()
-            })
-            .unwrap();
-            let est = estimator.estimate(&candidates, 2, &items, 6);
-            assert_eq!(est.users, items.len());
-            assert_eq!(est.candidates, candidates);
-            for f in &est.frequencies {
-                assert!(f.abs() < 1e-9, "{fo_exec}: candidate frequency {f}");
-            }
+        let estimator = LevelEstimator::new(ProtocolConfig {
+            epsilon: 40.0,
+            ..config()
+        })
+        .unwrap();
+        let est = estimator.estimate(&candidates, 2, &items, 6);
+        assert_eq!(est.users, items.len());
+        assert_eq!(est.candidates, candidates);
+        for f in &est.frequencies {
+            assert!(f.abs() < 1e-9, "candidate frequency {f}");
         }
     }
 }

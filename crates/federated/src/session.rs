@@ -17,10 +17,9 @@
 //!
 //! Parties are the engine's first unit of parallel work; the second is a
 //! contiguous range of one level's users.  Workers a round leaves without a
-//! party are counted in the session's [`IdleWorkers`], and a
-//! `FoExec::Vectorized` level estimated with a scratch from
-//! [`Session::scratch`] borrows them for part of its group — so one
-//! dominant party, or a round with a single party, no longer pins the
+//! party are counted in the session's [`IdleWorkers`], and a level
+//! estimated with a scratch from [`Session::scratch`] borrows them for part
+//! of its group — so one dominant party, or a round with a single party, no longer pins the
 //! round to one core.
 //!
 //! Because drivers derive all randomness from per-party seeds and the
@@ -1548,13 +1547,9 @@ mod tests {
     /// the helper tokens the solo round's levels took.  The big party's OLH
     /// levels are 40 000 × 65 slots ≈ 2.7 ms of kernel work — worth five
     /// parts.
-    fn run_skewed(
-        fo_exec: crate::FoExec,
-        parallelism: usize,
-    ) -> (Vec<RoundCollection>, usize, usize) {
+    fn run_skewed(parallelism: usize) -> (Vec<RoundCollection>, usize, usize) {
         let estimator = crate::LevelEstimator::new(crate::ProtocolConfig {
             fo: fedhh_fo::FoKind::Olh,
-            fo_exec,
             max_bits: 8,
             granularity: 4,
             ..crate::ProtocolConfig::default()
@@ -1616,11 +1611,11 @@ mod tests {
 
     #[test]
     fn idle_workers_split_levels_without_exceeding_parallelism_or_moving_a_bit() {
-        let (sequential, peak, solo_lent) = run_skewed(crate::FoExec::Vectorized, 1);
+        let (sequential, peak, solo_lent) = run_skewed(1);
         assert_eq!(peak, 1, "parallelism 1 never spawns a thread");
         assert_eq!(solo_lent, 0, "parallelism 1 has no idle worker");
         for parallelism in [2usize, 3, 8] {
-            let (rounds, peak, solo_lent) = run_skewed(crate::FoExec::Vectorized, parallelism);
+            let (rounds, peak, solo_lent) = run_skewed(parallelism);
             assert_eq!(rounds, sequential, "parallelism {parallelism}");
             assert!(
                 peak <= parallelism,
@@ -1635,22 +1630,6 @@ mod tests {
                 solo_lent,
                 3 * (parallelism.min(5) - 1),
                 "parallelism {parallelism}: helper tokens of the solo round"
-            );
-        }
-    }
-
-    #[test]
-    fn scalar_levels_are_never_split() {
-        let (sequential, _, _) = run_skewed(crate::FoExec::Scalar, 1);
-        for parallelism in [2usize, 8] {
-            let (rounds, peak, solo_lent) = run_skewed(crate::FoExec::Scalar, parallelism);
-            assert_eq!(rounds, sequential, "parallelism {parallelism}");
-            assert_eq!(solo_lent, 0, "parallelism {parallelism}");
-            // Idle workers were there for the taking (5 of 8, and all but
-            // one in the solo round); the high-water mark is party threads.
-            assert!(
-                peak <= parallelism.min(3),
-                "parallelism {parallelism}: {peak} threads worked at once"
             );
         }
     }

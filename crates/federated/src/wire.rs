@@ -19,7 +19,7 @@
 //! Enum variants carry a one-byte tag; unknown tags decode to
 //! [`WireError::InvalidValue`], never a panic.
 
-use crate::config::{ExecMode, FoExec, ProtocolConfig};
+use crate::config::{ExecMode, ProtocolConfig};
 use crate::fault::FaultPlan;
 use crate::message::{
     CandidateReport, MergedSupports, PruneCandidates, PruneDictionary, RoundMessage, RoundPayload,
@@ -547,29 +547,6 @@ fn fo_kind_from_u8(raw: u8) -> Result<FoKind, WireError> {
     }
 }
 
-/// Stable one-byte discriminants for [`FoExec`] (`Scalar` since wire
-/// schema 1, `Vectorized` added in schema 4; discriminant 0 was retired in
-/// schema 6 and is rejected).  The execution path rides in the handshake
-/// config so coordinator and parties can never mix pinned FO streams
-/// within one federation.
-fn fo_exec_to_u8(exec: FoExec) -> u8 {
-    match exec {
-        FoExec::Scalar => 1,
-        FoExec::Vectorized => 2,
-    }
-}
-
-fn fo_exec_from_u8(raw: u8) -> Result<FoExec, WireError> {
-    match raw {
-        1 => Ok(FoExec::Scalar),
-        2 => Ok(FoExec::Vectorized),
-        other => Err(WireError::InvalidValue {
-            what: "frequency oracle execution path",
-            value: other as u64,
-        }),
-    }
-}
-
 /// Stable one-byte discriminants for [`ExecMode`] (part of wire schema 2);
 /// `Chunked` is followed by its chunk size as a varint.
 fn encode_exec_mode(mode: ExecMode, out: &mut Vec<u8>) {
@@ -656,7 +633,6 @@ impl Encode for ProtocolConfig {
         self.phase1_user_fraction.encode(out);
         self.dividing_ratio.encode(out);
         put_u64_fixed(out, self.seed);
-        out.push(fo_exec_to_u8(self.fo_exec));
         encode_exec_mode(self.exec_mode, out);
         encode_topology(self.topology, out);
         self.quorum.encode(out);
@@ -675,7 +651,6 @@ impl Decode for ProtocolConfig {
             phase1_user_fraction: f64::decode(reader)?,
             dividing_ratio: f64::decode(reader)?,
             seed: reader.take_u64_fixed()?,
-            fo_exec: fo_exec_from_u8(reader.take_u8()?)?,
             exec_mode: decode_exec_mode(reader)?,
             topology: decode_topology(reader)?,
             quorum: QuorumPolicy::decode(reader)?,
@@ -796,11 +771,6 @@ mod tests {
         round_trip(ProtocolConfig::default());
         round_trip(ProtocolConfig {
             fo: FoKind::Olh,
-            fo_exec: FoExec::Scalar,
-            ..ProtocolConfig::test_default()
-        });
-        round_trip(ProtocolConfig {
-            fo_exec: FoExec::Vectorized,
             ..ProtocolConfig::test_default()
         });
         round_trip(ProtocolConfig {
@@ -832,28 +802,6 @@ mod tests {
             Err(WireError::InvalidValue {
                 what: "chunk size",
                 ..
-            })
-        ));
-    }
-
-    #[test]
-    fn retired_fo_exec_discriminant_is_rejected_on_decode() {
-        let config = ProtocolConfig::default();
-        let mut bytes = to_bytes(&config);
-        // The execution-path byte sits right before the execution mode +
-        // topology + quorum suffix; forge it to the retired value 0.
-        let mut suffix = Vec::new();
-        encode_exec_mode(config.exec_mode, &mut suffix);
-        encode_topology(config.topology, &mut suffix);
-        config.quorum.encode(&mut suffix);
-        let exec_at = bytes.len() - suffix.len() - 1;
-        assert_eq!(bytes[exec_at], fo_exec_to_u8(config.fo_exec));
-        bytes[exec_at] = 0;
-        assert!(matches!(
-            from_bytes::<ProtocolConfig>(&bytes),
-            Err(WireError::InvalidValue {
-                what: "frequency oracle execution path",
-                value: 0,
             })
         ));
     }

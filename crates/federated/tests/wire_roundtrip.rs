@@ -4,9 +4,9 @@
 //! uplink accounting cannot silently drift from the wire format.
 
 use fedhh_federated::{
-    AdversaryModel, CandidateReport, ExecMode, FaultPlan, FlipMode, FoExec, MergedSupports,
-    ProtocolConfig, PruneCandidates, PruneDictionary, QuorumPolicy, RoundMessage, RoundPayload,
-    ScenarioPlan, Topology, PAIR_BITS,
+    AdversaryModel, CandidateReport, ExecMode, FaultPlan, FlipMode, MergedSupports, ProtocolConfig,
+    PruneCandidates, PruneDictionary, QuorumPolicy, RoundMessage, RoundPayload, ScenarioPlan,
+    Topology, PAIR_BITS,
 };
 use fedhh_fo::FoKind;
 use fedhh_wire::{crc32, from_bytes, read_frame, to_bytes, write_frame, WireError, WIRE_SCHEMA};
@@ -66,11 +66,6 @@ fn random_config(rng: &mut StdRng) -> ProtocolConfig {
         phase1_user_fraction: rng.gen::<f64>() * 0.99,
         dividing_ratio: rng.gen::<f64>() * 0.49,
         seed: rng.gen(),
-        fo_exec: if rng.gen::<bool>() {
-            FoExec::Vectorized
-        } else {
-            FoExec::Scalar
-        },
         exec_mode: match rng.gen_range(0usize..3) {
             0 => ExecMode::Auto,
             1 => ExecMode::Eager,

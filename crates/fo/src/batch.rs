@@ -1,19 +1,17 @@
 //! Structure-of-arrays report storage for the vectorized kernels.
 //!
-//! The `Scalar` execution path moves reports as `Vec<Report>` —
-//! one heap allocation per OUE report (its `Vec<bool>` bit vector) and an
-//! enum tag per report.  The `Vectorized` path instead fills a
-//! [`ReportBatch`]: one arena holding *all* reports of a chunk in columnar
+//! The row API ([`FrequencyOracle::perturb`](crate::FrequencyOracle::perturb))
+//! moves reports as `Vec<Report>` — one heap allocation per OUE report (its
+//! `Vec<bool>` bit vector) and an enum tag per report.  The vectorized
+//! kernels instead fill a [`ReportBatch`]: one arena holding *all* reports of a chunk in columnar
 //! form (bit-packed `u64` rows for OUE, parallel seed/value columns for
 //! OLH, a plain index column for GRR), so the kernels touch contiguous
 //! memory and never allocate per report.
 //!
-//! A `ReportBatch` never crosses an execution-path boundary: it is produced
-//! by `perturb_vectorized` and consumed by `aggregate_vectorized` within
-//! one estimation call (the federated layer pins `fo_exec` in the handshake
-//! config precisely so paths cannot mix across processes).  For interop and
-//! tests, [`ReportBatch::to_reports`] materializes the equivalent
-//! `Vec<Report>`.
+//! A `ReportBatch` never crosses a process boundary: it is produced by
+//! `perturb_vectorized` and consumed by `aggregate_vectorized` within one
+//! estimation call.  For interop and tests, [`ReportBatch::to_reports`]
+//! materializes the equivalent `Vec<Report>`.
 
 use crate::report::Report;
 

@@ -1,8 +1,9 @@
 //! Counter-based (splittable) randomness for the vectorized FO kernels.
 //!
-//! The sequential RNG contract of the `Scalar` execution path — report *j*
-//! consumes the stream exactly where report *j − 1* left it — is what
-//! forces that kernel to produce one report at a time.  This module
+//! The sequential RNG contract of the row API
+//! ([`FrequencyOracle::perturb`](crate::FrequencyOracle::perturb)) — report
+//! *j* consumes the stream exactly where report *j − 1* left it — is what
+//! forces it to produce one report at a time.  This module
 //! removes the sequential dependency: draw *i* of report *j* is a **pure
 //! function** of `(key, j, i)`, so any chunk of reports can be produced in
 //! any order, on any worker, and still come out bit-identical.
@@ -28,10 +29,10 @@
 //! agreement with the sequential RNG on GRR/OUE flip rates, key/counter
 //! independence) and the stream is pinned forever by known-answer vectors in
 //! this module's tests: **changing any constant here is a breaking change**
-//! to the `FoExec::Vectorized` execution path and must be treated like a
+//! to the federated layer's report stream and must be treated like a
 //! wire-format bump.
 //!
-//! See `ARCHITECTURE.md` ("Two execution paths") for how this slots into
+//! See `ARCHITECTURE.md` ("The execution path") for how this slots into
 //! the federated layer.
 
 /// Multiplier folding the report counter into the key (odd, so
@@ -170,7 +171,7 @@ mod tests {
     use super::*;
 
     /// Known-answer vectors pinning the stream forever.  If this test ever
-    /// fails, the `FoExec::Vectorized` output has drifted: that is a
+    /// fails, the vectorized output has drifted: that is a
     /// breaking change and must be called out like a wire-schema bump.
     #[test]
     fn known_answer_vectors_pin_the_stream() {

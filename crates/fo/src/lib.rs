@@ -54,8 +54,9 @@
 //!
 //! [`FrequencyOracle::aggregate_into`] is `aggregate` folding into a
 //! caller-owned [`SupportCounts`] arena: same support sums, no allocation,
-//! and one arena serves any number of chunks.  It is how the federated
-//! layer's `Scalar` path consumes a chunked report stream.
+//! and one arena serves any number of chunks.  It is the row reference the
+//! vectorized kernels are tested against, and the fallback
+//! `aggregate_vectorized` takes for a batch shape it does not own.
 //!
 //! ```
 //! use fedhh_fo::{FoKind, FrequencyOracle, Oracle, PrivacyBudget, SupportCounts};
@@ -75,14 +76,14 @@
 //! ## Vectorized hot path (0.8)
 //!
 //! [`FrequencyOracle::perturb_vectorized`] and
-//! [`FrequencyOracle::aggregate_vectorized`] are a second, deliberately
-//! *different* execution path: driven by the counter-based [`CtrRng`]
+//! [`FrequencyOracle::aggregate_vectorized`] are the path the federated
+//! layer runs: driven by the counter-based [`CtrRng`]
 //! (every draw a pure function of `(key, report, draw)`), they fill and
 //! consume structure-of-arrays [`ReportBatch`] arenas with branch-free
 //! kernels.  The output is deterministic per key and bit-identical across
 //! any chunking or evaluation order — but it is **not** the sequential RNG
-//! stream, so `Vectorized` results differ numerically from `Scalar` at
-//! the same seed (each path is pinned on its own).
+//! stream, so its results differ numerically from the row API's at the
+//! same seed (the kernels are pinned on their own).
 //!
 //! OLH's vectorized aggregation loop is compiled twice from one body — for
 //! the build target's baseline ISA and, on `x86_64`, for AVX2 — and the

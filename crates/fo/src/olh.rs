@@ -221,9 +221,10 @@ impl FrequencyOracle for OlhOracle {
         // Counter-addressed draws (0: hash seed, 1: keep coin, 2: flip
         // target) into parallel seed/value columns.  The vectorized path
         // uses its own division-free hash family (`vec_bucket`), pinned
-        // independently of the Scalar path's `UniversalHash` family —
-        // both sides of this path (perturb and aggregate) must agree, and
-        // they do because a batch never crosses an execution-path boundary.
+        // independently of the row API's `UniversalHash` family — both
+        // sides of this path (perturb and aggregate) must agree, and they
+        // do because a hashed batch is only ever aggregated by
+        // `aggregate_vectorized`.
         let t_p = ctr::bernoulli_threshold(self.p);
         let buckets = self.buckets;
         let (seeds, values) = out.hashed_mut();

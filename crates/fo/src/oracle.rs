@@ -23,11 +23,11 @@ use rand::{Rng, SeedableRng};
 /// The frequency-oracle interface shared by GRR, OUE and OLH.
 ///
 /// [`perturb`](Self::perturb) and [`aggregate`](Self::aggregate) define the
-/// semantics on the sequential RNG stream (`FoExec::Scalar`);
+/// semantics on the sequential RNG stream — the row reference the tests and
+/// the `fo_*/*/scalar` perf legs compare the kernels against;
 /// [`aggregate_into`](Self::aggregate_into) is the same fold into a
-/// caller-owned arena, which is what the federated layer's chunked pipeline
-/// drives.  The `*_vectorized` pair is the counter-RNG production path
-/// (`FoExec::Vectorized`), pinned on its own.
+/// caller-owned arena.  The `*_vectorized` pair is the counter-RNG path the
+/// federated layer runs, pinned on its own.
 pub trait FrequencyOracle {
     /// Perturbs one user's domain index into a report satisfying ε-LDP.
     fn perturb<R: Rng + ?Sized>(&self, input: usize, rng: &mut R) -> Report;
@@ -51,10 +51,10 @@ pub trait FrequencyOracle {
     /// `(rng.key(), base + k)`, independent of chunking and evaluation
     /// order.
     ///
-    /// This is the `FoExec::Vectorized` hot path.  It does **not**
-    /// reproduce the sequential RNG stream of [`perturb`](Self::perturb) —
-    /// `Vectorized` is its own pinned output, deterministic per key but
-    /// numerically different from `Scalar`.  The default implementation
+    /// This is the federated layer's hot path.  It does **not** reproduce
+    /// the sequential RNG stream of [`perturb`](Self::perturb) — it is its
+    /// own pinned output, deterministic per key but numerically different
+    /// from the row API.  The default implementation
     /// derives one sequential RNG per report from the counter stream, so
     /// external oracle implementations keep compiling (and stay
     /// chunk-invariant) without writing a kernel.
@@ -66,7 +66,7 @@ pub trait FrequencyOracle {
     }
 
     /// Aggregates a structure-of-arrays report batch into a caller-owned
-    /// accumulator — the `FoExec::Vectorized` counterpart of
+    /// accumulator — the vectorized counterpart of
     /// [`aggregate_into`](Self::aggregate_into).
     ///
     /// The contract is with [`perturb_vectorized`](Self::perturb_vectorized):
@@ -75,7 +75,7 @@ pub trait FrequencyOracle {
     /// order-independent).  An override may interpret its own batches with
     /// machinery the row-oriented path does not share (the built-in OLH
     /// kernel uses a division-free hash family on this path), which is safe
-    /// because a batch never crosses an execution-path boundary.  The
+    /// because a batch is only ever aggregated by this method.  The
     /// default implementation materializes the rows and defers to
     /// `aggregate_into`.
     fn aggregate_vectorized(&self, batch: &ReportBatch, supports: &mut SupportCounts) {

@@ -1,8 +1,9 @@
 //! Statistical contract of the counter-based RNG and the vectorized
 //! kernels built on it.
 //!
-//! `FoExec::Vectorized` deliberately abandons the sequential RNG stream, so
-//! bit-identity with `Scalar` cannot be the test.  What must hold
+//! The vectorized kernels deliberately abandon the sequential RNG stream,
+//! so bit-identity with the row reference (`FrequencyOracle::perturb`)
+//! cannot be the test.  What must hold
 //! instead is *distributional* identity: the counter-driven kernels flip
 //! the same Bernoulli coins with the same probabilities as the sequential
 //! path (exactly the same thresholds, by construction — see
@@ -208,7 +209,7 @@ fn key_and_counter_axes_are_independent() {
 /// Known-answer pins for the kernels themselves (not just the raw word
 /// stream): the exact reports each vectorized kernel emits for a fixed
 /// key.  A failure here means the *draw layout* of a kernel changed, which
-/// breaks `FoExec::Vectorized` reproducibility and must be treated like a
+/// breaks the federated layer's reproducibility and must be treated like a
 /// wire-schema bump.
 #[test]
 fn vectorized_kernels_are_pinned_by_known_answers() {

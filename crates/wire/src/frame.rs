@@ -34,8 +34,12 @@ use std::io::{Read, Write};
 /// discriminant 0 and the two per-payload legacy layouts (a scenario
 /// ending after its fault fields, a configuration ending after its
 /// execution mode) — a build speaks exactly one schema, and a payload is
-/// decoded by exactly one layout.
-pub const WIRE_SCHEMA: u8 = 6;
+/// decoded by exactly one layout; schema 7 dropped the
+/// frequency-oracle execution-path byte from the protocol configuration,
+/// because a build runs exactly one path — a schema-6 peer or checkpoint
+/// may have run the sequential-RNG path, so it is refused rather than
+/// resumed onto a different report stream.
+pub const WIRE_SCHEMA: u8 = 7;
 
 /// The largest frame a reader will accept, in bytes (schema + payload +
 /// crc).  Guards against a corrupt length prefix allocating gigabytes.

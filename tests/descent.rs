@@ -55,14 +55,12 @@ fn taps_without_pruning_is_tap_on_every_output_field() {
     ] {
         let dataset = DatasetConfig::test_scale().build(kind);
         for fo in [FoKind::Grr, FoKind::Oue, FoKind::Olh] {
-            for fo_exec in FoExec::ALL {
-                let cfg = config().with_fo(fo).with_fo_exec(fo_exec);
-                let what = format!("{kind:?}/{fo:?}/{fo_exec:?}");
-                let engine = EngineConfig::sequential();
-                let tap = run(&Tap::default(), &dataset, cfg, engine).unwrap();
-                let taps = run(&Taps::without_pruning(), &dataset, cfg, engine).unwrap();
-                assert_same_output(&tap, &taps, &what);
-            }
+            let cfg = config().with_fo(fo);
+            let what = format!("{kind:?}/{fo:?}");
+            let engine = EngineConfig::sequential();
+            let tap = run(&Tap::default(), &dataset, cfg, engine).unwrap();
+            let taps = run(&Taps::without_pruning(), &dataset, cfg, engine).unwrap();
+            assert_same_output(&tap, &taps, &what);
         }
     }
 }

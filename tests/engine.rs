@@ -211,14 +211,13 @@ fn skewed_dataset() -> FederatedDataset {
     )
 }
 
-fn skewed_config(fo_exec: FoExec) -> ProtocolConfig {
+fn skewed_config() -> ProtocolConfig {
     ProtocolConfig {
         k: 5,
         epsilon: 4.0,
         max_bits: 16,
         granularity: 4,
         fo: FoKind::Olh,
-        fo_exec,
         ..Default::default()
     }
 }
@@ -259,7 +258,7 @@ fn split_levels_are_bit_identical_on_a_skewed_federation_for_every_mechanism() {
     let ds = skewed_dataset();
     let whole = NonZeroUsize::MAX;
     for kind in MechanismKind::ALL {
-        let config = skewed_config(FoExec::Vectorized);
+        let config = skewed_config();
         let (sequential, unsplit_ranges) = execute_counting_ranges(
             kind,
             &ds,
@@ -292,30 +291,5 @@ fn split_levels_are_bit_identical_on_a_skewed_federation_for_every_mechanism() {
                 }
             }
         }
-    }
-}
-
-/// `Scalar` consumes one sequential RNG stream per level, so its levels are
-/// never split — even with five of eight workers idle.
-#[test]
-fn scalar_levels_stay_whole_when_workers_idle() {
-    let ds = skewed_dataset();
-    let whole = std::num::NonZeroUsize::MAX;
-    for kind in MechanismKind::ALL {
-        let config = skewed_config(FoExec::Scalar);
-        let (sequential, unsplit_ranges) = execute_counting_ranges(
-            kind,
-            &ds,
-            config,
-            EngineConfig::sequential().chunk_size(whole),
-        );
-        let (output, ranges) = execute_counting_ranges(
-            kind,
-            &ds,
-            config,
-            EngineConfig::parallel(8).chunk_size(whole),
-        );
-        assert_eq!(fingerprint(&output), fingerprint(&sequential), "{kind}");
-        assert_eq!(ranges, unsplit_ranges, "{kind}: a Scalar level was split");
     }
 }

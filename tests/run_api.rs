@@ -328,25 +328,27 @@ fn observers_do_not_change_results() {
     }
 }
 
-/// The observer↔tracker exactness invariant holds on the `Vectorized`
-/// frequency-oracle path too — the kernel lane must route its uplink
-/// through the same funnel as the scalar path.
+/// The observer↔tracker exactness invariant holds under the O(d) oracles'
+/// vectorized kernels too (the test above runs k-RR): their wider reports
+/// must route through the same funnel.
 #[test]
 fn observer_uplink_matches_comm_tracker_on_the_vectorized_path() {
     let ds = dataset();
-    for kind in MechanismKind::ALL {
-        let mut observer = RecordingObserver::new();
-        let output = Run::mechanism(kind)
-            .dataset(&ds)
-            .config(valid_config().with_fo_exec(FoExec::Vectorized))
-            .observer(&mut observer)
-            .execute()
-            .unwrap();
-        assert_eq!(
-            observer.total_uplink_bits(),
-            output.comm.total_uplink_bits(),
-            "{kind} vectorized uplink mismatch"
-        );
+    for fo in [FoKind::Oue, FoKind::Olh] {
+        for kind in MechanismKind::ALL {
+            let mut observer = RecordingObserver::new();
+            let output = Run::mechanism(kind)
+                .dataset(&ds)
+                .config(valid_config().with_fo(fo))
+                .observer(&mut observer)
+                .execute()
+                .unwrap();
+            assert_eq!(
+                observer.total_uplink_bits(),
+                output.comm.total_uplink_bits(),
+                "{kind}/{fo} uplink mismatch"
+            );
+        }
     }
 }
 

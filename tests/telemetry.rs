@@ -1,9 +1,8 @@
 //! The telemetry plane's two hard invariants, proven end to end:
 //!
 //! 1. **Inertness** — a run with a trace sink attached produces a
-//!    `MechanismOutput` bit-identical to an unobserved run, across every
-//!    `FoExec` path × parallelism {1, 8} × transport {memory, tcp} × chunk
-//!    size.  Timing never feeds back into protocol state.
+//!    `MechanismOutput` bit-identical to an unobserved run, across
+//!    parallelism {1, 8} × transport {memory, tcp} × chunk size.  Timing never feeds back into protocol state.
 //! 2. **Reconciliation** — the per-level `uplink_bits` derived from the
 //!    JSONL trace equal `RecordingObserver`'s reconstruction equal
 //!    `CommTracker`'s totals, exactly; and the `wire.tx.bytes` counter
@@ -67,40 +66,37 @@ fn drain_stats(telemetry: &Telemetry) -> TraceStats {
 }
 
 /// Inertness across the full execution matrix: attaching a recording sink
-/// never changes a single output bit, on any `FoExec` path, at any
-/// parallelism, over either transport.
+/// never changes a single output bit, at any parallelism, over either
+/// transport.
 #[test]
 fn telemetry_is_inert_across_exec_paths_parallelism_and_transports() {
     let ds = dataset();
-    for fo_exec in FoExec::ALL {
-        for parallelism in [1usize, 8] {
-            for transport in [TransportKind::InProcess, TransportKind::Tcp] {
-                let cfg = config().with_fo_exec(fo_exec);
-                let engine = EngineConfig::parallel(parallelism).transport(transport);
-                let what = format!("{fo_exec:?}/p{parallelism}/{transport:?}");
-                let untraced = Run::mechanism(MechanismKind::Taps)
-                    .dataset(&ds)
-                    .config(cfg)
-                    .engine(engine)
-                    .execute()
-                    .unwrap();
-                let telemetry = Telemetry::new();
-                let traced = Run::mechanism(MechanismKind::Taps)
-                    .dataset(&ds)
-                    .config(cfg)
-                    .engine(engine)
-                    .telemetry(&telemetry)
-                    .execute()
-                    .unwrap();
-                assert_outputs_identical(&untraced, &traced, &what);
-                // The sink actually recorded the run it didn't perturb.
-                let stats = drain_stats(&telemetry);
-                assert_eq!(
-                    stats.total_uplink_bits(),
-                    untraced.comm.total_uplink_bits() as u64,
-                    "{what}: trace covers the uplink"
-                );
-            }
+    for parallelism in [1usize, 8] {
+        for transport in [TransportKind::InProcess, TransportKind::Tcp] {
+            let engine = EngineConfig::parallel(parallelism).transport(transport);
+            let what = format!("p{parallelism}/{transport:?}");
+            let untraced = Run::mechanism(MechanismKind::Taps)
+                .dataset(&ds)
+                .config(config())
+                .engine(engine)
+                .execute()
+                .unwrap();
+            let telemetry = Telemetry::new();
+            let traced = Run::mechanism(MechanismKind::Taps)
+                .dataset(&ds)
+                .config(config())
+                .engine(engine)
+                .telemetry(&telemetry)
+                .execute()
+                .unwrap();
+            assert_outputs_identical(&untraced, &traced, &what);
+            // The sink actually recorded the run it didn't perturb.
+            let stats = drain_stats(&telemetry);
+            assert_eq!(
+                stats.total_uplink_bits(),
+                untraced.comm.total_uplink_bits() as u64,
+                "{what}: trace covers the uplink"
+            );
         }
     }
 }

@@ -668,10 +668,43 @@ mod tests {
             .unwrap();
             let got = auto.estimate(&candidates, 2, &items, 31);
             assert_eq!(got.frequencies, reference.frequencies, "{fo} auto");
+        }
+    }
+
+    #[test]
+    fn vectorized_execution_is_bit_identical_at_every_chunk_size() {
+        use crate::config::ExecMode;
+        use std::num::NonZeroUsize;
+        // Wider candidates on a longer prefix than the chunked test, so the
+        // vectorized kernels see a domain that is not a power of two and
+        // prefixes 0b100 and 0b110 land on the dummy slot.
+        let base = config();
+        let items: Vec<u64> = (0..2503).map(|i| (i % 7) << 5 | (i % 29)).collect();
+        let candidates = vec![0b000u64, 0b001, 0b010, 0b011, 0b101];
+        for fo in fedhh_fo::FoKind::ALL {
+            let eager = LevelEstimator::new(ProtocolConfig {
+                fo,
+                exec_mode: ExecMode::Eager,
+                ..base
+            })
+            .unwrap();
+            let reference = eager.estimate(&candidates, 3, &items, 17);
+            for chunk in [1usize, 5, 256, usize::MAX] {
+                let chunked = LevelEstimator::new(ProtocolConfig {
+                    fo,
+                    exec_mode: ExecMode::Chunked(NonZeroUsize::new(chunk).unwrap()),
+                    ..base
+                })
+                .unwrap();
+                let got = chunked.estimate(&candidates, 3, &items, 17);
+                assert_eq!(got.frequencies, reference.frequencies, "{fo} chunk {chunk}");
+                assert_eq!(got.counts, reference.counts, "{fo} chunk {chunk}");
+                assert_eq!(got.report_bits, reference.report_bits, "{fo} chunk {chunk}");
+            }
             // Deterministic per seed; a different noise seed moves it.
-            let again = eager.estimate(&candidates, 2, &items, 31);
+            let again = eager.estimate(&candidates, 3, &items, 17);
             assert_eq!(again.frequencies, reference.frequencies, "{fo} rerun");
-            let other = eager.estimate(&candidates, 2, &items, 32);
+            let other = eager.estimate(&candidates, 3, &items, 18);
             assert_ne!(other.frequencies, reference.frequencies, "{fo} reseed");
         }
     }

@@ -17,7 +17,8 @@
 #      uplink.bits == runs x the matching BENCH_perf.json entry's
 #      uplink_bits (identical seeds make the product exact).
 #   4. A quick TCP trial with --trace: the trace parses, reconciles, and
-#      actually recorded wire-level activity.
+#      actually recorded wire-level activity, uplink events and a non-zero
+#      downlink.bits counter.
 # The traced perf report and its trace are left in the working directory
 # for CI to upload.
 set -euo pipefail
@@ -51,6 +52,8 @@ log "quick TCP trial with --trace"
 grep -q '"t":"counter","name":"wire.tx.bytes"' "$WORKDIR/trial.jsonl" \
     || die "trial trace has no wire.tx.bytes counter; socket telemetry is dark"
 grep -q '"t":"uplink"' "$WORKDIR/trial.jsonl" \
-    || die "trial trace has no uplink events; the run funnel is dark"
+    || die "trial trace has no uplink events; the run's event stream is dark"
+grep -Eq '"t":"counter","name":"downlink.bits","value":[1-9]' "$WORKDIR/trial.jsonl" \
+    || die "trial trace has no non-zero downlink.bits counter; downlink events are dark"
 
 log "OK"

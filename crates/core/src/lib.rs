@@ -38,8 +38,10 @@
 //! assert_eq!(output.heavy_hitters.len(), 5);
 //! ```
 //!
-//! Attach a [`fedhh_federated::RunObserver`] with [`Run::observer`] to
-//! receive per-phase, per-level and pruning events while the run executes.
+//! Every run emits one [`fedhh_federated::RunEvent`] stream — phases,
+//! party events, downlinks, the summary — which the output's
+//! `CommTracker` folds; attach a [`fedhh_federated::RecordingObserver`]
+//! with [`Run::observer`] to keep it.
 
 //!
 //! This crate is the top of the execution stack (wire → transport →

@@ -36,7 +36,7 @@ pub trait Mechanism {
     fn name(&self) -> &'static str;
 
     /// Executes the mechanism inside a [`RunContext`] (dataset, validated
-    /// configuration, communication tracker, seeded RNG and observer) and
+    /// configuration, seeded RNG and the run's event stream) and
     /// returns the identified heavy hitters or a typed error.
     ///
     /// Prefer driving this through the [`crate::Run`] builder, which

@@ -246,7 +246,7 @@ impl PartyRun {
     }
 
     /// Queues `payload` for upload, attributed to `level` on a dedicated
-    /// upload-only event so the observer sees every uplink bit.
+    /// upload-only event so the run's event stream carries every uplink bit.
     pub fn upload(&self, level: u8, payload: RoundPayload, round: &mut RoundOutcome) {
         let bits = payload.size_bits();
         round.level(LevelEstimated {

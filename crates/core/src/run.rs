@@ -17,38 +17,39 @@
 //!     .execute()
 //!     .expect("valid configuration");
 //! assert_eq!(output.heavy_hitters.len(), 5);
-//! // The observer reconstructed the run's uplink traffic exactly.
-//! assert_eq!(observer.total_uplink_bits(), output.comm.total_uplink_bits());
+//! // The recorder folds the same event stream the output's tracker does.
+//! assert_eq!(observer.comm(), output.comm);
 //! ```
 //!
-//! It validates the configuration and the dataset/config pairing up front,
-//! wires a [`RunContext`] (dataset, config, communication tracker, seeded
-//! RNG and observer handle) through the mechanism, and returns a typed
-//! [`ProtocolError`] instead of panicking on any invalid input.
+//! It validates the configuration, the dataset/config pairing and any
+//! warm-start codes up front, wires a [`RunContext`] (dataset, config,
+//! seeded RNG and the run's one event stream) through the mechanism, and
+//! returns a typed [`ProtocolError`] instead of panicking on any invalid
+//! input.
 
 use crate::mechanism::{Mechanism, MechanismKind, MechanismOutput};
 use fedhh_datasets::{FederatedDataset, ItemStream};
 use fedhh_federated::{
-    AdversaryModel, CommTracker, EngineConfig, LevelEstimated, PartyEvent, ProtocolConfig,
-    ProtocolError, PruningDecision, RoundCollection, RunObserver, RunPhase, RunSummary, Session,
-    SessionLink,
+    AdversaryModel, CommTracker, EngineConfig, PartyEvent, ProtocolConfig, ProtocolError,
+    RecordingObserver, RoundCollection, RunEvent, RunPhase, RunSummary, Session, SessionLink,
 };
 use fedhh_telemetry::{Counter, SpanGuard, SpanName, Telemetry};
 
 /// Everything a mechanism needs while executing one run: the dataset, the
-/// validated configuration, the communication tracker, the seeded randomness
-/// root ([`RunContext::party_seed`]) and the observer handle.
+/// validated configuration, the seeded randomness root
+/// ([`RunContext::party_seed`]) and the run's event stream.
 ///
-/// Communication accounting and observer events are funnelled through the
-/// same methods, so a recording observer reconstructs the tracker's totals
-/// exactly: every bit of party → server traffic is attributed to one
-/// [`LevelEstimated`] event.
+/// Every phase, replayed party event, downlink and the closing summary
+/// leaves the context as one [`RunEvent`] through one private `emit`,
+/// which folds it into the run's [`CommTracker`], lets telemetry subscribe
+/// and appends it to the attached [`RecordingObserver`] — so the
+/// recorder's totals equal the output's by construction.
 pub struct RunContext<'a> {
     dataset: &'a FederatedDataset,
     config: ProtocolConfig,
     engine: EngineConfig,
     comm: CommTracker,
-    observer: &'a mut dyn RunObserver,
+    observer: Option<&'a mut RecordingObserver>,
     link: Option<SessionLink>,
     warm: Option<Vec<u64>>,
     telemetry: Telemetry,
@@ -63,17 +64,13 @@ impl<'a> RunContext<'a> {
     ///
     /// Callers normally go through [`Run::execute`], which validates first;
     /// constructing a context directly does not validate.
-    pub fn new(
-        dataset: &'a FederatedDataset,
-        config: ProtocolConfig,
-        observer: &'a mut dyn RunObserver,
-    ) -> Self {
+    pub fn new(dataset: &'a FederatedDataset, config: ProtocolConfig) -> Self {
         Self {
             dataset,
             config,
             engine: EngineConfig::from_env(),
             comm: CommTracker::new(),
-            observer,
+            observer: None,
             link: None,
             warm: None,
             telemetry: Telemetry::disabled(),
@@ -83,10 +80,10 @@ impl<'a> RunContext<'a> {
 
     /// Returns the context with a telemetry handle attached.  The handle
     /// fans out from here: sessions created by [`RunContext::session`]
-    /// carry it into the engine and transport, and the uplink funnel
-    /// ([`RunContext::level_estimated`]) mirrors every recorded upload
-    /// into the trace.  Observation only — attaching a handle never
-    /// changes a run's output.
+    /// carry it into the engine and transport, and it subscribes to the
+    /// run's event stream (phase spans, every upload as an `uplink` trace
+    /// event, the `downlink.bits` counter).  Observation only — attaching
+    /// a handle never changes a run's output.
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.telemetry = telemetry.clone();
         self
@@ -289,100 +286,33 @@ impl<'a> RunContext<'a> {
         self.config.seed ^ (party_index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    /// Announces a protocol phase to the observer.  Under telemetry the
-    /// previous `phase` span closes and a new one opens, indexed by the
-    /// phase's ordinal, so phases tile the run's timeline end to end.
+    /// Announces a protocol phase.  Under telemetry the previous `phase`
+    /// span closes and a new one opens, indexed by the phase's ordinal, so
+    /// phases tile the run's timeline end to end.
     pub fn phase(&mut self, phase: RunPhase) {
-        if self.telemetry.is_enabled() {
-            let idx = match phase {
-                RunPhase::SharedTrie => 0,
-                RunPhase::LocalEstimation => 1,
-                RunPhase::Aggregation => 2,
-            };
-            // Drop the old guard *before* opening the new span so the
-            // recorded intervals do not overlap.
-            self.phase_span = None;
-            self.phase_span = Some(self.telemetry.span_idx(SpanName::Phase, idx));
-        }
-        self.observer.phase_started(phase);
-    }
-
-    /// Records one unit of per-level work: the in-party report traffic and
-    /// any party → server upload it caused, then notifies the observer.
-    ///
-    /// This is the **only** way a mechanism records uplink traffic, which is
-    /// what keeps observer events and [`CommTracker`] totals in lockstep.
-    pub fn level_estimated(&mut self, event: LevelEstimated) {
-        if event.report_bits > 0 {
-            self.comm
-                .record_local_reports(&event.party, event.report_bits);
-        }
-        if event.uplink_bits > 0 {
-            self.comm.record_uplink(&event.party, event.uplink_bits);
-            // Telemetry joins the same funnel that feeds the tracker and
-            // the observer, so trace-derived uplink totals equal both by
-            // construction — the reconciliation invariant is structural,
-            // not a property any mechanism has to re-earn.
-            self.telemetry
-                .trace_uplink(&event.party, event.level, event.uplink_bits as u64);
-        }
-        self.observer.level_estimated(&event);
-    }
-
-    /// Records a party → server upload (a Phase I candidate report, a
-    /// pruning dictionary, or the final top-k report) attributed to the
-    /// level whose estimation it concludes, emitting the matching
-    /// [`LevelEstimated`] event.  Mechanisms must route every upload through
-    /// here (or [`RunContext::level_estimated`]) so the observer/tracker
-    /// exactness invariant stays structural.
-    pub fn record_upload(&mut self, party: &str, level: u8, candidates: usize, bits: usize) {
-        self.level_estimated(LevelEstimated {
-            party: party.to_string(),
-            level,
-            candidates,
-            users: 0,
-            report_bits: 0,
-            uplink_bits: bits,
-        });
-    }
-
-    /// Records in-party report traffic that belongs to a pruning validation
-    /// rather than a level estimate.
-    pub fn record_validation_reports(&mut self, party: &str, bits: usize) {
-        if bits > 0 {
-            self.comm.record_local_reports(party, bits);
-        }
+        self.emit(RunEvent::PhaseStarted(phase));
     }
 
     /// Records server → party traffic.
     pub fn record_downlink(&mut self, party: &str, bits: usize) {
         if bits > 0 {
-            self.comm.record_downlink(party, bits);
-            self.telemetry.add(Counter::DownlinkBits, bits as u64);
+            self.emit(RunEvent::Downlink {
+                party: party.to_string(),
+                bits,
+            });
         }
     }
 
-    /// Reports a consensus-based pruning decision to the observer.
-    pub fn pruning_decision(&mut self, event: PruningDecision) {
-        self.observer.pruning_decision(&event);
-    }
-
-    /// Replays a collected engine round into the run's accounting: every
-    /// [`PartyEvent`] flows through the same funnels a sequential mechanism
-    /// would use ([`RunContext::level_estimated`] and friends), in the
-    /// collection's canonical party order, so observer events and
-    /// [`CommTracker`] totals stay in lockstep no matter how many worker
-    /// threads produced them.
+    /// Replays a collected engine round into the run's event stream: every
+    /// [`PartyEvent`] is emitted in the collection's canonical party order,
+    /// so the stream — and every fold of it — is the same no matter how
+    /// many worker threads produced the round.  This is the only way party
+    /// traffic (level estimates, uploads, pruning validation) enters the
+    /// run's accounting.
     pub fn replay(&mut self, collection: &RoundCollection) {
         for (_, events) in &collection.events {
             for event in events {
-                match event {
-                    PartyEvent::Level(level) => self.level_estimated(level.clone()),
-                    PartyEvent::Pruning(pruning) => self.pruning_decision(pruning.clone()),
-                    PartyEvent::ValidationReports { party, bits } => {
-                        self.record_validation_reports(party, *bits);
-                    }
-                }
+                self.emit(RunEvent::Party(event.clone()));
             }
         }
     }
@@ -393,15 +323,32 @@ impl<'a> RunContext<'a> {
         std::mem::take(&mut self.comm)
     }
 
-    fn finish(&mut self, mechanism: &str, output: &MechanismOutput) {
-        // Close the final phase span before the run summary fires.
-        self.phase_span = None;
-        self.observer.run_finished(&RunSummary {
-            mechanism: mechanism.to_string(),
-            heavy_hitters: output.heavy_hitters.len(),
-            uplink_bits: output.comm.total_uplink_bits(),
-            downlink_bits: output.comm.total_downlink_bits(),
-        });
+    /// The run's one event funnel: telemetry subscribes first (phase spans,
+    /// the uplink trace, the downlink counter), then the event is folded
+    /// into the tracker and appended to the attached recorder.
+    fn emit(&mut self, event: RunEvent) {
+        match &event {
+            RunEvent::PhaseStarted(phase) if self.telemetry.is_enabled() => {
+                // Drop the old guard *before* opening the new span so the
+                // recorded intervals do not overlap.
+                self.phase_span = None;
+                self.phase_span = Some(self.telemetry.span_idx(SpanName::Phase, *phase as u64));
+            }
+            RunEvent::Party(PartyEvent::Level(level)) if level.uplink_bits > 0 => {
+                self.telemetry
+                    .trace_uplink(&level.party, level.level, level.uplink_bits as u64);
+            }
+            RunEvent::Downlink { bits, .. } => {
+                self.telemetry.add(Counter::DownlinkBits, *bits as u64);
+            }
+            // The final phase span closes before the run summary lands.
+            RunEvent::RunFinished(_) => self.phase_span = None,
+            _ => {}
+        }
+        self.comm.record(&event);
+        if let Some(observer) = self.observer.as_deref_mut() {
+            observer.events.push(event);
+        }
     }
 }
 
@@ -428,7 +375,7 @@ pub struct Run<'a> {
     dataset: Option<&'a FederatedDataset>,
     config: ProtocolConfig,
     engine: Option<EngineConfig>,
-    observer: Option<&'a mut dyn RunObserver>,
+    observer: Option<&'a mut RecordingObserver>,
     link: Option<SessionLink>,
     warm: Option<Vec<u64>>,
     telemetry: Telemetry,
@@ -484,8 +431,8 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Attaches an observer that receives phase/level/pruning events.
-    pub fn observer(mut self, observer: &'a mut dyn RunObserver) -> Self {
+    /// Attaches a recorder that receives the run's event stream.
+    pub fn observer(mut self, observer: &'a mut RecordingObserver) -> Self {
         self.observer = Some(observer);
         self
     }
@@ -524,9 +471,10 @@ impl<'a> Run<'a> {
 
     /// Validates the request and executes the mechanism.
     ///
-    /// Every failure mode — missing dataset, invalid configuration, or a
-    /// dataset whose item codes do not match `max_bits` — surfaces as a
-    /// [`ProtocolError`]; no user input can panic this path.
+    /// Every failure mode — missing dataset, invalid configuration, a
+    /// dataset whose item codes do not match `max_bits`, or a warm-start
+    /// code wider than `max_bits` — surfaces as a [`ProtocolError`]; no
+    /// user input can panic this path.
     pub fn execute(self) -> Result<MechanismOutput, ProtocolError> {
         let dataset = self.dataset.ok_or(ProtocolError::MissingDataset)?;
         self.config.validate()?;
@@ -544,22 +492,33 @@ impl<'a> Run<'a> {
             });
         }
 
-        let mut null = fedhh_federated::NullObserver;
-        let observer: &mut dyn RunObserver = match self.observer {
-            Some(observer) => observer,
-            None => &mut null,
+        // Warm-start codes arrive from checkpoint files; one wider than the
+        // code width would otherwise be truncated into an unrelated prefix.
+        let max_bits = self.config.max_bits;
+        let out_of_range = |code: &&u64| {
+            code.checked_shr(max_bits.into())
+                .is_some_and(|high| high != 0)
         };
+        if let Some(&code) = self.warm.iter().flatten().find(out_of_range) {
+            return Err(ProtocolError::WarmCodeOutOfRange { code, max_bits });
+        }
         let mechanism = self.mechanism.as_dyn();
         // Declared before the context so the `run` span closes after the
         // context's final phase span — spans nest properly in the trace.
         let _run_span = self.telemetry.span(SpanName::Run);
-        let mut ctx = RunContext::new(dataset, self.config, observer)
+        let mut ctx = RunContext::new(dataset, self.config)
             .with_engine(engine)
             .with_link(self.link)
             .with_warm_start(self.warm)
             .with_telemetry(&self.telemetry);
+        ctx.observer = self.observer;
         let output = mechanism.execute(&mut ctx)?;
-        ctx.finish(mechanism.name(), &output);
+        ctx.emit(RunEvent::RunFinished(RunSummary {
+            mechanism: mechanism.name().to_string(),
+            heavy_hitters: output.heavy_hitters.len(),
+            uplink_bits: output.comm.total_uplink_bits(),
+            downlink_bits: output.comm.total_downlink_bits(),
+        }));
         Ok(output)
     }
 }
@@ -655,13 +614,11 @@ mod tests {
     #[test]
     fn resident_items_is_typed_for_streamed_parties() {
         let eager = dataset();
-        let mut null = fedhh_federated::NullObserver;
-        let ctx = RunContext::new(&eager, config(), &mut null);
+        let ctx = RunContext::new(&eager, config());
         assert!(ctx.resident_items(0).is_ok());
 
         let streamed = DatasetConfig::test_scale().build_streamed(DatasetKind::Rdb);
-        let mut null = fedhh_federated::NullObserver;
-        let ctx = RunContext::new(&streamed, config(), &mut null);
+        let ctx = RunContext::new(&streamed, config());
         let err = ctx.resident_items(0).unwrap_err();
         match err {
             ProtocolError::StreamedParty { party } => {
@@ -669,6 +626,55 @@ mod tests {
             }
             other => panic!("expected StreamedParty, got {other}"),
         }
+    }
+
+    /// Every way into the context's event stream lands, in call order, in
+    /// both folds: the tracker the output takes and the attached recorder.
+    /// A zero-bit downlink is no event at all.
+    #[test]
+    fn context_emits_every_event_to_the_tracker_and_the_recorder() {
+        use fedhh_federated::LevelEstimated;
+        let dataset = dataset();
+        let mut observer = RecordingObserver::new();
+        let mut ctx = RunContext::new(&dataset, config());
+        ctx.observer = Some(&mut observer);
+        ctx.phase(RunPhase::LocalEstimation);
+        ctx.record_downlink("a", 0);
+        ctx.record_downlink("a", 48);
+        let level = PartyEvent::Level(LevelEstimated {
+            party: "b".into(),
+            level: 2,
+            candidates: 4,
+            users: 10,
+            report_bits: 320,
+            uplink_bits: 96,
+        });
+        let validation = PartyEvent::ValidationReports {
+            party: "b".into(),
+            bits: 64,
+        };
+        ctx.replay(&RoundCollection {
+            round: 0,
+            messages: Vec::new(),
+            events: vec![(1, vec![level.clone(), validation.clone()])],
+        });
+        let comm = ctx.take_comm();
+        assert_eq!(comm.total_uplink_bits(), 96);
+        assert_eq!(comm.total_downlink_bits(), 48);
+        assert_eq!(comm.total_local_report_bits(), 384);
+        assert_eq!(observer.comm(), comm);
+        assert_eq!(
+            observer.events,
+            vec![
+                RunEvent::PhaseStarted(RunPhase::LocalEstimation),
+                RunEvent::Downlink {
+                    party: "a".into(),
+                    bits: 48
+                },
+                RunEvent::Party(level),
+                RunEvent::Party(validation),
+            ]
+        );
     }
 
     #[test]

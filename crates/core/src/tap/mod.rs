@@ -279,8 +279,7 @@ mod tests {
     fn party_run_initialisation_matches_dataset() {
         let dataset = DatasetConfig::test_scale().build(DatasetKind::Ycm);
         let cfg = config();
-        let mut observer = fedhh_federated::NullObserver;
-        let ctx = RunContext::new(&dataset, cfg, &mut observer);
+        let ctx = RunContext::new(&dataset, cfg);
         let runs = PartyRun::initialise(&ctx, Seeding::Tap).unwrap();
         assert_eq!(runs.len(), 4);
         for (run, party) in runs.iter().zip(dataset.parties()) {

@@ -55,7 +55,7 @@ mod tests {
     use crate::extension::ExtensionStrategy;
     use crate::pem::{PartyRun, Seeding};
     use fedhh_datasets::{FederatedDataset, PartyData};
-    use fedhh_federated::{EngineConfig, LevelEstimator, NullObserver, ProtocolConfig, Session};
+    use fedhh_federated::{EngineConfig, LevelEstimator, ProtocolConfig, Session};
     use fedhh_trie::{ItemEncoder, Prefix};
 
     /// Runs Phase I over a toy dataset and returns the shared prefixes plus
@@ -65,8 +65,7 @@ mod tests {
         cfg: ProtocolConfig,
     ) -> (Vec<u64>, Vec<PartyRun>, fedhh_federated::CommTracker) {
         let estimator = LevelEstimator::new(cfg).unwrap();
-        let mut observer = NullObserver;
-        let mut ctx = RunContext::new(dataset, cfg, &mut observer);
+        let mut ctx = RunContext::new(dataset, cfg);
         let mut run = TwoPhaseRun {
             session: Session::new(&EngineConfig::sequential(), dataset.party_count()).unwrap(),
             parties: PartyRun::initialise(&ctx, Seeding::Tap).unwrap(),

@@ -125,7 +125,9 @@ pub struct PartyPopulation {
 /// The ledger is the service's privacy-accounting source of truth: a user
 /// who has spent `s` is enrolled for an epoch costing ε only when
 /// `s + ε ≤ cap` (exact `f64` comparison — deterministic, and checkpoints
-/// carry the spends bit-exactly).
+/// carry the spends bit-exactly).  The comparison is on the rounded sums,
+/// not on real numbers: at ε 0.1 under cap 0.3 a user gets two epochs, not
+/// three, because `0.2 + 0.1` is `0.30000000000000004 > 0.3`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BudgetLedger {
     /// `spent[party][user]` — cumulative ε.
@@ -301,7 +303,10 @@ impl EpochRunner {
     }
 
     /// Resumes from a checkpoint, verifying the spec bytes match the run
-    /// being reconstructed.
+    /// being reconstructed and that every ledger spend is finite and
+    /// non-negative ([`ProtocolError::InvalidLedgerSpend`] otherwise): the
+    /// codec carries any `f64` bit-exactly, but a negative spend would let
+    /// the cap admit a user for extra epochs.
     pub fn resume(
         config: EpochConfig,
         spec: Vec<u8>,
@@ -316,6 +321,15 @@ impl EpochRunner {
                     spec.len()
                 ),
             }));
+        }
+        for (party, spends) in checkpoint.state.ledger.spent().iter().enumerate() {
+            let invalid = spends
+                .iter()
+                .position(|spent| !(spent.is_finite() && *spent >= 0.0));
+            if let Some(user) = invalid {
+                let spent = spends[user];
+                return Err(ProtocolError::InvalidLedgerSpend { party, user, spent });
+            }
         }
         Ok(Self {
             config,
@@ -427,7 +441,16 @@ impl EpochRunner {
         });
         self.state.next_epoch += 1;
         if let Some(path) = &self.checkpoint_path {
-            crate::checkpoint::save_traced(path, &self.checkpoint(), &self.telemetry)?;
+            // Lend the state to the writer instead of cloning it: the
+            // ledger alone is one `f64` per user slot.
+            let checkpoint = Checkpoint {
+                spec: std::mem::take(&mut self.spec),
+                state: std::mem::take(&mut self.state),
+            };
+            let saved = crate::checkpoint::save_traced(path, &checkpoint, &self.telemetry);
+            self.spec = checkpoint.spec;
+            self.state = checkpoint.state;
+            saved?;
         }
         Ok(self.state.records.last())
     }
@@ -605,6 +628,41 @@ mod tests {
             err,
             ProtocolError::Transport(WireError::Protocol { .. })
         ));
+    }
+
+    /// A checkpoint file with a valid CRC can still carry a ledger no run
+    /// writes.  A spend of −8 at ε 4 under cap 8 would admit the user for
+    /// four more epochs (16 ε in all) instead of two, so resume refuses it,
+    /// and NaN and ±∞ alike.
+    #[test]
+    fn resume_rejects_negative_or_non_finite_ledger_spends() {
+        let cfg = EpochConfig {
+            epochs: 6,
+            warm_start: WarmStart::Cold,
+            epsilon: 4.0,
+            epsilon_cap: Some(8.0),
+        };
+        let path = std::env::temp_dir().join(format!("fedhh-ckpt-ledger-{}", std::process::id()));
+        for bad in [-8.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut state = EpochState {
+                next_epoch: 1,
+                ..EpochState::default()
+            };
+            state.ledger.restore(vec![vec![4.0, bad]]);
+            let spec = vec![7];
+            crate::checkpoint::save(&path, &Checkpoint { spec, state }).unwrap();
+            let loaded = crate::checkpoint::load(&path).unwrap();
+            let err = EpochRunner::resume(cfg, vec![7], loaded).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ProtocolError::InvalidLedgerSpend { party: 0, user: 1, spent }
+                        if spent.to_bits() == bad.to_bits()
+                ),
+                "{bad}: {err:?}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

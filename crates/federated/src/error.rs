@@ -102,6 +102,23 @@ pub enum ProtocolError {
         /// The epoch that found no enrollable users.
         epoch: u32,
     },
+    /// A checkpoint's budget ledger holds a spend that is negative, NaN or
+    /// infinite, which would let the user's cap admit extra epochs.
+    InvalidLedgerSpend {
+        /// The party index.
+        party: usize,
+        /// The user slot within the party.
+        user: usize,
+        /// The rejected spend.
+        spent: f64,
+    },
+    /// A warm-start code does not fit in `max_bits`.
+    WarmCodeOutOfRange {
+        /// The rejected item code.
+        code: u64,
+        /// The configured code width m.
+        max_bits: u8,
+    },
     /// The run was started without a dataset.
     MissingDataset,
     /// The dataset holds no parties or no users.
@@ -199,6 +216,19 @@ impl fmt::Display for ProtocolError {
                     f,
                     "epoch {epoch} could not enroll any user: every lifetime \
                      privacy budget is exhausted"
+                )
+            }
+            ProtocolError::InvalidLedgerSpend { party, user, spent } => {
+                write!(
+                    f,
+                    "ledger spend of party {party} user {user} must be finite and \
+                     non-negative, got {spent}"
+                )
+            }
+            ProtocolError::WarmCodeOutOfRange { code, max_bits } => {
+                write!(
+                    f,
+                    "warm-start code {code:#x} does not fit in max_bits = {max_bits}"
                 )
             }
             ProtocolError::MissingDataset => {
@@ -300,6 +330,21 @@ mod tests {
                 "RDB/reddit",
             ),
             (ProtocolError::BudgetExhausted { epoch: 4 }, "epoch 4"),
+            (
+                ProtocolError::InvalidLedgerSpend {
+                    party: 1,
+                    user: 3,
+                    spent: -8.0,
+                },
+                "-8",
+            ),
+            (
+                ProtocolError::WarmCodeOutOfRange {
+                    code: 0x1_0007,
+                    max_bits: 16,
+                },
+                "0x10007",
+            ),
             (ProtocolError::MissingDataset, "no dataset"),
             (
                 ProtocolError::EmptyDataset {

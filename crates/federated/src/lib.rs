@@ -19,9 +19,9 @@
 //!   Table 1 / Table 4 experiments.
 //! * [`ProtocolError`] — the typed error every configuration or execution
 //!   failure surfaces as; nothing in this crate panics on user input.
-//! * [`RunObserver`] / [`observer`] — structured phase/level/pruning events
-//!   emitted while a mechanism executes, with [`NullObserver`] and
-//!   [`RecordingObserver`] implementations.
+//! * [`RunEvent`] / [`observer`] — the one typed event stream a run emits
+//!   (phases, party events, downlinks, the summary), of which
+//!   [`CommTracker`] and [`RecordingObserver`] are folds.
 //! * [`Session`] / [`Transport`] / [`PartyDriver`] — the round-driven
 //!   federation engine ([`session`], [`transport`], [`fault`]): party work
 //!   is wrapped in drivers, executed in parallel worker threads, and
@@ -127,8 +127,7 @@ pub use node::{
     SessionLink,
 };
 pub use observer::{
-    LevelEstimated, NullObserver, PruningDecision, RecordingObserver, RunEvent, RunObserver,
-    RunPhase, RunSummary,
+    LevelEstimated, PruningDecision, RecordingObserver, RunEvent, RunPhase, RunSummary,
 };
 pub use scenario::{AdversaryModel, FlipMode, FrameCorruption, ScenarioPlan};
 pub use scheduler::GroupAssignment;

@@ -1,16 +1,17 @@
-//! Run observability: phase, level and pruning events.
+//! Run observability: one typed event stream per run.
 //!
-//! A [`RunObserver`] receives structured events while a mechanism executes:
-//! which protocol phase started, what every party estimated at every trie
-//! level (with the communication that estimation caused), which candidates
-//! the consensus-based pruning removed, and a final summary.  Observers make
-//! long runs legible — progress bars, metrics exporters and tests all hook
-//! in here — without the mechanisms knowing who is listening.
-//!
-//! Communication accounting and events come from the same call sites, so a
-//! [`RecordingObserver`] reconstructs per-level uplink traffic that matches
-//! the run's [`crate::CommTracker`] totals exactly.
+//! A run emits every protocol phase, every party-local [`PartyEvent`]
+//! (level estimates with the traffic they caused, pruning decisions,
+//! pruning-validation reports), every server → party downlink and a
+//! closing summary as one [`RunEvent`] stream, from one place (`RunContext`
+//! in `fedhh-mechanisms`).  Two folds consume that stream:
+//! [`crate::CommTracker`] sums its traffic into the run's output, and a
+//! [`RecordingObserver`] keeps the events and folds its totals with the
+//! same [`crate::CommTracker::record`] — so the recorder and the output
+//! agree by construction, not by test.
 
+use crate::comm::CommTracker;
+use crate::session::PartyEvent;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -86,47 +87,20 @@ pub struct RunSummary {
     pub downlink_bits: usize,
 }
 
-/// Receiver of run events.
-///
-/// All methods have empty default bodies so observers implement only what
-/// they care about.
-pub trait RunObserver {
-    /// A protocol phase started.
-    fn phase_started(&mut self, phase: RunPhase) {
-        let _ = phase;
-    }
-
-    /// One party finished estimating (or uploading) one trie level.
-    fn level_estimated(&mut self, event: &LevelEstimated) {
-        let _ = event;
-    }
-
-    /// One party took a consensus-based pruning decision.
-    fn pruning_decision(&mut self, event: &PruningDecision) {
-        let _ = event;
-    }
-
-    /// The run finished.
-    fn run_finished(&mut self, summary: &RunSummary) {
-        let _ = summary;
-    }
-}
-
-/// An observer that discards every event (the default for unobserved runs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl RunObserver for NullObserver {}
-
-/// Any event a run can emit, as recorded by [`RecordingObserver`].
+/// One event of a run's stream, in emission order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunEvent {
-    /// A phase started.
+    /// A protocol phase started.
     PhaseStarted(RunPhase),
-    /// A level was estimated.
-    LevelEstimated(LevelEstimated),
-    /// A pruning decision was taken.
-    PruningDecision(PruningDecision),
+    /// A party-local event, replayed from a round in canonical party order.
+    Party(PartyEvent),
+    /// Server → party traffic.
+    Downlink {
+        /// The receiving party.
+        party: String,
+        /// The traffic, in bits.
+        bits: usize,
+    },
     /// The run finished.
     RunFinished(RunSummary),
 }
@@ -148,7 +122,7 @@ impl RecordingObserver {
     /// The recorded level events, in emission order.
     pub fn level_events(&self) -> impl Iterator<Item = &LevelEstimated> {
         self.events.iter().filter_map(|e| match e {
-            RunEvent::LevelEstimated(event) => Some(event),
+            RunEvent::Party(PartyEvent::Level(event)) => Some(event),
             _ => None,
         })
     }
@@ -156,7 +130,7 @@ impl RecordingObserver {
     /// The recorded pruning decisions, in emission order.
     pub fn pruning_events(&self) -> impl Iterator<Item = &PruningDecision> {
         self.events.iter().filter_map(|e| match e {
-            RunEvent::PruningDecision(event) => Some(event),
+            RunEvent::Party(PartyEvent::Pruning(event)) => Some(event),
             _ => None,
         })
     }
@@ -172,14 +146,12 @@ impl RecordingObserver {
             .collect()
     }
 
-    /// Total party → server traffic reconstructed from the level events.
-    pub fn total_uplink_bits(&self) -> usize {
-        self.level_events().map(|e| e.uplink_bits).sum()
-    }
-
-    /// Total in-party report traffic reconstructed from the level events.
-    pub fn total_report_bits(&self) -> usize {
-        self.level_events().map(|e| e.report_bits).sum()
+    /// The run's traffic totals, folded from the recorded events with the
+    /// same [`CommTracker::record`] that builds the run's output.
+    pub fn comm(&self) -> CommTracker {
+        let mut comm = CommTracker::new();
+        self.events.iter().for_each(|event| comm.record(event));
+        comm
     }
 
     /// Party → server traffic per trie level, reconstructed from the level
@@ -201,24 +173,6 @@ impl RecordingObserver {
     }
 }
 
-impl RunObserver for RecordingObserver {
-    fn phase_started(&mut self, phase: RunPhase) {
-        self.events.push(RunEvent::PhaseStarted(phase));
-    }
-
-    fn level_estimated(&mut self, event: &LevelEstimated) {
-        self.events.push(RunEvent::LevelEstimated(event.clone()));
-    }
-
-    fn pruning_decision(&mut self, event: &PruningDecision) {
-        self.events.push(RunEvent::PruningDecision(event.clone()));
-    }
-
-    fn run_finished(&mut self, summary: &RunSummary) {
-        self.events.push(RunEvent::RunFinished(summary.clone()));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,43 +191,37 @@ mod tests {
     #[test]
     fn recorder_accumulates_events_in_order() {
         let mut obs = RecordingObserver::new();
-        obs.phase_started(RunPhase::SharedTrie);
-        obs.level_estimated(&level("a", 1, 0));
-        obs.level_estimated(&level("a", 2, 96));
-        obs.level_estimated(&level("b", 2, 192));
-        obs.pruning_decision(&PruningDecision {
-            party: "b".into(),
-            level: 2,
-            pruned: vec![7],
-            gamma: 0.25,
-        });
-        obs.run_finished(&RunSummary {
-            mechanism: "TAPS".into(),
-            heavy_hitters: 5,
-            uplink_bits: 288,
-            downlink_bits: 10,
-        });
+        obs.events.extend([
+            RunEvent::PhaseStarted(RunPhase::SharedTrie),
+            RunEvent::Party(PartyEvent::Level(level("a", 1, 0))),
+            RunEvent::Party(PartyEvent::Level(level("a", 2, 96))),
+            RunEvent::Party(PartyEvent::Level(level("b", 2, 192))),
+            RunEvent::Party(PartyEvent::Pruning(PruningDecision {
+                party: "b".into(),
+                level: 2,
+                pruned: vec![7],
+                gamma: 0.25,
+            })),
+            RunEvent::Downlink {
+                party: "a".into(),
+                bits: 10,
+            },
+            RunEvent::RunFinished(RunSummary {
+                mechanism: "TAPS".into(),
+                heavy_hitters: 5,
+                uplink_bits: 288,
+                downlink_bits: 10,
+            }),
+        ]);
 
         assert_eq!(obs.phases(), vec![RunPhase::SharedTrie]);
         assert_eq!(obs.level_events().count(), 3);
-        assert_eq!(obs.total_uplink_bits(), 288);
-        assert_eq!(obs.total_report_bits(), 960);
+        assert_eq!(obs.comm().total_uplink_bits(), 288);
+        assert_eq!(obs.comm().total_downlink_bits(), 10);
+        assert_eq!(obs.comm().total_local_report_bits(), 960);
         assert_eq!(obs.uplink_bits_by_level().get(&2), Some(&288));
         assert_eq!(obs.pruning_events().count(), 1);
         assert_eq!(obs.summary().unwrap().heavy_hitters, 5);
-    }
-
-    #[test]
-    fn null_observer_accepts_everything() {
-        let mut obs = NullObserver;
-        obs.phase_started(RunPhase::Aggregation);
-        obs.level_estimated(&level("a", 1, 0));
-        obs.run_finished(&RunSummary {
-            mechanism: "TAP".into(),
-            heavy_hitters: 0,
-            uplink_bits: 0,
-            downlink_bits: 0,
-        });
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //!   run at every execution path, chunk size and parallelism (proven by
 //!   `tests/telemetry.rs`).
 //! * **Reconciled** — the trace is provably honest, not best-effort:
-//!   uplink events enter through the same `level_estimated` funnel that
-//!   feeds `CommTracker` and `RunObserver`, so per-level trace totals
-//!   equal both exactly; wire byte counters are recorded from the actual
-//!   frame lengths `SocketTransport` writes.
+//!   uplink events and the uplink/downlink counters are recorded from the
+//!   same run event stream that `CommTracker` and `RecordingObserver`
+//!   fold, so trace totals equal theirs exactly; wire byte counters are
+//!   recorded from the actual frame lengths `SocketTransport` writes.
 //! * **Enumerable** — span names ([`SpanName`]), counters ([`Counter`]),
 //!   gauges ([`Gauge`]) and value histograms ([`ValueHist`]) are closed
 //!   sets; the JSONL parser ([`TraceLine::parse`]) rejects anything
@@ -143,7 +143,7 @@ impl Telemetry {
         }
     }
 
-    /// Records one `level_estimated` uplink funnel event: a trace event
+    /// Records one uplink-bearing level event of a run: a trace event
     /// plus the [`Counter::UplinkBits`] counter, so the two reconcile by
     /// construction.
     pub fn trace_uplink(&self, party: &str, level: u8, bits: u64) {

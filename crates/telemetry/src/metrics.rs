@@ -22,10 +22,11 @@ pub enum Counter {
     FramesDecoded,
     /// Frames the socket reader threads rejected as corrupt (CRC / schema).
     FramesCorruptRejected,
-    /// Party → server traffic recorded through the `level_estimated`
-    /// funnel, in bits (reconciles exactly with `CommTracker`).
+    /// Party → server traffic recorded from a run's level events, in bits
+    /// (reconciles exactly with `CommTracker`).
     UplinkBits,
-    /// Server → party traffic, in bits.
+    /// Server → party traffic recorded from a run's downlink events, in
+    /// bits (reconciles exactly with `CommTracker`).
     DownlinkBits,
     /// Frames the root aggregator received in a tree topology (after
     /// cohort merging; equals the flat frame count under `Flat`).

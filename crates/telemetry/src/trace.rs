@@ -24,8 +24,8 @@
 //! * `span` — one timed section; `name` comes from the closed
 //!   [`SpanName`] taxonomy, `idx` is the caller's index (round number,
 //!   level, epoch…), times are microseconds since the sink was created.
-//! * `uplink` — one `level_estimated` funnel event: `party`'s level-`level`
-//!   report cost `bits` uplink bits.  Summed per level these reconcile
+//! * `uplink` — one level event of a run's event stream: `party`'s
+//!   level-`level` report cost `bits` uplink bits.  Summed per level these reconcile
 //!   exactly with `RecordingObserver` and `CommTracker`.
 //! * `counter` / `gauge` / `hist` — the metric registry snapshot emitted
 //!   when the section is flushed.  Histogram names are either
@@ -60,7 +60,7 @@ pub enum TraceEvent {
         /// Duration in microseconds.
         dur_us: u64,
     },
-    /// One `level_estimated` uplink funnel event.
+    /// One uplink-bearing level event of a run's event stream.
     Uplink {
         /// Reporting party name.
         party: String,

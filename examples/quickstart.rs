@@ -58,10 +58,11 @@ fn main() -> Result<(), ProtocolError> {
         );
     }
 
-    // 4. Re-run TAPS with a `RecordingObserver` attached: the observer sees
-    //    every phase, per-level estimate and pruning decision, and its
-    //    reconstructed uplink traffic matches the communication tracker
-    //    exactly.
+    // 4. Re-run TAPS with a `RecordingObserver` attached: it keeps the
+    //    run's one event stream (phases, per-level estimates, pruning
+    //    decisions, downlinks, the summary), and the traffic it folds from
+    //    that stream is the output's communication tracker, by
+    //    construction.
     let mut observer = RecordingObserver::new();
     let output = Run::mechanism(MechanismKind::Taps)
         .dataset(&dataset)
@@ -74,10 +75,7 @@ fn main() -> Result<(), ProtocolError> {
         observer.level_events().count(),
         observer.pruning_events().count(),
     );
-    assert_eq!(
-        observer.total_uplink_bits(),
-        output.comm.total_uplink_bits()
-    );
+    assert_eq!(observer.comm(), output.comm);
 
     // 5. Decode the TAPS heavy hitters back to item identifiers.
     println!("\nTAPS federated top-{}:", config.k);

@@ -54,8 +54,12 @@
 //!
 //! ## Observing a run
 //!
-//! Attach a [`federated::RunObserver`] to see phases, per-level estimates
-//! and pruning decisions while a mechanism executes:
+//! A run emits one typed event stream ([`federated::RunEvent`]): phases,
+//! per-level estimates with the traffic they caused, pruning decisions,
+//! downlinks and a closing summary.  The run's [`federated::CommTracker`]
+//! is a fold of that stream, telemetry subscribes to it, and a
+//! [`federated::RecordingObserver`] keeps it — folding its totals the same
+//! way, so they equal the output's by construction:
 //!
 //! ```
 //! use fedhh::prelude::*;
@@ -69,8 +73,8 @@
 //!     .observer(&mut observer)
 //!     .execute()
 //!     .expect("valid configuration");
-//! // The observer reconstructs the run's uplink traffic exactly.
-//! assert_eq!(observer.total_uplink_bits(), output.comm.total_uplink_bits());
+//! assert!(observer.level_events().count() > 0);
+//! assert_eq!(observer.comm(), output.comm);
 //! ```
 //!
 //! ## Million-user scale
@@ -137,9 +141,9 @@ pub use fedhh_wire as wire;
 pub mod prelude {
     pub use crate::datasets::{DatasetConfig, DatasetKind, FederatedDataset, PartyData};
     pub use crate::federated::{
-        AdversaryModel, EngineConfig, FaultPlan, FlipMode, NullObserver, ProtocolConfig,
-        ProtocolError, QuorumPolicy, RecordingObserver, RunObserver, RunPhase, ScenarioPlan,
-        SessionLink, Topology, TransportKind, WireError,
+        AdversaryModel, EngineConfig, FaultPlan, FlipMode, ProtocolConfig, ProtocolError,
+        QuorumPolicy, RecordingObserver, RunEvent, RunPhase, ScenarioPlan, SessionLink, Topology,
+        TransportKind, WireError,
     };
     // Kept only for `benchmark/src/workload.rs`; the next change to the
     // benchmark deletes it.

@@ -1,10 +1,12 @@
 //! Tests of the fallible, observable run API: every invalid configuration
 //! surfaces as the matching `ProtocolError` variant through `Run::execute()`
-//! — never a panic — and a `RecordingObserver` reconstructs communication
-//! that matches the `CommTracker` totals exactly.
+//! — never a panic — and the run's one event stream feeds the output's
+//! `CommTracker`, a `RecordingObserver` and the telemetry trace alike.
 
 use fedhh::prelude::*;
+use fedhh::telemetry::Counter;
 use fedhh::trie::ItemEncoder;
+use std::collections::BTreeMap;
 
 fn dataset() -> FederatedDataset {
     DatasetConfig::test_scale().build(DatasetKind::Rdb)
@@ -164,14 +166,12 @@ fn mechanism_execute_validates_without_the_builder() {
     let ds = dataset();
     for kind in MechanismKind::ALL {
         let mechanism = kind.build();
-        let mut observer = NullObserver;
         let mut ctx = RunContext::new(
             &ds,
             ProtocolConfig {
                 k: 0,
                 ..valid_config()
             },
-            &mut observer,
         );
         let err = mechanism.execute(&mut ctx).unwrap_err();
         assert!(
@@ -228,75 +228,167 @@ fn empty_datasets_are_rejected() {
     );
 }
 
-/// The headline observability invariant: for a TAPS run, the uplink bits
-/// summed over the observer's `level_estimated` events equal
-/// `CommTracker::total_uplink_bits()` exactly.
+/// Warm-start codes arrive from checkpoint files.  A code wider than
+/// `max_bits` is a typed error rather than a silently truncated prefix of
+/// some unrelated item.
 #[test]
-fn recording_observer_reconstructs_taps_uplink_exactly() {
+fn warm_start_codes_wider_than_max_bits_are_typed_errors() {
     let ds = dataset();
-    let mut observer = RecordingObserver::new();
-    let output = Run::mechanism(MechanismKind::Taps)
-        .dataset(&ds)
-        .config(valid_config())
-        .observer(&mut observer)
-        .execute()
-        .unwrap();
-
-    let summed: usize = observer.level_events().map(|e| e.uplink_bits).sum();
-    assert_eq!(summed, output.comm.total_uplink_bits());
-    // The per-level breakdown covers the same total.
-    let by_level: usize = observer.uplink_bits_by_level().values().sum();
-    assert_eq!(by_level, output.comm.total_uplink_bits());
-    // TAPS ran both protocol phases plus the final aggregation.
-    let phases = observer.phases();
-    assert!(phases.contains(&RunPhase::SharedTrie), "{phases:?}");
-    assert!(phases.contains(&RunPhase::LocalEstimation), "{phases:?}");
-    assert!(phases.contains(&RunPhase::Aggregation), "{phases:?}");
-    // Consensus pruning fired somewhere and reported sane confidences.
-    for event in observer.pruning_events() {
-        assert!((0.0..=1.0).contains(&event.gamma));
-        assert!(!event.pruned.is_empty());
+    let code = ds.ground_truth_top_k(1)[0];
+    let wide = (1 << 16) | code;
+    for kind in MechanismKind::ALL {
+        let warm = |values: Vec<u64>| {
+            Run::mechanism(kind)
+                .dataset(&ds)
+                .config(valid_config())
+                .warm_start(values)
+                .execute()
+        };
+        assert!(warm(vec![code]).is_ok(), "{kind}");
+        assert_eq!(
+            warm(vec![code, wide]).unwrap_err(),
+            ProtocolError::WarmCodeOutOfRange {
+                code: wide,
+                max_bits: 16
+            },
+            "{kind}"
+        );
     }
-    // The closing summary mirrors the output.
-    let summary = observer.summary().expect("run_finished fired");
-    assert_eq!(summary.mechanism, "TAPS");
-    assert_eq!(summary.heavy_hitters, output.heavy_hitters.len());
-    assert_eq!(summary.uplink_bits, output.comm.total_uplink_bits());
-    assert_eq!(summary.downlink_bits, output.comm.total_downlink_bits());
 }
 
-/// The uplink reconstruction holds for every mechanism, and the in-party
-/// report traffic seen by the observer never exceeds the tracker's.
+/// Drains a telemetry handle into parsed, reconciliation-checked stats.
+fn drain_stats(telemetry: &Telemetry) -> TraceStats {
+    let mut jsonl = Vec::new();
+    telemetry.write_jsonl(&mut jsonl).unwrap();
+    let text = String::from_utf8(jsonl).unwrap();
+    let stats = TraceStats::from_str(&text).expect("every emitted line re-parses");
+    stats.verify_reconciled().expect("counter == sum of events");
+    stats
+}
+
+/// The run's one event stream, read by all three of its consumers at once.
+/// For every mechanism × oracle × scenario × parallelism, with telemetry
+/// attached:
+///
+/// * the recorder's fold equals the output's tracker (TAPS' validation
+///   reports and every downlink included);
+/// * the trace's per-level uplink equals the recorder's non-zero levels
+///   (the trace, like the tracker, books only levels that cost uplink);
+/// * the `uplink.bits` and `downlink.bits` counters equal the tracker's
+///   totals.
+///
+/// The same runs check what the stream says: the phases each mechanism
+/// runs, pruning confidences in range, a closing summary that mirrors the
+/// output, dropout shrinking `local_results`, and an event order that does
+/// not depend on parallelism.
 #[test]
 fn observer_uplink_matches_comm_tracker_for_every_mechanism() {
     let ds = dataset();
+    let scenarios = [
+        ("benign", ScenarioPlan::from_faults(FaultPlan::default())),
+        (
+            "report-flip",
+            ScenarioPlan::from_faults(FaultPlan::default()).with_adversary(
+                AdversaryModel::ReportFlip {
+                    fraction: 0.25,
+                    mode: FlipMode::Uniform,
+                },
+                0xAD5E,
+            ),
+        ),
+        (
+            "dropout",
+            ScenarioPlan::from_faults(FaultPlan::dropout(0.5, 23)),
+        ),
+        (
+            "stragglers",
+            ScenarioPlan::from_faults(FaultPlan {
+                dropout_fraction: 0.0,
+                stragglers: true,
+                seed: 5,
+            }),
+        ),
+    ];
     for kind in MechanismKind::ALL {
-        let mut observer = RecordingObserver::new();
-        let output = Run::mechanism(kind)
-            .dataset(&ds)
-            .config(valid_config())
-            .observer(&mut observer)
-            .execute()
-            .unwrap();
-        assert_eq!(
-            observer.total_uplink_bits(),
-            output.comm.total_uplink_bits(),
-            "{kind} uplink mismatch"
-        );
-        // TAPS spends extra in-party reports on pruning validation, which
-        // belong to pruning decisions rather than level estimates; every
-        // other mechanism's report traffic is fully covered by level events.
-        if kind == MechanismKind::Taps {
-            assert!(
-                observer.total_report_bits() <= output.comm.total_local_report_bits(),
-                "{kind} report traffic exceeded the tracker"
-            );
-        } else {
-            assert_eq!(
-                observer.total_report_bits(),
-                output.comm.total_local_report_bits(),
-                "{kind} report traffic mismatch"
-            );
+        let expected_phases = match kind {
+            MechanismKind::Tap | MechanismKind::Taps => vec![
+                RunPhase::SharedTrie,
+                RunPhase::LocalEstimation,
+                RunPhase::Aggregation,
+            ],
+            _ => vec![RunPhase::LocalEstimation, RunPhase::Aggregation],
+        };
+        for fo in [FoKind::Grr, FoKind::Oue, FoKind::Olh] {
+            for (name, scenario) in scenarios {
+                let mut sequential_events = None;
+                for parallelism in [1usize, 3] {
+                    let what = format!("{kind}/{fo}/{name}/p{parallelism}");
+                    let telemetry = Telemetry::new();
+                    let mut observer = RecordingObserver::new();
+                    let output = Run::mechanism(kind)
+                        .dataset(&ds)
+                        .config(valid_config().with_fo(fo))
+                        .engine(EngineConfig::parallel(parallelism).with_scenario(scenario))
+                        .observer(&mut observer)
+                        .telemetry(&telemetry)
+                        .execute()
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let comm = &output.comm;
+                    assert_eq!(&observer.comm(), comm, "{what}: recorder vs tracker");
+
+                    let stats = drain_stats(&telemetry);
+                    let from_observer: BTreeMap<u8, u64> = observer
+                        .uplink_bits_by_level()
+                        .into_iter()
+                        .filter(|&(_, bits)| bits > 0)
+                        .map(|(level, bits)| (level, bits as u64))
+                        .collect();
+                    assert_eq!(
+                        stats.uplink_bits_by_level(),
+                        from_observer,
+                        "{what}: per-level uplink"
+                    );
+                    assert_eq!(
+                        stats.counter_total(Counter::UplinkBits),
+                        comm.total_uplink_bits() as u64,
+                        "{what}: uplink counter"
+                    );
+                    assert_eq!(
+                        stats.counter_total(Counter::DownlinkBits),
+                        comm.total_downlink_bits() as u64,
+                        "{what}: downlink counter"
+                    );
+
+                    assert_eq!(observer.phases(), expected_phases, "{what}");
+                    for event in observer.pruning_events() {
+                        assert!((0.0..=1.0).contains(&event.gamma), "{what}");
+                        assert!(!event.pruned.is_empty(), "{what}");
+                    }
+                    assert!(
+                        matches!(observer.events.last(), Some(RunEvent::RunFinished(_))),
+                        "{what}: the summary closes the stream"
+                    );
+                    let summary = observer.summary().expect("run_finished fired");
+                    assert_eq!(summary.mechanism, kind.name(), "{what}");
+                    assert_eq!(summary.heavy_hitters, output.heavy_hitters.len());
+                    assert_eq!(summary.uplink_bits, comm.total_uplink_bits());
+                    assert_eq!(summary.downlink_bits, comm.total_downlink_bits());
+
+                    assert!(!output.heavy_hitters.is_empty(), "{what}");
+                    if name == "dropout" {
+                        assert!(output.local_results.len() < ds.party_count(), "{what}");
+                    } else {
+                        assert_eq!(output.local_results.len(), ds.party_count(), "{what}");
+                    }
+                    match &sequential_events {
+                        None => sequential_events = Some(observer.events),
+                        Some(events) => assert_eq!(
+                            events, &observer.events,
+                            "{what}: event stream differs from parallelism 1"
+                        ),
+                    }
+                }
+            }
         }
     }
 }
@@ -324,60 +416,6 @@ fn observers_do_not_change_results() {
             observed.comm.total_uplink_bits(),
             unobserved.comm.total_uplink_bits(),
             "{kind}"
-        );
-    }
-}
-
-/// The observer↔tracker exactness invariant holds under the O(d) oracles'
-/// vectorized kernels too (the test above runs k-RR): their wider reports
-/// must route through the same funnel.
-#[test]
-fn observer_uplink_matches_comm_tracker_on_the_vectorized_path() {
-    let ds = dataset();
-    for fo in [FoKind::Oue, FoKind::Olh] {
-        for kind in MechanismKind::ALL {
-            let mut observer = RecordingObserver::new();
-            let output = Run::mechanism(kind)
-                .dataset(&ds)
-                .config(valid_config().with_fo(fo))
-                .observer(&mut observer)
-                .execute()
-                .unwrap();
-            assert_eq!(
-                observer.total_uplink_bits(),
-                output.comm.total_uplink_bits(),
-                "{kind}/{fo} uplink mismatch"
-            );
-        }
-    }
-}
-
-/// Exactness under an active adversary: compromised parties' perturbed
-/// reports still cost real uplink, and the observer accounts for every
-/// bit the tracker books.
-#[test]
-fn observer_uplink_matches_comm_tracker_under_an_adversary() {
-    let ds = dataset();
-    let scenario = ScenarioPlan::from_faults(FaultPlan::default()).with_adversary(
-        AdversaryModel::ReportFlip {
-            fraction: 0.25,
-            mode: FlipMode::Uniform,
-        },
-        0xAD5E,
-    );
-    for kind in MechanismKind::ALL {
-        let mut observer = RecordingObserver::new();
-        let output = Run::mechanism(kind)
-            .dataset(&ds)
-            .config(valid_config())
-            .engine(EngineConfig::parallel(2).with_scenario(scenario))
-            .observer(&mut observer)
-            .execute()
-            .unwrap();
-        assert_eq!(
-            observer.total_uplink_bits(),
-            output.comm.total_uplink_bits(),
-            "{kind} uplink mismatch under adversary"
         );
     }
 }

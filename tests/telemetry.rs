@@ -3,16 +3,17 @@
 //! 1. **Inertness** — a run with a trace sink attached produces a
 //!    `MechanismOutput` bit-identical to an unobserved run, across
 //!    parallelism {1, 8} × transport {memory, tcp} × chunk size.  Timing never feeds back into protocol state.
-//! 2. **Reconciliation** — the per-level `uplink_bits` derived from the
-//!    JSONL trace equal `RecordingObserver`'s reconstruction equal
-//!    `CommTracker`'s totals, exactly; and the `wire.tx.bytes` counter
-//!    equals `SocketTransport`'s actual frame lengths, exactly.
+//! 2. **Reconciliation** — the traced runs here cover the tracker's uplink,
+//!    and the `wire.tx.bytes` counter equals `SocketTransport`'s actual
+//!    frame lengths, exactly.  Trace ⇔ recorder ⇔ tracker per level and
+//!    per counter, over every mechanism, oracle and scenario, is one table
+//!    in `tests/run_api.rs`
+//!    (`observer_uplink_matches_comm_tracker_for_every_mechanism`).
 
 use fedhh::federated::{CandidateReport, RoundMessage, RoundPayload, SocketTransport, Transport};
 use fedhh::prelude::*;
 use fedhh::telemetry::Counter;
 use fedhh_datasets::FederatedDataset;
-use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 
 fn dataset() -> FederatedDataset {
@@ -123,88 +124,6 @@ fn telemetry_is_inert_across_chunk_sizes() {
             .execute()
             .unwrap();
         assert_outputs_identical(&untraced, &traced, &format!("chunk {chunk}"));
-    }
-}
-
-/// The reconciliation invariant, three ways at once: for every mechanism,
-/// per-level uplink from the parsed JSONL trace == the observer's
-/// reconstruction == the `CommTracker` total.
-#[test]
-fn trace_uplink_reconciles_with_observer_and_tracker_for_every_mechanism() {
-    let ds = dataset();
-    for kind in MechanismKind::ALL {
-        let telemetry = Telemetry::new();
-        let mut observer = RecordingObserver::new();
-        let output = Run::mechanism(kind)
-            .dataset(&ds)
-            .config(config())
-            .observer(&mut observer)
-            .telemetry(&telemetry)
-            .execute()
-            .unwrap();
-
-        let stats = drain_stats(&telemetry);
-        // Trace == observer, level by level.  The trace (like the
-        // tracker) books only levels that actually cost uplink; the
-        // observer also logs free in-party levels, so drop its zeros.
-        let from_trace = stats.uplink_bits_by_level();
-        let from_observer: BTreeMap<u8, u64> = observer
-            .uplink_bits_by_level()
-            .into_iter()
-            .filter(|&(_, bits)| bits > 0)
-            .map(|(level, bits)| (level, bits as u64))
-            .collect();
-        assert_eq!(from_trace, from_observer, "{kind}: per-level uplink");
-        // Trace == tracker, in total — and the counter line agrees with
-        // the events it summarizes (verify_reconciled checked that).
-        assert_eq!(
-            stats.total_uplink_bits(),
-            output.comm.total_uplink_bits() as u64,
-            "{kind}: total uplink"
-        );
-        assert_eq!(
-            stats.counter_total(Counter::UplinkBits),
-            output.comm.total_uplink_bits() as u64,
-            "{kind}: uplink counter"
-        );
-    }
-}
-
-/// Reconciliation survives an adversarial scenario: compromised parties'
-/// flipped reports still cost real uplink, and the trace accounts for
-/// every bit of it.
-#[test]
-fn trace_uplink_reconciles_under_an_active_adversary() {
-    let ds = dataset();
-    let scenario = ScenarioPlan::from_faults(FaultPlan::default()).with_adversary(
-        AdversaryModel::ReportFlip {
-            fraction: 0.3,
-            mode: FlipMode::Inverted,
-        },
-        0xAD5E,
-    );
-    for kind in MechanismKind::ALL {
-        let telemetry = Telemetry::new();
-        let mut observer = RecordingObserver::new();
-        let output = Run::mechanism(kind)
-            .dataset(&ds)
-            .config(config())
-            .engine(EngineConfig::parallel(2).with_scenario(scenario))
-            .observer(&mut observer)
-            .telemetry(&telemetry)
-            .execute()
-            .unwrap();
-        let stats = drain_stats(&telemetry);
-        assert_eq!(
-            stats.total_uplink_bits(),
-            output.comm.total_uplink_bits() as u64,
-            "{kind}: trace vs tracker under adversary"
-        );
-        assert_eq!(
-            observer.total_uplink_bits(),
-            output.comm.total_uplink_bits(),
-            "{kind}: observer vs tracker under adversary"
-        );
     }
 }
 

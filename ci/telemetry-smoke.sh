@@ -18,7 +18,8 @@
 #      uplink_bits (identical seeds make the product exact).
 #   4. A quick TCP trial with --trace: the trace parses, reconciles, and
 #      actually recorded wire-level activity, uplink events and a non-zero
-#      downlink.bits counter.
+#      downlink.bits counter; the same trace with a duplicate-key line
+#      appended fails trace-check.
 # The traced perf report and its trace are left in the working directory
 # for CI to upload.
 set -euo pipefail
@@ -46,6 +47,16 @@ log "quick TCP trial with --trace"
     || die "traced TCP trial failed" "$WORKDIR/trial.err"
 "$BENCH_BIN" trace-check "$WORKDIR/trial.jsonl" \
     || die "trial trace failed schema or reconciliation validation"
+
+# The binary reads through the strict shared JSON reader: a copy of the
+# trial trace with one duplicate-key line appended must be refused.
+cp "$WORKDIR/trial.jsonl" "$WORKDIR/dup.jsonl"
+echo '{"v":1,"t":"counter","name":"uplink.bits","value":0,"value":0}' >> "$WORKDIR/dup.jsonl"
+if "$BENCH_BIN" trace-check "$WORKDIR/dup.jsonl" 2> "$WORKDIR/dup.err"; then
+    die "trace-check accepted a line with a duplicate key"
+fi
+grep -q 'duplicate key "value"' "$WORKDIR/dup.err" \
+    || die "trace-check refused the duplicate-key trace for the wrong reason" "$WORKDIR/dup.err"
 
 # Sanity: the TCP trial actually recorded wire-level activity — a trace
 # with no wire counters means the socket path lost its telemetry hookup.

@@ -792,6 +792,7 @@ mod tests {
 }
 "#
         );
+        crate::json::parse(&report.to_json()).expect("the pinned bytes re-parse");
         report.epsilon_cap = None;
         report.arms.truncate(1);
         report.arms[0].points.clear();

@@ -448,6 +448,15 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_report_row_that_repeats_a_column_is_rejected() {
+        let json = report::to_json::<ExperimentRow>(&sample_report());
+        let doctored = json.replacen("\"k\": 10, ", "\"k\": 10, \"k\": 20, ", 1);
+        assert_ne!(doctored, json);
+        let err = report::from_json::<ExperimentRow>(&doctored).unwrap_err();
+        assert!(err.contains("duplicate key \"k\""), "{err}");
+    }
+
+    #[test]
     fn json_round_trips_and_the_reader_is_strict() {
         let mut report = sample_report();
         let json = report::to_json::<ExperimentRow>(&report);

@@ -41,7 +41,8 @@
 //! ([`report`]): a report is head fields plus rows of one row type, the row
 //! type declares its columns once ([`Row`]), and writing, reading, table
 //! rendering and the baseline gate ([`check`]) are derived from that
-//! declaration over the one JSON module ([`json`]).  Each report module's
+//! declaration over the one JSON module ([`json`]: the report-layout
+//! writer plus `fedhh_telemetry::json`'s strict reader, re-exported).  Each report module's
 //! docs keep only what is its own: the sweep, the schema example and what
 //! its columns mean.  The two binaries
 //! share **one option grammar and one command driver** ([`cli`]): a

@@ -122,7 +122,7 @@ pub trait Row: Sized + Default + 'static {
 /// formats — the same report produces the same bytes.
 pub fn to_json<R: Row>(report: &R::Report) -> String {
     fn fields<'a, T>(columns: &'a [Column<T>], of: &T) -> Vec<json::Field<'a>> {
-        let render = |c: &'a Column<T>| (c.key, (c.get)(of).render(c.json));
+        let render = |c: &'a Column<T>| (c.key, json::render(&(c.get)(of), c.json));
         columns.iter().map(render).collect()
     }
     let mut head = vec![("schema", SCHEMA.to_string())];
@@ -183,7 +183,7 @@ pub fn to_table<R: Row>(report: &R::Report) -> String {
             (Value::String(s), _) => s.clone(),
             (Value::Bool(b), _) => if *b { "yes" } else { "no" }.to_string(),
             (Value::Null, _) => "n/a".to_string(),
-            (other, _) => other.render(Fmt::Shortest),
+            (other, _) => json::render(other, Fmt::Shortest),
         }
     }
     let label_heading = R::NESTING.map(|(_, _, heading)| heading);
@@ -243,7 +243,7 @@ pub fn check<R: Row>(current: &[R], baseline: &[R], threshold: f64) -> Vec<Strin
     let name = |row: &R| -> String {
         let parts = key(row).into_iter().map(|value| match value {
             Value::String(s) => s,
-            other => other.render(Fmt::Shortest),
+            other => json::render(&other, Fmt::Shortest),
         });
         parts.collect::<Vec<_>>().join("/")
     };
@@ -261,8 +261,8 @@ pub fn check<R: Row>(current: &[R], baseline: &[R], threshold: f64) -> Vec<Strin
             let drift = match (c.role, now.as_f64().zip(was.as_f64())) {
                 (Role::Equal, _) if now != was => format!(
                     "moved from {} to {}",
-                    was.render(c.json),
-                    now.render(c.json)
+                    json::render(&was, c.json),
+                    json::render(&now, c.json)
                 ),
                 (Role::Delta, Some((now, was))) if (now - was).abs() > threshold => {
                     format!("{now} vs baseline {was} (tolerance {threshold})")
@@ -298,7 +298,7 @@ pub(crate) fn assert_reader_is_strict<R: Row>(report: &R::Report) {
         .iter()
         .filter(|c| matches!((c.get)(first), Value::Uint(_)));
     let mut probes = vec![("schema", SCHEMA.to_string())];
-    probes.extend(unsigned.map(|c| (c.key, (c.get)(first).render(c.json))));
+    probes.extend(unsigned.map(|c| (c.key, json::render(&(c.get)(first), c.json))));
     assert!(
         probes.len() > 1 || R::NAME == "scenario",
         "no unsigned column"
@@ -317,6 +317,28 @@ pub(crate) fn assert_reader_is_strict<R: Row>(report: &R::Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every committed report reads through the shared strict reader
+    /// (RFC 8259 numbers, no repeated keys).  The golden tests' pinned bytes
+    /// are re-read by each report's round-trip test, and by the golden test
+    /// itself for the write-only `scale` and `epochs` reports.
+    #[test]
+    fn every_committed_report_parses() {
+        let experiments = include_str!("../../../results/experiments.json");
+        let (_, rows) = from_json::<crate::ExperimentRow>(experiments).unwrap();
+        assert!(!rows.is_empty());
+        let perf = include_str!("../../../ci/perf-baseline.json");
+        assert!(!crate::PerfReport::from_json(perf)
+            .unwrap()
+            .entries
+            .is_empty());
+        let epochs = json::parse(include_str!("../../../results/epochs.json")).unwrap();
+        assert!(!json::get(epochs.object("epochs").unwrap(), "arms")
+            .unwrap()
+            .array("arms")
+            .unwrap()
+            .is_empty());
+    }
 
     #[test]
     fn table_rendering_contains_all_cells() {

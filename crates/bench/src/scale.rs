@@ -428,6 +428,7 @@ mod tests {
 }
 "#
         );
+        crate::json::parse(&report.to_json()).expect("the pinned bytes re-parse");
     }
 
     #[test]

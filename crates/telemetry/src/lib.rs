@@ -1,7 +1,7 @@
 //! # fedhh-telemetry — the observability plane
 //!
-//! Dependency-free spans, typed metrics and JSONL traces for the fedhh
-//! stack.  The crate sits at the very bottom of the dependency graph (it
+//! Dependency-free spans, typed metrics, JSONL traces and the one JSON
+//! reader ([`json`]) of the fedhh stack.  The crate sits at the very bottom of the dependency graph (it
 //! depends on nothing and knows nothing about the protocol); every layer
 //! above — `Run`, `Session`, the mechanism drivers, `SocketTransport`,
 //! `EpochRunner`, checkpoint I/O — records into a shared [`Telemetry`]
@@ -54,17 +54,18 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod json;
 pub mod metrics;
 pub mod span;
 pub mod summary;
 pub mod trace;
 
+pub use json::escape as json_escape;
 pub use metrics::{Counter, Gauge, HistSnapshot, Histogram, RegistrySnapshot, ValueHist};
 pub use span::SpanName;
 pub use summary::TelemetrySummary;
 pub use trace::{
-    json_escape, span_hist_name, TraceError, TraceEvent, TraceLine, TraceSection, TraceStats,
-    TRACE_SCHEMA,
+    span_hist_name, TraceError, TraceEvent, TraceLine, TraceSection, TraceStats, TRACE_SCHEMA,
 };
 
 use metrics::Registry;

@@ -1,6 +1,6 @@
-//! The JSONL trace format: hand-rolled emit **and** parse (schema-versioned
-//! like `BENCH_*.json`; the workspace builds without external
-//! dependencies), one event per line.
+//! The JSONL trace format, one event per line: a hand-rolled emit, and a
+//! strict parse through the workspace's one JSON reader ([`crate::json`]);
+//! schema-versioned like `BENCH_*.json`.
 //!
 //! ## Schema (version 1)
 //!
@@ -33,14 +33,15 @@
 //!   integer bucket bounds (see [`crate::HistSnapshot::quantile`]).
 //!
 //! Parsing is **strict**: unknown type tags, unknown span/metric names,
-//! missing keys, non-integer numbers and trailing garbage are all
-//! [`TraceError`]s — a trace that parses is a trace the schema fully
-//! describes.
+//! missing or repeated keys, values other than strings and plain-digit
+//! unsigned integers, and trailing garbage are all [`TraceError`]s — a
+//! trace that parses is a trace the schema fully describes.  Whitespace
+//! between tokens is allowed, as in any JSON.
 
+use crate::json::{self, Value};
 use crate::metrics::{Counter, Gauge, ValueHist};
 use crate::span::SpanName;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// The trace schema version this build emits and parses.
 pub const TRACE_SCHEMA: u64 = 1;
@@ -159,26 +160,6 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// Escapes a string for a JSON string literal (quotes, backslashes and
-/// control characters; everything else passes through verbatim).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl TraceLine {
     /// Renders the line as its canonical one-line JSON form (no trailing
     /// newline).
@@ -186,7 +167,7 @@ impl TraceLine {
         match self {
             TraceLine::Mark { name, runs } => format!(
                 "{{\"v\":{TRACE_SCHEMA},\"t\":\"mark\",\"name\":\"{}\",\"runs\":{runs}}}",
-                json_escape(name)
+                json::escape(name)
             ),
             TraceLine::Span {
                 name,
@@ -200,7 +181,7 @@ impl TraceLine {
             TraceLine::Uplink { party, level, bits } => format!(
                 "{{\"v\":{TRACE_SCHEMA},\"t\":\"uplink\",\"party\":\"{}\",\"level\":{level},\
                  \"bits\":{bits}}}",
-                json_escape(party)
+                json::escape(party)
             ),
             TraceLine::Counter { name, value } => format!(
                 "{{\"v\":{TRACE_SCHEMA},\"t\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
@@ -223,82 +204,74 @@ impl TraceLine {
                 "{{\"v\":{TRACE_SCHEMA},\"t\":\"hist\",\"name\":\"{}\",\"count\":{count},\
                  \"sum\":{sum},\"min\":{min},\"max\":{max},\"p50\":{p50},\"p90\":{p90},\
                  \"p99\":{p99}}}",
-                json_escape(name)
+                json::escape(name)
             ),
         }
     }
 
     /// Parses one JSONL line, rejecting anything outside the schema.
     pub fn parse(line: &str) -> Result<Self, TraceError> {
-        let fields = parse_flat_object(line)?;
-        let version = get_num(&fields, "v")?;
-        if version != TRACE_SCHEMA {
-            return Err(TraceError::new(format!(
-                "unsupported trace schema version {version} (supported: {TRACE_SCHEMA})"
-            )));
+        Self::parse_fields(line).map_err(TraceError::new)
+    }
+
+    fn parse_fields(line: &str) -> Result<Self, String> {
+        let value = json::parse(line)?;
+        let fields = value.object("a trace line")?;
+        if let Some((key, value)) = fields
+            .iter()
+            .find(|(_, value)| !matches!(value, Value::String(_) | Value::Uint(_)))
+        {
+            return Err(format!(
+                "expected a string or unsigned integer value for key {key:?}, found {value:?}"
+            ));
         }
-        let tag = get_str(&fields, "t")?;
-        match tag.as_str() {
+        let str = |key| json::field::<String>(fields, key);
+        let num = |key| json::field::<u64>(fields, key);
+        let version = num("v")?;
+        if version != TRACE_SCHEMA {
+            return Err(format!(
+                "unsupported trace schema version {version} (supported: {TRACE_SCHEMA})"
+            ));
+        }
+        // `name` is read by then: the error only has to quote it.
+        let unknown = |what| format!("unknown {what} {:?}", str("name").unwrap_or_default());
+        match str("t")?.as_str() {
             "mark" => Ok(TraceLine::Mark {
-                name: get_str(&fields, "name")?,
-                runs: get_num(&fields, "runs")?,
+                name: str("name")?,
+                runs: num("runs")?,
             }),
-            "span" => {
-                let name = get_str(&fields, "name")?;
-                let name = SpanName::parse(&name)
-                    .ok_or_else(|| TraceError::new(format!("unknown span name {name:?}")))?;
-                Ok(TraceLine::Span {
-                    name,
-                    idx: get_num(&fields, "idx")?,
-                    start_us: get_num(&fields, "start_us")?,
-                    dur_us: get_num(&fields, "dur_us")?,
-                })
-            }
-            "uplink" => {
-                let level = get_num(&fields, "level")?;
-                let level = u8::try_from(level)
-                    .map_err(|_| TraceError::new(format!("level {level} out of range")))?;
-                Ok(TraceLine::Uplink {
-                    party: get_str(&fields, "party")?,
-                    level,
-                    bits: get_num(&fields, "bits")?,
-                })
-            }
-            "counter" => {
-                let name = get_str(&fields, "name")?;
-                let name = Counter::parse(&name)
-                    .ok_or_else(|| TraceError::new(format!("unknown counter {name:?}")))?;
-                Ok(TraceLine::Counter {
-                    name,
-                    value: get_num(&fields, "value")?,
-                })
-            }
-            "gauge" => {
-                let name = get_str(&fields, "name")?;
-                let name = Gauge::parse(&name)
-                    .ok_or_else(|| TraceError::new(format!("unknown gauge {name:?}")))?;
-                Ok(TraceLine::Gauge {
-                    name,
-                    value: get_num(&fields, "value")?,
-                })
-            }
-            "hist" => {
-                let name = get_str(&fields, "name")?;
-                if !is_valid_hist_name(&name) {
-                    return Err(TraceError::new(format!("unknown histogram {name:?}")));
-                }
-                Ok(TraceLine::Hist {
-                    name,
-                    count: get_num(&fields, "count")?,
-                    sum: get_num(&fields, "sum")?,
-                    min: get_num(&fields, "min")?,
-                    max: get_num(&fields, "max")?,
-                    p50: get_num(&fields, "p50")?,
-                    p90: get_num(&fields, "p90")?,
-                    p99: get_num(&fields, "p99")?,
-                })
-            }
-            other => Err(TraceError::new(format!("unknown line type {other:?}"))),
+            "span" => Ok(TraceLine::Span {
+                name: SpanName::parse(&str("name")?).ok_or_else(|| unknown("span name"))?,
+                idx: num("idx")?,
+                start_us: num("start_us")?,
+                dur_us: num("dur_us")?,
+            }),
+            "uplink" => Ok(TraceLine::Uplink {
+                party: str("party")?,
+                level: json::field(fields, "level")?,
+                bits: num("bits")?,
+            }),
+            "counter" => Ok(TraceLine::Counter {
+                name: Counter::parse(&str("name")?).ok_or_else(|| unknown("counter"))?,
+                value: num("value")?,
+            }),
+            "gauge" => Ok(TraceLine::Gauge {
+                name: Gauge::parse(&str("name")?).ok_or_else(|| unknown("gauge"))?,
+                value: num("value")?,
+            }),
+            "hist" => Ok(TraceLine::Hist {
+                name: Some(str("name")?)
+                    .filter(|name| is_valid_hist_name(name))
+                    .ok_or_else(|| unknown("histogram"))?,
+                count: num("count")?,
+                sum: num("sum")?,
+                min: num("min")?,
+                max: num("max")?,
+                p50: num("p50")?,
+                p90: num("p90")?,
+                p99: num("p99")?,
+            }),
+            other => Err(format!("unknown line type {other:?}")),
         }
     }
 }
@@ -316,163 +289,6 @@ fn is_valid_hist_name(name: &str) -> bool {
         .and_then(|rest| rest.strip_suffix(".us"))
         .and_then(SpanName::parse)
         .is_some()
-}
-
-// --- A strict parser for one flat JSON object -----------------------------
-// The schema only ever emits `{"key":value,...}` with string or unsigned
-// integer values; anything else (nesting, floats, booleans) is rejected.
-
-#[derive(Debug, Clone, PartialEq)]
-enum FlatValue {
-    Str(String),
-    Num(u64),
-}
-
-fn parse_flat_object(line: &str) -> Result<Vec<(String, FlatValue)>, TraceError> {
-    let bytes = line.trim().as_bytes();
-    let mut pos = 0usize;
-    expect(bytes, &mut pos, b'{')?;
-    let mut fields = Vec::new();
-    loop {
-        let key = parse_string(bytes, &mut pos)?;
-        expect(bytes, &mut pos, b':')?;
-        let value = match bytes.get(pos) {
-            Some(b'"') => FlatValue::Str(parse_string(bytes, &mut pos)?),
-            Some(b) if b.is_ascii_digit() => FlatValue::Num(parse_uint(bytes, &mut pos)?),
-            other => {
-                return Err(TraceError::new(format!(
-                    "expected a string or unsigned integer value for key {key:?}, found {:?}",
-                    other.map(|b| *b as char)
-                )))
-            }
-        };
-        fields.push((key, value));
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => {
-                pos += 1;
-                break;
-            }
-            other => {
-                return Err(TraceError::new(format!(
-                    "expected ',' or '}}' at byte {pos}, found {:?}",
-                    other.map(|b| *b as char)
-                )))
-            }
-        }
-    }
-    if pos != bytes.len() {
-        return Err(TraceError::new(format!("trailing garbage at byte {pos}")));
-    }
-    Ok(fields)
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), TraceError> {
-    if bytes.get(*pos) == Some(&want) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(TraceError::new(format!(
-            "expected {:?} at byte {}, found {:?}",
-            want as char,
-            pos,
-            bytes.get(*pos).map(|b| *b as char)
-        )))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, TraceError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos).copied() {
-            None => return Err(TraceError::new("unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let escaped = bytes
-                    .get(*pos)
-                    .copied()
-                    .ok_or_else(|| TraceError::new("unterminated escape"))?;
-                *pos += 1;
-                match escaped {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| TraceError::new("truncated \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| TraceError::new(format!("invalid \\u escape {hex:?}")))?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
-                    other => {
-                        return Err(TraceError::new(format!(
-                            "unsupported escape \\{}",
-                            other as char
-                        )))
-                    }
-                }
-            }
-            Some(first) => {
-                let start = *pos;
-                let len = match first {
-                    b if b < 0x80 => 1,
-                    b if b >= 0xF0 => 4,
-                    b if b >= 0xE0 => 3,
-                    _ => 2,
-                };
-                let chunk = bytes
-                    .get(start..start + len)
-                    .ok_or_else(|| TraceError::new("truncated utf8 sequence"))?;
-                out.push_str(
-                    std::str::from_utf8(chunk).map_err(|e| TraceError::new(e.to_string()))?,
-                );
-                *pos = start + len;
-            }
-        }
-    }
-}
-
-fn parse_uint(bytes: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
-    let start = *pos;
-    while bytes.get(*pos).is_some_and(|b| b.is_ascii_digit()) {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
-    text.parse::<u64>()
-        .map_err(|_| TraceError::new(format!("invalid unsigned integer {text:?} at byte {start}")))
-}
-
-fn get<'a>(fields: &'a [(String, FlatValue)], key: &str) -> Result<&'a FlatValue, TraceError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| TraceError::new(format!("missing key {key:?}")))
-}
-
-fn get_num(fields: &[(String, FlatValue)], key: &str) -> Result<u64, TraceError> {
-    match get(fields, key)? {
-        FlatValue::Num(n) => Ok(*n),
-        FlatValue::Str(_) => Err(TraceError::new(format!("key {key:?} is not a number"))),
-    }
-}
-
-fn get_str(fields: &[(String, FlatValue)], key: &str) -> Result<String, TraceError> {
-    match get(fields, key)? {
-        FlatValue::Str(s) => Ok(s.clone()),
-        FlatValue::Num(_) => Err(TraceError::new(format!("key {key:?} is not a string"))),
-    }
 }
 
 // --- Aggregation ----------------------------------------------------------
@@ -671,9 +487,9 @@ impl TraceStats {
 mod tests {
     use super::*;
 
-    #[test]
-    fn every_line_kind_round_trips() {
-        let lines = vec![
+    /// One line of every kind.
+    fn every_kind() -> Vec<TraceLine> {
+        vec![
             TraceLine::Mark {
                 name: "trial/taps".into(),
                 runs: 3,
@@ -717,10 +533,107 @@ mod tests {
                 p90: 3,
                 p99: 3,
             },
-        ];
-        for line in lines {
+        ]
+    }
+
+    #[test]
+    fn every_line_kind_round_trips() {
+        for line in every_kind() {
             let json = line.to_json();
             assert_eq!(TraceLine::parse(&json).unwrap(), line, "{json}");
+        }
+    }
+
+    #[test]
+    fn free_form_names_round_trip_whatever_their_text() {
+        for name in [
+            "q\"uote",
+            "back\\slash",
+            "ctl \u{0}\u{1}\u{1f}\n\r\t",
+            "é ✓ 日本 🦀",
+            "",
+        ] {
+            for line in [
+                TraceLine::Mark {
+                    name: name.to_string(),
+                    runs: 1,
+                },
+                TraceLine::Uplink {
+                    party: name.to_string(),
+                    level: 1,
+                    bits: 8,
+                },
+            ] {
+                let json = line.to_json();
+                assert!(!json.contains(['\n', '\u{0}']), "{json}");
+                assert_eq!(TraceLine::parse(&json), Ok(line), "{json}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_cut_at_any_byte_is_an_error() {
+        let mut lines = every_kind();
+        lines.push(TraceLine::Mark {
+            name: "é ✓ \"\\ 🦀".into(),
+            runs: 2,
+        });
+        for line in lines {
+            let json = line.to_json();
+            for cut in 0..json.len() {
+                let prefix = String::from_utf8_lossy(&json.as_bytes()[..cut]);
+                assert!(TraceLine::parse(&prefix).is_err(), "accepted: {prefix}");
+            }
+        }
+    }
+
+    #[test]
+    fn deep_nesting_in_a_line_is_an_error_not_a_stack_overflow() {
+        let open = "[".repeat(100_000);
+        let mut lines = vec![open.clone()];
+        for line in every_kind() {
+            let json = line.to_json();
+            lines.push(format!("{},\"x\":{open}", &json[..json.len() - 1]));
+        }
+        for line in lines {
+            let err = TraceLine::parse(&line).unwrap_err();
+            assert!(err.detail.contains("nesting deeper"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_line_that_repeats_a_key_is_rejected_naming_it() {
+        let line = r#"{"v":1,"t":"counter","name":"uplink.bits","value":150,"value":0}"#;
+        let err = TraceLine::parse(line).unwrap_err();
+        assert!(err.detail.contains("duplicate key \"value\""), "{err}");
+    }
+
+    #[test]
+    fn whitespace_between_tokens_is_valid_json() {
+        let line = " { \"v\" : 1 ,\t\"t\":\"mark\", \"name\" : \"x\" , \"runs\": 2 } ";
+        let mark = TraceLine::Mark {
+            name: "x".into(),
+            runs: 2,
+        };
+        assert_eq!(TraceLine::parse(line), Ok(mark));
+    }
+
+    #[test]
+    fn non_scalar_values_are_rejected_naming_the_key() {
+        for (value, found) in [
+            ("{}", "Object"),
+            ("[1]", "Array"),
+            ("1.5", "Number"),
+            ("-1", "Number"),
+            ("true", "Bool"),
+            ("null", "Null"),
+        ] {
+            let line = format!(r#"{{"v":1,"t":"mark","name":"x","runs":{value}}}"#);
+            let err = TraceLine::parse(&line).unwrap_err();
+            assert!(
+                err.detail.contains("key \"runs\"") && err.detail.contains(found),
+                "{err}"
+            );
         }
     }
 

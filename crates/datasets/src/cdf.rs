@@ -72,6 +72,12 @@ impl GuidedCdf {
         self.cdf.is_empty()
     }
 
+    /// The CDF entries, for tests that pin a distribution bit for bit.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> &[f64] {
+        &self.cdf
+    }
+
     /// Probability of rank `r` (0 outside the ranks).
     pub fn probability(&self, r: usize) -> f64 {
         if r >= self.cdf.len() {

@@ -123,6 +123,65 @@ mod tests {
         assert!((ln_factorial(10) - 3628800f64.ln()).abs() < 1e-9);
     }
 
+    /// FNV-1a over `f64::to_bits` of every CDF entry, for domains from one
+    /// rank to far past the rank where the pmf underflows to 0, under the
+    /// four SYN λ.  A rewrite of the weights that is not bit-identical to
+    /// the per-rank pmf (a recurrence such as `p·λ/k` drifts by ulps and
+    /// underflows at another rank) moves these.
+    #[test]
+    fn weights_match_pinned_bits() {
+        let expected: [(usize, [u64; 4]); 5] = [
+            (1, [0xc293_bd4c_8601_b7df; 4]),
+            (
+                2,
+                [
+                    0x37b6_f5de_af1d_9c1c,
+                    0x19cb_dc7a_8e55_4b30,
+                    0x31ac_6f6d_914e_87ee,
+                    0xf2c4_bee2_b890_8360,
+                ],
+            ),
+            (
+                40,
+                [
+                    0x17ec_4614_e30a_527c,
+                    0x760f_faba_f372_e92b,
+                    0xaff8_3b2c_2708_fdb4,
+                    0xa83b_d169_141b_f053,
+                ],
+            ),
+            (
+                2_049,
+                [
+                    0xaa6b_6e85_0931_4034,
+                    0xcfd1_df77_2208_3371,
+                    0xa8ae_5fd4_97ef_7880,
+                    0x9e56_fa23_2872_6462,
+                ],
+            ),
+            (
+                20_000,
+                [
+                    0x4fe5_da1a_b1e1_3afc,
+                    0x70b8_5c9a_7e92_69cb,
+                    0xe928_8523_3d21_9aed,
+                    0x8b12_0936_121c_b9bd,
+                ],
+            ),
+        ];
+        for (n, want) in expected {
+            let got = [4.0, 6.0, 8.0, 10.0].map(|lambda| {
+                let cdf = PoissonWeights::new(n, lambda).into_cdf();
+                cdf.entries()
+                    .iter()
+                    .fold(0xcbf2_9ce4_8422_2325u64, |hash, p| {
+                        (hash ^ p.to_bits()).wrapping_mul(0x100_0000_01b3)
+                    })
+            });
+            assert_eq!(got, want, "n = {n}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "positive")]
     fn rejects_non_positive_lambda() {

@@ -229,6 +229,32 @@ fn eager_item_sequences_match_the_pre_0_6_generators() {
     }
 }
 
+/// SYN at the paper's item scale (the benchmark's population: `user_scale`
+/// 0.02, seed 54) across Table 8's β.  Its Poisson parties' domains run far
+/// past the rank where the pmf underflows to 0, which `test_scale` never
+/// reaches.  An item moves only when a weight change crosses a draw, so a
+/// few ulps of drift can pass here: `fedhh-datasets`'
+/// `poisson::tests::weights_match_pinned_bits` pins the weights' bits.
+#[test]
+fn eager_syn_at_paper_item_scale_matches_pinned_digests() {
+    let expected: [(f64, u64); 3] = [
+        (0.2, 0xdd6a_1c7b_c839_bbb9),
+        (0.5, 0x9ac9_b28e_9721_dd5c),
+        (0.8, 0x86fa_f043_e85f_0c25),
+    ];
+    for (syn_beta, want) in expected {
+        let config = DatasetConfig {
+            user_scale: 0.02,
+            syn_beta,
+            seed: 54,
+            ..DatasetConfig::paper_scale()
+        };
+        let ds = config.build(DatasetKind::Syn);
+        let got = fnv(ds.parties().iter().map(|party| party.items().to_vec()));
+        assert_eq!(got, want, "SYN β {syn_beta}: got {got:#018x}");
+    }
+}
+
 /// FNV-1a over every party's item sequence, in party order.
 fn fnv(parties: impl IntoIterator<Item = Vec<u64>>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

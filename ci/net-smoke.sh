@@ -4,13 +4,15 @@
 #
 #   ci/net-smoke.sh [path/to/fedhh-node]
 #
-# Starts `fedhh-node coordinator --check-inmemory` plus 4 `fedhh-node party`
-# processes for a quick TAPS trial on the 4-party YCM stand-in, then repeats
-# with a `fedhh-bench trial --transport tcp` leg.  The coordinator exits
-# non-zero unless the distributed MechanismOutput (top-k, estimates, uplink
-# bits) is bit-identical to the in-memory run at the same seed.  A last,
-# negative leg binds a coordinator on 0.0.0.0 that no party dials: it must
-# fail with the accept timeout within 10 s, not hang.
+# Starts `fedhh-node coordinator --check-inmemory` plus its party processes
+# twice: a quick TAPS trial on the 4-party YCM stand-in over 4 processes, and
+# one on the 8-party SYN group over 2 processes (SYN is the only group with
+# Poisson parties, and every process rebuilds it from the welcome).  Then
+# it repeats with a `fedhh-bench trial --transport tcp` leg.  The
+# coordinator exits non-zero unless the distributed MechanismOutput (top-k,
+# estimates, uplink bits) is bit-identical to the in-memory run at the same
+# seed.  A last, negative leg binds a coordinator on 0.0.0.0 that no party
+# dials: it must fail with the accept timeout within 10 s, not hang.
 set -euo pipefail
 
 . "$(dirname "$0")/lib.sh"
@@ -20,42 +22,52 @@ NODE_BIN="${1:-target/release/fedhh-node}"
 BENCH_BIN="$(sibling_bin "$NODE_BIN" fedhh-bench)"
 require_bin "$NODE_BIN" "$BENCH_BIN"
 
-log "coordinator + 4 party processes: TAPS on YCM (quick, seed 42)"
-"$NODE_BIN" coordinator \
-    --mechanism taps --dataset ycm --parties 4 \
-    --quick --seed 42 --timeout-secs 120 --check-inmemory \
-    > "$WORKDIR/coordinator.out" 2> "$WORKDIR/coordinator.err" &
-COORD_PID=$!
+# federate DATASET PROCESSES — a coordinator plus PROCESSES party processes
+# running quick TAPS at seed 42; dies unless the coordinator confirms
+# bit-identity with the in-memory engine.
+federate() {
+    local dataset="$1" processes="$2"
+    local out="$WORKDIR/$dataset"
+    log "coordinator + $processes party processes: TAPS on ${dataset^^} (quick, seed 42)"
+    "$NODE_BIN" coordinator \
+        --mechanism taps --dataset "$dataset" --parties "$processes" \
+        --quick --seed 42 --timeout-secs 120 --check-inmemory \
+        > "$out-coordinator.out" 2> "$out-coordinator.err" &
+    local coord_pid=$!
 
-# Wait for the coordinator to advertise its port.
-if ! wait_for_line '^LISTEN ' "$WORKDIR/coordinator.out"; then
-    kill "$COORD_PID" 2>/dev/null || true
-    die "coordinator never advertised a port" "$WORKDIR/coordinator.err"
-fi
-ADDR=$(grep -m1 '^LISTEN ' "$WORKDIR/coordinator.out" | awk '{print $2}')
-log "coordinator listening on $ADDR"
+    # Wait for the coordinator to advertise its port.
+    if ! wait_for_line '^LISTEN ' "$out-coordinator.out"; then
+        kill "$coord_pid" 2>/dev/null || true
+        die "coordinator never advertised a port" "$out-coordinator.err"
+    fi
+    local addr
+    addr=$(grep -m1 '^LISTEN ' "$out-coordinator.out" | awk '{print $2}')
+    log "coordinator listening on $addr"
 
-PARTY_PIDS=()
-for rank in 0 1 2 3; do
-    "$NODE_BIN" party --connect "$ADDR" --timeout-secs 120 \
-        > "$WORKDIR/party$rank.out" 2>&1 &
-    PARTY_PIDS+=($!)
-done
+    local party_pids=() party_logs=() rank
+    for rank in $(seq 0 $((processes - 1))); do
+        "$NODE_BIN" party --connect "$addr" --timeout-secs 120 \
+            > "$out-party$rank.out" 2>&1 &
+        party_pids+=($!)
+        party_logs+=("$out-party$rank.out")
+    done
 
-STATUS=0
-wait "$COORD_PID" || STATUS=$?
-for pid in "${PARTY_PIDS[@]}"; do
-    wait "$pid" || STATUS=$?
-done
-cat "$WORKDIR/coordinator.out"
-if [ "$STATUS" -ne 0 ]; then
-    die "federation exited with status $STATUS" \
-        "$WORKDIR/coordinator.err" \
-        "$WORKDIR/party0.out" "$WORKDIR/party1.out" \
-        "$WORKDIR/party2.out" "$WORKDIR/party3.out"
-fi
-grep -q '^CHECK bit-identical' "$WORKDIR/coordinator.out" \
-    || die "coordinator did not confirm bit-identity"
+    local status=0 pid
+    wait "$coord_pid" || status=$?
+    for pid in "${party_pids[@]}"; do
+        wait "$pid" || status=$?
+    done
+    cat "$out-coordinator.out"
+    if [ "$status" -ne 0 ]; then
+        die "federation on $dataset exited with status $status" \
+            "$out-coordinator.err" "${party_logs[@]}"
+    fi
+    grep -q '^CHECK bit-identical' "$out-coordinator.out" \
+        || die "coordinator did not confirm bit-identity on $dataset"
+}
+
+federate ycm 4
+federate syn 2
 
 log "fedhh-bench trial over the tcp transport"
 "$BENCH_BIN" trial taps ycm --quick --transport tcp

@@ -214,6 +214,11 @@ impl Decode for EpochServiceSpec {
             syn_beta: reader.take_f64()?,
             seed: reader.take_u64_fixed()?,
         };
+        dataset_config
+            .validate()
+            .map_err(|err| WireError::Protocol {
+                detail: err.to_string(),
+            })?;
         let plan = EvolutionPlan {
             churn_fraction: reader.take_f64()?,
             drift_stride: usize::decode(reader)?,
@@ -680,6 +685,12 @@ mod tests {
         assert!(matches!(
             EpochServiceSpec::from_spec_bytes(&bad_mechanism),
             Err(WireError::Protocol { .. })
+        ));
+        let mut hostile = spec;
+        hostile.dataset_config.code_bits = 7;
+        assert!(matches!(
+            EpochServiceSpec::from_spec_bytes(&hostile.to_spec_bytes()),
+            Err(WireError::Protocol { detail }) if detail.contains("code_bits")
         ));
     }
 

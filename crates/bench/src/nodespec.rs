@@ -69,16 +69,22 @@ impl Decode for NodeRunSpec {
             .map_err(|err| WireError::Protocol {
                 detail: err.to_string(),
             })?;
+        let dataset_config = DatasetConfig {
+            user_scale: reader.take_f64()?,
+            item_scale: reader.take_f64()?,
+            code_bits: u8::decode(reader)?,
+            syn_beta: reader.take_f64()?,
+            seed: reader.take_u64_fixed()?,
+        };
+        dataset_config
+            .validate()
+            .map_err(|err| WireError::Protocol {
+                detail: err.to_string(),
+            })?;
         Ok(NodeRunSpec {
             mechanism,
             dataset,
-            dataset_config: DatasetConfig {
-                user_scale: reader.take_f64()?,
-                item_scale: reader.take_f64()?,
-                code_bits: u8::decode(reader)?,
-                syn_beta: reader.take_f64()?,
-                seed: reader.take_u64_fixed()?,
-            },
+            dataset_config,
         })
     }
 }
@@ -123,6 +129,38 @@ mod tests {
             NodeRunSpec::from_app_bytes(&bytes),
             Err(WireError::Protocol { .. })
         ));
+    }
+
+    /// A well-formed welcome carrying generator parameters the dataset
+    /// builders assert on is refused at decode, before a party process
+    /// builds anything.
+    #[test]
+    fn hostile_dataset_values_are_protocol_errors() {
+        type Corrupt = fn(&mut DatasetConfig);
+        let cases: [(&str, Corrupt); 8] = [
+            ("syn_beta", |c| c.syn_beta = 0.0),
+            ("syn_beta", |c| c.syn_beta = f64::NAN),
+            ("code_bits", |c| c.code_bits = 7),
+            ("code_bits", |c| c.code_bits = 0),
+            ("code_bits", |c| c.code_bits = 66),
+            ("user_scale", |c| c.user_scale = -1.0),
+            ("item_scale", |c| c.item_scale = f64::INFINITY),
+            ("item_scale", |c| c.item_scale = 0.0),
+        ];
+        for (field, corrupt) in cases {
+            let mut spec = NodeRunSpec {
+                mechanism: MechanismKind::Taps,
+                dataset: DatasetKind::Syn,
+                dataset_config: DatasetConfig::test_scale(),
+            };
+            corrupt(&mut spec.dataset_config);
+            match NodeRunSpec::from_app_bytes(&spec.to_app_bytes()) {
+                Err(WireError::Protocol { detail }) => {
+                    assert!(detail.contains(field), "{field}: {detail}")
+                }
+                other => panic!("{field}: decoded {other:?}"),
+            }
+        }
     }
 
     #[test]

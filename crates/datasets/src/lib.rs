@@ -49,7 +49,7 @@ pub use evolve::{EvolutionPlan, PopulationEvolver};
 pub use federated::FederatedDataset;
 pub use party::PartyData;
 pub use poisson::PoissonWeights;
-pub use registry::{DatasetConfig, DatasetKind, ParseDatasetKindError};
+pub use registry::{DatasetConfig, DatasetKind, InvalidDatasetConfig, ParseDatasetKindError};
 pub use stats::{global_top_k, FrequencyTable};
 pub use stream::{ChurnGen, ItemGen, ItemStream, PartyChunks, DEFAULT_CHUNK_SIZE};
 pub use zipf::ZipfSampler;

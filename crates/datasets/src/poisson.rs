@@ -5,6 +5,13 @@
 //! Poisson(λ) probability mass at r.  Unlike Zipf, this produces a hump of
 //! comparable frequencies around rank λ, which stresses the mechanisms'
 //! ability to separate near-ties under LDP noise.
+//!
+//! The weights are built in one pass: `ln r!` is carried from rank to rank
+//! as a running sum instead of being re-summed for every rank, so a domain
+//! of `n` ranks costs `n` logarithms, not `n²/2`.  The running sum starts
+//! from the neutral element of `f64`'s `Sum` and adds `ln 1, ln 2, …` in
+//! the same order as the per-rank fold, so every weight — and so every CDF
+//! entry and every SYN item — is bit-identical to the per-rank pmf.
 
 use crate::cdf::{cumulative, GuidedCdf};
 use rand::Rng;
@@ -21,9 +28,8 @@ impl PoissonWeights {
     pub fn new(n: usize, lambda: f64) -> Self {
         assert!(n > 0, "Poisson sampler needs at least one rank");
         assert!(lambda > 0.0 && lambda.is_finite(), "λ must be positive");
-        let weights: Vec<f64> = (0..n).map(|r| poisson_pmf(r, lambda)).collect();
         Self {
-            cdf: GuidedCdf::new(cumulative(&weights)),
+            cdf: GuidedCdf::new(cumulative(&pmf(n, lambda))),
             lambda,
         }
     }
@@ -62,15 +68,36 @@ impl PoissonWeights {
     }
 }
 
-/// Poisson probability mass function computed in log space for stability.
+/// The Poisson(λ) pmf at ranks `0..n`, computed in log space for
+/// stability.
+fn pmf(n: usize, lambda: f64) -> Vec<f64> {
+    let ln_lambda = lambda.ln();
+    ln_factorials()
+        .take(n)
+        .enumerate()
+        .map(|(r, ln_factorial)| (r as f64 * ln_lambda - lambda - ln_factorial).exp())
+        .collect()
+}
+
+/// `ln r!` for `r = 0, 1, 2, …` as one running sum (see the module docs).
+fn ln_factorials() -> impl Iterator<Item = f64> {
+    let empty_sum: f64 = std::iter::empty::<f64>().sum();
+    std::iter::once(empty_sum).chain((1usize..).scan(empty_sum, |acc, r| {
+        *acc += (r as f64).ln();
+        Some(*acc)
+    }))
+}
+
+/// The per-rank pmf [`pmf`] must equal bit for bit.
+#[cfg(test)]
 fn poisson_pmf(k: usize, lambda: f64) -> f64 {
     let k_f = k as f64;
     let log_p = k_f * lambda.ln() - lambda - ln_factorial(k);
     log_p.exp()
 }
 
-/// ln(k!) via the log-gamma recurrence (exact summation is fine for the
-/// modest ranks used by the generators).
+/// ln(k!) summed directly: the reference for [`pmf`]'s running sum.
+#[cfg(test)]
 fn ln_factorial(k: usize) -> f64 {
     (1..=k).map(|i| (i as f64).ln()).sum()
 }
@@ -121,6 +148,40 @@ mod tests {
         assert_eq!(ln_factorial(0), 0.0);
         assert!((ln_factorial(5) - 120f64.ln()).abs() < 1e-9);
         assert!((ln_factorial(10) - 3628800f64.ln()).abs() < 1e-9);
+    }
+
+    /// The running `ln k!` equals the direct sum bit for bit at every
+    /// `k ≤ 10 000` and at every thousandth `k` up to 100 000.  The direct
+    /// sum is quadratic in `k`: every `k ≤ 100 000` would be 5·10⁹
+    /// logarithms.
+    #[test]
+    fn running_ln_factorial_equals_the_direct_sum() {
+        for (k, running) in ln_factorials().enumerate().take(100_001) {
+            if k <= 10_000 || k % 1_000 == 0 {
+                assert_eq!(running.to_bits(), ln_factorial(k).to_bits(), "k = {k}");
+            }
+        }
+    }
+
+    /// The one-pass weights equal the per-rank pmf bit for bit over 20 000
+    /// ranks — far past the rank where both underflow to 0 — for the four
+    /// SYN λ and one λ either side of them.
+    #[test]
+    fn weights_equal_the_per_rank_pmf() {
+        std::thread::scope(|scope| {
+            for lambda in [0.5, 4.0, 6.0, 8.0, 10.0, 50.0] {
+                scope.spawn(move || {
+                    for (r, weight) in pmf(20_000, lambda).into_iter().enumerate() {
+                        let reference = poisson_pmf(r, lambda);
+                        assert_eq!(
+                            weight.to_bits(),
+                            reference.to_bits(),
+                            "λ {lambda}, rank {r}"
+                        );
+                    }
+                });
+            }
+        });
     }
 
     /// FNV-1a over `f64::to_bits` of every CDF entry, for domains from one

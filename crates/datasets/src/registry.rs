@@ -99,6 +99,27 @@ impl std::str::FromStr for DatasetKind {
     }
 }
 
+/// Error returned by [`DatasetConfig::validate`]: a generator parameter no
+/// dataset group can be built with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InvalidDatasetConfig {
+    field: &'static str,
+    value: String,
+    expected: &'static str,
+}
+
+impl std::fmt::Display for InvalidDatasetConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "invalid dataset config: {} = {} (must be {})",
+            self.field, self.value, self.expected
+        )
+    }
+}
+
+impl std::error::Error for InvalidDatasetConfig {}
+
 /// Configuration for dataset generation shared by all groups.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetConfig {
@@ -151,6 +172,35 @@ impl DatasetConfig {
             syn_beta: 0.5,
             seed: 42,
         }
+    }
+
+    /// Checks the parameters the generators assert on: both scales and the
+    /// SYN β positive and finite, and a code width the item encoder's
+    /// Feistel network accepts (even, in `2..=64`).  Scales have no upper
+    /// bound here: a large one is a large build.
+    pub fn validate(&self) -> Result<(), InvalidDatasetConfig> {
+        let positive = |field, value: f64| {
+            if value > 0.0 && value.is_finite() {
+                Ok(())
+            } else {
+                Err(InvalidDatasetConfig {
+                    field,
+                    value: value.to_string(),
+                    expected: "positive and finite",
+                })
+            }
+        };
+        positive("user_scale", self.user_scale)?;
+        positive("item_scale", self.item_scale)?;
+        positive("syn_beta", self.syn_beta)?;
+        if !(2..=64).contains(&self.code_bits) || !self.code_bits.is_multiple_of(2) {
+            return Err(InvalidDatasetConfig {
+                field: "code_bits",
+                value: self.code_bits.to_string(),
+                expected: "even and in 2..=64",
+            });
+        }
+        Ok(())
     }
 
     /// Builds a dataset of the given kind under this configuration, with
@@ -242,6 +292,17 @@ mod tests {
             assert_eq!(ds.name(), kind.name());
             assert!(ds.total_users() > 100, "kind {kind}");
             assert!(ds.distinct_items() > 10, "kind {kind}");
+        }
+    }
+
+    #[test]
+    fn the_presets_validate() {
+        for config in [
+            DatasetConfig::default(),
+            DatasetConfig::test_scale(),
+            DatasetConfig::paper_scale(),
+        ] {
+            assert_eq!(config.validate(), Ok(()));
         }
     }
 

@@ -83,7 +83,7 @@ use fedhh_federated::{
 };
 use fedhh_mechanisms::{MechanismKind, Run};
 use fedhh_metrics::{f1_score, ncr_score};
-use fedhh_wire::{from_bytes, put_f64, put_u64_fixed, to_bytes, Decode, Encode, Reader, WireError};
+use fedhh_wire::{put_f64, put_u64_fixed, to_bytes, Encode};
 
 /// Everything that defines one epoch-service run: the mechanism, the base
 /// dataset generator, the evolution plan and the epoch-loop parameters.
@@ -151,19 +151,16 @@ impl EpochServiceSpec {
     }
 
     /// Builds the population evolver this spec describes (deterministic:
-    /// every decode yields a bit-identical population history).
+    /// every call yields a bit-identical population history).
     pub fn build_evolver(&self) -> PopulationEvolver {
         PopulationEvolver::new(self.dataset_config.build(self.dataset), self.plan)
     }
 
-    /// Encodes the spec into checkpoint spec bytes.
+    /// Encodes the spec into checkpoint spec bytes.  The encoding is
+    /// injective, so [`EpochRunner::resume`] can tell two specs apart by
+    /// their bytes alone.
     pub fn to_spec_bytes(&self) -> Vec<u8> {
         to_bytes(self)
-    }
-
-    /// Decodes a spec from checkpoint spec bytes.
-    pub fn from_spec_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        from_bytes(bytes)
     }
 }
 
@@ -192,77 +189,6 @@ impl Encode for EpochServiceSpec {
         self.k.encode(out);
         put_u64_fixed(out, self.protocol_seed);
         u8::from(self.quick).encode(out);
-    }
-}
-
-impl Decode for EpochServiceSpec {
-    fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mechanism = String::decode(reader)?
-            .parse::<MechanismKind>()
-            .map_err(|err| WireError::Protocol {
-                detail: err.to_string(),
-            })?;
-        let dataset = String::decode(reader)?
-            .parse::<DatasetKind>()
-            .map_err(|err| WireError::Protocol {
-                detail: err.to_string(),
-            })?;
-        let dataset_config = DatasetConfig {
-            user_scale: reader.take_f64()?,
-            item_scale: reader.take_f64()?,
-            code_bits: u8::decode(reader)?,
-            syn_beta: reader.take_f64()?,
-            seed: reader.take_u64_fixed()?,
-        };
-        dataset_config
-            .validate()
-            .map_err(|err| WireError::Protocol {
-                detail: err.to_string(),
-            })?;
-        let plan = EvolutionPlan {
-            churn_fraction: reader.take_f64()?,
-            drift_stride: usize::decode(reader)?,
-            seed: reader.take_u64_fixed()?,
-        };
-        let epochs = u32::decode(reader)?;
-        let warm_tag = u8::decode(reader)?;
-        let warm_start = WarmStart::from_tag(warm_tag).ok_or_else(|| WireError::Protocol {
-            detail: format!("unknown warm-start tag {warm_tag}"),
-        })?;
-        let epsilon = reader.take_f64()?;
-        let epsilon_cap = match u8::decode(reader)? {
-            0 => None,
-            1 => Some(reader.take_f64()?),
-            tag => {
-                return Err(WireError::Protocol {
-                    detail: format!("invalid epsilon-cap option tag {tag}"),
-                })
-            }
-        };
-        let k = usize::decode(reader)?;
-        let protocol_seed = reader.take_u64_fixed()?;
-        let quick = match u8::decode(reader)? {
-            0 => false,
-            1 => true,
-            tag => {
-                return Err(WireError::Protocol {
-                    detail: format!("invalid quick flag {tag}"),
-                })
-            }
-        };
-        Ok(EpochServiceSpec {
-            mechanism,
-            dataset,
-            dataset_config,
-            plan,
-            epochs,
-            warm_start,
-            epsilon,
-            epsilon_cap,
-            k,
-            protocol_seed,
-            quick,
-        })
     }
 }
 
@@ -646,6 +572,8 @@ pub fn run_epochs(options: &EpochsOptions) -> Result<EpochsReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedhh_federated::{Checkpoint, EpochState};
+    use fedhh_wire::WireError;
 
     fn tiny_options() -> EpochsOptions {
         EpochsOptions {
@@ -655,43 +583,113 @@ mod tests {
         }
     }
 
+    /// `EpochRunner::resume` tells runs apart by their spec bytes alone, so
+    /// changing any one field of the spec must change its bytes.
     #[test]
-    fn specs_round_trip_through_wire_bytes() {
-        for warm in [WarmStart::Cold, WarmStart::Previous] {
-            let spec = tiny_options().spec(warm);
+    fn every_spec_field_changes_the_spec_bytes() {
+        let base = tiny_options().spec(WarmStart::Cold);
+        // Naming every field here makes a new one a compile error until it
+        // joins the table below.
+        let EpochServiceSpec {
+            mechanism: _,
+            dataset: _,
+            dataset_config:
+                DatasetConfig {
+                    user_scale: _,
+                    item_scale: _,
+                    code_bits: _,
+                    syn_beta: _,
+                    seed: _,
+                },
+            plan:
+                EvolutionPlan {
+                    churn_fraction: _,
+                    drift_stride: _,
+                    seed: _,
+                },
+            epochs: _,
+            warm_start: _,
+            epsilon: _,
+            epsilon_cap: _,
+            k: _,
+            protocol_seed: _,
+            quick: _,
+        } = base.clone();
+        assert_eq!(base.epsilon_cap, None);
+        type Change = fn(&mut EpochServiceSpec);
+        let changes: [(&str, Change); 18] = [
+            ("mechanism", |s| {
+                s.mechanism = MechanismKind::ALL
+                    .into_iter()
+                    .find(|m| *m != s.mechanism)
+                    .unwrap()
+            }),
+            ("dataset", |s| {
+                s.dataset = DatasetKind::ALL
+                    .into_iter()
+                    .find(|d| *d != s.dataset)
+                    .unwrap()
+            }),
+            ("user_scale", |s| s.dataset_config.user_scale *= 2.0),
+            ("item_scale", |s| s.dataset_config.item_scale *= 2.0),
+            ("code_bits", |s| s.dataset_config.code_bits += 2),
+            ("syn_beta", |s| s.dataset_config.syn_beta *= 2.0),
+            ("dataset seed", |s| s.dataset_config.seed ^= 1),
+            ("churn_fraction", |s| s.plan.churn_fraction /= 2.0),
+            ("drift_stride", |s| s.plan.drift_stride += 1),
+            ("plan seed", |s| s.plan.seed ^= 1),
+            ("epochs", |s| s.epochs += 1),
+            ("warm_start", |s| s.warm_start = WarmStart::Previous),
+            ("epsilon", |s| s.epsilon *= 2.0),
+            ("epsilon_cap Some", |s| s.epsilon_cap = Some(12.5)),
+            ("epsilon_cap value", |s| s.epsilon_cap = Some(25.0)),
+            ("k", |s| s.k += 1),
+            ("protocol_seed", |s| s.protocol_seed ^= 1),
+            ("quick", |s| s.quick = !s.quick),
+        ];
+        let mut seen = vec![base.to_spec_bytes()];
+        for (field, change) in &changes {
+            let mut spec = base.clone();
+            change(&mut spec);
+            assert_ne!(spec, base, "{field}: the change left the spec as it was");
             let bytes = spec.to_spec_bytes();
-            assert_eq!(EpochServiceSpec::from_spec_bytes(&bytes).unwrap(), spec);
+            assert!(!seen.contains(&bytes), "{field}: spec bytes collide");
+            seen.push(bytes);
         }
-        let capped = EpochServiceSpec {
-            epsilon_cap: Some(12.5),
-            ..tiny_options().spec(WarmStart::Cold)
-        };
-        let bytes = capped.to_spec_bytes();
-        assert_eq!(EpochServiceSpec::from_spec_bytes(&bytes).unwrap(), capped);
     }
 
+    /// A checkpoint written under one spec is refused, with the typed
+    /// spec-mismatch error, by a resume under a spec that differs only in
+    /// a dataset parameter.
     #[test]
-    fn malformed_spec_bytes_are_typed_errors() {
-        let spec = tiny_options().spec(WarmStart::Cold);
-        let bytes = spec.to_spec_bytes();
-        for cut in 0..bytes.len() {
-            assert!(
-                EpochServiceSpec::from_spec_bytes(&bytes[..cut]).is_err(),
-                "truncation at {cut} must not decode"
-            );
-        }
-        let mut bad_mechanism = Vec::new();
-        "NOPE".to_string().encode(&mut bad_mechanism);
-        assert!(matches!(
-            EpochServiceSpec::from_spec_bytes(&bad_mechanism),
-            Err(WireError::Protocol { .. })
-        ));
-        let mut hostile = spec;
-        hostile.dataset_config.code_bits = 7;
-        assert!(matches!(
-            EpochServiceSpec::from_spec_bytes(&hostile.to_spec_bytes()),
-            Err(WireError::Protocol { detail }) if detail.contains("code_bits")
-        ));
+    fn resume_refuses_a_checkpoint_of_another_syn_beta() {
+        let written = tiny_options().spec(WarmStart::Cold);
+        let checkpoint = || Checkpoint {
+            spec: written.to_spec_bytes(),
+            state: EpochState::default(),
+        };
+        assert!(EpochRunner::resume(
+            written.epoch_config(),
+            written.to_spec_bytes(),
+            checkpoint()
+        )
+        .is_ok());
+        let mut resumed = written.clone();
+        resumed.dataset_config.syn_beta *= 2.0;
+        let err = EpochRunner::resume(
+            resumed.epoch_config(),
+            resumed.to_spec_bytes(),
+            checkpoint(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ProtocolError::Transport(WireError::Protocol { detail })
+                    if detail.contains("spec bytes differ")
+            ),
+            "{err}"
+        );
     }
 
     #[test]

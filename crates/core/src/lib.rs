@@ -51,7 +51,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod aggregate;
-pub mod analysis;
 pub mod extension;
 pub mod fedpem;
 pub mod gtf;

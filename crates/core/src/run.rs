@@ -167,15 +167,8 @@ impl<'a> RunContext<'a> {
         self.dataset
     }
 
-    /// Warm-start candidates for this run: full item codes a previous
-    /// epoch discovered as heavy hitters.  Mechanisms graft these into
-    /// their server-side candidate sets so persistent heavy items are
-    /// never re-pruned (`None` for a cold run — the default).
-    pub fn warm_candidates(&self) -> Option<&[u64]> {
-        self.warm.as_deref()
-    }
-
-    /// The warm-start candidates truncated to `len`-bit prefixes, sorted
+    /// The warm-start candidates (full item codes a previous epoch
+    /// discovered as heavy hitters) truncated to `len`-bit prefixes, sorted
     /// and deduplicated — what a mechanism unions into its level-`len`
     /// server-side candidate set.  Empty for a cold run.
     pub fn warm_prefixes(&self, len: u8) -> Vec<u64> {
@@ -205,19 +198,6 @@ impl<'a> RunContext<'a> {
             candidates.sort_unstable();
             candidates.dedup();
         }
-    }
-
-    /// The resident item slice of party `party_index`, as a typed failure
-    /// path: streamed parties — which hold no resident items — surface
-    /// [`ProtocolError::StreamedParty`] instead of the panic documented on
-    /// `PartyData::items()`.
-    pub fn resident_items(&self, party_index: usize) -> Result<&'a [u64], ProtocolError> {
-        let party = &self.dataset.parties()[party_index];
-        party
-            .try_items()
-            .ok_or_else(|| ProtocolError::StreamedParty {
-                party: party.name().to_string(),
-            })
     }
 
     /// The item stream party `party_index` reports from: the honest
@@ -609,23 +589,6 @@ mod tests {
         assert_eq!(summary.mechanism, "TAPS");
         assert_eq!(summary.heavy_hitters, output.heavy_hitters.len());
         assert_eq!(summary.uplink_bits, output.comm.total_uplink_bits());
-    }
-
-    #[test]
-    fn resident_items_is_typed_for_streamed_parties() {
-        let eager = dataset();
-        let ctx = RunContext::new(&eager, config());
-        assert!(ctx.resident_items(0).is_ok());
-
-        let streamed = DatasetConfig::test_scale().build_streamed(DatasetKind::Rdb);
-        let ctx = RunContext::new(&streamed, config());
-        let err = ctx.resident_items(0).unwrap_err();
-        match err {
-            ProtocolError::StreamedParty { party } => {
-                assert_eq!(party, streamed.parties()[0].name());
-            }
-            other => panic!("expected StreamedParty, got {other}"),
-        }
     }
 
     /// Every way into the context's event stream lands, in call order, in

@@ -28,16 +28,6 @@ impl DirichletSampler {
         Self { n, beta }
     }
 
-    /// Number of components.
-    pub fn components(&self) -> usize {
-        self.n
-    }
-
-    /// The concentration parameter β.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
     /// Samples a proportion vector that sums to one.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         let mut gammas: Vec<f64> = (0..self.n).map(|_| sample_gamma(self.beta, rng)).collect();

@@ -57,17 +57,6 @@ pub struct EvolutionPlan {
     pub seed: u64,
 }
 
-impl EvolutionPlan {
-    /// A static population: no churn, no drift.
-    pub fn frozen(seed: u64) -> Self {
-        Self {
-            churn_fraction: 0.0,
-            drift_stride: 0,
-            seed,
-        }
-    }
-}
-
 /// Per-party resample pool: the base popularity ranking and its CDF.
 #[derive(Debug, Clone)]
 struct PartyPool {

@@ -50,6 +50,6 @@ pub use federated::FederatedDataset;
 pub use party::PartyData;
 pub use poisson::PoissonWeights;
 pub use registry::{DatasetConfig, DatasetKind, InvalidDatasetConfig, ParseDatasetKindError};
-pub use stats::{global_top_k, FrequencyTable};
+pub use stats::FrequencyTable;
 pub use stream::{ChurnGen, ItemGen, ItemStream, PartyChunks, DEFAULT_CHUNK_SIZE};
 pub use zipf::ZipfSampler;

@@ -131,11 +131,6 @@ impl PartyData {
         tree
     }
 
-    /// The exact local top-`k` item codes.
-    pub fn local_top_k(&self, k: usize) -> Vec<u64> {
-        self.frequency_table().top_k(k)
-    }
-
     /// Returns a copy of this party restricted to the first `n` users (used
     /// by the scalability study, Table 4).  Streamed parties stay streamed.
     pub fn take_users(&self, n: usize) -> Self {
@@ -170,8 +165,8 @@ mod tests {
     #[test]
     fn local_top_k_ranks_by_count() {
         let p = party();
-        assert_eq!(p.local_top_k(2), vec![3, 1]);
-        assert_eq!(p.local_top_k(10).len(), 3);
+        assert_eq!(p.frequency_table().top_k(2), vec![3, 1]);
+        assert_eq!(p.frequency_table().top_k(10).len(), 3);
     }
 
     #[test]
@@ -188,6 +183,7 @@ mod tests {
         let p = party();
         let tree = p.prefix_tree();
         assert_eq!(tree.total(), 6);
-        assert_eq!(tree.item_count(3), 3);
+        let items = tree.level_counts(tree.bits());
+        assert_eq!(items[0], (fedhh_trie::Prefix::new(3, tree.bits()), 3));
     }
 }

@@ -20,7 +20,6 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct PoissonWeights {
     cdf: GuidedCdf,
-    lambda: f64,
 }
 
 impl PoissonWeights {
@@ -30,13 +29,7 @@ impl PoissonWeights {
         assert!(lambda > 0.0 && lambda.is_finite(), "λ must be positive");
         Self {
             cdf: GuidedCdf::new(cumulative(&pmf(n, lambda))),
-            lambda,
         }
-    }
-
-    /// The rate parameter λ.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
     }
 
     /// Number of ranks.

@@ -403,8 +403,8 @@ mod tests {
         // popular (top-50) in both parties — i.e. the common pool is doing
         // its job of creating cross-party heavy hitters.
         let global = ds.ground_truth_top_k(10);
-        let local_a = ds.parties()[0].local_top_k(50);
-        let local_b = ds.parties()[1].local_top_k(50);
+        let local_a = ds.parties()[0].frequency_table().top_k(50);
+        let local_b = ds.parties()[1].frequency_table().top_k(50);
         let shared = global
             .iter()
             .filter(|g| local_a.contains(g) && local_b.contains(g))

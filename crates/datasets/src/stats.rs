@@ -80,19 +80,6 @@ impl FrequencyTable {
     }
 }
 
-/// Computes the exact federated top-`k` heavy hitters over a collection of
-/// per-party item lists: the item whose summed count across parties ranks
-/// within the top k (Definition 4.1).
-pub fn global_top_k(parties: &[&[u64]], k: usize) -> Vec<u64> {
-    let mut table = FrequencyTable::new();
-    for items in parties {
-        for item in *items {
-            table.add(*item, 1);
-        }
-    }
-    table.top_k(k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,12 +119,15 @@ mod tests {
     #[test]
     fn global_top_k_sums_across_parties() {
         // Item 10 is locally second everywhere but globally first.
-        let a = vec![1, 1, 1, 10, 10];
-        let b = vec![2, 2, 2, 10, 10];
-        let c = vec![3, 3, 3, 10, 10];
-        let top = global_top_k(&[&a, &b, &c], 1);
-        assert_eq!(top, vec![10]);
-        let top3 = global_top_k(&[&a, &b, &c], 4);
+        let a = [1, 1, 1, 10, 10];
+        let b = [2, 2, 2, 10, 10];
+        let c = [3, 3, 3, 10, 10];
+        let mut table = FrequencyTable::new();
+        for item in a.iter().chain(&b).chain(&c) {
+            table.add(*item, 1);
+        }
+        assert_eq!(table.top_k(1), vec![10]);
+        let top3 = table.top_k(4);
         assert_eq!(top3.len(), 4);
         assert_eq!(top3[0], 10);
     }

@@ -13,7 +13,6 @@ use rand::Rng;
 pub struct ZipfSampler {
     /// Cumulative distribution over ranks, cdf[r] = P(rank ≤ r).
     cdf: GuidedCdf,
-    alpha: f64,
 }
 
 impl ZipfSampler {
@@ -27,13 +26,7 @@ impl ZipfSampler {
         let weights: Vec<f64> = (1..=n).map(|r| (r as f64).powf(-alpha)).collect();
         Self {
             cdf: GuidedCdf::new(cumulative(&weights)),
-            alpha,
         }
-    }
-
-    /// The exponent α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Number of ranks.

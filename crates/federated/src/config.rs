@@ -271,7 +271,7 @@ mod tests {
         assert_eq!(c.k, 10);
         assert_eq!(c.max_bits, 48);
         assert_eq!(c.granularity, 24);
-        assert_eq!(c.schedule().nominal_step(), 2);
+        assert_eq!(c.schedule().step(1), 2);
         assert_eq!(c.fo, FoKind::Grr);
         assert_eq!(c.shared_levels(), 6);
         assert!(c.validate().is_ok());

@@ -83,15 +83,6 @@ impl WarmStart {
             WarmStart::Previous => 1,
         }
     }
-
-    /// Inverse of [`WarmStart::tag`].
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(WarmStart::Cold),
-            1 => Some(WarmStart::Previous),
-            _ => None,
-        }
-    }
 }
 
 /// The epoch loop's own parameters (the per-epoch mechanism parameters
@@ -669,9 +660,9 @@ mod tests {
     fn warm_start_round_trips_names_and_tags() {
         for warm in [WarmStart::Cold, WarmStart::Previous] {
             assert_eq!(WarmStart::parse(warm.name()), Some(warm));
-            assert_eq!(WarmStart::from_tag(warm.tag()), Some(warm));
         }
         assert_eq!(WarmStart::parse("lukewarm"), None);
-        assert_eq!(WarmStart::from_tag(7), None);
+        assert_eq!(WarmStart::Cold.tag(), 0);
+        assert_eq!(WarmStart::Previous.tag(), 1);
     }
 }

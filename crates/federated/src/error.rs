@@ -91,11 +91,6 @@ pub enum ProtocolError {
         /// The total number of groups.
         groups: u8,
     },
-    /// A streamed party was passed to an API that needs resident items.
-    StreamedParty {
-        /// Name of the streamed party.
-        party: String,
-    },
     /// Every user in the federation has exhausted their lifetime privacy
     /// budget: the epoch could not enroll anyone.
     BudgetExhausted {
@@ -202,13 +197,6 @@ impl fmt::Display for ProtocolError {
                 write!(
                     f,
                     "phase-1 levels {phase1_levels} cannot exceed the {groups} groups"
-                )
-            }
-            ProtocolError::StreamedParty { party } => {
-                write!(
-                    f,
-                    "party {party} is streamed and holds no resident items; \
-                     consume it through PartyData::stream() instead"
                 )
             }
             ProtocolError::BudgetExhausted { epoch } => {
@@ -322,12 +310,6 @@ mod tests {
                     groups: 8,
                 },
                 "9",
-            ),
-            (
-                ProtocolError::StreamedParty {
-                    party: "RDB/reddit".into(),
-                },
-                "RDB/reddit",
             ),
             (ProtocolError::BudgetExhausted { epoch: 4 }, "epoch 4"),
             (

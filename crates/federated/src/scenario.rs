@@ -176,12 +176,6 @@ impl ScenarioPlan {
         self
     }
 
-    /// True when the scenario changes nothing: benign faults and no
-    /// (effective) adversary.
-    pub fn is_benign(&self) -> bool {
-        self.faults.is_none() && self.adversary.is_none()
-    }
-
     /// Validates the scenario: the fault plan must be valid and every
     /// adversary fraction must lie in `[0, 1]`.
     pub fn validate(&self) -> Result<(), ProtocolError> {
@@ -317,7 +311,7 @@ mod tests {
     #[test]
     fn benign_plans_change_nothing() {
         let plan = ScenarioPlan::benign();
-        assert!(plan.is_benign());
+        assert!(plan.faults.is_none() && plan.adversary.is_none());
         assert!(plan.validate().is_ok());
         assert!(plan.compromised_parties(8).iter().all(|c| !c));
         assert!(plan.corruption().is_none());
@@ -327,7 +321,7 @@ mod tests {
         let plan = ScenarioPlan::from(faults);
         assert_eq!(plan.faults, faults);
         assert_eq!(plan.adversary, AdversaryModel::None);
-        assert!(!plan.is_benign(), "dropout is a fault, not benign");
+        assert!(!plan.faults.is_none(), "dropout is a fault, not benign");
     }
 
     #[test]
@@ -413,7 +407,7 @@ mod tests {
         let plan = ScenarioPlan::benign()
             .with_adversary(AdversaryModel::CorruptFrames { fraction: 0.0 }, 3);
         assert!(plan.corruption().is_none());
-        assert!(plan.is_benign());
+        assert!(plan.faults.is_none() && plan.adversary.is_none());
     }
 
     #[test]

@@ -29,17 +29,11 @@ pub struct GroupAssignment {
 
 impl GroupAssignment {
     /// Splits `items` (one per user) into `g` groups uniformly at random.
+    /// Takes ownership of the item vector so streaming callers (a party
+    /// materializing its [`ItemStream`](https://docs.rs/fedhh-datasets) once
+    /// for the shuffle) pay for exactly one resident copy.
     ///
     /// Fails with [`ProtocolError::InvalidGroupCount`] when `g` is zero.
-    pub fn uniform(items: &[u64], g: u8, seed: u64) -> Result<Self, ProtocolError> {
-        Self::uniform_owned(items.to_vec(), g, seed)
-    }
-
-    /// Like [`GroupAssignment::uniform`], but taking ownership of the item
-    /// vector so streaming callers (a party materializing its
-    /// [`ItemStream`](https://docs.rs/fedhh-datasets) once for the shuffle)
-    /// pay for exactly one resident copy.  Bit-identical to
-    /// [`GroupAssignment::uniform`] for the same items and seed.
     pub fn uniform_owned(mut items: Vec<u64>, g: u8, seed: u64) -> Result<Self, ProtocolError> {
         if g == 0 {
             return Err(ProtocolError::InvalidGroupCount { groups: g });
@@ -177,7 +171,7 @@ mod tests {
     #[test]
     fn uniform_split_preserves_users_and_balances_groups() {
         let items: Vec<u64> = (0..1000).collect();
-        let a = GroupAssignment::uniform(&items, 8, 1).unwrap();
+        let a = GroupAssignment::uniform_owned(items.to_vec(), 8, 1).unwrap();
         assert_eq!(a.levels(), 8);
         assert_eq!(a.total_users(), 1000);
         for h in 1..=8u8 {
@@ -192,9 +186,9 @@ mod tests {
     #[test]
     fn assignment_is_seeded() {
         let items: Vec<u64> = (0..100).collect();
-        let a = GroupAssignment::uniform(&items, 4, 5).unwrap();
-        let b = GroupAssignment::uniform(&items, 4, 5).unwrap();
-        let c = GroupAssignment::uniform(&items, 4, 6).unwrap();
+        let a = GroupAssignment::uniform_owned(items.to_vec(), 4, 5).unwrap();
+        let b = GroupAssignment::uniform_owned(items.to_vec(), 4, 5).unwrap();
+        let c = GroupAssignment::uniform_owned(items.to_vec(), 4, 6).unwrap();
         for h in 1..=4u8 {
             assert_eq!(a.level(h), b.level(h));
         }
@@ -222,7 +216,7 @@ mod tests {
     fn degenerate_weighted_configs_fall_back_to_uniform() {
         let items: Vec<u64> = (0..100).collect();
         let a = GroupAssignment::weighted(&items, 5, 0, 0.1, 1).unwrap();
-        let b = GroupAssignment::uniform(&items, 5, 1).unwrap();
+        let b = GroupAssignment::uniform_owned(items.to_vec(), 5, 1).unwrap();
         for h in 1..=5u8 {
             assert_eq!(a.level(h), b.level(h));
         }
@@ -230,7 +224,7 @@ mod tests {
 
     #[test]
     fn empty_population_yields_empty_groups() {
-        let a = GroupAssignment::uniform(&[], 4, 0).unwrap();
+        let a = GroupAssignment::uniform_owned([].to_vec(), 4, 0).unwrap();
         assert_eq!(a.total_users(), 0);
         for h in 1..=4u8 {
             assert!(a.level(h).is_empty());
@@ -276,7 +270,7 @@ mod tests {
             for n in [0, 1, g_us - 1, g_us, g_us + 1, 1000, 100_003] {
                 let items: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37) ^ 5).collect();
                 for seed in [0u64, 7, u64::MAX] {
-                    let uniform = GroupAssignment::uniform(&items, g, seed).unwrap();
+                    let uniform = GroupAssignment::uniform_owned(items.to_vec(), g, seed).unwrap();
                     let expected = dealt_by_push(&items, g, 0, 0.0, seed);
                     assert_eq!(uniform.levels(), g);
                     assert_eq!(uniform.total_users(), n);
@@ -314,20 +308,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "level 0 is outside 1..=4")]
     fn level_zero_is_an_explicit_panic() {
-        GroupAssignment::uniform(&[1, 2, 3], 4, 0).unwrap().level(0);
+        GroupAssignment::uniform_owned([1, 2, 3].to_vec(), 4, 0)
+            .unwrap()
+            .level(0);
     }
 
     #[test]
     #[should_panic(expected = "level 5 is outside 1..=4")]
     fn level_past_the_last_is_an_explicit_panic() {
-        GroupAssignment::uniform(&[1, 2, 3], 4, 0).unwrap().level(5);
+        GroupAssignment::uniform_owned([1, 2, 3].to_vec(), 4, 0)
+            .unwrap()
+            .level(5);
     }
 
     #[test]
     fn impossible_splits_are_typed_errors_not_panics() {
         let items: Vec<u64> = (0..10).collect();
         assert!(matches!(
-            GroupAssignment::uniform(&items, 0, 1),
+            GroupAssignment::uniform_owned(items.to_vec(), 0, 1),
             Err(ProtocolError::InvalidGroupCount { groups: 0 })
         ));
         assert!(matches!(

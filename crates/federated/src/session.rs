@@ -559,11 +559,6 @@ impl Session {
         scratch
     }
 
-    /// This session's idle-worker count.
-    pub fn idle_workers(&self) -> &IdleWorkers {
-        &self.idle
-    }
-
     /// The half-open range of party indices this session executes locally
     /// (all of them without a link).
     fn local_range(&self) -> (usize, usize) {
@@ -1564,13 +1559,13 @@ mod tests {
                 items: (0..users).map(|u| (u * 37 + i as u64) % 256).collect(),
                 estimator: &estimator,
                 scratch: session.scratch(),
-                idle: session.idle_workers().clone(),
+                idle: session.idle.clone(),
                 parallelism,
                 fail: false,
             })
             .collect();
         let active = session.active_parties();
-        assert_eq!(session.idle_workers().available(), 0, "idle before a round");
+        assert_eq!(session.idle.available(), 0, "idle before a round");
         let mut rounds = Vec::new();
         for round in 0..2 {
             rounds.push(
@@ -1578,11 +1573,11 @@ mod tests {
                     .run_round(&mut drivers, &active, &start(round))
                     .unwrap(),
             );
-            assert_eq!(session.idle_workers().available(), 0, "idle between rounds");
+            assert_eq!(session.idle.available(), 0, "idle between rounds");
         }
         // A solo round leaves every other worker idle from the start.
         let lent = |session: &Session| {
-            let counts = session.idle_workers().0.as_ref().expect("attached");
+            let counts = session.idle.0.as_ref().expect("attached");
             counts.lent.load(Ordering::Relaxed)
         };
         let lent_before_solo = lent(&session);
@@ -1592,21 +1587,13 @@ mod tests {
                 .unwrap(),
         );
         let solo_lent = lent(&session) - lent_before_solo;
-        assert_eq!(
-            session.idle_workers().available(),
-            0,
-            "idle after a solo round"
-        );
+        assert_eq!(session.idle.available(), 0, "idle after a solo round");
         drivers[1].fail = true;
         session
             .run_round(&mut drivers, &active, &start(3))
             .unwrap_err();
-        assert_eq!(
-            session.idle_workers().available(),
-            0,
-            "idle after a failed round"
-        );
-        (rounds, session.idle_workers().peak_busy(), solo_lent)
+        assert_eq!(session.idle.available(), 0, "idle after a failed round");
+        (rounds, session.idle.peak_busy(), solo_lent)
     }
 
     #[test]

@@ -233,11 +233,6 @@ impl SocketTransport {
         self.addr
     }
 
-    /// Number of client/reader shard pairs.
-    pub fn shard_count(&self) -> usize {
-        self.clients.len()
-    }
-
     /// The telemetry handle attached to this transport (disabled until —
     /// and unless — [`Transport::attach_telemetry`] was called).
     fn telemetry(&self) -> Telemetry {
@@ -515,7 +510,7 @@ mod tests {
     #[test]
     fn concurrent_senders_arrive_completely() {
         let socket = SocketTransport::loopback(4).unwrap();
-        assert_eq!(socket.shard_count(), 4);
+        assert_eq!(socket.clients.len(), 4);
         std::thread::scope(|scope| {
             for worker in 0..4usize {
                 let socket = &socket;
@@ -546,7 +541,7 @@ mod tests {
     #[test]
     fn zero_shards_is_clamped_to_one() {
         let socket = SocketTransport::loopback(0).unwrap();
-        assert_eq!(socket.shard_count(), 1);
+        assert_eq!(socket.clients.len(), 1);
         socket.send(message(5, 0, 0)).unwrap();
         assert_eq!(socket.drain().unwrap().len(), 1);
     }

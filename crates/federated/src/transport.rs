@@ -69,11 +69,6 @@ impl ShardedTransport {
             shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
 }
 
 impl Transport for ShardedTransport {
@@ -200,7 +195,7 @@ mod tests {
     #[test]
     fn sharded_transport_survives_concurrent_senders() {
         let transport = ShardedTransport::new(4);
-        assert_eq!(transport.shard_count(), 4);
+        assert_eq!(transport.shards.len(), 4);
         std::thread::scope(|scope| {
             for worker in 0..4usize {
                 let transport = &transport;
@@ -220,7 +215,7 @@ mod tests {
     #[test]
     fn zero_shards_is_clamped_to_one() {
         let transport = ShardedTransport::new(0);
-        assert_eq!(transport.shard_count(), 1);
+        assert_eq!(transport.shards.len(), 1);
         transport.send(message(5, 0)).unwrap();
         assert_eq!(transport.drain().unwrap().len(), 1);
     }

@@ -31,7 +31,7 @@ use crate::scenario::{AdversaryModel, FlipMode, ScenarioPlan};
 use crate::session::{PartyEvent, RoundCollection};
 use crate::topology::{QuorumPolicy, Topology};
 use fedhh_fo::FoKind;
-use fedhh_wire::{put_f64, put_u64_fixed, put_varint, Decode, Encode, Reader, WireError};
+use fedhh_wire::{prealloc, put_f64, put_u64_fixed, put_varint, Decode, Encode, Reader, WireError};
 
 /// Encodes a candidate list as fixed-width `(value, count)` pairs.
 fn put_pairs(out: &mut Vec<u8>, pairs: &[(u64, f64)]) {
@@ -45,7 +45,7 @@ fn put_pairs(out: &mut Vec<u8>, pairs: &[(u64, f64)]) {
 /// Decodes a fixed-width `(value, count)` pair list.
 fn take_pairs(reader: &mut Reader<'_>) -> Result<Vec<(u64, f64)>, WireError> {
     let len = reader.take_len()?;
-    let mut pairs = Vec::with_capacity(len.min(reader.remaining() / 16).min(1 << 16));
+    let mut pairs = Vec::with_capacity(prealloc(len, reader.remaining(), 16));
     for _ in 0..len {
         let value = reader.take_u64_fixed()?;
         let count = reader.take_f64()?;
@@ -65,7 +65,7 @@ fn put_values(out: &mut Vec<u8>, values: &[u64]) {
 /// Decodes a fixed-width value list.
 fn take_values(reader: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
     let len = reader.take_len()?;
-    let mut values = Vec::with_capacity(len.min(reader.remaining() / 8).min(1 << 16));
+    let mut values = Vec::with_capacity(prealloc(len, reader.remaining(), 8));
     for _ in 0..len {
         values.push(reader.take_u64_fixed()?);
     }
@@ -143,9 +143,8 @@ impl Encode for MergedSupports {
 impl Decode for MergedSupports {
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = reader.take_len()?;
-        // A constituent costs at least its varint sender + report header;
-        // clamp the preallocation so a forged length cannot balloon memory.
-        let mut parts = Vec::with_capacity(len.min(reader.remaining() / 4).min(1 << 16));
+        // A constituent costs at least its varint sender + report header.
+        let mut parts = Vec::with_capacity(prealloc(len, reader.remaining(), 4));
         for _ in 0..len {
             let from = usize::decode(reader)?;
             let report = CandidateReport::decode(reader)?;
@@ -675,6 +674,21 @@ mod tests {
             candidates: vec![(0xFFFF_FFFF_FFFF, 12.5), (3, -0.25)],
             users: 4321,
         }
+    }
+
+    #[test]
+    fn forged_sequence_lengths_are_typed_errors() {
+        // A length of u64::MAX / 2 over a one-byte body must fail with
+        // truncation in every length-prefixed decoder, not abort while
+        // preallocating.
+        let mut forged = Vec::new();
+        put_varint(&mut forged, u64::MAX / 2);
+        forged.push(0);
+        let truncated =
+            |result: Result<(), WireError>| matches!(result, Err(WireError::Truncated { .. }));
+        assert!(truncated(take_pairs(&mut Reader::new(&forged)).map(drop)));
+        assert!(truncated(take_values(&mut Reader::new(&forged)).map(drop)));
+        assert!(truncated(from_bytes::<MergedSupports>(&forged).map(drop)));
     }
 
     #[test]

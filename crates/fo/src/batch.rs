@@ -61,13 +61,6 @@ impl PackedBits {
         let word = self.words[report * self.words_per_report + slot / 64];
         (word >> (slot % 64)) & 1 == 1
     }
-
-    /// The packed row of one report.
-    #[inline]
-    pub fn row(&self, report: usize) -> &[u64] {
-        let start = report * self.words_per_report;
-        &self.words[start..start + self.words_per_report]
-    }
 }
 
 /// The columnar report representations, one per oracle family plus the

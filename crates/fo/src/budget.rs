@@ -37,12 +37,6 @@ impl PrivacyBudget {
     pub fn exp_epsilon(&self) -> f64 {
         self.epsilon.exp()
     }
-
-    /// The domain-size threshold below which k-RR outperforms OUE:
-    /// |X| < 3e^ε + 2 (Wang et al. 2017, quoted in Section 3.2).
-    pub fn grr_preferred_domain(&self) -> usize {
-        (3.0 * self.exp_epsilon() + 2.0).floor() as usize
-    }
 }
 
 impl TryFrom<f64> for PrivacyBudget {
@@ -72,14 +66,6 @@ mod tests {
         assert!(PrivacyBudget::new(-1.0).is_err());
         assert!(PrivacyBudget::new(f64::NAN).is_err());
         assert!(PrivacyBudget::new(f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn grr_threshold_matches_formula() {
-        let b = PrivacyBudget::new(1.0).unwrap();
-        assert_eq!(b.grr_preferred_domain(), (3.0 * 1f64.exp() + 2.0) as usize);
-        let b = PrivacyBudget::new(4.0).unwrap();
-        assert_eq!(b.grr_preferred_domain(), (3.0 * 4f64.exp() + 2.0) as usize);
     }
 
     #[test]

@@ -129,11 +129,10 @@ pub fn u53(word: u64) -> u64 {
 }
 
 /// The unit-interval `f64` a sequential RNG would have produced from the
-/// same word.  Exposed for tests and cross-checks; the kernels themselves
-/// compare integers via [`bernoulli_threshold`].
-#[inline]
-#[must_use]
-pub fn unit_f64(word: u64) -> f64 {
+/// same word: the reference [`bernoulli_threshold`]'s integer compare is
+/// tested against.
+#[cfg(test)]
+fn unit_f64(word: u64) -> f64 {
     u53(word) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 

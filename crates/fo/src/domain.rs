@@ -191,22 +191,10 @@ impl CandidateDomain {
         self.values.is_empty()
     }
 
-    /// Number of real (non-dummy) candidates.
-    #[inline]
-    pub fn candidate_count(&self) -> usize {
-        self.values.len()
-    }
-
     /// Whether a dummy slot is present.
     #[inline]
     pub fn has_dummy(&self) -> bool {
         self.has_dummy
-    }
-
-    /// Index of the dummy slot, if present.
-    #[inline]
-    pub fn dummy_index(&self) -> Option<DomainIndex> {
-        self.has_dummy.then_some(self.values.len())
     }
 
     /// Index of a candidate value, if it is part of the domain.
@@ -274,7 +262,7 @@ mod tests {
     fn indexing_round_trips() {
         let d = CandidateDomain::new(vec![10, 20, 30]);
         assert_eq!(d.len(), 3);
-        assert_eq!(d.candidate_count(), 3);
+        assert_eq!(d.values().count(), 3);
         for (i, v) in [(0usize, 10u64), (1, 20), (2, 30)] {
             assert_eq!(d.index_of(&v), Some(i));
             assert_eq!(d.value_at(i), Some(&v));
@@ -287,8 +275,7 @@ mod tests {
     fn dummy_slot_receives_out_of_domain() {
         let d = CandidateDomain::with_dummy(vec![1, 2]);
         assert_eq!(d.len(), 3);
-        assert_eq!(d.candidate_count(), 2);
-        assert_eq!(d.dummy_index(), Some(2));
+        assert_eq!(d.values().count(), 2);
         assert_eq!(d.encode(&1), Some(0));
         assert_eq!(d.encode(&7), Some(2));
         // The dummy slot has no value.
@@ -299,13 +286,13 @@ mod tests {
     fn no_dummy_out_of_domain_is_none() {
         let d = CandidateDomain::new(vec![1, 2]);
         assert_eq!(d.encode(&7), None);
-        assert_eq!(d.dummy_index(), None);
+        assert!(!d.has_dummy());
     }
 
     #[test]
     fn duplicates_are_collapsed() {
         let d = CandidateDomain::new(vec![5, 5, 6, 6, 6]);
-        assert_eq!(d.candidate_count(), 2);
+        assert_eq!(d.values().count(), 2);
         assert_eq!(d.index_of(&5), Some(0));
         assert_eq!(d.index_of(&6), Some(1));
     }
@@ -332,7 +319,7 @@ mod tests {
         let d = CandidateDomain::with_dummy(vec![u64::MAX, 0, 9]);
         assert_eq!(d.index_of(&u64::MAX), Some(0));
         assert_eq!(d.index_of(&0), Some(1));
-        assert_eq!(d.encode(&1), d.dummy_index());
+        assert_eq!(d.encode(&1), Some(3));
     }
 
     #[test]

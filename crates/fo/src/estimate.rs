@@ -31,11 +31,6 @@ impl SupportCounts {
         }
     }
 
-    /// Creates support counts from raw values and the number of reports seen.
-    pub fn from_counts(counts: Vec<f64>, reports: usize) -> Self {
-        Self { counts, reports }
-    }
-
     /// Adds `amount` support to slot `idx`.
     #[inline]
     pub fn add(&mut self, idx: usize, amount: f64) {
@@ -44,14 +39,7 @@ impl SupportCounts {
         }
     }
 
-    /// Records that one more report has been aggregated.
-    #[inline]
-    pub fn record_report(&mut self) {
-        self.reports += 1;
-    }
-
-    /// Records `n` more aggregated reports in one step (`aggregate_into`
-    /// counts a whole chunk at once instead of once per report).
+    /// Records `n` more aggregated reports.
     #[inline]
     pub fn record_reports(&mut self, n: usize) {
         self.reports += n;
@@ -146,16 +134,6 @@ impl FrequencyEstimate {
         }
     }
 
-    /// Builds an estimate directly from frequencies (used in tests and when
-    /// exact, non-private frequencies are needed as a reference).
-    pub fn from_frequencies(frequencies: Vec<f64>, std_dev: f64, users: usize) -> Self {
-        Self {
-            frequencies,
-            std_dev,
-            users,
-        }
-    }
-
     /// Estimated frequency of slot `idx` (0 when out of range).
     #[inline]
     pub fn frequency(&self, idx: usize) -> f64 {
@@ -236,9 +214,12 @@ mod tests {
         let mut a = SupportCounts::zeros(3);
         a.add(0, 1.0);
         a.add(2, 2.0);
-        a.record_report();
-        a.record_report();
-        let b = SupportCounts::from_counts(vec![1.0, 1.0, 1.0], 3);
+        a.record_reports(2);
+        let mut b = SupportCounts::zeros(3);
+        for slot in 0..3 {
+            b.add(slot, 1.0);
+        }
+        b.record_reports(3);
         a.merge(&b);
         assert_eq!(a.as_slice(), &[2.0, 1.0, 3.0]);
         assert_eq!(a.reports(), 5);
@@ -270,7 +251,9 @@ mod tests {
         let n = 10_000usize;
         let f_true = 0.3;
         let expected_support = n as f64 * (f_true * p + (1.0 - f_true) * q);
-        let supports = SupportCounts::from_counts(vec![expected_support], n);
+        let mut supports = SupportCounts::zeros(1);
+        supports.add(0, expected_support);
+        supports.record_reports(n);
         let est = FrequencyEstimate::from_supports(&supports, p, q, n, 0.01);
         assert!((est.frequency(0) - f_true).abs() < 1e-12);
         assert!((est.count(0) - f_true * n as f64).abs() < 1e-6);
@@ -278,7 +261,12 @@ mod tests {
 
     #[test]
     fn ranking_is_descending_and_deterministic() {
-        let est = FrequencyEstimate::from_frequencies(vec![0.1, 0.5, 0.5, 0.05], 0.0, 100);
+        // p = 1, q = 0 and n = 100: the estimate is the support over 100.
+        let mut supports = SupportCounts::zeros(4);
+        for (slot, support) in [10.0, 50.0, 50.0, 5.0].into_iter().enumerate() {
+            supports.add(slot, support);
+        }
+        let est = FrequencyEstimate::from_supports(&supports, 1.0, 0.0, 100, 0.0);
         assert_eq!(est.ranked_slots(), vec![1, 2, 0, 3]);
         assert_eq!(est.top_k(2), vec![1, 2]);
         assert_eq!(est.top_k(10), vec![1, 2, 0, 3]);

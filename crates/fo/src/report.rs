@@ -37,15 +37,6 @@ impl Report {
             Report::Hashed { .. } => 64 + 32,
         }
     }
-
-    /// Human-readable name of the report family, used in error messages.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Report::Item(_) => "grr",
-            Report::Bits(_) => "oue",
-            Report::Hashed { .. } => "olh",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -57,13 +48,6 @@ mod tests {
         assert_eq!(Report::Item(3).size_bits(), 32);
         assert_eq!(Report::Bits(vec![true; 17]).size_bits(), 17);
         assert_eq!(Report::Hashed { seed: 1, value: 2 }.size_bits(), 96);
-    }
-
-    #[test]
-    fn kind_names_are_stable() {
-        assert_eq!(Report::Item(0).kind_name(), "grr");
-        assert_eq!(Report::Bits(vec![]).kind_name(), "oue");
-        assert_eq!(Report::Hashed { seed: 0, value: 0 }.kind_name(), "olh");
     }
 
     #[test]

@@ -143,7 +143,7 @@ fn domain_pruning_is_sound() {
 
         let domain = CandidateDomain::with_dummy(values.clone());
         let after = domain.without(&pruned);
-        assert!(after.candidate_count() <= domain.candidate_count());
+        assert!(after.values().count() <= domain.values().count());
         for v in &values {
             let should_remain = !pruned.contains(v);
             assert_eq!(
@@ -233,7 +233,7 @@ fn candidate_domain_matches_a_hash_map_oracle() {
                 list.len(),
                 list.first()
             );
-            assert_eq!(domain.candidate_count(), oracle.len(), "{what}");
+            assert_eq!(domain.values().count(), oracle.len(), "{what}");
             assert_eq!(domain.len(), oracle.len() + usize::from(dummy), "{what}");
             assert_eq!(domain.to_vec(), ordered, "{what}");
             let miss = dummy.then_some(oracle.len());
@@ -282,7 +282,7 @@ fn aggregation_matches_a_scalar_reference() {
                 }
                 _ => {}
             }
-            supports.record_report();
+            supports.record_reports(1);
         }
         supports
     }

@@ -14,20 +14,6 @@ pub fn degradation(baseline: f64, attacked: f64) -> f64 {
     baseline - attacked
 }
 
-/// Relative degradation: `(baseline − attacked) / baseline`, the fraction
-/// of the benign utility the attack destroyed.
-///
-/// A zero baseline has no utility to destroy, so it degrades by `0.0`
-/// rather than NaN — a mechanism that already scored zero cannot be made
-/// worse.
-pub fn relative_degradation(baseline: f64, attacked: f64) -> f64 {
-    if baseline == 0.0 {
-        0.0
-    } else {
-        (baseline - attacked) / baseline
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,19 +24,5 @@ mod tests {
         assert_eq!(degradation(0.5, 0.5), 0.0);
         // An attacked run that scores higher yields a negative drop.
         assert!(degradation(0.4, 0.6) < 0.0);
-    }
-
-    #[test]
-    fn relative_drops_are_fractions_of_the_baseline() {
-        assert!((relative_degradation(0.8, 0.4) - 0.5).abs() < 1e-12);
-        assert_eq!(relative_degradation(0.8, 0.8), 0.0);
-        assert_eq!(relative_degradation(0.8, 0.0), 1.0);
-    }
-
-    #[test]
-    fn zero_baselines_degrade_by_zero_not_nan() {
-        assert_eq!(relative_degradation(0.0, 0.0), 0.0);
-        assert_eq!(relative_degradation(0.0, 0.3), 0.0);
-        assert!(!relative_degradation(0.0, 0.3).is_nan());
     }
 }

@@ -28,7 +28,7 @@ pub mod f1;
 pub mod ncr;
 pub mod recall;
 
-pub use degradation::{degradation, relative_degradation};
+pub use degradation::degradation;
 pub use f1::{f1_score, precision, recall};
 pub use ncr::ncr_score;
 pub use recall::average_local_recall;

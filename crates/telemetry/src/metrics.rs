@@ -317,15 +317,6 @@ impl RegistrySnapshot {
             .map(|(_, v)| *v)
             .unwrap_or(0)
     }
-
-    /// The value of one gauge.
-    pub fn gauge(&self, gauge: Gauge) -> u64 {
-        self.gauges
-            .iter()
-            .find(|(g, _)| *g == gauge)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

@@ -61,11 +61,6 @@ impl LevelSchedule {
         self.prefix_len(h) - self.prefix_len(h - 1)
     }
 
-    /// The nominal step size ⌊m/g⌋ reported as the "step size" in Table 3.
-    pub fn nominal_step(&self) -> u8 {
-        self.m / self.g
-    }
-
     /// Iterator over all levels `1..=g`.
     pub fn levels(&self) -> impl Iterator<Item = u8> {
         1..=self.g
@@ -95,7 +90,6 @@ mod tests {
         for h in s.levels() {
             assert_eq!(s.step(h), 2);
         }
-        assert_eq!(s.nominal_step(), 2);
     }
 
     #[test]
@@ -117,9 +111,10 @@ mod tests {
     #[test]
     fn step_sizes_for_table_three() {
         // Step size 2, 4 and 6 correspond to g = 24, 12 and 8 for m = 48.
-        assert_eq!(LevelSchedule::new(48, 24).nominal_step(), 2);
-        assert_eq!(LevelSchedule::new(48, 12).nominal_step(), 4);
-        assert_eq!(LevelSchedule::new(48, 8).nominal_step(), 6);
+        for (g, step) in [(24, 2), (12, 4), (8, 6)] {
+            let s = LevelSchedule::new(48, g);
+            assert!(s.levels().all(|h| s.step(h) == step), "g {g}");
+        }
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl PrefixTree {
         self.item_counts.len()
     }
 
-    /// Exact count of one item code.
-    pub fn item_count(&self, item: u64) -> u64 {
-        self.item_counts.get(&item).copied().unwrap_or(0)
-    }
-
     /// Exact count of all items sharing a prefix.
     pub fn prefix_count(&self, prefix: &Prefix) -> u64 {
         self.item_counts
@@ -78,14 +73,6 @@ impl PrefixTree {
             .filter(|(item, _)| prefix.matches_item(**item, self.m))
             .map(|(_, c)| *c)
             .sum()
-    }
-
-    /// Exact relative frequency of all items sharing a prefix.
-    pub fn prefix_frequency(&self, prefix: &Prefix) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.prefix_count(prefix) as f64 / self.total as f64
     }
 
     /// All prefixes of length `len` with non-zero count, together with their
@@ -131,6 +118,11 @@ impl PrefixTree {
 mod tests {
     use super::*;
 
+    /// The exact count of one item code: its full-length prefix's count.
+    fn item_count(tree: &PrefixTree, item: u64) -> u64 {
+        tree.prefix_count(&Prefix::new(item, tree.bits()))
+    }
+
     fn sample_tree() -> PrefixTree {
         // Items over m = 4 bits with known counts.
         let mut tree = PrefixTree::new(4);
@@ -147,13 +139,13 @@ mod tests {
         let tree = sample_tree();
         assert_eq!(tree.total(), 18);
         assert_eq!(tree.distinct_items(), 5);
-        assert_eq!(tree.item_count(0b0000), 5);
-        assert_eq!(tree.item_count(0b0010), 0);
+        assert_eq!(item_count(&tree, 0b0000), 5);
+        assert_eq!(item_count(&tree, 0b0010), 0);
         // Prefix 00 covers 0000 and 0001.
         assert_eq!(tree.prefix_count(&Prefix::new(0b00, 2)), 8);
         // Prefix 0 covers 0000, 0001, 0100.
         assert_eq!(tree.prefix_count(&Prefix::new(0b0, 1)), 10);
-        assert!((tree.prefix_frequency(&Prefix::new(0b1, 1)) - 8.0 / 18.0).abs() < 1e-12);
+        assert_eq!(tree.prefix_count(&Prefix::new(0b1, 1)), 8);
         // The root covers everything.
         assert_eq!(tree.prefix_count(&Prefix::ROOT), 18);
     }
@@ -186,9 +178,9 @@ mod tests {
     #[test]
     fn from_items_counts_multiplicity() {
         let tree = PrefixTree::from_items(4, &[1, 1, 1, 2, 3, 3]);
-        assert_eq!(tree.item_count(1), 3);
-        assert_eq!(tree.item_count(2), 1);
-        assert_eq!(tree.item_count(3), 2);
+        assert_eq!(item_count(&tree, 1), 3);
+        assert_eq!(item_count(&tree, 2), 1);
+        assert_eq!(item_count(&tree, 3), 2);
         assert_eq!(tree.total(), 6);
     }
 
@@ -197,16 +189,16 @@ mod tests {
         let mut a = PrefixTree::from_items(4, &[1, 2]);
         let b = PrefixTree::from_items(4, &[2, 3]);
         a.merge(&b);
-        assert_eq!(a.item_count(1), 1);
-        assert_eq!(a.item_count(2), 2);
-        assert_eq!(a.item_count(3), 1);
+        assert_eq!(item_count(&a, 1), 1);
+        assert_eq!(item_count(&a, 2), 2);
+        assert_eq!(item_count(&a, 3), 1);
         assert_eq!(a.total(), 4);
     }
 
     #[test]
     fn empty_tree_frequencies_are_zero() {
         let tree = PrefixTree::new(8);
-        assert_eq!(tree.prefix_frequency(&Prefix::ROOT), 0.0);
+        assert_eq!(tree.prefix_count(&Prefix::ROOT), 0);
         assert!(tree.top_k_items(3).is_empty());
     }
 

@@ -107,14 +107,6 @@ impl<'a> Reader<'a> {
     pub fn take_f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.take_u64_fixed()?))
     }
-
-    /// Takes a fixed 4-byte little-endian word.
-    pub fn take_u32_fixed(&mut self) -> Result<u32, WireError> {
-        let bytes = self.take_bytes(4)?;
-        let mut word = [0u8; 4];
-        word.copy_from_slice(bytes);
-        Ok(u32::from_le_bytes(word))
-    }
 }
 
 /// Appends a LEB128 varint.
@@ -142,11 +134,6 @@ pub fn put_f64(out: &mut Vec<u8>, value: f64) {
     put_u64_fixed(out, value.to_bits());
 }
 
-/// Appends a fixed 4-byte little-endian word.
-pub fn put_u32_fixed(out: &mut Vec<u8>, value: u32) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
 /// Encodes a value into a fresh byte vector.
 pub fn to_bytes<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
@@ -166,10 +153,12 @@ pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T, WireError> {
     Ok(value)
 }
 
-/// A conservative pre-allocation for `len` elements of at least one byte
-/// each: never more than the remaining input could actually hold.
-pub(crate) fn prealloc(len: usize, remaining: usize) -> usize {
-    len.min(remaining).min(MAX_PREALLOC)
+/// A conservative pre-allocation for a decoded sequence of `len` elements
+/// that each take at least `min_element_bytes` (≥ 1) of the `remaining`
+/// input: never more than that input could actually hold, and never more
+/// than `MAX_PREALLOC` (2¹⁶) elements.
+pub fn prealloc(len: usize, remaining: usize, min_element_bytes: usize) -> usize {
+    len.min(remaining / min_element_bytes).min(MAX_PREALLOC)
 }
 
 impl Encode for u8 {
@@ -269,7 +258,7 @@ impl<T: Encode> Encode for Vec<T> {
 impl<T: Decode> Decode for Vec<T> {
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = reader.take_len()?;
-        let mut items = Vec::with_capacity(prealloc(len, reader.remaining()));
+        let mut items = Vec::with_capacity(prealloc(len, reader.remaining(), 1));
         for _ in 0..len {
             items.push(T::decode(reader)?);
         }

@@ -71,7 +71,7 @@ pub mod error;
 pub mod frame;
 
 pub use codec::{
-    from_bytes, put_f64, put_u32_fixed, put_u64_fixed, put_varint, to_bytes, Decode, Encode, Reader,
+    from_bytes, prealloc, put_f64, put_u64_fixed, put_varint, to_bytes, Decode, Encode, Reader,
 };
 pub use crc::crc32;
 pub use error::WireError;

@@ -2,6 +2,7 @@
 //! and which design components help.  These average over several seeds so
 //! the assertions reflect expected behaviour rather than single-run noise.
 
+use fedhh::federated::PartyEvent;
 use fedhh::prelude::*;
 
 /// Averages a mechanism's F1 over several seeded dataset/protocol pairs.
@@ -92,30 +93,64 @@ fn adaptive_extension_is_not_worse_than_a_small_fixed_extension() {
 
 #[test]
 fn privacy_holds_structurally_every_user_reports_once() {
-    // A structural proxy for the ε-LDP guarantee: the total number of
-    // perturbed reports collected inside the parties never exceeds the user
-    // population (each user's budget is spent exactly once).  GRR reports
-    // are 32 bits, so local report bits / 32 = number of reports.
-    let dataset = DatasetConfig::test_scale().build(DatasetKind::Ycm);
+    // A structural proxy for the ε-LDP guarantee, per party: every user of
+    // a party that takes part spends its budget on exactly one perturbed
+    // report, and a dropped party's users spend none.  A party's reports
+    // are the users behind its level estimates plus its pruning-validation
+    // reports; GRR reports are 32 bits, so validation bits / 32 counts them.
     let config = ProtocolConfig {
         k: 5,
         epsilon: 2.0,
         max_bits: 16,
         granularity: 8,
+        fo: FoKind::Grr,
         ..ProtocolConfig::default()
     };
-    for kind in MechanismKind::ALL {
-        let output = Run::mechanism(kind)
-            .dataset(&dataset)
-            .config(config)
-            .execute()
-            .unwrap();
-        let reports = output.comm.total_local_report_bits() / 32;
-        assert!(
-            reports <= dataset.total_users(),
-            "{kind} collected {reports} reports from {} users",
-            dataset.total_users()
-        );
+    for dataset_kind in [DatasetKind::Ycm, DatasetKind::Syn, DatasetKind::Rdb] {
+        let dataset = DatasetConfig::test_scale().build(dataset_kind);
+        let parties = dataset.parties();
+        for faults in [FaultPlan::none(), FaultPlan::dropout(0.5, 3)] {
+            let dropped = faults.dropped_parties(parties.len());
+            for kind in MechanismKind::ALL {
+                let mut observer = RecordingObserver::new();
+                Run::mechanism(kind)
+                    .dataset(&dataset)
+                    .config(config)
+                    .engine(EngineConfig::from_env().with_faults(faults))
+                    .observer(&mut observer)
+                    .execute()
+                    .unwrap();
+                let what = format!("{kind} on {dataset_kind} with {faults:?}");
+                for (party, dropped) in parties.iter().zip(&dropped) {
+                    let mut reports = 0;
+                    for event in &observer.events {
+                        match event {
+                            RunEvent::Party(PartyEvent::Level(level))
+                                if level.party == party.name() =>
+                            {
+                                reports += level.users;
+                            }
+                            RunEvent::Party(PartyEvent::ValidationReports { party: p, bits })
+                                if p == party.name() =>
+                            {
+                                reports += bits / 32;
+                            }
+                            _ => {}
+                        }
+                    }
+                    let expected = if *dropped { 0 } else { party.user_count() };
+                    assert_eq!(
+                        reports,
+                        expected,
+                        "{what}: party {} (dropped: {dropped})",
+                        party.name()
+                    );
+                }
+                let users: usize = observer.level_events().map(|e| e.users).sum();
+                let report_bits: usize = observer.level_events().map(|e| e.report_bits).sum();
+                assert_eq!(report_bits, 32 * users, "{what}");
+            }
+        }
     }
 }
 

@@ -115,9 +115,8 @@ usage: fedhh-bench <list|run|trial|perf|scale|epochs|scenario|topology|trace-che
         [--trace PATH]
   perf [--quick] [--out PATH] [--check BASELINE] [--threshold F] [--trace PATH]
   perf --overhead-gate RATIO [--quick]
-  scale [--quick] [--dataset KIND] [--mechanism KIND] [--eager] [--chunk N]
-        [--parallelism N] [--user-scales F,F,...] [--out PATH] [--max-rss-mb N]
-        [--trace PATH]
+  scale [--quick] [--dataset KIND] [--mechanism KIND] [--eager] [--parallelism N]
+        [--user-scales F,F,...] [--out PATH] [--max-rss-mb N] [--trace PATH]
   epochs [--quick] [--dataset KIND] [--mechanism KIND] [--epochs N] [--churn F]
          [--drift N] [--epsilon F] [--cap F] [--k N] [--seed N] [--user-scale F]
          [--parallelism N] [--out PATH]
@@ -273,10 +272,6 @@ fn scale_command(args: &[String]) -> Result<ExitCode, String> {
             "--eager" => options.eager = true,
             "--dataset" => options.dataset = cursor.parsed("--dataset")?,
             "--mechanism" => options.mechanism = cursor.parsed("--mechanism")?,
-            "--chunk" => match std::num::NonZeroUsize::new(cursor.value("--chunk")?) {
-                Some(chunk) => options.chunk = Some(chunk),
-                None => return Err("--chunk must be at least 1".to_string()),
-            },
             "--parallelism" => options.parallelism = cursor.value("--parallelism")?,
             "--user-scales" => explicit_scales = Some(cursor.user_scales("--user-scales")?),
             "--max-rss-mb" => {
@@ -292,12 +287,6 @@ fn scale_command(args: &[String]) -> Result<ExitCode, String> {
     }
     if let Some(scales) = explicit_scales {
         options.user_scales = scales;
-    }
-    if options.eager && options.chunk.is_some() {
-        return Err(
-            "--chunk selects the streamed pipeline's chunk size and conflicts with --eager"
-                .to_string(),
-        );
     }
 
     eprintln!(

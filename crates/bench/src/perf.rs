@@ -63,7 +63,7 @@ use crate::report::{self, column, Column, Row, Shown, SCHEMA};
 use crate::runner::ExperimentScale;
 use fedhh_datasets::{DatasetKind, FederatedDataset};
 use fedhh_federated::{
-    EngineConfig, EstimateScratch, ExecMode, GroupAssignment, LevelEstimator, ProtocolConfig,
+    EngineConfig, EstimateScratch, GroupAssignment, LevelEstimator, ProtocolConfig,
 };
 use fedhh_fo::{
     CtrRng, FoKind, FrequencyOracle, Oracle, PrivacyBudget, Report, ReportBatch, SupportCounts,
@@ -377,9 +377,7 @@ fn run_suite_impl(
     // --- Per-layer workloads ---------------------------------------------
     // The two per-user steps between the kernels above and the end-to-end
     // legs below, at the paper's protocol shape (48-bit codes, g = 24).
-    let layer_config = ProtocolConfig::default().with_exec_mode(ExecMode::Chunked(
-        std::num::NonZeroUsize::new(16_384).expect("non-zero literal"),
-    ));
+    let layer_config = ProtocolConfig::default();
     // 40 candidate 16-bit prefixes; one user in five holds one of them, the
     // rest a uniform prefix (in-domain with probability 40 / 65 536).  Drawn
     // from an RNG so the hit/miss sequence has no period to learn.

@@ -34,8 +34,8 @@
 //!
 //! * `schema` — format version (currently 1).
 //! * `dataset` / `mechanism` — the swept workload.
-//! * `mode` — `"streamed"` (chunked data plane) or `"eager"` (the pre-0.6
-//!   materializing baseline, selected by `--eager`).
+//! * `mode` — `"streamed"` (chunked data plane) or `"eager"` (datasets
+//!   built with materialized items, selected by `--eager`).
 //! * `user_scale` — multiplier on the paper's Table 2 populations.
 //! * `users` — total federation population at that point.
 //! * `elapsed_ms` — mechanism wall-clock (dataset build excluded).
@@ -80,10 +80,9 @@
 use crate::json::Fmt;
 use crate::report::{self, column, Column, Row, Shown, SCHEMA};
 use fedhh_datasets::{DatasetConfig, DatasetKind};
-use fedhh_federated::{EngineConfig, ExecMode, ProtocolConfig};
+use fedhh_federated::{EngineConfig, ProtocolConfig};
 use fedhh_mechanisms::{MechanismKind, Run};
 use fedhh_telemetry::{Telemetry, TraceLine};
-use std::num::NonZeroUsize;
 
 /// One measured point of a scale sweep.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -209,11 +208,9 @@ pub struct ScaleOptions {
     pub user_scales: Vec<f64>,
     /// Use the reduced quick shape (16-bit codes, 8 levels, small scales).
     pub quick: bool,
-    /// Run the eager (materializing) baseline instead of the streamed
-    /// chunked data plane.
+    /// Build each point's dataset eagerly (materialized items) instead of
+    /// streamed.
     pub eager: bool,
-    /// Chunk size of the streamed pipeline (`None` = the auto default).
-    pub chunk: Option<NonZeroUsize>,
     /// Engine worker threads per round.
     pub parallelism: usize,
 }
@@ -227,7 +224,6 @@ impl ScaleOptions {
             user_scales: vec![0.05, 0.1, 0.25, 0.5, 1.0],
             quick: false,
             eager: false,
-            chunk: None,
             parallelism: 1,
         }
     }
@@ -264,17 +260,7 @@ impl ScaleOptions {
         } else {
             ProtocolConfig::default()
         };
-        let exec_mode = if self.eager {
-            ExecMode::Eager
-        } else {
-            match self.chunk {
-                Some(chunk) => ExecMode::Chunked(chunk),
-                None => ExecMode::Chunked(
-                    NonZeroUsize::new(ExecMode::AUTO_CHUNK).expect("constant is non-zero"),
-                ),
-            }
-        };
-        base.with_epsilon(4.0).with_exec_mode(exec_mode)
+        base.with_epsilon(4.0)
     }
 }
 

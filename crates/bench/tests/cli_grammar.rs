@@ -69,7 +69,8 @@ fn fedhh_bench_rejects_malformed_command_lines_before_running_anything() {
             ("topology --fanouts 1", &["--fanouts", "at least 2"]),
             ("scenario --fractions 0,1.5", &["--fractions", "[0, 1]"]),
             ("scale --user-scales 0.1,-1", &["--user-scales"]),
-            ("scale --chunk 0", &["--chunk must be at least 1"]),
+            // The report pipeline's chunk size is not a setting.
+            ("scale --chunk 64", &["unknown option --chunk"]),
             ("scale --max-rss-mb 0", &["--max-rss-mb must be positive"]),
             ("perf --threshold 0", &["--threshold must be positive"]),
             ("scenario --threshold -1", &["must be non-negative"]),

@@ -98,18 +98,10 @@ impl<'a> RunContext<'a> {
     }
 
     /// Returns the context with a different engine configuration.
-    ///
-    /// An engine with [`EngineConfig::chunk_size`] set pins the run's
-    /// protocol configuration to chunked report-pipeline execution with
-    /// that chunk size (bit-identical results; only resident memory
-    /// changes).
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        if let Some(chunk) = engine.chunk {
-            self.config.exec_mode = fedhh_federated::ExecMode::Chunked(chunk);
-        }
         // The topology and quorum axes travel in the protocol config (the
-        // wire handshake pins them federation-wide); an engine override
-        // folds into the config the same way the chunk override does.
+        // wire handshake pins them federation-wide), so an engine override
+        // folds into the config.
         if let Some(topology) = engine.topology {
             self.config.topology = topology;
         }

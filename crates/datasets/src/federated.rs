@@ -98,27 +98,6 @@ impl FederatedDataset {
     pub fn distinct_items(&self) -> usize {
         self.global_frequency().distinct()
     }
-
-    /// A copy of the dataset with every party restricted to a fraction of
-    /// its users (Table 4 scalability study).  `fraction` is clamped to
-    /// (0, 1].
-    pub fn sample_fraction(&self, fraction: f64) -> Self {
-        let fraction = fraction.clamp(f64::MIN_POSITIVE, 1.0);
-        let parties = self
-            .parties
-            .iter()
-            .map(|p| {
-                let keep = ((p.user_count() as f64) * fraction).round().max(1.0) as usize;
-                p.take_users(keep)
-            })
-            .collect();
-        Self {
-            name: format!("{}@{:.0}%", self.name, fraction * 100.0),
-            parties,
-            code_bits: self.code_bits,
-            encoder: self.encoder,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -151,18 +130,6 @@ mod tests {
         // Items 2 and 5 both have count 4; ties break by item value.
         assert_eq!(top, vec![2, 5]);
         assert_eq!(d.ground_truth_top_k(10).len(), 4);
-    }
-
-    #[test]
-    fn sample_fraction_scales_every_party() {
-        let d = dataset();
-        let half = d.sample_fraction(0.5);
-        assert_eq!(half.parties()[0].user_count(), 3);
-        assert_eq!(half.parties()[1].user_count(), 3);
-        assert_eq!(half.total_users(), 6);
-        // Degenerate fractions are clamped.
-        assert_eq!(d.sample_fraction(2.0).total_users(), 12);
-        assert!(d.sample_fraction(1e-9).total_users() >= 2);
     }
 
     #[test]

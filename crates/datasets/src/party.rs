@@ -130,16 +130,6 @@ impl PartyData {
         self.items.for_each(|item| tree.insert(item, 1));
         tree
     }
-
-    /// Returns a copy of this party restricted to the first `n` users (used
-    /// by the scalability study, Table 4).  Streamed parties stay streamed.
-    pub fn take_users(&self, n: usize) -> Self {
-        Self {
-            name: self.name.clone(),
-            items: self.items.take(n),
-            code_bits: self.code_bits,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -167,15 +157,6 @@ mod tests {
         let p = party();
         assert_eq!(p.frequency_table().top_k(2), vec![3, 1]);
         assert_eq!(p.frequency_table().top_k(10).len(), 3);
-    }
-
-    #[test]
-    fn take_users_restricts_population() {
-        let p = party().take_users(3);
-        assert_eq!(p.user_count(), 3);
-        assert_eq!(p.items(), &[1, 1, 2]);
-        // Taking more than available keeps everything.
-        assert_eq!(party().take_users(100).user_count(), 6);
     }
 
     #[test]

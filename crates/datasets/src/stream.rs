@@ -102,16 +102,6 @@ impl ItemGen {
             buf.push(self.codes[self.cdf.sample(rng)]);
         }
     }
-
-    /// A copy of this generator truncated to the first `len` users.
-    fn truncated(&self, len: usize) -> Self {
-        Self {
-            codes: Arc::clone(&self.codes),
-            cdf: Arc::clone(&self.cdf),
-            rng: self.rng.clone(),
-            len: len.min(self.len),
-        }
-    }
 }
 
 /// Deterministic per-user churn over a base stream: the epoch transitions
@@ -241,16 +231,6 @@ impl ChurnGen {
             if let Some((layer, u)) = fresh {
                 *item = layer.codes[layer.cdf.index(u)];
             }
-        }
-    }
-
-    /// A copy of this generator truncated to the first `len` user slots.
-    fn truncated(&self, len: usize) -> Self {
-        let len = len.min(self.len);
-        Self {
-            base: Box::new(self.base.take(len)),
-            layers: self.layers.clone(),
-            len,
         }
     }
 }
@@ -453,22 +433,6 @@ impl ItemStream {
             Backing::Generated(_) | Backing::Churned(_) | Backing::Mapped(_) => None,
         }
     }
-
-    /// A copy of this stream restricted to the first `n` items.
-    pub fn take(&self, n: usize) -> Self {
-        match &self.backing {
-            Backing::Eager(items) => Self::from_items(items.iter().take(n).copied().collect()),
-            Backing::Generated(gen) => Self::from_gen(gen.truncated(n)),
-            Backing::Churned(gen) => Self::from_churn(gen.truncated(n)),
-            Backing::Mapped(gen) => Self {
-                backing: Backing::Mapped(MapGen {
-                    inner: Box::new(gen.inner.take(n)),
-                    map: Arc::clone(&gen.map),
-                }),
-                len: n.min(self.len),
-            },
-        }
-    }
 }
 
 enum ChunkState<'a> {
@@ -618,19 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn take_truncates_both_backings() {
-        let (stream, reference) = gen_stream(50);
-        let head = stream.take(8);
-        assert_eq!(head.len(), 8);
-        assert_eq!(head.materialize(), reference[..8]);
-        // Over-taking keeps everything.
-        assert_eq!(stream.take(500).len(), 50);
-
-        let eager = ItemStream::from_items(reference.clone());
-        assert_eq!(eager.take(8).materialize(), reference[..8]);
-    }
-
-    #[test]
     fn zero_chunk_size_is_clamped_not_panicking() {
         let stream = ItemStream::from_items(vec![1, 2, 3]);
         let mut chunks = stream.chunks(0);
@@ -745,31 +696,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn mapped_streams_truncate_through_the_transform() {
-        let (base, reference) = gen_stream(60);
-        let mapped = base.map(|item| item + 5);
-        let head = mapped.take(9);
-        assert_eq!(head.len(), 9);
-        assert_eq!(
-            head.materialize(),
-            reference[..9].iter().map(|i| i + 5).collect::<Vec<u64>>()
-        );
-        assert_eq!(mapped.take(500).len(), 60);
-    }
-
-    #[test]
-    fn churn_layers_compose_and_truncate() {
-        let (base, _) = gen_stream(150);
-        let once = churned(base, 0.25);
-        let twice = churned(once.clone(), 0.25);
-        let reference = twice.materialize();
-        assert_eq!(reference.len(), 150);
-        // Truncation replays the prefix of the same per-slot draws.
-        assert_eq!(twice.take(40).materialize(), reference[..40]);
-        assert_eq!(twice.take(500).len(), 150);
-    }
-
     /// Eight layers with the evolver's shape: one shared CDF, a rotated
     /// code pool and fresh RNGs per layer, fractions from none to all.
     fn stack(base: ItemStream) -> ItemStream {
@@ -831,11 +757,6 @@ mod tests {
                 seen.extend_from_slice(chunk);
             }
             assert_eq!(seen, reference, "chunk size {chunk_size}");
-        }
-        for n in [0, 1, 17_000] {
-            let head = stream.take(n);
-            assert_eq!(head.materialize(), reference[..n], "take {n}");
-            assert_eq!(layered(head.churn().unwrap()).0, reference[..n]);
         }
         assert_eq!(gen.fresh_mask(), top_mask, "mask of the top layer");
     }

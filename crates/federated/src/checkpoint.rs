@@ -266,7 +266,11 @@ mod tests {
     /// path) moved exactly the frame's schema byte and CRC, deliberately: a
     /// schema-6 checkpoint may have been written by a sequential-RNG run,
     /// and resuming it would continue on a different report stream, so
-    /// `load` refuses it with `SchemaMismatch`.
+    /// `load` refuses it with `SchemaMismatch`.  Wire schema 8 (no
+    /// execution-mode field in the protocol configuration) moved the same
+    /// two places again: a checkpoint holds no protocol configuration, but
+    /// every frame carries the schema byte, so a build refuses the other's
+    /// files rather than guess at a layout it does not speak.
     #[test]
     fn saved_files_match_the_pinned_bytes() {
         let dir = std::env::temp_dir().join(format!("fedhh-ckpt-pin-{}", std::process::id()));
@@ -282,9 +286,9 @@ mod tests {
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
-            "530000000701032a00ff020203000000000000f03f00000000000004400000000000000000\
+            "530000000801032a00ff020203000000000000f03f00000000000004400000000000000000\
              010000000000001040010307090b010102070902078080808080808085400980808080808080\
-             fc7f802080010401c3f31376"
+             fc7f8020800104017e01d46c"
         );
     }
 

@@ -6,51 +6,17 @@ use fedhh_fo::{FoKind, PrivacyBudget};
 use fedhh_trie::LevelSchedule;
 use std::num::NonZeroUsize;
 
-/// How the report pipeline buffers a level group's reports.
+/// The report pipeline's former buffering setting.  The chunk size is now
+/// fixed inside the level estimator, so this carries nothing a run reads.
 ///
-/// Results are **bit-identical** across every variant and chunk size (the
-/// chunked pipeline consumes the RNG in the same per-report order and folds
-/// each chunk into the same support arena); the axis only trades resident
-/// memory against per-chunk overhead.  See `ARCHITECTURE.md` for where the
-/// invariant is enforced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Kept only for the benchmark crate (`benchmark/src/layers.rs` builds one
+/// for [`ProtocolConfig::with_exec_mode`]); the next change to the
+/// benchmark deletes it together with [`FoExec`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
 pub enum ExecMode {
-    /// Pick per level group: eager below [`ExecMode::AUTO_THRESHOLD`] users
-    /// (the current behaviour at test scale), chunks of
-    /// [`ExecMode::AUTO_CHUNK`] above it.
-    #[default]
-    Auto,
-    /// Buffer the whole level group's inputs and reports at once (the
-    /// pre-0.6 behaviour).
-    Eager,
-    /// Perturb and aggregate in chunks of the given size: at most
-    /// `chunk` inputs and reports are resident at any time.
+    /// A chunk size, ignored.
     Chunked(NonZeroUsize),
-}
-
-impl ExecMode {
-    /// The group size above which [`ExecMode::Auto`] switches from eager
-    /// buffering to chunked execution.
-    pub const AUTO_THRESHOLD: usize = 1 << 16;
-
-    /// The chunk size [`ExecMode::Auto`] uses for large groups.
-    pub const AUTO_CHUNK: usize = 16_384;
-
-    /// The chunk size to process a group of `group_len` users with (the
-    /// whole group for the eager path); always at least 1.
-    pub fn chunk_for(&self, group_len: usize) -> usize {
-        match self {
-            ExecMode::Eager => group_len.max(1),
-            ExecMode::Chunked(chunk) => chunk.get(),
-            ExecMode::Auto => {
-                if group_len > Self::AUTO_THRESHOLD {
-                    Self::AUTO_CHUNK
-                } else {
-                    group_len.max(1)
-                }
-            }
-        }
-    }
 }
 
 /// The one frequency-oracle execution path: counter-based randomness
@@ -94,11 +60,6 @@ pub struct ProtocolConfig {
     pub dividing_ratio: f64,
     /// RNG seed for the run (group assignment and perturbation noise).
     pub seed: u64,
-    /// How the report pipeline buffers a level group's reports: eagerly or
-    /// in fixed-size chunks (bit-identical results either way;
-    /// [`EngineConfig::chunk_size`](crate::EngineConfig::chunk_size) pins
-    /// this per run).
-    pub exec_mode: ExecMode,
     /// How party uploads reach the root aggregator: the flat star or a
     /// cohort tree ([`Topology::Tree`] is bit-identical to
     /// [`Topology::Flat`] at quorum 1.0; merging is lossless).
@@ -120,7 +81,6 @@ impl Default for ProtocolConfig {
             phase1_user_fraction: 0.25,
             dividing_ratio: 0.1,
             seed: 7,
-            exec_mode: ExecMode::Auto,
             topology: Topology::Flat,
             quorum: QuorumPolicy::full(),
         }
@@ -187,10 +147,12 @@ impl ProtocolConfig {
         self
     }
 
-    /// Returns a copy with a different report-pipeline buffering mode
-    /// (bit-identical results at any mode and chunk size).
-    pub fn with_exec_mode(mut self, exec_mode: ExecMode) -> Self {
-        self.exec_mode = exec_mode;
+    /// Returns `self` unchanged: the report pipeline's chunk size is not a
+    /// setting.  Kept only for the benchmark crate
+    /// (`benchmark/src/layers.rs` is its one caller); the next change to
+    /// the benchmark deletes it with [`ExecMode`] and [`FoExec`].
+    #[doc(hidden)]
+    pub fn with_exec_mode(self, _exec_mode: ExecMode) -> Self {
         self
     }
 
@@ -245,13 +207,7 @@ impl ProtocolConfig {
                 fraction: self.phase1_user_fraction,
             });
         }
-        if !self.topology.is_valid() {
-            let (fanout, depth) = match self.topology {
-                Topology::Flat => (0, 0),
-                Topology::Tree { fanout, depth } => (fanout, depth),
-            };
-            return Err(ProtocolError::InvalidTopology { fanout, depth });
-        }
+        self.topology.validate()?;
         if !self.quorum.is_valid() {
             return Err(ProtocolError::InvalidQuorum {
                 fraction: self.quorum.fraction,
@@ -432,29 +388,6 @@ mod tests {
                 Err(ProtocolError::InvalidBudget { .. })
             ));
         }
-    }
-
-    #[test]
-    fn exec_mode_resolves_chunk_sizes() {
-        use std::num::NonZeroUsize;
-        // Eager always spans the group (clamped to 1 for empty groups).
-        assert_eq!(ExecMode::Eager.chunk_for(0), 1);
-        assert_eq!(ExecMode::Eager.chunk_for(500), 500);
-        // Explicit chunks are honoured verbatim.
-        let chunk = ExecMode::Chunked(NonZeroUsize::new(7).unwrap());
-        assert_eq!(chunk.chunk_for(3), 7);
-        assert_eq!(chunk.chunk_for(1_000_000), 7);
-        // Auto keeps the current (eager) behaviour at test scale and flips
-        // to fixed chunks past the threshold.
-        assert_eq!(ExecMode::Auto.chunk_for(1000), 1000);
-        assert_eq!(
-            ExecMode::Auto.chunk_for(ExecMode::AUTO_THRESHOLD + 1),
-            ExecMode::AUTO_CHUNK
-        );
-        // The builder pins the mode.
-        let c = ProtocolConfig::default().with_exec_mode(ExecMode::Eager);
-        assert_eq!(c.exec_mode, ExecMode::Eager);
-        assert_eq!(ProtocolConfig::default().exec_mode, ExecMode::Auto);
     }
 
     #[test]

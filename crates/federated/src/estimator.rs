@@ -252,15 +252,13 @@ impl LevelEstimator {
     /// party, per round) never reallocates its report buffers, support
     /// arena or oracle.
     ///
-    /// The group is processed in chunks selected by
-    /// [`ExecMode::chunk_for`](crate::ExecMode::chunk_for): each chunk's
-    /// prefixes are encoded, perturbed by the counter-RNG SoA kernels and
-    /// folded straight into the scratch's [`SupportCounts`] arena before the
-    /// next chunk is touched, so at most one chunk of inputs and reports is
-    /// ever resident — **no full per-group report vector exists** under a
-    /// chunked mode.  Report k depends only on `(seed ^ noise_seed, k)`, so
-    /// results are bit-identical to [`LevelEstimator::estimate`] at every
-    /// chunk size.
+    /// The group is processed in chunks of at most 16 384 users: each
+    /// chunk's prefixes are encoded, perturbed by the counter-RNG SoA
+    /// kernels and folded straight into the scratch's [`SupportCounts`]
+    /// arena before the next chunk is touched, so at most one chunk of
+    /// inputs and reports is ever resident — **no full per-group report
+    /// vector exists**.  Report k depends only on `(seed ^ noise_seed, k)`,
+    /// so where the chunk boundaries fall never moves a bit.
     ///
     /// For the same reason a level is the engine's second unit of parallel
     /// work: with a scratch from
@@ -307,7 +305,7 @@ impl LevelEstimator {
             &oracle,
             &domain,
             prefix_len,
-            users,
+            CHUNK,
             &telemetry,
         );
         // Borrow workers the round leaves idle — as many as the level has
@@ -344,6 +342,12 @@ impl LevelEstimator {
     }
 }
 
+/// How many of a level's reports the pipeline perturbs and aggregates at
+/// once: the bound on resident inputs and reports per worker.  Not a
+/// protocol parameter — any chunking yields the same bits (see
+/// [`Level::vectorized_range`]).
+const CHUNK: usize = 16_384;
+
 /// What every chunk of one level estimate shares.
 struct Level<'a> {
     oracle: &'a Oracle,
@@ -360,7 +364,7 @@ impl<'a> Level<'a> {
         oracle: &'a Oracle,
         domain: &'a CandidateDomain,
         prefix_len: u8,
-        users: usize,
+        chunk_size: usize,
         telemetry: &'a Telemetry,
     ) -> Self {
         let (prefix_shift, prefix_mask) = prefix_operands(config.max_bits, prefix_len);
@@ -369,7 +373,7 @@ impl<'a> Level<'a> {
             domain,
             prefix_shift,
             prefix_mask,
-            chunk_size: config.exec_mode.chunk_for(users),
+            chunk_size,
             telemetry,
         }
     }
@@ -632,153 +636,95 @@ mod tests {
         assert_eq!(w1.candidates, wide);
     }
 
-    #[test]
-    fn chunked_execution_is_bit_identical_at_every_chunk_size() {
-        use crate::config::ExecMode;
-        use std::num::NonZeroUsize;
-        let base = config();
-        let items: Vec<u64> = (0..3001).map(|i| (i % 13) << 4 | (i % 7)).collect();
-        let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
-        for fo in fedhh_fo::FoKind::ALL {
-            let eager = LevelEstimator::new(ProtocolConfig {
-                fo,
-                exec_mode: ExecMode::Eager,
-                ..base
-            })
-            .unwrap();
-            let reference = eager.estimate(&candidates, 2, &items, 31);
-            for chunk in [1usize, 7, 64, usize::MAX] {
-                let chunked = LevelEstimator::new(ProtocolConfig {
-                    fo,
-                    exec_mode: ExecMode::Chunked(NonZeroUsize::new(chunk).unwrap()),
-                    ..base
-                })
-                .unwrap();
-                let got = chunked.estimate(&candidates, 2, &items, 31);
-                assert_eq!(got.frequencies, reference.frequencies, "{fo} chunk {chunk}");
-                assert_eq!(got.counts, reference.counts, "{fo} chunk {chunk}");
-                assert_eq!(got.report_bits, reference.report_bits, "{fo} chunk {chunk}");
-            }
-            // Auto resolves to one of the two bit-identical modes.
-            let auto = LevelEstimator::new(ProtocolConfig {
-                fo,
-                exec_mode: ExecMode::Auto,
-                ..base
-            })
-            .unwrap();
-            let got = auto.estimate(&candidates, 2, &items, 31);
-            assert_eq!(got.frequencies, reference.frequencies, "{fo} auto");
-        }
-    }
-
-    #[test]
-    fn vectorized_execution_is_bit_identical_at_every_chunk_size() {
-        use crate::config::ExecMode;
-        use std::num::NonZeroUsize;
-        // Wider candidates on a longer prefix than the chunked test, so the
-        // vectorized kernels see a domain that is not a power of two and
-        // prefixes 0b100 and 0b110 land on the dummy slot.
-        let base = config();
-        let items: Vec<u64> = (0..2503).map(|i| (i % 7) << 5 | (i % 29)).collect();
-        let candidates = vec![0b000u64, 0b001, 0b010, 0b011, 0b101];
-        for fo in fedhh_fo::FoKind::ALL {
-            let eager = LevelEstimator::new(ProtocolConfig {
-                fo,
-                exec_mode: ExecMode::Eager,
-                ..base
-            })
-            .unwrap();
-            let reference = eager.estimate(&candidates, 3, &items, 17);
-            for chunk in [1usize, 5, 256, usize::MAX] {
-                let chunked = LevelEstimator::new(ProtocolConfig {
-                    fo,
-                    exec_mode: ExecMode::Chunked(NonZeroUsize::new(chunk).unwrap()),
-                    ..base
-                })
-                .unwrap();
-                let got = chunked.estimate(&candidates, 3, &items, 17);
-                assert_eq!(got.frequencies, reference.frequencies, "{fo} chunk {chunk}");
-                assert_eq!(got.counts, reference.counts, "{fo} chunk {chunk}");
-                assert_eq!(got.report_bits, reference.report_bits, "{fo} chunk {chunk}");
-            }
-            // Deterministic per seed; a different noise seed moves it.
-            let again = eager.estimate(&candidates, 3, &items, 17);
-            assert_eq!(again.frequencies, reference.frequencies, "{fo} rerun");
-            let other = eager.estimate(&candidates, 3, &items, 18);
-            assert_ne!(other.frequencies, reference.frequencies, "{fo} reseed");
-        }
-    }
-
     /// Drives the private split primitive directly: the supports and report
-    /// bits of `items` cut into `parts` ranges.
+    /// bits of `items` cut into `parts` ranges, each run in chunks of at most
+    /// `chunk` users.
     fn split_level(
         estimator: &LevelEstimator,
         candidates: &[u64],
         prefix_len: u8,
         items: &[u64],
         noise_seed: u64,
+        chunk: usize,
         parts: usize,
     ) -> (SupportCounts, usize) {
         let config = estimator.config;
         let domain = CandidateDomain::with_dummy(candidates.to_vec());
         let oracle = Oracle::try_new(config.fo, estimator.budget, domain.len()).unwrap();
         let telemetry = Telemetry::disabled();
-        let level = Level::new(
-            &config,
-            &oracle,
-            &domain,
-            prefix_len,
-            items.len(),
-            &telemetry,
-        );
+        let level = Level::new(&config, &oracle, &domain, prefix_len, chunk, &telemetry);
         let mut scratch = EstimateScratch::new();
         let ctr = CtrRng::new(config.seed ^ noise_seed);
         let bits = level.split(&mut scratch, items, &ctr, parts);
         (scratch.own.supports, bits)
     }
 
+    /// Where a level's chunk and part boundaries fall never moves a bit:
+    /// every chunk size × part count × oracle reproduces the production
+    /// estimate (one [`CHUNK`] spans each of these groups) exactly.
     #[test]
     fn split_levels_are_bit_identical_at_every_part_count() {
-        use crate::config::ExecMode;
-        use std::num::NonZeroUsize;
-        let candidates = vec![0b00u64, 0b01, 0b10];
         // Prefix 11 is out of domain: the second population sends a quarter
         // of its users to the dummy slot, the first none.
         let in_domain: Vec<u64> = (0..1009).map(|i| (i % 3) << 6 | (i % 7)).collect();
         let with_strays: Vec<u64> = (0..1009).map(|i| (i % 4) << 6 | (i % 5)).collect();
         // 5 users in 7 parts: one-user ranges and empty trailing parts.
         let tiny: Vec<u64> = vec![0b0100_0000, 0b1100_0001, 0, 0b1000_0000, 0b0100_0010];
+        let three = [0b00u64, 0b01, 0b10];
+        // (candidates, prefix length, level group, noise seed)
+        let cases: [(&[u64], u8, Vec<u64>, u64); 5] = [
+            (
+                &[0b00, 0b01, 0b10, 0b11],
+                2,
+                (0..3001).map(|i| (i % 13) << 4 | (i % 7)).collect(),
+                31,
+            ),
+            // A domain that is not a power of two, on a longer prefix:
+            // prefixes 0b100 and 0b110 land on the dummy slot.
+            (
+                &[0b000, 0b001, 0b010, 0b011, 0b101],
+                3,
+                (0..2503).map(|i| (i % 7) << 5 | (i % 29)).collect(),
+                17,
+            ),
+            (&three, 2, in_domain, 19),
+            (&three, 2, with_strays, 19),
+            (&three, 2, tiny, 19),
+        ];
         for fo in FoKind::ALL {
-            // Chunks of 64: no cut of 1009 users into 2, 3 or 7 ranges
-            // (505, 337, 145 users each) falls on a chunk boundary.
-            for exec_mode in [
-                ExecMode::Eager,
-                ExecMode::Chunked(NonZeroUsize::new(64).unwrap()),
-            ] {
-                let estimator = LevelEstimator::new(ProtocolConfig {
-                    fo,
-                    exec_mode,
-                    ..config()
-                })
-                .unwrap();
-                for items in [&in_domain, &with_strays, &tiny] {
-                    let unsplit = estimator.estimate(&candidates, 2, items, 19);
+            let estimator = LevelEstimator::new(ProtocolConfig { fo, ..config() }).unwrap();
+            for (candidates, prefix_len, items, seed) in &cases {
+                let users = items.len();
+                let reference = estimator.estimate(candidates, *prefix_len, items, *seed);
+                let oracle = Oracle::try_new(fo, estimator.budget, candidates.len() + 1).unwrap();
+                // Chunks of 64: no cut of 1009 users into 2, 3 or 7 ranges
+                // (505, 337, 145 users each) falls on a chunk boundary.
+                for chunk in [1usize, 5, 7, 64, 256, users] {
                     for parts in [1usize, 2, 3, 7] {
-                        let what =
-                            format!("{fo} {exec_mode:?} {} users {parts} parts", items.len());
-                        let (supports, bits) =
-                            split_level(&estimator, &candidates, 2, items, 19, parts);
-                        assert_eq!(bits, unsplit.report_bits, "{what}");
-                        assert_eq!(supports.reports(), items.len(), "{what}");
-                        let oracle =
-                            Oracle::try_new(fo, estimator.budget, candidates.len() + 1).unwrap();
-                        let debiased = oracle.estimate(&supports, items.len());
+                        let what = format!("{fo} {users} users, chunk {chunk}, {parts} parts");
+                        let (supports, bits) = split_level(
+                            &estimator,
+                            candidates,
+                            *prefix_len,
+                            items,
+                            *seed,
+                            chunk,
+                            parts,
+                        );
+                        assert_eq!(bits, reference.report_bits, "{what}");
+                        assert_eq!(supports.reports(), users, "{what}");
+                        let debiased = oracle.estimate(&supports, users);
                         assert_eq!(
                             debiased.frequencies()[..candidates.len()],
-                            unsplit.frequencies[..],
+                            reference.frequencies[..],
                             "{what}"
                         );
                     }
+                }
+                // The table compared real noise: another seed moves it.
+                if users > 1000 {
+                    let other = estimator.estimate(candidates, *prefix_len, items, seed + 1);
+                    assert_ne!(other.frequencies, reference.frequencies, "{fo} reseed");
                 }
             }
         }

@@ -108,9 +108,9 @@ pub mod wire;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
 pub use comm::CommTracker;
+pub use config::ProtocolConfig;
 #[doc(hidden)]
-pub use config::FoExec;
-pub use config::{ExecMode, ProtocolConfig};
+pub use config::{ExecMode, FoExec};
 pub use epoch::{
     BudgetLedger, EpochConfig, EpochExecutor, EpochOutput, EpochRecord, EpochRunner, EpochState,
     PartyPopulation, WarmSet, WarmStart,

@@ -14,8 +14,8 @@
 //! ([`ScenarioPlan::compromised_parties`]), and every perturbation an
 //! adversary applies derives from the scenario seed plus stable protocol
 //! coordinates (party index, round, payload position) — never from thread
-//! timing.  Honest parties' outputs stay bit-identical at any parallelism
-//! or chunk size, and the same plan always produces the same attack.
+//! timing.  Honest parties' outputs stay bit-identical at any
+//! parallelism, and the same plan always produces the same attack.
 //!
 //! Four adversary models ship (plus the benign [`AdversaryModel::None`]):
 //!

@@ -72,10 +72,6 @@ pub struct EngineConfig {
     pub scenario: ScenarioPlan,
     /// The transport the session's uploads travel through.
     pub transport: TransportKind,
-    /// When set, pins the report pipeline to chunked execution with this
-    /// chunk size for the whole run (see [`EngineConfig::chunk_size`]);
-    /// `None` leaves the protocol configuration's `exec_mode` in charge.
-    pub chunk: Option<std::num::NonZeroUsize>,
     /// When set, pins the aggregation topology for the whole run (see
     /// [`EngineConfig::with_topology`]); `None` leaves the protocol
     /// configuration's `topology` in charge.
@@ -92,7 +88,6 @@ impl EngineConfig {
             parallelism: 1,
             scenario: ScenarioPlan::benign(),
             transport: TransportKind::InProcess,
-            chunk: None,
             topology: None,
             quorum: None,
         }
@@ -134,22 +129,21 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy that pins the report pipeline to chunked execution
-    /// with at most `chunk` inputs and reports resident per worker — the
-    /// memory axis of million-user runs.  Results are **bit-identical** at
-    /// every chunk size and parallelism.
+    /// Returns `self` unchanged: the report pipeline's chunk size is fixed
+    /// inside the level estimator, not a setting.  Kept only for the
+    /// benchmark crate (`benchmark/src/workload.rs` is its one caller); the
+    /// next change to the benchmark deletes it with
+    /// [`ExecMode`](crate::ExecMode) and [`FoExec`](crate::FoExec).
     ///
     /// ```
     /// use fedhh_federated::EngineConfig;
     /// use std::num::NonZeroUsize;
     ///
     /// let chunk = NonZeroUsize::new(8192).expect("non-zero");
-    /// let engine = EngineConfig::parallel(4).chunk_size(chunk);
-    /// assert_eq!(engine.chunk, Some(chunk));
-    /// assert_eq!(engine.parallelism, 4);
+    /// assert_eq!(EngineConfig::parallel(4).chunk_size(chunk), EngineConfig::parallel(4));
     /// ```
-    pub fn chunk_size(mut self, chunk: std::num::NonZeroUsize) -> Self {
-        self.chunk = Some(chunk);
+    #[doc(hidden)]
+    pub fn chunk_size(self, _chunk: std::num::NonZeroUsize) -> Self {
         self
     }
 
@@ -206,13 +200,7 @@ impl EngineConfig {
             });
         }
         if let Some(topology) = self.topology {
-            if !topology.is_valid() {
-                let (fanout, depth) = match topology {
-                    Topology::Flat => (0, 0),
-                    Topology::Tree { fanout, depth } => (fanout, depth),
-                };
-                return Err(ProtocolError::InvalidTopology { fanout, depth });
-            }
+            topology.validate()?;
         }
         if let Some(quorum) = self.quorum {
             if !quorum.is_valid() {

@@ -16,13 +16,14 @@
 //! reached.  Which parties make the cut is a pure function of
 //! `(seed, round)` over the round's candidate list — a seeded permutation,
 //! never thread or socket timing — so quorum runs stay bit-deterministic
-//! per seed at any parallelism, chunk size or transport.  Late parties are
+//! per seed at any parallelism or transport.  Late parties are
 //! simply excluded from that round, folding into the same per-round
 //! semantics as the [`crate::FaultPlan`] dropout draw.
 //!
 //! Both types travel in the protocol configuration (wire schema 5), so a
 //! federation can never mix topologies across processes.
 
+use crate::error::ProtocolError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -91,6 +92,17 @@ impl Topology {
                     && (1..=8).contains(depth)
                     && fanout.checked_pow(*depth as u32).is_some()
             }
+        }
+    }
+
+    /// [`Topology::is_valid`] as a typed error: a malformed tree is
+    /// [`ProtocolError::InvalidTopology`] carrying its shape.
+    pub fn validate(&self) -> Result<(), ProtocolError> {
+        match *self {
+            Topology::Tree { fanout, depth } if !self.is_valid() => {
+                Err(ProtocolError::InvalidTopology { fanout, depth })
+            }
+            _ => Ok(()),
         }
     }
 }

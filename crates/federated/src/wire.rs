@@ -19,7 +19,7 @@
 //! Enum variants carry a one-byte tag; unknown tags decode to
 //! [`WireError::InvalidValue`], never a panic.
 
-use crate::config::{ExecMode, ProtocolConfig};
+use crate::config::ProtocolConfig;
 use crate::fault::FaultPlan;
 use crate::message::{
     CandidateReport, MergedSupports, PruneCandidates, PruneDictionary, RoundMessage, RoundPayload,
@@ -546,38 +546,6 @@ fn fo_kind_from_u8(raw: u8) -> Result<FoKind, WireError> {
     }
 }
 
-/// Stable one-byte discriminants for [`ExecMode`] (part of wire schema 2);
-/// `Chunked` is followed by its chunk size as a varint.
-fn encode_exec_mode(mode: ExecMode, out: &mut Vec<u8>) {
-    match mode {
-        ExecMode::Auto => out.push(0),
-        ExecMode::Eager => out.push(1),
-        ExecMode::Chunked(chunk) => {
-            out.push(2);
-            chunk.get().encode(out);
-        }
-    }
-}
-
-fn decode_exec_mode(reader: &mut Reader<'_>) -> Result<ExecMode, WireError> {
-    match reader.take_u8()? {
-        0 => Ok(ExecMode::Auto),
-        1 => Ok(ExecMode::Eager),
-        2 => {
-            let raw = usize::decode(reader)?;
-            let chunk = std::num::NonZeroUsize::new(raw).ok_or(WireError::InvalidValue {
-                what: "chunk size",
-                value: 0,
-            })?;
-            Ok(ExecMode::Chunked(chunk))
-        }
-        other => Err(WireError::InvalidValue {
-            what: "execution mode",
-            value: other as u64,
-        }),
-    }
-}
-
 /// Stable one-byte discriminants for [`Topology`] (wire schema 5);
 /// `Tree` is followed by its fanout and depth as varints.
 fn encode_topology(topology: Topology, out: &mut Vec<u8>) {
@@ -632,7 +600,6 @@ impl Encode for ProtocolConfig {
         self.phase1_user_fraction.encode(out);
         self.dividing_ratio.encode(out);
         put_u64_fixed(out, self.seed);
-        encode_exec_mode(self.exec_mode, out);
         encode_topology(self.topology, out);
         self.quorum.encode(out);
     }
@@ -650,7 +617,6 @@ impl Decode for ProtocolConfig {
             phase1_user_fraction: f64::decode(reader)?,
             dividing_ratio: f64::decode(reader)?,
             seed: reader.take_u64_fixed()?,
-            exec_mode: decode_exec_mode(reader)?,
             topology: decode_topology(reader)?,
             quorum: QuorumPolicy::decode(reader)?,
         })
@@ -787,37 +753,6 @@ mod tests {
             fo: FoKind::Olh,
             ..ProtocolConfig::test_default()
         });
-        round_trip(ProtocolConfig {
-            exec_mode: ExecMode::Eager,
-            ..ProtocolConfig::default()
-        });
-        round_trip(ProtocolConfig {
-            exec_mode: ExecMode::Chunked(std::num::NonZeroUsize::new(4096).unwrap()),
-            ..ProtocolConfig::default()
-        });
-    }
-
-    #[test]
-    fn zero_chunk_sizes_are_rejected_on_decode() {
-        let config = ProtocolConfig {
-            exec_mode: ExecMode::Chunked(std::num::NonZeroUsize::new(1).unwrap()),
-            ..ProtocolConfig::default()
-        };
-        let mut bytes = to_bytes(&config);
-        // The chunk varint (value 1, one byte) sits right before the
-        // topology + quorum suffix; forge it to zero.
-        let mut suffix = Vec::new();
-        encode_topology(config.topology, &mut suffix);
-        config.quorum.encode(&mut suffix);
-        let chunk_at = bytes.len() - suffix.len() - 1;
-        bytes[chunk_at] = 0;
-        assert!(matches!(
-            from_bytes::<ProtocolConfig>(&bytes),
-            Err(WireError::InvalidValue {
-                what: "chunk size",
-                ..
-            })
-        ));
     }
 
     #[test]

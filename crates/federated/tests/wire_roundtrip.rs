@@ -4,7 +4,7 @@
 //! uplink accounting cannot silently drift from the wire format.
 
 use fedhh_federated::{
-    AdversaryModel, CandidateReport, ExecMode, FaultPlan, FlipMode, MergedSupports, ProtocolConfig,
+    AdversaryModel, CandidateReport, FaultPlan, FlipMode, MergedSupports, ProtocolConfig,
     PruneCandidates, PruneDictionary, QuorumPolicy, RoundMessage, RoundPayload, ScenarioPlan,
     Topology, PAIR_BITS,
 };
@@ -66,13 +66,6 @@ fn random_config(rng: &mut StdRng) -> ProtocolConfig {
         phase1_user_fraction: rng.gen::<f64>() * 0.99,
         dividing_ratio: rng.gen::<f64>() * 0.49,
         seed: rng.gen(),
-        exec_mode: match rng.gen_range(0usize..3) {
-            0 => ExecMode::Auto,
-            1 => ExecMode::Eager,
-            _ => ExecMode::Chunked(
-                std::num::NonZeroUsize::new(rng.gen_range(1usize..1_000_000)).unwrap(),
-            ),
-        },
         topology: match rng.gen_range(0usize..3) {
             0 => Topology::Flat,
             1 => Topology::Tree {
@@ -169,8 +162,8 @@ fn merged_supports_round_trip_bit_exactly() {
 
 /// Every strict prefix of a tree-topology handshake payload is a typed
 /// `WireError` — never a panic, never a flat-star config decoded from a
-/// payload cut at the execution mode, and never a tree config invented
-/// from a truncated suffix.
+/// payload cut before the topology, and never a tree config invented from
+/// a truncated suffix.
 #[test]
 fn topology_handshake_payload_cuts_are_typed_errors() {
     let mut rng = rng(22);

@@ -13,7 +13,7 @@
 //!   methods take `&self`, return nothing the protocol can branch on, and
 //!   a disabled handle ([`Telemetry::disabled`]) skips even the clock
 //!   read.  A run with a sink attached is bit-identical to an unobserved
-//!   run at every execution path, chunk size and parallelism (proven by
+//!   run at every parallelism and transport (proven by
 //!   `tests/telemetry.rs`).
 //! * **Reconciled** — the trace is provably honest, not best-effort:
 //!   uplink events and the uplink/downlink counters are recorded from the

@@ -38,8 +38,10 @@ use std::io::{Read, Write};
 /// frequency-oracle execution-path byte from the protocol configuration,
 /// because a build runs exactly one path — a schema-6 peer or checkpoint
 /// may have run the sequential-RNG path, so it is refused rather than
-/// resumed onto a different report stream.
-pub const WIRE_SCHEMA: u8 = 7;
+/// resumed onto a different report stream; schema 8 dropped the
+/// execution-mode field from the protocol configuration, because the
+/// report pipeline's chunk size is no longer a setting.
+pub const WIRE_SCHEMA: u8 = 8;
 
 /// The largest frame a reader will accept, in bytes (schema + payload +
 /// crc).  Guards against a corrupt length prefix allocating gigabytes.

@@ -81,10 +81,10 @@
 //!
 //! [`datasets::DatasetConfig::build_streamed`] builds datasets whose
 //! parties regenerate their item sequences deterministically in chunks
-//! ([`datasets::ItemStream`]), and
-//! [`federated::EngineConfig::chunk_size`] pins the report pipeline to
-//! chunked execution — together they bound resident memory while staying
-//! **bit-identical** to the eager path.  See `ARCHITECTURE.md` at the
+//! ([`datasets::ItemStream`]), and the report pipeline perturbs and
+//! aggregates each level group in chunks of a fixed size — together they
+//! bound resident memory while staying **bit-identical** to an eager
+//! build.  See `ARCHITECTURE.md` at the
 //! repository root for the full data-plane story (wire → transport →
 //! session → `PartyDriver` → mechanism), and `fedhh-bench scale` for the
 //! measured sweep.

@@ -221,8 +221,9 @@ fn skewed_config() -> ProtocolConfig {
 }
 
 /// Runs under a telemetry sink; returns the output and how many `perturb`
-/// spans the run recorded.  At one chunk per range that count is the number
-/// of ranges estimated: levels, plus one per level helper.
+/// spans the run recorded.  Every level group here fits in one of the
+/// report pipeline's 16 384-user chunks, so that count is the number of
+/// ranges estimated: levels, plus one per level helper.
 fn execute_counting_ranges(
     kind: MechanismKind,
     ds: &FederatedDataset,
@@ -252,41 +253,32 @@ fn execute_counting_ranges(
 /// cover `run_solo_round`, where every worker but one is idle.
 #[test]
 fn split_levels_are_bit_identical_on_a_skewed_federation_for_every_mechanism() {
-    use std::num::NonZeroUsize;
     let ds = skewed_dataset();
-    let whole = NonZeroUsize::MAX;
     for kind in MechanismKind::ALL {
         let config = skewed_config();
-        let (sequential, unsplit_ranges) = execute_counting_ranges(
-            kind,
-            &ds,
-            config,
-            EngineConfig::sequential().chunk_size(whole),
-        );
+        let (sequential, unsplit_ranges) =
+            execute_counting_ranges(kind, &ds, config, EngineConfig::sequential());
         for parallelism in [1usize, 2, 3, 8] {
-            for chunk in [7, 64, usize::MAX] {
-                let chunk = NonZeroUsize::new(chunk).unwrap();
-                let engine = EngineConfig::parallel(parallelism).chunk_size(chunk);
-                let (output, ranges) = execute_counting_ranges(kind, &ds, config, engine);
-                assert_eq!(
-                    fingerprint(&output),
-                    fingerprint(&sequential),
-                    "{kind} diverged at parallelism {parallelism}, chunk {chunk}"
+            let engine = EngineConfig::parallel(parallelism);
+            let (output, ranges) = execute_counting_ranges(kind, &ds, config, engine);
+            assert_eq!(
+                fingerprint(&output),
+                fingerprint(&sequential),
+                "{kind} diverged at parallelism {parallelism}"
+            );
+            assert_eq!(output.local_results, sequential.local_results);
+            if parallelism == 1 {
+                assert_eq!(ranges, unsplit_ranges, "{kind}: no token at parallelism 1");
+            }
+            // Eight workers for three parties: five are idle from the first
+            // instant of every round, so the big party's levels do get
+            // split — the matrix above compared split runs.
+            if parallelism == 8 {
+                assert!(
+                    ranges > unsplit_ranges,
+                    "{kind}: no level was split ({ranges} ranges at parallelism 8, \
+                     {unsplit_ranges} sequentially)"
                 );
-                assert_eq!(output.local_results, sequential.local_results);
-                if chunk == whole && parallelism == 1 {
-                    assert_eq!(ranges, unsplit_ranges, "{kind}: no token at parallelism 1");
-                }
-                // Eight workers for three parties: five are idle from the
-                // first instant of every round, so the big party's levels
-                // do get split — the matrix above compared split runs.
-                if chunk == whole && parallelism == 8 {
-                    assert!(
-                        ranges > unsplit_ranges,
-                        "{kind}: no level was split ({ranges} ranges at parallelism 8, \
-                         {unsplit_ranges} sequentially)"
-                    );
-                }
             }
         }
     }

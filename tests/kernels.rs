@@ -4,21 +4,41 @@
 //! The `kernel-equivalence` CI job runs this file under
 //! `FEDHH_TEST_PARALLELISM={1,3,8}`.  Two guarantees are enforced:
 //!
-//! 1. **The path is invariant** across chunk sizes {1, 7, 64, usize::MAX}
-//!    × parallelism {1, 8} and under the env-driven default engine — for
-//!    every mechanism, bit-for-bit.
+//! 1. **The path is invariant** across parallelism {1, 2, 3, 8} and under
+//!    the env-driven default engine — for every mechanism, bit-for-bit — on
+//!    the test-scale YCM federation and on one whose big party's level
+//!    groups span several of the report pipeline's 16 384-user chunks.
 //! 2. **The path is deterministic and pinned**: same seed → same digest on
 //!    repeat runs, equal to the committed constant per mechanism and per
 //!    oracle, so no refactor can silently move the report stream.
 
-use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
-use fedhh_federated::{EngineConfig, ExecMode, ProtocolConfig};
+use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset, PartyData};
+use fedhh_federated::{EngineConfig, ProtocolConfig};
 use fedhh_fo::FoKind;
 use fedhh_mechanisms::{MechanismKind, MechanismOutput, Run};
-use std::num::NonZeroUsize;
+use fedhh_trie::ItemEncoder;
 
 fn dataset() -> FederatedDataset {
     DatasetConfig::test_scale().build(DatasetKind::Ycm)
+}
+
+/// A federation whose first party has more users than eight levels of the
+/// report pipeline's 16 384-user chunk: every mechanism's level groups on
+/// that party cross a chunk boundary, which no test-scale dataset does.
+fn chunk_crossing_dataset() -> FederatedDataset {
+    let encoder = ItemEncoder::new(16, 3);
+    let party = |name: &str, users: u64, shift: u64| {
+        let items = (0..users)
+            .map(|u| encoder.encode((u % 89) % (1 + (u + shift) % 17)))
+            .collect();
+        PartyData::new(name, items, 16)
+    };
+    FederatedDataset::new(
+        "chunk-crossing",
+        vec![party("big", 200_000, 0), party("small", 4_000, 7)],
+        16,
+        encoder,
+    )
 }
 
 fn config() -> ProtocolConfig {
@@ -75,30 +95,29 @@ fn digest(output: &MechanismOutput) -> u64 {
     h
 }
 
-/// Guarantee 1: the output is bit-identical across every chunk size, both
-/// parallelism levels and the env-driven default engine.
+/// Guarantee 1: the output is bit-identical at every parallelism level
+/// and under the env-driven default engine, on both federations.
 #[test]
 fn selected_path_is_invariant_across_chunking_and_parallelism() {
-    let ds = dataset();
-    for kind in MechanismKind::ALL {
-        let reference = run(kind, &ds, config(), Some(EngineConfig::sequential()));
-        let baseline = digest(&reference);
-        // The default engine honours FEDHH_TEST_PARALLELISM; the explicit
-        // grid covers both levels regardless of the environment.
-        assert_eq!(
-            digest(&run(kind, &ds, config(), None)),
-            baseline,
-            "{kind}: default engine diverged"
-        );
-        for parallelism in [1usize, 8] {
-            for chunk in [1usize, 7, 64, usize::MAX] {
+    for ds in [dataset(), chunk_crossing_dataset()] {
+        for kind in MechanismKind::ALL {
+            let reference = run(kind, &ds, config(), Some(EngineConfig::sequential()));
+            let baseline = digest(&reference);
+            // The default engine honours FEDHH_TEST_PARALLELISM; the explicit
+            // grid covers every level regardless of the environment.
+            assert_eq!(
+                digest(&run(kind, &ds, config(), None)),
+                baseline,
+                "{kind} on {}: default engine diverged",
+                ds.name()
+            );
+            for parallelism in [1usize, 2, 3, 8] {
                 let engine = EngineConfig::parallel(parallelism);
-                let cfg =
-                    config().with_exec_mode(ExecMode::Chunked(NonZeroUsize::new(chunk).unwrap()));
                 assert_eq!(
-                    digest(&run(kind, &ds, cfg, Some(engine))),
+                    digest(&run(kind, &ds, config(), Some(engine))),
                     baseline,
-                    "{kind}: chunk {chunk} x parallelism {parallelism} diverged"
+                    "{kind} on {}: parallelism {parallelism} diverged",
+                    ds.name()
                 );
             }
         }

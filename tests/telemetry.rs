@@ -2,7 +2,8 @@
 //!
 //! 1. **Inertness** — a run with a trace sink attached produces a
 //!    `MechanismOutput` bit-identical to an unobserved run, across
-//!    parallelism {1, 8} × transport {memory, tcp} × chunk size.  Timing never feeds back into protocol state.
+//!    mechanism {TAPS, FedPEM} × parallelism {1, 2, 8} × transport
+//!    {memory, tcp}.  Timing never feeds back into protocol state.
 //! 2. **Reconciliation** — the traced runs here cover the tracker's uplink,
 //!    and the `wire.tx.bytes` counter equals `SocketTransport`'s actual
 //!    frame lengths, exactly.  Trace ⇔ recorder ⇔ tracker per level and
@@ -14,7 +15,6 @@ use fedhh::federated::{CandidateReport, RoundMessage, RoundPayload, SocketTransp
 use fedhh::prelude::*;
 use fedhh::telemetry::Counter;
 use fedhh_datasets::FederatedDataset;
-use std::num::NonZeroUsize;
 
 fn dataset() -> FederatedDataset {
     DatasetConfig::test_scale().build(DatasetKind::Rdb)
@@ -67,63 +67,41 @@ fn drain_stats(telemetry: &Telemetry) -> TraceStats {
 }
 
 /// Inertness across the full execution matrix: attaching a recording sink
-/// never changes a single output bit, at any parallelism, over either
+/// never changes a single output bit, for either mechanism shape (TAPS'
+/// chained rounds, FedPEM's level rounds), at any parallelism, over either
 /// transport.
 #[test]
 fn telemetry_is_inert_across_exec_paths_parallelism_and_transports() {
     let ds = dataset();
-    for parallelism in [1usize, 8] {
-        for transport in [TransportKind::InProcess, TransportKind::Tcp] {
-            let engine = EngineConfig::parallel(parallelism).transport(transport);
-            let what = format!("p{parallelism}/{transport:?}");
-            let untraced = Run::mechanism(MechanismKind::Taps)
-                .dataset(&ds)
-                .config(config())
-                .engine(engine)
-                .execute()
-                .unwrap();
-            let telemetry = Telemetry::new();
-            let traced = Run::mechanism(MechanismKind::Taps)
-                .dataset(&ds)
-                .config(config())
-                .engine(engine)
-                .telemetry(&telemetry)
-                .execute()
-                .unwrap();
-            assert_outputs_identical(&untraced, &traced, &what);
-            // The sink actually recorded the run it didn't perturb.
-            let stats = drain_stats(&telemetry);
-            assert_eq!(
-                stats.total_uplink_bits(),
-                untraced.comm.total_uplink_bits() as u64,
-                "{what}: trace covers the uplink"
-            );
+    for kind in [MechanismKind::Taps, MechanismKind::FedPem] {
+        for parallelism in [1usize, 2, 8] {
+            for transport in [TransportKind::InProcess, TransportKind::Tcp] {
+                let engine = EngineConfig::parallel(parallelism).transport(transport);
+                let what = format!("{kind} p{parallelism}/{transport:?}");
+                let untraced = Run::mechanism(kind)
+                    .dataset(&ds)
+                    .config(config())
+                    .engine(engine)
+                    .execute()
+                    .unwrap();
+                let telemetry = Telemetry::new();
+                let traced = Run::mechanism(kind)
+                    .dataset(&ds)
+                    .config(config())
+                    .engine(engine)
+                    .telemetry(&telemetry)
+                    .execute()
+                    .unwrap();
+                assert_outputs_identical(&untraced, &traced, &what);
+                // The sink actually recorded the run it didn't perturb.
+                let stats = drain_stats(&telemetry);
+                assert_eq!(
+                    stats.total_uplink_bits(),
+                    untraced.comm.total_uplink_bits() as u64,
+                    "{what}: trace covers the uplink"
+                );
+            }
         }
-    }
-}
-
-/// Inertness is chunk-size independent: the streamed chunked pipeline and
-/// the eager path produce the same bits traced or untraced.
-#[test]
-fn telemetry_is_inert_across_chunk_sizes() {
-    let ds = dataset();
-    for chunk in [1usize, 7, 64] {
-        let engine = EngineConfig::parallel(2).chunk_size(NonZeroUsize::new(chunk).unwrap());
-        let untraced = Run::mechanism(MechanismKind::FedPem)
-            .dataset(&ds)
-            .config(config())
-            .engine(engine)
-            .execute()
-            .unwrap();
-        let telemetry = Telemetry::new();
-        let traced = Run::mechanism(MechanismKind::FedPem)
-            .dataset(&ds)
-            .config(config())
-            .engine(engine)
-            .telemetry(&telemetry)
-            .execute()
-            .unwrap();
-        assert_outputs_identical(&untraced, &traced, &format!("chunk {chunk}"));
     }
 }
 

@@ -1,6 +1,6 @@
 //! Integration tests of the aggregation tree and quorum closure: a tree
 //! topology at full quorum is bit-identical to the flat star for every
-//! mechanism across fanout × depth × parallelism × chunk size; partial
+//! mechanism across fanout × depth × parallelism; partial
 //! quorums close rounds identically across reruns and parallelism; and a
 //! tree run's trace, observer and tracker agree exactly while the
 //! root-inbound byte count strictly drops below the flat equivalent.
@@ -9,7 +9,6 @@ use fedhh::prelude::*;
 use fedhh::telemetry::Counter;
 use fedhh_datasets::FederatedDataset;
 use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
 
 fn dataset() -> FederatedDataset {
     DatasetConfig::test_scale().build(DatasetKind::Ycm)
@@ -56,7 +55,7 @@ fn fingerprint(output: &MechanismOutput) -> (Vec<u64>, Vec<(u64, u64)>, usize, u
 /// is lossless by construction, so a tree at quorum 1.0 reproduces the
 /// flat star bit for bit — same heavy hitters, same count bit patterns,
 /// same traffic — for every mechanism, at every fanout × depth ×
-/// parallelism × chunk size of the matrix.
+/// parallelism of the matrix.
 #[test]
 fn tree_matches_flat_bit_for_bit_at_full_quorum() {
     let ds = dataset();
@@ -64,22 +63,18 @@ fn tree_matches_flat_bit_for_bit_at_full_quorum() {
         let flat = execute(kind, &ds, EngineConfig::sequential());
         for (fanout, depth) in [(2, 1), (2, 2), (4, 1), (4, 2), (16, 1), (16, 2)] {
             for parallelism in [1usize, 8] {
-                for chunk in [1usize, 64] {
-                    let engine = EngineConfig::parallel(parallelism)
-                        .chunk_size(NonZeroUsize::new(chunk).unwrap())
-                        .with_topology(Topology::Tree { fanout, depth });
-                    let tree = execute(kind, &ds, engine);
-                    assert_eq!(
-                        fingerprint(&tree),
-                        fingerprint(&flat),
-                        "{kind} diverged under tree:{fanout}:{depth} at \
-                         parallelism {parallelism}, chunk {chunk}"
-                    );
-                    assert_eq!(
-                        tree.local_results, flat.local_results,
-                        "{kind} local results diverged under tree:{fanout}:{depth}"
-                    );
-                }
+                let engine = EngineConfig::parallel(parallelism)
+                    .with_topology(Topology::Tree { fanout, depth });
+                let tree = execute(kind, &ds, engine);
+                assert_eq!(
+                    fingerprint(&tree),
+                    fingerprint(&flat),
+                    "{kind} diverged under tree:{fanout}:{depth} at parallelism {parallelism}"
+                );
+                assert_eq!(
+                    tree.local_results, flat.local_results,
+                    "{kind} local results diverged under tree:{fanout}:{depth}"
+                );
             }
         }
     }

@@ -660,73 +660,75 @@ mod tests {
     }
 
     /// Where a level's chunk and part boundaries fall never moves a bit:
-    /// every chunk size × part count × oracle reproduces the production
-    /// estimate (one [`CHUNK`] spans each of these groups) exactly.
+    /// for every oracle, each chunk size × part count reproduces the
+    /// production estimate of `items` (one [`CHUNK`] spans each group these
+    /// tests use) exactly.
+    fn assert_bit_identical_at_every_chunk_and_part(
+        candidates: &[u64],
+        prefix_len: u8,
+        items: &[u64],
+        noise_seed: u64,
+    ) {
+        let users = items.len();
+        for fo in FoKind::ALL {
+            let estimator = LevelEstimator::new(ProtocolConfig { fo, ..config() }).unwrap();
+            let reference = estimator.estimate(candidates, prefix_len, items, noise_seed);
+            let oracle = Oracle::try_new(fo, estimator.budget, candidates.len() + 1).unwrap();
+            // Chunks of 64: no cut of 1009 users into 2, 3 or 7 ranges
+            // (505, 337, 145 users each) falls on a chunk boundary.
+            for chunk in [1usize, 5, 7, 64, 256, users] {
+                for parts in [1usize, 2, 3, 7] {
+                    let what = format!("{fo} {users} users, chunk {chunk}, {parts} parts");
+                    let (supports, bits) = split_level(
+                        &estimator, candidates, prefix_len, items, noise_seed, chunk, parts,
+                    );
+                    assert_eq!(bits, reference.report_bits, "{what}");
+                    assert_eq!(supports.reports(), users, "{what}");
+                    let debiased = oracle.estimate(&supports, users);
+                    assert_eq!(
+                        debiased.frequencies()[..candidates.len()],
+                        reference.frequencies[..],
+                        "{what}"
+                    );
+                }
+            }
+            // Deterministic per seed, and the table compared real noise:
+            // another seed moves it.
+            let again = estimator.estimate(candidates, prefix_len, items, noise_seed);
+            assert_eq!(again.frequencies, reference.frequencies, "{fo} rerun");
+            if users > 1000 {
+                let other = estimator.estimate(candidates, prefix_len, items, noise_seed + 1);
+                assert_ne!(other.frequencies, reference.frequencies, "{fo} reseed");
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_execution_is_bit_identical_at_every_chunk_size() {
+        let items: Vec<u64> = (0..3001).map(|i| (i % 13) << 4 | (i % 7)).collect();
+        assert_bit_identical_at_every_chunk_and_part(&[0b00, 0b01, 0b10, 0b11], 2, &items, 31);
+    }
+
+    #[test]
+    fn vectorized_execution_is_bit_identical_at_every_chunk_size() {
+        // A domain that is not a power of two, on a longer prefix than the
+        // chunked test: prefixes 0b100 and 0b110 land on the dummy slot.
+        let items: Vec<u64> = (0..2503).map(|i| (i % 7) << 5 | (i % 29)).collect();
+        let candidates = [0b000u64, 0b001, 0b010, 0b011, 0b101];
+        assert_bit_identical_at_every_chunk_and_part(&candidates, 3, &items, 17);
+    }
+
     #[test]
     fn split_levels_are_bit_identical_at_every_part_count() {
+        let candidates = [0b00u64, 0b01, 0b10];
         // Prefix 11 is out of domain: the second population sends a quarter
         // of its users to the dummy slot, the first none.
         let in_domain: Vec<u64> = (0..1009).map(|i| (i % 3) << 6 | (i % 7)).collect();
         let with_strays: Vec<u64> = (0..1009).map(|i| (i % 4) << 6 | (i % 5)).collect();
         // 5 users in 7 parts: one-user ranges and empty trailing parts.
         let tiny: Vec<u64> = vec![0b0100_0000, 0b1100_0001, 0, 0b1000_0000, 0b0100_0010];
-        let three = [0b00u64, 0b01, 0b10];
-        // (candidates, prefix length, level group, noise seed)
-        let cases: [(&[u64], u8, Vec<u64>, u64); 5] = [
-            (
-                &[0b00, 0b01, 0b10, 0b11],
-                2,
-                (0..3001).map(|i| (i % 13) << 4 | (i % 7)).collect(),
-                31,
-            ),
-            // A domain that is not a power of two, on a longer prefix:
-            // prefixes 0b100 and 0b110 land on the dummy slot.
-            (
-                &[0b000, 0b001, 0b010, 0b011, 0b101],
-                3,
-                (0..2503).map(|i| (i % 7) << 5 | (i % 29)).collect(),
-                17,
-            ),
-            (&three, 2, in_domain, 19),
-            (&three, 2, with_strays, 19),
-            (&three, 2, tiny, 19),
-        ];
-        for fo in FoKind::ALL {
-            let estimator = LevelEstimator::new(ProtocolConfig { fo, ..config() }).unwrap();
-            for (candidates, prefix_len, items, seed) in &cases {
-                let users = items.len();
-                let reference = estimator.estimate(candidates, *prefix_len, items, *seed);
-                let oracle = Oracle::try_new(fo, estimator.budget, candidates.len() + 1).unwrap();
-                // Chunks of 64: no cut of 1009 users into 2, 3 or 7 ranges
-                // (505, 337, 145 users each) falls on a chunk boundary.
-                for chunk in [1usize, 5, 7, 64, 256, users] {
-                    for parts in [1usize, 2, 3, 7] {
-                        let what = format!("{fo} {users} users, chunk {chunk}, {parts} parts");
-                        let (supports, bits) = split_level(
-                            &estimator,
-                            candidates,
-                            *prefix_len,
-                            items,
-                            *seed,
-                            chunk,
-                            parts,
-                        );
-                        assert_eq!(bits, reference.report_bits, "{what}");
-                        assert_eq!(supports.reports(), users, "{what}");
-                        let debiased = oracle.estimate(&supports, users);
-                        assert_eq!(
-                            debiased.frequencies()[..candidates.len()],
-                            reference.frequencies[..],
-                            "{what}"
-                        );
-                    }
-                }
-                // The table compared real noise: another seed moves it.
-                if users > 1000 {
-                    let other = estimator.estimate(candidates, *prefix_len, items, seed + 1);
-                    assert_ne!(other.frequencies, reference.frequencies, "{fo} reseed");
-                }
-            }
+        for items in [&in_domain, &with_strays, &tiny] {
+            assert_bit_identical_at_every_chunk_and_part(&candidates, 2, items, 19);
         }
     }
 

@@ -12,33 +12,16 @@
 //!    repeat runs, equal to the committed constant per mechanism and per
 //!    oracle, so no refactor can silently move the report stream.
 
-use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset, PartyData};
+mod common;
+
+use common::{chunk_crossing_dataset, digest};
+use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
 use fedhh_federated::{EngineConfig, ProtocolConfig};
 use fedhh_fo::FoKind;
 use fedhh_mechanisms::{MechanismKind, MechanismOutput, Run};
-use fedhh_trie::ItemEncoder;
 
 fn dataset() -> FederatedDataset {
     DatasetConfig::test_scale().build(DatasetKind::Ycm)
-}
-
-/// A federation whose first party has more users than eight levels of the
-/// report pipeline's 16 384-user chunk: every mechanism's level groups on
-/// that party cross a chunk boundary, which no test-scale dataset does.
-fn chunk_crossing_dataset() -> FederatedDataset {
-    let encoder = ItemEncoder::new(16, 3);
-    let party = |name: &str, users: u64, shift: u64| {
-        let items = (0..users)
-            .map(|u| encoder.encode((u % 89) % (1 + (u + shift) % 17)))
-            .collect();
-        PartyData::new(name, items, 16)
-    };
-    FederatedDataset::new(
-        "chunk-crossing",
-        vec![party("big", 200_000, 0), party("small", 4_000, 7)],
-        16,
-        encoder,
-    )
 }
 
 fn config() -> ProtocolConfig {
@@ -66,40 +49,11 @@ fn run(
     .unwrap_or_else(|e| panic!("{kind}: {e}"))
 }
 
-/// FNV-1a over every deterministic field of an output (the wall clock is
-/// excluded); two runs agree on this digest iff they agree bit-for-bit.
-fn digest(output: &MechanismOutput) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut eat = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for &hh in &output.heavy_hitters {
-        eat(hh);
-    }
-    let mut counts: Vec<(u64, u64)> = output
-        .counts
-        .iter()
-        .map(|(v, c)| (*v, c.to_bits()))
-        .collect();
-    counts.sort_unstable();
-    for (value, count) in counts {
-        eat(value);
-        eat(count);
-    }
-    eat(output.comm.total_uplink_bits() as u64);
-    eat(output.comm.total_downlink_bits() as u64);
-    eat(output.comm.total_local_report_bits() as u64);
-    h
-}
-
 /// Guarantee 1: the output is bit-identical at every parallelism level
 /// and under the env-driven default engine, on both federations.
 #[test]
 fn selected_path_is_invariant_across_chunking_and_parallelism() {
-    for ds in [dataset(), chunk_crossing_dataset()] {
+    for ds in [dataset(), chunk_crossing_dataset(false)] {
         for kind in MechanismKind::ALL {
             let reference = run(kind, &ds, config(), Some(EngineConfig::sequential()));
             let baseline = digest(&reference);

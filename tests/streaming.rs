@@ -1,12 +1,21 @@
-//! Streamed-dataset properties of the 0.6 data plane.
+//! Chunk-invariance and streamed-dataset properties of the 0.6 data plane.
 //!
-//! **Streamed datasets equal eager datasets**: for every `DatasetKind`,
-//! `build_streamed` regenerates exactly the item sequences `build`
-//! materializes, and every mechanism produces the same `MechanismOutput`
-//! (heavy hitters, counts bit-for-bit, uplink accounting) over either, at
-//! parallelism {1, 4, 8}.  Where the report pipeline's chunk and level-split
-//! boundaries fall is pinned in `fedhh-federated`'s estimator tests and, end
-//! to end past the pipeline's chunk, in `tests/kernels.rs`.
+//! Two guarantees are enforced here:
+//!
+//! 1. **Chunked execution is bit-identical to the unchunked path**: the
+//!    report pipeline perturbs a level group in chunks of a fixed 16 384
+//!    users, and for every mechanism the same seed produces the digest
+//!    (heavy hitters, counts bit-for-bit, uplink accounting) that running
+//!    each group as one chunk gave, at parallelism {1, 8} on a federation
+//!    whose level groups span several chunks, over eager and streamed
+//!    parties alike.  Where chunk and level-split boundaries fall at every
+//!    chunk size is pinned in `fedhh-federated`'s estimator tests.
+//! 2. **Streamed datasets equal eager datasets**: for every `DatasetKind`,
+//!    `build_streamed` regenerates exactly the item sequences `build`
+//!    materializes, and every mechanism produces the same output over
+//!    either, at parallelism {1, 4, 8}.
+
+mod common;
 
 use fedhh_datasets::{
     DatasetConfig, DatasetKind, EvolutionPlan, FederatedDataset, PopulationEvolver,
@@ -67,6 +76,39 @@ fn assert_outputs_identical(a: &MechanismOutput, b: &MechanismOutput, what: &str
         b.local_results.len(),
         "{what}: local results"
     );
+}
+
+/// Per-mechanism digests (see `common::digest`) of the chunk-crossing
+/// federation, recorded when each level group could still be run as one
+/// whole chunk: that unchunked path, chunks of 7 and chunks of 16 384 all
+/// gave these, at parallelism 1 and 8, over eager and streamed parties.
+const UNCHUNKED_DIGESTS: [(MechanismKind, u64); 4] = [
+    (MechanismKind::FedPem, 0x4CBD_F3A4_B5CF_A86B),
+    (MechanismKind::Gtf, 0xA620_57C9_E698_7654),
+    (MechanismKind::Tap, 0x6AF0_E2F0_8BF4_C489),
+    (MechanismKind::Taps, 0xBABD_8490_359D_88F7),
+];
+
+/// Guarantee 1: level groups cut into several of the pipeline's chunks give
+/// the unchunked run's bits at parallelism {1, 8}, for all four mechanisms,
+/// whether the parties hold their items or regenerate them.
+#[test]
+fn chunked_execution_is_bit_identical_across_chunk_sizes_and_parallelism() {
+    let eager = common::chunk_crossing_dataset(false);
+    let streamed = common::chunk_crossing_dataset(true);
+    assert!(streamed.parties().iter().all(|p| p.is_streamed()));
+    for (kind, pin) in UNCHUNKED_DIGESTS {
+        for parallelism in [1usize, 8] {
+            let engine = EngineConfig::parallel(parallelism);
+            for (backing, dataset) in [("eager", &eager), ("streamed", &streamed)] {
+                let got = common::digest(&run(kind, dataset, config(), engine));
+                assert_eq!(
+                    got, pin,
+                    "{kind} {backing} parties at parallelism {parallelism}: digest {got:#018X}"
+                );
+            }
+        }
+    }
 }
 
 /// Streamed datasets regenerate exactly the sequences eager builds

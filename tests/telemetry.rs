@@ -3,7 +3,9 @@
 //! 1. **Inertness** — a run with a trace sink attached produces a
 //!    `MechanismOutput` bit-identical to an unobserved run, across
 //!    mechanism {TAPS, FedPEM} × parallelism {1, 2, 8} × transport
-//!    {memory, tcp}.  Timing never feeds back into protocol state.
+//!    {memory, tcp}, and on a federation whose level groups span several of
+//!    the report pipeline's chunks.  Timing never feeds back into protocol
+//!    state.
 //! 2. **Reconciliation** — the traced runs here cover the tracker's uplink,
 //!    and the `wire.tx.bytes` counter equals `SocketTransport`'s actual
 //!    frame lengths, exactly.  Trace ⇔ recorder ⇔ tracker per level and
@@ -15,6 +17,8 @@ use fedhh::federated::{CandidateReport, RoundMessage, RoundPayload, SocketTransp
 use fedhh::prelude::*;
 use fedhh::telemetry::Counter;
 use fedhh_datasets::FederatedDataset;
+
+mod common;
 
 fn dataset() -> FederatedDataset {
     DatasetConfig::test_scale().build(DatasetKind::Rdb)
@@ -103,6 +107,36 @@ fn telemetry_is_inert_across_exec_paths_parallelism_and_transports() {
             }
         }
     }
+}
+
+/// Inertness holds where the report pipeline's chunk boundaries fall: on a
+/// federation whose level groups span several 16 384-user chunks, FedPEM
+/// at parallelism 2 gives the same bits traced or untraced.
+#[test]
+fn telemetry_is_inert_across_chunk_sizes() {
+    let ds = common::chunk_crossing_dataset(false);
+    let engine = EngineConfig::parallel(2);
+    let untraced = Run::mechanism(MechanismKind::FedPem)
+        .dataset(&ds)
+        .config(config())
+        .engine(engine)
+        .execute()
+        .unwrap();
+    let telemetry = Telemetry::new();
+    let traced = Run::mechanism(MechanismKind::FedPem)
+        .dataset(&ds)
+        .config(config())
+        .engine(engine)
+        .telemetry(&telemetry)
+        .execute()
+        .unwrap();
+    assert_outputs_identical(&untraced, &traced, "chunk-crossing federation");
+    let stats = drain_stats(&telemetry);
+    assert_eq!(
+        stats.total_uplink_bits(),
+        untraced.comm.total_uplink_bits() as u64,
+        "trace covers the uplink"
+    );
 }
 
 /// The wire-level reconciliation gate: the `wire.tx.bytes` counter equals

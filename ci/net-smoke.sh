@@ -7,11 +7,14 @@
 # Starts `fedhh-node coordinator --check-inmemory` plus its party processes
 # twice: a quick TAPS trial on the 4-party YCM stand-in over 4 processes, and
 # one on the 8-party SYN group over 2 processes (SYN is the only group with
-# Poisson parties, and every process rebuilds it from the welcome).  Then
-# it repeats with a `fedhh-bench trial --transport tcp` leg.  The
+# Poisson parties, and every process rebuilds it from the welcome).  The
 # coordinator exits non-zero unless the distributed MechanismOutput (top-k,
 # estimates, uplink bits) is bit-identical to the in-memory run at the same
-# seed.  A last, negative leg binds a coordinator on 0.0.0.0 that no party
+# seed.  Then a `fedhh-bench trial` runs over the tcp transport at
+# parallelism 4 (four party threads sharing the transport's one stream) and
+# over the memory transport at parallelism 1; the gate fails unless both
+# print identical F1, NCR, avg local recall, uplink and server traffic
+# lines.  A last, negative leg binds a coordinator on 0.0.0.0 that no party
 # dials: it must fail with the accept timeout within 10 s, not hang.
 set -euo pipefail
 
@@ -69,8 +72,22 @@ federate() {
 federate ycm 4
 federate syn 2
 
-log "fedhh-bench trial over the tcp transport"
-"$BENCH_BIN" trial taps ycm --quick --transport tcp
+# trial TRANSPORT PARALLELISM — a quick TAPS trial on YCM; prints its
+# output and keeps the result lines in $WORKDIR/trial-TRANSPORT.metrics.
+trial() {
+    local out="$WORKDIR/trial-$1"
+    log "fedhh-bench trial over the $1 transport at parallelism $2"
+    "$BENCH_BIN" trial taps ycm --quick --transport "$1" --parallelism "$2" > "$out.out"
+    cat "$out.out"
+    grep -E '^(F1|NCR|avg local recall|uplink|server traffic) ' "$out.out" > "$out.metrics"
+    [ "$(wc -l < "$out.metrics")" -eq 5 ] \
+        || die "trial over $1 printed $(wc -l < "$out.metrics") of 5 result lines" "$out.out"
+}
+
+trial tcp 4
+trial memory 1
+assert_identical "$WORKDIR/trial-tcp.metrics" "$WORKDIR/trial-memory.metrics" \
+    "tcp trial at parallelism 4 vs memory trial at parallelism 1"
 
 log "a coordinator on 0.0.0.0 that no party dials times out"
 STATUS=0

@@ -227,30 +227,10 @@ impl LevelEstimator {
     /// `prefix_len`) from the reports of `group_items` (full item codes).
     ///
     /// `noise_seed` decorrelates the perturbation randomness of different
-    /// parties/levels while keeping runs reproducible.
-    ///
-    /// Allocates a fresh [`EstimateScratch`] per call; hot loops should own
-    /// a scratch and call [`LevelEstimator::estimate_with`] instead.
-    pub fn estimate(
-        &self,
-        candidates: &[u64],
-        prefix_len: u8,
-        group_items: &[u64],
-        noise_seed: u64,
-    ) -> LevelEstimate {
-        self.estimate_with(
-            &mut EstimateScratch::new(),
-            candidates,
-            prefix_len,
-            group_items,
-            noise_seed,
-        )
-    }
-
-    /// Like [`LevelEstimator::estimate`], but reusing a caller-owned
-    /// [`EstimateScratch`] so repeated estimation (one call per level, per
-    /// party, per round) never reallocates its report buffers, support
-    /// arena or oracle.
+    /// parties/levels while keeping runs reproducible.  The caller-owned
+    /// [`EstimateScratch`] makes repeated estimation (one call per level,
+    /// per party, per round) never reallocate its report buffers, support
+    /// arena or oracle; a one-off call passes `&mut EstimateScratch::new()`.
     ///
     /// The group is processed in chunks of at most 16 384 users: each
     /// chunk's prefixes are encoded, perturbed by the counter-RNG SoA
@@ -543,7 +523,7 @@ mod tests {
             })
             .collect();
         let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
-        let est = estimator.estimate(&candidates, 2, &items, 1);
+        let est = estimator.estimate_with(&mut EstimateScratch::new(), &candidates, 2, &items, 1);
         assert_eq!(est.users, 4000);
         assert!(est.report_bits > 0);
         let top = est.top_t(1);
@@ -561,7 +541,7 @@ mod tests {
         // candidate: estimates for the candidates must stay near zero.
         let items: Vec<u64> = vec![0b1100_0000; 3000];
         let candidates = vec![0b00u64, 0b01];
-        let est = estimator.estimate(&candidates, 2, &items, 2);
+        let est = estimator.estimate_with(&mut EstimateScratch::new(), &candidates, 2, &items, 2);
         assert!(est.frequency_of(0b00).abs() < 0.1);
         assert!(est.frequency_of(0b01).abs() < 0.1);
     }
@@ -569,7 +549,7 @@ mod tests {
     #[test]
     fn empty_candidate_list_yields_empty_estimate() {
         let estimator = LevelEstimator::new(config()).unwrap();
-        let est = estimator.estimate(&[], 2, &[1, 2, 3], 3);
+        let est = estimator.estimate_with(&mut EstimateScratch::new(), &[], 2, &[1, 2, 3], 3);
         assert!(est.candidates.is_empty());
         assert_eq!(est.users, 3);
         assert_eq!(est.report_bits, 0);
@@ -591,7 +571,7 @@ mod tests {
             })
             .collect();
         let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
-        let est = estimator.estimate(&candidates, 2, &items, 4);
+        let est = estimator.estimate_with(&mut EstimateScratch::new(), &candidates, 2, &items, 4);
         let ranked = est.ranked_candidates();
         for w in ranked.windows(2) {
             assert!(w[0].1 >= w[1].1);
@@ -606,7 +586,8 @@ mod tests {
         let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
         for fo in fedhh_fo::FoKind::ALL {
             let estimator = LevelEstimator::new(ProtocolConfig { fo, ..base }).unwrap();
-            let fresh = estimator.estimate(&candidates, 2, &items, 77);
+            let fresh =
+                estimator.estimate_with(&mut EstimateScratch::new(), &candidates, 2, &items, 77);
 
             // A scratch reused across calls (levels) must not leak state.
             let mut scratch = EstimateScratch::new();
@@ -672,7 +653,13 @@ mod tests {
         let users = items.len();
         for fo in FoKind::ALL {
             let estimator = LevelEstimator::new(ProtocolConfig { fo, ..config() }).unwrap();
-            let reference = estimator.estimate(candidates, prefix_len, items, noise_seed);
+            let reference = estimator.estimate_with(
+                &mut EstimateScratch::new(),
+                candidates,
+                prefix_len,
+                items,
+                noise_seed,
+            );
             let oracle = Oracle::try_new(fo, estimator.budget, candidates.len() + 1).unwrap();
             // Chunks of 64: no cut of 1009 users into 2, 3 or 7 ranges
             // (505, 337, 145 users each) falls on a chunk boundary.
@@ -694,10 +681,22 @@ mod tests {
             }
             // Deterministic per seed, and the table compared real noise:
             // another seed moves it.
-            let again = estimator.estimate(candidates, prefix_len, items, noise_seed);
+            let again = estimator.estimate_with(
+                &mut EstimateScratch::new(),
+                candidates,
+                prefix_len,
+                items,
+                noise_seed,
+            );
             assert_eq!(again.frequencies, reference.frequencies, "{fo} rerun");
             if users > 1000 {
-                let other = estimator.estimate(candidates, prefix_len, items, noise_seed + 1);
+                let other = estimator.estimate_with(
+                    &mut EstimateScratch::new(),
+                    candidates,
+                    prefix_len,
+                    items,
+                    noise_seed + 1,
+                );
                 assert_ne!(other.frequencies, reference.frequencies, "{fo} reseed");
             }
         }
@@ -754,8 +753,11 @@ mod tests {
             granularity: 8,
             ..ProtocolConfig::test_default()
         };
-        let result = LevelEstimator::new(config)
-            .map(|estimator| estimator.estimate(&[0b0, 0b1], 1, &[1, 2, 3], 1).users);
+        let result = LevelEstimator::new(config).map(|estimator| {
+            estimator
+                .estimate_with(&mut EstimateScratch::new(), &[0b0, 0b1], 1, &[1, 2, 3], 1)
+                .users
+        });
         assert_eq!(
             result.unwrap_err().to_string(),
             "max_bits must be in 1..=64, got 65"
@@ -767,9 +769,9 @@ mod tests {
         let estimator = LevelEstimator::new(config()).unwrap();
         let items: Vec<u64> = (0..500).map(|i| i % 200).collect();
         let candidates = vec![0b00u64, 0b01, 0b10, 0b11];
-        let a = estimator.estimate(&candidates, 2, &items, 9);
-        let b = estimator.estimate(&candidates, 2, &items, 9);
-        let c = estimator.estimate(&candidates, 2, &items, 10);
+        let a = estimator.estimate_with(&mut EstimateScratch::new(), &candidates, 2, &items, 9);
+        let b = estimator.estimate_with(&mut EstimateScratch::new(), &candidates, 2, &items, 9);
+        let c = estimator.estimate_with(&mut EstimateScratch::new(), &candidates, 2, &items, 10);
         assert_eq!(a.frequencies, b.frequencies);
         assert_ne!(a.frequencies, c.frequencies);
     }
@@ -810,7 +812,7 @@ mod tests {
             ..config()
         })
         .unwrap();
-        let est = estimator.estimate(&candidates, 2, &items, 6);
+        let est = estimator.estimate_with(&mut EstimateScratch::new(), &candidates, 2, &items, 6);
         assert_eq!(est.users, items.len());
         assert_eq!(est.candidates, candidates);
         for f in &est.frequencies {

@@ -138,7 +138,7 @@ pub use session::{
 };
 pub use socket::SocketTransport;
 pub use topology::{QuorumPolicy, Topology};
-pub use transport::{ShardedTransport, Transport};
+pub use transport::{InProcessTransport, Transport};
 
 // The wire error is part of this crate's error surface
 // (`ProtocolError::Transport`), so re-export it for matchers.

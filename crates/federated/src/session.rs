@@ -39,7 +39,7 @@ use crate::observer::{LevelEstimated, PruningDecision};
 use crate::scenario::{apply_report_flip, AdversaryModel, FlipMode, ScenarioPlan};
 use crate::socket::SocketTransport;
 use crate::topology::{QuorumPolicy, Topology};
-use crate::transport::{canonical_sort, ShardedTransport, Transport};
+use crate::transport::{canonical_sort, InProcessTransport, Transport};
 use fedhh_telemetry::{Counter, SpanName, Telemetry, ValueHist};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -50,10 +50,10 @@ use std::sync::Arc;
 /// canonical order — only how the bytes move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TransportKind {
-    /// The in-process [`ShardedTransport`], one shard per worker.  A
-    /// scenario that corrupts frames needs frames to corrupt, so under
-    /// [`AdversaryModel::CorruptFrames`] this routes to the socket
-    /// transport instead.
+    /// The in-process [`InProcessTransport`], one queue every party
+    /// worker pushes into.  A scenario that corrupts frames needs frames
+    /// to corrupt, so under [`AdversaryModel::CorruptFrames`] this routes
+    /// to the socket transport instead.
     #[default]
     InProcess,
     /// The loopback [`SocketTransport`]: every upload crosses a real TCP
@@ -225,8 +225,8 @@ pub(crate) fn parse_parallelism(value: &str) -> Option<usize> {
 }
 
 /// A session's count of idle engine workers — the token pool through which
-/// a `Vectorized` level borrows the workers a round leaves without a party
-/// (see [`Session::scratch`]).
+/// a level borrows the workers a round leaves without a party (see
+/// [`Session::scratch`]).
 ///
 /// The count is `parallelism − party threads` when a round starts, grows by
 /// one whenever a party thread finishes its list, and is 0 between rounds.
@@ -493,21 +493,14 @@ impl Session {
             link.validate(party_count)
                 .map_err(ProtocolError::Transport)?;
         }
-        // One shard per party thread a round can run, and a round never runs
-        // more party threads than parties: a node's parallelism is decoded
-        // from a socket, so it must not size an allocation by itself.
-        let shards = engine.parallelism.min(party_count).max(1);
         // Frame corruption lives on the framed (TCP) path: route the
         // in-process default there when the scenario corrupts frames, so
         // the attack surface exists.
         let corruption = engine.scenario.corruption();
         let transport: Box<dyn Transport> = match engine.transport {
-            TransportKind::InProcess if corruption.is_none() => {
-                Box::new(ShardedTransport::new(shards))
-            }
+            TransportKind::InProcess if corruption.is_none() => Box::new(InProcessTransport::new()),
             TransportKind::InProcess | TransportKind::Tcp => Box::new(
-                SocketTransport::loopback_with(shards, corruption)
-                    .map_err(ProtocolError::Transport)?,
+                SocketTransport::loopback_with(corruption).map_err(ProtocolError::Transport)?,
             ),
         };
         Ok(Self {
@@ -537,8 +530,8 @@ impl Session {
 
     /// An estimation scratch wired to this session: it carries the
     /// session's telemetry handle and its [`IdleWorkers`] count, so the
-    /// `Vectorized` levels estimated with it can borrow the workers a round
-    /// leaves idle.  Drivers should take their scratches from here (after
+    /// levels estimated with it can borrow the workers a round leaves idle.
+    /// Drivers should take their scratches from here (after
     /// [`Session::set_telemetry`], if a handle is attached at all).
     pub fn scratch(&self) -> EstimateScratch {
         let mut scratch = EstimateScratch::new();
@@ -1073,7 +1066,7 @@ mod tests {
     /// A node's parallelism is decoded from a socket: a huge one must size
     /// nothing by itself, and the round must match a sane parallelism.
     #[test]
-    fn parallelism_beyond_the_party_count_allocates_no_extra_shards() {
+    fn parallelism_beyond_the_party_count_sizes_nothing() {
         for transport in [TransportKind::InProcess, TransportKind::Tcp] {
             let collect = |parallelism: usize| {
                 let engine = EngineConfig::parallel(parallelism).transport(transport);
@@ -1217,7 +1210,7 @@ mod tests {
             rounds
         };
         let memory = collect(TransportKind::InProcess, 1);
-        for parallelism in [1usize, 4] {
+        for parallelism in [1usize, 4, 8] {
             assert_eq!(
                 collect(TransportKind::Tcp, parallelism),
                 memory,

@@ -1,28 +1,25 @@
-//! [`SocketTransport`]: the [`Transport`] contract over real TCP sockets.
+//! [`SocketTransport`]: the [`Transport`] contract over a real TCP socket.
 //!
-//! The transport owns both halves of a loopback federation data plane:
-//!
-//! * a `TcpListener` plus **one acceptor thread** that hands each accepted
-//!   connection to its own **reader thread** (one per shard), which decodes
-//!   `fedhh-wire` frames and queues the carried [`RoundMessage`]s;
-//! * a pool of client `TcpStream`s — one per shard, picked by
-//!   `from % shards` like [`crate::ShardedTransport`] — that
-//!   [`Transport::send`] writes `Upload` frames through.
+//! The transport owns both ends of a loopback federation data plane: one
+//! client `TcpStream` that [`Transport::send`] writes `Upload` frames
+//! through, and the accepted server end of it, which **one reader thread**
+//! decodes `fedhh-wire` frames off and queues the carried [`RoundMessage`]s
+//! from.
 //!
 //! Every upload therefore crosses a real socket in the versioned frame
 //! format, while the engine keeps its ordinary synchronous shape:
-//! [`Transport::drain`] writes a `Flush` marker down every client stream
-//! and blocks until each reader has observed it.  TCP preserves per-stream
-//! order, and the engine only drains after its workers joined, so the
-//! barrier guarantees the drain sees every message sent before it — the
-//! exact contract the in-process transport provides.  A given sender always
-//! maps to one stream, so the stable canonical sort preserves each party's
-//! submission order, and results stay bit-identical to the in-memory
-//! transports.
+//! [`Transport::drain`] writes a `Flush` marker down the stream and blocks
+//! until the reader has observed it.  TCP preserves the stream's order, and
+//! the engine only drains after its workers joined, so the barrier
+//! guarantees the drain sees every message sent before it — the exact
+//! contract the in-process transport provides.  Each party sends from one
+//! thread, so its messages cross the stream in submission order, the stable
+//! canonical sort keeps that order, and results stay bit-identical to the
+//! in-process transport.
 //!
-//! Shutdown is graceful: dropping the transport sends a `Shutdown` frame on
-//! every client stream and joins the acceptor's reader threads, so no
-//! thread outlives the value and no socket is torn down mid-frame.
+//! Shutdown is graceful: dropping the transport shuts the stream down and
+//! joins the reader, which ends on the resulting EOF, so no thread outlives
+//! the value.
 
 use crate::message::RoundMessage;
 use crate::scenario::FrameCorruption;
@@ -32,7 +29,7 @@ use fedhh_wire::{read_frame, write_frame, Decode, Encode, Reader, WireError};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// One frame on the transport data plane.
@@ -41,10 +38,8 @@ enum SocketFrame {
     /// A queued round message.
     Upload(Box<RoundMessage>),
     /// A drain barrier: the reader acknowledges having consumed everything
-    /// sent before this token on its stream.
+    /// sent before this token on the stream.
     Flush(u64),
-    /// Graceful end of the stream.
-    Shutdown,
 }
 
 impl Encode for SocketFrame {
@@ -58,7 +53,6 @@ impl Encode for SocketFrame {
                 out.push(1);
                 token.encode(out);
             }
-            SocketFrame::Shutdown => out.push(2),
         }
     }
 }
@@ -68,7 +62,6 @@ impl Decode for SocketFrame {
         match reader.take_u8()? {
             0 => Ok(SocketFrame::Upload(Box::new(RoundMessage::decode(reader)?))),
             1 => Ok(SocketFrame::Flush(u64::decode(reader)?)),
-            2 => Ok(SocketFrame::Shutdown),
             other => Err(WireError::InvalidValue {
                 what: "socket frame tag",
                 value: other as u64,
@@ -77,23 +70,23 @@ impl Decode for SocketFrame {
     }
 }
 
-/// Shared server-side state: per-reader queues plus the flush barrier.
+/// Shared server-side state: the reader's queue plus the flush barrier.
 struct Shared {
-    /// One message queue per reader thread.
-    queues: Vec<Mutex<Vec<RoundMessage>>>,
-    /// Barrier state: the latest flush token each reader acknowledged, and
-    /// the first error any thread hit.
+    /// The messages the reader decoded since the last drain.
+    queue: Mutex<Vec<RoundMessage>>,
+    /// Barrier state: the latest flush token the reader acknowledged, and
+    /// the first error it hit.
     sync: Mutex<SyncState>,
     cond: Condvar,
-    /// Telemetry handle, attached (at most once) after the reader threads
-    /// already exist — hence the `OnceLock` rather than a constructor
-    /// argument.  Readers observe it lazily; until it is set they record
+    /// Telemetry handle, attached (at most once) after the reader thread
+    /// already exists — hence the `OnceLock` rather than a constructor
+    /// argument.  The reader observes it lazily; until it is set it records
     /// nothing.
     telemetry: OnceLock<Telemetry>,
 }
 
 struct SyncState {
-    acknowledged: Vec<u64>,
+    acknowledged: u64,
     error: Option<WireError>,
     closing: bool,
 }
@@ -108,20 +101,20 @@ impl Shared {
     }
 }
 
-/// A [`Transport`] over loopback TCP: real sockets, real frames, the same
+/// A [`Transport`] over loopback TCP: a real socket, real frames, the same
 /// canonical-order drain contract as the in-process transport.
 ///
 /// Select it with [`crate::TransportKind::Tcp`] on an
 /// [`crate::EngineConfig`]; results are bit-identical to the in-memory
 /// engine at the same seed.
 pub struct SocketTransport {
-    clients: Vec<Mutex<TcpStream>>,
-    shared: std::sync::Arc<Shared>,
-    readers: Vec<JoinHandle<()>>,
+    client: Mutex<TcpStream>,
+    shared: Arc<Shared>,
+    reader: Option<JoinHandle<()>>,
     next_token: AtomicU64,
     addr: SocketAddr,
     corruption: Option<FrameCorruption>,
-    /// Ground truth for reconciliation: every byte written down a client
+    /// Ground truth for reconciliation: every byte written down the client
     /// stream, counted from the encoded frame's actual length.  Always on
     /// (an atomic add costs nothing next to a socket write), so tests can
     /// assert the telemetry counter equals this exactly.
@@ -129,98 +122,52 @@ pub struct SocketTransport {
 }
 
 impl SocketTransport {
-    /// Binds a loopback listener and connects `shards` client streams to it
-    /// (at least one), spawning one acceptor and one reader per shard.
-    pub fn loopback(shards: usize) -> Result<Self, WireError> {
-        Self::loopback_with(shards, None)
+    /// [`SocketTransport::loopback_with`] without a corruption plan.
+    ///
+    /// The argument is ignored: the transport has one stream whatever the
+    /// engine's parallelism.  It stays only because the standalone
+    /// benchmark crate calls `loopback(1)`; the next change to the benchmark
+    /// drops it, together with the other benchmark-only shims.
+    pub fn loopback(_shards: usize) -> Result<Self, WireError> {
+        Self::loopback_with(None)
     }
 
-    /// Like [`SocketTransport::loopback`], but optionally installs a
-    /// [`FrameCorruption`] plan: a seeded fraction of `Upload` frames have
-    /// one post-length byte flipped *after* framing (after the CRC was
-    /// computed over the honest bytes), so the receiving reader observes a
-    /// deterministic CRC mismatch and the drain surfaces a typed error —
-    /// the `fedhh-wire` integrity surface under test, never a hang.
-    pub fn loopback_with(
-        shards: usize,
-        corruption: Option<FrameCorruption>,
-    ) -> Result<Self, WireError> {
-        let shards = shards.max(1);
+    /// Binds a loopback listener, connects one client stream to it and
+    /// spawns the reader for the accepted end.
+    ///
+    /// `corruption` optionally installs a [`FrameCorruption`] plan: a
+    /// seeded fraction of `Upload` frames have one post-length byte flipped
+    /// *after* framing (after the CRC was computed over the honest bytes),
+    /// so the reader observes a deterministic CRC mismatch and the drain
+    /// surfaces a typed error — the `fedhh-wire` integrity surface under
+    /// test, never a hang.
+    pub fn loopback_with(corruption: Option<FrameCorruption>) -> Result<Self, WireError> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let shared = std::sync::Arc::new(Shared {
-            queues: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+        // The listen backlog completes the loopback handshake, so the
+        // connect returns before anything accepts and the accept below
+        // finds the connection waiting.
+        let client = TcpStream::connect(addr).and_then(no_delay)?;
+        let (server, _) = listener.accept()?;
+        let server = no_delay(server)?;
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(Vec::new()),
             sync: Mutex::new(SyncState {
-                acknowledged: vec![0; shards],
+                acknowledged: 0,
                 error: None,
                 closing: false,
             }),
             cond: Condvar::new(),
             telemetry: OnceLock::new(),
         });
-
-        // One acceptor thread: accept exactly `shards` connections, spawn a
-        // reader per connection, and hand the reader handles back on join.
-        let acceptor = {
-            let shared = std::sync::Arc::clone(&shared);
-            std::thread::spawn(move || -> Vec<JoinHandle<()>> {
-                let mut readers = Vec::with_capacity(shards);
-                for index in 0..shards {
-                    match listener.accept().and_then(|(stream, _)| no_delay(stream)) {
-                        Ok(stream) => {
-                            let shared = std::sync::Arc::clone(&shared);
-                            readers.push(std::thread::spawn(move || {
-                                read_loop(index, stream, &shared);
-                            }));
-                        }
-                        Err(err) => {
-                            shared.fail(WireError::from(err));
-                            break;
-                        }
-                    }
-                }
-                readers
-            })
+        let reader = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || read_loop(server, &shared))
         };
-
-        let mut clients = Vec::with_capacity(shards);
-        let mut connect_error = None;
-        for _ in 0..shards {
-            match TcpStream::connect(addr).and_then(no_delay) {
-                Ok(stream) => clients.push(Mutex::new(stream)),
-                Err(err) => {
-                    connect_error = Some(WireError::from(err));
-                    break;
-                }
-            }
-        }
-        if connect_error.is_some() {
-            // The acceptor is still blocked waiting for the connections we
-            // failed to make; feed it throwaway ones (dropped immediately,
-            // so their readers exit on EOF) so the join below cannot hang.
-            for _ in clients.len()..shards {
-                let _ = TcpStream::connect(addr);
-            }
-        }
-        let readers = acceptor.join().expect("socket acceptor panicked");
-        if let Some(err) = connect_error {
-            // Tear the partially built transport down before reporting.
-            let partial = Self {
-                clients,
-                shared,
-                readers,
-                next_token: AtomicU64::new(1),
-                addr,
-                corruption: None,
-                tx_bytes: AtomicU64::new(0),
-            };
-            drop(partial);
-            return Err(err);
-        }
         Ok(Self {
-            clients,
+            client: Mutex::new(client),
             shared,
-            readers,
+            reader: Some(reader),
             next_token: AtomicU64::new(1),
             addr,
             corruption,
@@ -239,7 +186,7 @@ impl SocketTransport {
         self.shared.telemetry.get().cloned().unwrap_or_default()
     }
 
-    /// Total bytes written down the client streams so far — the encoded
+    /// Total bytes written down the client stream so far — the encoded
     /// length of every frame, data and control alike.  This is the wire
     /// ground truth the telemetry counter [`Counter::WireTxBytes`] must
     /// reconcile against exactly.
@@ -247,16 +194,24 @@ impl SocketTransport {
         self.tx_bytes.load(Ordering::Relaxed)
     }
 
-    /// Books one outgoing frame of `len` encoded bytes: always into the
-    /// transport's own ground-truth counter, and into the telemetry
-    /// registry when a handle is attached.
-    fn count_tx(&self, telemetry: &Telemetry, len: usize) {
-        self.tx_bytes.fetch_add(len as u64, Ordering::Relaxed);
-        telemetry.add(Counter::WireTxBytes, len as u64);
+    /// Writes one finished frame down the client stream and books its
+    /// `bytes.len()` encoded bytes: always into the transport's own
+    /// ground-truth counter, and into the telemetry registry when a handle
+    /// is attached.
+    fn transmit(&self, telemetry: &Telemetry, bytes: &[u8]) -> Result<(), WireError> {
+        {
+            let mut stream = self.client.lock().expect("socket transport poisoned");
+            stream.write_all(bytes)?;
+            stream.flush()?;
+        }
+        self.tx_bytes
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        telemetry.add(Counter::WireTxBytes, bytes.len() as u64);
         telemetry.add(Counter::WireTxFrames, 1);
+        Ok(())
     }
 
-    fn write(&self, shard: usize, frame: &SocketFrame) -> Result<(), WireError> {
+    fn write(&self, frame: &SocketFrame) -> Result<(), WireError> {
         let telemetry = self.telemetry();
         // Encode into a buffer first: `write_frame` has to build the
         // payload anyway to stamp the length prefix and CRC, and a single
@@ -268,15 +223,7 @@ impl SocketTransport {
             write_frame(&mut bytes, frame)?;
         }
         let _send = telemetry.span(SpanName::TransportSend);
-        {
-            let mut stream = self.clients[shard]
-                .lock()
-                .expect("socket transport poisoned");
-            stream.write_all(&bytes)?;
-            stream.flush()?;
-        }
-        self.count_tx(&telemetry, bytes.len());
-        Ok(())
+        self.transmit(&telemetry, &bytes)
     }
 
     /// Writes an upload frame with one byte flipped: the frame is built
@@ -286,9 +233,10 @@ impl SocketTransport {
     /// the damage as a CRC (or schema) mismatch instead of silently
     /// consuming corrupt data; sparing the length prefix keeps the reader's
     /// framing intact so it fails fast instead of mis-reading the stream.
+    /// The flipped frame is exactly as long as the honest one, so the byte
+    /// accounting stays truthful under corruption plans too.
     fn write_corrupted(
         &self,
-        shard: usize,
         frame: &SocketFrame,
         from: usize,
         round: u32,
@@ -298,17 +246,7 @@ impl SocketTransport {
         write_frame(&mut bytes, frame)?;
         let offset = corruption.flip_offset(from, round, bytes.len());
         bytes[offset] ^= 0x20;
-        {
-            let mut stream = self.clients[shard]
-                .lock()
-                .expect("socket transport poisoned");
-            stream.write_all(&bytes)?;
-            stream.flush()?;
-        }
-        // The flipped frame is exactly as long as the honest one, so the
-        // byte accounting stays truthful under corruption plans too.
-        self.count_tx(&self.telemetry(), bytes.len());
-        Ok(())
+        self.transmit(&self.telemetry(), &bytes)
     }
 }
 
@@ -321,17 +259,15 @@ fn no_delay(stream: TcpStream) -> std::io::Result<TcpStream> {
     Ok(stream)
 }
 
-/// A reader thread: decode frames off one accepted connection into the
-/// shard's queue until shutdown, EOF or error.
-fn read_loop(index: usize, stream: TcpStream, shared: &Shared) {
+/// The reader thread: decode frames off the accepted connection into the
+/// queue until EOF or error.
+fn read_loop(stream: TcpStream, shared: &Shared) {
     let mut reader = BufReader::new(stream);
     loop {
         match read_frame::<_, SocketFrame>(&mut reader) {
             Ok(SocketFrame::Upload(message)) => {
                 let depth = {
-                    let mut queue = shared.queues[index]
-                        .lock()
-                        .expect("socket transport poisoned");
+                    let mut queue = shared.queue.lock().expect("socket transport poisoned");
                     queue.push(*message);
                     queue.len()
                 };
@@ -345,16 +281,14 @@ fn read_loop(index: usize, stream: TcpStream, shared: &Shared) {
                     telemetry.add(Counter::FramesDecoded, 1);
                 }
                 let mut sync = shared.sync.lock().expect("socket transport poisoned");
-                sync.acknowledged[index] = sync.acknowledged[index].max(token);
+                sync.acknowledged = sync.acknowledged.max(token);
                 shared.cond.notify_all();
             }
-            // Shutdown frames race the stream teardown in `Drop` (the
-            // reader may see EOF first), so they stay out of the decoded
-            // count to keep it deterministic.
-            Ok(SocketFrame::Shutdown) => return,
             Err(err) => {
                 // An I/O error is a dead stream, not a bad frame; only
                 // integrity failures (CRC/schema/value) count as rejects.
+                // The EOF that `Drop` causes arrives while `closing` is set,
+                // so `fail` does not report it.
                 if !matches!(err, WireError::Io { .. }) {
                     if let Some(telemetry) = shared.telemetry.get() {
                         telemetry.add(Counter::FramesCorruptRejected, 1);
@@ -369,31 +303,27 @@ fn read_loop(index: usize, stream: TcpStream, shared: &Shared) {
 
 impl Transport for SocketTransport {
     fn send(&self, message: RoundMessage) -> Result<(), WireError> {
-        let shard = message.from % self.clients.len();
         let (from, round) = (message.from, message.round);
         let frame = SocketFrame::Upload(Box::new(message));
         match self.corruption {
             Some(corruption) if corruption.corrupts(from, round) => {
-                self.write_corrupted(shard, &frame, from, round)
+                self.write_corrupted(&frame, from, round)
             }
-            _ => self.write(shard, &frame),
+            _ => self.write(&frame),
         }
     }
 
     fn drain(&self) -> Result<Vec<RoundMessage>, WireError> {
-        use std::sync::atomic::Ordering;
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        for shard in 0..self.clients.len() {
-            self.write(shard, &SocketFrame::Flush(token))?;
-        }
-        // Wait for every reader to acknowledge the barrier (or fail).
+        self.write(&SocketFrame::Flush(token))?;
+        // Wait for the reader to acknowledge the barrier (or fail).
         {
             let mut sync = self.shared.sync.lock().expect("socket transport poisoned");
             loop {
                 if let Some(err) = &sync.error {
                     return Err(err.clone());
                 }
-                if sync.acknowledged.iter().all(|&seen| seen >= token) {
+                if sync.acknowledged >= token {
                     break;
                 }
                 sync = self
@@ -403,21 +333,15 @@ impl Transport for SocketTransport {
                     .expect("socket transport poisoned");
             }
         }
-        let mut messages: Vec<RoundMessage> = self
-            .shared
-            .queues
-            .iter()
-            .flat_map(|queue| {
-                std::mem::take(&mut *queue.lock().expect("socket transport poisoned"))
-            })
-            .collect();
+        let mut messages =
+            std::mem::take(&mut *self.shared.queue.lock().expect("socket transport poisoned"));
         canonical_sort(&mut messages);
         Ok(messages)
     }
 
     fn attach_telemetry(&self, telemetry: &Telemetry) {
-        // First attach wins; the readers are already running, so a swap
-        // could lose counts mid-stream.
+        // First attach wins; the reader is already running, so a swap could
+        // lose counts mid-stream.
         let _ = self.shared.telemetry.set(telemetry.clone());
     }
 }
@@ -429,14 +353,12 @@ impl Drop for SocketTransport {
             .lock()
             .expect("socket transport poisoned")
             .closing = true;
-        for client in &self.clients {
-            let mut stream = client.lock().expect("socket transport poisoned");
-            // Best effort: the reader also exits on EOF when the stream
-            // closes with the transport.
-            let _ = write_frame(&mut *stream, &SocketFrame::Shutdown);
+        // The reader ends on the EOF this causes (or has already ended on an
+        // error); either way the join below cannot hang.
+        if let Ok(stream) = self.client.get_mut() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        for reader in self.readers.drain(..) {
+        if let Some(reader) = self.reader.take() {
             let _ = reader.join();
         }
     }
@@ -446,7 +368,6 @@ impl std::fmt::Debug for SocketTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SocketTransport")
             .field("addr", &self.addr)
-            .field("shards", &self.clients.len())
             .field("corruption", &self.corruption)
             .finish()
     }
@@ -456,7 +377,7 @@ impl std::fmt::Debug for SocketTransport {
 mod tests {
     use super::*;
     use crate::message::{CandidateReport, RoundPayload};
-    use crate::transport::ShardedTransport;
+    use crate::transport::InProcessTransport;
 
     fn message(from: usize, round: u32, tag: u64) -> RoundMessage {
         RoundMessage {
@@ -474,8 +395,8 @@ mod tests {
 
     #[test]
     fn socket_transport_matches_the_in_memory_order() {
-        let socket = SocketTransport::loopback(3).unwrap();
-        let memory = ShardedTransport::new(1);
+        let socket = SocketTransport::loopback_with(None).unwrap();
+        let memory = InProcessTransport::new();
         for (from, round) in [(4, 0), (1, 0), (3, 1), (0, 0), (2, 0), (1, 1)] {
             socket.send(message(from, round, from as u64)).unwrap();
             memory.send(message(from, round, from as u64)).unwrap();
@@ -486,15 +407,13 @@ mod tests {
 
     #[test]
     fn client_streams_have_nagle_turned_off() {
-        let socket = SocketTransport::loopback(3).unwrap();
-        for client in &socket.clients {
-            assert!(client.lock().unwrap().nodelay().unwrap());
-        }
+        let socket = SocketTransport::loopback_with(None).unwrap();
+        assert!(socket.client.lock().unwrap().nodelay().unwrap());
     }
 
     #[test]
     fn equal_keys_keep_submission_order_across_the_socket() {
-        let socket = SocketTransport::loopback(2).unwrap();
+        let socket = SocketTransport::loopback_with(None).unwrap();
         for tag in [10, 11, 12] {
             socket.send(message(1, 0, tag)).unwrap();
         }
@@ -507,28 +426,38 @@ mod tests {
         assert_eq!(tags, vec![10, 11, 12]);
     }
 
+    /// Four workers share the one stream, each sending several tagged
+    /// messages per party it owns: every message arrives, and each
+    /// sender's tags drain in the order it sent them.
     #[test]
     fn concurrent_senders_arrive_completely() {
-        let socket = SocketTransport::loopback(4).unwrap();
-        assert_eq!(socket.clients.len(), 4);
+        let socket = SocketTransport::loopback_with(None).unwrap();
         std::thread::scope(|scope| {
             for worker in 0..4usize {
                 let socket = &socket;
                 scope.spawn(move || {
-                    for i in 0..16usize {
-                        socket.send(message(worker * 16 + i, 0, i as u64)).unwrap();
+                    for tag in 0..8u64 {
+                        for party in 0..4usize {
+                            socket.send(message(worker * 4 + party, 0, tag)).unwrap();
+                        }
                     }
                 });
             }
         });
         let drained = socket.drain().unwrap();
-        let senders: Vec<usize> = drained.iter().map(|m| m.from).collect();
-        assert_eq!(senders, (0..64).collect::<Vec<_>>());
+        let expected: Vec<(usize, u64)> = (0..16)
+            .flat_map(|from| (0..8).map(move |tag| (from, tag)))
+            .collect();
+        let got: Vec<(usize, u64)> = drained
+            .iter()
+            .map(|m| (m.from, m.as_report().unwrap().candidates[0].0))
+            .collect();
+        assert_eq!(got, expected);
     }
 
     #[test]
     fn repeated_rounds_drain_independently() {
-        let socket = SocketTransport::loopback(2).unwrap();
+        let socket = SocketTransport::loopback_with(None).unwrap();
         socket.send(message(0, 0, 1)).unwrap();
         assert_eq!(socket.drain().unwrap().len(), 1);
         socket.send(message(1, 1, 2)).unwrap();
@@ -539,16 +468,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_is_clamped_to_one() {
-        let socket = SocketTransport::loopback(0).unwrap();
-        assert_eq!(socket.clients.len(), 1);
-        socket.send(message(5, 0, 0)).unwrap();
-        assert_eq!(socket.drain().unwrap().len(), 1);
-    }
-
-    #[test]
     fn drop_shuts_down_cleanly_with_messages_in_flight() {
-        let socket = SocketTransport::loopback(2).unwrap();
+        let socket = SocketTransport::loopback_with(None).unwrap();
         socket.send(message(0, 0, 1)).unwrap();
         drop(socket); // must not hang or panic
     }
@@ -559,7 +480,7 @@ mod tests {
             fraction: 1.0,
             seed: 7,
         };
-        let socket = SocketTransport::loopback_with(2, Some(corruption)).unwrap();
+        let socket = SocketTransport::loopback_with(Some(corruption)).unwrap();
         // The send itself succeeds (the bytes leave the client); the damage
         // surfaces at the drain barrier as the reader's decode error.
         socket.send(message(0, 0, 1)).unwrap();
@@ -584,7 +505,7 @@ mod tests {
         };
         let clean: Vec<usize> = (0..6).filter(|&f| !corruption.corrupts(f, 0)).collect();
         assert!(!clean.is_empty(), "seed 3 must leave some slot clean");
-        let socket = SocketTransport::loopback_with(1, Some(corruption)).unwrap();
+        let socket = SocketTransport::loopback_with(Some(corruption)).unwrap();
         for &from in &clean {
             socket.send(message(from, 0, from as u64)).unwrap();
         }

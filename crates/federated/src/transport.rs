@@ -9,11 +9,14 @@
 //!
 //! Two implementations are provided:
 //!
-//! * [`ShardedTransport`] — the in-process queue: one mutex-guarded queue
-//!   per worker shard, keyed by sender index, so concurrent party workers
-//!   never contend on one lock (a sequential session gets one shard).
-//! * [`crate::SocketTransport`] — the same contract over real loopback TCP
-//!   sockets, using the `fedhh-wire` frame format.
+//! * [`InProcessTransport`] — the in-process queue: one mutex-guarded
+//!   vector every party worker pushes into.
+//! * [`crate::SocketTransport`] — the same contract over a real loopback
+//!   TCP socket, using the `fedhh-wire` frame format.
+//!
+//! Each party's driver sends from one thread, so a single queue already
+//! holds every party's messages in submission order; the stable canonical
+//! sort keeps that order among equal `(round, from)` keys.
 //!
 //! Sending and draining are fallible ([`fedhh_wire::WireError`]) because
 //! socket transports can fail; the in-process transport never does.
@@ -54,44 +57,34 @@ pub(crate) fn canonical_sort(messages: &mut [RoundMessage]) {
     messages.sort_by_key(|m| (m.round, m.from));
 }
 
-/// The in-process transport: senders hash to `from % shards`, so workers
-/// running disjoint party ranges (the engine's chunking) rarely touch the
-/// same lock.
-#[derive(Debug)]
-pub struct ShardedTransport {
-    shards: Vec<Mutex<Vec<RoundMessage>>>,
+/// The in-process transport: one queue shared by every party worker.
+#[derive(Debug, Default)]
+pub struct InProcessTransport {
+    queue: Mutex<Vec<RoundMessage>>,
 }
 
-impl ShardedTransport {
-    /// Creates a transport with `shards` independent queues (at least one).
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
-        }
+impl InProcessTransport {
+    /// Creates an empty transport.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
-impl Transport for ShardedTransport {
+impl Transport for InProcessTransport {
     fn send(&self, message: RoundMessage) -> Result<(), WireError> {
-        let shard = message.from % self.shards.len();
-        self.shards[shard]
+        self.queue
             .lock()
-            .expect("transport shard poisoned")
+            .expect("transport queue poisoned")
             .push(message);
         Ok(())
     }
 
     fn drain(&self) -> Result<Vec<RoundMessage>, WireError> {
-        // `mem::take` swaps in a brand-new (unallocated) vector under each
-        // lock: the drained messages move out without a clone and no shard
-        // retains stale capacity between rounds.  A given sender always
-        // maps to one shard, so concatenating shards in index order plus
-        // the stable canonical sort preserves each party's submission order.
-        let mut messages: Vec<RoundMessage> = self
-            .shards
-            .iter()
-            .flat_map(|shard| std::mem::take(&mut *shard.lock().expect("transport shard poisoned")))
-            .collect();
+        // `mem::take` swaps in a brand-new (unallocated) vector under the
+        // lock: the drained messages move out without a clone and the queue
+        // retains no stale capacity between rounds.
+        let mut messages =
+            std::mem::take(&mut *self.queue.lock().expect("transport queue poisoned"));
         canonical_sort(&mut messages);
         Ok(messages)
     }
@@ -133,7 +126,7 @@ mod tests {
 
     #[test]
     fn in_memory_transport_drains_in_canonical_order() {
-        let transport = ShardedTransport::new(1);
+        let transport = InProcessTransport::new();
         transport.send(message(2, 0)).unwrap();
         transport.send(message(0, 1)).unwrap();
         transport.send(message(1, 0)).unwrap();
@@ -150,73 +143,71 @@ mod tests {
 
     /// The stability contract of the canonical order: a party that uploads
     /// several messages in one round (e.g. a report followed by a pruning
-    /// dictionary) keeps its submission order at any shard count, even with
-    /// other parties' messages interleaved.
+    /// dictionary) keeps its submission order, even with other parties'
+    /// messages interleaved.
     #[test]
     fn canonical_sort_is_stable_for_equal_keys() {
-        for transport in [ShardedTransport::new(1), ShardedTransport::new(3)] {
-            // Party 1 submits tags 10, 11, 12 in round 0, interleaved with
-            // other senders and rounds.
-            transport.send(message_tagged(1, 0, 10)).unwrap();
-            transport.send(message_tagged(0, 1, 90)).unwrap();
-            transport.send(message_tagged(1, 0, 11)).unwrap();
-            transport.send(message_tagged(2, 0, 80)).unwrap();
-            transport.send(message_tagged(1, 0, 12)).unwrap();
-            let drained = transport.drain().unwrap();
-            let party1_tags: Vec<u64> = drained
-                .iter()
-                .filter(|m| m.from == 1 && m.round == 0)
-                .map(|m| m.as_report().unwrap().candidates[0].0)
-                .collect();
-            assert_eq!(
-                party1_tags,
-                vec![10, 11, 12],
-                "equal (round, from) keys must keep submission order"
-            );
-        }
+        let transport = InProcessTransport::new();
+        // Party 1 submits tags 10, 11, 12 in round 0, interleaved with
+        // other senders and rounds.
+        transport.send(message_tagged(1, 0, 10)).unwrap();
+        transport.send(message_tagged(0, 1, 90)).unwrap();
+        transport.send(message_tagged(1, 0, 11)).unwrap();
+        transport.send(message_tagged(2, 0, 80)).unwrap();
+        transport.send(message_tagged(1, 0, 12)).unwrap();
+        let drained = transport.drain().unwrap();
+        let party1_tags: Vec<u64> = drained
+            .iter()
+            .filter(|m| m.from == 1 && m.round == 0)
+            .map(|m| m.as_report().unwrap().candidates[0].0)
+            .collect();
+        assert_eq!(
+            party1_tags,
+            vec![10, 11, 12],
+            "equal (round, from) keys must keep submission order"
+        );
     }
 
     #[test]
     fn drain_leaves_no_capacity_behind() {
-        for shards in [1usize, 3] {
-            let transport = ShardedTransport::new(shards);
-            for i in 0..256 {
-                transport.send(message(i, 0)).unwrap();
-            }
-            let drained = transport.drain().unwrap();
-            assert_eq!(drained.len(), 256);
-            // After the take-based drain every shard is a fresh vector.
-            for shard in &transport.shards {
-                assert_eq!(shard.lock().unwrap().capacity(), 0);
-            }
+        let transport = InProcessTransport::new();
+        for i in 0..256 {
+            transport.send(message(i, 0)).unwrap();
         }
+        let drained = transport.drain().unwrap();
+        assert_eq!(drained.len(), 256);
+        // After the take-based drain the queue is a fresh vector.
+        assert_eq!(transport.queue.lock().unwrap().capacity(), 0);
     }
 
+    /// Four workers share the one queue, each sending several tagged
+    /// messages per party it owns: every message arrives, and each
+    /// sender's tags drain in the order it sent them.
     #[test]
-    fn sharded_transport_survives_concurrent_senders() {
-        let transport = ShardedTransport::new(4);
-        assert_eq!(transport.shards.len(), 4);
+    fn in_process_transport_keeps_per_sender_order_under_concurrent_senders() {
+        let transport = InProcessTransport::new();
         std::thread::scope(|scope| {
             for worker in 0..4usize {
                 let transport = &transport;
                 scope.spawn(move || {
-                    for i in 0..16usize {
-                        transport.send(message(worker * 16 + i, 0)).unwrap();
+                    for tag in 0..8u64 {
+                        for party in 0..4usize {
+                            transport
+                                .send(message_tagged(worker * 4 + party, 0, tag))
+                                .unwrap();
+                        }
                     }
                 });
             }
         });
         let drained = transport.drain().unwrap();
-        assert_eq!(drained.len(), 64);
-        let senders: Vec<usize> = drained.iter().map(|m| m.from).collect();
-        assert_eq!(senders, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn zero_shards_is_clamped_to_one() {
-        let transport = ShardedTransport::new(0);
-        assert_eq!(transport.shards.len(), 1);
-        transport.send(message(5, 0)).unwrap();
-        assert_eq!(transport.drain().unwrap().len(), 1);
+        let expected: Vec<(usize, u64)> = (0..16)
+            .flat_map(|from| (0..8).map(move |tag| (from, tag)))
+            .collect();
+        let got: Vec<(usize, u64)> = drained
+            .iter()
+            .map(|m| (m.from, m.as_report().unwrap().candidates[0].0))
+            .collect();
+        assert_eq!(got, expected);
     }
 }

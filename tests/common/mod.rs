@@ -62,3 +62,21 @@ pub fn digest(output: &MechanismOutput) -> u64 {
     eat(output.comm.total_local_report_bits() as u64);
     h
 }
+
+/// Collapses an output into a comparable fingerprint (everything except the
+/// wall-clock duration, which legitimately varies between runs).
+pub fn fingerprint(output: &MechanismOutput) -> (Vec<u64>, Vec<(u64, u64)>, usize, usize, usize) {
+    let mut counts: Vec<(u64, u64)> = output
+        .counts
+        .iter()
+        .map(|(v, c)| (*v, c.to_bits()))
+        .collect();
+    counts.sort_unstable();
+    (
+        output.heavy_hitters.clone(),
+        counts,
+        output.comm.total_uplink_bits(),
+        output.comm.total_downlink_bits(),
+        output.comm.total_local_report_bits(),
+    )
+}

@@ -6,6 +6,10 @@
 use fedhh::prelude::*;
 use std::collections::BTreeSet;
 
+mod common;
+
+use common::fingerprint;
+
 fn dataset() -> FederatedDataset {
     DatasetConfig::test_scale().build(DatasetKind::Ycm)
 }
@@ -27,24 +31,6 @@ fn execute(kind: MechanismKind, ds: &FederatedDataset, engine: EngineConfig) -> 
         .engine(engine)
         .execute()
         .unwrap_or_else(|e| panic!("{kind}: {e}"))
-}
-
-/// Collapses an output into a comparable fingerprint (everything except the
-/// wall-clock duration, which legitimately varies between runs).
-fn fingerprint(output: &MechanismOutput) -> (Vec<u64>, Vec<(u64, u64)>, usize, usize, usize) {
-    let mut counts: Vec<(u64, u64)> = output
-        .counts
-        .iter()
-        .map(|(v, c)| (*v, c.to_bits()))
-        .collect();
-    counts.sort_unstable();
-    (
-        output.heavy_hitters.clone(),
-        counts,
-        output.comm.total_uplink_bits(),
-        output.comm.total_downlink_bits(),
-        output.comm.total_local_report_bits(),
-    )
 }
 
 /// The headline engine guarantee: the same seed produces bit-identical

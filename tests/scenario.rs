@@ -10,6 +10,10 @@ use std::time::Duration;
 
 use fedhh::prelude::*;
 
+mod common;
+
+use common::fingerprint;
+
 fn dataset() -> FederatedDataset {
     DatasetConfig::test_scale().build(DatasetKind::Ycm)
 }
@@ -34,24 +38,6 @@ fn execute(
         .config(config())
         .engine(engine)
         .execute()
-}
-
-/// Collapses an output into a comparable fingerprint (everything except the
-/// wall-clock duration, which legitimately varies between runs).
-fn fingerprint(output: &MechanismOutput) -> (Vec<u64>, Vec<(u64, u64)>, usize, usize, usize) {
-    let mut counts: Vec<(u64, u64)> = output
-        .counts
-        .iter()
-        .map(|(v, c)| (*v, c.to_bits()))
-        .collect();
-    counts.sort_unstable();
-    (
-        output.heavy_hitters.clone(),
-        counts,
-        output.comm.total_uplink_bits(),
-        output.comm.total_downlink_bits(),
-        output.comm.total_local_report_bits(),
-    )
 }
 
 /// The in-process adversary models (frame corruption is transport-level and

@@ -143,7 +143,7 @@ fn telemetry_is_inert_across_chunk_sizes() {
 /// `SocketTransport`'s own byte ground truth — every frame, exactly.
 #[test]
 fn wire_tx_counter_matches_socket_transport_ground_truth() {
-    let transport = SocketTransport::loopback(2).unwrap();
+    let transport = SocketTransport::loopback_with(None).unwrap();
     let telemetry = Telemetry::new();
     transport.attach_telemetry(&telemetry);
     for from in 0..6usize {

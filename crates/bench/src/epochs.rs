@@ -267,13 +267,15 @@ impl EpochExecutor for MechanismExecutor {
             .iter()
             .enumerate()
             .map(|(p, party)| {
-                let items = party.stream().materialize();
                 let mask = enrollment.get(p);
-                let kept: Vec<u64> = items
-                    .iter()
+                // Filters in place: `collect` reuses the materialized vector.
+                let kept: Vec<u64> = party
+                    .stream()
+                    .materialize()
+                    .into_iter()
                     .enumerate()
                     .filter(|(u, _)| mask.is_none_or(|m| m.get(*u).copied().unwrap_or(false)))
-                    .map(|(_, item)| *item)
+                    .map(|(_, item)| item)
                     .collect();
                 PartyData::new(party.name(), kept, party.code_bits())
             })

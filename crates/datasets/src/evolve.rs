@@ -22,6 +22,12 @@
 //! checkpoint resumes — the property the epoch service's crash-recovery
 //! guarantee rests on.  Epoch 0 is the base dataset unchanged.
 //!
+//! Epoch *e* is epoch *e − 1* after one churn pass over its user slots.
+//! The evolver keeps the newest epoch it has derived (its *frontier*, one
+//! `u64` per user) and advances it in place, so stepping through epochs in
+//! order costs one pass per epoch; an earlier epoch, or the first call on a
+//! fresh evolver, replays the passes from the base.
+//!
 //! ```
 //! use fedhh_datasets::{DatasetConfig, DatasetKind, EvolutionPlan, PopulationEvolver};
 //!
@@ -40,10 +46,10 @@
 use crate::cdf::GuidedCdf;
 use crate::federated::FederatedDataset;
 use crate::party::PartyData;
-use crate::stream::{ChurnGen, ItemStream};
+use crate::stream::ItemStream;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// How a population evolves between epochs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,14 +64,14 @@ pub struct EvolutionPlan {
 }
 
 /// Per-party resample pool: the base popularity ranking and its CDF.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PartyPool {
     /// Base popularity-ranked item codes (`codes[rank]`).
     codes: Vec<u64>,
     /// Cumulative distribution over ranks, from the base counts; guided
-    /// once here and shared by every epoch's layer (drift rotates codes,
-    /// not ranks).
-    cdf: Arc<GuidedCdf>,
+    /// once here and shared by every epoch (drift rotates codes, not
+    /// ranks).
+    cdf: GuidedCdf,
 }
 
 impl PartyPool {
@@ -83,30 +89,43 @@ impl PartyPool {
             .collect();
         Self {
             codes,
-            cdf: Arc::new(GuidedCdf::new(cdf)),
+            cdf: GuidedCdf::new(cdf),
         }
     }
 
-    /// The pool drifted to `epoch`: rank weights stay, the rank→code
-    /// mapping rotates by `stride · epoch` positions.
-    fn drifted(&self, stride: usize, epoch: u32) -> Vec<u64> {
+    /// How far the pool has drifted at `epoch`: rank `r` maps to
+    /// `codes[(r + shift) % len]`, with `shift = stride · epoch mod len`
+    /// computed exactly, whatever the stride.
+    fn shift(&self, stride: usize, epoch: u32) -> usize {
         if self.codes.is_empty() {
-            return Vec::new();
+            return 0;
         }
-        let shift = (stride * epoch as usize) % self.codes.len();
-        let mut codes = Vec::with_capacity(self.codes.len());
-        codes.extend_from_slice(&self.codes[shift..]);
-        codes.extend_from_slice(&self.codes[..shift]);
-        codes
+        (stride as u128 * u128::from(epoch) % self.codes.len() as u128) as usize
     }
 }
 
+/// The newest epoch an evolver has derived: one item vector per party,
+/// shared with the parties [`PopulationEvolver::epoch`] handed out.
+#[derive(Debug, Default)]
+struct Frontier {
+    /// The epoch `items` holds; 0 means nothing is derived yet.
+    epoch: u32,
+    items: Vec<Arc<Vec<u64>>>,
+}
+
 /// Derives the epoch-*e* population of a base dataset, deterministically.
-#[derive(Debug, Clone)]
+///
+/// The evolver keeps the newest epoch it has derived (the *frontier*,
+/// 8 bytes per user) and derives a later epoch from it, one churn pass per
+/// epoch advanced.  Any other epoch is replayed from the base the same way,
+/// so epoch *e* is a pure function of `(base, plan, e)`.
+#[derive(Debug)]
 pub struct PopulationEvolver {
     base: FederatedDataset,
     plan: EvolutionPlan,
     pools: Vec<PartyPool>,
+    /// Only ever a shortcut: dropping it costs a replay, never a result.
+    frontier: Mutex<Frontier>,
 }
 
 impl PopulationEvolver {
@@ -118,7 +137,12 @@ impl PopulationEvolver {
             plan.churn_fraction
         );
         let pools = base.parties().iter().map(PartyPool::from_party).collect();
-        Self { base, plan, pools }
+        Self {
+            base,
+            plan,
+            pools,
+            frontier: Mutex::default(),
+        }
     }
 
     /// The underlying epoch-0 dataset.
@@ -145,37 +169,79 @@ impl PopulationEvolver {
         )
     }
 
+    /// Churns party `party`'s items from epoch `epoch - 1` into `epoch`.
+    /// Per slot: one decide draw; where it churns, one resample draw
+    /// looked up in the pool drifted to `epoch`.
+    fn churn(&self, epoch: u32, party: usize, items: &mut [u64]) {
+        let pool = &self.pools[party];
+        let (len, shift) = (pool.codes.len(), pool.shift(self.plan.drift_stride, epoch));
+        let (mut decide, mut resample) = self.transition_rngs(epoch, party);
+        for item in items {
+            if decide.gen::<f64>() < self.plan.churn_fraction {
+                let rank = pool.cdf.sample(&mut resample) + shift;
+                *item = pool.codes[if rank < len { rank } else { rank - len }];
+            }
+        }
+    }
+
     /// The population at epoch `epoch`: the base dataset with `epoch` churn
-    /// layers applied.  `epoch(0)` is the base unchanged.  Construction
-    /// copies one drifted code pool per layer and party; no item vector is
-    /// materialized.  The layers form one fused stack ([`ChurnGen`]), so a
-    /// pass over an epoch-*e* party costs, per user slot, *e* decide draws
-    /// plus at most one CDF lookup — linear in the epoch, not one pass per
-    /// layer.
+    /// transitions applied.  `epoch(0)` is the base unchanged.
+    ///
+    /// From the frontier at epoch *f* ≤ `epoch` this costs `epoch − f`
+    /// passes over the users, done in place (free of copies once the
+    /// caller has dropped the frontier's previous parties); any earlier
+    /// epoch is replayed from the base in `epoch` passes.  The parties
+    /// returned are eager and share the frontier's item vectors.
     pub fn epoch(&self, epoch: u32) -> FederatedDataset {
         if epoch == 0 {
             return self.base.clone();
+        }
+        let mut frontier = self.frontier.lock().unwrap_or_else(|poisoned| {
+            // A pass panicked half way: drop what it left.
+            self.frontier.clear_poison();
+            let mut frontier = poisoned.into_inner();
+            *frontier = Frontier::default();
+            frontier
+        });
+        if frontier.epoch == 0 || frontier.epoch > epoch {
+            frontier.epoch = 0;
+            frontier
+                .items
+                .resize_with(self.base.party_count(), Arc::default);
+            for (items, party) in frontier.items.iter_mut().zip(self.base.parties()) {
+                if Arc::get_mut(items).is_none() {
+                    *items = Arc::default();
+                }
+                let items = Arc::make_mut(items);
+                items.clear();
+                let stream = party.stream();
+                match stream.as_slice() {
+                    Some(slice) => items.extend_from_slice(slice),
+                    None => stream.for_each(|item| items.push(item)),
+                }
+            }
+        }
+        if frontier.epoch < epoch {
+            let from = frontier.epoch;
+            for (p, items) in frontier.items.iter_mut().enumerate() {
+                let items = Arc::make_mut(items);
+                for e in from + 1..=epoch {
+                    self.churn(e, p, items);
+                }
+            }
+            frontier.epoch = epoch;
         }
         let parties: Vec<PartyData> = self
             .base
             .parties()
             .iter()
-            .enumerate()
-            .map(|(p, party)| {
-                let mut stream = party.stream();
-                for e in 1..=epoch {
-                    let (decide, resample) = self.transition_rngs(e, p);
-                    let codes = self.pools[p].drifted(self.plan.drift_stride, e);
-                    stream = ItemStream::from_churn(ChurnGen::new(
-                        stream,
-                        codes,
-                        Arc::clone(&self.pools[p].cdf),
-                        self.plan.churn_fraction,
-                        decide,
-                        resample,
-                    ));
-                }
-                PartyData::from_stream(party.name(), stream, party.code_bits())
+            .zip(&frontier.items)
+            .map(|(party, items)| {
+                PartyData::from_stream(
+                    party.name(),
+                    ItemStream::from_shared(Arc::clone(items)),
+                    party.code_bits(),
+                )
             })
             .collect();
         FederatedDataset::new(
@@ -189,7 +255,7 @@ impl PopulationEvolver {
     /// `mask[u]` is true when slot `u` of party `party` holds a fresh user
     /// at epoch `epoch`: everyone at epoch 0, the churned-in slots after.
     /// Replays only the decide sequence, so it provably agrees with
-    /// [`PopulationEvolver::epoch`]'s streams.
+    /// [`PopulationEvolver::epoch`]'s items.
     pub fn fresh_mask(&self, epoch: u32, party: usize) -> Vec<bool> {
         let users = self.base.parties()[party].user_count();
         if epoch == 0 {
@@ -239,25 +305,98 @@ mod tests {
                 assert_eq!(pa.stream().materialize(), pb.stream().materialize());
             }
         }
+        // Stepping back one epoch at a time replays from the base.
+        for e in [2u32, 1] {
+            let fresh = evolver(0.25, 3);
+            assert_eq!(materialized(&ev.epoch(e)), materialized(&fresh.epoch(e)));
+        }
+    }
+
+    fn materialized(dataset: &FederatedDataset) -> Vec<Vec<u64>> {
+        dataset
+            .parties()
+            .iter()
+            .map(|party| party.stream().materialize())
+            .collect()
     }
 
     #[test]
     fn masks_agree_with_streams() {
-        let ev = evolver(0.5, 1);
-        let prev = ev.epoch(1);
-        let next = ev.epoch(2);
-        for (p, (a, b)) in prev.parties().iter().zip(next.parties()).enumerate() {
-            let mask = ev.fresh_mask(2, p);
-            let before = a.stream().materialize();
-            let after = b.stream().materialize();
-            assert_eq!(mask.len(), before.len());
-            for (u, &fresh) in mask.iter().enumerate() {
-                if !fresh {
-                    assert_eq!(after[u], before[u], "party {p} slot {u} retained");
+        for churn in [0.0, 0.2, 1.0] {
+            let ev = evolver(churn, 1);
+            let mut before = materialized(&ev.epoch(0));
+            for e in 1..=8 {
+                let after = materialized(&ev.epoch(e));
+                for (p, (before, after)) in before.iter().zip(&after).enumerate() {
+                    let mask = ev.fresh_mask(e, p);
+                    let pool = &ev.pools[p].codes;
+                    assert_eq!(mask.len(), before.len());
+                    assert_eq!(after.len(), before.len());
+                    for (u, &fresh) in mask.iter().enumerate() {
+                        if fresh {
+                            assert!(pool.contains(&after[u]), "party {p} slot {u} from pool");
+                        } else {
+                            assert_eq!(after[u], before[u], "party {p} slot {u} retained");
+                        }
+                    }
+                    let marked = mask.iter().filter(|&&f| f).count();
+                    match churn {
+                        0.0 => assert_eq!(marked, 0, "epoch {e} party {p}"),
+                        1.0 => assert_eq!(marked, mask.len(), "epoch {e} party {p}"),
+                        _ => assert!(
+                            0 < marked && marked < mask.len(),
+                            "epoch {e} party {p}: {marked} of {}",
+                            mask.len()
+                        ),
+                    }
                 }
+                before = after;
             }
-            assert!(mask.iter().any(|&f| f), "party {p} saw churn");
         }
+    }
+
+    #[test]
+    fn drift_rotates_by_the_exact_stride_product() {
+        // Full churn resamples every slot with the same draws whatever the
+        // stride, so a slot holding `codes[r]` without drift holds
+        // `codes[(r + stride · e) mod len]` with it.
+        let frozen = evolver(1.0, 0);
+        let drifted = evolver(1.0, usize::MAX);
+        let mut shifts = Vec::new();
+        for e in 1..=3u32 {
+            let a = materialized(&frozen.epoch(e));
+            let b = materialized(&drifted.epoch(e));
+            for (p, (a, b)) in a.iter().zip(&b).enumerate() {
+                let codes = &frozen.pools[p].codes;
+                let shift = (usize::MAX as u128 * u128::from(e) % codes.len() as u128) as usize;
+                let rank: std::collections::HashMap<u64, usize> =
+                    codes.iter().enumerate().map(|(r, &c)| (c, r)).collect();
+                for (u, (x, y)) in a.iter().zip(b).enumerate() {
+                    let want = codes[(rank[x] + shift) % codes.len()];
+                    assert_eq!(*y, want, "epoch {e} party {p} slot {u}");
+                }
+                shifts.push(shift);
+            }
+        }
+        assert!(shifts.iter().any(|&shift| shift != 0), "{shifts:?}");
+    }
+
+    #[test]
+    fn a_poisoned_frontier_is_dropped() {
+        let ev = evolver(0.3, 2);
+        let want = materialized(&evolver(0.3, 2).epoch(3));
+        ev.epoch(2);
+        // A pass that panics half way leaves the frontier corrupt.
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut frontier = ev.frontier.lock().unwrap();
+            for items in &mut frontier.items {
+                Arc::make_mut(items).fill(0);
+            }
+            panic!("pass interrupted");
+        }));
+        assert!(poisoned.is_err());
+        assert_eq!(materialized(&ev.epoch(3)), want);
+        assert!(!ev.frontier.is_poisoned());
     }
 
     #[test]

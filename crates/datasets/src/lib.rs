@@ -51,5 +51,5 @@ pub use party::PartyData;
 pub use poisson::PoissonWeights;
 pub use registry::{DatasetConfig, DatasetKind, InvalidDatasetConfig, ParseDatasetKindError};
 pub use stats::FrequencyTable;
-pub use stream::{ChurnGen, ItemGen, ItemStream, PartyChunks, DEFAULT_CHUNK_SIZE};
+pub use stream::{ItemGen, ItemStream, PartyChunks, DEFAULT_CHUNK_SIZE};
 pub use zipf::ZipfSampler;

@@ -49,8 +49,8 @@ impl PartyData {
     }
 
     /// Creates a party over an existing stream handle (any backing) — used
-    /// by the epoch evolver to wrap a previous epoch's stream in a churn
-    /// layer.
+    /// by the epoch evolver to hand out parties that share its item
+    /// vectors.
     pub fn from_stream(name: impl Into<String>, items: ItemStream, code_bits: u8) -> Self {
         Self {
             name: name.into(),

@@ -5,10 +5,13 @@
 #
 # Two legs:
 #   1. A real multi-process federation over loopback aggregated through a
-#      fanout-2 tree with a 0.75 quorum: the coordinator routes cohort
+#      fanout-2 tree with a 0.75 quorum, under 25% dropout, stragglers and
+#      a 50% report-flip adversary, so one welcome ships every field of the
+#      scenario plan across processes: the coordinator routes cohort
 #      members to their sub-aggregator in the handshake and exits non-zero
 #      unless the distributed MechanismOutput is bit-identical to the
-#      in-memory tree engine at the same seed (`--check-inmemory`).
+#      in-memory engine under the same plan at the same seed
+#      (`--check-inmemory`).
 #   2. The `fedhh-bench topology` sweep run twice and gated on the two
 #      BENCH_topology.json files being byte-identical — the report carries
 #      no timings, so any difference is real nondeterminism.  The sweep's
@@ -26,11 +29,14 @@ NODE_BIN="${1:-target/release/fedhh-node}"
 BENCH_BIN="$(sibling_bin "$NODE_BIN" fedhh-bench)"
 require_bin "$NODE_BIN" "$BENCH_BIN"
 
-log "coordinator + 4 party processes: TAPS on YCM over tree:2 at quorum 0.75"
+log "coordinator + 4 party processes: TAPS on YCM over tree:2 at quorum 0.75," \
+    "dropout 0.25, stragglers, report-flip 0.5"
 "$NODE_BIN" coordinator \
     --mechanism taps --dataset ycm --parties 4 \
     --quick --seed 42 --timeout-secs 120 \
-    --topology tree:2 --quorum 0.75 --check-inmemory \
+    --topology tree:2 --quorum 0.75 \
+    --dropout 0.25 --stragglers --scenario report-flip:0.5 \
+    --check-inmemory \
     > "$WORKDIR/coordinator.out" 2> "$WORKDIR/coordinator.err" &
 COORD_PID=$!
 

@@ -43,9 +43,11 @@
 //! FRACTION[:SEED]` closes every round at the configured response
 //! fraction; which parties count as on time is a pure function of the
 //! seed and round number, never of socket timing, so a quorum run is
-//! reproducible bit-for-bit.  Both axes travel in the welcome's protocol
-//! config and leave the result bit-identical to the flat full-quorum star
-//! only when `--quorum 1.0` (partial quorums change which reports exist).
+//! reproducible bit-for-bit.  Both axes travel in the welcome's scenario
+//! plan, next to the faults and the adversary, and leave the result
+//! bit-identical to the flat full-quorum star only when `--quorum 1.0`
+//! (partial quorums change which reports exist).  Each party runs the plan
+//! its welcome ships and nothing else.
 //!
 //! When the run finishes, the coordinator prints the result as stable
 //! machine-readable lines (`TOPK`, `COUNT`, `UPLINK`, `DOWNLINK`).  With
@@ -72,6 +74,7 @@
 //! machine-readable lines bit-identical to an unobserved run's.
 
 use fedhh_bench::cli::{self, ArgCursor};
+use fedhh_bench::topology::QUORUM_SEED;
 use fedhh_bench::{adversary_by_name, partition_parties, ExperimentScale, NodeRunSpec};
 use fedhh_datasets::DatasetKind;
 use fedhh_federated::{
@@ -160,11 +163,9 @@ struct CoordinatorOptions {
     epsilon: f64,
     fo: Option<FoKind>,
     parallelism: usize,
-    dropout: f64,
-    stragglers: bool,
-    scenario: Option<(AdversaryModel, u64)>,
-    topology: Topology,
-    quorum: QuorumPolicy,
+    /// The round policy the welcome ships: `--dropout`, `--stragglers`,
+    /// `--scenario`, `--topology` and `--quorum` each set their part.
+    plan: ScenarioPlan,
     timeout: Option<Duration>,
     check_inmemory: bool,
     telemetry_path: Option<String>,
@@ -195,9 +196,10 @@ fn fraction_and_seed<'a>(
 }
 
 /// Parses a `--quorum` argument: `FRACTION[:SEED]` with the fraction in
-/// (0, 1] (the default seed matches the benchmark sweep's).
+/// (0, 1] (the default seed is the `fedhh-bench topology` sweep's, so a
+/// node run reproduces the sweep's cell at the same fraction).
 fn parse_quorum_spec(raw: &str) -> Result<QuorumPolicy, String> {
-    let (fraction, seed) = fraction_and_seed("--quorum", raw, raw.split(':'), 0x0F0F)?;
+    let (fraction, seed) = fraction_and_seed("--quorum", raw, raw.split(':'), QUORUM_SEED)?;
     let quorum = QuorumPolicy { fraction, seed };
     if !quorum.is_valid() {
         return Err(format!(
@@ -240,11 +242,10 @@ fn parse_coordinator_options(args: &[String]) -> Result<CoordinatorOptions, Stri
         epsilon: 4.0,
         fo: None,
         parallelism: 1,
-        dropout: 0.0,
-        stragglers: false,
-        scenario: None,
-        topology: Topology::Flat,
-        quorum: QuorumPolicy::full(),
+        plan: ScenarioPlan::from_faults(FaultPlan {
+            seed: 0xFA,
+            ..FaultPlan::none()
+        }),
         timeout: Some(Duration::from_secs(120)),
         check_inmemory: false,
         telemetry_path: None,
@@ -265,21 +266,22 @@ fn parse_coordinator_options(args: &[String]) -> Result<CoordinatorOptions, Stri
             "--epsilon" => options.epsilon = cursor.value(arg)?,
             "--fo" => options.fo = Some(cursor.parsed(arg)?),
             "--parallelism" => options.parallelism = cursor.value(arg)?,
-            "--dropout" => options.dropout = cursor.value(arg)?,
-            "--stragglers" => options.stragglers = true,
-            "--scenario" => options.scenario = Some(parse_scenario_spec(cursor.raw_value(arg)?)?),
+            "--dropout" => options.plan.faults.dropout_fraction = cursor.value(arg)?,
+            "--stragglers" => options.plan.faults.stragglers = true,
+            "--scenario" => {
+                let (adversary, seed) = parse_scenario_spec(cursor.raw_value(arg)?)?;
+                options.plan = options.plan.with_adversary(adversary, seed);
+            }
             "--topology" => {
                 let raw = cursor.raw_value(arg)?;
                 let topology = Topology::parse(raw)
                     .ok_or_else(|| format!("--topology got an invalid spec {raw:?}"))?;
-                if !topology.is_valid() {
-                    return Err(format!(
-                        "--topology {raw:?} needs fanout >= 2 and depth in 1..=8"
-                    ));
-                }
-                options.topology = topology;
+                topology
+                    .validate()
+                    .map_err(|err| format!("--topology {raw:?}: {err}"))?;
+                options.plan.topology = topology;
             }
-            "--quorum" => options.quorum = parse_quorum_spec(cursor.raw_value(arg)?)?,
+            "--quorum" => options.plan.quorum = parse_quorum_spec(cursor.raw_value(arg)?)?,
             "--timeout-secs" => options.timeout = timeout_secs(cursor.value(arg)?),
             "--check-inmemory" => options.check_inmemory = true,
             "--telemetry" => options.telemetry_path = Some(cursor.raw_value(arg)?.to_string()),
@@ -349,6 +351,10 @@ fn outputs_match(a: &MechanismOutput, b: &MechanismOutput) -> bool {
 
 fn coordinator_command(args: &[String]) -> Result<ExitCode, String> {
     let options = parse_coordinator_options(args)?;
+    let scenario = options.plan;
+    scenario
+        .validate()
+        .map_err(|err| format!("[fedhh-node] invalid scenario: {err}"))?;
     let scale = scale_of(&options);
     let spec = NodeRunSpec {
         mechanism: options.mechanism,
@@ -359,24 +365,10 @@ fn coordinator_command(args: &[String]) -> Result<ExitCode, String> {
     let mut config = scale
         .protocol_config(options.seed ^ 0xBEEF)
         .with_epsilon(options.epsilon)
-        .with_k(options.k)
-        .with_topology(options.topology)
-        .with_quorum(options.quorum);
+        .with_k(options.k);
     if let Some(fo) = options.fo {
         config = config.with_fo(fo);
     }
-    let faults = FaultPlan {
-        dropout_fraction: options.dropout,
-        stragglers: options.stragglers,
-        seed: 0xFA,
-    };
-    let mut scenario = ScenarioPlan::from_faults(faults);
-    if let Some((adversary, seed)) = options.scenario {
-        scenario = scenario.with_adversary(adversary, seed);
-    }
-    scenario
-        .validate()
-        .map_err(|err| format!("[fedhh-node] invalid scenario: {err}"))?;
     let engine = EngineConfig::parallel(options.parallelism).with_scenario(scenario);
     let welcome = NodeWelcome {
         config,
@@ -636,4 +628,23 @@ fn party_command(args: &[String]) -> Result<ExitCode, String> {
         write_trace(path, format!("party{rank}/{}", spec.mechanism), &telemetry)?;
     }
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_quorum_seed_is_the_topology_sweeps() {
+        let sweep = fedhh_bench::TopologyOptions::default().quorum_seed;
+        let quorum = parse_quorum_spec("0.75").unwrap();
+        assert_eq!(
+            quorum,
+            QuorumPolicy {
+                fraction: 0.75,
+                seed: sweep
+            }
+        );
+        assert_eq!(parse_quorum_spec("0.75:9").unwrap().seed, 9);
+    }
 }

@@ -51,6 +51,11 @@ use fedhh_federated::{EngineConfig, QuorumPolicy, Topology};
 use fedhh_mechanisms::MechanismKind;
 use fedhh_telemetry::{Counter, Telemetry};
 
+/// The seed of every quorum draw in the sweep, and `fedhh-node
+/// --quorum`'s default, so a node run at one fraction reproduces the
+/// sweep's cell at that fraction.
+pub const QUORUM_SEED: u64 = 0x70B0;
+
 /// What `fedhh-bench topology` sweeps.
 #[derive(Debug, Clone)]
 pub struct TopologyOptions {
@@ -82,7 +87,7 @@ impl Default for TopologyOptions {
             fanouts: vec![2, 4, 16],
             fractions: vec![1.0, 0.75, 0.5],
             seed: 1000,
-            quorum_seed: 0x70B0,
+            quorum_seed: QUORUM_SEED,
         }
     }
 }

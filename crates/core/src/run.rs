@@ -99,15 +99,6 @@ impl<'a> RunContext<'a> {
 
     /// Returns the context with a different engine configuration.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        // The topology and quorum axes travel in the protocol config (the
-        // wire handshake pins them federation-wide), so an engine override
-        // folds into the config.
-        if let Some(topology) = engine.topology {
-            self.config.topology = topology;
-        }
-        if let Some(quorum) = engine.quorum {
-            self.config.quorum = quorum;
-        }
         self.engine = engine;
         self
     }
@@ -121,7 +112,8 @@ impl<'a> RunContext<'a> {
         self
     }
 
-    /// The engine configuration (parallelism and fault plan) of this run.
+    /// The engine configuration (parallelism, scenario plan and transport)
+    /// of this run.
     pub fn engine(&self) -> &EngineConfig {
         &self.engine
     }
@@ -132,15 +124,7 @@ impl<'a> RunContext<'a> {
     /// rather than calling [`Session::new`] directly — that is what routes
     /// a `fedhh-node` run's rounds through the coordinator exchange.
     pub fn session(&mut self, party_count: usize) -> Result<Session, ProtocolError> {
-        // The config is the source of truth for the topology/quorum axes
-        // (with_engine already folded any engine override into it); resolve
-        // them into the engine the session actually runs, so a config that
-        // arrived over the node handshake takes effect too.
-        let resolved = self
-            .engine
-            .with_topology(self.config.topology)
-            .with_quorum(self.config.quorum);
-        let mut session = Session::with_link(&resolved, party_count, self.link.take())?;
+        let mut session = Session::with_link(&self.engine, party_count, self.link.take())?;
         if self.telemetry.is_enabled() {
             session.set_telemetry(&self.telemetry);
         }

@@ -1,7 +1,6 @@
 //! Protocol configuration broadcast by the server to every party.
 
 use crate::error::ProtocolError;
-use crate::topology::{QuorumPolicy, Topology};
 use fedhh_fo::{FoKind, PrivacyBudget};
 use fedhh_trie::LevelSchedule;
 use std::num::NonZeroUsize;
@@ -34,11 +33,14 @@ pub enum FoExec {
     Vectorized,
 }
 
-/// The full parameter set of a federated heavy hitter run.
+/// The paper's parameters: what every party of a federated heavy hitter
+/// run must agree on.
 ///
 /// Defaults follow Section 7.1 of the paper: k-RR as the FO, maximum binary
 /// length m = 48, granularity g = 24 (step size 2), shared-trie ratio 0.25,
-/// dividing ratio β = 0.1, and 10% of users assigned to Phase I.
+/// dividing ratio β = 0.1, and 10% of users assigned to Phase I.  How
+/// rounds close and how uploads travel is deployment policy, carried by
+/// the [`ScenarioPlan`](crate::ScenarioPlan) instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolConfig {
     /// The query: how many federated heavy hitters to identify.
@@ -60,13 +62,6 @@ pub struct ProtocolConfig {
     pub dividing_ratio: f64,
     /// RNG seed for the run (group assignment and perturbation noise).
     pub seed: u64,
-    /// How party uploads reach the root aggregator: the flat star or a
-    /// cohort tree ([`Topology::Tree`] is bit-identical to
-    /// [`Topology::Flat`] at quorum 1.0; merging is lossless).
-    pub topology: Topology,
-    /// Quorum-based round closure: the response fraction that closes a
-    /// round, drawn deterministically per `(seed, round)`.
-    pub quorum: QuorumPolicy,
 }
 
 impl Default for ProtocolConfig {
@@ -81,8 +76,6 @@ impl Default for ProtocolConfig {
             phase1_user_fraction: 0.25,
             dividing_ratio: 0.1,
             seed: 7,
-            topology: Topology::Flat,
-            quorum: QuorumPolicy::full(),
         }
     }
 }
@@ -156,19 +149,6 @@ impl ProtocolConfig {
         self
     }
 
-    /// Returns a copy with a different aggregation topology
-    /// (bit-identical results at quorum 1.0 for any topology).
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
-    /// Returns a copy with a different quorum-closure policy.
-    pub fn with_quorum(mut self, quorum: QuorumPolicy) -> Self {
-        self.quorum = quorum;
-        self
-    }
-
     /// Validates internal consistency; called by the run API before any
     /// mechanism executes.  Every violation maps to a dedicated
     /// [`ProtocolError`] variant.
@@ -205,12 +185,6 @@ impl ProtocolConfig {
         if !(0.0..1.0).contains(&self.phase1_user_fraction) {
             return Err(ProtocolError::InvalidPhase1Fraction {
                 fraction: self.phase1_user_fraction,
-            });
-        }
-        self.topology.validate()?;
-        if !self.quorum.is_valid() {
-            return Err(ProtocolError::InvalidQuorum {
-                fraction: self.quorum.fraction,
             });
         }
         Ok(())
@@ -321,57 +295,6 @@ mod tests {
             .validate(),
             Err(ProtocolError::InvalidPhase1Fraction { fraction: 1.0 })
         );
-        assert_eq!(
-            ProtocolConfig {
-                topology: Topology::Tree {
-                    fanout: 1,
-                    depth: 1
-                },
-                ..Default::default()
-            }
-            .validate(),
-            Err(ProtocolError::InvalidTopology {
-                fanout: 1,
-                depth: 1
-            })
-        );
-        assert_eq!(
-            ProtocolConfig {
-                quorum: QuorumPolicy {
-                    fraction: 0.0,
-                    seed: 0
-                },
-                ..Default::default()
-            }
-            .validate(),
-            Err(ProtocolError::InvalidQuorum { fraction: 0.0 })
-        );
-    }
-
-    #[test]
-    fn topology_and_quorum_builders_pin_the_axis() {
-        let c = ProtocolConfig::default()
-            .with_topology(Topology::Tree {
-                fanout: 4,
-                depth: 2,
-            })
-            .with_quorum(QuorumPolicy {
-                fraction: 0.75,
-                seed: 9,
-            });
-        assert_eq!(
-            c.topology,
-            Topology::Tree {
-                fanout: 4,
-                depth: 2
-            }
-        );
-        assert_eq!(c.quorum.fraction, 0.75);
-        assert!(c.validate().is_ok());
-        // The defaults stay on today's behaviour.
-        let d = ProtocolConfig::default();
-        assert!(d.topology.is_flat());
-        assert!(!d.quorum.is_partial());
     }
 
     #[test]

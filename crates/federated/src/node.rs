@@ -20,7 +20,7 @@
 //! coordinator → party   Collection { ... } | Abort      (each engine round)
 //! ```
 //!
-//! Under a tree [`ProtocolConfig::topology`] of fanout `f`, ranks form
+//! Under a tree [`ScenarioPlan::topology`] of fanout `f`, ranks form
 //! cohorts of `f` consecutive ranks; the first rank of each multi-rank
 //! cohort is its **sub-aggregator**, folds its leaves' `RoundDone` frames
 //! and forwards one merged frame (a lossless
@@ -47,7 +47,6 @@ pub(crate) mod protocol;
 #[cfg(test)]
 mod sim;
 
-use crate::fault::FaultPlan;
 use crate::message::RoundMessage;
 use crate::scenario::ScenarioPlan;
 use crate::session::{PartyEvent, RoundCollection};
@@ -60,7 +59,8 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// Everything a party process needs to reconstruct the run: the protocol
-/// configuration, the scenario plan (faults + adversary), the engine
+/// configuration, the scenario plan (faults, adversary, topology and
+/// quorum), the engine
 /// parallelism, the partition of party indices over processes, and an
 /// application-defined payload (the `fedhh-node` binary ships its mechanism
 /// + dataset spec in it).
@@ -68,8 +68,8 @@ use std::time::Duration;
 pub struct NodeWelcome {
     /// The protocol configuration of the run (includes the seed).
     pub config: ProtocolConfig,
-    /// The scenario plan every process must resolve identically (wire
-    /// schema 3 — replaces the bare fault plan of schema 2).
+    /// The scenario plan every process runs: the one home of the run's
+    /// round policy (faults, adversary, topology and quorum).
     pub scenario: ScenarioPlan,
     /// Engine worker count each process uses for its local parties.
     pub parallelism: usize,
@@ -245,9 +245,9 @@ impl NodeServer {
     ///
     /// Each accept is bounded by the server's timeout (see
     /// [`NodeServer::with_timeout`]), so a party process that never dials
-    /// fails the handshake instead of hanging it.  A welcome whose tree
-    /// topology is malformed (see [`crate::Topology::is_valid`]) is refused
-    /// before any party is accepted.
+    /// fails the handshake instead of hanging it.  A welcome whose scenario
+    /// is invalid (see [`ScenarioPlan::validate`]) is refused before any
+    /// party is accepted.
     pub fn accept_parties(self, welcome: &NodeWelcome) -> Result<CoordinatorLink, WireError> {
         let (mut node, actions) = Node::coordinator(welcome.clone());
         let mut sockets = Sockets(Vec::new(), self.timeout);
@@ -260,7 +260,6 @@ impl NodeServer {
         Ok(CoordinatorLink {
             node,
             sockets,
-            assignments: welcome.assignments.clone(),
             listener,
         })
     }
@@ -365,7 +364,6 @@ fn handshake(
 pub struct CoordinatorLink {
     node: Node,
     sockets: Sockets,
-    assignments: Vec<(usize, usize)>,
     /// The (non-blocking) accept socket, kept to drain late joiners with a
     /// typed `Abort` each round.
     listener: Option<TcpListener>,
@@ -412,27 +410,42 @@ impl SessionLink {
         }
     }
 
-    /// Validates the link's partition against the session's party count
-    /// (the core already checked that the welcome's ranges tile `0..n`): the
-    /// coordinator's must cover exactly the dataset's parties, a party's
-    /// range must lie inside them.
-    pub(crate) fn validate(&self, party_count: usize) -> Result<(), WireError> {
-        let (end, fits) = match self {
+    /// Validates the link against the session that attaches it.  The
+    /// session's scenario must be the welcome's: a process that ran any
+    /// other plan would draw different dropouts, flips and quorums than
+    /// the rest of the federation.  The partition must fit the session's
+    /// party count (the core already checked that the welcome's ranges
+    /// tile `0..n`): the coordinator's must cover exactly the dataset's
+    /// parties, a party's range must lie inside them.
+    pub(crate) fn validate(
+        &self,
+        party_count: usize,
+        scenario: &ScenarioPlan,
+    ) -> Result<(), WireError> {
+        let (welcome, end, fits) = match self {
             SessionLink::Coordinator(link) => {
-                let end = link.assignments.last().map_or(0, |range| range.1);
-                (end, end == party_count)
+                let welcome = link.node.welcome();
+                let end = welcome
+                    .and_then(|w| w.assignments.last())
+                    .map_or(0, |r| r.1);
+                (welcome, end, end == party_count)
             }
-            SessionLink::Party(party) => (party.range.1, party.range.1 <= party_count),
+            SessionLink::Party(party) => {
+                let end = party.range.1;
+                (party.node.welcome(), end, end <= party_count)
+            }
         };
-        match fits {
-            true => Ok(()),
-            false => Err(WireError::Protocol {
-                detail: format!(
-                    "the welcome's party ranges end at {end} but the dataset has \
-                     {party_count} parties"
-                ),
-            }),
-        }
+        let welcomed = welcome.map(|welcome| &welcome.scenario);
+        let detail = if welcomed != Some(scenario) {
+            format!("the session's scenario {scenario:?} is not the welcome's {welcomed:?}")
+        } else if !fits {
+            format!(
+                "the welcome's party ranges end at {end} but the dataset has {party_count} parties"
+            )
+        } else {
+            return Ok(());
+        };
+        Err(WireError::Protocol { detail })
     }
 
     /// Completes one engine round across the federation: `messages` and
@@ -440,13 +453,13 @@ impl SessionLink {
     /// order), `failure` a local driver error.  Returns the round's
     /// collection — identical in every process — or, if any process failed,
     /// the error; every survivor then holds the same [`WireError::Remote`].
+    /// The coordinator closes the round under its welcome's scenario.
     pub(crate) fn exchange(
         &mut self,
         round: u32,
         messages: Vec<RoundMessage>,
         events: Vec<(usize, Vec<PartyEvent>)>,
         failure: Option<(usize, String)>,
-        faults: &FaultPlan,
     ) -> Result<RoundCollection, WireError> {
         let (node, sockets) = match self {
             SessionLink::Coordinator(link) => {
@@ -463,7 +476,7 @@ impl SessionLink {
             events,
             failure,
         };
-        let actions = node.step(Event::Local(share, *faults));
+        let actions = node.step(Event::Local(share));
         let collection = drive(node, sockets, &mut None, actions)?;
         Ok(collection.expect("a round ends in a delivery or an abort"))
     }
@@ -485,6 +498,7 @@ fn drain_late_joiners(listener: &TcpListener, round: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::message::{CandidateReport, RoundPayload};
     use crate::topology::Topology;
     use fedhh_wire::{from_bytes, to_bytes};
@@ -561,7 +575,7 @@ mod tests {
             links.push(link);
         }
         let coordinator = coordinator.join().unwrap();
-        assert_eq!(coordinator.assignments, expected.assignments);
+        assert_eq!(coordinator.node.welcome(), Some(&expected));
         let ranks: Vec<usize> = links.iter().map(|l| l.rank).collect();
         assert_eq!(ranks, vec![0, 1]);
         assert_eq!(links[0].range, (0, 2));
@@ -603,15 +617,14 @@ mod tests {
                     let messages: Vec<RoundMessage> = (start..end).map(message).collect();
                     let events: Vec<(usize, Vec<PartyEvent>)> =
                         (start..end).map(|i| (i, vec![])).collect();
-                    link.exchange(0, messages, events, None, &FaultPlan::none())
-                        .unwrap()
+                    link.exchange(0, messages, events, None).unwrap()
                 })
             })
             .collect();
 
         let mut coordinator = SessionLink::Coordinator(coordinator.join().unwrap());
         let coordinator_collection = coordinator
-            .exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
+            .exchange(0, Vec::new(), Vec::new(), None)
             .unwrap();
 
         let senders: Vec<usize> = coordinator_collection
@@ -647,18 +660,16 @@ mod tests {
         let run = |topology: Topology| {
             let server = NodeServer::bind("127.0.0.1:0").unwrap();
             let addr = server.local_addr().unwrap();
-            let mut run_welcome = NodeWelcome {
-                config: ProtocolConfig {
+            let server_welcome = NodeWelcome {
+                config: ProtocolConfig::test_default(),
+                scenario: ScenarioPlan {
                     topology,
-                    ..ProtocolConfig::test_default()
+                    ..ScenarioPlan::benign()
                 },
-                scenario: ScenarioPlan::benign(),
                 parallelism: 1,
                 assignments: vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
                 app: Vec::new(),
             };
-            run_welcome.config.quorum = crate::QuorumPolicy::full();
-            let server_welcome = run_welcome.clone();
             let coordinator =
                 std::thread::spawn(move || server.accept_parties(&server_welcome).unwrap());
             let party_threads: Vec<_> = (0..5)
@@ -670,8 +681,7 @@ mod tests {
                         let messages: Vec<RoundMessage> = (start..end).map(message).collect();
                         let events: Vec<(usize, Vec<PartyEvent>)> =
                             (start..end).map(|i| (i, vec![])).collect();
-                        link.exchange(0, messages, events, None, &FaultPlan::none())
-                            .unwrap()
+                        link.exchange(0, messages, events, None).unwrap()
                     })
                 })
                 .collect();
@@ -679,7 +689,7 @@ mod tests {
             let round_frames = link.round_frames();
             let mut coordinator = SessionLink::Coordinator(link);
             let collection = coordinator
-                .exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
+                .exchange(0, Vec::new(), Vec::new(), None)
                 .unwrap();
             for thread in party_threads {
                 assert_eq!(thread.join().unwrap(), collection);
@@ -726,7 +736,7 @@ mod tests {
         let rank0 = std::thread::spawn(move || {
             let (link, _) = connect_party(addr).unwrap();
             let mut link = SessionLink::Party(link);
-            link.exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
+            link.exchange(0, Vec::new(), Vec::new(), None)
         });
         let mut coordinator = SessionLink::Coordinator(coordinator.join().unwrap());
         // The latecomer dials once the federation is complete.  On loopback
@@ -735,7 +745,7 @@ mod tests {
         let late = TcpStream::connect(addr).unwrap();
         let late = std::thread::spawn(move || handshake(late, Some(Duration::from_secs(10))));
         coordinator
-            .exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
+            .exchange(0, Vec::new(), Vec::new(), None)
             .unwrap();
         rank0.join().unwrap().unwrap();
         let err = late.join().unwrap().unwrap_err();
@@ -755,7 +765,7 @@ mod tests {
         let healthy = std::thread::spawn(move || {
             let (link, _) = connect_party(addr).unwrap();
             let mut link = SessionLink::Party(link);
-            link.exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
+            link.exchange(0, Vec::new(), Vec::new(), None)
         });
         let failing = std::thread::spawn(move || {
             let (link, _) = connect_party(addr).unwrap();
@@ -765,12 +775,11 @@ mod tests {
                 Vec::new(),
                 Vec::new(),
                 Some((3, "driver exploded".to_string())),
-                &FaultPlan::none(),
             )
         });
         let mut coordinator = SessionLink::Coordinator(coordinator.join().unwrap());
         let err = coordinator
-            .exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
+            .exchange(0, Vec::new(), Vec::new(), None)
             .unwrap_err();
         assert!(matches!(err, WireError::Remote { .. }), "{err}");
         assert!(err.to_string().contains("party 3"));
@@ -790,7 +799,7 @@ mod tests {
         let healthy = std::thread::spawn(move || {
             let (link, _) = connect_party(addr).unwrap();
             let mut link = SessionLink::Party(link);
-            link.exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
+            link.exchange(0, Vec::new(), Vec::new(), None)
         });
         // The second peer completes the handshake, then vanishes without
         // ever sending RoundDone — a crash between rounds.
@@ -801,7 +810,7 @@ mod tests {
         vanishing.join().unwrap();
         let mut coordinator = SessionLink::Coordinator(coordinator.join().unwrap());
         let err = coordinator
-            .exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
+            .exchange(0, Vec::new(), Vec::new(), None)
             .unwrap_err();
         assert!(matches!(err, WireError::Remote { .. }), "{err}");
         assert!(err.to_string().contains("disconnected"), "{err}");
@@ -835,7 +844,7 @@ mod tests {
         let healthy = std::thread::spawn(move || {
             let (link, _) = connect_party(addr).unwrap();
             let mut link = SessionLink::Party(link);
-            link.exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
+            link.exchange(0, Vec::new(), Vec::new(), None)
         });
         assert!(matches!(
             offender.recv().unwrap(),
@@ -850,7 +859,7 @@ mod tests {
         offender.send(&NodeFrame::RoundDone(wrong_round)).unwrap();
         let mut coordinator = SessionLink::Coordinator(coordinator.join().unwrap());
         let coordinator_err = coordinator
-            .exchange(0, Vec::new(), Vec::new(), None, &FaultPlan::none())
+            .exchange(0, Vec::new(), Vec::new(), None)
             .unwrap_err();
         let err = healthy.join().unwrap().unwrap_err();
         assert!(matches!(err, WireError::Remote { .. }), "{err}");
@@ -915,14 +924,14 @@ mod tests {
             .with_timeout(Some(Duration::from_secs(10)));
         let addr = server.local_addr().unwrap();
         let tree_welcome = NodeWelcome {
-            config: ProtocolConfig {
+            config: ProtocolConfig::test_default(),
+            scenario: ScenarioPlan {
                 topology: Topology::Tree {
                     fanout: 2,
                     depth: 1,
                 },
-                ..ProtocolConfig::test_default()
+                ..ScenarioPlan::benign()
             },
-            scenario: ScenarioPlan::benign(),
             parallelism: 1,
             assignments: vec![(0, 1), (1, 2)],
             app: Vec::new(),
@@ -957,7 +966,7 @@ mod tests {
     /// the cohort split.
     fn zero_fanout_welcome() -> NodeWelcome {
         let mut welcome = welcome();
-        welcome.config.topology = Topology::Tree {
+        welcome.scenario.topology = Topology::Tree {
             fanout: 0,
             depth: 1,
         };
@@ -1003,26 +1012,104 @@ mod tests {
         coordinator.join().unwrap();
     }
 
+    /// Hostile round-policy values in well-formed welcomes under a valid
+    /// CRC: the decoder takes them, and the core refuses each with a typed
+    /// error on the coordinator and on the party, never a panic.
     #[test]
-    fn link_partitions_are_validated() {
-        let party = SessionLink::Party(PartyLink {
+    fn hostile_scenarios_in_a_welcome_are_typed_errors_on_both_sides() {
+        use crate::scenario::{AdversaryModel, FlipMode};
+        use crate::topology::QuorumPolicy;
+        let benign = ScenarioPlan::benign();
+        let quorum = |fraction| ScenarioPlan {
+            quorum: QuorumPolicy { fraction, seed: 1 },
+            ..benign
+        };
+        let tree = |fanout| ScenarioPlan {
+            topology: Topology::Tree { fanout, depth: 1 },
+            ..benign
+        };
+        let flip = AdversaryModel::ReportFlip {
+            fraction: 2.0,
+            mode: FlipMode::Uniform,
+        };
+        let hostile = [
+            (
+                "dropout NaN",
+                ScenarioPlan::from_faults(FaultPlan::dropout(f64::NAN, 1)),
+            ),
+            ("adversary fraction 2.0", benign.with_adversary(flip, 1)),
+            ("quorum 0", quorum(0.0)),
+            ("quorum NaN", quorum(f64::NAN)),
+            ("fanout 0", tree(0)),
+            ("fanout 1", tree(1)),
+        ];
+        let refused = |actions: &[Action]| {
+            matches!(actions, [Action::Abort(WireError::Protocol { detail })]
+                if detail.contains("invalid scenario"))
+        };
+        for (case, scenario) in hostile {
+            let welcome = NodeWelcome {
+                scenario,
+                ..welcome()
+            };
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &NodeFrame::Welcome { rank: 0, welcome }).unwrap();
+            let frame: NodeFrame = read_frame(&mut framed.as_slice()).unwrap();
+            let NodeFrame::Welcome { welcome, .. } = frame.clone() else {
+                panic!("{case}: a Welcome decodes as a Welcome");
+            };
+            let (_, actions) = Node::coordinator(welcome);
+            assert!(refused(&actions), "{case}: coordinator took {actions:?}");
+            let (mut party, _) = Node::party();
+            let actions = party.step(Event::Peer(Peer::Coordinator, Input::Frame(frame)));
+            assert!(refused(&actions), "{case}: party took {actions:?}");
+        }
+    }
+
+    /// A party link whose node was welcomed into `welcome` at rank 0, over
+    /// a connected stream it never uses.
+    fn party_link(range: (usize, usize), welcome: NodeWelcome) -> SessionLink {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let _ = listener.accept().unwrap();
+        let (mut node, _) = Node::party();
+        let frame = NodeFrame::Welcome { rank: 0, welcome };
+        assert!(node
+            .step(Event::Peer(Peer::Coordinator, Input::Frame(frame)))
+            .is_empty());
+        SessionLink::Party(PartyLink {
             sockets: Sockets(
-                vec![(Peer::Coordinator, {
-                    // A connected pair purely to own a stream; never used.
-                    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-                    let addr = listener.local_addr().unwrap();
-                    let client = TcpStream::connect(addr).unwrap();
-                    let _ = listener.accept().unwrap();
-                    FrameStream::new(client, None).unwrap()
-                })],
+                vec![(Peer::Coordinator, FrameStream::new(client, None).unwrap())],
                 None,
             ),
             rank: 0,
-            range: (2, 9),
-            node: Node::party().0,
-        });
-        assert!(party.validate(9).is_ok());
-        assert!(party.validate(8).is_err());
+            range,
+            node,
+        })
+    }
+
+    #[test]
+    fn link_partitions_are_validated() {
+        let scenario = welcome().scenario;
+        let party = party_link((2, 9), welcome());
+        assert!(party.validate(9, &scenario).is_ok());
+        assert!(party.validate(8, &scenario).is_err());
         assert_eq!(party.local_range(), (2, 9));
+    }
+
+    /// A process that forgot to install the welcome's scenario would draw
+    /// its own dropouts, flips and quorums; its session refuses the link.
+    #[test]
+    fn sessions_refuse_an_engine_scenario_that_is_not_the_welcomes() {
+        use crate::{EngineConfig, ProtocolError, Session};
+        let engine = EngineConfig::sequential();
+        let err = Session::with_link(&engine, 4, Some(party_link((0, 4), welcome()))).unwrap_err();
+        assert!(
+            matches!(err, ProtocolError::Transport(WireError::Protocol { .. })),
+            "{err}"
+        );
+        assert!(err.to_string().contains("the welcome's"), "{err}");
+        let engine = engine.with_scenario(welcome().scenario);
+        Session::with_link(&engine, 4, Some(party_link((0, 4), welcome()))).unwrap();
     }
 }

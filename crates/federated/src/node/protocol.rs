@@ -9,7 +9,6 @@
 //! [`Node::wait`] names.  The frames' codec lives in `crate::wire`.
 
 use super::NodeWelcome;
-use crate::fault::FaultPlan;
 use crate::message::RoundMessage;
 use crate::session::{assemble, coalesce, PartyEvent, RoundCollection};
 use crate::topology::Topology;
@@ -112,7 +111,7 @@ pub(crate) enum Event {
     /// The cohort socket [`Wait::Listen`] asked for is bound here.
     Listening(String),
     /// This process's local drivers finished the round.
-    Local(Share, FaultPlan),
+    Local(Share),
 }
 
 #[derive(Debug)]
@@ -180,13 +179,11 @@ pub(crate) struct Node {
     upstream: Vec<(Peer, usize)>,
     /// Where a party process sends its `RoundDone` frames.
     uplink: Peer,
-    /// The straggler plan the coordinator closes rounds under.
-    faults: FaultPlan,
 }
 
 impl Node {
-    /// The coordinator of `welcome`'s federation.  A welcome whose tree
-    /// topology is malformed is refused before any party is accepted.
+    /// The coordinator of `welcome`'s federation.  A welcome whose scenario
+    /// is invalid is refused before any party is accepted.
     pub(crate) fn coordinator(welcome: NodeWelcome) -> (Self, Vec<Action>) {
         if let Err(err) = check_welcome(&welcome) {
             return (Node::default(), vec![Action::Abort(err)]);
@@ -217,6 +214,11 @@ impl Node {
     /// A party process's rank and Welcome, once welcomed.
     pub(crate) fn joined(&self) -> Option<(usize, &NodeWelcome)> {
         Some((self.rank?, self.welcome.as_ref()?))
+    }
+
+    /// The coordinator's run description, or a party's Welcome.
+    pub(crate) fn welcome(&self) -> Option<&NodeWelcome> {
+        self.welcome.as_ref()
     }
 
     /// How many `RoundDone` frames this process reads per round.
@@ -286,10 +288,7 @@ impl Node {
                 let join = Action::Send(self.uplink, F::JoinCohort { rank });
                 vec![Action::Dial(addr), join]
             }
-            (Stage::Idle, Event::Local(share, faults)) => {
-                self.faults = faults;
-                self.fold_from(share, 0)
-            }
+            (Stage::Idle, Event::Local(share)) => self.fold_from(share, 0),
             (Stage::Collecting(round), Event::Peer(_, Input::Frame(F::Collection(collection))))
                 if collection.round == round =>
             {
@@ -415,7 +414,11 @@ impl Node {
             let detail = WireError::Remote { detail };
             return vec![Action::Broadcast(abort), Action::Abort(detail)];
         }
-        let collection = assemble(share.round, share.messages, share.events, &self.faults);
+        let faults = self
+            .welcome()
+            .map(|w| w.scenario.faults)
+            .unwrap_or_default();
+        let collection = assemble(share.round, share.messages, share.events, &faults);
         // Encode once: the driver fans the same bytes out to every rank.
         let mut payload = vec![NodeFrame::COLLECTION_TAG];
         collection.encode(&mut payload);
@@ -435,7 +438,7 @@ impl Node {
 /// star.  The node plane always uses depth 1 over ranks.
 fn cohorts(welcome: &NodeWelcome) -> Vec<(usize, usize)> {
     let (Topology::Tree { fanout, .. }, ranks) =
-        (welcome.config.topology, welcome.assignments.len())
+        (welcome.scenario.topology, welcome.assignments.len())
     else {
         return Vec::new();
     };
@@ -444,17 +447,15 @@ fn cohorts(welcome: &NodeWelcome) -> Vec<(usize, usize)> {
     cohorts.filter(|(start, end)| end - start >= 2).collect()
 }
 
-/// Refuses a welcome the core cannot run.  It is decoded from a socket: a
-/// tree of fanout 0 would divide by zero, and ranges that do not tile
-/// `0..n` in rank order would leave a party unowned or owned twice.
+/// Refuses a welcome the core cannot run.  It is decoded from a socket: its
+/// scenario is checked here, once, for every process (a tree of fanout 0
+/// would divide by zero, a NaN quorum or dropout would draw nonsense), and
+/// ranges that do not tile `0..n` in rank order would leave a party unowned
+/// or owned twice.
 fn check_welcome(welcome: &NodeWelcome) -> Result<(), WireError> {
     let fail = |detail| Err(WireError::Protocol { detail });
-    let topology = welcome.config.topology;
-    if let (Topology::Tree { fanout, depth }, false) = (topology, topology.is_valid()) {
-        return fail(format!(
-            "welcome carries an invalid tree topology (fanout {fanout}, depth {depth}); \
-             a tree needs fanout >= 2 and depth in 1..=8"
-        ));
+    if let Err(err) = welcome.scenario.validate() {
+        return fail(format!("welcome carries an invalid scenario: {err}"));
     }
     let mut expected = 0;
     for &(start, end) in &welcome.assignments {

@@ -174,11 +174,11 @@ impl Setup {
             )
         });
         let welcome = NodeWelcome {
-            config: ProtocolConfig {
+            config: ProtocolConfig::test_default(),
+            scenario: ScenarioPlan {
                 topology,
-                ..ProtocolConfig::test_default()
+                ..ScenarioPlan::from_faults(faults)
             },
-            scenario: ScenarioPlan::from_faults(faults),
             parallelism: 1,
             assignments,
             app: Vec::new(),
@@ -238,7 +238,7 @@ impl Setup {
 
     /// The first rank of `rank`'s cohort under a tree topology.
     fn cohort_start(&self, rank: usize) -> usize {
-        match self.welcome.config.topology {
+        match self.welcome.scenario.topology {
             Topology::Tree { fanout, .. } => rank / fanout * fanout,
             Topology::Flat => rank,
         }
@@ -476,7 +476,6 @@ impl Sim {
     fn local(&mut self, p: usize) -> Event {
         let round = self.procs[p].rounds_run;
         self.procs[p].rounds_run += 1;
-        let faults = self.setup.welcome.scenario.faults;
         let share = match self.procs[p].rank() {
             None => self.setup.share((0, 0), round),
             Some(rank) if self.setup.failure == Some((rank, round)) => Share {
@@ -487,7 +486,7 @@ impl Sim {
                 .setup
                 .share(self.setup.welcome.assignments[rank], round),
         };
-        Event::Local(share, faults)
+        Event::Local(share)
     }
 
     fn perform(&mut self, p: usize, actions: Vec<Action>) {

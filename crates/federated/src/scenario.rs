@@ -1,13 +1,16 @@
-//! The scenario plane: deterministic adversary models layered over the
-//! benign [`FaultPlan`].
+//! The scenario plane: the round policy of a run, with deterministic
+//! adversary models layered over the benign [`FaultPlan`].
 //!
 //! The paper's evaluation assumes honest-but-curious parties; real
 //! deployments face malicious ones.  A [`ScenarioPlan`] generalizes the
 //! fault plan into a full *scenario*: the benign deployment faults
-//! (dropout, stragglers) plus an [`AdversaryModel`] describing which
-//! parties misbehave and how.  The [`crate::Session`] applies the plan
-//! uniformly to every mechanism, so "TAPS under 30% report flipping" is an
-//! ordinary, reproducible run — exactly like the fault plans before it.
+//! (dropout, stragglers), an [`AdversaryModel`] describing which parties
+//! misbehave and how, and the two closure decisions of every round — the
+//! aggregation [`Topology`] uploads travel through and the
+//! [`QuorumPolicy`] that picks who makes each round.  The
+//! [`crate::Session`] applies the plan uniformly to every mechanism, so
+//! "TAPS under 30% report flipping" is an ordinary, reproducible run, and
+//! a node federation ships the one plan in its welcome.
 //!
 //! Adversary behavior is a **pure function of `(plan, seed, party)`**:
 //! which parties are compromised is a seeded draw
@@ -35,6 +38,7 @@
 use crate::error::ProtocolError;
 use crate::fault::FaultPlan;
 use crate::message::CandidateReport;
+use crate::topology::{QuorumPolicy, Topology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -114,13 +118,14 @@ impl AdversaryModel {
     }
 }
 
-/// A declarative description of one run scenario: benign deployment faults
-/// plus an adversary model, both deterministic.
+/// A declarative description of one run scenario: benign deployment faults,
+/// an adversary model, the aggregation topology and the quorum policy, all
+/// deterministic.  It is the one home of every round-policy decision.
 ///
 /// [`FaultPlan`] remains the benign corner: `ScenarioPlan::from(faults)`
-/// (and [`crate::EngineConfig::with_faults`]) install a plan with
-/// [`AdversaryModel::None`], and such a plan behaves bit-identically to the
-/// pre-scenario engine.
+/// installs a plan with [`AdversaryModel::None`] on the flat star at full
+/// quorum, and such a plan behaves bit-identically to the pre-scenario
+/// engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioPlan {
     /// The benign deployment faults (dropout, stragglers).
@@ -130,6 +135,13 @@ pub struct ScenarioPlan {
     /// Seed of the adversary randomness (independent of the protocol seed
     /// and the fault seed).
     pub seed: u64,
+    /// How party uploads reach the root aggregator: the flat star or a
+    /// cohort tree ([`Topology::Tree`] is bit-identical to
+    /// [`Topology::Flat`] at quorum 1.0; merging is lossless).
+    pub topology: Topology,
+    /// Quorum-based round closure: the response fraction that closes a
+    /// round, drawn deterministically per `(seed, round)`.
+    pub quorum: QuorumPolicy,
 }
 
 /// Domain-separation constant for the compromised-party draw (distinct from
@@ -157,11 +169,13 @@ impl ScenarioPlan {
             faults: FaultPlan::none(),
             adversary: AdversaryModel::None,
             seed: 0,
+            topology: Topology::Flat,
+            quorum: QuorumPolicy::full(),
         }
     }
 
-    /// A scenario with the given benign faults and no adversary — what the
-    /// legacy fault-plan APIs build.
+    /// A scenario with the given benign faults, no adversary, the flat star
+    /// and a full quorum.
     pub fn from_faults(faults: FaultPlan) -> Self {
         Self {
             faults,
@@ -176,13 +190,21 @@ impl ScenarioPlan {
         self
     }
 
-    /// Validates the scenario: the fault plan must be valid and every
-    /// adversary fraction must lie in `[0, 1]`.
+    /// Validates the scenario: the fault plan must be valid, every
+    /// adversary fraction must lie in `[0, 1]`, a tree must be well-formed
+    /// ([`Topology::validate`]) and the quorum fraction must lie in
+    /// `(0, 1]`.
     pub fn validate(&self) -> Result<(), ProtocolError> {
         self.faults.validate()?;
         let fraction = self.adversary.fraction();
         if !matches!(self.adversary, AdversaryModel::None) && !(0.0..=1.0).contains(&fraction) {
             return Err(ProtocolError::InvalidAdversaryFraction { fraction });
+        }
+        self.topology.validate()?;
+        if !self.quorum.is_valid() {
+            return Err(ProtocolError::InvalidQuorum {
+                fraction: self.quorum.fraction,
+            });
         }
         Ok(())
     }
@@ -312,6 +334,7 @@ mod tests {
     fn benign_plans_change_nothing() {
         let plan = ScenarioPlan::benign();
         assert!(plan.faults.is_none() && plan.adversary.is_none());
+        assert!(plan.topology.is_flat() && !plan.quorum.is_partial());
         assert!(plan.validate().is_ok());
         assert!(plan.compromised_parties(8).iter().all(|c| !c));
         assert!(plan.corruption().is_none());
@@ -360,6 +383,42 @@ mod tests {
             plan.validate(),
             Err(ProtocolError::InvalidDropout { .. })
         ));
+    }
+
+    #[test]
+    fn topology_and_quorum_violations_map_to_their_variants() {
+        let tree = |fanout, depth| ScenarioPlan {
+            topology: Topology::Tree { fanout, depth },
+            ..ScenarioPlan::benign()
+        };
+        assert_eq!(
+            tree(1, 1).validate(),
+            Err(ProtocolError::InvalidTopology {
+                fanout: 1,
+                depth: 1
+            })
+        );
+        assert_eq!(
+            tree(2, 9).validate(),
+            Err(ProtocolError::InvalidTopology {
+                fanout: 2,
+                depth: 9
+            })
+        );
+        assert_eq!(tree(2, 8).validate(), Ok(()));
+        let quorum = |fraction| ScenarioPlan {
+            quorum: QuorumPolicy { fraction, seed: 0 },
+            ..ScenarioPlan::benign()
+        };
+        assert_eq!(
+            quorum(0.0).validate(),
+            Err(ProtocolError::InvalidQuorum { fraction: 0.0 })
+        );
+        assert!(matches!(
+            quorum(f64::NAN).validate(),
+            Err(ProtocolError::InvalidQuorum { .. })
+        ));
+        assert_eq!(quorum(0.75).validate(), Ok(()));
     }
 
     #[test]

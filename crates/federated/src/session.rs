@@ -67,18 +67,12 @@ pub struct EngineConfig {
     /// Number of worker threads party work is spread over per round
     /// (1 = sequential in the calling thread).
     pub parallelism: usize,
-    /// The scenario the session injects: benign deployment faults plus an
-    /// optional adversary model (see [`crate::scenario`]).
+    /// The run's round policy: benign deployment faults, an optional
+    /// adversary model, the aggregation topology and the quorum policy (see
+    /// [`crate::scenario`]).
     pub scenario: ScenarioPlan,
     /// The transport the session's uploads travel through.
     pub transport: TransportKind,
-    /// When set, pins the aggregation topology for the whole run (see
-    /// [`EngineConfig::with_topology`]); `None` leaves the protocol
-    /// configuration's `topology` in charge.
-    pub topology: Option<Topology>,
-    /// When set, pins the quorum-closure policy for the whole run; `None`
-    /// leaves the protocol configuration's `quorum` in charge.
-    pub quorum: Option<QuorumPolicy>,
 }
 
 impl EngineConfig {
@@ -88,8 +82,6 @@ impl EngineConfig {
             parallelism: 1,
             scenario: ScenarioPlan::benign(),
             transport: TransportKind::InProcess,
-            topology: None,
-            quorum: None,
         }
     }
 
@@ -103,21 +95,24 @@ impl EngineConfig {
 
     /// Returns a copy with a benign-fault plan installed (the legacy entry
     /// point, kept as the benign corner of [`EngineConfig::with_scenario`]):
-    /// the scenario's adversary model is reset to [`AdversaryModel::None`].
-    pub fn with_faults(self, faults: FaultPlan) -> Self {
-        self.with_scenario(ScenarioPlan::from_faults(faults))
-    }
-
-    /// Returns a copy with a full scenario installed: benign faults plus an
-    /// adversary model (see [`crate::scenario`]).
-    pub fn with_scenario(mut self, scenario: ScenarioPlan) -> Self {
-        self.scenario = scenario;
+    /// the scenario's adversary model is reset to [`AdversaryModel::None`],
+    /// and its topology and quorum are kept.
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.scenario = ScenarioPlan {
+            faults,
+            adversary: AdversaryModel::None,
+            seed: 0,
+            ..self.scenario
+        };
         self
     }
 
-    /// The benign-fault corner of the configured scenario.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.scenario.faults
+    /// Returns a copy with a full scenario installed: benign faults, an
+    /// adversary model, the topology and the quorum (see
+    /// [`crate::scenario`]); it replaces the whole plan.
+    pub fn with_scenario(mut self, scenario: ScenarioPlan) -> Self {
+        self.scenario = scenario;
+        self
     }
 
     /// Returns a copy routing uploads through the given transport.
@@ -147,11 +142,11 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy that pins the aggregation topology for the whole
-    /// run.  [`Topology::Tree`] routes uploads through cohort-level
-    /// sub-aggregators; at quorum 1.0 its results are **bit-identical** to
-    /// [`Topology::Flat`] for every mechanism (merging is lossless), only
-    /// the root-inbound frame and byte counts change.
+    /// Returns a copy whose scenario routes uploads through `topology`,
+    /// keeping the rest of the plan.  [`Topology::Tree`] routes uploads
+    /// through cohort-level sub-aggregators; at quorum 1.0 its results are
+    /// **bit-identical** to [`Topology::Flat`] for every mechanism (merging
+    /// is lossless), only the root-inbound frame and byte counts change.
     ///
     /// ```
     /// use fedhh_federated::{EngineConfig, Topology};
@@ -160,20 +155,20 @@ impl EngineConfig {
     ///     fanout: 8,
     ///     depth: 1,
     /// });
-    /// assert_eq!(engine.topology, Some(Topology::Tree { fanout: 8, depth: 1 }));
+    /// assert_eq!(engine.scenario.topology, Topology::Tree { fanout: 8, depth: 1 });
     /// ```
     pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
+        self.scenario.topology = topology;
         self
     }
 
-    /// Returns a copy that pins quorum-based round closure: each round
-    /// closes once the configured response fraction is reached, the
-    /// on-time set a pure function of `(seed, round)` — never of thread
-    /// or socket timing — so partial-quorum runs replay bit-identically
-    /// at any parallelism.
+    /// Returns a copy whose scenario closes rounds under `quorum`, keeping
+    /// the rest of the plan: each round closes once the configured
+    /// response fraction is reached, the on-time set a pure function of
+    /// `(seed, round)` — never of thread or socket timing — so
+    /// partial-quorum runs replay bit-identically at any parallelism.
     pub fn with_quorum(mut self, quorum: QuorumPolicy) -> Self {
-        self.quorum = Some(quorum);
+        self.scenario.quorum = quorum;
         self
     }
 
@@ -198,16 +193,6 @@ impl EngineConfig {
             return Err(ProtocolError::InvalidParallelism {
                 parallelism: self.parallelism,
             });
-        }
-        if let Some(topology) = self.topology {
-            topology.validate()?;
-        }
-        if let Some(quorum) = self.quorum {
-            if !quorum.is_valid() {
-                return Err(ProtocolError::InvalidQuorum {
-                    fraction: quorum.fraction,
-                });
-            }
         }
         self.scenario.validate()
     }
@@ -461,8 +446,6 @@ pub struct Session {
     transport: Box<dyn Transport>,
     parallelism: usize,
     scenario: ScenarioPlan,
-    topology: Topology,
-    quorum: QuorumPolicy,
     dropped: Vec<bool>,
     compromised: Vec<bool>,
     round: u32,
@@ -490,7 +473,7 @@ impl Session {
     ) -> Result<Self, ProtocolError> {
         engine.validate()?;
         if let Some(link) = &link {
-            link.validate(party_count)
+            link.validate(party_count, &engine.scenario)
                 .map_err(ProtocolError::Transport)?;
         }
         // Frame corruption lives on the framed (TCP) path: route the
@@ -507,8 +490,6 @@ impl Session {
             transport,
             parallelism: engine.parallelism,
             scenario: engine.scenario,
-            topology: engine.topology.unwrap_or_default(),
-            quorum: engine.quorum.unwrap_or_default(),
             dropped: engine.scenario.faults.dropped_parties(party_count),
             compromised: engine.scenario.compromised_parties(party_count),
             round: 0,
@@ -611,7 +592,7 @@ impl Session {
         // of a distributed run excludes the same parties.  Excluded
         // parties simply do not execute this round — the same per-round
         // semantics as a fault-plan dropout.
-        let on_time = self.quorum.on_time(input.round, active);
+        let on_time = self.scenario.quorum.on_time(input.round, active);
         let (local_start, local_end) = self.local_range();
         let local = local_start..local_end.min(drivers.len());
         let mut is_selected = vec![false; drivers.len()];
@@ -729,7 +710,7 @@ impl Session {
         let messages = self.transport.drain().map_err(ProtocolError::Transport)?;
         match &mut self.link {
             None => {
-                let messages = match self.topology {
+                let messages = match self.scenario.topology {
                     Topology::Flat => messages,
                     Topology::Tree { fanout, depth } => {
                         tree_route(round, messages, fanout, depth, &self.telemetry)?
@@ -738,7 +719,7 @@ impl Session {
                 Ok(assemble(round, messages, events, &self.scenario.faults))
             }
             Some(link) => link
-                .exchange(round, messages, events, None, &self.scenario.faults)
+                .exchange(round, messages, events, None)
                 .map_err(ProtocolError::Transport),
         }
     }
@@ -759,7 +740,6 @@ impl Session {
                 Vec::new(),
                 Vec::new(),
                 Some((index, err.to_string())),
-                &self.scenario.faults,
             );
         }
         err
@@ -1245,8 +1225,95 @@ mod tests {
         let faults = FaultPlan::dropout(0.25, 3);
         let engine = EngineConfig::sequential().with_faults(faults);
         assert_eq!(engine.scenario, ScenarioPlan::from_faults(faults));
-        assert_eq!(engine.faults(), &faults);
+        assert_eq!(engine.scenario.faults, faults);
         assert_eq!(engine.scenario.adversary, AdversaryModel::None);
+    }
+
+    /// Each scenario builder replaces its own part of the plan and keeps the
+    /// rest, whatever the order the builders run in.
+    #[test]
+    fn scenario_builders_replace_only_their_part_of_the_plan() {
+        let tree = Topology::Tree {
+            fanout: 4,
+            depth: 2,
+        };
+        let quorum = QuorumPolicy {
+            fraction: 0.75,
+            seed: 9,
+        };
+        let plan = ScenarioPlan {
+            faults: FaultPlan {
+                dropout_fraction: 0.25,
+                stragglers: true,
+                seed: 5,
+            },
+            adversary: AdversaryModel::Sybil {
+                fraction: 0.5,
+                target_item: 7,
+            },
+            seed: 11,
+            topology: tree,
+            quorum,
+        };
+        let base = EngineConfig::sequential().with_scenario(plan);
+        let faults = FaultPlan::dropout(0.5, 3);
+        let star = Topology::Flat;
+        let half = QuorumPolicy {
+            fraction: 0.5,
+            seed: 1,
+        };
+        let cases = [
+            (
+                "with_faults",
+                base.with_faults(faults),
+                ScenarioPlan {
+                    faults,
+                    adversary: AdversaryModel::None,
+                    seed: 0,
+                    ..plan
+                },
+            ),
+            (
+                "with_topology",
+                base.with_topology(star),
+                ScenarioPlan {
+                    topology: star,
+                    ..plan
+                },
+            ),
+            (
+                "with_quorum",
+                base.with_quorum(half),
+                ScenarioPlan {
+                    quorum: half,
+                    ..plan
+                },
+            ),
+            (
+                "with_scenario",
+                base.with_scenario(ScenarioPlan::benign()),
+                ScenarioPlan::benign(),
+            ),
+            (
+                "with_topology then with_quorum then with_faults",
+                EngineConfig::sequential()
+                    .with_topology(tree)
+                    .with_quorum(quorum)
+                    .with_faults(faults),
+                ScenarioPlan {
+                    topology: tree,
+                    quorum,
+                    ..ScenarioPlan::from_faults(faults)
+                },
+            ),
+        ];
+        for (builders, engine, expected) in cases {
+            assert_eq!(engine.scenario, expected, "{builders}");
+            assert!(engine.validate().is_ok(), "{builders}");
+        }
+        // A fresh engine runs the flat star at full quorum.
+        let fresh = EngineConfig::sequential().scenario;
+        assert!(fresh.topology.is_flat() && !fresh.quorum.is_partial());
     }
 
     #[test]

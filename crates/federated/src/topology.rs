@@ -20,8 +20,9 @@
 //! simply excluded from that round, folding into the same per-round
 //! semantics as the [`crate::FaultPlan`] dropout draw.
 //!
-//! Both types travel in the protocol configuration (wire schema 5), so a
-//! federation can never mix topologies across processes.
+//! Both types are round policy: they travel in the [`crate::ScenarioPlan`]
+//! (wire schema 9), the one plan a node welcome ships, so a federation can
+//! never mix topologies or quorums across processes.
 
 use crate::error::ProtocolError;
 use rand::rngs::StdRng;
@@ -81,9 +82,10 @@ impl Topology {
         Some(Topology::Tree { fanout, depth })
     }
 
-    /// True when the shape is well-formed: a tree needs `fanout >= 2`
-    /// (a 1-wide cohort merges nothing) and `1 <= depth <= 8` (the root
-    /// group divisor `fanout^depth` must not overflow usize).
+    /// True when the shape is well-formed (the rule
+    /// [`ProtocolError::InvalidTopology`] states): a 1-wide cohort merges
+    /// nothing, and the root group divisor `fanout^depth` must not
+    /// overflow usize.
     pub fn is_valid(&self) -> bool {
         match self {
             Topology::Flat => true,

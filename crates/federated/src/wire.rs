@@ -512,6 +512,8 @@ impl Encode for ScenarioPlan {
         self.faults.encode(out);
         self.adversary.encode(out);
         put_u64_fixed(out, self.seed);
+        encode_topology(self.topology, out);
+        self.quorum.encode(out);
     }
 }
 
@@ -521,6 +523,8 @@ impl Decode for ScenarioPlan {
             faults: FaultPlan::decode(reader)?,
             adversary: AdversaryModel::decode(reader)?,
             seed: reader.take_u64_fixed()?,
+            topology: decode_topology(reader)?,
+            quorum: QuorumPolicy::decode(reader)?,
         })
     }
 }
@@ -546,8 +550,8 @@ fn fo_kind_from_u8(raw: u8) -> Result<FoKind, WireError> {
     }
 }
 
-/// Stable one-byte discriminants for [`Topology`] (wire schema 5);
-/// `Tree` is followed by its fanout and depth as varints.
+/// Stable one-byte discriminants for [`Topology`], encoded inside the
+/// [`ScenarioPlan`]; `Tree` is followed by its fanout and depth as varints.
 fn encode_topology(topology: Topology, out: &mut Vec<u8>) {
     match topology {
         Topology::Flat => out.push(0),
@@ -600,8 +604,6 @@ impl Encode for ProtocolConfig {
         self.phase1_user_fraction.encode(out);
         self.dividing_ratio.encode(out);
         put_u64_fixed(out, self.seed);
-        encode_topology(self.topology, out);
-        self.quorum.encode(out);
     }
 }
 
@@ -617,8 +619,6 @@ impl Decode for ProtocolConfig {
             phase1_user_fraction: f64::decode(reader)?,
             dividing_ratio: f64::decode(reader)?,
             seed: reader.take_u64_fixed()?,
-            topology: decode_topology(reader)?,
-            quorum: QuorumPolicy::decode(reader)?,
         })
     }
 }
@@ -746,6 +746,7 @@ mod tests {
                 faults: FaultPlan::dropout(0.5, 3),
                 adversary,
                 seed: 77,
+                ..ScenarioPlan::benign()
             });
         }
         round_trip(ProtocolConfig::default());
@@ -757,7 +758,7 @@ mod tests {
 
     #[test]
     fn tree_configs_round_trip() {
-        round_trip(ProtocolConfig {
+        round_trip(ScenarioPlan {
             topology: Topology::Tree {
                 fanout: 4,
                 depth: 2,
@@ -766,26 +767,25 @@ mod tests {
                 fraction: 0.75,
                 seed: u64::MAX,
             },
-            ..ProtocolConfig::default()
+            ..ScenarioPlan::from_faults(FaultPlan::dropout(0.25, 9))
         });
-        round_trip(ProtocolConfig {
+        round_trip(ScenarioPlan {
             quorum: QuorumPolicy {
                 fraction: 0.5,
                 seed: 3,
             },
-            ..ProtocolConfig::test_default()
+            ..ScenarioPlan::benign()
         });
     }
 
     #[test]
     fn unknown_topology_tags_are_typed_errors() {
-        let config = ProtocolConfig::default();
-        let mut bytes = to_bytes(&config);
+        let mut bytes = to_bytes(&ScenarioPlan::benign());
         // The topology tag sits 17 bytes from the end (1 tag + 16 quorum).
         let at = bytes.len() - 17;
         bytes[at] = 9;
         assert!(matches!(
-            from_bytes::<ProtocolConfig>(&bytes),
+            from_bytes::<ScenarioPlan>(&bytes),
             Err(WireError::InvalidValue {
                 what: "topology tag",
                 ..
@@ -833,11 +833,8 @@ mod tests {
 
     #[test]
     fn unknown_adversary_tags_are_typed_errors() {
-        let plan = ScenarioPlan {
-            faults: FaultPlan::none(),
-            adversary: AdversaryModel::CorruptFrames { fraction: 0.5 },
-            seed: 1,
-        };
+        let plan = ScenarioPlan::benign()
+            .with_adversary(AdversaryModel::CorruptFrames { fraction: 0.5 }, 1);
         let mut bytes = to_bytes(&plan);
         // The adversary tag follows the 17-byte fault plan.
         bytes[17] = 9;
@@ -859,9 +856,18 @@ mod tests {
                 target_item: 9,
             },
             seed: 4,
+            topology: Topology::Tree {
+                fanout: 2,
+                depth: 1,
+            },
+            quorum: QuorumPolicy {
+                fraction: 0.75,
+                seed: 5,
+            },
         });
-        // Every strict prefix — the 17-byte bare fault plan included —
-        // must fail cleanly.
+        // Every strict prefix — the 17-byte bare fault plan and the
+        // schema-8 plan that ended at the seed included — must fail
+        // cleanly.
         for cut in 0..bytes.len() {
             assert!(
                 from_bytes::<ScenarioPlan>(&bytes[..cut]).is_err(),

@@ -66,21 +66,6 @@ fn random_config(rng: &mut StdRng) -> ProtocolConfig {
         phase1_user_fraction: rng.gen::<f64>() * 0.99,
         dividing_ratio: rng.gen::<f64>() * 0.49,
         seed: rng.gen(),
-        topology: match rng.gen_range(0usize..3) {
-            0 => Topology::Flat,
-            1 => Topology::Tree {
-                fanout: rng.gen_range(2usize..32),
-                depth: 1,
-            },
-            _ => Topology::Tree {
-                fanout: rng.gen_range(2usize..8),
-                depth: rng.gen_range(1usize..=4),
-            },
-        },
-        quorum: QuorumPolicy {
-            fraction: rng.gen::<f64>() * 0.99 + 0.01,
-            seed: rng.gen(),
-        },
     }
 }
 
@@ -160,30 +145,32 @@ fn merged_supports_round_trip_bit_exactly() {
     }
 }
 
-/// Every strict prefix of a tree-topology handshake payload is a typed
-/// `WireError` — never a panic, never a flat-star config decoded from a
-/// payload cut before the topology, and never a tree config invented from
-/// a truncated suffix.
+/// Every strict prefix of a tree-topology scenario plan — the handshake
+/// payload the topology travels in — is a typed `WireError`: never a
+/// panic, never a flat-star plan decoded from a payload cut before the
+/// topology, and never a tree plan invented from a truncated suffix.
 #[test]
 fn topology_handshake_payload_cuts_are_typed_errors() {
     let mut rng = rng(22);
     for _ in 0..50 {
-        let mut config = random_config(&mut rng);
-        config.topology = Topology::Tree {
-            fanout: rng.gen_range(2usize..16),
-            depth: rng.gen_range(1usize..=2),
+        let plan = ScenarioPlan {
+            topology: Topology::Tree {
+                fanout: rng.gen_range(2usize..16),
+                depth: rng.gen_range(1usize..=2),
+            },
+            ..random_scenario(&mut rng)
         };
-        let bytes = to_bytes(&config);
+        let bytes = to_bytes(&plan);
         for cut in 0..bytes.len() {
-            let err = from_bytes::<ProtocolConfig>(&bytes[..cut])
-                .expect_err("a truncated config must not decode");
+            let err = from_bytes::<ScenarioPlan>(&bytes[..cut])
+                .expect_err("a truncated plan must not decode");
             let _ = err.to_string(); // typed, printable, no panic
         }
         // Bit flips anywhere in the payload must never panic either.
         let mut corrupt = bytes.clone();
         let bit = rng.gen_range(0usize..corrupt.len() * 8);
         corrupt[bit / 8] ^= 1 << (bit % 8);
-        let _ = from_bytes::<ProtocolConfig>(&corrupt);
+        let _ = from_bytes::<ScenarioPlan>(&corrupt);
     }
 }
 
@@ -257,19 +244,38 @@ fn random_adversary(rng: &mut StdRng) -> AdversaryModel {
     }
 }
 
+fn random_scenario(rng: &mut StdRng) -> ScenarioPlan {
+    ScenarioPlan {
+        faults: FaultPlan {
+            dropout_fraction: rng.gen(),
+            stragglers: rng.gen(),
+            seed: rng.gen(),
+        },
+        adversary: random_adversary(rng),
+        seed: rng.gen(),
+        topology: match rng.gen_range(0usize..3) {
+            0 => Topology::Flat,
+            1 => Topology::Tree {
+                fanout: rng.gen_range(2usize..32),
+                depth: 1,
+            },
+            _ => Topology::Tree {
+                fanout: rng.gen_range(2usize..8),
+                depth: rng.gen_range(1usize..=4),
+            },
+        },
+        quorum: QuorumPolicy {
+            fraction: rng.gen::<f64>() * 0.99 + 0.01,
+            seed: rng.gen(),
+        },
+    }
+}
+
 #[test]
 fn random_scenario_plans_round_trip_bit_exactly() {
     let mut rng = rng(17);
     for _ in 0..200 {
-        let plan = ScenarioPlan {
-            faults: FaultPlan {
-                dropout_fraction: rng.gen(),
-                stragglers: rng.gen(),
-                seed: rng.gen(),
-            },
-            adversary: random_adversary(&mut rng),
-            seed: rng.gen(),
-        };
+        let plan = random_scenario(&mut rng);
         assert_eq!(from_bytes::<ScenarioPlan>(&to_bytes(&plan)).unwrap(), plan);
     }
 }

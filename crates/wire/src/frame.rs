@@ -40,8 +40,10 @@ use std::io::{Read, Write};
 /// may have run the sequential-RNG path, so it is refused rather than
 /// resumed onto a different report stream; schema 8 dropped the
 /// execution-mode field from the protocol configuration, because the
-/// report pipeline's chunk size is no longer a setting.
-pub const WIRE_SCHEMA: u8 = 8;
+/// report pipeline's chunk size is no longer a setting; schema 9 moved the
+/// aggregation topology and the quorum policy from the protocol
+/// configuration to the end of the scenario plan, their one home.
+pub const WIRE_SCHEMA: u8 = 9;
 
 /// The largest frame a reader will accept, in bytes (schema + payload +
 /// crc).  Guards against a corrupt length prefix allocating gigabytes.

@@ -62,10 +62,11 @@ fn main() {
             let dataset = dataset.clone();
             std::thread::spawn(move || {
                 let (link, welcome) = connect_party(addr).expect("join coordinator");
+                // Each node runs the plan its welcome ships.
                 Run::mechanism(MechanismKind::Taps)
                     .dataset(&dataset)
                     .config(welcome.config)
-                    .engine(EngineConfig::sequential())
+                    .engine(EngineConfig::sequential().with_scenario(welcome.scenario))
                     .link(SessionLink::Party(link))
                     .execute()
                     .expect("party node run")

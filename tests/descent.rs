@@ -87,22 +87,20 @@ fn granularity_one_under_a_partial_quorum_runs_without_the_excluded_party() {
         assert!(!reference.heavy_hitters.is_empty(), "{name}");
 
         for seed in 0..6 {
-            let partial = ProtocolConfig {
-                quorum: QuorumPolicy {
-                    fraction: 0.5,
-                    seed,
-                },
-                ..full
+            let partial = QuorumPolicy {
+                fraction: 0.5,
+                seed,
             };
             let what = format!("{name}/quorum seed {seed}");
-            let sequential = run(mechanism, &dataset, partial, EngineConfig::parallel(1))
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
-            assert!(sequential.heavy_hitters.len() <= partial.k, "{what}");
+            let engine = |parallelism| EngineConfig::parallel(parallelism).with_quorum(partial);
+            let sequential =
+                run(mechanism, &dataset, full, engine(1)).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(sequential.heavy_hitters.len() <= full.k, "{what}");
             assert!(
                 sequential.local_results.len() <= dataset.party_count(),
                 "{what}"
             );
-            let parallel = run(mechanism, &dataset, partial, EngineConfig::parallel(8))
+            let parallel = run(mechanism, &dataset, full, engine(8))
                 .unwrap_or_else(|e| panic!("{what} x8: {e}"));
             assert_same_output(&sequential, &parallel, &what);
         }

@@ -45,7 +45,7 @@ use crate::runner::{repeat_trials, run_trial, ExperimentScale, TrialMetrics};
 use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
 use fedhh_federated::{EngineConfig, ProtocolConfig, ProtocolError};
 use fedhh_fo::FoKind;
-use fedhh_mechanisms::{MechanismKind, Taps};
+use fedhh_mechanisms::{Mechanism, MechanismKind, Taps};
 use fedhh_telemetry::Telemetry;
 
 /// Every declaration, in the order the paper presents them.
@@ -111,7 +111,7 @@ pub struct Experiment {
 pub(crate) enum Variant {
     /// A mechanism with its default options, labelled by its name.
     Kind(MechanismKind),
-    /// A TAPS ablation (Tables 5 and 6), labelled `TAPS`.
+    /// A TAPS ablation (Tables 5 and 6), labelled by its name.
     Taps(Taps),
     /// No run: the analytic traffic of every user uploading one report
     /// straight over the item domain (Tables 1 and 4), labelled
@@ -123,7 +123,7 @@ impl Variant {
     fn label(&self) -> String {
         match self {
             Variant::Kind(kind) => kind.name().to_string(),
-            Variant::Taps(_) => "TAPS".to_string(),
+            Variant::Taps(taps) => taps.name().to_string(),
             Variant::Direct(fo) => format!("{} direct", fo.name().to_uppercase()),
         }
     }

@@ -170,9 +170,7 @@ pub fn run_topology(options: &TopologyOptions) -> Result<TopologyReport, String>
     }
     let topologies = options.topologies();
     for topology in &topologies {
-        if !topology.is_valid() {
-            return Err(format!("invalid topology {topology}"));
-        }
+        topology.validate().map_err(|err| err.to_string())?;
     }
     let scale = if options.quick {
         ExperimentScale::quick()
@@ -443,9 +441,8 @@ mod tests {
             fanouts: vec![1],
             ..TopologyOptions::default()
         };
-        assert!(run_topology(&bad_fanout)
-            .unwrap_err()
-            .contains("invalid topology"));
+        let err = run_topology(&bad_fanout).unwrap_err();
+        assert!(err.contains("fanout >= 2"), "{err}");
         let bad_fraction = TopologyOptions {
             quick: true,
             fractions: vec![1.0, 0.0],

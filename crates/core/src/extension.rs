@@ -12,8 +12,11 @@ use fedhh_federated::LevelEstimate;
 /// How many prefixes to extend at each level.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ExtensionStrategy {
-    /// Always extend the top `t` prefixes (PEM uses `t = k`).
+    /// Always extend the top `t` prefixes.
     Fixed(usize),
+    /// Always extend the top `k` prefixes: PEM's rule, `Fixed(t)` with
+    /// `t` the run's query `k`.
+    TopK,
     /// The paper's adaptive rule: `t = k* + η` (Equations 2 and 3).
     #[default]
     Adaptive,
@@ -29,6 +32,7 @@ impl ExtensionStrategy {
         }
         let t = match self {
             ExtensionStrategy::Fixed(t) => *t,
+            ExtensionStrategy::TopK => k,
             ExtensionStrategy::Adaptive => adaptive_extension_count(estimate, k),
         };
         t.clamp(1, n)
@@ -38,6 +42,7 @@ impl ExtensionStrategy {
     pub fn label(&self, k: usize) -> String {
         match self {
             ExtensionStrategy::Fixed(t) if *t == k => "t=k".to_string(),
+            ExtensionStrategy::TopK => "t=k".to_string(),
             ExtensionStrategy::Fixed(t) => format!("t={t}"),
             ExtensionStrategy::Adaptive => "adaptive".to_string(),
         }
@@ -252,9 +257,19 @@ mod tests {
     }
 
     #[test]
+    fn top_k_extends_k_or_every_candidate() {
+        let est = estimate_from(vec![0.4, 0.3, 0.2, 0.06, 0.04], 0.01);
+        let n = est.candidates.len();
+        for k in [1, 3, 5, 7] {
+            assert_eq!(ExtensionStrategy::TopK.extension_count(&est, k), k.min(n));
+        }
+    }
+
+    #[test]
     fn labels_are_stable() {
         assert_eq!(ExtensionStrategy::Fixed(10).label(10), "t=k");
         assert_eq!(ExtensionStrategy::Fixed(20).label(10), "t=20");
+        assert_eq!(ExtensionStrategy::TopK.label(10), "t=k");
         assert_eq!(ExtensionStrategy::Adaptive.label(10), "adaptive");
     }
 

@@ -26,16 +26,13 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy)]
 pub struct FedPem {
     /// Extension strategy used inside each party (the paper's FedPEM uses
-    /// the original fixed `t = k`).
+    /// PEM's `t = k`, [`ExtensionStrategy::TopK`]).
     pub extension: ExtensionStrategy,
 }
 
 impl Default for FedPem {
     fn default() -> Self {
-        // The baseline uses the original PEM extension rule.
-        Self {
-            extension: ExtensionStrategy::Fixed(usize::MAX),
-        }
+        Self::with_extension(ExtensionStrategy::TopK)
     }
 }
 
@@ -43,14 +40,6 @@ impl FedPem {
     /// Creates FedPEM with an explicit extension strategy (used by ablations).
     pub fn with_extension(extension: ExtensionStrategy) -> Self {
         Self { extension }
-    }
-
-    fn effective_extension(&self, k: usize) -> ExtensionStrategy {
-        match self.extension {
-            // `usize::MAX` is the marker for "the original t = k rule".
-            ExtensionStrategy::Fixed(t) if t == usize::MAX => ExtensionStrategy::Fixed(k),
-            other => other,
-        }
     }
 }
 
@@ -101,7 +90,6 @@ impl Mechanism for FedPem {
         let start = Instant::now();
         let dataset = ctx.dataset();
         let estimator = LevelEstimator::new(config)?;
-        let extension = self.effective_extension(config.k);
 
         let mut session = ctx.session(dataset.party_count())?;
         let mut drivers: Vec<FedPemDriver<'_>> = dataset
@@ -112,7 +100,7 @@ impl Mechanism for FedPem {
                 name: party.name(),
                 items: ctx.party_stream(idx),
                 estimator: &estimator,
-                extension,
+                extension: self.extension,
                 seed: ctx.party_seed(idx),
                 scratch: session.scratch(),
             })
@@ -191,10 +179,20 @@ mod tests {
 
     #[test]
     fn default_extension_marker_resolves_to_k() {
-        let fedpem = FedPem::default();
-        assert_eq!(fedpem.effective_extension(7), ExtensionStrategy::Fixed(7));
-        let custom = FedPem::with_extension(ExtensionStrategy::Fixed(3));
-        assert_eq!(custom.effective_extension(7), ExtensionStrategy::Fixed(3));
+        let dataset = DatasetConfig::test_scale().build(DatasetKind::Rdb);
+        for k in [3, 7] {
+            let cfg = config().with_k(k);
+            let top_k = run(&FedPem::default(), &dataset, cfg);
+            let fixed = run(
+                &FedPem::with_extension(ExtensionStrategy::Fixed(k)),
+                &dataset,
+                cfg,
+            );
+            assert_eq!(top_k.heavy_hitters, fixed.heavy_hitters, "k={k}");
+            assert_eq!(top_k.counts, fixed.counts, "k={k}");
+            assert_eq!(top_k.local_results, fixed.local_results, "k={k}");
+            assert_eq!(top_k.comm, fixed.comm, "k={k}");
+        }
     }
 
     #[test]

@@ -9,13 +9,15 @@
 //!   GRRX mechanism replaced by k-RR (see DESIGN.md, substitution 2): the
 //!   server filters a single global candidate set level by level, ignoring
 //!   party populations.
-//! * [`Tap`] — the target-aligning prefix tree mechanism (Algorithms 2–3):
-//!   a shared shallow trie constructed collaboratively in Phase I plus
-//!   adaptive trie extension in both phases.
-//! * [`Taps`] — TAP with the consensus-based pruning strategy (Algorithm 4,
-//!   Equations 4–8): Phase II runs sequentially through the parties in
-//!   descending population order, each party validating and pruning the
-//!   candidates suggested by its predecessor.
+//! * [`Taps`] — the target-aligning prefix tree mechanisms.  With
+//!   `use_pruning` off ([`Taps::without_pruning`], built by
+//!   [`MechanismKind::Tap`]) it is TAP (Algorithms 2–3): a shared shallow
+//!   trie constructed collaboratively in Phase I plus adaptive trie
+//!   extension in both phases.  With it on (the default) it is TAPS, TAP
+//!   with the consensus-based pruning strategy (Algorithm 4, Equations
+//!   4–8): Phase II runs sequentially through the parties in descending
+//!   population order, each party validating and pruning the candidates
+//!   suggested by its predecessor.
 //!
 //! All mechanisms implement the [`Mechanism`] trait and can be constructed
 //! by name through [`MechanismKind`].  The [`Run`] builder is the single
@@ -57,7 +59,7 @@ pub mod gtf;
 pub mod mechanism;
 mod pem;
 pub mod run;
-pub mod tap;
+mod tap;
 pub mod taps;
 
 pub use aggregate::{local_result_to_report, PartyLocalResult};
@@ -66,5 +68,4 @@ pub use fedpem::FedPem;
 pub use gtf::Gtf;
 pub use mechanism::{Mechanism, MechanismKind, MechanismOutput, ParseMechanismKindError};
 pub use run::{Run, RunContext};
-pub use tap::Tap;
 pub use taps::Taps;

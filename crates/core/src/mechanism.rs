@@ -41,9 +41,6 @@ pub trait Mechanism {
     ///
     /// Prefer driving this through the [`crate::Run`] builder, which
     /// validates the configuration and the dataset/config pairing first.
-    ///
-    /// The pre-0.2 infallible `run(&dataset, &config)` shim (deprecated in
-    /// 0.2.0) was removed in 0.3.0; see CHANGES.md for the migration.
     fn execute(&self, ctx: &mut RunContext<'_>) -> Result<MechanismOutput, ProtocolError>;
 }
 
@@ -54,7 +51,7 @@ pub enum MechanismKind {
     Gtf,
     /// PEM per party with server-side count aggregation (Algorithm 1).
     FedPem,
-    /// Target-aligning prefix tree (Algorithm 3).
+    /// Target-aligning prefix tree (Algorithm 3): TAPS without pruning.
     Tap,
     /// TAP with consensus-based pruning (Algorithm 4).
     Taps,
@@ -102,7 +99,7 @@ impl MechanismKind {
         match self {
             MechanismKind::Gtf => Box::new(crate::gtf::Gtf),
             MechanismKind::FedPem => Box::new(crate::fedpem::FedPem::default()),
-            MechanismKind::Tap => Box::new(crate::tap::Tap::default()),
+            MechanismKind::Tap => Box::new(crate::taps::Taps::without_pruning()),
             MechanismKind::Taps => Box::new(crate::taps::Taps::default()),
         }
     }

@@ -78,38 +78,12 @@ impl<'a> RunContext<'a> {
         }
     }
 
-    /// Returns the context with a telemetry handle attached.  The handle
-    /// fans out from here: sessions created by [`RunContext::session`]
-    /// carry it into the engine and transport, and it subscribes to the
-    /// run's event stream (phase spans, every upload as an `uplink` trace
-    /// event, the `downlink.bits` counter).  Observation only — attaching
-    /// a handle never changes a run's output.
-    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = telemetry.clone();
-        self
-    }
-
     /// The run's telemetry handle (disabled unless one was attached).
     /// Party-side `level` spans open under the same handle, which the
     /// drivers' [`fedhh_federated::EstimateScratch`]es get from
     /// [`Session::scratch`].
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Returns the context with a different engine configuration.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Returns the context with a [`SessionLink`] attached, making the run
-    /// one process of a distributed federation (see
-    /// [`fedhh_federated::node`]).  The link is consumed by the first
-    /// [`RunContext::session`] call.
-    pub fn with_link(mut self, link: Option<SessionLink>) -> Self {
-        self.link = link;
-        self
     }
 
     /// The engine configuration (parallelism, scenario plan and transport)
@@ -129,13 +103,6 @@ impl<'a> RunContext<'a> {
             session.set_telemetry(&self.telemetry);
         }
         Ok(session)
-    }
-
-    /// Returns the context with warm-start candidates attached (see
-    /// [`Run::warm_start`]).
-    pub fn with_warm_start(mut self, warm: Option<Vec<u64>>) -> Self {
-        self.warm = warm;
-        self
     }
 
     /// The dataset under analysis (borrowed for the run's full lifetime).
@@ -462,12 +429,14 @@ impl<'a> Run<'a> {
         // Declared before the context so the `run` span closes after the
         // context's final phase span — spans nest properly in the trace.
         let _run_span = self.telemetry.span(SpanName::Run);
-        let mut ctx = RunContext::new(dataset, self.config)
-            .with_engine(engine)
-            .with_link(self.link)
-            .with_warm_start(self.warm)
-            .with_telemetry(&self.telemetry);
-        ctx.observer = self.observer;
+        let mut ctx = RunContext {
+            engine,
+            observer: self.observer,
+            link: self.link,
+            warm: self.warm,
+            telemetry: self.telemetry,
+            ..RunContext::new(dataset, self.config)
+        };
         let output = mechanism.execute(&mut ctx)?;
         ctx.emit(RunEvent::RunFinished(RunSummary {
             mechanism: mechanism.name().to_string(),

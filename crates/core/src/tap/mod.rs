@@ -14,16 +14,17 @@
 //! seeds every party with the shared prefixes, and Phase II descends to
 //! level g and uploads the final top-k reports.  TAPS is the same routine
 //! (`two_phase`) on a different Phase II schedule — the pruning chain of
-//! [`crate::taps`] — so TAPS without pruning *is* TAP.
+//! [`crate::taps`] — so TAP is not a type of its own: it is the
+//! [`Taps`] value with `use_pruning: false` ([`Taps::without_pruning`]).
 
 pub mod stc;
 
 use crate::aggregate::final_output;
 use crate::extension::ExtensionStrategy;
-use crate::mechanism::{Mechanism, MechanismOutput};
+use crate::mechanism::MechanismOutput;
 use crate::pem::{PartyRun, Report, Seeding};
 use crate::run::RunContext;
-use crate::taps::{self, ChainLink, ChainSlot};
+use crate::taps::{self, ChainLink, ChainSlot, Taps};
 use fedhh_federated::{
     Broadcast, EstimateScratch, LevelEstimator, PartyDriver, ProtocolError, RoundCollection,
     RoundInput, RoundOutcome, RunPhase, Session,
@@ -118,14 +119,12 @@ impl TwoPhaseRun<'_> {
 }
 
 /// TAP and TAPS: Phase I, the shared-prefix hand-over, then Phase II on
-/// the schedule `use_pruning` selects — one parallel round that also
+/// the schedule `taps.use_pruning` selects — one parallel round that also
 /// uploads the final reports (TAP), or the solo pruning chain followed by
 /// a final-report round (TAPS) — and the final aggregation.
 pub(crate) fn two_phase(
     ctx: &mut RunContext<'_>,
-    extension: ExtensionStrategy,
-    use_shared_trie: bool,
-    use_pruning: bool,
+    taps: &Taps,
 ) -> Result<MechanismOutput, ProtocolError> {
     let config = ctx.config();
     let start = Instant::now();
@@ -134,7 +133,7 @@ pub(crate) fn two_phase(
         session: ctx.session(ctx.dataset().party_count())?,
         parties: PartyRun::initialise(ctx, Seeding::Tap)?,
         estimator: &estimator,
-        extension,
+        extension: taps.extension,
     };
     let gs = config.shared_levels();
 
@@ -144,7 +143,7 @@ pub(crate) fn two_phase(
     let mut shared = stc::shared_trie_construction(&mut run, ctx)?;
     let shared_len = config.schedule().prefix_len(gs);
     ctx.graft_warm_prefixes(&mut shared, shared_len);
-    if use_shared_trie {
+    if taps.use_shared_trie {
         for idx in run.session.active_parties() {
             run.parties[idx].adopt(&shared, shared_len);
         }
@@ -153,7 +152,7 @@ pub(crate) fn two_phase(
     // Phase II: independent estimation from the shared prefixes.
     ctx.phase(RunPhase::LocalEstimation);
     let levels = (gs + 1)..=config.granularity;
-    let final_reports = if use_pruning {
+    let final_reports = if taps.use_pruning {
         taps::pruning_chain(&mut run, ctx, levels)?
     } else {
         let collection = run.round(ctx, levels, Report::TopK)?;
@@ -163,54 +162,6 @@ pub(crate) fn two_phase(
     Ok(final_output(ctx, &final_reports, start))
 }
 
-/// The TAP mechanism (Algorithm 3).
-#[derive(Debug, Clone, Copy)]
-pub struct Tap {
-    /// Extension strategy (the paper's TAP always uses the adaptive rule;
-    /// the fixed variants exist for the Table 5 ablation).
-    pub extension: ExtensionStrategy,
-    /// Whether Phase I constructs the shared shallow trie (disabled by the
-    /// Table 6 ablation).
-    pub use_shared_trie: bool,
-}
-
-impl Default for Tap {
-    fn default() -> Self {
-        Self {
-            extension: ExtensionStrategy::Adaptive,
-            use_shared_trie: true,
-        }
-    }
-}
-
-impl Tap {
-    /// TAP with an explicit extension strategy.
-    pub fn with_extension(extension: ExtensionStrategy) -> Self {
-        Self {
-            extension,
-            ..Self::default()
-        }
-    }
-
-    /// TAP without the shared shallow trie (ablation).
-    pub fn without_shared_trie() -> Self {
-        Self {
-            use_shared_trie: false,
-            ..Self::default()
-        }
-    }
-}
-
-impl Mechanism for Tap {
-    fn name(&self) -> &'static str {
-        "TAP"
-    }
-
-    fn execute(&self, ctx: &mut RunContext<'_>) -> Result<MechanismOutput, ProtocolError> {
-        two_phase(ctx, self.extension, self.use_shared_trie, false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +169,7 @@ mod tests {
     use fedhh_datasets::{DatasetConfig, DatasetKind, FederatedDataset};
     use fedhh_federated::ProtocolConfig;
 
-    fn run(tap: &Tap, dataset: &FederatedDataset, config: ProtocolConfig) -> MechanismOutput {
+    fn run(tap: &Taps, dataset: &FederatedDataset, config: ProtocolConfig) -> MechanismOutput {
         Run::custom(tap)
             .dataset(dataset)
             .config(config)
@@ -239,7 +190,7 @@ mod tests {
     #[test]
     fn tap_returns_k_heavy_hitters() {
         let dataset = DatasetConfig::test_scale().build(DatasetKind::Rdb);
-        let output = run(&Tap::default(), &dataset, config());
+        let output = run(&Taps::without_pruning(), &dataset, config());
         assert_eq!(output.heavy_hitters.len(), 5);
         assert_eq!(output.local_results.len(), dataset.party_count());
         assert!(output.comm.total_uplink_bits() > 0);
@@ -249,7 +200,7 @@ mod tests {
     fn tap_recovers_ground_truth_at_large_epsilon() {
         let dataset = DatasetConfig::test_scale().build(DatasetKind::Rdb);
         let truth = dataset.ground_truth_top_k(5);
-        let output = run(&Tap::default(), &dataset, config());
+        let output = run(&Taps::without_pruning(), &dataset, config());
         let hits = truth
             .iter()
             .filter(|t| output.heavy_hitters.contains(t))
@@ -266,9 +217,15 @@ mod tests {
         let dataset = DatasetConfig::test_scale().build(DatasetKind::Syn);
         let cfg = config();
         for tap in [
-            Tap::default(),
-            Tap::without_shared_trie(),
-            Tap::with_extension(ExtensionStrategy::Fixed(5)),
+            Taps::without_pruning(),
+            Taps {
+                use_shared_trie: false,
+                ..Taps::without_pruning()
+            },
+            Taps {
+                extension: ExtensionStrategy::Fixed(5),
+                ..Taps::without_pruning()
+            },
         ] {
             let output = run(&tap, &dataset, cfg);
             assert_eq!(output.heavy_hitters.len(), 5);

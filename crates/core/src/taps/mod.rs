@@ -37,7 +37,8 @@ use fedhh_federated::{
 use pruning::{consensus_pruning_set, population_confidence, select_prune_candidates};
 use std::ops::RangeInclusive;
 
-/// The TAPS mechanism (Algorithm 4).
+/// The TAPS mechanism (Algorithm 4), and TAP (Algorithm 3) when
+/// `use_pruning` is off.
 #[derive(Debug, Clone, Copy)]
 pub struct Taps {
     /// Extension strategy (adaptive by default; fixed variants exist for the
@@ -45,9 +46,8 @@ pub struct Taps {
     pub extension: ExtensionStrategy,
     /// Whether Phase I constructs the shared shallow trie (Table 6 ablation).
     pub use_shared_trie: bool,
-    /// Whether Phase II applies the consensus-based pruning (disabling it
-    /// runs TAP's Phase II instead; kept as a flag for the Figure 7
-    /// comparison).
+    /// Whether Phase II applies the consensus-based pruning.  Without it
+    /// the value is TAP (Algorithm 3), and [`Mechanism::name`] says so.
     pub use_pruning: bool,
 }
 
@@ -78,7 +78,8 @@ impl Taps {
         }
     }
 
-    /// TAPS without the consensus-based pruning, i.e. TAP (Figure 7).
+    /// TAPS without the consensus-based pruning: TAP (Algorithm 3), what
+    /// `MechanismKind::Tap` builds.
     pub fn without_pruning() -> Self {
         Self {
             use_pruning: false,
@@ -282,11 +283,15 @@ pub(crate) fn pruning_chain(
 
 impl Mechanism for Taps {
     fn name(&self) -> &'static str {
-        "TAPS"
+        if self.use_pruning {
+            "TAPS"
+        } else {
+            "TAP"
+        }
     }
 
     fn execute(&self, ctx: &mut RunContext<'_>) -> Result<MechanismOutput, ProtocolError> {
-        two_phase(ctx, self.extension, self.use_shared_trie, self.use_pruning)
+        two_phase(ctx, self)
     }
 }
 
@@ -351,6 +356,13 @@ mod tests {
         assert!(!Taps::is_pruning_level(17, 24, 6));
         assert!(Taps::is_pruning_level(18, 24, 6));
         assert!(Taps::is_pruning_level(24, 24, 6));
+    }
+
+    #[test]
+    fn without_pruning_is_named_tap() {
+        assert_eq!(Taps::without_pruning().name(), "TAP");
+        assert_eq!(Taps::default().name(), "TAPS");
+        assert_eq!(Taps::without_shared_trie().name(), "TAPS");
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl AdversaryModel {
 /// an adversary model, the aggregation topology and the quorum policy, all
 /// deterministic.  It is the one home of every round-policy decision.
 ///
-/// [`FaultPlan`] remains the benign corner: `ScenarioPlan::from(faults)`
+/// [`FaultPlan`] remains the benign corner: [`ScenarioPlan::from_faults`]
 /// installs a plan with [`AdversaryModel::None`] on the flat star at full
 /// quorum, and such a plan behaves bit-identically to the pre-scenario
 /// engine.
@@ -257,12 +257,6 @@ impl Default for ScenarioPlan {
     }
 }
 
-impl From<FaultPlan> for ScenarioPlan {
-    fn from(faults: FaultPlan) -> Self {
-        Self::from_faults(faults)
-    }
-}
-
 /// Perturbs one candidate report in place, as a compromised party under
 /// [`AdversaryModel::ReportFlip`] uploads it.  The perturbation is a pure
 /// function of `(seed, party, round, payload_index)` plus the report
@@ -339,9 +333,9 @@ mod tests {
         assert!(plan.compromised_parties(8).iter().all(|c| !c));
         assert!(plan.corruption().is_none());
         assert_eq!(ScenarioPlan::default(), plan);
-        // The FaultPlan conversion keeps the faults and stays adversary-free.
+        // A plan of faults alone keeps the faults and stays adversary-free.
         let faults = FaultPlan::dropout(0.5, 9);
-        let plan = ScenarioPlan::from(faults);
+        let plan = ScenarioPlan::from_faults(faults);
         assert_eq!(plan.faults, faults);
         assert_eq!(plan.adversary, AdversaryModel::None);
         assert!(!plan.faults.is_none(), "dropout is a fault, not benign");

@@ -82,26 +82,17 @@ impl Topology {
         Some(Topology::Tree { fanout, depth })
     }
 
-    /// True when the shape is well-formed (the rule
-    /// [`ProtocolError::InvalidTopology`] states): a 1-wide cohort merges
-    /// nothing, and the root group divisor `fanout^depth` must not
-    /// overflow usize.
-    pub fn is_valid(&self) -> bool {
-        match self {
-            Topology::Flat => true,
-            Topology::Tree { fanout, depth } => {
-                *fanout >= 2
-                    && (1..=8).contains(depth)
-                    && fanout.checked_pow(*depth as u32).is_some()
-            }
-        }
-    }
-
-    /// [`Topology::is_valid`] as a typed error: a malformed tree is
+    /// Checks the shape: a 1-wide cohort merges nothing, the depth must
+    /// lie in `1..=8`, and the root group divisor `fanout^depth` must not
+    /// overflow usize.  A malformed tree is
     /// [`ProtocolError::InvalidTopology`] carrying its shape.
     pub fn validate(&self) -> Result<(), ProtocolError> {
         match *self {
-            Topology::Tree { fanout, depth } if !self.is_valid() => {
+            Topology::Tree { fanout, depth }
+                if fanout < 2
+                    || !(1..=8).contains(&depth)
+                    || fanout.checked_pow(depth as u32).is_none() =>
+            {
                 Err(ProtocolError::InvalidTopology { fanout, depth })
             }
             _ => Ok(()),
@@ -226,37 +217,17 @@ mod tests {
 
     #[test]
     fn validation_rejects_degenerate_shapes() {
-        assert!(Topology::Flat.is_valid());
-        assert!(Topology::Tree {
-            fanout: 2,
-            depth: 1
+        let tree = |fanout, depth| Topology::Tree { fanout, depth };
+        for valid in [Topology::Flat, tree(2, 1), tree(16, 2), tree(2, 8)] {
+            assert_eq!(valid.validate(), Ok(()), "{valid:?}");
         }
-        .is_valid());
-        assert!(Topology::Tree {
-            fanout: 16,
-            depth: 2
+        for (fanout, depth) in [(1, 1), (0, 1), (2, 0), (2, 9), (usize::MAX, 2)] {
+            assert_eq!(
+                tree(fanout, depth).validate(),
+                Err(ProtocolError::InvalidTopology { fanout, depth }),
+                "fanout {fanout} depth {depth}"
+            );
         }
-        .is_valid());
-        assert!(!Topology::Tree {
-            fanout: 1,
-            depth: 1
-        }
-        .is_valid());
-        assert!(!Topology::Tree {
-            fanout: 0,
-            depth: 1
-        }
-        .is_valid());
-        assert!(!Topology::Tree {
-            fanout: 2,
-            depth: 0
-        }
-        .is_valid());
-        assert!(!Topology::Tree {
-            fanout: 2,
-            depth: 9
-        }
-        .is_valid());
     }
 
     #[test]

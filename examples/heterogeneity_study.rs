@@ -43,7 +43,7 @@ fn main() -> Result<(), ProtocolError> {
         };
 
         let fedpem = score(&run(&FedPem::default())?);
-        let tap = score(&run(&Tap::default())?);
+        let tap = score(&run(&Taps::without_pruning())?);
         let taps = score(&run(&Taps::default())?);
         let taps_no_shared = score(&run(&Taps::without_shared_trie())?);
         println!("  {beta:<5}  {fedpem:.3}   {tap:.3}   {taps:.3}   {taps_no_shared:.3}");

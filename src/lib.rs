@@ -152,7 +152,7 @@ pub mod prelude {
     pub use crate::fo::{FoKind, PrivacyBudget};
     pub use crate::mechanisms::{
         ExtensionStrategy, FedPem, Gtf, Mechanism, MechanismKind, MechanismOutput, Run, RunContext,
-        Tap, Taps,
+        Taps,
     };
     pub use crate::metrics::{average_local_recall, f1_score, ncr_score};
     pub use crate::telemetry::{Telemetry, TelemetrySummary, TraceLine, TraceStats};

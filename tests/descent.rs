@@ -2,9 +2,9 @@
 //!
 //! What the shared level loop must keep true from the outside:
 //!
-//! 1. **`Taps::without_pruning()` is `Tap`** — every field of the output
-//!    but the wall clock, downlink included, across datasets × oracles ×
-//!    both pinned execution paths.
+//! 1. **`MechanismKind::Tap` is `Taps::without_pruning()`** — every field
+//!    of the output but the wall clock, downlink included, across
+//!    datasets × oracles.
 //! 2. **A party with no estimate has nothing to report**: `granularity 1`
 //!    under a partial quorum leaves a party the quorum kept out of Phase I
 //!    with no level to run in Phase II; TAP and TAPS must finish without
@@ -58,7 +58,12 @@ fn taps_without_pruning_is_tap_on_every_output_field() {
             let cfg = config().with_fo(fo);
             let what = format!("{kind:?}/{fo:?}");
             let engine = EngineConfig::sequential();
-            let tap = run(&Tap::default(), &dataset, cfg, engine).unwrap();
+            let tap = Run::mechanism(MechanismKind::Tap)
+                .dataset(&dataset)
+                .config(cfg)
+                .engine(engine)
+                .execute()
+                .unwrap();
             let taps = run(&Taps::without_pruning(), &dataset, cfg, engine).unwrap();
             assert_same_output(&tap, &taps, &what);
         }
@@ -68,7 +73,7 @@ fn taps_without_pruning_is_tap_on_every_output_field() {
 #[test]
 fn granularity_one_under_a_partial_quorum_runs_without_the_excluded_party() {
     let dataset = DatasetConfig::test_scale().build(DatasetKind::Syn);
-    let tap = Tap::default();
+    let tap = Taps::without_pruning();
     let taps = Taps::default();
     let mechanisms: [&dyn Mechanism; 2] = [&tap, &taps];
     for mechanism in mechanisms {

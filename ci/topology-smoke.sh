@@ -1,33 +1,23 @@
 #!/usr/bin/env bash
-# topology-smoke: the aggregation-tree determinism gate.
+# topology-smoke: the aggregation tree across real processes.
 #
 #   ci/topology-smoke.sh [path/to/fedhh-node]
 #
-# Two legs:
-#   1. A real multi-process federation over loopback aggregated through a
-#      fanout-2 tree with a 0.75 quorum, under 25% dropout, stragglers and
-#      a 50% report-flip adversary, so one welcome ships every field of the
-#      scenario plan across processes: the coordinator routes cohort
-#      members to their sub-aggregator in the handshake and exits non-zero
-#      unless the distributed MechanismOutput is bit-identical to the
-#      in-memory engine under the same plan at the same seed
-#      (`--check-inmemory`).
-#   2. The `fedhh-bench topology` sweep run twice and gated on the two
-#      BENCH_topology.json files being byte-identical — the report carries
-#      no timings, so any difference is real nondeterminism.  The sweep's
-#      internal gates (every tree cell bit-identical to its flat
-#      equivalent, strict root-inbound byte savings at full quorum) make a
-#      successful run the losslessness check.
-# The first sweep's BENCH_topology.json is left in the working directory
-# for CI to upload.
+# A real multi-process federation over loopback aggregated through a
+# fanout-2 tree with a 0.75 quorum, under 25% dropout, stragglers and a
+# 50% report-flip adversary, so one welcome ships every field of the
+# scenario plan across processes: the coordinator routes cohort members to
+# their sub-aggregator in the handshake and exits non-zero unless the
+# distributed MechanismOutput is bit-identical to the in-memory engine
+# under the same plan at the same seed (`--check-inmemory`).  The tree
+# sweep's determinism gate is ci/scenario-smoke.sh.
 set -euo pipefail
 
 . "$(dirname "$0")/lib.sh"
 smoke_init topology-smoke
 
 NODE_BIN="${1:-target/release/fedhh-node}"
-BENCH_BIN="$(sibling_bin "$NODE_BIN" fedhh-bench)"
-require_bin "$NODE_BIN" "$BENCH_BIN"
+require_bin "$NODE_BIN"
 
 log "coordinator + 4 party processes: TAPS on YCM over tree:2 at quorum 0.75," \
     "dropout 0.25, stragglers, report-flip 0.5"
@@ -68,22 +58,5 @@ if [ "$STATUS" -ne 0 ]; then
 fi
 grep -q '^CHECK bit-identical' "$WORKDIR/coordinator.out" \
     || die "coordinator did not confirm bit-identity with the in-memory tree engine"
-
-TOPOLOGY_FLAGS=(--quick --fanouts 2,4 --fractions 1.0,0.5)
-
-log "sweep 1: quick topology matrix"
-"$BENCH_BIN" topology "${TOPOLOGY_FLAGS[@]}" --out BENCH_topology.json
-
-log "sweep 2: rerun + byte-identity gate"
-"$BENCH_BIN" topology "${TOPOLOGY_FLAGS[@]}" --out "$WORKDIR/rerun.json" \
-    --check BENCH_topology.json --threshold 0
-assert_identical BENCH_topology.json "$WORKDIR/rerun.json" \
-    "reruns of the same sweep differ"
-log "reruns are byte-identical"
-
-# Sanity: the tree actually merged somewhere — at least one cell routed
-# root-inbound frames.
-grep -Eq '"root_frames": [1-9]' BENCH_topology.json \
-    || die "no cell routed merged frames; the tree plane is inert"
 
 log "OK"

@@ -14,7 +14,7 @@
 //! loopback socket in the `fedhh-wire` frame format (both bit-identical);
 //! `--dropout F` makes a fraction F of the parties drop out.
 //!
-//! `run`, `perf`, `scale`, `epochs`, `scenario` and `topology` each write
+//! `run`, `perf`, `scale`, `epochs` and `scenario` each write
 //! one report (`BENCH_<subcommand>.json`, `run`'s `BENCH_experiments.json`,
 //! unless `--out` says otherwise) through one command body
 //! (`fedhh_bench::cli::run_report`) over one report layer, described once
@@ -23,8 +23,7 @@
 //! present on only one side fails the gate.  What each report gates is its
 //! own column declaration — `run`: `mean` as a delta (default 0.05);
 //! `perf`: `ns_per_report` as a ratio (default 2.0x); `scenario`: `ok`
-//! exactly, F1/NCR as a delta (default 0.05); `topology`: `root_frames`
-//! exactly, F1/uplink as a delta (default 0.05).
+//! and `root_frames` exactly, F1/NCR/uplink as a delta (default 0.05).
 //!
 //! The subcommand-specific gates: `perf --overhead-gate RATIO` is a
 //! standalone mode that re-runs the mechanism end-to-end legs with traced
@@ -54,7 +53,7 @@ use fedhh_bench::experiments::{self, ExperimentRow, EXPERIMENTS};
 use fedhh_bench::runner::{repeat_trials, run_trial};
 use fedhh_bench::{
     EpochPoint, EpochsOptions, ExperimentScale, PerfEntry, PerfReport, ScaleOptions, ScalePoint,
-    ScenarioOptions, ScenarioRow, TopologyOptions, TopologyRow, TrialMetrics,
+    ScenarioOptions, ScenarioRow, TrialMetrics,
 };
 use fedhh_datasets::{DatasetKind, FederatedDataset};
 use fedhh_federated::{EngineConfig, FaultPlan, ProtocolConfig, TransportKind};
@@ -79,7 +78,6 @@ fn main() -> ExitCode {
         Some("scale") => scale_command(&args[1..]),
         Some("epochs") => epochs_command(&args[1..]),
         Some("scenario") => scenario_command(&args[1..]),
-        Some("topology") => topology_command(&args[1..]),
         Some("trace-check") => trace_check_command(&args[1..]),
         Some(other) => {
             eprintln!("unknown subcommand {other:?}; valid subcommands: {SUBCOMMANDS}");
@@ -102,11 +100,11 @@ fn main() -> ExitCode {
 
 /// Every subcommand the harness understands, in usage order — the list an
 /// unknown-subcommand error names.
-const SUBCOMMANDS: &str = "list, run, trial, perf, scale, epochs, scenario, topology, trace-check";
+const SUBCOMMANDS: &str = "list, run, trial, perf, scale, epochs, scenario, trace-check";
 
 /// The synopsis: every subcommand with exactly the options it accepts.
 const USAGE: &str = "\
-usage: fedhh-bench <list|run|trial|perf|scale|epochs|scenario|topology|trace-check> [args] [options]
+usage: fedhh-bench <list|run|trial|perf|scale|epochs|scenario|trace-check> [args] [options]
   list
   run <experiment|all> [--quick] [--reps N] [--user-scale F] [--out PATH]
       [--check BASELINE] [--threshold F]
@@ -120,10 +118,8 @@ usage: fedhh-bench <list|run|trial|perf|scale|epochs|scenario|topology|trace-che
   epochs [--quick] [--dataset KIND] [--mechanism KIND] [--epochs N] [--churn F]
          [--drift N] [--epsilon F] [--cap F] [--k N] [--seed N] [--user-scale F]
          [--parallelism N] [--out PATH]
-  scenario [--quick] [--dataset KIND] [--fractions F,F,...] [--seed N]
-           [--scenario-seed N] [--out PATH] [--check BASELINE] [--threshold F]
-  topology [--quick] [--dataset KIND] [--fanouts N,N,...] [--fractions F,F,...]
-           [--seed N] [--quorum-seed N] [--out PATH] [--check BASELINE]
+  scenario [--quick] [--dataset KIND] [--fractions F,F,...] [--fanouts N,N,...]
+           [--quorums F,F,...] [--seed N] [--out PATH] [--check BASELINE]
            [--threshold F]
   trace-check <trace.jsonl> [--perf BENCH_perf.json]
 ";
@@ -378,64 +374,31 @@ fn scenario_command(args: &[String]) -> Result<ExitCode, String> {
                 let in_unit = |f: &f64| (0.0..=1.0).contains(f);
                 options.fractions = cursor.list("--fractions", in_unit, "be in [0, 1]")?;
             }
+            // The plan rules (fanout >= 2, quorum in (0, 1]) are checked
+            // once, by `ScenarioPlan::validate` inside the sweep.
+            "--fanouts" => options.fanouts = cursor.list("--fanouts", |_| true, "be an integer")?,
+            "--quorums" => options.quorums = cursor.list("--quorums", |_| true, "be a number")?,
             "--seed" => options.seed = cursor.value("--seed")?,
-            "--scenario-seed" => options.scenario_seed = cursor.value("--scenario-seed")?,
             other => return Err(cursor.unknown(other)),
         }
     }
-    // The benign column is the determinism gate; sweep it even when the
-    // user's list omits it.
+    // The fraction-0 column and the full-quorum column anchor the in-run
+    // gates; sweep them even when the user's lists omit them.
     if !options.fractions.contains(&0.0) {
         options.fractions.insert(0, 0.0);
     }
+    if !options.quorums.contains(&1.0) {
+        options.quorums.insert(0, 1.0);
+    }
 
     let suite = suite_name(options.quick);
     eprintln!(
-        "[fedhh-bench] scenario sweep: {} suite on {} (fractions {:?}, adversary seed {:#x})",
-        suite, options.dataset, options.fractions, options.scenario_seed
+        "[fedhh-bench] scenario sweep: {} suite on {} (fractions {:?}, fanouts {:?}, \
+         quorums {:?})",
+        suite, options.dataset, options.fractions, options.fanouts, options.quorums
     );
     let run = || fedhh_bench::run_scenario(&options);
     let passed = cli::run_report::<ScenarioRow>(&output, suite, "scenario sweep", run)?.is_some();
-    Ok(exit_code(passed))
-}
-
-fn topology_command(args: &[String]) -> Result<ExitCode, String> {
-    let mut options = TopologyOptions::default();
-    let mut output = CheckedOutput::new::<TopologyRow>(0.05);
-    let mut cursor = ArgCursor::new("fedhh-bench topology", args);
-    while let Some(arg) = cursor.next_option() {
-        if output.consume(arg, &mut cursor)? {
-            continue;
-        }
-        match arg {
-            "--quick" => options.quick = true,
-            "--dataset" => options.dataset = cursor.parsed("--dataset")?,
-            "--fanouts" => {
-                options.fanouts = cursor.list("--fanouts", |f| *f >= 2, "be at least 2")?
-            }
-            "--fractions" => {
-                let in_unit = |f: &f64| *f > 0.0 && *f <= 1.0;
-                options.fractions = cursor.list("--fractions", in_unit, "be in (0, 1]")?;
-            }
-            "--seed" => options.seed = cursor.value("--seed")?,
-            "--quorum-seed" => options.quorum_seed = cursor.value("--quorum-seed")?,
-            other => return Err(cursor.unknown(other)),
-        }
-    }
-    // The full-quorum column anchors the strict-savings gate; sweep it
-    // even when the user's list omits it.
-    if !options.fractions.contains(&1.0) {
-        options.fractions.insert(0, 1.0);
-    }
-
-    let suite = suite_name(options.quick);
-    eprintln!(
-        "[fedhh-bench] topology sweep: {} suite on {} (fanouts {:?}, fractions {:?}, \
-         quorum seed {:#x})",
-        suite, options.dataset, options.fanouts, options.fractions, options.quorum_seed
-    );
-    let run = || fedhh_bench::run_topology(&options);
-    let passed = cli::run_report::<TopologyRow>(&output, suite, "topology sweep", run)?.is_some();
     Ok(exit_code(passed))
 }
 

@@ -74,7 +74,7 @@
 //! machine-readable lines bit-identical to an unobserved run's.
 
 use fedhh_bench::cli::{self, ArgCursor};
-use fedhh_bench::topology::QUORUM_SEED;
+use fedhh_bench::scenario::{ADVERSARY_SEED, QUORUM_SEED};
 use fedhh_bench::{adversary_by_name, partition_parties, ExperimentScale, NodeRunSpec};
 use fedhh_datasets::DatasetKind;
 use fedhh_federated::{
@@ -195,29 +195,24 @@ fn fraction_and_seed<'a>(
     Ok((fraction, seed))
 }
 
-/// Parses a `--quorum` argument: `FRACTION[:SEED]` with the fraction in
-/// (0, 1] (the default seed is the `fedhh-bench topology` sweep's, so a
-/// node run reproduces the sweep's cell at the same fraction).
+/// Parses a `--quorum` argument: `FRACTION[:SEED]` (the default seed is
+/// the `fedhh-bench scenario` sweep's, so a node run reproduces the sweep's
+/// cell at the same fraction).  The fraction's range is a plan rule,
+/// checked with the rest of the plan.
 fn parse_quorum_spec(raw: &str) -> Result<QuorumPolicy, String> {
     let (fraction, seed) = fraction_and_seed("--quorum", raw, raw.split(':'), QUORUM_SEED)?;
-    let quorum = QuorumPolicy { fraction, seed };
-    if !quorum.is_valid() {
-        return Err(format!(
-            "--quorum fraction must be in (0, 1], got {fraction}"
-        ));
-    }
-    Ok(quorum)
+    Ok(QuorumPolicy { fraction, seed })
 }
 
 /// Parses a `--scenario` argument: `NAME:FRACTION[:SEED]`, where `NAME` is
 /// one of `report-flip`, `report-invert`, `input-poison`, `sybil` or
 /// `corrupt-frames`.  The poison/Sybil targets are the fixed values the
-/// `fedhh-bench scenario` matrix uses, so a node run reproduces the same
-/// attack the robustness benchmark measures.
+/// `fedhh-bench scenario` sweep uses, and so is the default seed, so a
+/// node run reproduces the same attack the sweep measures.
 fn parse_scenario_spec(raw: &str) -> Result<(AdversaryModel, u64), String> {
     let mut parts = raw.split(':');
     let name = parts.next().unwrap_or_default();
-    let (fraction, seed) = fraction_and_seed("--scenario", raw, parts, 0xAD5E)?;
+    let (fraction, seed) = fraction_and_seed("--scenario", raw, parts, ADVERSARY_SEED)?;
     let adversary = adversary_by_name(name, fraction).ok_or_else(|| {
         format!(
             "--scenario got unknown adversary {name:?} (valid: {})",
@@ -274,12 +269,8 @@ fn parse_coordinator_options(args: &[String]) -> Result<CoordinatorOptions, Stri
             }
             "--topology" => {
                 let raw = cursor.raw_value(arg)?;
-                let topology = Topology::parse(raw)
+                options.plan.topology = Topology::parse(raw)
                     .ok_or_else(|| format!("--topology got an invalid spec {raw:?}"))?;
-                topology
-                    .validate()
-                    .map_err(|err| format!("--topology {raw:?}: {err}"))?;
-                options.plan.topology = topology;
             }
             "--quorum" => options.plan.quorum = parse_quorum_spec(cursor.raw_value(arg)?)?,
             "--timeout-secs" => options.timeout = timeout_secs(cursor.value(arg)?),
@@ -288,6 +279,12 @@ fn parse_coordinator_options(args: &[String]) -> Result<CoordinatorOptions, Stri
             other => return Err(cursor.unknown(other)),
         }
     }
+    // The one check of the plan the welcome ships: every rule of every
+    // part (fanout, quorum, fractions) lives in `ScenarioPlan::validate`.
+    options
+        .plan
+        .validate()
+        .map_err(|err| format!("[fedhh-node] invalid scenario: {err}"))?;
     options.mechanism = mechanism.ok_or("--mechanism is required")?;
     options.dataset = dataset.ok_or("--dataset is required")?;
     Ok(options)
@@ -352,9 +349,6 @@ fn outputs_match(a: &MechanismOutput, b: &MechanismOutput) -> bool {
 fn coordinator_command(args: &[String]) -> Result<ExitCode, String> {
     let options = parse_coordinator_options(args)?;
     let scenario = options.plan;
-    scenario
-        .validate()
-        .map_err(|err| format!("[fedhh-node] invalid scenario: {err}"))?;
     let scale = scale_of(&options);
     let spec = NodeRunSpec {
         mechanism: options.mechanism,
@@ -636,15 +630,18 @@ mod tests {
 
     #[test]
     fn default_quorum_seed_is_the_topology_sweeps() {
-        let sweep = fedhh_bench::TopologyOptions::default().quorum_seed;
         let quorum = parse_quorum_spec("0.75").unwrap();
         assert_eq!(
             quorum,
             QuorumPolicy {
                 fraction: 0.75,
-                seed: sweep
+                seed: QUORUM_SEED
             }
         );
         assert_eq!(parse_quorum_spec("0.75:9").unwrap().seed, 9);
+        // `--scenario` defaults to the sweep's adversary seed the same way.
+        let (_, seed) = parse_scenario_spec("sybil:0.5").unwrap();
+        assert_eq!(seed, ADVERSARY_SEED);
+        assert_eq!(parse_scenario_spec("sybil:0.5:7").unwrap().1, 7);
     }
 }

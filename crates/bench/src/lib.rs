@@ -26,7 +26,7 @@
 //! at the default scale is committed as `results/experiments.json`, gated
 //! in CI and read in EXPERIMENTS.md.
 //!
-//! Besides the paper evaluation, five subcommands each run one sweep and
+//! Besides the paper evaluation, four subcommands each run one sweep and
 //! write one machine-readable report:
 //!
 //! | Subcommand | Report | Sweep | Gate |
@@ -34,10 +34,9 @@
 //! | `perf` | `BENCH_perf.json` | pinned FO + mechanism hot-path suite, ns/report ([`perf`]) | `--check`, ratio on `ns_per_report` |
 //! | `scale` | `BENCH_scale.json` | `user_scale` up to the paper's populations, throughput + peak RSS ([`scale`]) | `--max-rss-mb` |
 //! | `epochs` | `BENCH_epochs.json` | epoch service under churn + drift, both warm-start arms ([`epochs`]) | — |
-//! | `scenario` | `BENCH_scenario.json` | mechanism × adversary × fraction robustness matrix ([`scenario`]) | `--check`, delta on F1/NCR |
-//! | `topology` | `BENCH_topology.json` | mechanism × (flat, tree fanouts) × quorum fraction ([`topology`]) | `--check`, delta on F1/uplink |
+//! | `scenario` | `BENCH_scenario.json` | mechanism × scenario plan: each adversary × fraction, each topology (flat, tree fanouts) × quorum ([`scenario`]) | `--check`, delta on F1/NCR/uplink |
 //!
-//! All six reports (`run`'s and these five) share **one report layer**
+//! All five reports (`run`'s and these four) share **one report layer**
 //! ([`report`]): a report is head fields plus rows of one row type, the row
 //! type declares its columns once ([`Row`]), and writing, reading, table
 //! rendering and the baseline gate ([`check`]) are derived from that
@@ -67,7 +66,9 @@ pub mod report;
 pub mod runner;
 pub mod scale;
 pub mod scenario;
-pub mod topology;
+#[cfg(test)]
+#[path = "scenario_tree_tests.rs"]
+mod topology;
 
 pub use epochs::{
     run_epochs, EpochPoint, EpochServiceSpec, EpochsOptions, EpochsReport, MechanismExecutor,
@@ -79,4 +80,3 @@ pub use report::{check, Row};
 pub use runner::{ExperimentScale, TrialMetrics};
 pub use scale::{run_scale, run_scale_traced, ScaleOptions, ScalePoint, ScaleReport};
 pub use scenario::{adversary_by_name, run_scenario, ScenarioOptions, ScenarioReport, ScenarioRow};
-pub use topology::{run_topology, TopologyOptions, TopologyReport, TopologyRow};

@@ -93,7 +93,7 @@ macro_rules! column {
 }
 pub(crate) use column;
 
-/// A row type of a report.  Implemented by exactly the six row structs; the implementation *is* the file format — nothing else in
+/// A row type of a report.  Implemented by exactly the five row structs; the implementation *is* the file format — nothing else in
 /// the crate knows a key, a float precision or a gate rule.
 pub trait Row: Sized + Default + 'static {
     /// The report struct these rows live in.
@@ -235,24 +235,12 @@ pub(crate) fn align(header: &[&str], rows: &[Vec<String>]) -> String {
 /// rejects a mismatch before running) and, for `threshold = 0` to mean
 /// "byte-equal files", a current side re-parsed from its own JSON.
 pub fn check<R: Row>(current: &[R], baseline: &[R], threshold: f64) -> Vec<String> {
-    let key = |row: &R| -> Vec<Value> {
-        let columns = R::COLUMNS.iter().filter(|c| c.role == Role::Key);
-        columns.map(|c| (c.get)(row)).collect()
-    };
-    // A row's name in a violation: its key cells, `/`-joined.
-    let name = |row: &R| -> String {
-        let parts = key(row).into_iter().map(|value| match value {
-            Value::String(s) => s,
-            other => json::render(&other, Fmt::Shortest),
-        });
-        parts.collect::<Vec<_>>().join("/")
-    };
     let current_keys: Vec<_> = current.iter().map(key).collect();
     let baseline_keys: Vec<_> = baseline.iter().map(key).collect();
     let mut violations = Vec::new();
     for (base, base_key) in baseline.iter().zip(&baseline_keys) {
         let Some(at) = current_keys.iter().position(|k| k == base_key) else {
-            violations.push(format!("{}: missing from the current run", name(base)));
+            violations.push(format!("{}: missing from the current run", cell_name(base)));
             continue;
         };
         let row = &current[at];
@@ -273,18 +261,33 @@ pub fn check<R: Row>(current: &[R], baseline: &[R], threshold: f64) -> Vec<Strin
                 ),
                 _ => continue,
             };
-            violations.push(format!("{}: {} {drift}", name(base), c.key));
+            violations.push(format!("{}: {} {drift}", cell_name(base), c.key));
         }
     }
     for (row, row_key) in current.iter().zip(&current_keys) {
         if !baseline_keys.contains(row_key) {
             violations.push(format!(
                 "{}: new cell missing from the baseline (regenerate it)",
-                name(row)
+                cell_name(row)
             ));
         }
     }
     violations
+}
+
+/// A row's identity in the gate: its key cells.
+fn key<R: Row>(row: &R) -> Vec<Value> {
+    let columns = R::COLUMNS.iter().filter(|c| c.role == Role::Key);
+    columns.map(|c| (c.get)(row)).collect()
+}
+
+/// A row's name in a violation: its key cells, `/`-joined.
+pub(crate) fn cell_name<R: Row>(row: &R) -> String {
+    let parts = key(row).into_iter().map(|value| match value {
+        Value::String(s) => s,
+        other => json::render(&other, Fmt::Shortest),
+    });
+    parts.collect::<Vec<_>>().join("/")
 }
 
 /// Test support for the readable reports: a schema version or an unsigned
@@ -299,10 +302,7 @@ pub(crate) fn assert_reader_is_strict<R: Row>(report: &R::Report) {
         .filter(|c| matches!((c.get)(first), Value::Uint(_)));
     let mut probes = vec![("schema", SCHEMA.to_string())];
     probes.extend(unsigned.map(|c| (c.key, json::render(&(c.get)(first), c.json))));
-    assert!(
-        probes.len() > 1 || R::NAME == "scenario",
-        "no unsigned column"
-    );
+    assert!(probes.len() > 1, "no unsigned column");
     for (key, good) in probes {
         for bad in ["1.9", "-5", "3.7", "1e2", "\"7\"", "null"] {
             let doctored =

@@ -1,20 +1,40 @@
-//! The `fedhh-bench scenario` adversarial-robustness matrix.
+//! The `fedhh-bench scenario` sweep over the scenario plan.
 //!
 //! `fedhh-bench trial` answers "how accurate is each mechanism?"; this
-//! module answers "how much accuracy does each mechanism lose under
-//! attack?".  It sweeps every mechanism against every adversary model of
-//! the scenario plane (`fedhh_federated::scenario`) over a list of
-//! compromised-party fractions, scores each cell with F1/NCR and their
-//! [`mod@fedhh_metrics::degradation`] from the benign baseline, and emits a
-//! machine-readable `BENCH_scenario.json`.
+//! module answers "what does the round policy do to it?".  Every policy a
+//! run takes beyond the paper's honest star — an adversary, an aggregation
+//! tree, a quorum — is one field of a [`ScenarioPlan`], and this one sweep
+//! runs every mechanism through a list of plans:
+//!
+//! * the benign plan (no adversary, flat star, full quorum), the baseline
+//!   every drop is measured from;
+//! * each adversary at each compromised fraction, on the flat star at full
+//!   quorum;
+//! * the flat star and each `tree:F` fanout at each quorum fraction, with
+//!   no adversary.
+//!
+//! It scores each cell with F1/NCR and their
+//! [`mod@fedhh_metrics::degradation`] from the benign cell, records uplink
+//! traffic and the telemetry plane's root-inbound counters, and emits a
+//! machine-readable `BENCH_scenario.json`.  Every plan is checked by
+//! [`ScenarioPlan::validate`] before any trial runs.
 //!
 //! Every cell is one deterministic trial: fixed dataset seed, fixed
-//! protocol seed, fixed adversary seed, sequential engine.  The report
-//! carries no timings, so **the same options reproduce the same JSON byte
-//! for byte** — CI runs the sweep twice and `cmp`s the files.  The
-//! fraction-0 column is additionally gated *inside* [`run_scenario`]:
-//! every adversary at fraction 0 must reproduce the fault-free baseline
-//! bit for bit, or the run fails.
+//! protocol seed, fixed adversary and quorum seeds ([`ADVERSARY_SEED`],
+//! [`QUORUM_SEED`]), sequential engine.  The report carries no timings, so
+//! **the same options reproduce the same JSON byte for byte** — CI runs
+//! the sweep twice and `cmp`s the files.  The gate *inside*
+//! [`run_scenario`] checks two things:
+//!
+//! * **Exactness** — a cell whose plan cannot change the output must
+//!   reproduce its anchor's F1, NCR and uplink **bit for bit**: an
+//!   adversary at fraction 0 (anchor: the benign cell) and a tree at
+//!   quorum q (anchor: the flat star at q).  Quorum exclusion happens
+//!   before dispatch, so a tree may reroute frames, never change a bit of
+//!   what a mechanism computes.
+//! * **Savings** — a tree cell must never put more bytes on the root's
+//!   inbound edge than the star would, and at quorum 1.0 (where every
+//!   cohort is whole) strictly fewer.
 //!
 //! ## The adversary columns
 //!
@@ -29,9 +49,10 @@
 //! A corrupted frame fails the CRC at the receiver, so `corrupt-frames`
 //! cells either complete cleanly (no frame of the run was selected) or
 //! fail with a typed transport error — never a hang or a panic.  Failed
-//! cells report `ok = false`, `error = "transport"` and zero scores; the
-//! exact wire-error variant can differ between reader death and writer
-//! EPIPE, so only the stable class name is recorded.
+//! cells report `ok = false`, `error = "transport"` and zero scores,
+//! traffic and counters; the exact wire-error variant can differ between
+//! reader death and writer EPIPE, so only the stable class name is
+//! recorded.
 //!
 //! ## `BENCH_scenario.json` schema (version 1)
 //!
@@ -39,30 +60,39 @@
 //! {
 //!   "schema": 1,
 //!   "suite": "quick",
-//!   "dataset": "RDB",
+//!   "dataset": "SYN",
 //!   "rows": [
-//!     {"mechanism": "TAPS", "adversary": "sybil", "fraction": 0.300000,
-//!      "ok": true, "error": "", "f1": 0.800000, "ncr": 0.911111,
-//!      "f1_drop": 0.100000, "ncr_drop": 0.044444}
+//!     {"mechanism": "TAPS", "adversary": "none", "fraction": 0.000000,
+//!      "topology": "tree:4", "quorum": 1.000000, "ok": true, "error": "",
+//!      "f1": 0.800000, "ncr": 0.911111, "uplink_kb": 12.500000,
+//!      "root_frames": 8, "root_bytes": 4096, "flat_bytes": 9216,
+//!      "f1_drop": 0.000000, "ncr_drop": 0.000000}
 //!   ]
 //! }
 //! ```
 //!
-//! The `adversary = "none"` row of each mechanism is the benign baseline
-//! its drops are measured against.  Under `--check` (the shared gate,
-//! [`crate::report::check`]) a cell is `mechanism/adversary/fraction`, `ok`
-//! must not flip and `f1` / `ncr` must stay within the threshold.
+//! The `none/0/flat/1` row of each mechanism is the benign cell its drops
+//! are measured against.  `root_frames`/`root_bytes`/`flat_bytes` are the
+//! telemetry plane's `tree.root.frames` / `tree.root.bytes` /
+//! `tree.flat.bytes` counters; flat rows report zero for all three (the
+//! star never routes through the tree).  Under `--check` (the shared gate,
+//! [`crate::report::check`]) a cell is
+//! `mechanism/adversary/fraction/topology/quorum`, `ok` and `root_frames`
+//! must not move and `f1` / `ncr` / `uplink_kb` must stay within the
+//! threshold.
 
 use crate::json::Fmt;
 use crate::report::{self, column, Column, Row, Shown, SCHEMA};
-use crate::runner::{run_trial, ExperimentScale, TrialMetrics};
+use crate::runner::{run_trial, ExperimentScale};
 use fedhh_datasets::DatasetKind;
-use fedhh_federated::{AdversaryModel, EngineConfig, FlipMode, ProtocolError, ScenarioPlan};
+use fedhh_federated::{
+    AdversaryModel, EngineConfig, FlipMode, ProtocolError, QuorumPolicy, ScenarioPlan, Topology,
+};
 use fedhh_mechanisms::MechanismKind;
 use fedhh_metrics::degradation;
-use fedhh_telemetry::Telemetry;
+use fedhh_telemetry::{Counter, Telemetry};
 
-/// The adversary names of the matrix, in column order.
+/// The adversary names of the sweep, in column order.
 pub const ADVERSARIES: [&str; 5] = [
     "report-flip",
     "report-invert",
@@ -73,12 +103,21 @@ pub const ADVERSARIES: [&str; 5] = [
 
 /// The fixed attack targets: poisoning herds items into this prefix, and
 /// Sybil cohorts all report this item.  `fedhh-node --scenario` uses the
-/// same values, so a distributed run reproduces a matrix cell.
+/// same values, so a distributed run reproduces a sweep cell.
 pub const POISON_PREFIX: (u64, u8) = (0xB, 4);
 /// See [`POISON_PREFIX`].
 pub const SYBIL_TARGET: u64 = 0xBEEF;
 
-/// Builds the adversary model of a named matrix column at a fraction.
+/// The adversary decision seed of every adversary cell, and `fedhh-node
+/// --scenario`'s default, so a node run reproduces the sweep's cell.
+pub const ADVERSARY_SEED: u64 = 0xAD5E;
+
+/// The seed of every quorum draw in the sweep, and `fedhh-node
+/// --quorum`'s default, so a node run at one fraction reproduces the
+/// sweep's cell at that fraction.
+pub const QUORUM_SEED: u64 = 0x70B0;
+
+/// Builds the adversary model of a named sweep column at a fraction.
 pub fn adversary_by_name(name: &str, fraction: f64) -> Option<AdversaryModel> {
     Some(match name {
         "report-flip" => AdversaryModel::ReportFlip {
@@ -109,29 +148,35 @@ pub struct ScenarioOptions {
     /// Use the quick experiment scale (the default full scale takes
     /// minutes).
     pub quick: bool,
-    /// The dataset stand-in every cell runs on.
+    /// The dataset stand-in every cell runs on.  SYN by default: its
+    /// eight parties give every fanout in the default sweep at least one
+    /// multi-party cohort to merge, where the 2-party RDB stand-in gives a
+    /// tree nothing to merge.
     pub dataset: DatasetKind,
     /// Compromised-party fractions swept per adversary.  Must contain
-    /// `0.0`: the benign column is the determinism gate.  A fraction
+    /// `0.0`: the fraction-0 column is the exactness gate.  A fraction
     /// selects `⌊party_count · fraction⌋` compromised parties, so small
-    /// federations need large fractions — the 2-party RDB stand-in is
-    /// only attacked from `0.5` up.
+    /// federations need large fractions.
     pub fractions: Vec<f64>,
+    /// The tree fanouts swept (each at depth 1), alongside the flat star.
+    pub fanouts: Vec<usize>,
+    /// Quorum response fractions swept per topology.  Must contain `1.0`:
+    /// the full-quorum column anchors the strict-savings gate.
+    pub quorums: Vec<f64>,
     /// Dataset-generation seed (the protocol seed is derived from it the
     /// same way [`crate::runner::repeat_trials`] derives it).
     pub seed: u64,
-    /// The adversary decision seed shipped in every [`ScenarioPlan`].
-    pub scenario_seed: u64,
 }
 
 impl Default for ScenarioOptions {
     fn default() -> Self {
         Self {
             quick: false,
-            dataset: DatasetKind::Rdb,
+            dataset: DatasetKind::Syn,
             fractions: vec![0.0, 0.5],
+            fanouts: vec![2, 4, 16],
+            quorums: vec![1.0, 0.75, 0.5],
             seed: 1000,
-            scenario_seed: 0xAD5E,
         }
     }
 }
@@ -144,17 +189,78 @@ impl ScenarioOptions {
             ..Self::default()
         }
     }
+
+    /// The engine of every cell with the cell's key columns filled in, in
+    /// sweep order (see the module docs), each engine's plan checked by
+    /// [`ScenarioPlan::validate`].  The flat star at full quorum without
+    /// an adversary is the benign plan, so it is swept once.
+    fn cells(&self) -> Result<Vec<(ScenarioRow, EngineConfig)>, String> {
+        if !self.fractions.contains(&0.0) {
+            return Err("the fraction list must contain 0.0 (the exactness gate)".to_string());
+        }
+        if !self.quorums.contains(&1.0) {
+            return Err(
+                "the quorum list must contain 1.0 (the strict-savings gate anchor)".to_string(),
+            );
+        }
+        let benign = EngineConfig::sequential();
+        let mut cells = vec![("none", 0.0, benign)];
+        for adversary in ADVERSARIES {
+            for &fraction in &self.fractions {
+                let model = adversary_by_name(adversary, fraction)
+                    .expect("ADVERSARIES only lists known names");
+                let plan = ScenarioPlan::benign().with_adversary(model, ADVERSARY_SEED);
+                cells.push((adversary, fraction, benign.with_scenario(plan)));
+            }
+        }
+        let trees = self
+            .fanouts
+            .iter()
+            .map(|&fanout| Topology::Tree { fanout, depth: 1 });
+        for topology in std::iter::once(Topology::Flat).chain(trees) {
+            for &fraction in &self.quorums {
+                if topology.is_flat() && fraction == 1.0 {
+                    continue;
+                }
+                let quorum = QuorumPolicy {
+                    fraction,
+                    seed: QUORUM_SEED,
+                };
+                let engine = benign.with_topology(topology).with_quorum(quorum);
+                cells.push(("none", 0.0, engine));
+            }
+        }
+        cells
+            .into_iter()
+            .map(|(adversary, fraction, engine)| {
+                let plan = engine.scenario;
+                plan.validate().map_err(|err| err.to_string())?;
+                let key = ScenarioRow {
+                    adversary: adversary.to_string(),
+                    fraction,
+                    topology: plan.topology.name(),
+                    quorum: plan.quorum.fraction,
+                    ..ScenarioRow::default()
+                };
+                Ok((key, engine))
+            })
+            .collect()
+    }
 }
 
-/// One cell of the robustness matrix.
+/// One cell of the sweep.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioRow {
     /// Mechanism name (`FedPEM`, `GTF`, `TAP`, `TAPS`).
     pub mechanism: String,
-    /// Adversary column name, or `none` for the benign baseline row.
+    /// Adversary column name, or `none`.
     pub adversary: String,
-    /// Compromised fraction of this cell.
+    /// Compromised fraction of this cell (0 without an adversary).
     pub fraction: f64,
+    /// Topology in its canonical CLI spelling (`flat`, `tree:4`).
+    pub topology: String,
+    /// Quorum response fraction of this cell.
+    pub quorum: f64,
     /// Whether the run completed (corrupt-frame cells may fail typed).
     pub ok: bool,
     /// Stable error class when `ok` is false (`"transport"`), else empty.
@@ -163,14 +269,23 @@ pub struct ScenarioRow {
     pub f1: f64,
     /// NCR against the exact ground truth (0 when the run failed).
     pub ncr: f64,
-    /// F1 degradation from the mechanism's benign baseline.
+    /// Party → server traffic in kilobits (0 when the run failed).
+    pub uplink_kb: f64,
+    /// Root-inbound frames over the run (`tree.root.frames`; 0 for flat).
+    pub root_frames: u64,
+    /// Root-inbound bytes over the run (`tree.root.bytes`; 0 for flat).
+    pub root_bytes: u64,
+    /// Bytes the same uploads would have cost the star
+    /// (`tree.flat.bytes`; 0 for flat).
+    pub flat_bytes: u64,
+    /// F1 degradation from the mechanism's benign cell.
     pub f1_drop: f64,
-    /// NCR degradation from the mechanism's benign baseline.
+    /// NCR degradation from the mechanism's benign cell.
     pub ncr_drop: f64,
 }
 
 /// A whole scenario sweep: schema version, suite flavour, dataset and the
-/// matrix cells in sweep order.
+/// cells in sweep order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioReport {
     /// Schema version of the JSON serialization (currently 1).
@@ -179,22 +294,14 @@ pub struct ScenarioReport {
     pub suite: String,
     /// The dataset stand-in the sweep ran on.
     pub dataset: String,
-    /// The matrix cells: one baseline row per mechanism, then one row per
-    /// (adversary, fraction).
+    /// The cells: for each mechanism, one row per plan in sweep order.
     pub rows: Vec<ScenarioRow>,
 }
 
-/// Runs the full matrix: every mechanism × every adversary × every
-/// fraction, plus one benign baseline row per mechanism.
-///
-/// The benign gate is internal: for every adversary, the fraction-0 cell
-/// must reproduce the mechanism's fault-free baseline **bit for bit**
-/// (F1, NCR and uplink); any divergence fails the whole sweep, because it
-/// would mean an "inactive" adversary still perturbed the run.
+/// Runs the whole sweep: every mechanism through every plan, gating
+/// exactness and savings internally (see the module docs).
 pub fn run_scenario(options: &ScenarioOptions) -> Result<ScenarioReport, String> {
-    if !options.fractions.contains(&0.0) {
-        return Err("the fraction list must contain 0.0 (the benign determinism gate)".to_string());
-    }
+    let cells = options.cells()?;
     let scale = if options.quick {
         ExperimentScale::quick()
     } else {
@@ -205,75 +312,42 @@ pub fn run_scenario(options: &ScenarioOptions) -> Result<ScenarioReport, String>
         .protocol_config(options.seed ^ 0xBEEF)
         .with_epsilon(4.0)
         .with_k(10);
-    let mut rows = Vec::new();
+    let mut rows: Vec<ScenarioRow> = Vec::new();
     for kind in MechanismKind::ALL {
         let mechanism = kind.build();
-        let name = kind.to_string();
-        let trial = |engine: &EngineConfig| {
-            let off = Telemetry::disabled();
-            run_trial(mechanism.as_ref(), &dataset, &config, engine, &off)
-        };
-        let baseline = trial(&EngineConfig::sequential())
-            .map_err(|e| format!("{name} baseline failed: {e}"))?;
-        rows.push(ScenarioRow {
-            mechanism: name.clone(),
-            adversary: "none".to_string(),
-            fraction: 0.0,
-            ok: true,
-            error: String::new(),
-            f1: baseline.f1,
-            ncr: baseline.ncr,
-            f1_drop: 0.0,
-            ncr_drop: 0.0,
-        });
-        for adversary in ADVERSARIES {
-            for &fraction in &options.fractions {
-                let model = adversary_by_name(adversary, fraction)
-                    .expect("ADVERSARIES only lists known names");
-                let plan = ScenarioPlan::benign().with_adversary(model, options.scenario_seed);
-                let engine = EngineConfig::sequential().with_scenario(plan);
-                let row = match trial(&engine) {
-                    Ok(metrics) => ScenarioRow {
-                        mechanism: name.clone(),
-                        adversary: adversary.to_string(),
-                        fraction,
-                        ok: true,
-                        error: String::new(),
-                        f1: metrics.f1,
-                        ncr: metrics.ncr,
-                        f1_drop: degradation(baseline.f1, metrics.f1),
-                        ncr_drop: degradation(baseline.ncr, metrics.ncr),
-                    },
-                    // A corrupted frame kills the transport with a typed
-                    // error; the cell records the stable class, not the
-                    // racy exact variant (CRC mismatch at the reader vs
-                    // broken pipe at the writer).
-                    Err(ProtocolError::Transport(_)) if adversary == "corrupt-frames" => {
-                        ScenarioRow {
-                            mechanism: name.clone(),
-                            adversary: adversary.to_string(),
-                            fraction,
-                            ok: false,
-                            error: "transport".to_string(),
-                            f1: 0.0,
-                            ncr: 0.0,
-                            f1_drop: baseline.f1,
-                            ncr_drop: baseline.ncr,
-                        }
-                    }
-                    Err(e) => {
-                        return Err(format!("{name} under {adversary}@{fraction} failed: {e}"))
-                    }
-                };
-                if fraction == 0.0 && !benign_cell_matches(&row, &baseline) {
-                    return Err(format!(
-                        "benign-column divergence: {name} under {adversary}@0 scored \
-                         f1={}, ncr={} vs fault-free f1={}, ncr={}",
-                        row.f1, row.ncr, baseline.f1, baseline.ncr
-                    ));
+        let first = rows.len();
+        for (key, engine) in &cells {
+            let mut row = ScenarioRow {
+                mechanism: kind.to_string(),
+                ..key.clone()
+            };
+            let telemetry = Telemetry::new();
+            match run_trial(mechanism.as_ref(), &dataset, &config, engine, &telemetry) {
+                Ok(metrics) => {
+                    let snapshot = telemetry.snapshot();
+                    row.ok = true;
+                    row.f1 = metrics.f1;
+                    row.ncr = metrics.ncr;
+                    row.uplink_kb = metrics.uplink_kb;
+                    row.root_frames = snapshot.counter(Counter::TreeRootFrames);
+                    row.root_bytes = snapshot.counter(Counter::TreeRootBytes);
+                    row.flat_bytes = snapshot.counter(Counter::TreeFlatBytes);
                 }
-                rows.push(row);
+                // A corrupted frame kills the transport with a typed
+                // error; the cell records the stable class, not the racy
+                // exact variant (CRC mismatch at the reader vs broken pipe
+                // at the writer).
+                Err(ProtocolError::Transport(_)) if row.adversary == "corrupt-frames" => {
+                    row.error = "transport".to_string();
+                }
+                Err(e) => return Err(format!("{} failed: {e}", report::cell_name(&row))),
             }
+            // The first cell is the benign one: its drops are zero.
+            let (f1, ncr) = rows.get(first).map_or((row.f1, row.ncr), |b| (b.f1, b.ncr));
+            row.f1_drop = degradation(f1, row.f1);
+            row.ncr_drop = degradation(ncr, row.ncr);
+            gate_cell(&row, &rows[first..])?;
+            rows.push(row);
         }
     }
     Ok(ScenarioReport {
@@ -284,12 +358,47 @@ pub fn run_scenario(options: &ScenarioOptions) -> Result<ScenarioReport, String>
     })
 }
 
-/// The internal fraction-0 gate: exact equality, not tolerance — an
-/// inactive adversary must not perturb a single bit of the metrics.
-fn benign_cell_matches(row: &ScenarioRow, baseline: &TrialMetrics) -> bool {
-    row.ok
-        && row.f1.to_bits() == baseline.f1.to_bits()
-        && row.ncr.to_bits() == baseline.ncr.to_bits()
+/// The in-run gate of one cell, checked against the cells of its
+/// mechanism already recorded.  Exact equality, not tolerance: a plan that
+/// cannot change the output must not move a single bit of it.
+fn gate_cell(row: &ScenarioRow, recorded: &[ScenarioRow]) -> Result<(), String> {
+    let cell = report::cell_name(row);
+    let tree = row.topology != "flat";
+    if tree || (row.adversary != "none" && row.fraction == 0.0) {
+        let anchor = recorded
+            .iter()
+            .find(|r| r.adversary == "none" && r.topology == "flat" && r.quorum == row.quorum)
+            .ok_or_else(|| format!("{cell}: no anchor cell recorded"))?;
+        let bits = |r: &ScenarioRow| [r.f1.to_bits(), r.ncr.to_bits(), r.uplink_kb.to_bits()];
+        if !row.ok || bits(row) != bits(anchor) {
+            return Err(format!(
+                "divergent cell: {cell} scored f1={}, ncr={}, uplink={} vs {} f1={}, ncr={}, \
+                 uplink={}",
+                row.f1,
+                row.ncr,
+                row.uplink_kb,
+                report::cell_name(anchor),
+                anchor.f1,
+                anchor.ncr,
+                anchor.uplink_kb
+            ));
+        }
+    }
+    if tree && row.root_bytes > row.flat_bytes {
+        return Err(format!(
+            "inflating tree: {cell} put {} root-inbound bytes on the wire vs {} flat-equivalent",
+            row.root_bytes, row.flat_bytes
+        ));
+    }
+    // At full quorum every cohort is intact, so at least one merge must
+    // have happened and the root-inbound byte count must strictly drop.
+    if tree && row.quorum == 1.0 && row.root_bytes >= row.flat_bytes {
+        return Err(format!(
+            "stagnant tree: {cell} saved nothing ({} root bytes vs {} flat)",
+            row.root_bytes, row.flat_bytes
+        ));
+    }
+    Ok(())
 }
 
 impl Row for ScenarioRow {
@@ -302,16 +411,28 @@ impl Row for ScenarioRow {
         column!(mechanism, "mech", Key),
         column!(adversary, "adversary", Key),
         column!(fraction, "fraction", Key, Fmt::Fixed(6), Shown::Fixed(3)),
+        column!(topology, "topology", Key),
+        column!(quorum, "quorum", Key, Fmt::Fixed(6), Shown::Fixed(3)),
         column!(ok, "ok", Equal),
         column!(error, "error", Info),
         column!(f1, "f1", Delta, Fmt::Fixed(6), Shown::Fixed(3)),
         column!(ncr, "ncr", Delta, Fmt::Fixed(6), Shown::Fixed(3)),
+        column!(
+            uplink_kb,
+            "uplink_kb",
+            Delta,
+            Fmt::Fixed(6),
+            Shown::Fixed(3)
+        ),
+        column!(root_frames, "root_frames", Equal),
+        column!(root_bytes, "root_bytes", Info),
+        column!(flat_bytes, "flat_bytes", Info),
         column!(f1_drop, "f1_drop", Info, Fmt::Fixed(6), Shown::Fixed(3)),
         column!(ncr_drop, "ncr_drop", Info, Fmt::Fixed(6), Shown::Fixed(3)),
     ];
     fn title(report: &ScenarioReport) -> String {
         format!(
-            "fedhh scenario robustness ({} suite, {})",
+            "fedhh scenario sweep ({} suite, {})",
             report.suite, report.dataset
         )
     }
@@ -321,7 +442,7 @@ impl Row for ScenarioRow {
 }
 
 impl ScenarioReport {
-    /// Renders the matrix as an aligned plain-text table.
+    /// Renders the sweep as an aligned plain-text table.
     pub fn to_table(&self) -> String {
         report::to_table::<ScenarioRow>(self)
     }
@@ -348,37 +469,71 @@ impl ScenarioReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     fn sample_report() -> ScenarioReport {
+        let benign = ScenarioRow {
+            mechanism: "TAPS".to_string(),
+            adversary: "none".to_string(),
+            fraction: 0.0,
+            topology: "flat".to_string(),
+            quorum: 1.0,
+            ok: true,
+            error: String::new(),
+            f1: 0.9,
+            ncr: 0.95,
+            uplink_kb: 12.5,
+            ..ScenarioRow::default()
+        };
         ScenarioReport {
             schema: 1,
             suite: "quick".to_string(),
-            dataset: "RDB".to_string(),
+            dataset: "SYN".to_string(),
             rows: vec![
+                benign.clone(),
                 ScenarioRow {
-                    mechanism: "TAPS".to_string(),
-                    adversary: "none".to_string(),
-                    fraction: 0.0,
-                    ok: true,
-                    error: String::new(),
-                    f1: 0.9,
-                    ncr: 0.95,
-                    f1_drop: 0.0,
-                    ncr_drop: 0.0,
-                },
-                ScenarioRow {
-                    mechanism: "TAPS".to_string(),
                     adversary: "corrupt-frames".to_string(),
                     fraction: 0.5,
                     ok: false,
                     error: "transport".to_string(),
                     f1: 0.0,
                     ncr: 0.0,
+                    uplink_kb: 0.0,
                     f1_drop: 0.9,
                     ncr_drop: 0.95,
+                    ..benign.clone()
+                },
+                ScenarioRow {
+                    topology: "tree:4".to_string(),
+                    quorum: 0.5,
+                    f1: 0.8,
+                    ncr: 0.9,
+                    root_frames: 8,
+                    root_bytes: 4096,
+                    flat_bytes: 9216,
+                    f1_drop: 0.1,
+                    ncr_drop: 0.05,
+                    ..benign
                 },
             ],
         }
+    }
+
+    /// Two quick sweeps of the same options, run once for every test that
+    /// reads them.
+    fn quick_sweeps() -> &'static (ScenarioOptions, [ScenarioReport; 2]) {
+        static SWEEPS: OnceLock<(ScenarioOptions, [ScenarioReport; 2])> = OnceLock::new();
+        SWEEPS.get_or_init(|| {
+            let options = ScenarioOptions {
+                fractions: vec![0.0, 0.5],
+                fanouts: vec![2, 4],
+                quorums: vec![1.0, 0.5],
+                ..ScenarioOptions::quick()
+            };
+            let a = run_scenario(&options).unwrap();
+            let b = run_scenario(&options).unwrap();
+            (options, [a, b])
+        })
     }
 
     #[test]
@@ -393,17 +548,21 @@ mod tests {
     #[test]
     fn to_json_matches_the_pinned_bytes() {
         let mut report = sample_report();
+        report.dataset = "S\\Y\"N".to_string();
         report.rows[1].error = "transport: \"reset\"\tby peer".to_string();
         report.rows[1].fraction = 1.0 / 3.0;
+        report.rows[2].uplink_kb = 150.4325;
+        report.rows[2].root_bytes = u64::MAX;
         assert_eq!(
             report.to_json(),
             r#"{
   "schema": 1,
   "suite": "quick",
-  "dataset": "RDB",
+  "dataset": "S\\Y\"N",
   "rows": [
-    {"mechanism": "TAPS", "adversary": "none", "fraction": 0.000000, "ok": true, "error": "", "f1": 0.900000, "ncr": 0.950000, "f1_drop": 0.000000, "ncr_drop": 0.000000},
-    {"mechanism": "TAPS", "adversary": "corrupt-frames", "fraction": 0.333333, "ok": false, "error": "transport: \"reset\"\tby peer", "f1": 0.000000, "ncr": 0.000000, "f1_drop": 0.900000, "ncr_drop": 0.950000}
+    {"mechanism": "TAPS", "adversary": "none", "fraction": 0.000000, "topology": "flat", "quorum": 1.000000, "ok": true, "error": "", "f1": 0.900000, "ncr": 0.950000, "uplink_kb": 12.500000, "root_frames": 0, "root_bytes": 0, "flat_bytes": 0, "f1_drop": 0.000000, "ncr_drop": 0.000000},
+    {"mechanism": "TAPS", "adversary": "corrupt-frames", "fraction": 0.333333, "topology": "flat", "quorum": 1.000000, "ok": false, "error": "transport: \"reset\"\tby peer", "f1": 0.000000, "ncr": 0.000000, "uplink_kb": 0.000000, "root_frames": 0, "root_bytes": 0, "flat_bytes": 0, "f1_drop": 0.900000, "ncr_drop": 0.950000},
+    {"mechanism": "TAPS", "adversary": "none", "fraction": 0.000000, "topology": "tree:4", "quorum": 0.500000, "ok": true, "error": "", "f1": 0.800000, "ncr": 0.900000, "uplink_kb": 150.432500, "root_frames": 8, "root_bytes": 18446744073709551615, "flat_bytes": 9216, "f1_drop": 0.100000, "ncr_drop": 0.050000}
   ]
 }
 "#
@@ -424,6 +583,14 @@ mod tests {
             "{\"schema\": 9, \"suite\": \"x\", \"dataset\": \"y\", \"rows\": []}"
         )
         .is_err());
+        // A row in the layout before the topology and quorum columns is a
+        // missing column, not a cell with defaults.
+        let old = r#"{"schema": 1, "suite": "quick", "dataset": "RDB", "rows": [
+            {"mechanism": "TAPS", "adversary": "none", "fraction": 0.000000, "ok": true,
+             "error": "", "f1": 0.900000, "ncr": 0.950000, "f1_drop": 0.000000,
+             "ncr_drop": 0.000000}]}"#;
+        let err = ScenarioReport::from_json(old).unwrap_err();
+        assert!(err.contains("\"topology\""), "{err}");
         report::assert_reader_is_strict::<ScenarioRow>(&sample_report());
     }
 
@@ -434,32 +601,43 @@ mod tests {
         assert!(report::check(&baseline, &baseline, 0.0).is_empty());
         // A cell missing on either side is a violation naming it: an empty
         // or stale baseline no longer passes.
-        let violations = report::check(&baseline[..1], &baseline, 0.1);
+        let violations = report::check(&baseline[..2], &baseline, 0.1);
         assert_eq!(
             violations,
-            ["TAPS/corrupt-frames/0.5: missing from the current run"]
+            ["TAPS/none/0/tree:4/0.5: missing from the current run"]
         );
         let violations = report::check(&baseline, &[], 0.1);
-        assert_eq!(violations.len(), 2);
-        assert!(violations[0].starts_with("TAPS/none/0: new cell missing from the baseline"));
-        // A flipped ok is a violation even inside the score tolerance.
+        assert_eq!(violations.len(), 3);
+        assert!(violations[0].starts_with("TAPS/none/0/flat/1: new cell missing from the baseline"));
+        // A flipped ok or a moved frame count is a violation even inside
+        // the score tolerance.
         let mut flipped = baseline.clone();
         flipped[1].ok = true;
+        flipped[2].root_frames = 9;
         assert_eq!(
             report::check(&flipped, &baseline, 10.0),
-            ["TAPS/corrupt-frames/0.5: ok moved from false to true"]
+            [
+                "TAPS/corrupt-frames/0.5/flat/1: ok moved from false to true",
+                "TAPS/none/0/tree:4/0.5: root_frames moved from 8 to 9"
+            ]
         );
-        // A score outside tolerance is a violation; inside passes.
+        // A score or uplink outside tolerance is a violation; inside
+        // passes.
         let mut drifted = baseline.clone();
         drifted[0].f1 = 0.7;
         assert_eq!(report::check(&drifted, &baseline, 0.3).len(), 0);
         let violations = report::check(&drifted, &baseline, 0.1);
         assert_eq!(violations.len(), 1);
-        assert!(violations[0].starts_with("TAPS/none/0: f1 0.7 vs baseline 0.9"));
-        // The informational columns are not gated.
+        assert!(violations[0].starts_with("TAPS/none/0/flat/1: f1 0.7 vs baseline 0.9"));
         drifted[0].f1 = 0.9;
+        drifted[2].uplink_kb += 1.0;
+        assert_eq!(report::check(&drifted, &baseline, 0.1).len(), 1);
+        // The informational columns are not gated.
+        drifted[2].uplink_kb = baseline[2].uplink_kb;
         drifted[0].f1_drop = 0.5;
         drifted[1].error = "other".to_string();
+        drifted[2].root_bytes += 1;
+        drifted[2].flat_bytes += 1;
         assert!(report::check(&drifted, &baseline, 0.0).is_empty());
     }
 
@@ -475,19 +653,131 @@ mod tests {
     }
 
     #[test]
-    fn quick_sweeps_are_deterministic_and_benign_gated() {
+    fn fraction_lists_without_full_quorum_are_rejected() {
         let options = ScenarioOptions {
-            fractions: vec![0.0, 0.5],
-            ..ScenarioOptions::quick()
+            quick: true,
+            quorums: vec![0.5],
+            ..ScenarioOptions::default()
         };
-        let a = run_scenario(&options).unwrap();
-        let b = run_scenario(&options).unwrap();
+        let err = run_scenario(&options).unwrap_err();
+        assert!(err.contains("1.0"), "{err}");
+    }
+
+    #[test]
+    fn degenerate_shapes_are_rejected_before_any_trial_runs() {
+        // Full scale: a sweep that got as far as a trial would take
+        // minutes, not fail at once.
+        let cases = [
+            (vec![0.0], vec![1], vec![1.0], "fanout >= 2"),
+            (
+                vec![0.0],
+                vec![2],
+                vec![1.0, 0.0],
+                "quorum fraction must be in (0, 1]",
+            ),
+            (
+                vec![0.0, 1.5],
+                vec![2],
+                vec![1.0],
+                "adversary fraction must be in [0, 1]",
+            ),
+        ];
+        for (fractions, fanouts, quorums, needle) in cases {
+            let options = ScenarioOptions {
+                fractions,
+                fanouts,
+                quorums,
+                ..ScenarioOptions::default()
+            };
+            let err = run_scenario(&options).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    fn each_in_run_gate_fires_on_a_doctored_row() {
+        let benign = sample_report().rows[0].clone();
+        let tree = ScenarioRow {
+            topology: "tree:4".to_string(),
+            root_frames: 4,
+            root_bytes: 2984,
+            flat_bytes: 3216,
+            ..benign.clone()
+        };
+        let recorded = [benign.clone()];
+        assert_eq!(gate_cell(&tree, &recorded), Ok(()));
+        let fail = |row: &ScenarioRow| gate_cell(row, &recorded).unwrap_err();
+
+        let lossy = ScenarioRow {
+            uplink_kb: tree.uplink_kb + 0.001,
+            ..tree.clone()
+        };
+        let err = fail(&lossy);
+        assert!(
+            err.starts_with("divergent cell: TAPS/none/0/tree:4/1"),
+            "{err}"
+        );
+        assert!(err.contains("vs TAPS/none/0/flat/1"), "{err}");
+
+        let inflating = ScenarioRow {
+            root_bytes: tree.flat_bytes + 1,
+            ..tree.clone()
+        };
+        assert!(fail(&inflating).starts_with("inflating tree"));
+
+        let stagnant = ScenarioRow {
+            root_bytes: tree.flat_bytes,
+            ..tree.clone()
+        };
+        assert!(fail(&stagnant).starts_with("stagnant tree"));
+        // Below full quorum a cohort may be cut to one party, so equal
+        // bytes pass there (against the flat cell at that quorum).
+        let partial = ScenarioRow {
+            quorum: 0.5,
+            ..stagnant
+        };
+        let flat_partial = ScenarioRow {
+            quorum: 0.5,
+            ..benign.clone()
+        };
+        assert_eq!(gate_cell(&partial, &[benign.clone(), flat_partial]), Ok(()));
+
+        let fraction_zero = ScenarioRow {
+            adversary: "sybil".to_string(),
+            ..benign.clone()
+        };
+        assert_eq!(gate_cell(&fraction_zero, &recorded), Ok(()));
+        let divergent = ScenarioRow {
+            ncr: benign.ncr - 0.1,
+            ..fraction_zero.clone()
+        };
+        assert!(fail(&divergent).starts_with("divergent cell: TAPS/sybil/0/flat/1"));
+        let failed = ScenarioRow {
+            ok: false,
+            ..fraction_zero
+        };
+        assert!(fail(&failed).starts_with("divergent cell"));
+        // An active adversary is measured, not gated.
+        let attacked = ScenarioRow {
+            fraction: 0.5,
+            ..divergent
+        };
+        assert_eq!(gate_cell(&attacked, &recorded), Ok(()));
+    }
+
+    #[test]
+    fn quick_sweeps_are_deterministic_and_benign_gated() {
+        let (options, [a, b]) = quick_sweeps();
         // Byte-identical JSON on a same-options rerun: the acceptance
         // criterion the CI smoke gate cmp's.
         assert_eq!(a.to_json(), b.to_json());
-        // One baseline row plus one row per adversary × fraction, for
-        // every mechanism.
-        let per_mechanism = 1 + ADVERSARIES.len() * options.fractions.len();
+        // Per mechanism: the benign cell, one cell per adversary ×
+        // fraction, and one per (flat + fanouts) × quorum less the benign
+        // flat cell at full quorum.
+        let per_mechanism = 1
+            + ADVERSARIES.len() * options.fractions.len()
+            + (1 + options.fanouts.len()) * options.quorums.len()
+            - 1;
         assert_eq!(a.rows.len(), MechanismKind::ALL.len() * per_mechanism);
         // The attacks actually bite somewhere: at half the parties
         // compromised, at least one cell degrades or fails.
@@ -497,5 +787,27 @@ mod tests {
             .any(|r| !r.ok || (r.fraction > 0.0 && r.f1_drop > 0.0)));
         // And the sweep itself checks clean against itself.
         assert!(report::check(&a.rows, &b.rows, 0.0).is_empty());
+    }
+
+    #[test]
+    fn quick_sweeps_are_deterministic_and_internally_gated() {
+        let (_, [a, b]) = quick_sweeps();
+        assert_eq!(a.rows, b.rows);
+        // The tree actually bites: every full-quorum tree cell dropped
+        // root-inbound bytes strictly below the flat equivalent (the
+        // internal gate already enforced this, spot-check the data too).
+        let trees: Vec<_> = a.rows.iter().filter(|r| r.topology != "flat").collect();
+        assert!(!trees.is_empty());
+        for row in trees {
+            assert!(
+                row.root_frames > 0,
+                "{} routed no frames",
+                report::cell_name(row)
+            );
+            assert!(row.root_bytes <= row.flat_bytes);
+            if row.quorum == 1.0 {
+                assert!(row.root_bytes < row.flat_bytes);
+            }
+        }
     }
 }

@@ -52,7 +52,8 @@ fn fedhh_bench_rejects_malformed_command_lines_before_running_anything() {
             ("scale --dropout 0.5", &["--dropout", "fedhh-bench scale"]),
             ("epochs --bogus", &["--bogus", "fedhh-bench epochs"]),
             ("scenario --bogus", &["--bogus", "fedhh-bench scenario"]),
-            ("topology --bogus", &["--bogus", "fedhh-bench topology"]),
+            // The tree sweep is part of `scenario`.
+            ("topology --quick", &["unknown subcommand \"topology\""]),
             ("trace-check x --bogus", &["fedhh-bench trace-check"]),
             // Reports without a baseline gate do not take its options.
             ("scale --check x.json", &["unknown option --check"]),
@@ -65,8 +66,13 @@ fn fedhh_bench_rejects_malformed_command_lines_before_running_anything() {
             ("epochs --epochs many", &["--epochs", "\"many\""]),
             ("epochs --epochs 0", &["--epochs must be at least 1"]),
             ("epochs --churn 1.5", &["--churn must be in [0, 1]"]),
-            ("topology --fanouts 2,x", &["--fanouts", "\"2,x\""]),
-            ("topology --fanouts 1", &["--fanouts", "at least 2"]),
+            ("scenario --fanouts 2,x", &["--fanouts", "\"2,x\""]),
+            // A plan rule is checked by the plan, before any trial runs.
+            ("scenario --fanouts 1", &["fanout >= 2"]),
+            (
+                "scenario --quorums 1,0",
+                &["quorum fraction must be in (0, 1]"],
+            ),
             ("scenario --fractions 0,1.5", &["--fractions", "[0, 1]"]),
             ("scale --user-scales 0.1,-1", &["--user-scales"]),
             // The report pipeline's chunk size is not a setting.
@@ -140,7 +146,7 @@ fn a_check_baseline_is_vetted_before_the_sweep_starts() {
             &["recorded by the \"full\" suite", "\"fig4 at user scale"][..],
         ),
         (
-            line("topology", &path("schema")),
+            line("scenario", &path("schema")),
             &["failed to parse baseline", "\"schema\""][..],
         ),
         (
@@ -254,43 +260,45 @@ fn quick_is_order_independent_on_epochs_and_service() {
 #[test]
 fn a_baseline_missing_current_cells_fails_the_gate_on_scenario_and_topology() {
     // An empty (or stale) baseline used to pass: "0 cells within 0.05".
+    // One sweep holds both the adversary cells and the tree cells, and
+    // every one of them is named.
     let bench = env!("CARGO_BIN_EXE_fedhh-bench");
-    for (subcommand, dataset) in [("scenario", "RDB"), ("topology", "SYN")] {
-        let baseline = temp_path(&format!("{subcommand}-empty.json"));
-        let out = temp_path(&format!("{subcommand}-out.json"));
-        std::fs::write(
-            &baseline,
-            format!(
-                "{{\"schema\": 1, \"suite\": \"quick\", \"dataset\": \"{dataset}\", \"rows\": []}}"
-            ),
-        )
+    let baseline = temp_path("scenario-empty.json");
+    let out = temp_path("scenario-out.json");
+    std::fs::write(
+        &baseline,
+        "{\"schema\": 1, \"suite\": \"quick\", \"dataset\": \"SYN\", \"rows\": []}",
+    )
+    .unwrap();
+    let output = Command::new(bench)
+        .args(["scenario", "--quick", "--out"])
+        .arg(&out)
+        .arg("--check")
+        .arg(&baseline)
+        .output()
         .unwrap();
-        let output = Command::new(bench)
-            .args([subcommand, "--quick", "--out"])
-            .arg(&out)
-            .arg("--check")
-            .arg(&baseline)
-            .output()
-            .unwrap();
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(!output.status.success(), "{subcommand}:\n{stderr}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{stderr}");
+    for cell in ["TAPS/sybil/0.5/flat/1", "TAPS/none/0/tree:4/0.5"] {
         assert!(
-            stderr.contains("new cell missing from the baseline (regenerate it)"),
-            "{subcommand}:\n{stderr}"
+            stderr.contains(&format!(
+                "{cell}: new cell missing from the baseline (regenerate it)"
+            )),
+            "{cell}:\n{stderr}"
         );
-        // The fresh report was still written, and gates clean against
-        // itself at zero tolerance.
-        let status = Command::new(bench)
-            .args([subcommand, "--quick", "--out"])
-            .arg(&baseline)
-            .arg("--check")
-            .arg(&out)
-            .args(["--threshold", "0"])
-            .output()
-            .unwrap()
-            .status;
-        assert!(status.success(), "{subcommand} self-check failed");
-        let _ = std::fs::remove_file(&baseline);
-        let _ = std::fs::remove_file(&out);
     }
+    // The fresh report was still written, and gates clean against itself
+    // at zero tolerance.
+    let status = Command::new(bench)
+        .args(["scenario", "--quick", "--out"])
+        .arg(&baseline)
+        .arg("--check")
+        .arg(&out)
+        .args(["--threshold", "0"])
+        .output()
+        .unwrap()
+        .status;
+    assert!(status.success(), "self-check failed");
+    let _ = std::fs::remove_file(&baseline);
+    let _ = std::fs::remove_file(&out);
 }

@@ -193,7 +193,7 @@ impl ScenarioPlan {
     /// Validates the scenario: the fault plan must be valid, every
     /// adversary fraction must lie in `[0, 1]`, a tree must be well-formed
     /// ([`Topology::validate`]) and the quorum fraction must lie in
-    /// `(0, 1]`.
+    /// `(0, 1]` ([`QuorumPolicy::validate`]).
     pub fn validate(&self) -> Result<(), ProtocolError> {
         self.faults.validate()?;
         let fraction = self.adversary.fraction();
@@ -201,12 +201,7 @@ impl ScenarioPlan {
             return Err(ProtocolError::InvalidAdversaryFraction { fraction });
         }
         self.topology.validate()?;
-        if !self.quorum.is_valid() {
-            return Err(ProtocolError::InvalidQuorum {
-                fraction: self.quorum.fraction,
-            });
-        }
-        Ok(())
+        self.quorum.validate()
     }
 
     /// Decides which of `party_count` parties are compromised: a seeded

@@ -133,10 +133,17 @@ impl QuorumPolicy {
         QuorumPolicy::default()
     }
 
-    /// True when the policy is well-formed: the fraction must lie in
-    /// `(0, 1]` (a zero quorum would close rounds with no reports).
-    pub fn is_valid(&self) -> bool {
-        self.fraction.is_finite() && self.fraction > 0.0 && self.fraction <= 1.0
+    /// Checks the policy: the fraction must lie in `(0, 1]` (a zero quorum
+    /// would close rounds with no reports).  A malformed quorum is
+    /// [`ProtocolError::InvalidQuorum`] carrying its fraction.
+    pub fn validate(&self) -> Result<(), ProtocolError> {
+        if self.fraction > 0.0 && self.fraction <= 1.0 {
+            Ok(())
+        } else {
+            Err(ProtocolError::InvalidQuorum {
+                fraction: self.fraction,
+            })
+        }
     }
 
     /// True when this policy ever excludes anyone.
@@ -232,32 +239,21 @@ mod tests {
 
     #[test]
     fn quorum_validation_bounds_the_fraction() {
-        assert!(QuorumPolicy::full().is_valid());
-        assert!(QuorumPolicy {
-            fraction: 0.25,
-            seed: 7
+        let quorum = |fraction| QuorumPolicy { fraction, seed: 7 };
+        assert_eq!(QuorumPolicy::full().validate(), Ok(()));
+        assert_eq!(quorum(0.25).validate(), Ok(()));
+        for fraction in [0.0, -0.5, 1.5, f64::INFINITY] {
+            assert_eq!(
+                quorum(fraction).validate(),
+                Err(ProtocolError::InvalidQuorum { fraction }),
+                "fraction {fraction}"
+            );
         }
-        .is_valid());
-        assert!(!QuorumPolicy {
-            fraction: 0.0,
-            seed: 0
-        }
-        .is_valid());
-        assert!(!QuorumPolicy {
-            fraction: -0.5,
-            seed: 0
-        }
-        .is_valid());
-        assert!(!QuorumPolicy {
-            fraction: 1.5,
-            seed: 0
-        }
-        .is_valid());
-        assert!(!QuorumPolicy {
-            fraction: f64::NAN,
-            seed: 0
-        }
-        .is_valid());
+        // NaN compares unequal to itself, so match the variant.
+        assert!(matches!(
+            quorum(f64::NAN).validate(),
+            Err(ProtocolError::InvalidQuorum { fraction }) if fraction.is_nan()
+        ));
     }
 
     #[test]

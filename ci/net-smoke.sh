@@ -5,12 +5,17 @@
 #   ci/net-smoke.sh [path/to/fedhh-node]
 #
 # Starts `fedhh-node coordinator --check-inmemory` plus its party processes
-# twice: a quick TAPS trial on the 4-party YCM stand-in over 4 processes, and
-# one on the 8-party SYN group over 2 processes (SYN is the only group with
-# Poisson parties, and every process rebuilds it from the welcome).  The
-# coordinator exits non-zero unless the distributed MechanismOutput (top-k,
-# estimates, uplink bits) is bit-identical to the in-memory run at the same
-# seed.  Then a `fedhh-bench trial` runs over the tcp transport at
+# three times: a quick TAPS trial on the 4-party YCM stand-in over 4
+# processes; one on the 8-party SYN group over 2 processes (SYN is the only
+# group with Poisson parties, and every process rebuilds it from the
+# welcome); and the YCM federation again aggregated through a fanout-2 tree
+# with a 0.75 quorum, under 25% dropout, stragglers and a 50% report-flip
+# adversary, so one welcome ships every field of the scenario plan across
+# processes and the coordinator routes cohort members to their
+# sub-aggregator in the handshake.  The coordinator exits non-zero unless
+# the distributed MechanismOutput (top-k, estimates, uplink bits) is
+# bit-identical to the in-memory run under the same plan at the same seed.
+# The tree sweep's determinism gate is ci/scenario-smoke.sh.  Then a `fedhh-bench trial` runs over the tcp transport at
 # parallelism 4 (four party threads sharing the transport's one stream) and
 # over the memory transport at parallelism 1; the gate fails unless both
 # print identical F1, NCR, avg local recall, uplink and server traffic
@@ -25,16 +30,20 @@ NODE_BIN="${1:-target/release/fedhh-node}"
 BENCH_BIN="$(sibling_bin "$NODE_BIN" fedhh-bench)"
 require_bin "$NODE_BIN" "$BENCH_BIN"
 
-# federate DATASET PROCESSES — a coordinator plus PROCESSES party processes
-# running quick TAPS at seed 42; dies unless the coordinator confirms
-# bit-identity with the in-memory engine.
+# federate DATASET PROCESSES [COORDINATOR FLAGS...] — a coordinator plus
+# PROCESSES party processes running quick TAPS at seed 42 under the plan the
+# extra flags set; dies unless the coordinator confirms bit-identity with
+# the in-memory engine.
+LEGS=0
 federate() {
     local dataset="$1" processes="$2"
-    local out="$WORKDIR/$dataset"
-    log "coordinator + $processes party processes: TAPS on ${dataset^^} (quick, seed 42)"
+    shift 2
+    LEGS=$((LEGS + 1))
+    local out="$WORKDIR/leg$LEGS-$dataset"
+    log "coordinator + $processes party processes: TAPS on ${dataset^^} (quick, seed 42)${*:+ $*}"
     "$NODE_BIN" coordinator \
         --mechanism taps --dataset "$dataset" --parties "$processes" \
-        --quick --seed 42 --timeout-secs 120 --check-inmemory \
+        --quick --seed 42 --timeout-secs 120 --check-inmemory "$@" \
         > "$out-coordinator.out" 2> "$out-coordinator.err" &
     local coord_pid=$!
 
@@ -71,6 +80,8 @@ federate() {
 
 federate ycm 4
 federate syn 2
+federate ycm 4 --topology tree:2 --quorum 0.75 \
+    --dropout 0.25 --stragglers --scenario report-flip:0.5
 
 # trial TRANSPORT PARALLELISM — a quick TAPS trial on YCM; prints its
 # output and keeps the result lines in $WORKDIR/trial-TRANSPORT.metrics.

@@ -51,12 +51,13 @@
 use fedhh_bench::cli::{self, ArgCursor, CheckedOutput};
 use fedhh_bench::experiments::{self, ExperimentRow, EXPERIMENTS};
 use fedhh_bench::runner::{repeat_trials, run_trial};
+use fedhh_bench::scenario::SCENARIO_SEED;
 use fedhh_bench::{
     EpochPoint, EpochsOptions, ExperimentScale, PerfEntry, PerfReport, ScaleOptions, ScalePoint,
     ScenarioOptions, ScenarioRow, TrialMetrics,
 };
 use fedhh_datasets::{DatasetKind, FederatedDataset};
-use fedhh_federated::{EngineConfig, FaultPlan, ProtocolConfig, TransportKind};
+use fedhh_federated::{EngineConfig, ProtocolConfig, ScenarioPlan, TransportKind};
 use fedhh_fo::FoKind;
 use fedhh_mechanisms::MechanismKind;
 use fedhh_telemetry::{Telemetry, TraceStats};
@@ -370,12 +371,12 @@ fn scenario_command(args: &[String]) -> Result<ExitCode, String> {
         match arg {
             "--quick" => options.quick = true,
             "--dataset" => options.dataset = cursor.parsed("--dataset")?,
+            // The plan rules (adversary fraction in [0, 1], fanout >= 2,
+            // quorum in (0, 1]) are checked once, by
+            // `ScenarioPlan::validate` inside the sweep.
             "--fractions" => {
-                let in_unit = |f: &f64| (0.0..=1.0).contains(f);
-                options.fractions = cursor.list("--fractions", in_unit, "be in [0, 1]")?;
+                options.fractions = cursor.list("--fractions", |_| true, "be a number")?
             }
-            // The plan rules (fanout >= 2, quorum in (0, 1]) are checked
-            // once, by `ScenarioPlan::validate` inside the sweep.
             "--fanouts" => options.fanouts = cursor.list("--fanouts", |_| true, "be an integer")?,
             "--quorums" => options.quorums = cursor.list("--quorums", |_| true, "be a number")?,
             "--seed" => options.seed = cursor.value("--seed")?,
@@ -444,7 +445,11 @@ fn trial_command(args: &[String]) -> Result<ExitCode, String> {
     // Invalid values surface as typed `ProtocolError`s from the engine
     // (`--parallelism 0`, `--dropout 1.5`) rather than being clamped.
     let engine = EngineConfig::parallel(parallelism)
-        .with_faults(FaultPlan::dropout(dropout, 0xFA_u64))
+        .with_scenario(ScenarioPlan {
+            dropout,
+            seed: SCENARIO_SEED,
+            ..ScenarioPlan::benign()
+        })
         .transport(transport);
     // Tracing never changes results: the sink is inert, so a traced trial
     // is bit-identical to an untraced one.

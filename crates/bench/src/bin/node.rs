@@ -30,7 +30,7 @@
 //! configuration, scenario plan — deployment faults plus any adversary
 //! model — party partition, mechanism + dataset spec) in the `fedhh-wire`
 //! format, and every process rebuilds the same dataset deterministically
-//! from it.  `--scenario NAME:FRACTION[:SEED]` (names: `report-flip`,
+//! from it.  `--scenario NAME:FRACTION` (names: `report-flip`,
 //! `report-invert`, `input-poison`, `sybil`, `corrupt-frames`) arms an
 //! adversary on the coordinator; the welcome ships it to every party, so
 //! the whole federation replays the same deterministic attack.
@@ -39,15 +39,18 @@
 //! processes are grouped into cohorts of FANOUT consecutive ranks, each
 //! cohort's first rank plays sub-aggregator (it merges the cohort's
 //! reports into one lossless frame), and the coordinator receives one
-//! uplink frame per cohort instead of one per rank.  `--quorum
-//! FRACTION[:SEED]` closes every round at the configured response
-//! fraction; which parties count as on time is a pure function of the
-//! seed and round number, never of socket timing, so a quorum run is
-//! reproducible bit-for-bit.  Both axes travel in the welcome's scenario
-//! plan, next to the faults and the adversary, and leave the result
-//! bit-identical to the flat full-quorum star only when `--quorum 1.0`
-//! (partial quorums change which reports exist).  Each party runs the plan
-//! its welcome ships and nothing else.
+//! uplink frame per cohort instead of one per rank.  `--quorum FRACTION`
+//! closes every round at the configured response fraction; which parties
+//! count as on time is a pure function of the plan seed and round number,
+//! never of socket timing, so a quorum run is reproducible bit-for-bit.
+//! Both axes travel in the welcome's scenario plan, next to the faults and
+//! the adversary, and leave the result bit-identical to the flat
+//! full-quorum star only when `--quorum 1.0` (partial quorums change which
+//! reports exist).  Every draw of the plan (dropout, stragglers, adversary,
+//! quorum) uses one seed, `fedhh_bench::scenario::SCENARIO_SEED`, the seed
+//! of every `fedhh-bench scenario` cell, so a node run reproduces the
+//! sweep's cell.  Each party runs the plan its welcome ships and nothing
+//! else.
 //!
 //! When the run finishes, the coordinator prints the result as stable
 //! machine-readable lines (`TOPK`, `COUNT`, `UPLINK`, `DOWNLINK`).  With
@@ -74,12 +77,12 @@
 //! machine-readable lines bit-identical to an unobserved run's.
 
 use fedhh_bench::cli::{self, ArgCursor};
-use fedhh_bench::scenario::{ADVERSARY_SEED, QUORUM_SEED};
+use fedhh_bench::scenario::SCENARIO_SEED;
 use fedhh_bench::{adversary_by_name, partition_parties, ExperimentScale, NodeRunSpec};
 use fedhh_datasets::DatasetKind;
 use fedhh_federated::{
-    connect_party_with_timeout, AdversaryModel, EngineConfig, FaultPlan, NodeServer, NodeWelcome,
-    QuorumPolicy, ScenarioPlan, SessionLink, Topology,
+    connect_party_with_timeout, AdversaryModel, EngineConfig, NodeServer, NodeWelcome,
+    ScenarioPlan, SessionLink, Topology,
 };
 use fedhh_fo::FoKind;
 use fedhh_mechanisms::{MechanismKind, MechanismOutput, Run};
@@ -124,8 +127,8 @@ usage: fedhh-node <coordinator|party|service> [options]
   coordinator --mechanism <name> --dataset <name> --parties N [--listen HOST:PORT]
               [--seed S] [--quick] [--user-scale F] [--k N] [--epsilon F] [--fo KIND]
               [--parallelism N] [--dropout F] [--stragglers]
-              [--scenario NAME:FRACTION[:SEED]]
-              [--topology flat|tree:FANOUT[:DEPTH]] [--quorum FRACTION[:SEED]]
+              [--scenario NAME:FRACTION]
+              [--topology flat|tree:FANOUT[:DEPTH]] [--quorum FRACTION]
               [--timeout-secs N] [--check-inmemory] [--telemetry PATH]
   party --connect HOST:PORT [--timeout-secs N] [--telemetry PATH]
   service --mechanism <name> --dataset <name> [--epochs N] [--churn F] [--drift N]
@@ -171,55 +174,25 @@ struct CoordinatorOptions {
     telemetry_path: Option<String>,
 }
 
-/// Parses the `FRACTION[:SEED]` tail of a `--quorum` / `--scenario` spec.
-fn fraction_and_seed<'a>(
-    option: &str,
-    raw: &str,
-    mut parts: impl Iterator<Item = &'a str>,
-    default_seed: u64,
-) -> Result<(f64, u64), String> {
-    let fraction = parts
-        .next()
-        .ok_or(format!("{option} {raw:?} is missing a fraction"))?
-        .parse()
-        .map_err(|_| format!("{option} {raw:?} has an invalid fraction"))?;
-    let seed = match parts.next() {
-        Some(raw_seed) => raw_seed
-            .parse()
-            .map_err(|_| format!("{option} {raw:?} has an invalid seed"))?,
-        None => default_seed,
-    };
-    if parts.next().is_some() {
-        return Err(format!("{option} {raw:?} has trailing fields"));
-    }
-    Ok((fraction, seed))
-}
-
-/// Parses a `--quorum` argument: `FRACTION[:SEED]` (the default seed is
-/// the `fedhh-bench scenario` sweep's, so a node run reproduces the sweep's
-/// cell at the same fraction).  The fraction's range is a plan rule,
-/// checked with the rest of the plan.
-fn parse_quorum_spec(raw: &str) -> Result<QuorumPolicy, String> {
-    let (fraction, seed) = fraction_and_seed("--quorum", raw, raw.split(':'), QUORUM_SEED)?;
-    Ok(QuorumPolicy { fraction, seed })
-}
-
-/// Parses a `--scenario` argument: `NAME:FRACTION[:SEED]`, where `NAME` is
-/// one of `report-flip`, `report-invert`, `input-poison`, `sybil` or
+/// Parses a `--scenario` argument: `NAME:FRACTION`, where `NAME` is one
+/// of `report-flip`, `report-invert`, `input-poison`, `sybil` or
 /// `corrupt-frames`.  The poison/Sybil targets are the fixed values the
-/// `fedhh-bench scenario` sweep uses, and so is the default seed, so a
-/// node run reproduces the same attack the sweep measures.
-fn parse_scenario_spec(raw: &str) -> Result<(AdversaryModel, u64), String> {
-    let mut parts = raw.split(':');
-    let name = parts.next().unwrap_or_default();
-    let (fraction, seed) = fraction_and_seed("--scenario", raw, parts, ADVERSARY_SEED)?;
-    let adversary = adversary_by_name(name, fraction).ok_or_else(|| {
+/// `fedhh-bench scenario` sweep uses, so a node run reproduces the same
+/// attack the sweep measures.  The fraction's range is a plan rule,
+/// checked with the rest of the plan.
+fn parse_scenario_spec(raw: &str) -> Result<AdversaryModel, String> {
+    let (name, fraction) = raw
+        .split_once(':')
+        .ok_or(format!("--scenario {raw:?} is missing a fraction"))?;
+    let fraction = fraction
+        .parse()
+        .map_err(|_| format!("--scenario {raw:?} has an invalid fraction"))?;
+    adversary_by_name(name, fraction).ok_or_else(|| {
         format!(
             "--scenario got unknown adversary {name:?} (valid: {})",
             fedhh_bench::scenario::ADVERSARIES.join(", ")
         )
-    })?;
-    Ok((adversary, seed))
+    })
 }
 
 fn parse_coordinator_options(args: &[String]) -> Result<CoordinatorOptions, String> {
@@ -237,10 +210,10 @@ fn parse_coordinator_options(args: &[String]) -> Result<CoordinatorOptions, Stri
         epsilon: 4.0,
         fo: None,
         parallelism: 1,
-        plan: ScenarioPlan::from_faults(FaultPlan {
-            seed: 0xFA,
-            ..FaultPlan::none()
-        }),
+        plan: ScenarioPlan {
+            seed: SCENARIO_SEED,
+            ..ScenarioPlan::benign()
+        },
         timeout: Some(Duration::from_secs(120)),
         check_inmemory: false,
         telemetry_path: None,
@@ -261,18 +234,15 @@ fn parse_coordinator_options(args: &[String]) -> Result<CoordinatorOptions, Stri
             "--epsilon" => options.epsilon = cursor.value(arg)?,
             "--fo" => options.fo = Some(cursor.parsed(arg)?),
             "--parallelism" => options.parallelism = cursor.value(arg)?,
-            "--dropout" => options.plan.faults.dropout_fraction = cursor.value(arg)?,
-            "--stragglers" => options.plan.faults.stragglers = true,
-            "--scenario" => {
-                let (adversary, seed) = parse_scenario_spec(cursor.raw_value(arg)?)?;
-                options.plan = options.plan.with_adversary(adversary, seed);
-            }
+            "--dropout" => options.plan.dropout = cursor.value(arg)?,
+            "--stragglers" => options.plan.stragglers = true,
+            "--scenario" => options.plan.adversary = parse_scenario_spec(cursor.raw_value(arg)?)?,
             "--topology" => {
                 let raw = cursor.raw_value(arg)?;
                 options.plan.topology = Topology::parse(raw)
                     .ok_or_else(|| format!("--topology got an invalid spec {raw:?}"))?;
             }
-            "--quorum" => options.plan.quorum = parse_quorum_spec(cursor.raw_value(arg)?)?,
+            "--quorum" => options.plan.quorum = cursor.value(arg)?,
             "--timeout-secs" => options.timeout = timeout_secs(cursor.value(arg)?),
             "--check-inmemory" => options.check_inmemory = true,
             "--telemetry" => options.telemetry_path = Some(cursor.raw_value(arg)?.to_string()),
@@ -630,18 +600,24 @@ mod tests {
 
     #[test]
     fn default_quorum_seed_is_the_topology_sweeps() {
-        let quorum = parse_quorum_spec("0.75").unwrap();
-        assert_eq!(
-            quorum,
-            QuorumPolicy {
-                fraction: 0.75,
-                seed: QUORUM_SEED
-            }
-        );
-        assert_eq!(parse_quorum_spec("0.75:9").unwrap().seed, 9);
-        // `--scenario` defaults to the sweep's adversary seed the same way.
-        let (_, seed) = parse_scenario_spec("sybil:0.5").unwrap();
-        assert_eq!(seed, ADVERSARY_SEED);
-        assert_eq!(parse_scenario_spec("sybil:0.5:7").unwrap().1, 7);
+        let args: Vec<String> = [
+            "--mechanism",
+            "taps",
+            "--dataset",
+            "syn",
+            "--quorum",
+            "0.75",
+            "--scenario",
+            "sybil:0.5",
+        ]
+        .map(String::from)
+        .to_vec();
+        let plan = parse_coordinator_options(&args).unwrap().plan;
+        // One plan seed, the sweep's, for the quorum and the adversary.
+        assert_eq!(plan.seed, SCENARIO_SEED);
+        assert_eq!(plan.quorum, 0.75);
+        assert_eq!(plan.adversary, adversary_by_name("sybil", 0.5).unwrap());
+        // A seed is not an option: a `:SEED` suffix is an invalid value.
+        assert!(parse_scenario_spec("sybil:0.5:7").is_err());
     }
 }

@@ -279,9 +279,13 @@ mod tests {
 
     #[test]
     fn dropout_trials_complete_with_reduced_uplink() {
-        use fedhh_federated::FaultPlan;
+        use fedhh_federated::ScenarioPlan;
         let healthy = EngineConfig::sequential();
-        let faulty = healthy.with_faults(FaultPlan::dropout(0.5, 3));
+        let faulty = healthy.with_scenario(ScenarioPlan {
+            dropout: 0.5,
+            seed: 3,
+            ..ScenarioPlan::benign()
+        });
         let uplink = |engine| {
             TrialMetrics::mean(&quick_trials(
                 MechanismKind::FedPem,

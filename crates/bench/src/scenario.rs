@@ -20,8 +20,8 @@
 //! [`ScenarioPlan::validate`] before any trial runs.
 //!
 //! Every cell is one deterministic trial: fixed dataset seed, fixed
-//! protocol seed, fixed adversary and quorum seeds ([`ADVERSARY_SEED`],
-//! [`QUORUM_SEED`]), sequential engine.  The report carries no timings, so
+//! protocol seed, one fixed plan seed ([`SCENARIO_SEED`]), sequential
+//! engine.  The report carries no timings, so
 //! **the same options reproduce the same JSON byte for byte** — CI runs
 //! the sweep twice and `cmp`s the files.  The gate *inside*
 //! [`run_scenario`] checks two things:
@@ -86,7 +86,7 @@ use crate::report::{self, column, Column, Row, Shown, SCHEMA};
 use crate::runner::{run_trial, ExperimentScale};
 use fedhh_datasets::DatasetKind;
 use fedhh_federated::{
-    AdversaryModel, EngineConfig, FlipMode, ProtocolError, QuorumPolicy, ScenarioPlan, Topology,
+    AdversaryModel, EngineConfig, FlipMode, ProtocolError, ScenarioPlan, Topology,
 };
 use fedhh_mechanisms::MechanismKind;
 use fedhh_metrics::degradation;
@@ -108,14 +108,10 @@ pub const POISON_PREFIX: (u64, u8) = (0xB, 4);
 /// See [`POISON_PREFIX`].
 pub const SYBIL_TARGET: u64 = 0xBEEF;
 
-/// The adversary decision seed of every adversary cell, and `fedhh-node
-/// --scenario`'s default, so a node run reproduces the sweep's cell.
-pub const ADVERSARY_SEED: u64 = 0xAD5E;
-
-/// The seed of every quorum draw in the sweep, and `fedhh-node
-/// --quorum`'s default, so a node run at one fraction reproduces the
-/// sweep's cell at that fraction.
-pub const QUORUM_SEED: u64 = 0x70B0;
+/// The plan seed of every cell, and of every plan `fedhh-node coordinator`
+/// and `fedhh-bench trial --dropout` run, so a node run reproduces the
+/// sweep's cell.
+pub const SCENARIO_SEED: u64 = 0xAD5E;
 
 /// Builds the adversary model of a named sweep column at a fraction.
 pub fn adversary_by_name(name: &str, fraction: f64) -> Option<AdversaryModel> {
@@ -203,14 +199,20 @@ impl ScenarioOptions {
                 "the quorum list must contain 1.0 (the strict-savings gate anchor)".to_string(),
             );
         }
-        let benign = EngineConfig::sequential();
+        let benign = ScenarioPlan {
+            seed: SCENARIO_SEED,
+            ..ScenarioPlan::benign()
+        };
         let mut cells = vec![("none", 0.0, benign)];
         for adversary in ADVERSARIES {
             for &fraction in &self.fractions {
                 let model = adversary_by_name(adversary, fraction)
                     .expect("ADVERSARIES only lists known names");
-                let plan = ScenarioPlan::benign().with_adversary(model, ADVERSARY_SEED);
-                cells.push((adversary, fraction, benign.with_scenario(plan)));
+                let plan = ScenarioPlan {
+                    adversary: model,
+                    ..benign
+                };
+                cells.push((adversary, fraction, plan));
             }
         }
         let trees = self
@@ -222,27 +224,26 @@ impl ScenarioOptions {
                 if topology.is_flat() && fraction == 1.0 {
                     continue;
                 }
-                let quorum = QuorumPolicy {
-                    fraction,
-                    seed: QUORUM_SEED,
+                let plan = ScenarioPlan {
+                    topology,
+                    quorum: fraction,
+                    ..benign
                 };
-                let engine = benign.with_topology(topology).with_quorum(quorum);
-                cells.push(("none", 0.0, engine));
+                cells.push(("none", 0.0, plan));
             }
         }
         cells
             .into_iter()
-            .map(|(adversary, fraction, engine)| {
-                let plan = engine.scenario;
+            .map(|(adversary, fraction, plan)| {
                 plan.validate().map_err(|err| err.to_string())?;
                 let key = ScenarioRow {
                     adversary: adversary.to_string(),
                     fraction,
                     topology: plan.topology.name(),
-                    quorum: plan.quorum.fraction,
+                    quorum: plan.quorum,
                     ..ScenarioRow::default()
                 };
-                Ok((key, engine))
+                Ok((key, EngineConfig::sequential().with_scenario(plan)))
             })
             .collect()
     }

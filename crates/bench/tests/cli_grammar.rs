@@ -73,7 +73,10 @@ fn fedhh_bench_rejects_malformed_command_lines_before_running_anything() {
                 "scenario --quorums 1,0",
                 &["quorum fraction must be in (0, 1]"],
             ),
-            ("scenario --fractions 0,1.5", &["--fractions", "[0, 1]"]),
+            (
+                "scenario --fractions 0,1.5",
+                &["adversary fraction must be in [0, 1], got 1.5"],
+            ),
             ("scale --user-scales 0.1,-1", &["--user-scales"]),
             // The report pipeline's chunk size is not a setting.
             ("scale --chunk 64", &["unknown option --chunk"]),
@@ -186,6 +189,12 @@ fn fedhh_node_rejects_malformed_command_lines_before_running_anything() {
             ("coordinator --mechanism bogus", &["--mechanism:"]),
             ("coordinator --topology tree:1", &["fanout >= 2"]),
             ("coordinator --quorum 1.5", &["must be in (0, 1]"]),
+            // The plan has one seed, and it is not an option.
+            ("coordinator --quorum 0.75:9", &["--quorum", "\"0.75:9\""]),
+            (
+                "coordinator --scenario sybil:0.5:7",
+                &["--scenario", "invalid fraction"],
+            ),
             ("coordinator --scenario sybil", &["missing a fraction"]),
             ("coordinator --scenario nope:0.5", &["unknown adversary"]),
             ("coordinator --dataset rdb", &["--mechanism is required"]),

@@ -145,7 +145,7 @@ fn four_process_gtf_under_stragglers_matches_the_in_memory_engine() {
 fn distributed_runs_survive_engine_parallelism_and_dropout() {
     // Each party process runs its local drivers on 2 workers while half the
     // parties drop out; the coordinator still matches the in-memory engine
-    // under the same fault plan.
+    // under the same scenario plan.
     let lines = run_distributed("taps", &["--parallelism", "2", "--dropout", "0.5"]);
     assert_bit_identical("TAPS+faults", &lines);
 }

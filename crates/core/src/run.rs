@@ -348,7 +348,7 @@ impl<'a> Run<'a> {
     /// When not called, the engine defaults to [`EngineConfig::from_env`]:
     /// sequential, fault-free execution unless the `FEDHH_TEST_PARALLELISM`
     /// environment variable selects a worker count.  Results are
-    /// bit-identical at any parallelism; only fault plans change outputs.
+    /// bit-identical at any parallelism; only scenario plans change outputs.
     pub fn engine(mut self, engine: EngineConfig) -> Self {
         self.engine = Some(engine);
         self

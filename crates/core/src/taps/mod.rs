@@ -15,7 +15,7 @@
 //! predecessor's [`PruneDictionary`] and whose driver uploads its own for
 //! the server to forward — and a closing round that collects every final
 //! top-k report.  The chain is inherently sequential, so engine parallelism
-//! speeds up Phase I only; the fault plan (dropout shortening the chain,
+//! speeds up Phase I only; the scenario plan (dropout shortening the chain,
 //! stragglers reordering uploads) applies as in every other mechanism.
 //!
 //! Everything outside the chain is `tap::two_phase`; this module

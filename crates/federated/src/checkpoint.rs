@@ -271,8 +271,9 @@ mod tests {
     /// two places again: a checkpoint holds no protocol configuration, but
     /// every frame carries the schema byte, so a build refuses the other's
     /// files rather than guess at a layout it does not speak.  Wire schema 9
-    /// (topology and quorum in the scenario plan) moved the same two places
-    /// for the same reason.
+    /// (topology and quorum in the scenario plan) and wire schema 10 (a
+    /// flat scenario plan with one seed) moved the same two places for the
+    /// same reason.
     #[test]
     fn saved_files_match_the_pinned_bytes() {
         let dir = std::env::temp_dir().join(format!("fedhh-ckpt-pin-{}", std::process::id()));
@@ -288,9 +289,9 @@ mod tests {
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
-            "530000000901032a00ff020203000000000000f03f00000000000004400000000000000000\
+            "530000000a01032a00ff020203000000000000f03f00000000000004400000000000000000\
              010000000000001040010307090b010102070902078080808080808085400980808080808080\
-             fc7f8020800104012f762d27"
+             fc7f802080010401dcef26fb"
         );
     }
 

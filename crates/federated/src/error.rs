@@ -68,7 +68,7 @@ pub enum ProtocolError {
         /// The rejected fraction.
         fraction: f64,
     },
-    /// The fault plan's dropout fraction must lie in `[0, 1]`.
+    /// The scenario plan's dropout fraction must lie in `[0, 1]`.
     InvalidDropout {
         /// The rejected fraction.
         fraction: f64,

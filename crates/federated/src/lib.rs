@@ -23,15 +23,15 @@
 //!   (phases, party events, downlinks, the summary), of which
 //!   [`CommTracker`] and [`RecordingObserver`] are folds.
 //! * [`Session`] / [`Transport`] / [`PartyDriver`] — the round-driven
-//!   federation engine ([`session`], [`transport`], [`fault`]): party work
-//!   is wrapped in drivers, executed in parallel worker threads, and
-//!   collected through a transport in a canonical order, with a
-//!   [`FaultPlan`] injecting dropouts and straggler reordering.
-//! * [`scenario`] — the scenario plane: a [`ScenarioPlan`] generalizes the
-//!   fault plan with deterministic [`AdversaryModel`]s (report flipping,
-//!   input poisoning, Sybil amplification, corrupt-frame injection), all
-//!   pure functions of `(plan, seed, party)` so adversarial runs replay
-//!   bit-identically.
+//!   federation engine ([`session`], [`transport`]): party work is wrapped
+//!   in drivers, executed in parallel worker threads, and collected
+//!   through a transport in a canonical order.
+//! * [`scenario`] — the scenario plane: one [`ScenarioPlan`] holds the
+//!   round policy — dropouts, straggler reordering, deterministic
+//!   [`AdversaryModel`]s (report flipping, input poisoning, Sybil
+//!   amplification, corrupt-frame injection), the aggregation
+//!   [`Topology`] and the quorum — all pure functions of `(plan, seed,
+//!   party)` so every run replays bit-identically.
 //! * [`epoch`] / [`checkpoint`] — the epoch service: an [`EpochRunner`]
 //!   drives successive epochs of any mechanism over a time-varying
 //!   population, carrying an incremental-trie [`WarmSet`] and a per-user
@@ -93,7 +93,6 @@ pub mod config;
 pub mod epoch;
 pub mod error;
 pub mod estimator;
-pub mod fault;
 pub mod message;
 pub mod node;
 pub mod observer;
@@ -117,7 +116,6 @@ pub use epoch::{
 };
 pub use error::ProtocolError;
 pub use estimator::{EstimateScratch, LevelEstimate, LevelEstimator};
-pub use fault::FaultPlan;
 pub use message::{
     CandidateReport, MergedSupports, PruneCandidates, PruneDictionary, RoundMessage, RoundPayload,
     PAIR_BITS,
@@ -137,7 +135,7 @@ pub use session::{
     RoundOutcome, Session, TransportKind,
 };
 pub use socket::SocketTransport;
-pub use topology::{QuorumPolicy, Topology};
+pub use topology::Topology;
 pub use transport::{InProcessTransport, Transport};
 
 // The wire error is part of this crate's error surface

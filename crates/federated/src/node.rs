@@ -498,7 +498,6 @@ fn drain_late_joiners(listener: &TcpListener, round: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
     use crate::message::{CandidateReport, RoundPayload};
     use crate::topology::Topology;
     use fedhh_wire::{from_bytes, to_bytes};
@@ -506,7 +505,11 @@ mod tests {
     fn welcome() -> NodeWelcome {
         NodeWelcome {
             config: ProtocolConfig::test_default(),
-            scenario: ScenarioPlan::from_faults(FaultPlan::dropout(0.25, 3)),
+            scenario: ScenarioPlan {
+                dropout: 0.25,
+                seed: 3,
+                ..ScenarioPlan::benign()
+            },
             parallelism: 2,
             assignments: vec![(0, 2), (2, 4)],
             app: vec![1, 2, 3],
@@ -1018,12 +1021,8 @@ mod tests {
     #[test]
     fn hostile_scenarios_in_a_welcome_are_typed_errors_on_both_sides() {
         use crate::scenario::{AdversaryModel, FlipMode};
-        use crate::topology::QuorumPolicy;
         let benign = ScenarioPlan::benign();
-        let quorum = |fraction| ScenarioPlan {
-            quorum: QuorumPolicy { fraction, seed: 1 },
-            ..benign
-        };
+        let quorum = |quorum| ScenarioPlan { quorum, ..benign };
         let tree = |fanout| ScenarioPlan {
             topology: Topology::Tree { fanout, depth: 1 },
             ..benign
@@ -1035,9 +1034,18 @@ mod tests {
         let hostile = [
             (
                 "dropout NaN",
-                ScenarioPlan::from_faults(FaultPlan::dropout(f64::NAN, 1)),
+                ScenarioPlan {
+                    dropout: f64::NAN,
+                    ..benign
+                },
             ),
-            ("adversary fraction 2.0", benign.with_adversary(flip, 1)),
+            (
+                "adversary fraction 2.0",
+                ScenarioPlan {
+                    adversary: flip,
+                    ..benign
+                },
+            ),
             ("quorum 0", quorum(0.0)),
             ("quorum NaN", quorum(f64::NAN)),
             ("fanout 0", tree(0)),

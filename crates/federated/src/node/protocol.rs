@@ -414,11 +414,8 @@ impl Node {
             let detail = WireError::Remote { detail };
             return vec![Action::Broadcast(abort), Action::Abort(detail)];
         }
-        let faults = self
-            .welcome()
-            .map(|w| w.scenario.faults)
-            .unwrap_or_default();
-        let collection = assemble(share.round, share.messages, share.events, &faults);
+        let scenario = self.welcome().map(|w| w.scenario).unwrap_or_default();
+        let collection = assemble(share.round, share.messages, share.events, &scenario);
         // Encode once: the driver fans the same bytes out to every rank.
         let mut payload = vec![NodeFrame::COLLECTION_TAG];
         collection.encode(&mut payload);
@@ -427,7 +424,7 @@ impl Node {
     }
 
     /// The party a failure of a whole rank is attributed to — its first,
-    /// matching `FaultPlan`'s lowest-index dropout attribution.
+    /// matching the dropout draw's lowest-index attribution.
     fn first_party(&self, rank: usize) -> usize {
         let range = self.welcome.as_ref().and_then(|w| w.assignments.get(rank));
         range.map_or(rank, |range| range.0)

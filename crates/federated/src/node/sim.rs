@@ -31,7 +31,6 @@
 
 use super::protocol::{Action, Event, Input, Node, NodeFrame, Peer, Share, Wait};
 use super::NodeWelcome;
-use crate::fault::FaultPlan;
 use crate::message::{CandidateReport, PruneDictionary, RoundMessage, RoundPayload};
 use crate::scenario::ScenarioPlan;
 use crate::session::{assemble, PartyEvent, RoundCollection};
@@ -152,11 +151,8 @@ impl Setup {
                 depth: 1,
             },
         };
-        let faults = FaultPlan {
-            dropout_fraction: 0.0,
-            stragglers: rng.gen_bool(0.5),
-            seed: rng.gen(),
-        };
+        let stragglers = rng.gen_bool(0.5);
+        let seed = rng.gen();
         let rounds = rng.gen_range(1..=3u32);
         let failure = rng
             .gen_bool(0.2)
@@ -176,8 +172,10 @@ impl Setup {
         let welcome = NodeWelcome {
             config: ProtocolConfig::test_default(),
             scenario: ScenarioPlan {
+                stragglers,
                 topology,
-                ..ScenarioPlan::from_faults(faults)
+                seed,
+                ..ScenarioPlan::benign()
             },
             parallelism: 1,
             assignments,
@@ -579,8 +577,8 @@ impl Sim {
     fn expected(&self, round: u32) -> RoundCollection {
         let parties = self.setup.welcome.assignments.last().map_or(0, |r| r.1);
         let share = self.setup.share((0, parties), round);
-        let faults = self.setup.welcome.scenario.faults;
-        assemble(round, share.messages, share.events, &faults)
+        let scenario = &self.setup.welcome.scenario;
+        assemble(round, share.messages, share.events, scenario)
     }
 
     fn verify(&self) -> Result<Outcome, String> {

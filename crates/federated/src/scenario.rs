@@ -1,24 +1,27 @@
-//! The scenario plane: the round policy of a run, with deterministic
-//! adversary models layered over the benign [`FaultPlan`].
+//! The scenario plane: the round policy of a run in one deterministic
+//! plan.
 //!
-//! The paper's evaluation assumes honest-but-curious parties; real
-//! deployments face malicious ones.  A [`ScenarioPlan`] generalizes the
-//! fault plan into a full *scenario*: the benign deployment faults
+//! The paper's evaluation assumes honest-but-curious parties in lockstep;
+//! real deployments face dropouts, stragglers and malicious parties.  A
+//! [`ScenarioPlan`] describes all of it: the benign deployment faults
 //! (dropout, stragglers), an [`AdversaryModel`] describing which parties
 //! misbehave and how, and the two closure decisions of every round — the
-//! aggregation [`Topology`] uploads travel through and the
-//! [`QuorumPolicy`] that picks who makes each round.  The
-//! [`crate::Session`] applies the plan uniformly to every mechanism, so
-//! "TAPS under 30% report flipping" is an ordinary, reproducible run, and
-//! a node federation ships the one plan in its welcome.
+//! aggregation [`Topology`] uploads travel through and the quorum fraction
+//! that picks who makes each round.  The [`crate::Session`] applies the
+//! plan uniformly to every mechanism, so "TAPS under 30% report flipping"
+//! is an ordinary, reproducible run, and a node federation ships the one
+//! plan in its welcome.
 //!
-//! Adversary behavior is a **pure function of `(plan, seed, party)`**:
-//! which parties are compromised is a seeded draw
-//! ([`ScenarioPlan::compromised_parties`]), and every perturbation an
-//! adversary applies derives from the scenario seed plus stable protocol
-//! coordinates (party index, round, payload position) — never from thread
-//! timing.  Honest parties' outputs stay bit-identical at any
-//! parallelism, and the same plan always produces the same attack.
+//! Every decision is a **pure function of `(plan, coordinates)`** derived
+//! from the plan's one seed: which parties drop out
+//! ([`ScenarioPlan::dropped_parties`]), the straggler order of a round
+//! ([`ScenarioPlan::straggler_order`]), who makes a round's quorum
+//! ([`ScenarioPlan::on_time`]), which parties are compromised
+//! ([`ScenarioPlan::compromised_parties`]) and every perturbation an
+//! adversary applies (party index, round, payload position) — never thread
+//! timing.  Each draw salts the seed differently, so the draws are
+//! independent of each other; honest parties' outputs stay bit-identical
+//! at any parallelism, and the same plan always produces the same run.
 //!
 //! Four adversary models ship (plus the benign [`AdversaryModel::None`]):
 //!
@@ -36,9 +39,8 @@
 //!   completes cleanly or fails with a typed error, never a hang or panic.
 
 use crate::error::ProtocolError;
-use crate::fault::FaultPlan;
 use crate::message::CandidateReport;
-use crate::topology::{QuorumPolicy, Topology};
+use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -119,34 +121,35 @@ impl AdversaryModel {
 }
 
 /// A declarative description of one run scenario: benign deployment faults,
-/// an adversary model, the aggregation topology and the quorum policy, all
-/// deterministic.  It is the one home of every round-policy decision.
-///
-/// [`FaultPlan`] remains the benign corner: [`ScenarioPlan::from_faults`]
-/// installs a plan with [`AdversaryModel::None`] on the flat star at full
-/// quorum, and such a plan behaves bit-identically to the pre-scenario
-/// engine.
+/// an adversary model, the aggregation topology and the quorum fraction,
+/// all drawn from one seed.  It is the one home of every round-policy
+/// decision; [`ScenarioPlan::benign`] is the paper's honest lockstep star.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioPlan {
-    /// The benign deployment faults (dropout, stragglers).
-    pub faults: FaultPlan,
+    /// Fraction of parties (rounded down) that drop out for the whole run,
+    /// in `[0, 1]`.  At least one party always survives, so a session can
+    /// complete under any fraction.
+    pub dropout: f64,
+    /// When true, round messages reach the server's aggregation step in a
+    /// seeded (straggler) order instead of party order.
+    pub stragglers: bool,
     /// The adversary model applied on top of the faults.
     pub adversary: AdversaryModel,
-    /// Seed of the adversary randomness (independent of the protocol seed
-    /// and the fault seed).
-    pub seed: u64,
     /// How party uploads reach the root aggregator: the flat star or a
     /// cohort tree ([`Topology::Tree`] is bit-identical to
     /// [`Topology::Flat`] at quorum 1.0; merging is lossless).
     pub topology: Topology,
-    /// Quorum-based round closure: the response fraction that closes a
-    /// round, drawn deterministically per `(seed, round)`.
-    pub quorum: QuorumPolicy,
+    /// The response fraction that closes a round, in `(0, 1]`; 1.0 waits
+    /// for everyone.  Who makes the cut is a seeded draw per round, never
+    /// arrival order.
+    pub quorum: f64,
+    /// The seed of every draw above (independent of the protocol seed).
+    pub seed: u64,
 }
 
 /// Domain-separation constant for the compromised-party draw (distinct from
-/// the fault plan's dropout constant, so dropout victims and compromised
-/// parties are independent draws even under equal seeds).
+/// the dropout draw's, so dropout victims and compromised parties are
+/// independent draws of the one seed).
 const COMPROMISE_SALT: u64 = 0xAD5E_C0DE_5CE0_A12D;
 
 /// Mixes the scenario seed with stable protocol coordinates into one
@@ -162,46 +165,113 @@ fn mix(seed: u64, a: u64, b: u64, c: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A seeded uniform choice of `victims` of `count` indices, as a flag per
+/// index.
+fn pick(count: usize, victims: usize, seed: u64) -> Vec<bool> {
+    let mut picked = vec![false; count];
+    for i in shuffled(count, seed).into_iter().take(victims) {
+        picked[i] = true;
+    }
+    picked
+}
+
+/// A seeded shuffle of `0..count`.
+fn shuffled(count: usize, seed: u64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..count).collect();
+    order.shuffle(&mut StdRng::seed_from_u64(seed));
+    order
+}
+
 impl ScenarioPlan {
-    /// The benign scenario: no faults, no adversary.
+    /// The benign scenario: no faults, no adversary, the flat star at full
+    /// quorum.
     pub fn benign() -> Self {
         Self {
-            faults: FaultPlan::none(),
+            dropout: 0.0,
+            stragglers: false,
             adversary: AdversaryModel::None,
-            seed: 0,
             topology: Topology::Flat,
-            quorum: QuorumPolicy::full(),
+            quorum: 1.0,
+            seed: 0,
         }
     }
 
-    /// A scenario with the given benign faults, no adversary, the flat star
-    /// and a full quorum.
-    pub fn from_faults(faults: FaultPlan) -> Self {
-        Self {
-            faults,
-            ..Self::benign()
-        }
-    }
-
-    /// Returns a copy with an adversary model and its seed installed.
-    pub fn with_adversary(mut self, adversary: AdversaryModel, seed: u64) -> Self {
-        self.adversary = adversary;
-        self.seed = seed;
-        self
-    }
-
-    /// Validates the scenario: the fault plan must be valid, every
-    /// adversary fraction must lie in `[0, 1]`, a tree must be well-formed
-    /// ([`Topology::validate`]) and the quorum fraction must lie in
-    /// `(0, 1]` ([`QuorumPolicy::validate`]).
+    /// Validates the scenario: the dropout fraction and every adversary
+    /// fraction must lie in `[0, 1]`, a tree must be well-formed
+    /// ([`Topology::validate`]) and the quorum must lie in `(0, 1]` (a zero
+    /// quorum would close rounds with no reports).
     pub fn validate(&self) -> Result<(), ProtocolError> {
-        self.faults.validate()?;
+        if !(0.0..=1.0).contains(&self.dropout) {
+            return Err(ProtocolError::InvalidDropout {
+                fraction: self.dropout,
+            });
+        }
         let fraction = self.adversary.fraction();
         if !matches!(self.adversary, AdversaryModel::None) && !(0.0..=1.0).contains(&fraction) {
             return Err(ProtocolError::InvalidAdversaryFraction { fraction });
         }
         self.topology.validate()?;
-        self.quorum.validate()
+        if !(self.quorum > 0.0 && self.quorum <= 1.0) {
+            return Err(ProtocolError::InvalidQuorum {
+                fraction: self.quorum,
+            });
+        }
+        Ok(())
+    }
+
+    /// Decides which of `party_count` parties drop out: a seeded uniform
+    /// choice of `⌊party_count · dropout⌋` parties, capped so at least one
+    /// party survives.  Returns a `dropped[i]` flag per party.
+    pub fn dropped_parties(&self, party_count: usize) -> Vec<bool> {
+        if party_count == 0 || self.dropout <= 0.0 {
+            return vec![false; party_count];
+        }
+        let requested = ((party_count as f64) * self.dropout).floor() as usize;
+        let victims = requested.min(party_count - 1);
+        pick(party_count, victims, self.seed ^ 0xD80F_0C75_0C75_D80F)
+    }
+
+    /// The straggler reordering of a round's messages (identified by their
+    /// position): a seeded shuffle, different every round, applied on top
+    /// of the transport's canonical order; the identity without
+    /// stragglers.
+    pub fn straggler_order(&self, count: usize, round: u32) -> Vec<usize> {
+        if !self.stragglers || count <= 1 {
+            return (0..count).collect();
+        }
+        let seed = self
+            .seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(round as u64);
+        shuffled(count, seed)
+    }
+
+    /// The parties that make `round`'s quorum, as a sorted subset of
+    /// `candidates` (the round's active parties, every process passing the
+    /// same full list).  A pure function of `(seed, round, candidates)`:
+    /// a seeded permutation keeps the first `ceil(quorum * n)` entries (at
+    /// least one), so closure order never depends on thread or socket
+    /// timing.  At full quorum the candidates pass through untouched.
+    pub fn on_time(&self, round: u32, candidates: &[usize]) -> Vec<usize> {
+        if self.quorum >= 1.0 || candidates.len() <= 1 {
+            return candidates.to_vec();
+        }
+        // Mix the round index the way the straggler draw does, with its
+        // own multiplier, so quorum draws never correlate across rounds or
+        // with the straggler order.
+        let seed = self
+            .seed
+            .wrapping_mul(0xA076_1D64_78BD_642F)
+            .wrapping_add(u64::from(round));
+        let keep =
+            ((self.quorum * candidates.len() as f64).ceil() as usize).clamp(1, candidates.len());
+        let mut order: Vec<usize> = shuffled(candidates.len(), seed)
+            .into_iter()
+            .take(keep)
+            .map(|i| candidates[i])
+            .collect();
+        order.sort_unstable();
+        order
     }
 
     /// Decides which of `party_count` parties are compromised: a seeded
@@ -210,27 +280,17 @@ impl ScenarioPlan {
     /// party still participates.  Frame corruption is transport-level, so
     /// [`AdversaryModel::CorruptFrames`] compromises no party here.
     pub fn compromised_parties(&self, party_count: usize) -> Vec<bool> {
-        let mut compromised = vec![false; party_count];
         let fraction = match self.adversary {
             AdversaryModel::ReportFlip { fraction, .. }
             | AdversaryModel::InputPoison { fraction, .. }
             | AdversaryModel::Sybil { fraction, .. } => fraction,
-            AdversaryModel::None | AdversaryModel::CorruptFrames { .. } => return compromised,
+            AdversaryModel::None | AdversaryModel::CorruptFrames { .. } => 0.0,
         };
         if party_count == 0 || fraction <= 0.0 {
-            return compromised;
+            return vec![false; party_count];
         }
         let victims = (((party_count as f64) * fraction).floor() as usize).min(party_count);
-        if victims == 0 {
-            return compromised;
-        }
-        let mut indices: Vec<usize> = (0..party_count).collect();
-        let mut rng = StdRng::seed_from_u64(self.seed ^ COMPROMISE_SALT);
-        indices.shuffle(&mut rng);
-        for &i in indices.iter().take(victims) {
-            compromised[i] = true;
-        }
-        compromised
+        pick(party_count, victims, self.seed ^ COMPROMISE_SALT)
     }
 
     /// The frame-corruption plan of this scenario, when its adversary
@@ -319,21 +379,191 @@ impl FrameCorruption {
 mod tests {
     use super::*;
 
+    /// The benign plan with the given adversary and seed.
+    fn attacked(adversary: AdversaryModel, seed: u64) -> ScenarioPlan {
+        ScenarioPlan {
+            adversary,
+            seed,
+            ..ScenarioPlan::benign()
+        }
+    }
+
+    /// The benign plan with the given dropout fraction and seed.
+    fn dropout(dropout: f64, seed: u64) -> ScenarioPlan {
+        ScenarioPlan {
+            dropout,
+            seed,
+            ..ScenarioPlan::benign()
+        }
+    }
+
     #[test]
     fn benign_plans_change_nothing() {
         let plan = ScenarioPlan::benign();
-        assert!(plan.faults.is_none() && plan.adversary.is_none());
-        assert!(plan.topology.is_flat() && !plan.quorum.is_partial());
+        assert!(plan.dropout == 0.0 && !plan.stragglers && plan.adversary.is_none());
+        assert!(plan.topology.is_flat() && plan.quorum == 1.0);
         assert!(plan.validate().is_ok());
         assert!(plan.compromised_parties(8).iter().all(|c| !c));
         assert!(plan.corruption().is_none());
         assert_eq!(ScenarioPlan::default(), plan);
-        // A plan of faults alone keeps the faults and stays adversary-free.
-        let faults = FaultPlan::dropout(0.5, 9);
-        let plan = ScenarioPlan::from_faults(faults);
-        assert_eq!(plan.faults, faults);
-        assert_eq!(plan.adversary, AdversaryModel::None);
-        assert!(!plan.faults.is_none(), "dropout is a fault, not benign");
+        // A dropout alone stays adversary-free.
+        let plan = dropout(0.5, 9);
+        assert!(plan.dropped_parties(8).iter().any(|d| *d));
+        assert!(plan.compromised_parties(8).iter().all(|c| !c));
+    }
+
+    #[test]
+    fn fault_free_plan_drops_nobody_and_keeps_order() {
+        // The seed alone changes nothing: only a fraction or a flag draws.
+        let plan = ScenarioPlan {
+            seed: 77,
+            ..ScenarioPlan::benign()
+        };
+        assert!(plan.dropped_parties(5).iter().all(|d| !d));
+        assert_eq!(plan.straggler_order(4, 1), vec![0, 1, 2, 3]);
+        assert_eq!(plan.on_time(1, &[0, 2, 5, 9]), vec![0, 2, 5, 9]);
+    }
+
+    #[test]
+    fn invalid_dropout_fraction_is_a_typed_error() {
+        for fraction in [-0.1, 1.5, f64::NAN] {
+            assert!(matches!(
+                dropout(fraction, 1).validate(),
+                Err(ProtocolError::InvalidDropout { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn dropout_is_deterministic_and_spares_one_party() {
+        let plan = dropout(0.5, 42);
+        let a = plan.dropped_parties(4);
+        let b = plan.dropped_parties(4);
+        assert_eq!(a, b);
+        assert_eq!(a.iter().filter(|d| **d).count(), 2);
+        // Even a full dropout keeps one survivor.
+        let all = dropout(1.0, 7).dropped_parties(3);
+        assert_eq!(all.iter().filter(|d| **d).count(), 2);
+        // A different seed picks (eventually) different victims.
+        assert!((0..64).any(|seed| dropout(0.5, seed).dropped_parties(4) != a));
+    }
+
+    #[test]
+    fn straggler_order_is_a_seeded_permutation_per_round() {
+        let plan = ScenarioPlan {
+            stragglers: true,
+            seed: 9,
+            ..ScenarioPlan::benign()
+        };
+        let a = plan.straggler_order(6, 0);
+        let b = plan.straggler_order(6, 0);
+        assert_eq!(a, b, "same round must reorder identically");
+        let mut sorted = a.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, vec![0, 1, 2, 3, 4, 5]);
+        assert!(
+            (1..32).any(|round| plan.straggler_order(6, round) != a),
+            "rounds must not all share one permutation"
+        );
+    }
+
+    /// Every seeded draw of the plan, pinned at three seeds: a plan whose
+    /// draws move replays a different run, so a changed salt, multiplier
+    /// or shuffle fails here before any run-level pin.
+    #[test]
+    fn draws_match_the_pinned_vectors() {
+        type Draws = (
+            [usize; 3],            // dropped_parties(10) at dropout 0.3
+            [[usize; 6]; 3],       // straggler_order(6, round) for rounds 0..3
+            [[usize; 4]; 3],       // on_time(round, 0..8) at quorum 0.5, rounds 0..3
+            [usize; 3],            // compromised_parties(10) at fraction 0.3
+            [&'static [usize]; 3], // corrupts(from in 0..12, round) at 0.5, rounds 0..3
+            [[usize; 4]; 3],       // flip_offset(from in 0..4, round, 64), rounds 0..3
+        );
+        let pinned: [(u64, Draws); 3] = [
+            (
+                7,
+                (
+                    [1, 5, 7],
+                    [[1, 2, 5, 3, 0, 4], [0, 2, 4, 3, 5, 1], [2, 3, 0, 1, 4, 5]],
+                    [[3, 4, 5, 7], [1, 2, 4, 5], [0, 2, 5, 6]],
+                    [0, 2, 9],
+                    [&[0, 1, 2, 11], &[0, 1, 4, 5, 6, 8, 9, 11], &[0, 5, 6, 7, 9]],
+                    [[35, 27, 23, 61], [37, 48, 40, 60], [7, 27, 23, 17]],
+                ),
+            ),
+            (
+                42,
+                (
+                    [3, 4, 8],
+                    [[5, 0, 4, 2, 3, 1], [5, 0, 4, 1, 2, 3], [0, 4, 2, 5, 1, 3]],
+                    [[0, 1, 3, 7], [2, 3, 4, 7], [0, 2, 4, 6]],
+                    [3, 5, 6],
+                    [
+                        &[1, 5, 6, 7, 8, 10, 11],
+                        &[0, 4, 5, 7],
+                        &[0, 1, 2, 3, 8, 11],
+                    ],
+                    [[33, 10, 36, 63], [30, 50, 50, 10], [58, 50, 23, 36]],
+                ),
+            ),
+            (
+                0xAD5E,
+                (
+                    [2, 4, 7],
+                    [[5, 1, 3, 0, 2, 4], [1, 2, 4, 5, 3, 0], [3, 0, 5, 1, 4, 2]],
+                    [[1, 3, 6, 7], [0, 2, 4, 6], [0, 2, 4, 7]],
+                    [5, 7, 8],
+                    [
+                        &[0, 3, 4, 8],
+                        &[0, 2, 4, 6, 7, 10, 11],
+                        &[2, 4, 6, 7, 8, 10, 11],
+                    ],
+                    [[32, 6, 19, 18], [42, 11, 4, 62], [5, 38, 10, 59]],
+                ),
+            ),
+        ];
+        let flagged = |flags: Vec<bool>| -> Vec<usize> {
+            flags
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| **f)
+                .map(|(i, _)| i)
+                .collect()
+        };
+        for (seed, (dropped, stragglers, on_time, compromised, corrupts, flips)) in pinned {
+            let plan = ScenarioPlan {
+                dropout: 0.3,
+                stragglers: true,
+                adversary: AdversaryModel::ReportFlip {
+                    fraction: 0.3,
+                    mode: FlipMode::Uniform,
+                },
+                quorum: 0.5,
+                seed,
+                ..ScenarioPlan::benign()
+            };
+            assert_eq!(flagged(plan.dropped_parties(10)), dropped, "seed {seed}");
+            assert_eq!(
+                flagged(plan.compromised_parties(10)),
+                compromised,
+                "seed {seed}"
+            );
+            let candidates: Vec<usize> = (0..8).collect();
+            let corruption = FrameCorruption {
+                fraction: 0.5,
+                seed,
+            };
+            for round in 0..3 {
+                let r = round as usize;
+                assert_eq!(plan.straggler_order(6, round), stragglers[r], "seed {seed}");
+                assert_eq!(plan.on_time(round, &candidates), on_time[r], "seed {seed}");
+                let hits: Vec<usize> = (0..12).filter(|&f| corruption.corrupts(f, round)).collect();
+                assert_eq!(hits, corrupts[r], "seed {seed} round {round}");
+                let offsets = (0..4).map(|f| corruption.flip_offset(f, round, 64));
+                assert!(offsets.eq(flips[r]), "seed {seed} round {round}");
+            }
+        }
     }
 
     #[test]
@@ -356,22 +586,15 @@ mod tests {
                 AdversaryModel::CorruptFrames { fraction },
             ];
             for adversary in models {
-                let plan = ScenarioPlan::benign().with_adversary(adversary, 1);
                 assert!(
                     matches!(
-                        plan.validate(),
+                        attacked(adversary, 1).validate(),
                         Err(ProtocolError::InvalidAdversaryFraction { .. })
                     ),
                     "{adversary:?}"
                 );
             }
         }
-        // An invalid fault plan still fails through the scenario.
-        let plan = ScenarioPlan::from_faults(FaultPlan::dropout(2.0, 0));
-        assert!(matches!(
-            plan.validate(),
-            Err(ProtocolError::InvalidDropout { .. })
-        ));
     }
 
     #[test]
@@ -395,8 +618,8 @@ mod tests {
             })
         );
         assert_eq!(tree(2, 8).validate(), Ok(()));
-        let quorum = |fraction| ScenarioPlan {
-            quorum: QuorumPolicy { fraction, seed: 0 },
+        let quorum = |quorum| ScenarioPlan {
+            quorum,
             ..ScenarioPlan::benign()
         };
         assert_eq!(
@@ -412,50 +635,41 @@ mod tests {
 
     #[test]
     fn compromise_draw_is_deterministic_and_proportional() {
-        let plan = ScenarioPlan::benign().with_adversary(
-            AdversaryModel::Sybil {
-                fraction: 0.5,
-                target_item: 3,
-            },
-            42,
-        );
+        let sybil = AdversaryModel::Sybil {
+            fraction: 0.5,
+            target_item: 3,
+        };
+        let plan = attacked(sybil, 42);
         let a = plan.compromised_parties(8);
         assert_eq!(a, plan.compromised_parties(8));
         assert_eq!(a.iter().filter(|c| **c).count(), 4);
         // Unlike dropout, a full fraction compromises everyone.
-        let all = plan
-            .with_adversary(
-                AdversaryModel::ReportFlip {
-                    fraction: 1.0,
-                    mode: FlipMode::Inverted,
-                },
-                7,
-            )
-            .compromised_parties(5);
-        assert!(all.iter().all(|c| *c));
+        let flip = AdversaryModel::ReportFlip {
+            fraction: 1.0,
+            mode: FlipMode::Inverted,
+        };
+        assert!(attacked(flip, 7).compromised_parties(5).iter().all(|c| *c));
         // A different seed eventually picks different victims.
-        assert!((0..64).any(|seed| {
-            let other = ScenarioPlan { seed, ..plan };
-            other.compromised_parties(8) != a
-        }));
-        // The draw is independent of the dropout draw at equal seeds.
-        let faults = FaultPlan::dropout(0.5, 42);
-        assert_ne!(plan.compromised_parties(8), faults.dropped_parties(8));
+        assert!((0..64).any(|seed| attacked(sybil, seed).compromised_parties(8) != a));
+        // The draw is independent of the dropout draw of the same seed.
+        let both = ScenarioPlan {
+            dropout: 0.5,
+            ..plan
+        };
+        assert_ne!(both.compromised_parties(8), both.dropped_parties(8));
     }
 
     #[test]
     fn corrupt_frames_compromise_no_party_but_expose_a_corruption_plan() {
-        let plan = ScenarioPlan::benign()
-            .with_adversary(AdversaryModel::CorruptFrames { fraction: 0.5 }, 3);
+        let plan = attacked(AdversaryModel::CorruptFrames { fraction: 0.5 }, 3);
         assert!(plan.compromised_parties(8).iter().all(|c| !c));
         let corruption = plan.corruption().expect("positive fraction");
         assert_eq!(corruption.fraction, 0.5);
         assert_eq!(corruption.seed, 3);
         // Fraction zero is benign: no corruption plan at all.
-        let plan = ScenarioPlan::benign()
-            .with_adversary(AdversaryModel::CorruptFrames { fraction: 0.0 }, 3);
+        let plan = attacked(AdversaryModel::CorruptFrames { fraction: 0.0 }, 3);
         assert!(plan.corruption().is_none());
-        assert!(plan.faults.is_none() && plan.adversary.is_none());
+        assert!(plan.adversary.is_none());
     }
 
     #[test]

@@ -32,13 +32,12 @@
 
 use crate::error::ProtocolError;
 use crate::estimator::EstimateScratch;
-use crate::fault::FaultPlan;
 use crate::message::{MergedSupports, PruneDictionary, RoundMessage, RoundPayload};
 use crate::node::SessionLink;
 use crate::observer::{LevelEstimated, PruningDecision};
 use crate::scenario::{apply_report_flip, AdversaryModel, FlipMode, ScenarioPlan};
 use crate::socket::SocketTransport;
-use crate::topology::{QuorumPolicy, Topology};
+use crate::topology::Topology;
 use crate::transport::{canonical_sort, InProcessTransport, Transport};
 use fedhh_telemetry::{Counter, SpanName, Telemetry, ValueHist};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,8 +67,8 @@ pub struct EngineConfig {
     /// (1 = sequential in the calling thread).
     pub parallelism: usize,
     /// The run's round policy: benign deployment faults, an optional
-    /// adversary model, the aggregation topology and the quorum policy (see
-    /// [`crate::scenario`]).
+    /// adversary model, the aggregation topology and the quorum, all drawn
+    /// from one seed (see [`crate::scenario`]).
     pub scenario: ScenarioPlan,
     /// The transport the session's uploads travel through.
     pub transport: TransportKind,
@@ -93,22 +92,8 @@ impl EngineConfig {
         }
     }
 
-    /// Returns a copy with a benign-fault plan installed (the legacy entry
-    /// point, kept as the benign corner of [`EngineConfig::with_scenario`]):
-    /// the scenario's adversary model is reset to [`AdversaryModel::None`],
-    /// and its topology and quorum are kept.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.scenario = ScenarioPlan {
-            faults,
-            adversary: AdversaryModel::None,
-            seed: 0,
-            ..self.scenario
-        };
-        self
-    }
-
     /// Returns a copy with a full scenario installed: benign faults, an
-    /// adversary model, the topology and the quorum (see
+    /// adversary model, the topology, the quorum and their seed (see
     /// [`crate::scenario`]); it replaces the whole plan.
     pub fn with_scenario(mut self, scenario: ScenarioPlan) -> Self {
         self.scenario = scenario;
@@ -159,16 +144,6 @@ impl EngineConfig {
     /// ```
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.scenario.topology = topology;
-        self
-    }
-
-    /// Returns a copy whose scenario closes rounds under `quorum`, keeping
-    /// the rest of the plan: each round closes once the configured
-    /// response fraction is reached, the on-time set a pure function of
-    /// `(seed, round)` — never of thread or socket timing — so
-    /// partial-quorum runs replay bit-identically at any parallelism.
-    pub fn with_quorum(mut self, quorum: QuorumPolicy) -> Self {
-        self.scenario.quorum = quorum;
         self
     }
 
@@ -427,7 +402,7 @@ pub struct RoundCollection {
     /// The round number.
     pub round: u32,
     /// The uploads, in canonical `(round, from)` order — or, under a
-    /// straggler fault plan, in the plan's reordering of it.
+    /// straggler plan, in the plan's reordering of it.
     pub messages: Vec<RoundMessage>,
     /// Per-party events, sorted by party index regardless of which worker
     /// finished first.
@@ -457,7 +432,7 @@ pub struct Session {
 
 impl Session {
     /// Creates a session for `party_count` parties, validating the engine
-    /// configuration and resolving the fault plan's dropouts up front.
+    /// configuration and resolving the scenario plan's dropouts up front.
     ///
     /// The transport follows [`EngineConfig::transport`].
     pub fn new(engine: &EngineConfig, party_count: usize) -> Result<Self, ProtocolError> {
@@ -490,7 +465,7 @@ impl Session {
             transport,
             parallelism: engine.parallelism,
             scenario: engine.scenario,
-            dropped: engine.scenario.faults.dropped_parties(party_count),
+            dropped: engine.scenario.dropped_parties(party_count),
             compromised: engine.scenario.compromised_parties(party_count),
             round: 0,
             party_count,
@@ -536,7 +511,7 @@ impl Session {
         (start..end).contains(&party)
     }
 
-    /// True when the party survived the fault plan's dropout draw.
+    /// True when the party survived the scenario plan's dropout draw.
     pub fn is_active(&self, party: usize) -> bool {
         !self.dropped.get(party).copied().unwrap_or(false)
     }
@@ -591,8 +566,8 @@ impl Session {
         // active list before any local-range filtering, so every process
         // of a distributed run excludes the same parties.  Excluded
         // parties simply do not execute this round — the same per-round
-        // semantics as a fault-plan dropout.
-        let on_time = self.scenario.quorum.on_time(input.round, active);
+        // semantics as a dropout.
+        let on_time = self.scenario.on_time(input.round, active);
         let (local_start, local_end) = self.local_range();
         let local = local_start..local_end.min(drivers.len());
         let mut is_selected = vec![false; drivers.len()];
@@ -716,7 +691,7 @@ impl Session {
                         tree_route(round, messages, fanout, depth, &self.telemetry)?
                     }
                 };
-                Ok(assemble(round, messages, events, &self.scenario.faults))
+                Ok(assemble(round, messages, events, &self.scenario))
             }
             Some(link) => link
                 .exchange(round, messages, events, None)
@@ -936,7 +911,7 @@ pub(crate) fn assemble(
     round: u32,
     messages: Vec<RoundMessage>,
     mut events: Vec<(usize, Vec<PartyEvent>)>,
-    faults: &FaultPlan,
+    scenario: &ScenarioPlan,
 ) -> RoundCollection {
     let mut flat = Vec::with_capacity(messages.len());
     for message in messages {
@@ -948,7 +923,7 @@ pub(crate) fn assemble(
         }
     }
     canonical_sort(&mut flat);
-    let order = faults.straggler_order(flat.len(), round);
+    let order = scenario.straggler_order(flat.len(), round);
     let mut slots: Vec<Option<RoundMessage>> = flat.into_iter().map(Some).collect();
     let messages = order
         .into_iter()
@@ -1061,7 +1036,11 @@ mod tests {
 
     #[test]
     fn dropped_parties_never_execute() {
-        let engine = EngineConfig::sequential().with_faults(FaultPlan::dropout(0.5, 11));
+        let engine = EngineConfig::sequential().with_scenario(ScenarioPlan {
+            dropout: 0.5,
+            seed: 11,
+            ..ScenarioPlan::benign()
+        });
         let mut session = Session::new(&engine, 4).unwrap();
         let active = session.active_parties();
         assert_eq!(active.len(), 2);
@@ -1075,13 +1054,13 @@ mod tests {
 
     #[test]
     fn straggler_plans_reorder_deterministically() {
-        let faults = FaultPlan {
-            dropout_fraction: 0.0,
+        let stragglers = ScenarioPlan {
             stragglers: true,
             seed: 5,
+            ..ScenarioPlan::benign()
         };
         let run = |parallelism: usize| {
-            let engine = EngineConfig::parallel(parallelism).with_faults(faults);
+            let engine = EngineConfig::parallel(parallelism).with_scenario(stragglers);
             let mut session = Session::new(&engine, 6).unwrap();
             let mut drivers = drivers(6);
             let active = session.active_parties();
@@ -1165,7 +1144,10 @@ mod tests {
             Session::new(&EngineConfig::parallel(0), 2),
             Err(ProtocolError::InvalidParallelism { parallelism: 0 })
         ));
-        let bad = EngineConfig::sequential().with_faults(FaultPlan::dropout(2.0, 0));
+        let bad = EngineConfig::sequential().with_scenario(ScenarioPlan {
+            dropout: 2.0,
+            ..ScenarioPlan::benign()
+        });
         assert!(matches!(
             Session::new(&bad, 2),
             Err(ProtocolError::InvalidDropout { .. })
@@ -1220,15 +1202,6 @@ mod tests {
         assert_eq!(parse_parallelism("many"), None);
     }
 
-    #[test]
-    fn with_faults_is_the_benign_corner_of_with_scenario() {
-        let faults = FaultPlan::dropout(0.25, 3);
-        let engine = EngineConfig::sequential().with_faults(faults);
-        assert_eq!(engine.scenario, ScenarioPlan::from_faults(faults));
-        assert_eq!(engine.scenario.faults, faults);
-        assert_eq!(engine.scenario.adversary, AdversaryModel::None);
-    }
-
     /// Each scenario builder replaces its own part of the plan and keeps the
     /// rest, whatever the order the builders run in.
     #[test]
@@ -1237,42 +1210,20 @@ mod tests {
             fanout: 4,
             depth: 2,
         };
-        let quorum = QuorumPolicy {
-            fraction: 0.75,
-            seed: 9,
-        };
         let plan = ScenarioPlan {
-            faults: FaultPlan {
-                dropout_fraction: 0.25,
-                stragglers: true,
-                seed: 5,
-            },
+            dropout: 0.25,
+            stragglers: true,
             adversary: AdversaryModel::Sybil {
                 fraction: 0.5,
                 target_item: 7,
             },
-            seed: 11,
             topology: tree,
-            quorum,
+            quorum: 0.75,
+            seed: 11,
         };
         let base = EngineConfig::sequential().with_scenario(plan);
-        let faults = FaultPlan::dropout(0.5, 3);
         let star = Topology::Flat;
-        let half = QuorumPolicy {
-            fraction: 0.5,
-            seed: 1,
-        };
         let cases = [
-            (
-                "with_faults",
-                base.with_faults(faults),
-                ScenarioPlan {
-                    faults,
-                    adversary: AdversaryModel::None,
-                    seed: 0,
-                    ..plan
-                },
-            ),
             (
                 "with_topology",
                 base.with_topology(star),
@@ -1282,29 +1233,19 @@ mod tests {
                 },
             ),
             (
-                "with_quorum",
-                base.with_quorum(half),
-                ScenarioPlan {
-                    quorum: half,
-                    ..plan
-                },
-            ),
-            (
                 "with_scenario",
                 base.with_scenario(ScenarioPlan::benign()),
                 ScenarioPlan::benign(),
             ),
             (
-                "with_topology then with_quorum then with_faults",
+                "with_scenario then with_topology",
                 EngineConfig::sequential()
-                    .with_topology(tree)
-                    .with_quorum(quorum)
-                    .with_faults(faults),
-                ScenarioPlan {
-                    topology: tree,
-                    quorum,
-                    ..ScenarioPlan::from_faults(faults)
-                },
+                    .with_scenario(ScenarioPlan {
+                        topology: star,
+                        ..plan
+                    })
+                    .with_topology(tree),
+                plan,
             ),
         ];
         for (builders, engine, expected) in cases {
@@ -1313,7 +1254,7 @@ mod tests {
         }
         // A fresh engine runs the flat star at full quorum.
         let fresh = EngineConfig::sequential().scenario;
-        assert!(fresh.topology.is_flat() && !fresh.quorum.is_partial());
+        assert!(fresh.topology.is_flat() && fresh.quorum == 1.0);
     }
 
     #[test]
@@ -1331,13 +1272,14 @@ mod tests {
 
     #[test]
     fn report_flips_touch_only_compromised_parties_at_any_parallelism() {
-        let plan = ScenarioPlan::benign().with_adversary(
-            AdversaryModel::ReportFlip {
+        let plan = ScenarioPlan {
+            adversary: AdversaryModel::ReportFlip {
                 fraction: 0.5,
                 mode: FlipMode::Uniform,
             },
-            21,
-        );
+            seed: 21,
+            ..ScenarioPlan::benign()
+        };
         let run = |engine: EngineConfig| {
             let mut session = Session::new(&engine, 6).unwrap();
             let mut drivers = drivers(6);
@@ -1372,8 +1314,11 @@ mod tests {
 
     #[test]
     fn corrupt_frame_scenarios_route_auto_to_the_socket_transport() {
-        let plan = ScenarioPlan::benign()
-            .with_adversary(AdversaryModel::CorruptFrames { fraction: 1.0 }, 5);
+        let plan = ScenarioPlan {
+            adversary: AdversaryModel::CorruptFrames { fraction: 1.0 },
+            seed: 5,
+            ..ScenarioPlan::benign()
+        };
         let mut session = Session::new(&EngineConfig::sequential().with_scenario(plan), 3).unwrap();
         let mut drivers = drivers(3);
         let active = session.active_parties();
@@ -1387,13 +1332,14 @@ mod tests {
 
     #[test]
     fn invalid_adversary_fractions_are_rejected_at_session_construction() {
-        let plan = ScenarioPlan::benign().with_adversary(
-            AdversaryModel::Sybil {
+        let plan = ScenarioPlan {
+            adversary: AdversaryModel::Sybil {
                 fraction: 1.5,
                 target_item: 1,
             },
-            0,
-        );
+            seed: 0,
+            ..ScenarioPlan::benign()
+        };
         assert!(matches!(
             Session::new(&EngineConfig::sequential().with_scenario(plan), 2),
             Err(ProtocolError::InvalidAdversaryFraction { .. })
@@ -1486,12 +1432,13 @@ mod tests {
 
     #[test]
     fn partial_quorums_close_rounds_identically_at_any_parallelism() {
-        let quorum = QuorumPolicy {
-            fraction: 0.5,
+        let quorum = ScenarioPlan {
+            quorum: 0.5,
             seed: 77,
+            ..ScenarioPlan::benign()
         };
         let run = |parallelism: usize| {
-            let engine = EngineConfig::parallel(parallelism).with_quorum(quorum);
+            let engine = EngineConfig::parallel(parallelism).with_scenario(quorum);
             let mut session = Session::new(&engine, 8).unwrap();
             let mut drivers = drivers(8);
             let active = session.active_parties();
@@ -1535,7 +1482,11 @@ mod tests {
         };
         let baseline = run(EngineConfig::sequential());
         assert_eq!(
-            run(EngineConfig::sequential().with_quorum(QuorumPolicy::full())),
+            run(EngineConfig::sequential().with_scenario(ScenarioPlan {
+                quorum: 1.0,
+                seed: 77,
+                ..ScenarioPlan::benign()
+            })),
             baseline
         );
     }
@@ -1704,9 +1655,9 @@ mod tests {
                 depth: 1
             })
         ));
-        let starved = EngineConfig::sequential().with_quorum(QuorumPolicy {
-            fraction: 0.0,
-            seed: 0,
+        let starved = EngineConfig::sequential().with_scenario(ScenarioPlan {
+            quorum: 0.0,
+            ..ScenarioPlan::benign()
         });
         assert!(matches!(
             Session::new(&starved, 2),

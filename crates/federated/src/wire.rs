@@ -2,7 +2,7 @@
 //!
 //! Every type a round exchange ships between processes — round messages and
 //! their payloads, party events, collected rounds, the protocol
-//! configuration, the fault plan, the scenario plan and the node plane's
+//! configuration, the scenario plan and the node plane's
 //! control frames — implements
 //! [`Encode`]/[`Decode`] here.
 //! Two representation rules matter:
@@ -20,7 +20,6 @@
 //! [`WireError::InvalidValue`], never a panic.
 
 use crate::config::ProtocolConfig;
-use crate::fault::FaultPlan;
 use crate::message::{
     CandidateReport, MergedSupports, PruneCandidates, PruneDictionary, RoundMessage, RoundPayload,
 };
@@ -29,7 +28,7 @@ use crate::node::NodeWelcome;
 use crate::observer::{LevelEstimated, PruningDecision};
 use crate::scenario::{AdversaryModel, FlipMode, ScenarioPlan};
 use crate::session::{PartyEvent, RoundCollection};
-use crate::topology::{QuorumPolicy, Topology};
+use crate::topology::Topology;
 use fedhh_fo::FoKind;
 use fedhh_wire::{prealloc, put_f64, put_u64_fixed, put_varint, Decode, Encode, Reader, WireError};
 
@@ -413,24 +412,6 @@ impl Decode for NodeFrame {
     }
 }
 
-impl Encode for FaultPlan {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.dropout_fraction.encode(out);
-        self.stragglers.encode(out);
-        put_u64_fixed(out, self.seed);
-    }
-}
-
-impl Decode for FaultPlan {
-    fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(FaultPlan {
-            dropout_fraction: f64::decode(reader)?,
-            stragglers: bool::decode(reader)?,
-            seed: reader.take_u64_fixed()?,
-        })
-    }
-}
-
 impl Encode for AdversaryModel {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -509,22 +490,24 @@ impl Decode for AdversaryModel {
 
 impl Encode for ScenarioPlan {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.faults.encode(out);
+        self.dropout.encode(out);
+        self.stragglers.encode(out);
         self.adversary.encode(out);
-        put_u64_fixed(out, self.seed);
         encode_topology(self.topology, out);
         self.quorum.encode(out);
+        put_u64_fixed(out, self.seed);
     }
 }
 
 impl Decode for ScenarioPlan {
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(ScenarioPlan {
-            faults: FaultPlan::decode(reader)?,
+            dropout: f64::decode(reader)?,
+            stragglers: bool::decode(reader)?,
             adversary: AdversaryModel::decode(reader)?,
-            seed: reader.take_u64_fixed()?,
             topology: decode_topology(reader)?,
-            quorum: QuorumPolicy::decode(reader)?,
+            quorum: f64::decode(reader)?,
+            seed: reader.take_u64_fixed()?,
         })
     }
 }
@@ -574,22 +557,6 @@ fn decode_topology(reader: &mut Reader<'_>) -> Result<Topology, WireError> {
             what: "topology tag",
             value: other as u64,
         }),
-    }
-}
-
-impl Encode for QuorumPolicy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.fraction.encode(out);
-        put_u64_fixed(out, self.seed);
-    }
-}
-
-impl Decode for QuorumPolicy {
-    fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(QuorumPolicy {
-            fraction: f64::decode(reader)?,
-            seed: reader.take_u64_fixed()?,
-        })
     }
 }
 
@@ -715,11 +682,6 @@ mod tests {
                 }],
             )],
         });
-        round_trip(FaultPlan {
-            dropout_fraction: 0.25,
-            stragglers: true,
-            seed: u64::MAX,
-        });
         for adversary in [
             AdversaryModel::None,
             AdversaryModel::ReportFlip {
@@ -743,7 +705,8 @@ mod tests {
         ] {
             round_trip(adversary);
             round_trip(ScenarioPlan {
-                faults: FaultPlan::dropout(0.5, 3),
+                dropout: 0.5,
+                stragglers: true,
                 adversary,
                 seed: 77,
                 ..ScenarioPlan::benign()
@@ -759,21 +722,18 @@ mod tests {
     #[test]
     fn tree_configs_round_trip() {
         round_trip(ScenarioPlan {
+            dropout: 0.25,
             topology: Topology::Tree {
                 fanout: 4,
                 depth: 2,
             },
-            quorum: QuorumPolicy {
-                fraction: 0.75,
-                seed: u64::MAX,
-            },
-            ..ScenarioPlan::from_faults(FaultPlan::dropout(0.25, 9))
+            quorum: 0.75,
+            seed: u64::MAX,
+            ..ScenarioPlan::benign()
         });
         round_trip(ScenarioPlan {
-            quorum: QuorumPolicy {
-                fraction: 0.5,
-                seed: 3,
-            },
+            quorum: 0.5,
+            seed: 3,
             ..ScenarioPlan::benign()
         });
     }
@@ -781,7 +741,11 @@ mod tests {
     #[test]
     fn unknown_topology_tags_are_typed_errors() {
         let mut bytes = to_bytes(&ScenarioPlan::benign());
-        // The topology tag sits 17 bytes from the end (1 tag + 16 quorum).
+        // 8 dropout + 1 stragglers + 1 adversary + 1 topology + 8 quorum +
+        // 8 seed: one seed, not three.
+        assert_eq!(bytes.len(), 27);
+        // The topology tag sits 17 bytes from the end (1 tag + 8 quorum +
+        // 8 seed).
         let at = bytes.len() - 17;
         bytes[at] = 9;
         assert!(matches!(
@@ -833,11 +797,15 @@ mod tests {
 
     #[test]
     fn unknown_adversary_tags_are_typed_errors() {
-        let plan = ScenarioPlan::benign()
-            .with_adversary(AdversaryModel::CorruptFrames { fraction: 0.5 }, 1);
+        let plan = ScenarioPlan {
+            adversary: AdversaryModel::CorruptFrames { fraction: 0.5 },
+            seed: 1,
+            ..ScenarioPlan::benign()
+        };
         let mut bytes = to_bytes(&plan);
-        // The adversary tag follows the 17-byte fault plan.
-        bytes[17] = 9;
+        // The adversary tag follows the 8-byte dropout and the stragglers
+        // flag.
+        bytes[9] = 9;
         assert!(matches!(
             from_bytes::<ScenarioPlan>(&bytes),
             Err(WireError::InvalidValue {
@@ -850,24 +818,21 @@ mod tests {
     #[test]
     fn truncated_scenarios_never_panic() {
         let bytes = to_bytes(&ScenarioPlan {
-            faults: FaultPlan::dropout(0.5, 3),
+            dropout: 0.5,
+            stragglers: true,
             adversary: AdversaryModel::Sybil {
                 fraction: 0.25,
                 target_item: 9,
             },
-            seed: 4,
             topology: Topology::Tree {
                 fanout: 2,
                 depth: 1,
             },
-            quorum: QuorumPolicy {
-                fraction: 0.75,
-                seed: 5,
-            },
+            quorum: 0.75,
+            seed: 4,
         });
-        // Every strict prefix — the 17-byte bare fault plan and the
-        // schema-8 plan that ended at the seed included — must fail
-        // cleanly.
+        // Every strict prefix — a plan cut before its seed included — must
+        // fail cleanly.
         for cut in 0..bytes.len() {
             assert!(
                 from_bytes::<ScenarioPlan>(&bytes[..cut]).is_err(),

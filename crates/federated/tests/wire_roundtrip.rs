@@ -4,9 +4,8 @@
 //! uplink accounting cannot silently drift from the wire format.
 
 use fedhh_federated::{
-    AdversaryModel, CandidateReport, FaultPlan, FlipMode, MergedSupports, ProtocolConfig,
-    PruneCandidates, PruneDictionary, QuorumPolicy, RoundMessage, RoundPayload, ScenarioPlan,
-    Topology, PAIR_BITS,
+    AdversaryModel, CandidateReport, FlipMode, MergedSupports, ProtocolConfig, PruneCandidates,
+    PruneDictionary, RoundMessage, RoundPayload, ScenarioPlan, Topology, PAIR_BITS,
 };
 use fedhh_fo::FoKind;
 use fedhh_wire::{crc32, from_bytes, read_frame, to_bytes, write_frame, WireError, WIRE_SCHEMA};
@@ -174,9 +173,10 @@ fn topology_handshake_payload_cuts_are_typed_errors() {
     }
 }
 
-/// Back-compat pin: a pre-topology peer speaks wire schema `WIRE_SCHEMA - 1`,
-/// and its frames must fail the handshake with a typed `SchemaMismatch` — not
-/// decode to garbage, not hang.  Forge a frame with a consistent crc but the
+/// Back-compat pin: a peer of the previous release speaks wire schema
+/// `WIRE_SCHEMA - 1` (its scenario plan has another layout), and its frames
+/// must fail the handshake with a typed `SchemaMismatch` — not decode to
+/// garbage, not hang.  Forge a frame with a consistent crc but the
 /// previous schema byte so the failure is attributable to the schema alone.
 #[test]
 fn pre_topology_schema_frames_fail_with_schema_mismatch() {
@@ -205,16 +205,19 @@ fn pre_topology_schema_frames_fail_with_schema_mismatch() {
     assert_eq!(back, ProtocolConfig::test_default());
 }
 
+/// The fault part of the plan alone: dropout, stragglers and the seed on
+/// an otherwise benign plan.
 #[test]
 fn random_fault_plans_round_trip() {
     let mut rng = rng(14);
     for _ in 0..100 {
-        let plan = FaultPlan {
-            dropout_fraction: rng.gen(),
+        let plan = ScenarioPlan {
+            dropout: rng.gen(),
             stragglers: rng.gen(),
             seed: rng.gen(),
+            ..ScenarioPlan::benign()
         };
-        assert_eq!(from_bytes::<FaultPlan>(&to_bytes(&plan)).unwrap(), plan);
+        assert_eq!(from_bytes::<ScenarioPlan>(&to_bytes(&plan)).unwrap(), plan);
     }
 }
 
@@ -246,13 +249,9 @@ fn random_adversary(rng: &mut StdRng) -> AdversaryModel {
 
 fn random_scenario(rng: &mut StdRng) -> ScenarioPlan {
     ScenarioPlan {
-        faults: FaultPlan {
-            dropout_fraction: rng.gen(),
-            stragglers: rng.gen(),
-            seed: rng.gen(),
-        },
+        dropout: rng.gen(),
+        stragglers: rng.gen(),
         adversary: random_adversary(rng),
-        seed: rng.gen(),
         topology: match rng.gen_range(0usize..3) {
             0 => Topology::Flat,
             1 => Topology::Tree {
@@ -264,10 +263,8 @@ fn random_scenario(rng: &mut StdRng) -> ScenarioPlan {
                 depth: rng.gen_range(1usize..=4),
             },
         },
-        quorum: QuorumPolicy {
-            fraction: rng.gen::<f64>() * 0.99 + 0.01,
-            seed: rng.gen(),
-        },
+        quorum: rng.gen::<f64>() * 0.99 + 0.01,
+        seed: rng.gen(),
     }
 }
 

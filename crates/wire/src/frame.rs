@@ -42,8 +42,12 @@ use std::io::{Read, Write};
 /// execution-mode field from the protocol configuration, because the
 /// report pipeline's chunk size is no longer a setting; schema 9 moved the
 /// aggregation topology and the quorum policy from the protocol
-/// configuration to the end of the scenario plan, their one home.
-pub const WIRE_SCHEMA: u8 = 9;
+/// configuration to the end of the scenario plan, their one home; schema 10
+/// (0.19) flattened the scenario plan to dropout, stragglers, adversary,
+/// topology, quorum fraction and one seed — the fault plan's and the
+/// quorum's own seeds are gone, so the plan is 16 bytes shorter and a
+/// schema-9 peer's plan would decode misaligned.
+pub const WIRE_SCHEMA: u8 = 10;
 
 /// The largest frame a reader will accept, in bytes (schema + payload +
 /// crc).  Guards against a corrupt length prefix allocating gigabytes.

@@ -61,8 +61,10 @@ fn main() -> Result<(), ProtocolError> {
     }
 
     // 2. Fault injection: a third of the parties drop out, and the
-    //    surviving uploads arrive in straggler order.  The session still
-    //    completes deterministically — same plan, same result.
+    //    surviving uploads arrive in straggler order.  Both are fields of
+    //    one `ScenarioPlan`, whose one seed draws the victims and the
+    //    order, so the session still completes deterministically — same
+    //    plan, same result.
     println!("\n== fault injection (TAPS) ==");
     let healthy = Run::mechanism(MechanismKind::Taps)
         .dataset(&dataset)
@@ -74,15 +76,16 @@ fn main() -> Result<(), ProtocolError> {
         healthy.local_results.len(),
         healthy.comm.total_uplink_bits() as f64 / 1000.0,
     );
-    let faults = FaultPlan {
-        dropout_fraction: 0.34,
+    let faults = ScenarioPlan {
+        dropout: 0.34,
         stragglers: true,
         seed: 99,
+        ..ScenarioPlan::benign()
     };
     let faulty = Run::mechanism(MechanismKind::Taps)
         .dataset(&dataset)
         .config(config)
-        .engine(EngineConfig::parallel(4).with_faults(faults))
+        .engine(EngineConfig::parallel(4).with_scenario(faults))
         .execute()?;
     println!("  faulty (34% dropout + stragglers):",);
     println!(

@@ -141,9 +141,8 @@ pub use fedhh_wire as wire;
 pub mod prelude {
     pub use crate::datasets::{DatasetConfig, DatasetKind, FederatedDataset, PartyData};
     pub use crate::federated::{
-        AdversaryModel, EngineConfig, FaultPlan, FlipMode, ProtocolConfig, ProtocolError,
-        QuorumPolicy, RecordingObserver, RunEvent, RunPhase, ScenarioPlan, SessionLink, Topology,
-        TransportKind, WireError,
+        AdversaryModel, EngineConfig, FlipMode, ProtocolConfig, ProtocolError, RecordingObserver,
+        RunEvent, RunPhase, ScenarioPlan, SessionLink, Topology, TransportKind, WireError,
     };
     // Kept only for `benchmark/src/workload.rs`; the next change to the
     // benchmark deletes it.

@@ -92,12 +92,13 @@ fn granularity_one_under_a_partial_quorum_runs_without_the_excluded_party() {
         assert!(!reference.heavy_hitters.is_empty(), "{name}");
 
         for seed in 0..6 {
-            let partial = QuorumPolicy {
-                fraction: 0.5,
+            let partial = ScenarioPlan {
+                quorum: 0.5,
                 seed,
+                ..ScenarioPlan::benign()
             };
             let what = format!("{name}/quorum seed {seed}");
-            let engine = |parallelism| EngineConfig::parallel(parallelism).with_quorum(partial);
+            let engine = |parallelism| EngineConfig::parallel(parallelism).with_scenario(partial);
             let sequential =
                 run(mechanism, &dataset, full, engine(1)).unwrap_or_else(|e| panic!("{what}: {e}"));
             assert!(sequential.heavy_hitters.len() <= full.k, "{what}");

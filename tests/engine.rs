@@ -55,19 +55,20 @@ fn engine_output_is_bit_identical_across_parallelism_for_every_mechanism() {
     }
 }
 
-/// Fault plans are part of the scenario, not a source of nondeterminism:
+/// Faults are part of the scenario plan, not a source of nondeterminism:
 /// the same plan produces bit-identical output at any parallelism.
 #[test]
 fn faulty_runs_stay_bit_identical_across_parallelism() {
     let ds = dataset();
-    let faults = FaultPlan {
-        dropout_fraction: 0.25,
+    let faults = ScenarioPlan {
+        dropout: 0.25,
         stragglers: true,
         seed: 17,
+        ..ScenarioPlan::benign()
     };
     for kind in MechanismKind::ALL {
-        let sequential = execute(kind, &ds, EngineConfig::sequential().with_faults(faults));
-        let parallel = execute(kind, &ds, EngineConfig::parallel(4).with_faults(faults));
+        let sequential = execute(kind, &ds, EngineConfig::sequential().with_scenario(faults));
+        let parallel = execute(kind, &ds, EngineConfig::parallel(4).with_scenario(faults));
         assert_eq!(
             fingerprint(&parallel),
             fingerprint(&sequential),
@@ -83,7 +84,11 @@ fn faulty_runs_stay_bit_identical_across_parallelism() {
 #[test]
 fn dropout_runs_complete_and_preserve_the_observer_invariant() {
     let ds = dataset();
-    let engine = EngineConfig::parallel(2).with_faults(FaultPlan::dropout(0.5, 23));
+    let engine = EngineConfig::parallel(2).with_scenario(ScenarioPlan {
+        dropout: 0.5,
+        seed: 23,
+        ..ScenarioPlan::benign()
+    });
     for kind in MechanismKind::ALL {
         let mut observer = RecordingObserver::new();
         let output = Run::mechanism(kind)
@@ -121,7 +126,11 @@ fn dropout_reduces_uplink_traffic() {
         let faulty = execute(
             kind,
             &ds,
-            EngineConfig::sequential().with_faults(FaultPlan::dropout(0.5, 23)),
+            EngineConfig::sequential().with_scenario(ScenarioPlan {
+                dropout: 0.5,
+                seed: 23,
+                ..ScenarioPlan::benign()
+            }),
         );
         assert!(
             faulty.comm.total_uplink_bits() < healthy.comm.total_uplink_bits(),
@@ -136,13 +145,13 @@ fn dropout_reduces_uplink_traffic() {
 #[test]
 fn straggler_runs_complete_with_consistent_accounting() {
     let ds = dataset();
-    let faults = FaultPlan {
-        dropout_fraction: 0.0,
+    let faults = ScenarioPlan {
         stragglers: true,
         seed: 5,
+        ..ScenarioPlan::benign()
     };
     for kind in MechanismKind::ALL {
-        let output = execute(kind, &ds, EngineConfig::parallel(3).with_faults(faults));
+        let output = execute(kind, &ds, EngineConfig::parallel(3).with_scenario(faults));
         assert_eq!(output.local_results.len(), ds.party_count(), "{kind}");
         let healthy = execute(kind, &ds, EngineConfig::sequential());
         assert_eq!(output.comm, healthy.comm, "{kind}");
@@ -164,7 +173,11 @@ fn invalid_engine_configs_are_typed_errors() {
     let err = Run::mechanism(MechanismKind::Taps)
         .dataset(&ds)
         .config(config())
-        .engine(EngineConfig::sequential().with_faults(FaultPlan::dropout(1.5, 0)))
+        .engine(EngineConfig::sequential().with_scenario(ScenarioPlan {
+            dropout: 1.5,
+            seed: 0,
+            ..ScenarioPlan::benign()
+        }))
         .execute()
         .unwrap_err();
     assert_eq!(err, ProtocolError::InvalidDropout { fraction: 1.5 });

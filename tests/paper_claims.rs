@@ -109,18 +109,25 @@ fn privacy_holds_structurally_every_user_reports_once() {
     for dataset_kind in [DatasetKind::Ycm, DatasetKind::Syn, DatasetKind::Rdb] {
         let dataset = DatasetConfig::test_scale().build(dataset_kind);
         let parties = dataset.parties();
-        for faults in [FaultPlan::none(), FaultPlan::dropout(0.5, 3)] {
-            let dropped = faults.dropped_parties(parties.len());
+        for plan in [
+            ScenarioPlan::benign(),
+            ScenarioPlan {
+                dropout: 0.5,
+                seed: 3,
+                ..ScenarioPlan::benign()
+            },
+        ] {
+            let dropped = plan.dropped_parties(parties.len());
             for kind in MechanismKind::ALL {
                 let mut observer = RecordingObserver::new();
                 Run::mechanism(kind)
                     .dataset(&dataset)
                     .config(config)
-                    .engine(EngineConfig::from_env().with_faults(faults))
+                    .engine(EngineConfig::from_env().with_scenario(plan))
                     .observer(&mut observer)
                     .execute()
                     .unwrap();
-                let what = format!("{kind} on {dataset_kind} with {faults:?}");
+                let what = format!("{kind} on {dataset_kind} with {plan:?}");
                 for (party, dropped) in parties.iter().zip(&dropped) {
                     let mut reports = 0;
                     for event in &observer.events {

@@ -285,28 +285,33 @@ fn drain_stats(telemetry: &Telemetry) -> TraceStats {
 fn observer_uplink_matches_comm_tracker_for_every_mechanism() {
     let ds = dataset();
     let scenarios = [
-        ("benign", ScenarioPlan::from_faults(FaultPlan::default())),
+        ("benign", ScenarioPlan::benign()),
         (
             "report-flip",
-            ScenarioPlan::from_faults(FaultPlan::default()).with_adversary(
-                AdversaryModel::ReportFlip {
+            ScenarioPlan {
+                adversary: AdversaryModel::ReportFlip {
                     fraction: 0.25,
                     mode: FlipMode::Uniform,
                 },
-                0xAD5E,
-            ),
+                seed: 0xAD5E,
+                ..ScenarioPlan::benign()
+            },
         ),
         (
             "dropout",
-            ScenarioPlan::from_faults(FaultPlan::dropout(0.5, 23)),
+            ScenarioPlan {
+                dropout: 0.5,
+                seed: 23,
+                ..ScenarioPlan::benign()
+            },
         ),
         (
             "stragglers",
-            ScenarioPlan::from_faults(FaultPlan {
-                dropout_fraction: 0.0,
+            ScenarioPlan {
                 stragglers: true,
                 seed: 5,
-            }),
+                ..ScenarioPlan::benign()
+            },
         ),
     ];
     for kind in MechanismKind::ALL {

@@ -72,7 +72,11 @@ fn adversaries() -> [AdversaryModel; 4] {
 fn every_adversary_is_bit_identical_across_reruns_and_parallelism() {
     let ds = dataset();
     for adversary in adversaries() {
-        let plan = ScenarioPlan::benign().with_adversary(adversary, 42);
+        let plan = ScenarioPlan {
+            adversary,
+            seed: 42,
+            ..ScenarioPlan::benign()
+        };
         for kind in MechanismKind::ALL {
             let sequential = execute(kind, &ds, EngineConfig::sequential().with_scenario(plan))
                 .unwrap_or_else(|e| panic!("{kind} under {adversary:?}: {e}"));
@@ -110,13 +114,20 @@ fn adversary_seed_changes_the_attack() {
     let baseline = execute(
         MechanismKind::Taps,
         &ds,
-        EngineConfig::sequential()
-            .with_scenario(ScenarioPlan::benign().with_adversary(adversary, 1)),
+        EngineConfig::sequential().with_scenario(ScenarioPlan {
+            adversary,
+            seed: 1,
+            ..ScenarioPlan::benign()
+        }),
     )
     .unwrap();
     assert!(
         (2u64..64).any(|seed| {
-            let plan = ScenarioPlan::benign().with_adversary(adversary, seed);
+            let plan = ScenarioPlan {
+                adversary,
+                seed,
+                ..ScenarioPlan::benign()
+            };
             let other = execute(
                 MechanismKind::Taps,
                 &ds,
@@ -138,9 +149,16 @@ fn no_adversary_matches_the_baseline_exactly() {
         let baseline = execute(kind, &ds, EngineConfig::sequential())
             .unwrap_or_else(|e| panic!("{kind}: {e}"));
         let mut benign_plans = vec![
-            ScenarioPlan::benign().with_adversary(AdversaryModel::None, 99),
-            ScenarioPlan::benign()
-                .with_adversary(AdversaryModel::CorruptFrames { fraction: 0.0 }, 99),
+            ScenarioPlan {
+                adversary: AdversaryModel::None,
+                seed: 99,
+                ..ScenarioPlan::benign()
+            },
+            ScenarioPlan {
+                adversary: AdversaryModel::CorruptFrames { fraction: 0.0 },
+                seed: 99,
+                ..ScenarioPlan::benign()
+            },
         ];
         for adversary in adversaries() {
             let zeroed = match adversary {
@@ -163,7 +181,11 @@ fn no_adversary_matches_the_baseline_exactly() {
                 },
                 other => other,
             };
-            benign_plans.push(ScenarioPlan::benign().with_adversary(zeroed, 99));
+            benign_plans.push(ScenarioPlan {
+                adversary: zeroed,
+                seed: 99,
+                ..ScenarioPlan::benign()
+            });
         }
         for plan in benign_plans {
             let output = execute(kind, &ds, EngineConfig::sequential().with_scenario(plan))
@@ -186,13 +208,14 @@ fn no_adversary_matches_the_baseline_exactly() {
 fn a_full_sybil_cohort_pushes_its_target_item() {
     let ds = dataset();
     let target = 0xBEEF & ((1u64 << config().max_bits) - 1);
-    let plan = ScenarioPlan::benign().with_adversary(
-        AdversaryModel::Sybil {
+    let plan = ScenarioPlan {
+        adversary: AdversaryModel::Sybil {
             fraction: 1.0,
             target_item: target,
         },
-        7,
-    );
+        seed: 7,
+        ..ScenarioPlan::benign()
+    };
     let output = execute(
         MechanismKind::FedPem,
         &ds,
@@ -214,8 +237,11 @@ fn a_full_sybil_cohort_pushes_its_target_item() {
 fn corrupt_frames_complete_or_fail_typed_never_hang() {
     for fraction in [0.01, 0.1, 0.5] {
         for kind in MechanismKind::ALL {
-            let plan = ScenarioPlan::benign()
-                .with_adversary(AdversaryModel::CorruptFrames { fraction }, 5);
+            let plan = ScenarioPlan {
+                adversary: AdversaryModel::CorruptFrames { fraction },
+                seed: 5,
+                ..ScenarioPlan::benign()
+            };
             let (tx, rx) = mpsc::channel();
             let handle = thread::spawn(move || {
                 let ds = dataset();

@@ -72,12 +72,13 @@ fn tree_matches_flat_bit_for_bit_at_full_quorum() {
 #[test]
 fn partial_quorum_runs_are_bit_identical_across_reruns_and_parallelism() {
     let ds = dataset();
-    let quorum = QuorumPolicy {
-        fraction: 0.5,
+    let quorum = ScenarioPlan {
+        quorum: 0.5,
         seed: 41,
+        ..ScenarioPlan::benign()
     };
     for kind in MechanismKind::ALL {
-        let reference = execute(kind, &ds, EngineConfig::sequential().with_quorum(quorum));
+        let reference = execute(kind, &ds, EngineConfig::sequential().with_scenario(quorum));
         // A partial quorum must actually exclude someone somewhere, or the
         // test proves nothing: the excluded uploads shrink the uplink.
         let full = execute(kind, &ds, EngineConfig::sequential());
@@ -95,8 +96,8 @@ fn partial_quorum_runs_are_bit_identical_across_reruns_and_parallelism() {
             ] {
                 for rerun in 0..2 {
                     let engine = EngineConfig::parallel(parallelism)
-                        .with_topology(topology)
-                        .with_quorum(quorum);
+                        .with_scenario(quorum)
+                        .with_topology(topology);
                     let run = execute(kind, &ds, engine);
                     assert_eq!(
                         fingerprint(&run),

@@ -176,10 +176,10 @@ struct CoordinatorOptions {
 
 /// Parses a `--scenario` argument: `NAME:FRACTION`, where `NAME` is one
 /// of `report-flip`, `report-invert`, `input-poison`, `sybil` or
-/// `corrupt-frames`.  The poison/Sybil targets are the fixed values the
-/// `fedhh-bench scenario` sweep uses, so a node run reproduces the same
-/// attack the sweep measures.  The fraction's range is a plan rule,
-/// checked with the rest of the plan.
+/// `corrupt-frames`, in any case.  The poison/Sybil targets are the fixed
+/// values the `fedhh-bench scenario` sweep uses, so a node run reproduces
+/// the same attack the sweep measures.  The fraction's range is a plan
+/// rule, checked with the rest of the plan.
 fn parse_scenario_spec(raw: &str) -> Result<AdversaryModel, String> {
     let (name, fraction) = raw
         .split_once(':')

@@ -13,6 +13,7 @@
 //! | `fo_aggregate/<fo>/<path>` | Aggregate + estimate the stream (arena `aggregate_into` vs columnar `aggregate_vectorized`) |
 //! | `assign/weighted` | `GroupAssignment::weighted_owned`: shuffle + deal one party's users into g = 24 groups, g_s = 6 (ns per user) |
 //! | `estimate/level/krr` | `LevelEstimator::estimate_with`, vectorized k-RR, one level: prefix → domain index, perturb, aggregate (40 candidates + dummy, ~20 % of users in-domain, chunk 16 384) |
+//! | `descent/taps/syn` | One sequential TAPS run on SYN (48-bit codes, g = 24, user scale 0.02: 8 parties, ~15.6k users); `reports` counts (party, level) steps and `ns_per_report` is ns per step — the per-level bookkeeping (extension, ranking, pruning) the reports ride on |
 //! | `mech_e2e/{fedpem,gtf,tap,taps}/vectorized` | Each mechanism end-to-end on the RDB stand-in |
 //! | `mech_e2e/{tap,taps}/vectorized/p2` | TAP and TAPS with OLH on a skewed population (YCM: one party holds 61 % of the users) under `EngineConfig::parallel(2)` — the legs where a worker without a party takes part of the big party's levels, and TAPS' one-party-at-a-time chain uses the second core at all |
 //!
@@ -441,6 +442,7 @@ fn run_suite_impl(
         level_bits,
     ));
 
+    entries.push(descent_leg(&size)?);
     mechanism_legs(&size, trace, &mut entries)?;
 
     Ok(PerfReport {
@@ -472,6 +474,70 @@ fn perturb_scalar(oracle: &Oracle, inputs: &[usize], seed: u64) -> Vec<Report> {
     }
 }
 
+/// The `descent/taps/syn` leg: one sequential TAPS run on SYN at the
+/// paper's shapes (48-bit codes, full item pools, g = 24) and user scale
+/// 0.02, the population of the benchmark's `node-syn-taps-loopback`, timed
+/// per (party, level) step.  Every party descends every level once, so a
+/// run is `parties × g` steps; at ~15.6k users a step's reports cost less
+/// than its bookkeeping (extension, ranking, pruning), which is what this
+/// leg puts in the ledger.
+fn descent_leg(size: &SuiteSize) -> Result<PerfEntry, String> {
+    let scale = ExperimentScale {
+        item_scale: 1.0,
+        ..ExperimentScale::default()
+    };
+    let dataset = scale.dataset_config(54).build(DatasetKind::Syn);
+    let config = scale.protocol_config(23);
+    let steps = dataset.party_count() * usize::from(config.granularity);
+    let (best, uplink_bits) = fastest_run(
+        size,
+        MechanismKind::Taps,
+        &dataset,
+        config,
+        EngineConfig::sequential(),
+        &Telemetry::disabled(),
+    )?;
+    Ok(entry(
+        "descent/taps/syn".to_string(),
+        steps,
+        best,
+        uplink_bits,
+    ))
+}
+
+/// Runs `kind` once to warm up, then `size.e2e_reps` times, and returns
+/// the fastest mechanism-reported wall-clock in seconds with the run's
+/// uplink bits.  Like `time_best`, the minimum is what the gate should
+/// compare, because noise only ever slows a rep down.
+fn fastest_run(
+    size: &SuiteSize,
+    kind: MechanismKind,
+    dataset: &FederatedDataset,
+    config: ProtocolConfig,
+    engine: EngineConfig,
+    telemetry: &Telemetry,
+) -> Result<(f64, u64), String> {
+    let mechanism = kind.build();
+    let mut uplink_bits = 0u64;
+    let mut run_once = || -> Result<f64, String> {
+        let output = Run::custom(mechanism.as_ref())
+            .dataset(dataset)
+            .config(config)
+            .engine(engine)
+            .telemetry(telemetry)
+            .execute()
+            .map_err(|e| e.to_string())?;
+        uplink_bits = output.comm.total_uplink_bits() as u64;
+        Ok(output.elapsed.as_secs_f64())
+    };
+    run_once()?;
+    let mut best = f64::INFINITY;
+    for _ in 0..size.e2e_reps {
+        best = best.min(run_once()?);
+    }
+    Ok((best, uplink_bits))
+}
+
 /// The mechanism end-to-end legs of the suite, appended to `entries` (and,
 /// traced, one mark-delimited section per leg to `trace`).
 #[inline(never)]
@@ -496,8 +562,6 @@ fn mechanism_legs(
                    engine: EngineConfig,
                    label: &str|
      -> Result<(), String> {
-        let mechanism = kind.build();
-        let users = dataset.total_users();
         // One fresh sink per leg so each flushes as its own mark-delimited
         // section; disabled (one branch per record) when untraced.
         let telemetry = if trace.is_some() {
@@ -505,26 +569,8 @@ fn mechanism_legs(
         } else {
             Telemetry::disabled()
         };
-        let mut uplink_bits = 0u64;
-        let mut run_once = || -> Result<f64, String> {
-            let output = Run::custom(mechanism.as_ref())
-                .dataset(dataset)
-                .config(config)
-                .engine(engine)
-                .telemetry(&telemetry)
-                .execute()
-                .map_err(|e| e.to_string())?;
-            uplink_bits = output.comm.total_uplink_bits() as u64;
-            Ok(output.elapsed.as_secs_f64())
-        };
-        // Warm once, then keep the fastest mechanism-reported wall-clock
-        // across the reps — like `time_best`, the minimum is what the gate
-        // should compare, because noise only ever slows a rep down.
-        run_once()?;
-        let mut best = f64::INFINITY;
-        for _ in 0..size.e2e_reps {
-            best = best.min(run_once()?);
-        }
+        let (best, uplink_bits) = fastest_run(size, kind, dataset, config, engine, &telemetry)?;
+        let users = dataset.total_users();
         entries.push(entry(format!("mech_e2e/{label}"), users, best, uplink_bits));
         if let Some(w) = trace.as_deref_mut() {
             // The section covers warm-up + reps, all at identical seeds:
@@ -850,6 +896,7 @@ mod tests {
         for name in [
             "assign/weighted",
             "estimate/level/krr",
+            "descent/taps/syn",
             "mech_e2e/fedpem/vectorized",
             "mech_e2e/gtf/vectorized",
             "mech_e2e/tap/vectorized",

@@ -113,9 +113,11 @@ pub const SYBIL_TARGET: u64 = 0xBEEF;
 /// sweep's cell.
 pub const SCENARIO_SEED: u64 = 0xAD5E;
 
-/// Builds the adversary model of a named sweep column at a fraction.
+/// Builds the adversary model of a named sweep column at a fraction.  The
+/// name matches in any case, like mechanism, dataset, oracle and topology
+/// names.
 pub fn adversary_by_name(name: &str, fraction: f64) -> Option<AdversaryModel> {
-    Some(match name {
+    Some(match name.to_ascii_lowercase().as_str() {
         "report-flip" => AdversaryModel::ReportFlip {
             fraction,
             mode: FlipMode::Uniform,
@@ -542,6 +544,8 @@ mod tests {
         for name in ADVERSARIES {
             let model = adversary_by_name(name, 0.25).unwrap();
             assert_eq!(model.fraction(), 0.25, "{name}");
+            let shouted = name.to_ascii_uppercase();
+            assert_eq!(adversary_by_name(&shouted, 0.25), Some(model), "{shouted}");
         }
         assert!(adversary_by_name("unheard-of", 0.25).is_none());
     }

@@ -219,6 +219,25 @@ fn fedhh_node_rejects_malformed_command_lines_before_running_anything() {
 }
 
 #[test]
+fn fedhh_node_accepts_adversary_names_in_any_case() {
+    // Without `--mechanism` the coordinator stops right after parsing, so
+    // the error it names is that one: the adversary was accepted.
+    for name in ["Sybil", "SYBIL", "Report-Flip", "input-POISON"] {
+        let spec = format!("{name}:0.5");
+        let output = run(
+            env!("CARGO_BIN_EXE_fedhh-node"),
+            &["coordinator", "--scenario", &spec, "--dataset", "rdb"],
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{spec}: must stop before running");
+        assert!(
+            stderr.contains("--mechanism is required") && !stderr.contains("unknown adversary"),
+            "{spec}: the name was not accepted:\n{stderr}"
+        );
+    }
+}
+
+#[test]
 fn quick_is_order_independent_on_epochs_and_service() {
     // `fedhh-bench epochs`: an explicit --epochs survives a later --quick.
     let bench = env!("CARGO_BIN_EXE_fedhh-bench");

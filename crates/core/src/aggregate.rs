@@ -49,11 +49,11 @@ pub fn local_result_from_estimate(
     estimate: &LevelEstimate,
     k: usize,
 ) -> PartyLocalResult {
-    let ranked = estimate.ranked_candidates();
-    let reported: Vec<(u64, f64)> = ranked
-        .into_iter()
+    let reported: Vec<(u64, f64)> = estimate
+        .ranked_candidates()
+        .iter()
         .take(k)
-        .map(|(value, freq)| (value, (freq * party_users as f64).max(0.0)))
+        .map(|&(value, freq)| (value, (freq * party_users as f64).max(0.0)))
         .collect();
     PartyLocalResult {
         party: party.to_string(),
@@ -142,14 +142,13 @@ mod tests {
     use super::*;
 
     fn estimate() -> LevelEstimate {
-        LevelEstimate {
-            candidates: vec![10, 20, 30, 40],
-            frequencies: vec![0.4, -0.01, 0.3, 0.05],
-            counts: vec![40.0, -1.0, 30.0, 5.0],
-            std_dev: 0.01,
-            users: 100,
-            report_bits: 0,
-        }
+        LevelEstimate::new(
+            vec![10, 20, 30, 40],
+            vec![0.4, -0.01, 0.3, 0.05],
+            0.01,
+            100,
+            0,
+        )
     }
 
     #[test]

@@ -160,15 +160,7 @@ mod tests {
     use super::*;
 
     fn estimate_from(freqs: Vec<f64>, sigma: f64) -> LevelEstimate {
-        let n = freqs.len();
-        LevelEstimate {
-            candidates: (0..n as u64).collect(),
-            counts: freqs.iter().map(|f| f * 1000.0).collect(),
-            frequencies: freqs,
-            std_dev: sigma,
-            users: 1000,
-            report_bits: 0,
-        }
+        LevelEstimate::new((0..freqs.len() as u64).collect(), freqs, sigma, 1000, 0)
     }
 
     #[test]
@@ -276,5 +268,108 @@ mod tests {
     #[test]
     fn default_strategy_is_adaptive() {
         assert_eq!(ExtensionStrategy::default(), ExtensionStrategy::Adaptive);
+    }
+
+    /// The ranking every reader sorted for itself before an estimate kept
+    /// its own.
+    fn ranking_oracle(estimate: &LevelEstimate) -> Vec<(u64, f64)> {
+        let mut pairs: Vec<(u64, f64)> = estimate
+            .candidates
+            .iter()
+            .copied()
+            .zip(estimate.frequencies.iter().copied())
+            .collect();
+        pairs.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        pairs
+    }
+
+    /// `extension_count` over the oracle's ranking.
+    fn extension_count_oracle(strategy: ExtensionStrategy, est: &LevelEstimate, k: usize) -> usize {
+        let ranked = ranking_oracle(est);
+        let n = ranked.len();
+        if n == 0 {
+            return 0;
+        }
+        let t = match strategy {
+            ExtensionStrategy::Fixed(t) => t,
+            ExtensionStrategy::TopK => k,
+            ExtensionStrategy::Adaptive if k <= 1 => k.max(1).min(n),
+            ExtensionStrategy::Adaptive if n <= k + 1 => n,
+            ExtensionStrategy::Adaptive => {
+                let freqs: Vec<f64> = ranked.iter().map(|(_, f)| *f).collect();
+                let k_star = anchor_k_star(&freqs, k);
+                (k_star + drift_eta(&freqs, k, k_star, est.std_dev)).max(k)
+            }
+        };
+        t.clamp(1, n)
+    }
+
+    #[test]
+    fn ranking_readers_match_the_sort_oracle() {
+        use crate::aggregate::local_result_from_estimate;
+        use crate::taps::pruning::select_prune_candidates;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let bits = |pairs: &[(u64, f64)]| -> Vec<(u64, u64)> {
+            pairs.iter().map(|(v, f)| (*v, f.to_bits())).collect()
+        };
+        // Values from a small range (repeats are common); frequencies with
+        // ties and ±0.0 among ordinary draws, and in every fourth case one
+        // NaN.  A NaN ties with everything, so ranking may panic on it; such
+        // a case is `LevelEstimate`'s own test, and skipped here.
+        let pool = [0.25, 0.1, 0.0, -0.0, -0.1, 1e-12, 0.25];
+        let mut rng = StdRng::seed_from_u64(0x0A_4C_1E);
+        for case in 0..600usize {
+            let n = case % 60;
+            let span = rng.gen_range(1..=2 * n as u64 + 1);
+            let candidates: Vec<u64> = (0..n).map(|_| rng.gen_range(0..span)).collect();
+            let mut frequencies: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0..3u32) {
+                    0 => rng.gen::<f64>() * 0.7 - 0.2,
+                    _ => pool[rng.gen_range(0..pool.len())],
+                })
+                .collect();
+            if case % 4 == 0 && n > 0 {
+                frequencies[rng.gen_range(0..n)] = f64::NAN;
+            }
+            let sigma = [0.0, 1e-4, 0.02, 0.3][case % 4];
+            let est = LevelEstimate::new(candidates, frequencies, sigma, 1000, 0);
+            if std::panic::catch_unwind(|| est.ranked_candidates().len()).is_err() {
+                continue;
+            }
+            let oracle = ranking_oracle(&est);
+            assert_eq!(bits(est.ranked_candidates()), bits(&oracle), "case {case}");
+            for k in [1, 2, 3, 5, 10, 16] {
+                let what = format!("case {case}, k {k}");
+                for strategy in [
+                    ExtensionStrategy::Adaptive,
+                    ExtensionStrategy::TopK,
+                    ExtensionStrategy::Fixed(k + 3),
+                ] {
+                    assert_eq!(
+                        strategy.extension_count(&est, k),
+                        extension_count_oracle(strategy, &est, k),
+                        "{what}, {strategy:?}"
+                    );
+                }
+                let selected = select_prune_candidates(&est, k);
+                let take = (2 * k).min(n);
+                assert_eq!(bits(&selected.frequent), bits(&oracle[..take]), "{what}");
+                let infrequent: Vec<u64> = oracle.iter().rev().take(take).map(|p| p.0).collect();
+                assert_eq!(selected.infrequent, infrequent, "{what}");
+                let local = local_result_from_estimate("p", 777, &est, k);
+                let reported: Vec<(u64, f64)> = oracle
+                    .iter()
+                    .take(k)
+                    .map(|&(v, f)| (v, (f * 777.0).max(0.0)))
+                    .collect();
+                assert_eq!(bits(&local.reported_counts), bits(&reported), "{what}");
+            }
+        }
     }
 }

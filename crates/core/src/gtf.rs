@@ -77,8 +77,9 @@ impl PartyDriver for GtfDriver<'_> {
         // upload rides on the level's own event.
         let top: Vec<(u64, f64)> = estimate
             .ranked_candidates()
-            .into_iter()
+            .iter()
             .take(self.estimator.config().k)
+            .copied()
             .collect();
         event.uplink_bits = top.len() * PAIR_BITS;
         let mut round = RoundOutcome::default();

@@ -25,7 +25,6 @@ use fedhh_federated::{
 };
 use fedhh_telemetry::SpanName;
 use fedhh_trie::extend_prefix_values;
-use std::collections::HashSet;
 use std::ops::RangeInclusive;
 
 /// The three pinned ways a mechanism derives a party's group assignment and
@@ -186,10 +185,9 @@ impl PartyRun {
         let schedule = estimator.config().schedule();
         let mut candidates =
             extend_prefix_values(&self.current, self.current_len, schedule.step(h));
-        if !excluded.is_empty() {
-            let excluded: HashSet<u64> = excluded.iter().copied().collect();
-            candidates.retain(|c| !excluded.contains(c));
-        }
+        // A consensus pruning set holds at most 2k values: a scan beats
+        // hashing them.
+        candidates.retain(|c| !excluded.contains(c));
         let estimate = estimator.estimate_with(
             scratch,
             &candidates,

@@ -12,7 +12,6 @@
 //! and the non-intersection ratio α.
 
 use fedhh_federated::{LevelEstimate, PruneCandidates};
-use std::collections::HashSet;
 
 /// The τ constant of Equation 7, avoiding division by zero.
 pub const TAU: f64 = 1e-11;
@@ -59,25 +58,48 @@ pub fn consensus_intersection(
     if max_k == 0 {
         return Vec::new();
     }
-    let mut best_score = f64::NEG_INFINITY;
-    let mut best: Vec<u64> = Vec::new();
-    for k_prime in 1..=max_k {
-        let prev_head: HashSet<u64> = previous_order[..k_prime].iter().copied().collect();
-        let intersection: Vec<u64> = validated_order[..k_prime]
+    // The heads hold at most k values: a scan beats hashing them.
+    let head_intersection = |k_prime: usize| {
+        let prev_head = &previous_order[..k_prime];
+        validated_order[..k_prime]
             .iter()
-            .copied()
-            .filter(|v| prev_head.contains(v))
-            .collect();
-        let inter = intersection.len() as f64;
+            .filter(move |v| prev_head.contains(v))
+    };
+    let mut best_score = f64::NEG_INFINITY;
+    let mut best_k = 0;
+    for k_prime in 1..=max_k {
+        let inter = head_intersection(k_prime).count() as f64;
         let k_f = k_prime as f64;
         let alpha = (k_f - inter + 1.0) / (k_f + 1.0);
         let score = inter / (k_f * (1.0 + epsilon).powf(k_f)) - gamma * alpha * alpha;
         if score > best_score {
             best_score = score;
-            best = intersection;
+            best_k = k_prime;
         }
     }
-    best
+    head_intersection(best_k).copied().collect()
+}
+
+/// Reads the validation frequency of `values[i]` as `(i, value)`.  A
+/// validation estimate is made on the very list it checks, so position i
+/// holds value i's frequency; only when `validated` is of another list, or
+/// the list repeats a value, does the read go through
+/// [`LevelEstimate::frequency_of`] (the first occurrence's estimate, which
+/// a hand-built estimate need not repeat position by position).
+fn validated_frequency<'a>(
+    validated: &'a LevelEstimate,
+    values: impl Iterator<Item = u64>,
+) -> impl Fn(usize, u64) -> f64 + 'a {
+    let candidates = &validated.candidates;
+    let by_position = candidates.iter().copied().eq(values)
+        && (1..candidates.len()).all(|i| !candidates[..i].contains(&candidates[i]));
+    move |i, value| {
+        if by_position {
+            validated.frequencies[i]
+        } else {
+            validated.frequency_of(value)
+        }
+    }
 }
 
 /// The frequency-contrast ordering of Equation 7: the previous party's
@@ -85,11 +107,13 @@ pub fn consensus_intersection(
 /// descending — candidates that were popular before but are (nearly) absent
 /// here come first.
 pub fn contrast_ordering(previous_frequent: &[(u64, f64)], validated: &LevelEstimate) -> Vec<u64> {
+    let frequency = validated_frequency(validated, previous_frequent.iter().map(|(v, _)| *v));
     let mut scored: Vec<(u64, f64)> = previous_frequent
         .iter()
-        .map(|(value, prev_freq)| {
-            let local = validated.frequency_of(*value).max(0.0);
-            (*value, prev_freq.max(0.0) / (local + TAU))
+        .enumerate()
+        .map(|(i, &(value, prev_freq))| {
+            let local = frequency(i, value).max(0.0);
+            (value, prev_freq.max(0.0) / (local + TAU))
         })
         .collect();
     scored.sort_by(|a, b| {
@@ -103,9 +127,11 @@ pub fn contrast_ordering(previous_frequent: &[(u64, f64)], validated: &LevelEsti
 /// The ascending-frequency ordering of a validation estimate restricted to
 /// the given candidates (most infrequent first).
 pub fn ascending_validated_order(candidates: &[u64], validated: &LevelEstimate) -> Vec<u64> {
+    let frequency = validated_frequency(validated, candidates.iter().copied());
     let mut scored: Vec<(u64, f64)> = candidates
         .iter()
-        .map(|value| (*value, validated.frequency_of(*value)))
+        .enumerate()
+        .map(|(i, &value)| (value, frequency(i, value)))
         .collect();
     scored.sort_by(|a, b| {
         a.1.partial_cmp(&b.1)
@@ -156,16 +182,12 @@ pub fn consensus_pruning_set(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn estimate(candidates: Vec<u64>, frequencies: Vec<f64>) -> LevelEstimate {
-        LevelEstimate {
-            counts: frequencies.iter().map(|f| f * 1000.0).collect(),
-            candidates,
-            frequencies,
-            std_dev: 0.01,
-            users: 1000,
-            report_bits: 0,
-        }
+        LevelEstimate::new(candidates, frequencies, 0.01, 1000, 0)
     }
 
     #[test]
@@ -268,5 +290,183 @@ mod tests {
         let pruned = consensus_pruning_set(&previous, &empty, &empty, 5, 4.0, 0.3);
         assert!(pruned.is_empty());
         assert!(consensus_intersection(&[], &[], 5, 4.0, 0.3).is_empty());
+    }
+
+    /// `consensus_intersection` as it was written before the heads were
+    /// scanned: a `HashSet` of the previous head for every k′.
+    fn consensus_intersection_oracle(
+        previous_order: &[u64],
+        validated_order: &[u64],
+        k: usize,
+        epsilon: f64,
+        gamma: f64,
+    ) -> Vec<u64> {
+        use std::collections::HashSet;
+        let max_k = k.min(previous_order.len()).min(validated_order.len());
+        let mut best_score = f64::NEG_INFINITY;
+        let mut best: Vec<u64> = Vec::new();
+        for k_prime in 1..=max_k {
+            let prev_head: HashSet<u64> = previous_order[..k_prime].iter().copied().collect();
+            let intersection: Vec<u64> = validated_order[..k_prime]
+                .iter()
+                .copied()
+                .filter(|v| prev_head.contains(v))
+                .collect();
+            let inter = intersection.len() as f64;
+            let k_f = k_prime as f64;
+            let alpha = (k_f - inter + 1.0) / (k_f + 1.0);
+            let score = inter / (k_f * (1.0 + epsilon).powf(k_f)) - gamma * alpha * alpha;
+            if score > best_score {
+                best_score = score;
+                best = intersection;
+            }
+        }
+        best
+    }
+
+    /// The two orderings as they were written before a validation estimate
+    /// was read by position: every value looked up with `frequency_of`.
+    fn sorted_by(mut scored: Vec<(u64, f64)>, descending: bool) -> Vec<u64> {
+        scored.sort_by(|a, b| {
+            let (x, y) = if descending { (b.1, a.1) } else { (a.1, b.1) };
+            x.partial_cmp(&y)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        scored.into_iter().map(|(v, _)| v).collect()
+    }
+
+    fn contrast_ordering_oracle(previous: &[(u64, f64)], validated: &LevelEstimate) -> Vec<u64> {
+        let scored = previous
+            .iter()
+            .map(|(v, prev)| {
+                let local = validated.frequency_of(*v).max(0.0);
+                (*v, prev.max(0.0) / (local + TAU))
+            })
+            .collect();
+        sorted_by(scored, true)
+    }
+
+    fn ascending_validated_order_oracle(values: &[u64], validated: &LevelEstimate) -> Vec<u64> {
+        let scored = values
+            .iter()
+            .map(|v| (*v, validated.frequency_of(*v)))
+            .collect();
+        sorted_by(scored, false)
+    }
+
+    fn consensus_pruning_set_oracle(
+        previous: &PruneCandidates,
+        validated_infrequent: &LevelEstimate,
+        validated_frequent: &LevelEstimate,
+        k: usize,
+        epsilon: f64,
+        gamma: f64,
+    ) -> Vec<u64> {
+        let order_0 = ascending_validated_order_oracle(&previous.infrequent, validated_infrequent);
+        let type0 =
+            consensus_intersection_oracle(&previous.infrequent, &order_0, k, epsilon, gamma);
+        let values: Vec<u64> = previous.frequent.iter().map(|(v, _)| *v).collect();
+        let contrast = contrast_ordering_oracle(&previous.frequent, validated_frequent);
+        let order_1 = ascending_validated_order_oracle(&values, validated_frequent);
+        let mut pruned = type0;
+        for v in consensus_intersection_oracle(&contrast, &order_1, k, epsilon, gamma) {
+            if !pruned.contains(&v) {
+                pruned.push(v);
+            }
+        }
+        pruned
+    }
+
+    /// A seeded value list of length 0..=12, half the time over a range
+    /// small enough that repeats are common.
+    fn random_values(rng: &mut StdRng) -> Vec<u64> {
+        let n = rng.gen_range(0..=12usize);
+        let span = if rng.gen_bool(0.5) {
+            rng.gen_range(1..=2 * n as u64 + 2)
+        } else {
+            1 << 20
+        };
+        (0..n).map(|_| rng.gen_range(0..span)).collect()
+    }
+
+    /// A frequency with ties, ±0.0 and (rarely) NaN among ordinary draws.
+    fn random_frequency(rng: &mut StdRng) -> f64 {
+        let pool = [0.2, 0.0, -0.0, f64::NAN, 0.2, -0.05, 1e-12, 0.2, 0.0, -0.05];
+        if rng.gen_range(0..2u32) == 0 {
+            rng.gen::<f64>() * 0.7 - 0.1
+        } else {
+            pool[rng.gen_range(0..pool.len())]
+        }
+    }
+
+    /// A validation estimate of `values`: usually of the list itself (a
+    /// repeated value may then carry a different estimate at each
+    /// occurrence), sometimes of a reversed, shortened or unrelated list.
+    fn random_validation(rng: &mut StdRng, values: &[u64]) -> LevelEstimate {
+        let mut candidates = values.to_vec();
+        match rng.gen_range(0..5u32) {
+            0 => candidates.reverse(),
+            1 => {
+                candidates.pop();
+            }
+            2 => candidates = random_values(rng),
+            _ => {}
+        }
+        let frequencies = candidates.iter().map(|_| random_frequency(rng)).collect();
+        LevelEstimate::new(candidates, frequencies, 0.01, 1000, 0)
+    }
+
+    /// The orderings sort by frequency with a comparator a NaN breaks, so
+    /// either version may panic on a case: then both must, on the same one.
+    #[test]
+    fn consensus_pruning_matches_the_hash_set_and_lookup_oracles() {
+        let same = |new: &dyn Fn() -> Vec<u64>, old: &dyn Fn() -> Vec<u64>, what: &str| {
+            let new = catch_unwind(AssertUnwindSafe(new)).ok();
+            assert_eq!(new, catch_unwind(AssertUnwindSafe(old)).ok(), "{what}");
+        };
+        let mut rng = StdRng::seed_from_u64(0xC0_5E_25);
+        for case in 0..2000 {
+            let infrequent = random_values(&mut rng);
+            let frequent: Vec<(u64, f64)> = random_values(&mut rng)
+                .into_iter()
+                .map(|v| (v, random_frequency(&mut rng)))
+                .collect();
+            let values: Vec<u64> = frequent.iter().map(|(v, _)| *v).collect();
+            let val_inf = random_validation(&mut rng, &infrequent);
+            let val_freq = random_validation(&mut rng, &values);
+            let k = rng.gen_range(0..=8usize);
+            let epsilon = [0.5, 1.0, 4.0][rng.gen_range(0..3usize)];
+            let gamma = [0.0, 0.3, 1.0][rng.gen_range(0..3usize)];
+            let what = format!("case {case}: k {k}, ε {epsilon}, γ {gamma}");
+
+            same(
+                &|| ascending_validated_order(&infrequent, &val_inf),
+                &|| ascending_validated_order_oracle(&infrequent, &val_inf),
+                &what,
+            );
+            same(
+                &|| contrast_ordering(&frequent, &val_freq),
+                &|| contrast_ordering_oracle(&frequent, &val_freq),
+                &what,
+            );
+            let other = random_values(&mut rng);
+            for (a, b) in [(&infrequent, &values), (&values, &other), (&other, &other)] {
+                assert_eq!(
+                    consensus_intersection(a, b, k, epsilon, gamma),
+                    consensus_intersection_oracle(a, b, k, epsilon, gamma),
+                    "{what}: {a:?} vs {b:?}"
+                );
+            }
+            let previous = PruneCandidates {
+                infrequent,
+                frequent,
+            };
+            same(
+                &|| consensus_pruning_set(&previous, &val_inf, &val_freq, k, epsilon, gamma),
+                &|| consensus_pruning_set_oracle(&previous, &val_inf, &val_freq, k, epsilon, gamma),
+                &what,
+            );
+        }
     }
 }

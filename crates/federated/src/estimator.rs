@@ -16,6 +16,7 @@ use fedhh_fo::{
 };
 use fedhh_telemetry::{SpanName, Telemetry};
 use fedhh_trie::Prefix;
+use std::sync::OnceLock;
 
 /// Reusable per-worker scratch for the estimation hot path.
 ///
@@ -146,6 +147,13 @@ impl Default for EstimateScratch {
 }
 
 /// The outcome of estimating one level within one party.
+///
+/// The candidates are ranked at most once, on the first read of the
+/// ranking: every reader ([`ranked_candidates`](Self::ranked_candidates),
+/// [`top_t`](Self::top_t), the extension rule, TAPS' dictionary, the
+/// parties' reports) takes that one sort, and an estimate nobody ranks (a
+/// TAPS validation estimate) never sorts.  Edits to the fields after that
+/// first read do not move the ranking.
 #[derive(Debug, Clone)]
 pub struct LevelEstimate {
     /// The candidate prefixes, in the order of the estimates below.
@@ -161,31 +169,57 @@ pub struct LevelEstimate {
     pub users: usize,
     /// Total uplink communication consumed by the users' reports, in bits.
     pub report_bits: usize,
+    /// `(candidate, frequency)` pairs by frequency, descending.
+    ranked: OnceLock<Vec<(u64, f64)>>,
 }
 
 impl LevelEstimate {
-    /// Candidate values sorted by estimated frequency, descending.
-    pub fn ranked_candidates(&self) -> Vec<(u64, f64)> {
-        let mut pairs: Vec<(u64, f64)> = self
-            .candidates
-            .iter()
-            .copied()
-            .zip(self.frequencies.iter().copied())
-            .collect();
-        pairs.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        pairs
+    /// An estimate of `frequencies` for `candidates` (position by position)
+    /// from `users` reports; the counts are `frequency × users`.
+    pub fn new(
+        candidates: Vec<u64>,
+        frequencies: Vec<f64>,
+        std_dev: f64,
+        users: usize,
+        report_bits: usize,
+    ) -> Self {
+        let counts = frequencies.iter().map(|f| f * users as f64).collect();
+        Self {
+            candidates,
+            frequencies,
+            counts,
+            std_dev,
+            users,
+            report_bits,
+            ranked: OnceLock::new(),
+        }
+    }
+
+    /// `(candidate, frequency)` pairs sorted by estimated frequency,
+    /// descending (ties by value, ascending; a NaN ties with everything).
+    pub fn ranked_candidates(&self) -> &[(u64, f64)] {
+        self.ranked.get_or_init(|| {
+            let mut pairs: Vec<(u64, f64)> = self
+                .candidates
+                .iter()
+                .copied()
+                .zip(self.frequencies.iter().copied())
+                .collect();
+            pairs.sort_by(|a, b| {
+                b.1.partial_cmp(&a.1)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.0.cmp(&b.0))
+            });
+            pairs
+        })
     }
 
     /// The top-`t` candidate values by estimated frequency.
     pub fn top_t(&self, t: usize) -> Vec<u64> {
         self.ranked_candidates()
-            .into_iter()
+            .iter()
             .take(t)
-            .map(|(v, _)| v)
+            .map(|(v, _)| *v)
             .collect()
     }
 
@@ -265,14 +299,13 @@ impl LevelEstimator {
             Ok(oracle) => oracle,
             Err(_) => {
                 // Domain too small to perturb (no candidates at all).
-                return LevelEstimate {
-                    candidates: candidates.to_vec(),
-                    frequencies: vec![0.0; candidates.len()],
-                    counts: vec![0.0; candidates.len()],
-                    std_dev: 0.0,
+                return LevelEstimate::new(
+                    candidates.to_vec(),
+                    vec![0.0; candidates.len()],
+                    0.0,
                     users,
-                    report_bits: 0,
-                };
+                    0,
+                );
             }
         };
 
@@ -298,27 +331,31 @@ impl LevelEstimator {
         scratch.idle.release(helpers);
         let estimate = oracle.estimate(&scratch.own.supports, users);
 
-        // Through the domain rather than by position: a repeated candidate
-        // shares its first occurrence's slot, and position `i` of a list
-        // with repeats can be the dummy's.
+        // Candidate i holds slot i unless the domain collapsed a repeat: then
+        // a repeated candidate shares its first occurrence's slot, and
+        // position i of the list can be the dummy's.
+        let distinct = domain.len() == candidates.len() + 1;
         let frequencies: Vec<f64> = candidates
             .iter()
-            .map(|c| {
-                let slot = domain
-                    .index_of(c)
-                    .expect("a candidate is in its own domain");
+            .enumerate()
+            .map(|(i, c)| {
+                let slot = if distinct {
+                    i
+                } else {
+                    domain
+                        .index_of(c)
+                        .expect("a candidate is in its own domain")
+                };
                 estimate.frequency(slot)
             })
             .collect();
-        let counts: Vec<f64> = frequencies.iter().map(|f| f * users as f64).collect();
-        LevelEstimate {
-            candidates: candidates.to_vec(),
+        LevelEstimate::new(
+            candidates.to_vec(),
             frequencies,
-            counts,
-            std_dev: std_fallback(oracle.variance(users.max(1))),
+            std_fallback(oracle.variance(users.max(1))),
             users,
             report_bits,
-        }
+        )
     }
 }
 
@@ -817,6 +854,67 @@ mod tests {
         assert_eq!(est.candidates, candidates);
         for f in &est.frequencies {
             assert!(f.abs() < 1e-9, "candidate frequency {f}");
+        }
+    }
+
+    /// The ranking as every reader computed it before an estimate kept its
+    /// own: collect the pairs, stable-sort them.
+    fn ranking_oracle(candidates: &[u64], frequencies: &[f64]) -> Vec<(u64, f64)> {
+        let mut pairs: Vec<(u64, f64)> = candidates
+            .iter()
+            .copied()
+            .zip(frequencies.iter().copied())
+            .collect();
+        pairs.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        pairs
+    }
+
+    #[test]
+    fn stored_ranking_and_top_t_match_the_sort_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::panic::catch_unwind;
+
+        let bits = |pairs: &[(u64, f64)]| -> Vec<(u64, u64)> {
+            pairs.iter().map(|(v, f)| (*v, f.to_bits())).collect()
+        };
+        // Values from a small range (repeats are common); frequencies with
+        // ties and ±0.0 among ordinary draws, and in every fourth case one
+        // or two NaNs.  A NaN ties with everything, so the comparator is no
+        // total order and the sort may panic on it: then both must.
+        let pool = [0.25, 0.1, 0.0, -0.0, -0.1, 1e-12, 0.25];
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for case in 0..400usize {
+            let n = case % 50;
+            let span = rng.gen_range(1..=2 * n as u64 + 1);
+            let candidates: Vec<u64> = (0..n).map(|_| rng.gen_range(0..span)).collect();
+            let mut frequencies: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0..3u32) {
+                    0 => rng.gen::<f64>() * 0.7 - 0.2,
+                    _ => pool[rng.gen_range(0..pool.len())],
+                })
+                .collect();
+            if case % 4 == 0 && n > 0 {
+                for _ in 0..rng.gen_range(1..=2u32) {
+                    frequencies[rng.gen_range(0..n)] = f64::NAN;
+                }
+            }
+            let oracle = catch_unwind(|| ranking_oracle(&candidates, &frequencies));
+            let estimate = LevelEstimate::new(candidates.clone(), frequencies, 0.01, 1000, 0);
+            let ranked = catch_unwind(|| bits(estimate.ranked_candidates()));
+            let (Ok(oracle), Ok(ranked)) = (&oracle, &ranked) else {
+                assert_eq!(oracle.is_ok(), ranked.is_ok(), "case {case}");
+                continue;
+            };
+            assert_eq!(ranked, &bits(oracle), "case {case}");
+            for t in 0..=n + 1 {
+                let expected: Vec<u64> = oracle.iter().take(t).map(|(v, _)| *v).collect();
+                assert_eq!(estimate.top_t(t), expected, "case {case}, t = {t}");
+            }
         }
     }
 }

@@ -143,7 +143,7 @@ fn low_mask(bits: u8) -> u64 {
 }
 
 #[inline]
-fn mask(value: u64, bits: u8) -> u64 {
+pub(crate) fn mask(value: u64, bits: u8) -> u64 {
     value & low_mask(bits)
 }
 

@@ -5,59 +5,46 @@
 //! extended with all possible bit patterns of the step, and the union forms
 //! the candidate domain Λ_h that the next user group perturbs over.
 
-use crate::bits::Prefix;
+use crate::bits::mask;
 
-/// Extends each parent prefix by `step` bits, producing the candidate
-/// prefixes of the next level in a deterministic order (parents in input
-/// order, suffixes in increasing numeric order).
-pub fn extend_candidates(parents: &[Prefix], step: u8) -> Vec<Prefix> {
+/// Extends each parent prefix (a raw value `parent_len` bits long, higher
+/// bits ignored) by `step` bits, producing the raw candidate values of the
+/// next level (`parent_len + step` bits long) in a deterministic order:
+/// parents in input order, suffixes in increasing numeric order.
+pub fn extend_prefix_values(parents: &[u64], parent_len: u8, step: u8) -> Vec<u64> {
+    assert!(
+        u16::from(parent_len) + u16::from(step) <= 64,
+        "extended prefix would exceed 64 bits"
+    );
     let mut out = Vec::with_capacity(parents.len() << step.min(20));
     for parent in parents {
-        for suffix in 0..(1u64 << step) {
-            out.push(parent.extend(suffix, step));
-        }
+        let base = mask(*parent, parent_len) << step;
+        out.extend((0..(1u64 << step)).map(|suffix| base | mask(suffix, step)));
     }
     out
-}
-
-/// Convenience wrapper over [`extend_candidates`] for code that tracks
-/// prefixes as raw `u64` values of a known length: extends `parents`
-/// (each `parent_len` bits long) by `step` bits and returns the raw child
-/// values (`parent_len + step` bits long).
-pub fn extend_prefix_values(parents: &[u64], parent_len: u8, step: u8) -> Vec<u64> {
-    extend_candidates(
-        &parents
-            .iter()
-            .map(|v| Prefix::new(*v, parent_len))
-            .collect::<Vec<_>>(),
-        step,
-    )
-    .into_iter()
-    .map(|p| p.value())
-    .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::Prefix;
 
     #[test]
     fn extension_from_root_enumerates_all_prefixes() {
-        let level1 = extend_candidates(&[Prefix::ROOT], 2);
-        assert_eq!(level1.len(), 4);
-        let values: Vec<u64> = level1.iter().map(Prefix::value).collect();
-        assert_eq!(values, vec![0b00, 0b01, 0b10, 0b11]);
+        assert_eq!(
+            extend_prefix_values(&[0], 0, 2),
+            vec![0b00, 0b01, 0b10, 0b11]
+        );
     }
 
     #[test]
     fn extension_multiplies_domain_size() {
-        let parents = vec![Prefix::new(0b00, 2), Prefix::new(0b10, 2)];
-        let children = extend_candidates(&parents, 2);
+        let parents = [0b00u64, 0b10];
+        let children = extend_prefix_values(&parents, 2, 2);
         assert_eq!(children.len(), parents.len() * 4);
         // All children keep their parent as a prefix.
         for (i, child) in children.iter().enumerate() {
-            assert!(parents[i / 4].is_prefix_of(child));
-            assert_eq!(child.len(), 4);
+            assert!(Prefix::new(parents[i / 4], 2).is_prefix_of(&Prefix::new(*child, 4)));
         }
     }
 
@@ -71,22 +58,43 @@ mod tests {
     }
 
     #[test]
+    fn raw_value_extension_equals_the_prefix_path_and_masks_both_parts() {
+        // Parents carry bits above their length, which both paths drop.
+        let parents = [0u64, 1, 0b1011, 0xDEAD_BEEF, u64::MAX];
+        for (parent_len, step) in [(0u8, 3u8), (2, 2), (4, 4), (31, 1), (60, 4), (64, 0)] {
+            let via_prefix: Vec<u64> = parents
+                .iter()
+                .flat_map(|v| Prefix::new(*v, parent_len).children(step))
+                .map(|p| p.value())
+                .collect();
+            assert_eq!(
+                extend_prefix_values(&parents, parent_len, step),
+                via_prefix,
+                "parent_len {parent_len}, step {step}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "extended prefix would exceed 64 bits")]
+    fn raw_value_extension_refuses_more_than_64_bits() {
+        extend_prefix_values(&[1], 62, 3);
+    }
+
+    #[test]
     fn every_true_prefix_is_covered_when_its_parent_survives() {
         // If an item's (h−1)-prefix is in the parent set, its h-prefix must
         // appear in the extended candidates — the Apriori-style covering
         // property the mechanisms rely on.
         let m = 8u8;
         let item = 0b1011_0110u64;
-        let parent = Prefix::of_item(item, m, 3);
-        let children = extend_candidates(&[Prefix::new(0b000, 3), parent], 2);
-        let true_child = Prefix::of_item(item, m, 5);
-        assert!(children.contains(&true_child));
+        let parent = Prefix::of_item(item, m, 3).value();
+        let children = extend_prefix_values(&[0b000, parent], 3, 2);
+        assert!(children.contains(&Prefix::of_item(item, m, 5).value()));
     }
 
     #[test]
     fn zero_step_extension_is_identity() {
-        let parents = vec![Prefix::new(0b01, 2)];
-        let children = extend_candidates(&parents, 0);
-        assert_eq!(children, parents);
+        assert_eq!(extend_prefix_values(&[0b01], 2, 0), vec![0b01]);
     }
 }

@@ -13,7 +13,7 @@
 //!   truncation and containment operations ([`bits`]).
 //! * [`LevelSchedule`] — the mapping from tree level to prefix length for a
 //!   maximum length `m` and granularity `g` ([`level`]).
-//! * [`extend_candidates`] — the candidate-domain construction
+//! * [`extend_prefix_values`] — the candidate-domain construction
 //!   Λ_h = C_{h−1} × {0,1}^(l_h − l_{h−1}) ([`extension`]).
 //! * [`ItemEncoder`] — a seeded Feistel permutation that spreads item
 //!   identifiers over the m-bit code space, mimicking how real deployments
@@ -37,6 +37,6 @@ pub mod tree;
 
 pub use bits::Prefix;
 pub use encoding::ItemEncoder;
-pub use extension::{extend_candidates, extend_prefix_values};
+pub use extension::extend_prefix_values;
 pub use level::LevelSchedule;
 pub use tree::PrefixTree;

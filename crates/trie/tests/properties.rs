@@ -1,7 +1,7 @@
 //! Property-style tests for the prefix-tree substrate, sweeping seeded
 //! deterministic grids instead of a randomized property-testing framework.
 
-use fedhh_trie::{extend_candidates, ItemEncoder, LevelSchedule, Prefix, PrefixTree};
+use fedhh_trie::{extend_prefix_values, ItemEncoder, LevelSchedule, Prefix, PrefixTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,9 +33,9 @@ fn extension_covers_the_true_prefix() {
         let item = rng.gen::<u64>() & ((1u64 << m) - 1);
         let len = rng.gen_range(0u8..=46);
         let step = rng.gen_range(1u8..=8).min(m - len);
-        let parent = Prefix::of_item(item, m, len);
-        let children = extend_candidates(&[parent], step);
-        let true_child = Prefix::of_item(item, m, len + step);
+        let parent = Prefix::of_item(item, m, len).value();
+        let children = extend_prefix_values(&[parent], len, step);
+        let true_child = Prefix::of_item(item, m, len + step).value();
         assert!(
             children.contains(&true_child),
             "item {item} len {len} step {step}"

@@ -11,6 +11,8 @@
 #   - `use` / `pub use` statements (the umbrella crate re-exports every
 #     crate, so a re-export is not a call);
 #   - `//` comments, doc comments included (a doc example is not a caller);
+#   - string and char literals (a name in a message or a path is not a
+#     caller);
 #   - `#[cfg(test)]` items, up to their closing brace;
 #   - `tests/` directories.
 # An unreferenced item passes only if `ci/pub-allowlist.txt` lists it as
@@ -36,8 +38,8 @@ mapfile -t REFS < <(find examples benchmark/src -name '*.rs' -not -path '*/tests
 awk -v ndefs="${#DEFS[@]}" -v allowlist="$ALLOWLIST" '
 # Blank out string and char literals and drop `//` comments.  String state
 # carries across lines (multi-line and raw strings).  Sets `code` (the line
-# without comments, strings kept, for counting names) and `bare` (strings
-# blanked too, for counting brackets).
+# without comments, strings kept, for reading item and `use` headers) and
+# `bare` (strings blanked too, for counting brackets and names).
 function scan(line,    i, n, c, rest) {
     code = ""; bare = ""; n = length(line); i = 1
     while (i <= n) {
@@ -132,8 +134,8 @@ FNR == 1 {
         n_items++; item_key[n_items] = key; item_name[n_items] = def; item_at[n_items] = FILENAME ":" FNR
     }
 
-    # Count every identifier on the line, minus the definition itself.
-    line = code; skipped_def = 0
+    # Count every identifier outside literals, minus the definition itself.
+    line = bare; skipped_def = 0
     while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
         w = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
         if (w == def && !skipped_def) { skipped_def = 1; continue }

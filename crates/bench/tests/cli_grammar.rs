@@ -102,6 +102,12 @@ fn fedhh_bench_rejects_malformed_command_lines_before_running_anything() {
                 "epochs --user-scale 0",
                 &["--user-scale must be positive and finite"],
             ),
+            // An ε whose e^ε overflows used to run every trial to NaN
+            // estimates, print F1 0.000 and exit 0.
+            (
+                "trial taps rdb --quick --epsilon 710",
+                &["privacy budget", "got 710"],
+            ),
             ("run nope", &["unknown experiment \"nope\""]),
             ("run fig4 --json x.json", &["unknown option --json"]),
         ],

@@ -37,10 +37,12 @@ pub enum FoExec {
 /// run must agree on.
 ///
 /// Defaults follow Section 7.1 of the paper: k-RR as the FO, maximum binary
-/// length m = 48, granularity g = 24 (step size 2), shared-trie ratio 0.25,
-/// dividing ratio β = 0.1, and 10% of users assigned to Phase I.  How
-/// rounds close and how uploads travel is deployment policy, carried by
-/// the [`ScenarioPlan`](crate::ScenarioPlan) instead.
+/// length m = 48, granularity g = 24 (step size 2), shared-trie ratio 0.25
+/// and dividing ratio β = 0.1.  A quarter of the users (0.25) go to
+/// Phase I, where the paper's text says 10 %; whether to change that
+/// default waits on ROADMAP item 1(d), since it would move every pinned
+/// result.  How rounds close and how uploads travel is deployment policy,
+/// carried by the [`ScenarioPlan`](crate::ScenarioPlan) instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolConfig {
     /// The query: how many federated heavy hitters to identify.
@@ -100,7 +102,8 @@ impl ProtocolConfig {
         self.schedule().shared_levels(self.shared_ratio)
     }
 
-    /// The validated privacy budget, rejecting non-positive or non-finite ε.
+    /// The validated privacy budget: ε must have 1 < e^ε < ∞ (see
+    /// [`PrivacyBudget::new`]).
     pub fn budget(&self) -> Result<PrivacyBudget, ProtocolError> {
         PrivacyBudget::new(self.epsilon).map_err(|_| ProtocolError::InvalidBudget {
             epsilon: self.epsilon,
@@ -156,11 +159,7 @@ impl ProtocolConfig {
         if self.k == 0 {
             return Err(ProtocolError::InvalidQuery { k: self.k });
         }
-        if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
-            return Err(ProtocolError::InvalidBudget {
-                epsilon: self.epsilon,
-            });
-        }
+        self.budget()?;
         if !(1..=64).contains(&self.max_bits) {
             return Err(ProtocolError::InvalidBitWidth {
                 max_bits: self.max_bits,

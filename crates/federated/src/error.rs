@@ -19,7 +19,8 @@ pub enum ProtocolError {
         /// The rejected query size.
         k: usize,
     },
-    /// The privacy budget ε must be strictly positive and finite.
+    /// The privacy budget ε must have 1 < e^ε < ∞ (see
+    /// [`PrivacyBudget::new`](fedhh_fo::PrivacyBudget::new)).
     InvalidBudget {
         /// The rejected budget.
         epsilon: f64,
@@ -142,10 +143,7 @@ impl fmt::Display for ProtocolError {
                 write!(f, "query k must be positive, got {k}")
             }
             ProtocolError::InvalidBudget { epsilon } => {
-                write!(
-                    f,
-                    "privacy budget must be positive and finite, got {epsilon}"
-                )
+                write!(f, "privacy budget must have 1 < e^ε < ∞, got {epsilon}")
             }
             ProtocolError::InvalidBitWidth { max_bits } => {
                 write!(f, "max_bits must be in 1..=64, got {max_bits}")

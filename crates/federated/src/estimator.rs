@@ -23,11 +23,9 @@ use std::sync::OnceLock;
 /// One level estimate needs an input buffer (encoded domain indices), a
 /// columnar report batch and a support-count arena.  A driver that owns one
 /// scratch and passes it to every [`LevelEstimator::estimate_with`] call
-/// pays for those allocations once per worker instead of once per level,
-/// and reuses
-/// the constructed [`Oracle`] whenever consecutive levels share a candidate
-/// domain size — this is the "aggregate shard-locally, allocate never"
-/// contract the engine workers rely on.
+/// pays for those allocations once per worker instead of once per level —
+/// this is the "aggregate shard-locally, allocate never" contract the
+/// engine workers rely on.
 ///
 /// ```
 /// use fedhh_federated::{EstimateScratch, LevelEstimator, ProtocolConfig};
@@ -55,8 +53,6 @@ pub struct EstimateScratch {
     /// One set of buffers per level helper (parts 1..), grown on the first
     /// split and reused afterwards.
     helpers: Vec<PartScratch>,
-    /// Cached oracle, keyed by (kind, ε bits, domain size).
-    oracle: Option<(FoKind, u64, usize, Oracle)>,
     /// Telemetry handle: when enabled, each chunk's perturbation and
     /// aggregation run under `perturb` / `aggregate` spans.  Disabled by
     /// default — a fresh scratch records nothing.
@@ -92,7 +88,6 @@ impl EstimateScratch {
         Self {
             own: PartScratch::new(),
             helpers: Vec::new(),
-            oracle: None,
             telemetry: Telemetry::disabled(),
             idle: IdleWorkers::default(),
         }
@@ -117,26 +112,6 @@ impl EstimateScratch {
     /// estimates are bit-identical with or without it.
     pub(crate) fn set_idle_workers(&mut self, idle: &IdleWorkers) {
         self.idle = idle.clone();
-    }
-
-    /// Returns the cached oracle for this configuration, constructing (and
-    /// caching) it only when the kind, budget or domain size changed since
-    /// the previous call.
-    fn oracle_for(
-        &mut self,
-        kind: FoKind,
-        budget: PrivacyBudget,
-        domain_size: usize,
-    ) -> Result<Oracle, fedhh_fo::FoError> {
-        let key = (kind, budget.epsilon().to_bits(), domain_size);
-        if let Some((k, e, d, oracle)) = &self.oracle {
-            if (*k, *e, *d) == key {
-                return Ok(oracle.clone());
-            }
-        }
-        let oracle = Oracle::try_new(kind, budget, domain_size)?;
-        self.oracle = Some((key.0, key.1, key.2, oracle.clone()));
-        Ok(oracle)
     }
 }
 
@@ -263,8 +238,8 @@ impl LevelEstimator {
     /// `noise_seed` decorrelates the perturbation randomness of different
     /// parties/levels while keeping runs reproducible.  The caller-owned
     /// [`EstimateScratch`] makes repeated estimation (one call per level,
-    /// per party, per round) never reallocate its report buffers, support
-    /// arena or oracle; a one-off call passes `&mut EstimateScratch::new()`.
+    /// per party, per round) never reallocate its report buffers or support
+    /// arena; a one-off call passes `&mut EstimateScratch::new()`.
     ///
     /// The group is processed in chunks of at most 16 384 users: each
     /// chunk's prefixes are encoded, perturbed by the counter-RNG SoA
@@ -295,7 +270,7 @@ impl LevelEstimator {
 
         // A domain can degenerate to a single candidate (plus dummy) — the
         // oracle still needs at least two slots, which the dummy provides.
-        let oracle = match scratch.oracle_for(self.config.fo, self.budget, domain.len()) {
+        let oracle = match Oracle::try_new(self.config.fo, self.budget, domain.len()) {
             Ok(oracle) => oracle,
             Err(_) => {
                 // Domain too small to perturb (no candidates at all).
@@ -642,8 +617,8 @@ mod tests {
         let estimator = LevelEstimator::new(config()).unwrap();
         let mut scratch = EstimateScratch::new();
         let items: Vec<u64> = (0..200).collect();
-        // Alternating domain sizes must each get the right oracle (a stale
-        // cache would mis-size the support arena or the GRR probabilities).
+        // Alternating domain sizes through one scratch must each get their
+        // own oracle and a support arena of their own width.
         let wide = vec![0b000u64, 0b001, 0b010, 0b011, 0b100, 0b101];
         let narrow = vec![0b00u64, 0b01];
         let w1 = estimator.estimate_with(&mut scratch, &wide, 3, &items, 1);

@@ -46,23 +46,12 @@ impl GroupAssignment {
     /// together receive `phase1_fraction` of the users (spread uniformly
     /// among them) and the remaining users are spread uniformly over the
     /// rest.  This mirrors the paper's "assign 10% users for the estimations
-    /// in this phase" setting.
+    /// in this phase" setting; [`ProtocolConfig`](crate::ProtocolConfig)'s
+    /// default passes 0.25 (see its doc and ROADMAP item 1(d)).  Takes
+    /// ownership of the item vector (see [`GroupAssignment::uniform_owned`]).
     ///
     /// Fails with a typed [`ProtocolError`] when `g` is zero or
     /// `phase1_levels` exceeds `g`.
-    pub fn weighted(
-        items: &[u64],
-        g: u8,
-        phase1_levels: u8,
-        phase1_fraction: f64,
-        seed: u64,
-    ) -> Result<Self, ProtocolError> {
-        Self::weighted_owned(items.to_vec(), g, phase1_levels, phase1_fraction, seed)
-    }
-
-    /// Like [`GroupAssignment::weighted`], but taking ownership of the item
-    /// vector (see [`GroupAssignment::uniform_owned`]).  Bit-identical to
-    /// [`GroupAssignment::weighted`] for the same items and seed.
     pub fn weighted_owned(
         items: Vec<u64>,
         g: u8,
@@ -198,7 +187,7 @@ mod tests {
     #[test]
     fn weighted_split_gives_phase1_its_fraction() {
         let items: Vec<u64> = (0..10_000).collect();
-        let a = GroupAssignment::weighted(&items, 10, 2, 0.1, 3).unwrap();
+        let a = GroupAssignment::weighted_owned(items.clone(), 10, 2, 0.1, 3).unwrap();
         assert_eq!(a.total_users(), 10_000);
         let phase1: usize = (1..=2u8).map(|h| a.level(h).len()).sum();
         assert!(
@@ -215,7 +204,7 @@ mod tests {
     #[test]
     fn degenerate_weighted_configs_fall_back_to_uniform() {
         let items: Vec<u64> = (0..100).collect();
-        let a = GroupAssignment::weighted(&items, 5, 0, 0.1, 1).unwrap();
+        let a = GroupAssignment::weighted_owned(items.clone(), 5, 0, 0.1, 1).unwrap();
         let b = GroupAssignment::uniform_owned(items.to_vec(), 5, 1).unwrap();
         for h in 1..=5u8 {
             assert_eq!(a.level(h), b.level(h));
@@ -284,9 +273,14 @@ mod tests {
                     for phase1_levels in [0, 1, g - 1, g] {
                         // 0.95 is clamped to 0.9; 1e-9 leaves phase 1 empty.
                         for fraction in [0.0, 0.1, 0.5, 0.95, 1e-9] {
-                            let weighted =
-                                GroupAssignment::weighted(&items, g, phase1_levels, fraction, seed)
-                                    .unwrap();
+                            let weighted = GroupAssignment::weighted_owned(
+                                items.clone(),
+                                g,
+                                phase1_levels,
+                                fraction,
+                                seed,
+                            )
+                            .unwrap();
                             let expected = dealt_by_push(&items, g, phase1_levels, fraction, seed);
                             assert_eq!(weighted.levels(), g);
                             assert_eq!(weighted.total_users(), n);
@@ -329,11 +323,11 @@ mod tests {
             Err(ProtocolError::InvalidGroupCount { groups: 0 })
         ));
         assert!(matches!(
-            GroupAssignment::weighted(&items, 0, 0, 0.1, 1),
+            GroupAssignment::weighted_owned(items.clone(), 0, 0, 0.1, 1),
             Err(ProtocolError::InvalidGroupCount { groups: 0 })
         ));
         assert!(matches!(
-            GroupAssignment::weighted(&items, 4, 5, 0.1, 1),
+            GroupAssignment::weighted_owned(items.clone(), 4, 5, 0.1, 1),
             Err(ProtocolError::InvalidPhaseSplit {
                 phase1_levels: 5,
                 groups: 4

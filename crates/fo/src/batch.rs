@@ -10,8 +10,9 @@
 //!
 //! A `ReportBatch` never crosses a process boundary: it is produced by
 //! `perturb_vectorized` and consumed by `aggregate_vectorized` within one
-//! estimation call.  For interop and tests, [`ReportBatch::to_reports`]
-//! materializes the equivalent `Vec<Report>`.
+//! estimation call.  It is always in one of the three columnar shapes;
+//! [`ReportBatch::to_reports`] materializes the equivalent `Vec<Report>`
+//! for tests and for an oracle handed another oracle's batch.
 
 use crate::report::Report;
 
@@ -63,13 +64,9 @@ impl PackedBits {
     }
 }
 
-/// The columnar report representations, one per oracle family plus the
-/// row-oriented fallback used by default trait implementations.
+/// The columnar report representations, one per oracle family.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Repr {
-    /// Row-oriented fallback: ordinary reports (default trait impls,
-    /// foreign oracles).
-    Reports(Vec<Report>),
     /// GRR: one reported domain index per report.
     Items(Vec<u32>),
     /// OUE: bit-packed rows.
@@ -89,11 +86,11 @@ pub struct ReportBatch {
 }
 
 impl ReportBatch {
-    /// Creates an empty batch (row-oriented until a kernel claims it).
+    /// Creates an empty batch (in GRR's shape until a kernel claims it).
     #[must_use]
     pub fn new() -> Self {
         Self {
-            repr: Repr::Reports(Vec::new()),
+            repr: Repr::Items(Vec::new()),
         }
     }
 
@@ -101,7 +98,6 @@ impl ReportBatch {
     #[must_use]
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Reports(r) => r.len(),
             Repr::Items(v) => v.len(),
             Repr::Packed(p) => p.reports,
             Repr::Hashed { seeds, .. } => seeds.len(),
@@ -118,7 +114,6 @@ impl ReportBatch {
     /// backing allocations for reuse.
     pub fn clear(&mut self) {
         match &mut self.repr {
-            Repr::Reports(r) => r.clear(),
             Repr::Items(v) => v.clear(),
             Repr::Packed(p) => {
                 p.words.clear();
@@ -136,42 +131,17 @@ impl ReportBatch {
     #[must_use]
     pub fn size_bits(&self) -> usize {
         match &self.repr {
-            Repr::Reports(r) => r.iter().map(Report::size_bits).sum(),
             Repr::Items(v) => v.len() * 32,
             Repr::Packed(p) => p.reports * p.width,
             Repr::Hashed { seeds, .. } => seeds.len() * 96,
         }
     }
 
-    /// Appends a row-oriented report (the path default trait
-    /// implementations and foreign oracles use).  If the batch currently
-    /// holds a columnar representation, it is materialized first.
-    pub fn push(&mut self, report: Report) {
-        if !matches!(self.repr, Repr::Reports(_)) {
-            let materialized = self.to_reports();
-            self.repr = Repr::Reports(materialized);
-        }
-        match &mut self.repr {
-            Repr::Reports(r) => r.push(report),
-            _ => unreachable!("batch was just converted to row form"),
-        }
-    }
-
-    /// The reports as a row-oriented slice, when the batch holds one.
-    #[must_use]
-    pub fn as_reports(&self) -> Option<&[Report]> {
-        match &self.repr {
-            Repr::Reports(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Materializes the equivalent row-oriented reports (interop, tests,
-    /// foreign-oracle fallbacks).
+    /// Materializes the equivalent row-oriented reports (tests, and the
+    /// fallback of an oracle handed another oracle's batch).
     #[must_use]
     pub fn to_reports(&self) -> Vec<Report> {
         match &self.repr {
-            Repr::Reports(r) => r.clone(),
             Repr::Items(v) => v.iter().map(|&i| Report::Item(i)).collect(),
             Repr::Packed(p) => (0..p.reports)
                 .map(|j| Report::Bits((0..p.width).map(|s| p.bit(j, s)).collect()))
@@ -302,13 +272,37 @@ mod tests {
         );
     }
 
+    /// One batch reused across oracles — GRR, OUE on two words a report,
+    /// OLH, OUE on one — switches shape on every call and aggregates to
+    /// the supports a fresh batch gives.
     #[test]
-    fn push_materializes_columnar_batches() {
-        let mut batch = ReportBatch::new();
-        batch.items_mut().push(5);
-        batch.push(Report::Item(6));
-        assert_eq!(batch.as_reports().unwrap().len(), 2);
-        assert_eq!(batch.to_reports(), vec![Report::Item(5), Report::Item(6)]);
+    fn a_reused_batch_aggregates_like_a_fresh_one() {
+        use crate::{CtrRng, FoKind, FrequencyOracle, Oracle, PrivacyBudget, SupportCounts};
+
+        let budget = PrivacyBudget::new(2.0).unwrap();
+        let rng = CtrRng::new(11);
+        let mut reused = ReportBatch::new();
+        for (kind, domain) in [
+            (FoKind::Grr, 8),
+            (FoKind::Oue, 70),
+            (FoKind::Olh, 8),
+            (FoKind::Oue, 3),
+        ] {
+            let oracle = Oracle::new(kind, budget, domain);
+            let inputs: Vec<usize> = (0..500).map(|i| i * 7 % domain).collect();
+            let supports = |batch: &ReportBatch| {
+                let mut supports = SupportCounts::zeros(domain);
+                oracle.aggregate_vectorized(batch, &mut supports);
+                supports
+            };
+            let mut fresh = ReportBatch::new();
+            oracle.perturb_vectorized(&inputs, &rng, 0, &mut fresh);
+            reused.clear();
+            oracle.perturb_vectorized(&inputs, &rng, 0, &mut reused);
+            assert_eq!(reused, fresh, "{kind} over {domain}");
+            assert_eq!(supports(&reused), supports(&fresh), "{kind} over {domain}");
+            assert_eq!(supports(&reused).reports(), inputs.len());
+        }
     }
 
     #[test]

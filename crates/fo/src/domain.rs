@@ -239,19 +239,6 @@ impl CandidateDomain {
     pub fn to_vec(&self) -> Vec<u64> {
         self.values.clone()
     }
-
-    /// Returns a new domain with the given values removed (used by the
-    /// consensus-based pruning strategy).  The dummy flag is preserved.
-    pub fn without(&self, pruned: &[u64]) -> Self {
-        let (_, pruned) = FlatIndex::build(pruned);
-        let remaining: Vec<u64> = self
-            .values
-            .iter()
-            .copied()
-            .filter(|v| pruned.get(*v) == VACANT)
-            .collect();
-        Self::build(remaining, self.has_dummy)
-    }
 }
 
 #[cfg(test)]
@@ -295,18 +282,6 @@ mod tests {
         assert_eq!(d.values().count(), 2);
         assert_eq!(d.index_of(&5), Some(0));
         assert_eq!(d.index_of(&6), Some(1));
-    }
-
-    #[test]
-    fn without_removes_candidates_and_keeps_dummy() {
-        let d = CandidateDomain::with_dummy(vec![1, 2, 3, 4]);
-        let pruned = d.without(&[2, 4]);
-        assert_eq!(pruned.to_vec(), vec![1, 3]);
-        assert!(pruned.has_dummy());
-        assert_eq!(pruned.len(), 3);
-        // Pruning values that are absent is a no-op.
-        let same = d.without(&[42]);
-        assert_eq!(same.to_vec(), d.to_vec());
     }
 
     #[test]

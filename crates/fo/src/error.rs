@@ -5,7 +5,7 @@ use std::fmt;
 /// Errors raised while constructing or operating a frequency oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FoError {
-    /// The privacy budget ε must be strictly positive and finite.
+    /// The privacy budget ε must have 1 < e^ε < ∞.
     InvalidBudget(f64),
     /// The candidate domain must contain at least two values (including the
     /// dummy slot) for randomized response to be meaningful.
@@ -33,7 +33,7 @@ impl fmt::Display for FoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FoError::InvalidBudget(eps) => {
-                write!(f, "privacy budget must be positive and finite, got {eps}")
+                write!(f, "privacy budget must have 1 < e^ε < ∞, got {eps}")
             }
             FoError::DomainTooSmall(size) => {
                 write!(

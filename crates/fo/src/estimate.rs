@@ -9,10 +9,9 @@
 //! ```
 //!
 //! where `p` is the probability of reporting/supporting the true value and
-//! `q` the probability of supporting any other value.  The estimator and the
-//! per-oracle variance are bundled into [`FrequencyEstimate`] so downstream
-//! code (adaptive extension, pruning, aggregation) can reason about both the
-//! point estimates and their noise scale.
+//! `q` the probability of supporting any other value.  [`FrequencyEstimate`]
+//! holds the point estimates; their noise scale is the oracle's
+//! `variance`, which the federated layer reads on its own.
 
 /// Raw support counts per candidate slot, produced by an oracle's
 /// `aggregate` step before de-biasing.
@@ -95,15 +94,10 @@ impl SupportCounts {
     }
 }
 
-/// Unbiased frequency estimates for every candidate slot, together with the
-/// analytic standard deviation of a single estimate.
+/// Unbiased frequency estimates for every candidate slot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrequencyEstimate {
     frequencies: Vec<f64>,
-    /// Standard deviation of a single frequency estimate under the FO used.
-    std_dev: f64,
-    /// Number of users whose reports back this estimate.
-    users: usize,
 }
 
 impl FrequencyEstimate {
@@ -112,14 +106,7 @@ impl FrequencyEstimate {
     /// * `p` — probability of supporting the true value.
     /// * `q` — probability of supporting any other value.
     /// * `n` — number of users (reports expected).
-    /// * `variance` — analytic variance of one estimate (σ² of the FO).
-    pub fn from_supports(
-        supports: &SupportCounts,
-        p: f64,
-        q: f64,
-        n: usize,
-        variance: f64,
-    ) -> Self {
+    pub fn from_supports(supports: &SupportCounts, p: f64, q: f64, n: usize) -> Self {
         let n_f = n.max(1) as f64;
         let denom = p - q;
         let frequencies = supports
@@ -127,11 +114,7 @@ impl FrequencyEstimate {
             .iter()
             .map(|c| (c / n_f - q) / denom)
             .collect();
-        Self {
-            frequencies,
-            std_dev: variance.max(0.0).sqrt(),
-            users: n,
-        }
+        Self { frequencies }
     }
 
     /// Estimated frequency of slot `idx` (0 when out of range).
@@ -140,53 +123,9 @@ impl FrequencyEstimate {
         self.frequencies.get(idx).copied().unwrap_or(0.0)
     }
 
-    /// Estimated absolute count of slot `idx` (frequency × users).
-    #[inline]
-    pub fn count(&self, idx: usize) -> f64 {
-        self.frequency(idx) * self.users as f64
-    }
-
     /// All estimated frequencies in slot order.
     pub fn frequencies(&self) -> &[f64] {
         &self.frequencies
-    }
-
-    /// Standard deviation σ of a single frequency estimate.
-    #[inline]
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
-    }
-
-    /// Number of users behind this estimate.
-    #[inline]
-    pub fn users(&self) -> usize {
-        self.users
-    }
-
-    /// Number of candidate slots.
-    #[inline]
-    pub fn slots(&self) -> usize {
-        self.frequencies.len()
-    }
-
-    /// Slot indices sorted by estimated frequency, descending.  Ties are
-    /// broken by slot index so the ordering is deterministic.
-    pub fn ranked_slots(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.frequencies.len()).collect();
-        order.sort_by(|a, b| {
-            self.frequencies[*b]
-                .partial_cmp(&self.frequencies[*a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(b))
-        });
-        order
-    }
-
-    /// The top-`k` slot indices by estimated frequency, descending.
-    pub fn top_k(&self, k: usize) -> Vec<usize> {
-        let mut order = self.ranked_slots();
-        order.truncate(k);
-        order
     }
 }
 
@@ -254,22 +193,8 @@ mod tests {
         let mut supports = SupportCounts::zeros(1);
         supports.add(0, expected_support);
         supports.record_reports(n);
-        let est = FrequencyEstimate::from_supports(&supports, p, q, n, 0.01);
+        let est = FrequencyEstimate::from_supports(&supports, p, q, n);
         assert!((est.frequency(0) - f_true).abs() < 1e-12);
-        assert!((est.count(0) - f_true * n as f64).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ranking_is_descending_and_deterministic() {
-        // p = 1, q = 0 and n = 100: the estimate is the support over 100.
-        let mut supports = SupportCounts::zeros(4);
-        for (slot, support) in [10.0, 50.0, 50.0, 5.0].into_iter().enumerate() {
-            supports.add(slot, support);
-        }
-        let est = FrequencyEstimate::from_supports(&supports, 1.0, 0.0, 100, 0.0);
-        assert_eq!(est.ranked_slots(), vec![1, 2, 0, 3]);
-        assert_eq!(est.top_k(2), vec![1, 2]);
-        assert_eq!(est.top_k(10), vec![1, 2, 0, 3]);
     }
 
     #[test]
@@ -292,7 +217,7 @@ mod tests {
     #[test]
     fn zero_users_does_not_divide_by_zero() {
         let supports = SupportCounts::zeros(2);
-        let est = FrequencyEstimate::from_supports(&supports, 0.7, 0.1, 0, 0.0);
+        let est = FrequencyEstimate::from_supports(&supports, 0.7, 0.1, 0);
         assert!(est.frequency(0).is_finite());
         assert!(grr_variance(4, 2.0f64.exp(), 0).is_finite());
     }

@@ -112,7 +112,7 @@ impl FrequencyOracle for GrrOracle {
                 }
                 supports.record_reports(items.len());
             }
-            // Foreign batch shape: fall back to the row-oriented path.
+            // Another oracle's batch shape: fall back to the row-oriented path.
             _ => self.aggregate_into(&batch.to_reports(), supports),
         }
     }
@@ -137,7 +137,7 @@ impl FrequencyOracle for GrrOracle {
     }
 
     fn estimate(&self, supports: &SupportCounts, n: usize) -> FrequencyEstimate {
-        FrequencyEstimate::from_supports(supports, self.p, self.q, n, self.variance(n))
+        FrequencyEstimate::from_supports(supports, self.p, self.q, n)
     }
 
     fn variance(&self, n: usize) -> f64 {

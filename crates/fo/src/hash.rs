@@ -2,11 +2,12 @@
 //!
 //! OLH requires each user to pick a hash function `H` uniformly at random
 //! from a universal family mapping the candidate domain into `[d']` buckets,
-//! where `d' = ⌈e^ε⌉ + 1`.  We use a seeded SplitMix64-style mixer: the
-//! 64-bit seed identifies the function within the family, and the avalanche
-//! mixing provides the near-uniform, pairwise-independent behaviour the OLH
-//! analysis needs.  The seed travels with the report so the server can
-//! recompute `H(x)` for every candidate during support counting.
+//! where `d' = ⌈e^ε⌉ + 1` (saturating at `u32::MAX`).  We use a seeded
+//! SplitMix64-style mixer: the 64-bit seed identifies the function within
+//! the family, and the avalanche mixing provides the near-uniform,
+//! pairwise-independent behaviour the OLH analysis needs.  The seed travels
+//! with the report so the server can recompute `H(x)` for every candidate
+//! during support counting.
 
 /// A member of the universal hash family, identified by its 64-bit seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,9 +52,10 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Computes the OLH bucket count d' = ⌈e^ε⌉ + 1 for a privacy budget.
+/// Computes the OLH bucket count d' = ⌈e^ε⌉ + 1 for a privacy budget,
+/// saturating at `u32::MAX` from ε ≈ 22.18 on.
 pub fn olh_buckets(exp_epsilon: f64) -> u32 {
-    (exp_epsilon.ceil() as u32 + 1).max(2)
+    (exp_epsilon.ceil() as u32).saturating_add(1).max(2)
 }
 
 #[cfg(test)]
@@ -101,6 +103,21 @@ mod tests {
         assert_eq!(olh_buckets(4.0f64.exp()), 4.0f64.exp().ceil() as u32 + 1);
         // Degenerate small budgets still produce at least two buckets.
         assert!(olh_buckets(0.1) >= 2);
+    }
+
+    /// Past ε ≈ 22.18 the bucket count saturates instead of wrapping round
+    /// to 2 (or overflowing under overflow checks).
+    #[test]
+    fn olh_buckets_never_decrease_with_the_budget() {
+        let mut previous = 0;
+        for epsilon in [
+            0.5, 1.0, 4.0, 10.0, 22.0, 22.1, 22.18, 22.2, 23.0, 40.0, 400.0,
+        ] {
+            let buckets = olh_buckets(f64::exp(epsilon));
+            assert!(buckets >= previous, "ε {epsilon}: {buckets} < {previous}");
+            previous = buckets;
+        }
+        assert_eq!(previous, u32::MAX);
     }
 
     #[test]

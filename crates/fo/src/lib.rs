@@ -20,8 +20,9 @@
 //! * [`OlhOracle`] — optimized local hashing.  OUE-level utility with small
 //!   reports, at higher server-side computation cost.
 //!
-//! All three share the [`FrequencyOracle`] trait and can be constructed
-//! uniformly through [`Oracle::new`] with a [`FoKind`].  Inputs are indices
+//! All three implement the [`FrequencyOracle`] trait in full (no method has
+//! a default body) and can be constructed uniformly through [`Oracle::new`]
+//! with a [`FoKind`].  Inputs are indices
 //! into a [`CandidateDomain`], which also handles *out-of-domain* values by
 //! mapping them to a reserved dummy slot, exactly as the paper does for k-RR
 //! and OUE ("we assign a dummy item to out-of-domain items").
@@ -56,7 +57,7 @@
 //! caller-owned [`SupportCounts`] arena: same support sums, no allocation,
 //! and one arena serves any number of chunks.  It is the row reference the
 //! vectorized kernels are tested against, and the fallback
-//! `aggregate_vectorized` takes for a batch shape it does not own.
+//! `aggregate_vectorized` takes for another oracle's batch.
 //!
 //! ```
 //! use fedhh_fo::{FoKind, FrequencyOracle, Oracle, PrivacyBudget, SupportCounts};
@@ -79,7 +80,8 @@
 //! [`FrequencyOracle::aggregate_vectorized`] are the path the federated
 //! layer runs: driven by the counter-based [`CtrRng`]
 //! (every draw a pure function of `(key, report, draw)`), they fill and
-//! consume structure-of-arrays [`ReportBatch`] arenas with branch-free
+//! consume columnar [`ReportBatch`] arenas (an index column for GRR,
+//! bit-packed rows for OUE, seed/value columns for OLH) with branch-free
 //! kernels.  The output is deterministic per key and bit-identical across
 //! any chunking or evaluation order — but it is **not** the sequential RNG
 //! stream, so its results differ numerically from the row API's at the

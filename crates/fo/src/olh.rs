@@ -97,6 +97,11 @@ fn count_supports_avx2(seeds: &[u64], values: &[u32], buckets: u32, counts: &mut
     count_supports_body(seeds, values, buckets, counts);
 }
 
+/// How many buckets' Lemire intervals [`count_supports_body`] tabulates:
+/// every bucket up to ε ≈ 8.3, so the paper's ε ≤ 5 and more.  A
+/// saturated d′ = `u32::MAX` (ε ≥ 22.18) would take 32 GiB in full.
+const INTERVAL_TABLE: u64 = 4096;
+
 /// The OLH aggregation loop, written once and inlined into each
 /// instantiation above.
 ///
@@ -107,16 +112,18 @@ fn count_supports_avx2(seeds: &[u64], values: &[u32], buckets: u32, counts: &mut
 /// per (candidate, report) pair.  A value outside `[0, buckets)` — a report
 /// perturbed under a larger budget — gets the empty interval and supports
 /// nothing, as on the row path.
+///
+/// The intervals of the first [`INTERVAL_TABLE`] buckets are tabulated
+/// once per call; a value past them has its interval computed per report.
 #[inline(always)]
 fn count_supports_body(seeds: &[u64], values: &[u32], buckets: u32, counts: &mut [f64]) {
     let buckets = u64::from(buckets);
-    let interval: Vec<(u32, u32)> = (0..buckets)
-        .map(|v| {
-            let lo = vec_boundary(v, buckets);
-            let hi = vec_boundary(v + 1, buckets);
-            (lo as u32, (hi - lo) as u32)
-        })
-        .collect();
+    let interval_of = |v: u64| {
+        let lo = vec_boundary(v, buckets);
+        let hi = vec_boundary(v + 1, buckets);
+        (lo as u32, (hi - lo) as u32)
+    };
+    let interval: Vec<(u32, u32)> = (0..buckets.min(INTERVAL_TABLE)).map(interval_of).collect();
     const BLOCK: usize = 256;
     let mut pre = [0u32; BLOCK];
     let mut lo = [0u32; BLOCK];
@@ -125,7 +132,11 @@ fn count_supports_body(seeds: &[u64], values: &[u32], buckets: u32, counts: &mut
         let len = seed_block.len();
         for (j, (&seed, &value)) in seed_block.iter().zip(value_block).enumerate() {
             pre[j] = vec_preseed(seed);
-            (lo[j], span[j]) = interval.get(value as usize).copied().unwrap_or((0, 0));
+            (lo[j], span[j]) = match interval.get(value as usize) {
+                Some(&bounds) => bounds,
+                None if u64::from(value) < buckets => interval_of(u64::from(value)),
+                None => (0, 0),
+            };
         }
         let (pre, lo, span) = (&pre[..len], &lo[..len], &span[..len]);
         for (candidate, slot) in counts.iter_mut().enumerate() {
@@ -247,7 +258,7 @@ impl FrequencyOracle for OlhOracle {
         debug_assert_eq!(supports.slots(), self.domain_size);
         let (seeds, values) = match &batch.repr {
             Repr::Hashed { seeds, values } => (seeds, values),
-            // Foreign batch shape: the row-oriented path handles it.
+            // Another oracle's batch shape: the row-oriented path handles it.
             _ => return self.aggregate_into(&batch.to_reports(), supports),
         };
         count_supports(seeds, values, self.buckets, supports.as_mut_slice());
@@ -284,7 +295,7 @@ impl FrequencyOracle for OlhOracle {
         // Support probability for the true value is p; for any other value it
         // is q* = 1/d' because a non-true report lands on the candidate's
         // bucket uniformly.
-        FrequencyEstimate::from_supports(supports, self.p, self.q_star(), n, self.variance(n))
+        FrequencyEstimate::from_supports(supports, self.p, self.q_star(), n)
     }
 
     fn variance(&self, n: usize) -> f64 {
@@ -380,15 +391,16 @@ mod tests {
     /// The dispatched copy of the aggregation loop (AVX2 where the CPU has
     /// it) and the portable copy produce identical supports on identical
     /// batches: block-boundary batch sizes, domains around the SIMD widths,
-    /// and budgets from 3 to 2 982 buckets.  The portable copy is also
-    /// checked against the per-pair bucket definition, so a CPU without
-    /// AVX2 still tests the one copy it runs.
+    /// and budgets from 3 to 2 982 buckets, plus ε 40, whose saturated
+    /// d′ = `u32::MAX` lies past the tabulated intervals.  The portable copy
+    /// is also checked against the per-pair bucket definition, so a CPU
+    /// without AVX2 still tests the one copy it runs.
     #[test]
     fn dispatched_and_portable_loops_count_identical_supports() {
         if !dispatches_avx2() {
             eprintln!("no AVX2 on this CPU: checking the portable aggregation loop alone");
         }
-        for eps in [0.5, 4.0, 8.0] {
+        for eps in [0.5, 4.0, 8.0, 40.0] {
             for domain in [2, 41, 65, 2049] {
                 let o = oracle(eps, domain);
                 for n in [0, 1, 255, 256, 257, 16_387] {

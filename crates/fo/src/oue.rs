@@ -166,7 +166,8 @@ impl FrequencyOracle for OueOracle {
                 }
                 supports.record_reports(packed.reports);
             }
-            // Foreign batch shape or width: the row-oriented path handles it.
+            // Another oracle's batch shape, or another width: the row-oriented
+            // path handles it.
             _ => self.aggregate_into(&batch.to_reports(), supports),
         }
     }
@@ -196,7 +197,7 @@ impl FrequencyOracle for OueOracle {
     }
 
     fn estimate(&self, supports: &SupportCounts, n: usize) -> FrequencyEstimate {
-        FrequencyEstimate::from_supports(supports, self.p, self.q, n, self.variance(n))
+        FrequencyEstimate::from_supports(supports, self.p, self.q, n)
     }
 
     fn variance(&self, n: usize) -> f64 {

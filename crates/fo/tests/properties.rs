@@ -12,6 +12,19 @@ use fedhh_fo::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The slot with the highest estimated frequency (the first on a tie).
+fn mode(frequencies: &[f64]) -> usize {
+    (0..frequencies.len())
+        .reduce(|best, slot| {
+            if frequencies[slot] > frequencies[best] {
+                slot
+            } else {
+                best
+            }
+        })
+        .expect("a non-empty domain")
+}
+
 /// GRR reports are always valid domain indices, for any budget, domain size
 /// and input.
 #[test]
@@ -94,8 +107,8 @@ fn every_oracle_recovers_a_planted_mode() {
                     .collect();
                 let est = oracle.estimate(&oracle.aggregate(&reports), inputs.len());
                 assert_eq!(
-                    est.top_k(1),
-                    vec![majority],
+                    mode(est.frequencies()),
+                    majority,
                     "kind {kind} majority {majority} seed {seed}"
                 );
             }
@@ -123,33 +136,6 @@ fn estimates_sum_to_about_one() {
             assert!(
                 (total - 1.0).abs() < 0.2,
                 "kind {kind} seed {seed}: total = {total}"
-            );
-        }
-    }
-}
-
-/// Domain pruning never removes values that were not asked to be pruned and
-/// never grows the domain.
-#[test]
-fn domain_pruning_is_sound() {
-    let mut rng = StdRng::seed_from_u64(42);
-    for _case in 0..64 {
-        let n = rng.gen_range(2usize..100);
-        let mut values: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..1000)).collect();
-        values.sort_unstable();
-        values.dedup();
-        let prune_n = rng.gen_range(0usize..50);
-        let pruned: Vec<u64> = (0..prune_n).map(|_| rng.gen_range(0u64..1000)).collect();
-
-        let domain = CandidateDomain::with_dummy(values.clone());
-        let after = domain.without(&pruned);
-        assert!(after.values().count() <= domain.values().count());
-        for v in &values {
-            let should_remain = !pruned.contains(v);
-            assert_eq!(
-                after.index_of(v).is_some(),
-                should_remain,
-                "value {v} pruned {pruned:?}"
             );
         }
     }
@@ -475,7 +461,7 @@ fn vectorized_path_recovers_a_planted_mode() {
             let mut supports = SupportCounts::zeros(domain);
             oracle.aggregate_vectorized(&batch, &mut supports);
             let est = oracle.estimate(&supports, inputs.len());
-            assert_eq!(est.top_k(1), vec![5], "kind {kind} key {key}");
+            assert_eq!(mode(est.frequencies()), 5, "kind {kind} key {key}");
             let total: f64 = est.frequencies().iter().sum();
             assert!((total - 1.0).abs() < 0.2, "kind {kind} key {key}: {total}");
         }

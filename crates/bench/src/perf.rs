@@ -9,19 +9,16 @@
 //!
 //! | Entry name | Workload |
 //! |---|---|
-//! | `fo_perturb/<fo>/<path>` | Perturb a fixed report stream (`fedhh-fo`'s row `perturb` loop vs counter-RNG `perturb_vectorized`) |
-//! | `fo_aggregate/<fo>/<path>` | Aggregate + estimate the stream (arena `aggregate_into` vs columnar `aggregate_vectorized`) |
+//! | `fo_perturb/<fo>/vectorized` | Perturb a fixed report stream with `fedhh-fo`'s counter-RNG `perturb_vectorized` |
+//! | `fo_aggregate/<fo>/vectorized` | Aggregate the stream into a reused arena with `aggregate_vectorized`, then estimate |
 //! | `assign/weighted` | `GroupAssignment::weighted_owned`: shuffle + deal one party's users into g = 24 groups, g_s = 6 (ns per user) |
 //! | `estimate/level/krr` | `LevelEstimator::estimate_with`, vectorized k-RR, one level: prefix → domain index, perturb, aggregate (40 candidates + dummy, ~20 % of users in-domain, chunk 16 384) |
 //! | `descent/taps/syn` | One sequential TAPS run on SYN (48-bit codes, g = 24, user scale 0.02: 8 parties, ~15.6k users); `reports` counts (party, level) steps and `ns_per_report` is ns per step — the per-level bookkeeping (extension, ranking, pruning) the reports ride on |
 //! | `mech_e2e/{fedpem,gtf,tap,taps}/vectorized` | Each mechanism end-to-end on the RDB stand-in |
 //! | `mech_e2e/{tap,taps}/vectorized/p2` | TAP and TAPS with OLH on a skewed population (YCM: one party holds 61 % of the users) under `EngineConfig::parallel(2)` — the legs where a worker without a party takes part of the big party's levels, and TAPS' one-party-at-a-time chain uses the second core at all |
 //!
-//! `<fo>` is `krr`, `oue` or `olh`; `<path>` is `scalar` (the row API
-//! `fedhh-fo` keeps as the reference its tests compare the kernels
-//! against) or `vectorized` (the kernels every run executes).  Both are
-//! measured **in the same run**, so the kernels' speed-up over the
-//! reference is visible in every emitted report, machine-independent.
+//! `<fo>` is `krr`, `oue` or `olh`; the kernels are the one oracle path
+//! every run executes.
 //!
 //! ## `BENCH_perf.json` schema (version 1)
 //!
@@ -31,10 +28,10 @@
 //!   "suite": "quick",
 //!   "entries": [
 //!     {
-//!       "name": "fo_perturb/krr/scalar",
+//!       "name": "fo_perturb/krr/vectorized",
 //!       "reports": 20000,
-//!       "ns_per_report": 14.2,
-//!       "reports_per_sec": 70422535.2,
+//!       "ns_per_report": 3.9,
+//!       "reports_per_sec": 256410256.4,
 //!       "uplink_bits": 640000
 //!     }
 //!   ]
@@ -67,7 +64,7 @@ use fedhh_federated::{
     EngineConfig, EstimateScratch, GroupAssignment, LevelEstimator, ProtocolConfig,
 };
 use fedhh_fo::{
-    CtrRng, FoKind, FrequencyOracle, Oracle, PrivacyBudget, Report, ReportBatch, SupportCounts,
+    CtrRng, FoKind, FrequencyOracle, Oracle, PrivacyBudget, ReportBatch, SupportCounts,
 };
 use fedhh_mechanisms::{MechanismKind, Run};
 use fedhh_telemetry::{Telemetry, TraceLine};
@@ -79,7 +76,7 @@ use std::time::Instant;
 /// One measured workload of the pinned suite.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerfEntry {
-    /// Stable workload identifier, e.g. `fo_perturb/krr/scalar`.
+    /// Stable workload identifier, e.g. `fo_perturb/krr/vectorized`.
     pub name: String,
     /// Number of user reports processed per timed iteration.
     pub reports: u64,
@@ -300,15 +297,6 @@ fn run_suite_impl(
         let oracle = Oracle::try_new(kind, budget, size.fo_domain).map_err(|e| e.to_string())?;
         let inputs: Vec<usize> = (0..size.fo_reports).map(|i| i % size.fo_domain).collect();
 
-        // Perturbation: the row reference's sequential-RNG loop vs the
-        // counter-RNG kernel, over the same inputs.
-        let scalar_secs = time_best(
-            size.trials,
-            size.warmup,
-            size.min_iters,
-            size.min_window,
-            || perturb_scalar(&oracle, &inputs, 42),
-        );
         let mut vec_batch = ReportBatch::new();
         let vec_secs = time_best(
             size.trials,
@@ -321,13 +309,6 @@ fn run_suite_impl(
                 vec_batch.len()
             },
         );
-        let report_bits = (oracle.report_bits() * size.fo_reports) as u64;
-        entries.push(entry(
-            format!("fo_perturb/{kind}/scalar"),
-            size.fo_reports,
-            scalar_secs,
-            report_bits,
-        ));
         entries.push(entry(
             format!("fo_perturb/{kind}/vectorized"),
             size.fo_reports,
@@ -335,21 +316,9 @@ fn run_suite_impl(
             vec_batch.size_bits() as u64,
         ));
 
-        // Aggregation + estimation into the caller-owned arena: the row
-        // reference vs the columnar kernel the estimator folds a chunk with.
-        let reports = perturb_scalar(&oracle, &inputs, 7);
+        // Aggregation + estimation into the caller-owned arena the
+        // estimator folds a chunk into.
         let mut arena = SupportCounts::zeros(size.fo_domain);
-        let agg_scalar_secs = time_best(
-            size.trials,
-            size.warmup,
-            size.min_iters,
-            size.min_window,
-            || {
-                arena.reset(size.fo_domain);
-                oracle.aggregate_into(&reports, &mut arena);
-                oracle.estimate(&arena, reports.len())
-            },
-        );
         let agg_vec_secs = time_best(
             size.trials,
             size.warmup,
@@ -361,12 +330,6 @@ fn run_suite_impl(
                 oracle.estimate(&arena, vec_batch.len())
             },
         );
-        entries.push(entry(
-            format!("fo_aggregate/{kind}/scalar"),
-            size.fo_reports,
-            agg_scalar_secs,
-            0,
-        ));
         entries.push(entry(
             format!("fo_aggregate/{kind}/vectorized"),
             size.fo_reports,
@@ -450,28 +413,6 @@ fn run_suite_impl(
         suite: if quick { "quick" } else { "full" }.to_string(),
         entries,
     })
-}
-
-/// The row-reference perturbation loop of the `fo_perturb/*/scalar` legs, one
-/// monomorphic loop per oracle.  Left as `oracle.perturb(..)` inside
-/// `run_suite_impl`, whether LLVM inlined the enum dispatch and the RNG
-/// draws under it flipped with unrelated edits to this crate (k-RR read
-/// 10 or 15 ns/report for the same kernel); dispatching once, outside the
-/// loop, times the kernel and nothing else.
-#[inline(never)]
-fn perturb_scalar(oracle: &Oracle, inputs: &[usize], seed: u64) -> Vec<Report> {
-    fn stream(oracle: &impl FrequencyOracle, inputs: &[usize], seed: u64) -> Vec<Report> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        inputs
-            .iter()
-            .map(|i| oracle.perturb(*i, &mut rng))
-            .collect()
-    }
-    match oracle {
-        Oracle::Grr(o) => stream(o, inputs, seed),
-        Oracle::Oue(o) => stream(o, inputs, seed),
-        Oracle::Olh(o) => stream(o, inputs, seed),
-    }
 }
 
 /// The `descent/taps/syn` leg: one sequential TAPS run on SYN at the
@@ -759,7 +700,7 @@ mod tests {
             suite: "quick".to_string(),
             entries: vec![
                 PerfEntry {
-                    name: "fo_perturb/krr/scalar".to_string(),
+                    name: "fo_perturb/krr/vectorized".to_string(),
                     reports: 20_000,
                     ns_per_report: 14.25,
                     reports_per_sec: 70_175_438.6,
@@ -787,7 +728,7 @@ mod tests {
   "schema": 1,
   "suite": "quick",
   "entries": [
-    {"name": "fo_perturb/krr/scalar", "reports": 20000, "ns_per_report": 14.250, "reports_per_sec": 70175438.6, "uplink_bits": 640000},
+    {"name": "fo_perturb/krr/vectorized", "reports": 20000, "ns_per_report": 14.250, "reports_per_sec": 70175438.6, "uplink_bits": 640000},
     {"name": "weird \"name\" with \\ and \t\u0001", "reports": 5000, "ns_per_report": 0.000, "reports_per_sec": 1250000.0, "uplink_bits": 12800}
   ]
 }
@@ -845,7 +786,7 @@ mod tests {
         current[0].ns_per_report = baseline[0].ns_per_report * 3.0;
         let violations = report::check(&current, &baseline, 2.0);
         assert_eq!(violations.len(), 1);
-        assert!(violations[0].starts_with("fo_perturb/krr/scalar: ns_per_report"));
+        assert!(violations[0].starts_with("fo_perturb/krr/vectorized: ns_per_report"));
         assert!(violations[0].contains("3.00x"), "{}", violations[0]);
         // Only ns_per_report is gated: the other columns may move freely.
         current[0].ns_per_report = baseline[0].ns_per_report;
@@ -883,14 +824,12 @@ mod tests {
         assert_eq!(report.schema, 1);
         assert_eq!(report.suite, "quick");
         for kind in ["krr", "oue", "olh"] {
-            for path in ["scalar", "vectorized"] {
-                for family in ["fo_perturb", "fo_aggregate"] {
-                    let name = format!("{family}/{kind}/{path}");
-                    assert!(
-                        report.entries.iter().any(|e| e.name == name),
-                        "missing {name}"
-                    );
-                }
+            for family in ["fo_perturb", "fo_aggregate"] {
+                let name = format!("{family}/{kind}/vectorized");
+                assert!(
+                    report.entries.iter().any(|e| e.name == name),
+                    "missing {name}"
+                );
             }
         }
         for name in [

@@ -37,7 +37,7 @@ fn perf_emits_json_and_check_gates_regressions() {
     let report = PerfReport::from_json(&text).expect("emitted JSON must parse");
     assert_eq!(report.schema, 1);
     for name in [
-        "fo_perturb/krr/scalar",
+        "fo_perturb/krr/vectorized",
         "assign/weighted",
         "estimate/level/krr",
         "mech_e2e/fedpem/vectorized",

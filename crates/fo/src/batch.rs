@@ -1,26 +1,20 @@
-//! Structure-of-arrays report storage for the vectorized kernels.
+//! Structure-of-arrays report storage for the frequency-oracle kernels.
 //!
-//! The row API ([`FrequencyOracle::perturb`](crate::FrequencyOracle::perturb))
-//! moves reports as `Vec<Report>` — one heap allocation per OUE report (its
-//! `Vec<bool>` bit vector) and an enum tag per report.  The vectorized
-//! kernels instead fill a [`ReportBatch`]: one arena holding *all* reports of a chunk in columnar
-//! form (bit-packed `u64` rows for OUE, parallel seed/value columns for
-//! OLH, a plain index column for GRR), so the kernels touch contiguous
-//! memory and never allocate per report.
+//! `perturb_vectorized` fills a [`ReportBatch`]: one arena holding *all*
+//! reports of a chunk in columnar form (bit-packed `u64` rows for OUE,
+//! parallel seed/value columns for OLH, a plain index column for GRR), so
+//! the kernels touch contiguous memory and never allocate per report.
 //!
 //! A `ReportBatch` never crosses a process boundary: it is produced by
-//! `perturb_vectorized` and consumed by `aggregate_vectorized` within one
-//! estimation call.  It is always in one of the three columnar shapes;
-//! [`ReportBatch::to_reports`] materializes the equivalent `Vec<Report>`
-//! for tests and for an oracle handed another oracle's batch.
-
-use crate::report::Report;
+//! `perturb_vectorized` and consumed by `aggregate_vectorized` of the same
+//! oracle within one estimation call.  Its shape names the oracle that
+//! wrote it, and [`ReportBatch::columns`] reads it.
 
 /// Bit-packed OUE reports: `words_per_report` `u64` words per report, bit
 /// `s % 64` of word `s / 64` carrying domain slot `s`.  Bits at or beyond
 /// `width` in the last word of a row are always zero.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PackedBits {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PackedBits {
     pub(crate) width: usize,
     pub(crate) words_per_report: usize,
     pub(crate) words: Vec<u64>,
@@ -28,39 +22,13 @@ pub struct PackedBits {
 }
 
 impl PackedBits {
-    fn new(width: usize) -> Self {
+    pub(crate) fn new(width: usize) -> Self {
         Self {
             width,
             words_per_report: width.div_ceil(64),
             words: Vec::new(),
             reports: 0,
         }
-    }
-
-    /// Domain width in bits (slots per report).
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of reports packed into this arena.
-    #[inline]
-    pub fn reports(&self) -> usize {
-        self.reports
-    }
-
-    /// `u64` words per packed report row.
-    #[inline]
-    pub fn words_per_report(&self) -> usize {
-        self.words_per_report
-    }
-
-    /// Bit `slot` of report `report`.
-    #[inline]
-    pub fn bit(&self, report: usize, slot: usize) -> bool {
-        debug_assert!(slot < self.width);
-        let word = self.words[report * self.words_per_report + slot / 64];
-        (word >> (slot % 64)) & 1 == 1
     }
 }
 
@@ -73,6 +41,49 @@ pub(crate) enum Repr {
     Packed(PackedBits),
     /// OLH: parallel seed/value columns.
     Hashed { seeds: Vec<u64>, values: Vec<u32> },
+}
+
+impl Repr {
+    /// The empty OLH columns.
+    pub(crate) fn hashed() -> Self {
+        Repr::Hashed {
+            seeds: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    /// The shape's name, as a foreign-batch panic states it.
+    fn name(&self) -> String {
+        match self {
+            Repr::Items(_) => "GRR items".to_string(),
+            Repr::Packed(p) => format!("OUE rows of width {}", p.width),
+            Repr::Hashed { .. } => "OLH seed/value pairs".to_string(),
+        }
+    }
+}
+
+/// A read-only view of a batch's columns, in the shape the kernel that
+/// filled it wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Columns<'a> {
+    /// GRR: one reported domain index per report.
+    Items(&'a [u32]),
+    /// OUE: `width.div_ceil(64)` words per report, bit `s % 64` of word
+    /// `s / 64` carrying domain slot `s`; bits at or past `width` are zero.
+    Packed {
+        /// Domain slots per report.
+        width: usize,
+        /// The reports' rows, back to back.
+        words: &'a [u64],
+    },
+    /// OLH: report `j` is the hash seed `seeds[j]` and the perturbed bucket
+    /// `values[j]`.
+    Hashed {
+        /// Per-report hash seeds.
+        seeds: &'a [u64],
+        /// Per-report perturbed buckets.
+        values: &'a [u32],
+    },
 }
 
 /// A reusable arena of perturbed reports in structure-of-arrays form.
@@ -126,8 +137,10 @@ impl ReportBatch {
         }
     }
 
-    /// Total wire size of the held reports, in bits — the same accounting
-    /// [`Report::size_bits`] gives the row-oriented paths.
+    /// Total wire size of the held reports, in bits: 32 per GRR index
+    /// (the paper's cost model charges a constant `b` bits per value, not
+    /// ⌈log₂|X|⌉), one per OUE slot, and a 64-bit seed plus a 32-bit bucket
+    /// per OLH report.
     #[must_use]
     pub fn size_bits(&self) -> usize {
         match &self.repr {
@@ -137,21 +150,30 @@ impl ReportBatch {
         }
     }
 
-    /// Materializes the equivalent row-oriented reports (tests, and the
-    /// fallback of an oracle handed another oracle's batch).
+    /// The batch's columns, read-only.
     #[must_use]
-    pub fn to_reports(&self) -> Vec<Report> {
+    pub fn columns(&self) -> Columns<'_> {
         match &self.repr {
-            Repr::Items(v) => v.iter().map(|&i| Report::Item(i)).collect(),
-            Repr::Packed(p) => (0..p.reports)
-                .map(|j| Report::Bits((0..p.width).map(|s| p.bit(j, s)).collect()))
-                .collect(),
-            Repr::Hashed { seeds, values } => seeds
-                .iter()
-                .zip(values.iter())
-                .map(|(&seed, &value)| Report::Hashed { seed, value })
-                .collect(),
+            Repr::Items(items) => Columns::Items(items),
+            Repr::Packed(p) => Columns::Packed {
+                width: p.width,
+                words: &p.words,
+            },
+            Repr::Hashed { seeds, values } => Columns::Hashed { seeds, values },
         }
+    }
+
+    /// Panics for a batch in another shape than the `expected` one the
+    /// aggregating oracle reads (see
+    /// [`FrequencyOracle::aggregate_vectorized`](crate::FrequencyOracle::aggregate_vectorized)).
+    #[cold]
+    #[track_caller]
+    pub(crate) fn foreign(&self, expected: Repr) -> ! {
+        panic!(
+            "aggregate_vectorized expects a batch of {}, got one of {}",
+            expected.name(),
+            self.repr.name()
+        )
     }
 
     /// The GRR item column, switching representation if needed.
@@ -184,10 +206,7 @@ impl ReportBatch {
     pub(crate) fn hashed_mut(&mut self) -> (&mut Vec<u64>, &mut Vec<u32>) {
         if !matches!(self.repr, Repr::Hashed { .. }) {
             debug_assert!(self.is_empty(), "switching representation drops reports");
-            self.repr = Repr::Hashed {
-                seeds: Vec::new(),
-                values: Vec::new(),
-            };
+            self.repr = Repr::hashed();
         }
         match &mut self.repr {
             Repr::Hashed { seeds, values } => (seeds, values),
@@ -230,19 +249,13 @@ mod tests {
         packed.reports = 2;
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.size_bits(), 140);
-        let reports = batch.to_reports();
-        match &reports[0] {
-            Report::Bits(bits) => {
-                assert_eq!(bits.len(), 70);
-                assert!(bits[0] && !bits[1] && bits[2]);
-                assert!(bits[64] && bits[65] && !bits[66]);
+        assert_eq!(
+            batch.columns(),
+            Columns::Packed {
+                width: 70,
+                words: &[0b101, 0b11, u64::MAX, (1 << 6) - 1]
             }
-            other => panic!("unexpected report {other:?}"),
-        }
-        match &reports[1] {
-            Report::Bits(bits) => assert!(bits.iter().all(|&b| b)),
-            other => panic!("unexpected report {other:?}"),
-        }
+        );
     }
 
     #[test]
@@ -251,10 +264,7 @@ mod tests {
         batch.items_mut().extend_from_slice(&[3, 1, 4]);
         assert_eq!(batch.len(), 3);
         assert_eq!(batch.size_bits(), 96);
-        assert_eq!(
-            batch.to_reports(),
-            vec![Report::Item(3), Report::Item(1), Report::Item(4)]
-        );
+        assert_eq!(batch.columns(), Columns::Items(&[3, 1, 4]));
 
         batch.clear();
         let mut batch = ReportBatch::new();
@@ -264,11 +274,11 @@ mod tests {
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.size_bits(), 192);
         assert_eq!(
-            batch.to_reports(),
-            vec![
-                Report::Hashed { seed: 9, value: 2 },
-                Report::Hashed { seed: 8, value: 0 }
-            ]
+            batch.columns(),
+            Columns::Hashed {
+                seeds: &[9, 8],
+                values: &[2, 0]
+            }
         );
     }
 

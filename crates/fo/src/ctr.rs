@@ -1,12 +1,11 @@
-//! Counter-based (splittable) randomness for the vectorized FO kernels.
+//! Counter-based (splittable) randomness for the frequency-oracle kernels.
 //!
-//! The sequential RNG contract of the row API
-//! ([`FrequencyOracle::perturb`](crate::FrequencyOracle::perturb)) — report
-//! *j* consumes the stream exactly where report *j − 1* left it — is what
-//! forces it to produce one report at a time.  This module
-//! removes the sequential dependency: draw *i* of report *j* is a **pure
-//! function** of `(key, j, i)`, so any chunk of reports can be produced in
-//! any order, on any worker, and still come out bit-identical.
+//! A sequential RNG makes report *j* consume the stream exactly where
+//! report *j − 1* left it, which forces reports to be produced one at a
+//! time, in order.  This module removes that dependency: draw *i* of
+//! report *j* is a **pure function** of `(key, j, i)`, so any chunk of
+//! reports can be produced in any order, on any worker, and still come out
+//! bit-identical.
 //!
 //! The generator is a two-level counter construction in the spirit of
 //! Philox/Threefry and SplitMix-style splittable RNGs: a strong 64-bit
@@ -26,11 +25,11 @@
 //! bit with probability ≈ 1/2.
 //!
 //! The statistical contract is enforced by `tests/ctr_stats.rs` (chi-squared
-//! agreement with the sequential RNG on GRR/OUE flip rates, key/counter
-//! independence) and the stream is pinned forever by known-answer vectors in
-//! this module's tests: **changing any constant here is a breaking change**
-//! to the federated layer's report stream and must be treated like a
-//! wire-format bump.
+//! agreement of the GRR/OUE kernels' flip rates with the analytic p and q,
+//! key/counter independence) and the stream is pinned forever by
+//! known-answer vectors in this module's tests: **changing any constant
+//! here is a breaking change** to the federated layer's report stream and
+//! must be treated like a wire-format bump.
 //!
 //! See `ARCHITECTURE.md` ("The execution path") for how this slots into
 //! the federated layer.
@@ -128,17 +127,18 @@ pub fn u53(word: u64) -> u64 {
     word >> 11
 }
 
-/// The unit-interval `f64` a sequential RNG would have produced from the
-/// same word: the reference [`bernoulli_threshold`]'s integer compare is
-/// tested against.
+/// The unit-interval `f64` of a word under the vendored `rand` subset's
+/// mapping (`(word >> 11) · 2⁻⁵³`): the reference [`bernoulli_threshold`]'s
+/// integer compare is tested against.
 #[cfg(test)]
 fn unit_f64(word: u64) -> f64 {
     u53(word) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Integer threshold `t` such that `u53(word) < t` holds exactly when
-/// `unit_f64(word) < p` — i.e. the branch-free integer compare reproduces
-/// the sequential path's Bernoulli(p) coin **exactly**, not approximately.
+/// `unit_f64(word) < p` — i.e. the branch-free integer compare is the
+/// Bernoulli(p) coin `rand`'s `gen::<f64>() < p` flips on the same word,
+/// **exactly**, not approximately.
 ///
 /// Proof sketch: `u · 2⁻⁵³ < p  ⟺  u < p · 2⁵³  ⟺  u < ⌈p · 2⁵³⌉` for
 /// integer `u`, and both the `2⁻⁵³` scaling and the comparison are exact in
@@ -156,8 +156,8 @@ pub fn bernoulli_threshold(p: f64) -> u64 {
 }
 
 /// Maps a uniform word onto `[0, n)` with Lemire's widening multiply —
-/// the same range mapping the vendored `rand` subset uses for
-/// `gen_range`, minus the (negligible at n ≪ 2⁶⁴) rejection step.
+/// the range mapping the vendored `rand` subset uses for `gen_range`,
+/// minus the (negligible at n ≪ 2⁶⁴) rejection step.
 #[inline]
 #[must_use]
 pub fn bounded(word: u64, n: u64) -> u64 {

@@ -14,7 +14,7 @@
 //! `variance`, which the federated layer reads on its own.
 
 /// Raw support counts per candidate slot, produced by an oracle's
-/// `aggregate` step before de-biasing.
+/// `aggregate_vectorized` step before de-biasing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupportCounts {
     counts: Vec<f64>,
@@ -77,9 +77,10 @@ impl SupportCounts {
         &self.counts
     }
 
-    /// Mutable access to the supports in slot order, for allocation-free
-    /// `aggregate_into` loops.  Callers adding supports directly must
-    /// account the reports themselves via [`SupportCounts::record_reports`].
+    /// Mutable access to the supports in slot order, for the
+    /// allocation-free `aggregate_vectorized` loops.  Callers adding
+    /// supports directly must account the reports themselves via
+    /// [`SupportCounts::record_reports`].
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.counts
     }

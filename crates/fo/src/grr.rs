@@ -12,8 +12,6 @@ use crate::ctr::{self, CtrRng};
 use crate::error::FoError;
 use crate::estimate::{grr_variance, FrequencyEstimate, SupportCounts};
 use crate::oracle::FrequencyOracle;
-use crate::report::Report;
-use rand::Rng;
 
 /// The k-ary randomized response oracle.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,21 +65,6 @@ impl GrrOracle {
 }
 
 impl FrequencyOracle for GrrOracle {
-    fn perturb<R: Rng + ?Sized>(&self, input: usize, rng: &mut R) -> Report {
-        debug_assert!(input < self.domain_size, "input index out of domain");
-        let keep: f64 = rng.gen();
-        if keep < self.p {
-            Report::Item(input as u32)
-        } else {
-            // Sample uniformly among the other |X| − 1 values.
-            let mut other = rng.gen_range(0..self.domain_size - 1);
-            if other >= input {
-                other += 1;
-            }
-            Report::Item(other as u32)
-        }
-    }
-
     fn perturb_vectorized(&self, inputs: &[usize], rng: &CtrRng, base: u64, out: &mut ReportBatch) {
         // Counter-addressed draws (draw 0: keep coin, draw 1: flip target)
         // and a branch-free select; report k depends only on
@@ -112,28 +95,8 @@ impl FrequencyOracle for GrrOracle {
                 }
                 supports.record_reports(items.len());
             }
-            // Another oracle's batch shape: fall back to the row-oriented path.
-            _ => self.aggregate_into(&batch.to_reports(), supports),
+            _ => batch.foreign(Repr::Items(Vec::new())),
         }
-    }
-
-    fn aggregate(&self, reports: &[Report]) -> SupportCounts {
-        let mut supports = SupportCounts::zeros(self.domain_size);
-        self.aggregate_into(reports, &mut supports);
-        supports
-    }
-
-    fn aggregate_into(&self, reports: &[Report], supports: &mut SupportCounts) {
-        debug_assert_eq!(supports.slots(), self.domain_size);
-        let counts = supports.as_mut_slice();
-        for report in reports {
-            if let Report::Item(idx) = report {
-                if let Some(c) = counts.get_mut(*idx as usize) {
-                    *c += 1.0;
-                }
-            }
-        }
-        supports.record_reports(reports.len());
     }
 
     fn estimate(&self, supports: &SupportCounts, n: usize) -> FrequencyEstimate {
@@ -143,20 +106,25 @@ impl FrequencyOracle for GrrOracle {
     fn variance(&self, n: usize) -> f64 {
         grr_variance(self.domain_size, self.budget.exp_epsilon(), n)
     }
-
-    fn report_bits(&self) -> usize {
-        32
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::batch::Columns;
 
     fn oracle(eps: f64, d: usize) -> GrrOracle {
         GrrOracle::new(PrivacyBudget::new(eps).unwrap(), d).unwrap()
+    }
+
+    /// The reported items of `inputs` perturbed under key `key`.
+    fn perturbed(o: &GrrOracle, inputs: &[usize], key: u64) -> Vec<u32> {
+        let mut batch = ReportBatch::new();
+        o.perturb_vectorized(inputs, &CtrRng::new(key), 0, &mut batch);
+        match batch.columns() {
+            Columns::Items(items) => items.to_vec(),
+            other => panic!("unexpected columns {other:?}"),
+        }
     }
 
     #[test]
@@ -181,24 +149,19 @@ mod tests {
     #[test]
     fn perturbation_keeps_output_in_domain() {
         let o = oracle(0.5, 5);
-        let mut rng = StdRng::seed_from_u64(3);
         for input in 0..5 {
-            for _ in 0..200 {
-                match o.perturb(input, &mut rng) {
-                    Report::Item(v) => assert!((v as usize) < 5),
-                    other => panic!("unexpected report {other:?}"),
-                }
-            }
+            let items = perturbed(&o, &[input; 200], 3 + input as u64);
+            assert!(items.iter().all(|&v| v < 5), "input {input}");
         }
     }
 
     #[test]
     fn empirical_keep_rate_approaches_p() {
         let o = oracle(2.0, 16);
-        let mut rng = StdRng::seed_from_u64(11);
         let trials = 40_000;
-        let kept = (0..trials)
-            .filter(|_| matches!(o.perturb(7, &mut rng), Report::Item(7)))
+        let kept = perturbed(&o, &vec![7; trials], 11)
+            .into_iter()
+            .filter(|&v| v == 7)
             .count();
         let rate = kept as f64 / trials as f64;
         assert!((rate - o.p()).abs() < 0.01, "rate {rate} vs p {}", o.p());
@@ -208,12 +171,13 @@ mod tests {
     fn estimation_recovers_uniform_mixture() {
         // Half the users hold value 0, half hold value 1, domain size 4.
         let o = oracle(3.0, 4);
-        let mut rng = StdRng::seed_from_u64(5);
         let n = 20_000;
-        let reports: Vec<Report> = (0..n)
-            .map(|i| o.perturb(if i % 2 == 0 { 0 } else { 1 }, &mut rng))
-            .collect();
-        let est = o.estimate(&o.aggregate(&reports), n);
+        let inputs: Vec<usize> = (0..n).map(|i| i % 2).collect();
+        let mut batch = ReportBatch::new();
+        o.perturb_vectorized(&inputs, &CtrRng::new(5), 0, &mut batch);
+        let mut supports = SupportCounts::zeros(4);
+        o.aggregate_vectorized(&batch, &mut supports);
+        let est = o.estimate(&supports, n);
         assert!((est.frequency(0) - 0.5).abs() < 0.03);
         assert!((est.frequency(1) - 0.5).abs() < 0.03);
         assert!(est.frequency(2).abs() < 0.03);
@@ -231,8 +195,10 @@ mod tests {
     #[test]
     fn aggregate_counts_every_report() {
         let o = oracle(1.0, 3);
-        let reports = vec![Report::Item(0), Report::Item(2), Report::Item(2)];
-        let s = o.aggregate(&reports);
+        let mut batch = ReportBatch::new();
+        batch.items_mut().extend_from_slice(&[0, 2, 2]);
+        let mut s = SupportCounts::zeros(3);
+        o.aggregate_vectorized(&batch, &mut s);
         assert_eq!(s.reports(), 3);
         assert_eq!(s.support(0), 1.0);
         assert_eq!(s.support(1), 0.0);

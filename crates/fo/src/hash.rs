@@ -1,60 +1,68 @@
-//! A universal hash family for optimized local hashing.
+//! The hash family of optimized local hashing.
 //!
 //! OLH requires each user to pick a hash function `H` uniformly at random
-//! from a universal family mapping the candidate domain into `[d']` buckets,
-//! where `d' = ⌈e^ε⌉ + 1` (saturating at `u32::MAX`).  We use a seeded
-//! SplitMix64-style mixer: the 64-bit seed identifies the function within
-//! the family, and the avalanche mixing provides the near-uniform,
-//! pairwise-independent behaviour the OLH analysis needs.  The seed travels
-//! with the report so the server can recompute `H(x)` for every candidate
-//! during support counting.
+//! from a universal family mapping the candidate domain into `[d']`
+//! buckets, where `d' = ⌈e^ε⌉ + 1` (saturating at `u32::MAX`).  A member is
+//! named by a 64-bit seed, which travels with the report so the server can
+//! recompute `H(x)` for every candidate during support counting.
+//!
+//! The family is split into a per-candidate half ([`vec_premix`]) and a
+//! per-seed half ([`vec_preseed`]), both 32-bit, so the aggregation loop
+//! hoists each out of the other's loop and pays one [`vec_combine`] per
+//! (candidate, report) pair.  [`vec_bucket`] range-maps the combined hash
+//! onto `[0, d')` with Lemire's widening multiply: no hardware division
+//! anywhere on the path.  Changing any constant here changes every OLH
+//! report and support count, which `tests/kernels.rs` pins.
 
-/// A member of the universal hash family, identified by its 64-bit seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UniversalHash {
-    seed: u64,
-    buckets: u32,
-}
+/// Salt XORed into a candidate index before [`vec_premix`] mixes it, so
+/// candidate 0 does not sit on the finalizer's fixed point at 0.
+const VEC_HASH_SALT: u64 = 0x2545_F491_4F6C_DD1D;
 
-impl UniversalHash {
-    /// Creates the hash function identified by `seed` with `buckets` output
-    /// values.  `buckets` must be at least 2.
-    pub fn new(seed: u64, buckets: u32) -> Self {
-        debug_assert!(buckets >= 2, "a hash family needs at least two buckets");
-        Self { seed, buckets }
-    }
-
-    /// The seed identifying this function within the family.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The number of output buckets d'.
-    #[inline]
-    pub fn buckets(&self) -> u32 {
-        self.buckets
-    }
-
-    /// Hashes a domain index into `[0, buckets)`.
-    #[inline]
-    pub fn hash(&self, value: u64) -> u32 {
-        (mix(value ^ self.seed.rotate_left(17)) % self.buckets as u64) as u32
-    }
-}
-
-/// SplitMix64 finalizer: a fast, high-quality 64-bit mixer.
+/// Per-candidate half of the hash family, hoisted out of the per-report
+/// inner loop: a 64-bit murmur finalizer half folded to 32 bits.
 #[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+pub(crate) fn vec_premix(candidate: u64) -> u32 {
+    let x = candidate ^ VEC_HASH_SALT;
+    let x = (x ^ (x >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    (x ^ (x >> 32)) as u32
+}
+
+/// Per-seed half of the hash family, hoisted once per report.
+#[inline]
+pub(crate) fn vec_preseed(seed: u64) -> u32 {
+    let x = (seed ^ (seed >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    (x ^ (x >> 32)) as u32
+}
+
+/// Combines the two hoisted halves into the 32-bit hash value (lowbias32
+/// scramble).  This is the only per-(candidate, report) work on the
+/// aggregation path; everything here is 32-bit on purpose, so the compiler
+/// can keep four hash lanes in flight per SSE register, eight per AVX2 one.
+#[inline]
+pub(crate) fn vec_combine(premix: u32, preseed: u32) -> u32 {
+    let x = premix ^ preseed;
+    let x = (x ^ (x >> 16)).wrapping_mul(0x7FEB_352D);
+    let x = (x ^ (x >> 15)).wrapping_mul(0x846C_A68B);
+    x ^ (x >> 16)
+}
+
+/// The family's bucket for a candidate under a seed: the 32-bit hash
+/// range-mapped onto `[0, buckets)` with Lemire's widening multiply.
+#[inline]
+pub(crate) fn vec_bucket(premix: u32, preseed: u32, buckets: u32) -> u32 {
+    ((vec_combine(premix, preseed) as u64 * buckets as u64) >> 32) as u32
+}
+
+/// Lemire bucket boundary: the smallest hash value mapping to bucket `v`
+/// (so `bucket(h) == v  ⟺  h − boundary(v) < boundary(v+1) − boundary(v)`).
+#[inline]
+pub(crate) fn vec_boundary(v: u64, buckets: u64) -> u64 {
+    (v << 32).div_ceil(buckets)
 }
 
 /// Computes the OLH bucket count d' = ⌈e^ε⌉ + 1 for a privacy budget,
 /// saturating at `u32::MAX` from ε ≈ 22.18 on.
-pub fn olh_buckets(exp_epsilon: f64) -> u32 {
+pub(crate) fn olh_buckets(exp_epsilon: f64) -> u32 {
     (exp_epsilon.ceil() as u32).saturating_add(1).max(2)
 }
 
@@ -62,31 +70,34 @@ pub fn olh_buckets(exp_epsilon: f64) -> u32 {
 mod tests {
     use super::*;
 
+    /// The bucket of `value` under the function `seed` names.
+    fn hash(seed: u64, buckets: u32, value: u64) -> u32 {
+        vec_bucket(vec_premix(value), vec_preseed(seed), buckets)
+    }
+
     #[test]
     fn hashing_is_deterministic_per_seed() {
-        let h = UniversalHash::new(42, 8);
         for v in 0..100u64 {
-            assert_eq!(h.hash(v), h.hash(v));
-            assert!(h.hash(v) < 8);
+            assert_eq!(hash(42, 8, v), hash(42, 8, v));
+            assert!(hash(42, 8, v) < 8);
         }
     }
 
     #[test]
     fn different_seeds_give_different_functions() {
-        let a = UniversalHash::new(1, 16);
-        let b = UniversalHash::new(2, 16);
-        let disagreements = (0..256u64).filter(|v| a.hash(*v) != b.hash(*v)).count();
+        let disagreements = (0..256u64)
+            .filter(|&v| hash(1, 16, v) != hash(2, 16, v))
+            .count();
         // Two independent functions should disagree on most inputs.
         assert!(disagreements > 128, "only {disagreements} disagreements");
     }
 
     #[test]
     fn buckets_are_roughly_uniform() {
-        let h = UniversalHash::new(7, 4);
         let mut counts = [0usize; 4];
         let n = 40_000u64;
         for v in 0..n {
-            counts[h.hash(v) as usize] += 1;
+            counts[hash(7, 4, v) as usize] += 1;
         }
         let expected = n as f64 / 4.0;
         for c in counts {
@@ -125,13 +136,9 @@ mod tests {
         // For a universal family, Pr[H(x) = H(y)] ≈ 1/d' for x ≠ y.
         let buckets = 8u32;
         let trials = 20_000u64;
-        let mut collisions = 0usize;
-        for seed in 0..trials {
-            let h = UniversalHash::new(seed, buckets);
-            if h.hash(123) == h.hash(456) {
-                collisions += 1;
-            }
-        }
+        let collisions = (0..trials)
+            .filter(|&seed| hash(seed, buckets, 123) == hash(seed, buckets, 456))
+            .count();
         let rate = collisions as f64 / trials as f64;
         let expected = 1.0 / buckets as f64;
         assert!((rate - expected).abs() < 0.02, "collision rate {rate}");

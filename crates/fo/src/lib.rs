@@ -30,20 +30,23 @@
 //! ## Example
 //!
 //! ```
-//! use fedhh_fo::{CandidateDomain, FoKind, FrequencyOracle, Oracle, PrivacyBudget};
-//! use rand::SeedableRng;
+//! use fedhh_fo::{
+//!     CandidateDomain, CtrRng, FoKind, FrequencyOracle, Oracle, PrivacyBudget, ReportBatch,
+//!     SupportCounts,
+//! };
 //!
 //! // Candidate domain of four 2-bit prefixes plus an implicit dummy slot.
 //! let domain = CandidateDomain::with_dummy(vec![0b00, 0b01, 0b10, 0b11]);
 //! let oracle = Oracle::new(FoKind::Grr, PrivacyBudget::new(2.0).unwrap(), domain.len());
 //!
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! // 1000 users whose true value is prefix 0b10.
-//! let reports: Vec<_> = (0..1000)
-//!     .map(|_| oracle.perturb(domain.index_of(&0b10).unwrap(), &mut rng))
-//!     .collect();
+//! let inputs = vec![domain.index_of(&0b10).unwrap(); 1000];
+//! let mut batch = ReportBatch::new();
+//! oracle.perturb_vectorized(&inputs, &CtrRng::new(7), 0, &mut batch);
+//! let mut supports = SupportCounts::zeros(domain.len());
+//! oracle.aggregate_vectorized(&batch, &mut supports);
 //!
-//! let estimate = oracle.estimate(&oracle.aggregate(&reports), 1000);
+//! let estimate = oracle.estimate(&supports, inputs.len());
 //! // The estimated frequency of 0b10 should dominate.
 //! let best = (0..domain.len()).max_by(|a, b| {
 //!     estimate.frequency(*a).partial_cmp(&estimate.frequency(*b)).unwrap()
@@ -51,43 +54,19 @@
 //! assert_eq!(domain.value_at(best), Some(&0b10));
 //! ```
 //!
-//! ## Arena aggregation
-//!
-//! [`FrequencyOracle::aggregate_into`] is `aggregate` folding into a
-//! caller-owned [`SupportCounts`] arena: same support sums, no allocation,
-//! and one arena serves any number of chunks.  It is the row reference the
-//! vectorized kernels are tested against, and the fallback
-//! `aggregate_vectorized` takes for another oracle's batch.
-//!
-//! ```
-//! use fedhh_fo::{FoKind, FrequencyOracle, Oracle, PrivacyBudget, SupportCounts};
-//! use rand::SeedableRng;
-//!
-//! let oracle = Oracle::new(FoKind::Grr, PrivacyBudget::new(2.0).unwrap(), 8);
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let reports: Vec<_> = (0..1000).map(|_| oracle.perturb(3, &mut rng)).collect();
-//!
-//! let mut arena = SupportCounts::zeros(8);
-//! for chunk in reports.chunks(256) {
-//!     oracle.aggregate_into(chunk, &mut arena);
-//! }
-//! assert_eq!(arena, oracle.aggregate(&reports));
-//! ```
-//!
-//! ## Vectorized hot path (0.8)
+//! ## The kernels
 //!
 //! [`FrequencyOracle::perturb_vectorized`] and
-//! [`FrequencyOracle::aggregate_vectorized`] are the path the federated
-//! layer runs: driven by the counter-based [`CtrRng`]
-//! (every draw a pure function of `(key, report, draw)`), they fill and
-//! consume columnar [`ReportBatch`] arenas (an index column for GRR,
-//! bit-packed rows for OUE, seed/value columns for OLH) with branch-free
-//! kernels.  The output is deterministic per key and bit-identical across
-//! any chunking or evaluation order — but it is **not** the sequential RNG
-//! stream, so its results differ numerically from the row API's at the
-//! same seed (the kernels are pinned on their own).
+//! [`FrequencyOracle::aggregate_vectorized`] are the one path every run
+//! takes: driven by the counter-based [`CtrRng`] (every draw a pure
+//! function of `(key, report, draw)`), they fill and consume columnar
+//! [`ReportBatch`] arenas (an index column for GRR, bit-packed rows for
+//! OUE, seed/value columns for OLH) with branch-free kernels.  The output
+//! is deterministic per key and bit-identical across any chunking or
+//! evaluation order, and aggregation folds into a caller-owned
+//! [`SupportCounts`] arena, so one arena serves any number of chunks.
 //!
-//! OLH's vectorized aggregation loop is compiled twice from one body — for
+//! OLH's aggregation loop is compiled twice from one body — for
 //! the build target's baseline ISA and, on `x86_64`, for AVX2 — and the
 //! copy is picked at run time from the CPU's features.  Both copies count
 //! the same whole-number supports and add them in the same order, so the
@@ -132,21 +111,18 @@ pub mod domain;
 pub mod error;
 pub mod estimate;
 pub mod grr;
-pub mod hash;
+mod hash;
 pub mod olh;
 pub mod oracle;
 pub mod oue;
-pub mod report;
 
-pub use batch::{PackedBits, ReportBatch};
+pub use batch::{Columns, ReportBatch};
 pub use budget::PrivacyBudget;
 pub use ctr::CtrRng;
 pub use domain::{CandidateDomain, DomainIndex};
 pub use error::FoError;
 pub use estimate::{FrequencyEstimate, SupportCounts};
 pub use grr::GrrOracle;
-pub use hash::UniversalHash;
 pub use olh::OlhOracle;
 pub use oracle::{FoKind, FrequencyOracle, Oracle, ParseFoKindError};
 pub use oue::OueOracle;
-pub use report::Report;

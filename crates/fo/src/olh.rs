@@ -14,57 +14,8 @@ use crate::budget::PrivacyBudget;
 use crate::ctr::{self, CtrRng};
 use crate::error::FoError;
 use crate::estimate::{oue_variance, FrequencyEstimate, SupportCounts};
-use crate::hash::{olh_buckets, UniversalHash};
+use crate::hash::{olh_buckets, vec_boundary, vec_bucket, vec_combine, vec_premix, vec_preseed};
 use crate::oracle::FrequencyOracle;
-use crate::report::Report;
-use rand::Rng;
-
-/// Salt decorrelating the vectorized hash family from the counter RNG and
-/// from [`UniversalHash`]'s seed rotation.
-const VEC_HASH_SALT: u64 = 0x2545_F491_4F6C_DD1D;
-
-/// Per-candidate half of the vectorized hash family, hoisted out of the
-/// per-report inner loop: a 64-bit murmur finalizer half folded to 32 bits.
-#[inline]
-fn vec_premix(candidate: u64) -> u32 {
-    let x = candidate ^ VEC_HASH_SALT;
-    let x = (x ^ (x >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    (x ^ (x >> 32)) as u32
-}
-
-/// Per-seed half of the vectorized hash family, hoisted once per report.
-#[inline]
-fn vec_preseed(seed: u64) -> u32 {
-    let x = (seed ^ (seed >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-    (x ^ (x >> 32)) as u32
-}
-
-/// Combines the two hoisted halves into the 32-bit hash value (lowbias32
-/// scramble).  This is the only per-(candidate, report) work on the
-/// aggregation path; everything here is 32-bit on purpose, so the compiler
-/// can keep four hash lanes in flight per SSE register, eight per AVX2 one.
-#[inline]
-fn vec_combine(premix: u32, preseed: u32) -> u32 {
-    let x = premix ^ preseed;
-    let x = (x ^ (x >> 16)).wrapping_mul(0x7FEB_352D);
-    let x = (x ^ (x >> 15)).wrapping_mul(0x846C_A68B);
-    x ^ (x >> 16)
-}
-
-/// The vectorized family's bucket for a candidate under a seed: the 32-bit
-/// hash range-mapped onto `[0, buckets)` with Lemire's widening multiply —
-/// no hardware division anywhere on the aggregation path.
-#[inline]
-fn vec_bucket(premix: u32, preseed: u32, buckets: u32) -> u32 {
-    ((vec_combine(premix, preseed) as u64 * buckets as u64) >> 32) as u32
-}
-
-/// Lemire bucket boundary: the smallest hash value mapping to bucket `v`
-/// (so `bucket(h) == v  ⟺  h − boundary(v) < boundary(v+1) − boundary(v)`).
-#[inline]
-fn vec_boundary(v: u64, buckets: u64) -> u64 {
-    (v << 32).div_ceil(buckets)
-}
 
 /// Adds to `counts[x]` the number of reports `(seeds[j], values[j])` that
 /// support candidate `x`, on the widest copy of [`count_supports_body`] the
@@ -111,7 +62,7 @@ const INTERVAL_TABLE: u64 = 4096;
 /// then tests membership with one combine (two multiplies) and one compare
 /// per (candidate, report) pair.  A value outside `[0, buckets)` — a report
 /// perturbed under a larger budget — gets the empty interval and supports
-/// nothing, as on the row path.
+/// nothing, as no candidate hashes to it.
 ///
 /// The intervals of the first [`INTERVAL_TABLE`] buckets are tabulated
 /// once per call; a value past them has its interval computed per report.
@@ -210,32 +161,10 @@ impl OlhOracle {
 }
 
 impl FrequencyOracle for OlhOracle {
-    fn perturb<R: Rng + ?Sized>(&self, input: usize, rng: &mut R) -> Report {
-        debug_assert!(input < self.domain_size, "input index out of domain");
-        let seed: u64 = rng.gen();
-        let hash = UniversalHash::new(seed, self.buckets);
-        let true_bucket = hash.hash(input as u64);
-        let keep: f64 = rng.gen();
-        let value = if keep < self.p {
-            true_bucket
-        } else {
-            let mut other = rng.gen_range(0..self.buckets - 1);
-            if other >= true_bucket {
-                other += 1;
-            }
-            other
-        };
-        Report::Hashed { seed, value }
-    }
-
     fn perturb_vectorized(&self, inputs: &[usize], rng: &CtrRng, base: u64, out: &mut ReportBatch) {
         // Counter-addressed draws (0: hash seed, 1: keep coin, 2: flip
-        // target) into parallel seed/value columns.  The vectorized path
-        // uses its own division-free hash family (`vec_bucket`), pinned
-        // independently of the row API's `UniversalHash` family — both
-        // sides of this path (perturb and aggregate) must agree, and they
-        // do because a hashed batch is only ever aggregated by
-        // `aggregate_vectorized`.
+        // target) into parallel seed/value columns, hashed with the
+        // division-free family `aggregate_vectorized` recomputes.
         let t_p = ctr::bernoulli_threshold(self.p);
         let buckets = self.buckets;
         let (seeds, values) = out.hashed_mut();
@@ -258,37 +187,10 @@ impl FrequencyOracle for OlhOracle {
         debug_assert_eq!(supports.slots(), self.domain_size);
         let (seeds, values) = match &batch.repr {
             Repr::Hashed { seeds, values } => (seeds, values),
-            // Another oracle's batch shape: the row-oriented path handles it.
-            _ => return self.aggregate_into(&batch.to_reports(), supports),
+            _ => batch.foreign(Repr::hashed()),
         };
         count_supports(seeds, values, self.buckets, supports.as_mut_slice());
         supports.record_reports(seeds.len());
-    }
-
-    fn aggregate(&self, reports: &[Report]) -> SupportCounts {
-        let mut supports = SupportCounts::zeros(self.domain_size);
-        self.aggregate_into(reports, &mut supports);
-        supports
-    }
-
-    fn aggregate_into(&self, reports: &[Report], supports: &mut SupportCounts) {
-        debug_assert_eq!(supports.slots(), self.domain_size);
-        // The hash state (one function per report) is constructed once per
-        // report and reused across every candidate; supports are written
-        // straight into the caller-owned accumulator slots.
-        let buckets = self.buckets;
-        let counts = supports.as_mut_slice();
-        for report in reports {
-            if let Report::Hashed { seed, value } = report {
-                let hash = UniversalHash::new(*seed, buckets);
-                for (candidate, slot) in counts.iter_mut().enumerate() {
-                    if hash.hash(candidate as u64) == *value {
-                        *slot += 1.0;
-                    }
-                }
-            }
-        }
-        supports.record_reports(reports.len());
     }
 
     fn estimate(&self, supports: &SupportCounts, n: usize) -> FrequencyEstimate {
@@ -301,18 +203,12 @@ impl FrequencyOracle for OlhOracle {
     fn variance(&self, n: usize) -> f64 {
         oue_variance(self.budget.exp_epsilon(), n)
     }
-
-    fn report_bits(&self) -> usize {
-        64 + 32
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctr::CtrRng;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::batch::Columns;
 
     fn oracle(eps: f64, d: usize) -> OlhOracle {
         OlhOracle::new(PrivacyBudget::new(eps).unwrap(), d).unwrap()
@@ -335,13 +231,14 @@ mod tests {
     #[test]
     fn estimation_recovers_skewed_distribution() {
         let o = oracle(3.0, 16);
-        let mut rng = StdRng::seed_from_u64(17);
         let n = 30_000;
         // 60% hold slot 1, 40% hold slot 9.
-        let reports: Vec<Report> = (0..n)
-            .map(|i| o.perturb(if i % 10 < 6 { 1 } else { 9 }, &mut rng))
-            .collect();
-        let est = o.estimate(&o.aggregate(&reports), n);
+        let inputs: Vec<usize> = (0..n).map(|i| if i % 10 < 6 { 1 } else { 9 }).collect();
+        let mut batch = ReportBatch::new();
+        o.perturb_vectorized(&inputs, &CtrRng::new(17), 0, &mut batch);
+        let mut supports = SupportCounts::zeros(16);
+        o.aggregate_vectorized(&batch, &mut supports);
+        let est = o.estimate(&supports, n);
         assert!(
             (est.frequency(1) - 0.6).abs() < 0.05,
             "f1 = {}",
@@ -371,8 +268,11 @@ mod tests {
 
     #[test]
     fn report_size_is_constant() {
-        let o = oracle(1.0, 100_000);
-        assert_eq!(o.report_bits(), 96);
+        for domain in [2, 100_000] {
+            let mut batch = ReportBatch::new();
+            oracle(1.0, domain).perturb_vectorized(&[1], &CtrRng::new(1), 0, &mut batch);
+            assert_eq!(batch.size_bits(), 96, "domain {domain}");
+        }
     }
 
     #[test]
@@ -438,8 +338,8 @@ mod tests {
 
     /// A batch perturbed under ε = 8 (2 982 buckets) and aggregated by an
     /// ε = 1 oracle (4 buckets) carries values past the aggregator's last
-    /// bucket.  Those reports support nothing, as on the row path, and the
-    /// rest count as if the batch held them alone.
+    /// bucket.  Those reports support nothing, and the rest count as if the
+    /// batch held them alone.
     #[test]
     fn out_of_range_values_support_nothing() {
         let (wide, narrow) = (oracle(8.0, 8), oracle(1.0, 8));
@@ -447,14 +347,19 @@ mod tests {
         let inputs: Vec<usize> = (0..n).map(|i| i % 8).collect();
         let mut batch = ReportBatch::new();
         wide.perturb_vectorized(&inputs, &CtrRng::new(3), 0, &mut batch);
+        let Columns::Hashed {
+            seeds: all_seeds,
+            values: all_values,
+        } = batch.columns()
+        else {
+            panic!("an OLH batch")
+        };
         let mut in_range = ReportBatch::new();
         let (seeds, values) = in_range.hashed_mut();
-        for report in batch.to_reports() {
-            if let Report::Hashed { seed, value } = report {
-                if value < narrow.buckets() {
-                    seeds.push(seed);
-                    values.push(value);
-                }
+        for (&seed, &value) in all_seeds.iter().zip(all_values) {
+            if value < narrow.buckets() {
+                seeds.push(seed);
+                values.push(value);
             }
         }
         assert!(

@@ -16,59 +16,37 @@ use crate::estimate::{FrequencyEstimate, SupportCounts};
 use crate::grr::GrrOracle;
 use crate::olh::OlhOracle;
 use crate::oue::OueOracle;
-use crate::report::Report;
-use rand::Rng;
 
 /// The frequency-oracle interface of GRR, OUE and OLH.
 ///
 /// [`GrrOracle`], [`OueOracle`], [`OlhOracle`] and the [`Oracle`] wrapper
-/// are its implementations, and each writes every method itself.
-/// [`perturb`](Self::perturb) and [`aggregate`](Self::aggregate) define the
-/// semantics on the sequential RNG stream — the row reference the tests and
-/// the `fo_*/*/scalar` perf legs compare the kernels against;
-/// [`aggregate_into`](Self::aggregate_into) is the same fold into a
-/// caller-owned arena.  The `*_vectorized` pair is the counter-RNG path the
-/// federated layer runs, pinned on its own.
+/// are its implementations, and each writes every method itself.  A user's
+/// report is perturbed by [`perturb_vectorized`](Self::perturb_vectorized)
+/// with counter-based randomness into a columnar [`ReportBatch`], which
+/// [`aggregate_vectorized`](Self::aggregate_vectorized) of the same oracle
+/// folds into support counts; [`estimate`](Self::estimate) de-biases them.
 pub trait FrequencyOracle {
-    /// Perturbs one user's domain index into a report satisfying ε-LDP.
-    fn perturb<R: Rng + ?Sized>(&self, input: usize, rng: &mut R) -> Report;
-
-    /// Aggregates reports into per-slot support counts.
-    fn aggregate(&self, reports: &[Report]) -> SupportCounts;
-
-    /// Aggregates reports **into** a caller-owned accumulator, adding to
-    /// whatever supports it already holds.
-    ///
-    /// `supports` must have as many slots as the oracle's domain.
-    /// Equivalent to `supports.merge(&self.aggregate(reports))`, but written
-    /// into the accumulator directly, so the inner loop is allocation-free
-    /// and a reused arena serves many calls.
-    fn aggregate_into(&self, reports: &[Report], supports: &mut SupportCounts);
-
-    /// Perturbs a chunk of inputs with **counter-based** randomness: the
-    /// report for `inputs[k]` is a pure function of
-    /// `(rng.key(), base + k)`, independent of chunking and evaluation
-    /// order.
-    ///
-    /// This is the federated layer's hot path.  It does **not** reproduce
-    /// the sequential RNG stream of [`perturb`](Self::perturb) — it is its
-    /// own pinned output, deterministic per key but numerically different
-    /// from the row API.
+    /// Perturbs a chunk of domain indices into reports satisfying ε-LDP,
+    /// with **counter-based** randomness: the report for `inputs[k]` is a
+    /// pure function of `(rng.key(), base + k)`, independent of chunking
+    /// and evaluation order.
     fn perturb_vectorized(&self, inputs: &[usize], rng: &CtrRng, base: u64, out: &mut ReportBatch);
 
-    /// Aggregates a structure-of-arrays report batch into a caller-owned
-    /// accumulator — the vectorized counterpart of
-    /// [`aggregate_into`](Self::aggregate_into).
+    /// Aggregates a structure-of-arrays report batch **into** a
+    /// caller-owned accumulator, adding to whatever supports it already
+    /// holds.  `supports` must have as many slots as the oracle's domain.
     ///
     /// The contract is with [`perturb_vectorized`](Self::perturb_vectorized):
     /// a batch produced by it must aggregate to the same supports no matter
     /// how it was chunked (whole-number additions, so the fold is
-    /// order-independent).  An oracle may read its own batches with
-    /// machinery the row-oriented path does not share (OLH uses a
-    /// division-free hash family on this path), which is safe because a
-    /// batch is only ever aggregated by this method.  A batch in another
-    /// oracle's shape is materialized with [`ReportBatch::to_reports`] and
-    /// folded by `aggregate_into`.
+    /// order-independent).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is in another oracle's shape, or is an OUE batch
+    /// of another width, with a message naming the expected shape and the
+    /// batch's.  Every caller perturbs and aggregates with one oracle, and
+    /// a batch never leaves its process, so such a batch is a bug.
     fn aggregate_vectorized(&self, batch: &ReportBatch, supports: &mut SupportCounts);
 
     /// De-biases support counts into unbiased frequency estimates for `n`
@@ -77,9 +55,6 @@ pub trait FrequencyOracle {
 
     /// Analytic variance of a single frequency estimate with `n` users.
     fn variance(&self, n: usize) -> f64;
-
-    /// Size of one report on the wire, in bits.
-    fn report_bits(&self) -> usize;
 }
 
 /// Which frequency oracle to use, selectable by configuration.
@@ -197,14 +172,6 @@ impl Oracle {
 }
 
 impl FrequencyOracle for Oracle {
-    fn perturb<R: Rng + ?Sized>(&self, input: usize, rng: &mut R) -> Report {
-        match self {
-            Oracle::Grr(o) => o.perturb(input, rng),
-            Oracle::Oue(o) => o.perturb(input, rng),
-            Oracle::Olh(o) => o.perturb(input, rng),
-        }
-    }
-
     fn perturb_vectorized(&self, inputs: &[usize], rng: &CtrRng, base: u64, out: &mut ReportBatch) {
         match self {
             Oracle::Grr(o) => o.perturb_vectorized(inputs, rng, base, out),
@@ -218,22 +185,6 @@ impl FrequencyOracle for Oracle {
             Oracle::Grr(o) => o.aggregate_vectorized(batch, supports),
             Oracle::Oue(o) => o.aggregate_vectorized(batch, supports),
             Oracle::Olh(o) => o.aggregate_vectorized(batch, supports),
-        }
-    }
-
-    fn aggregate(&self, reports: &[Report]) -> SupportCounts {
-        match self {
-            Oracle::Grr(o) => o.aggregate(reports),
-            Oracle::Oue(o) => o.aggregate(reports),
-            Oracle::Olh(o) => o.aggregate(reports),
-        }
-    }
-
-    fn aggregate_into(&self, reports: &[Report], supports: &mut SupportCounts) {
-        match self {
-            Oracle::Grr(o) => o.aggregate_into(reports, supports),
-            Oracle::Oue(o) => o.aggregate_into(reports, supports),
-            Oracle::Olh(o) => o.aggregate_into(reports, supports),
         }
     }
 
@@ -252,21 +203,18 @@ impl FrequencyOracle for Oracle {
             Oracle::Olh(o) => o.variance(n),
         }
     }
-
-    fn report_bits(&self) -> usize {
-        match self {
-            Oracle::Grr(o) => o.report_bits(),
-            Oracle::Oue(o) => o.report_bits(),
-            Oracle::Olh(o) => o.report_bits(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    /// `inputs` perturbed by `oracle` under key `key`.
+    fn perturbed(oracle: &Oracle, inputs: &[usize], key: u64) -> ReportBatch {
+        let mut batch = ReportBatch::new();
+        oracle.perturb_vectorized(inputs, &CtrRng::new(key), 0, &mut batch);
+        batch
+    }
 
     #[test]
     fn kind_round_trips_through_names() {
@@ -291,15 +239,15 @@ mod tests {
     #[test]
     fn unified_oracle_dispatches_to_each_kind() {
         let budget = PrivacyBudget::new(2.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
         for kind in FoKind::ALL {
             let oracle = Oracle::new(kind, budget, 8);
             assert_eq!(oracle.kind(), kind);
-            let report = oracle.perturb(3, &mut rng);
-            let supports = oracle.aggregate(&[report]);
+            let batch = perturbed(&oracle, &[3], 23);
+            let mut supports = SupportCounts::zeros(8);
+            oracle.aggregate_vectorized(&batch, &mut supports);
             assert_eq!(supports.reports(), 1);
             assert!(oracle.variance(100) > 0.0);
-            assert!(oracle.report_bits() > 0);
+            assert!(batch.size_bits() > 0);
         }
     }
 
@@ -314,16 +262,13 @@ mod tests {
     #[test]
     fn perturb_aggregate_estimate_recovers_the_mode_for_every_kind() {
         let budget = PrivacyBudget::new(4.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(31);
         // 80% of users hold index 2, the rest index 0, domain of 6 slots.
         let inputs: Vec<usize> = (0..8000).map(|i| if i % 5 == 0 { 0 } else { 2 }).collect();
         for kind in FoKind::ALL {
             let oracle = Oracle::new(kind, budget, 6);
-            let reports: Vec<Report> = inputs
-                .iter()
-                .map(|&input| oracle.perturb(input, &mut rng))
-                .collect();
-            let estimate = oracle.estimate(&oracle.aggregate(&reports), inputs.len());
+            let mut supports = SupportCounts::zeros(6);
+            oracle.aggregate_vectorized(&perturbed(&oracle, &inputs, 31), &mut supports);
+            let estimate = oracle.estimate(&supports, inputs.len());
             let frequencies = estimate.frequencies();
             let mode = (0..frequencies.len())
                 .reduce(|best, slot| {
@@ -343,10 +288,8 @@ mod tests {
         // Per-report: OUE grows with the domain, GRR and OLH stay constant.
         let budget = PrivacyBudget::new(2.0).unwrap();
         let big = 4096;
-        let grr = Oracle::new(FoKind::Grr, budget, big);
-        let oue = Oracle::new(FoKind::Oue, budget, big);
-        let olh = Oracle::new(FoKind::Olh, budget, big);
-        assert!(oue.report_bits() > grr.report_bits());
-        assert!(oue.report_bits() > olh.report_bits());
+        let bits = |kind| perturbed(&Oracle::new(kind, budget, big), &[1], 2).size_bits();
+        assert!(bits(FoKind::Oue) > bits(FoKind::Grr));
+        assert!(bits(FoKind::Oue) > bits(FoKind::Olh));
     }
 }

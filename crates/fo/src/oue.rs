@@ -8,14 +8,12 @@
 //! independent of the domain size, which is why the paper recommends OUE for
 //! large domains.
 
-use crate::batch::{ReportBatch, Repr};
+use crate::batch::{PackedBits, ReportBatch, Repr};
 use crate::budget::PrivacyBudget;
 use crate::ctr::{self, CtrRng};
 use crate::error::FoError;
 use crate::estimate::{oue_variance, FrequencyEstimate, SupportCounts};
 use crate::oracle::FrequencyOracle;
-use crate::report::Report;
-use rand::Rng;
 
 /// Bitsliced comparison planes per 64-slot block in the vectorized
 /// perturb kernel: the top `PLANES` bits of each slot's 53-bit uniform are
@@ -71,17 +69,6 @@ impl OueOracle {
 }
 
 impl FrequencyOracle for OueOracle {
-    fn perturb<R: Rng + ?Sized>(&self, input: usize, rng: &mut R) -> Report {
-        debug_assert!(input < self.domain_size, "input index out of domain");
-        let bits = (0..self.domain_size)
-            .map(|slot| {
-                let threshold = if slot == input { self.p } else { self.q };
-                rng.gen::<f64>() < threshold
-            })
-            .collect();
-        Report::Bits(bits)
-    }
-
     fn perturb_vectorized(&self, inputs: &[usize], rng: &CtrRng, base: u64, out: &mut ReportBatch) {
         // Branch-free bit-packed kernel: all 64 slots of a block flip their
         // q-coins at once.  Per slot the 53-bit uniform is split as
@@ -166,34 +153,8 @@ impl FrequencyOracle for OueOracle {
                 }
                 supports.record_reports(packed.reports);
             }
-            // Another oracle's batch shape, or another width: the row-oriented
-            // path handles it.
-            _ => self.aggregate_into(&batch.to_reports(), supports),
+            _ => batch.foreign(Repr::Packed(PackedBits::new(self.domain_size))),
         }
-    }
-
-    fn aggregate(&self, reports: &[Report]) -> SupportCounts {
-        let mut supports = SupportCounts::zeros(self.domain_size);
-        self.aggregate_into(reports, &mut supports);
-        supports
-    }
-
-    fn aggregate_into(&self, reports: &[Report], supports: &mut SupportCounts) {
-        debug_assert_eq!(supports.slots(), self.domain_size);
-        // Allocation-free inner loop: add each report's bits straight into
-        // the caller-owned accumulator slots.  `zip` bounds both sides, so
-        // foreign report widths cannot index out of range.
-        let counts = supports.as_mut_slice();
-        for report in reports {
-            if let Report::Bits(bits) = report {
-                for (slot, bit) in counts.iter_mut().zip(bits.iter()) {
-                    if *bit {
-                        *slot += 1.0;
-                    }
-                }
-            }
-        }
-        supports.record_reports(reports.len());
     }
 
     fn estimate(&self, supports: &SupportCounts, n: usize) -> FrequencyEstimate {
@@ -203,17 +164,12 @@ impl FrequencyOracle for OueOracle {
     fn variance(&self, n: usize) -> f64 {
         oue_variance(self.budget.exp_epsilon(), n)
     }
-
-    fn report_bits(&self) -> usize {
-        self.domain_size
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::batch::Columns;
 
     fn oracle(eps: f64, d: usize) -> OueOracle {
         OueOracle::new(PrivacyBudget::new(eps).unwrap(), d).unwrap()
@@ -233,24 +189,26 @@ mod tests {
     #[test]
     fn report_length_equals_domain() {
         let o = oracle(1.0, 17);
-        let mut rng = StdRng::seed_from_u64(1);
-        match o.perturb(3, &mut rng) {
-            Report::Bits(bits) => assert_eq!(bits.len(), 17),
-            other => panic!("unexpected report {other:?}"),
+        let mut batch = ReportBatch::new();
+        o.perturb_vectorized(&[3], &CtrRng::new(1), 0, &mut batch);
+        match batch.columns() {
+            Columns::Packed { width, words } => assert_eq!((width, words.len()), (17, 1)),
+            other => panic!("unexpected columns {other:?}"),
         }
-        assert_eq!(o.report_bits(), 17);
+        assert_eq!(batch.size_bits(), 17);
     }
 
     #[test]
     fn estimation_recovers_skewed_distribution() {
         let o = oracle(3.0, 8);
-        let mut rng = StdRng::seed_from_u64(9);
         let n = 20_000;
         // 70% of users hold slot 2, 30% hold slot 5.
-        let reports: Vec<Report> = (0..n)
-            .map(|i| o.perturb(if i % 10 < 7 { 2 } else { 5 }, &mut rng))
-            .collect();
-        let est = o.estimate(&o.aggregate(&reports), n);
+        let inputs: Vec<usize> = (0..n).map(|i| if i % 10 < 7 { 2 } else { 5 }).collect();
+        let mut batch = ReportBatch::new();
+        o.perturb_vectorized(&inputs, &CtrRng::new(9), 0, &mut batch);
+        let mut supports = SupportCounts::zeros(8);
+        o.aggregate_vectorized(&batch, &mut supports);
+        let est = o.estimate(&supports, n);
         assert!((est.frequency(2) - 0.7).abs() < 0.03);
         assert!((est.frequency(5) - 0.3).abs() < 0.03);
         for slot in [0, 1, 3, 4, 6, 7] {
@@ -268,15 +226,5 @@ mod tests {
     #[test]
     fn rejects_tiny_domains() {
         assert!(OueOracle::new(PrivacyBudget::new(1.0).unwrap(), 1).is_err());
-    }
-
-    #[test]
-    fn aggregate_ignores_foreign_reports() {
-        let o = oracle(1.0, 4);
-        let supports = o.aggregate(&[Report::Item(2)]);
-        // The foreign report contributes no support but is still counted as
-        // a received report (it consumed a user's budget).
-        assert_eq!(supports.reports(), 1);
-        assert_eq!(supports.as_slice(), &[0.0, 0.0, 0.0, 0.0]);
     }
 }

@@ -1,12 +1,11 @@
-//! Statistical contract of the counter-based RNG and the vectorized
-//! kernels built on it.
+//! Statistical contract of the counter-based RNG and the kernels built on
+//! it.
 //!
-//! The vectorized kernels deliberately abandon the sequential RNG stream,
-//! so bit-identity with the row reference (`FrequencyOracle::perturb`)
-//! cannot be the test.  What must hold
-//! instead is *distributional* identity: the counter-driven kernels flip
-//! the same Bernoulli coins with the same probabilities as the sequential
-//! path (exactly the same thresholds, by construction — see
+//! The kernels draw from a counter-based stream, not a sequential one, so
+//! their reports are pinned on their own (the known answers below).  What
+//! must hold besides is *distributional* identity: the kernels flip the
+//! Bernoulli coins a sequential `rand` stream would, with exactly the
+//! analytic probabilities (the thresholds are exact by construction — see
 //! `ctr::bernoulli_threshold`), and the raw word stream behaves like
 //! independent uniforms across both the key and the two counters.  Every
 //! test here is a deterministic seeded experiment with chi-squared
@@ -15,11 +14,9 @@
 
 use fedhh_fo::ctr::CtrRng;
 use fedhh_fo::{
-    FoKind, FrequencyOracle, GrrOracle, Oracle, OueOracle, PrivacyBudget, Report, ReportBatch,
+    Columns, FoKind, FrequencyOracle, GrrOracle, Oracle, OueOracle, PrivacyBudget, ReportBatch,
     SupportCounts,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Chi-squared statistic of observed counts against expected counts.
 fn chi_squared(observed: &[f64], expected: &[f64]) -> f64 {
@@ -30,9 +27,9 @@ fn chi_squared(observed: &[f64], expected: &[f64]) -> f64 {
         .sum()
 }
 
-/// GRR value distribution: the vectorized kernel and the sequential path
-/// both match the analytic (p, q, …, q) cell probabilities, judged by the
-/// same chi-squared yardstick.
+/// GRR value distribution: the kernel's reports match the analytic
+/// (p, q, …, q) cell probabilities — the rates a sequential RNG's
+/// `gen::<f64>() < p` coin gives — under a chi-squared bound.
 #[test]
 fn grr_flip_rates_match_the_sequential_rng() {
     let domain = 16usize;
@@ -43,34 +40,24 @@ fn grr_flip_rates_match_the_sequential_rng() {
         .map(|v| n as f64 * if v == input { oracle.p() } else { oracle.q() })
         .collect();
 
-    // Sequential reference.
-    let mut rng = StdRng::seed_from_u64(2024);
-    let mut seq = vec![0.0f64; domain];
-    for _ in 0..n {
-        if let Report::Item(v) = oracle.perturb(input, &mut rng) {
-            seq[v as usize] += 1.0;
-        }
-    }
-
-    // Vectorized kernel.
     let mut batch = ReportBatch::new();
     oracle.perturb_vectorized(&vec![input; n], &CtrRng::new(2024), 0, &mut batch);
-    let mut vec_counts = vec![0.0f64; domain];
-    for report in batch.to_reports() {
-        if let Report::Item(v) = report {
-            vec_counts[v as usize] += 1.0;
-        }
+    let Columns::Items(items) = batch.columns() else {
+        panic!("unexpected columns {:?}", batch.columns());
+    };
+    let mut counts = vec![0.0f64; domain];
+    for &v in items {
+        counts[v as usize] += 1.0;
     }
 
-    // 0.1% critical value for df = 15 is 37.7; both paths must sit inside.
-    let chi_seq = chi_squared(&seq, &expected);
-    let chi_vec = chi_squared(&vec_counts, &expected);
-    assert!(chi_seq < 37.7, "sequential GRR drifted: chi2 = {chi_seq}");
-    assert!(chi_vec < 37.7, "vectorized GRR drifted: chi2 = {chi_vec}");
+    // 0.1% critical value for df = 15 is 37.7.
+    let chi = chi_squared(&counts, &expected);
+    assert!(chi < 37.7, "GRR kernel drifted: chi2 = {chi}");
 }
 
 /// OUE per-bit one-rates: the bitsliced kernel's per-slot Bernoulli rates
-/// match the sequential path's, per-slot and in aggregate.
+/// match the analytic p on the true slot and q elsewhere — the rates a
+/// sequential RNG's per-bit coins give — per slot and in aggregate.
 #[test]
 fn oue_bit_rates_match_the_sequential_rng() {
     let domain = 64usize;
@@ -78,46 +65,37 @@ fn oue_bit_rates_match_the_sequential_rng() {
     let n = 20_000usize;
     let oracle = OueOracle::new(PrivacyBudget::new(2.0).unwrap(), domain).unwrap();
 
-    let ones = |reports: &[Report]| -> Vec<f64> {
-        let mut ones = vec![0.0f64; domain];
-        for report in reports {
-            if let Report::Bits(bits) = report {
-                for (slot, &bit) in bits.iter().enumerate() {
-                    if bit {
-                        ones[slot] += 1.0;
-                    }
-                }
-            }
-        }
-        ones
-    };
-
-    let mut rng = StdRng::seed_from_u64(555);
-    let seq_reports: Vec<Report> = (0..n).map(|_| oracle.perturb(input, &mut rng)).collect();
     let mut batch = ReportBatch::new();
     oracle.perturb_vectorized(&vec![input; n], &CtrRng::new(555), 0, &mut batch);
+    let Columns::Packed { width, words } = batch.columns() else {
+        panic!("unexpected columns {:?}", batch.columns());
+    };
+    assert_eq!((width, words.len()), (domain, n));
+    let ones: Vec<f64> = (0..domain)
+        .map(|slot| {
+            words
+                .iter()
+                .filter(|&&word| (word >> slot) & 1 == 1)
+                .count() as f64
+        })
+        .collect();
 
     // Sum of 64 squared binomial z-scores ~ chi-squared(64); the 0.1%
     // critical value is 104.7.
-    for (label, counts) in [
-        ("sequential", ones(&seq_reports)),
-        ("vectorized", ones(&batch.to_reports())),
-    ] {
-        let stat: f64 = counts
-            .iter()
-            .enumerate()
-            .map(|(slot, &c)| {
-                let p = if slot == input {
-                    oracle.p()
-                } else {
-                    oracle.q()
-                };
-                let (mean, var) = (n as f64 * p, n as f64 * p * (1.0 - p));
-                (c - mean) * (c - mean) / var
-            })
-            .sum();
-        assert!(stat < 104.7, "{label} OUE bit rates drifted: stat = {stat}");
-    }
+    let stat: f64 = ones
+        .iter()
+        .enumerate()
+        .map(|(slot, &c)| {
+            let p = if slot == input {
+                oracle.p()
+            } else {
+                oracle.q()
+            };
+            let (mean, var) = (n as f64 * p, n as f64 * p * (1.0 - p));
+            (c - mean) * (c - mean) / var
+        })
+        .sum();
+    assert!(stat < 104.7, "OUE kernel bit rates drifted: stat = {stat}");
 }
 
 /// OLH vectorized support rates: the true candidate is supported at rate p
@@ -218,39 +196,32 @@ fn vectorized_kernels_are_pinned_by_known_answers() {
     let grr = Oracle::new(FoKind::Grr, budget, 8);
     let mut batch = ReportBatch::new();
     grr.perturb_vectorized(&[0, 1, 2, 3, 4, 5, 6, 7], &CtrRng::new(7), 0, &mut batch);
-    let items: Vec<u32> = batch
-        .to_reports()
-        .iter()
-        .map(|r| match r {
-            Report::Item(v) => *v,
-            other => panic!("unexpected report {other:?}"),
-        })
-        .collect();
+    let items = match batch.columns() {
+        Columns::Items(items) => items.to_vec(),
+        other => panic!("unexpected columns {other:?}"),
+    };
     assert_eq!(items, vec![0, 1, 6, 2, 3, 4, 6, 7]);
 
     let oue = Oracle::new(FoKind::Oue, budget, 8);
     let mut batch = ReportBatch::new();
     oue.perturb_vectorized(&[3], &CtrRng::new(42), 0, &mut batch);
-    match &batch.to_reports()[0] {
-        Report::Bits(bits) => {
-            let word = bits
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (i, &b)| acc | (u64::from(b) << i));
-            assert_eq!(word, 0x9);
+    match batch.columns() {
+        Columns::Packed { width, words } => {
+            assert_eq!((width, words.len()), (8, 1));
+            assert_eq!(words[0], 0x9);
         }
-        other => panic!("unexpected report {other:?}"),
+        other => panic!("unexpected columns {other:?}"),
     }
 
     let olh = Oracle::new(FoKind::Olh, budget, 8);
     let mut batch = ReportBatch::new();
     olh.perturb_vectorized(&[5], &CtrRng::new(9), 0, &mut batch);
-    match &batch.to_reports()[0] {
-        Report::Hashed { seed, value } => {
-            assert_eq!(*seed, 0x8EFB_9D01_306D_5942);
-            assert_eq!(*value, 2);
+    match batch.columns() {
+        Columns::Hashed { seeds, values } => {
+            assert_eq!(seeds, [0x8EFB_9D01_306D_5942]);
+            assert_eq!(values, [2]);
         }
-        other => panic!("unexpected report {other:?}"),
+        other => panic!("unexpected columns {other:?}"),
     }
 }
 

@@ -7,10 +7,53 @@
 //! seeded grids, so every run checks the same (broad) parameter space.
 
 use fedhh_fo::{
-    CandidateDomain, FoKind, FrequencyOracle, GrrOracle, Oracle, OueOracle, PrivacyBudget, Report,
+    CandidateDomain, Columns, CtrRng, FoKind, FrequencyOracle, GrrOracle, Oracle, OueOracle,
+    PrivacyBudget, ReportBatch, SupportCounts,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `inputs` perturbed by `oracle` under key `key`, as one batch.
+fn perturbed(oracle: &impl FrequencyOracle, inputs: &[usize], key: u64) -> ReportBatch {
+    let mut batch = ReportBatch::new();
+    oracle.perturb_vectorized(inputs, &CtrRng::new(key), 0, &mut batch);
+    batch
+}
+
+/// `batch` aggregated by `oracle` into a fresh `domain`-slot arena.
+fn aggregated(oracle: &impl FrequencyOracle, batch: &ReportBatch, domain: usize) -> SupportCounts {
+    let mut supports = SupportCounts::zeros(domain);
+    oracle.aggregate_vectorized(batch, &mut supports);
+    supports
+}
+
+/// The supports of a GRR or OUE batch, counted report by report from the
+/// support definitions, independently of the crate's kernels: a GRR report
+/// supports the slot it names, an OUE report every slot whose bit is set.
+/// `None` for an OLH batch, whose hash family is private to the crate (its
+/// per-pair definition check is `olh::tests`).
+fn reference_supports(batch: &ReportBatch, domain: usize) -> Option<SupportCounts> {
+    let mut supports = SupportCounts::zeros(domain);
+    match batch.columns() {
+        Columns::Items(items) => {
+            for &item in items {
+                supports.add(item as usize, 1.0);
+            }
+        }
+        Columns::Packed { width, words } => {
+            for row in words.chunks(width.div_ceil(64)) {
+                for slot in 0..width {
+                    if (row[slot / 64] >> (slot % 64)) & 1 == 1 {
+                        supports.add(slot, 1.0);
+                    }
+                }
+            }
+        }
+        Columns::Hashed { .. } => return None,
+    }
+    supports.record_reports(batch.len());
+    Some(supports)
+}
 
 /// The slot with the highest estimated frequency (the first on a tie).
 fn mode(frequencies: &[f64]) -> usize {
@@ -33,30 +76,40 @@ fn grr_reports_stay_in_domain() {
         for domain in [2usize, 3, 5, 16, 63] {
             let budget = PrivacyBudget::new(eps).unwrap();
             let oracle = GrrOracle::new(budget, domain).unwrap();
-            let mut rng = StdRng::seed_from_u64(i as u64 * 1000 + domain as u64);
-            for input in 0..domain {
-                match oracle.perturb(input, &mut rng) {
-                    Report::Item(v) => assert!((v as usize) < domain),
-                    other => panic!("unexpected report {other:?}"),
+            let inputs: Vec<usize> = (0..domain).collect();
+            let batch = perturbed(&oracle, &inputs, i as u64 * 1000 + domain as u64);
+            match batch.columns() {
+                Columns::Items(items) => {
+                    assert_eq!(items.len(), domain);
+                    assert!(items.iter().all(|&v| (v as usize) < domain), "{items:?}");
                 }
+                other => panic!("unexpected columns {other:?}"),
             }
         }
     }
 }
 
-/// OUE reports always have exactly one bit per domain slot.
+/// OUE reports always have exactly one bit per domain slot: rows of
+/// ⌈d / 64⌉ words whose bits past the last slot are zero.
 #[test]
 fn oue_reports_have_domain_width() {
     for (i, eps) in [0.2f64, 1.0, 4.0].into_iter().enumerate() {
         for domain in [2usize, 7, 33, 64] {
             let budget = PrivacyBudget::new(eps).unwrap();
             let oracle = OueOracle::new(budget, domain).unwrap();
-            let mut rng = StdRng::seed_from_u64(7 + i as u64);
-            for input in [0, domain / 2, domain - 1] {
-                match oracle.perturb(input, &mut rng) {
-                    Report::Bits(bits) => assert_eq!(bits.len(), domain),
-                    other => panic!("unexpected report {other:?}"),
-                }
+            let batch = perturbed(&oracle, &[0, domain / 2, domain - 1], 7 + i as u64);
+            let Columns::Packed { width, words } = batch.columns() else {
+                panic!("unexpected columns {:?}", batch.columns());
+            };
+            assert_eq!(width, domain);
+            let words_per_report = domain.div_ceil(64);
+            assert_eq!(words.len(), 3 * words_per_report);
+            // The bits of a row's last word past the domain's last slot.
+            let used = domain - 64 * (words_per_report - 1);
+            let pad = if used == 64 { 0 } else { !0u64 << used };
+            for row in words.chunks(words_per_report) {
+                let last = row[words_per_report - 1];
+                assert_eq!(last & pad, 0, "eps {eps} domain {domain}: {last:#x}");
             }
         }
     }
@@ -82,15 +135,16 @@ fn grr_probabilities_satisfy_ldp() {
 }
 
 /// Every oracle kind recovers a planted majority value when the budget is
-/// generous and the population large.
+/// generous and the population large: the whole pipeline (counter RNG →
+/// columnar perturb → aggregate → de-bias) implements the mechanism, not
+/// just fast noise.
 #[test]
 fn every_oracle_recovers_a_planted_mode() {
     for kind in FoKind::ALL {
-        for majority in [0usize, 3, 7] {
-            for seed in [1u64, 99, 123_456] {
+        for majority in [0usize, 3, 5, 7] {
+            for key in [1u64, 99, 123_456] {
                 let budget = PrivacyBudget::new(4.0).unwrap();
                 let oracle = Oracle::new(kind, budget, 8);
-                let mut rng = StdRng::seed_from_u64(seed);
                 // 90% of 4000 users hold the majority slot, the rest are spread.
                 let inputs: Vec<usize> = (0..4000)
                     .map(|i| {
@@ -101,15 +155,12 @@ fn every_oracle_recovers_a_planted_mode() {
                         }
                     })
                     .collect();
-                let reports: Vec<Report> = inputs
-                    .iter()
-                    .map(|i| oracle.perturb(*i, &mut rng))
-                    .collect();
-                let est = oracle.estimate(&oracle.aggregate(&reports), inputs.len());
+                let supports = aggregated(&oracle, &perturbed(&oracle, &inputs, key), 8);
+                let est = oracle.estimate(&supports, inputs.len());
                 assert_eq!(
                     mode(est.frequencies()),
                     majority,
-                    "kind {kind} majority {majority} seed {seed}"
+                    "kind {kind} majority {majority} key {key}"
                 );
             }
         }
@@ -121,21 +172,17 @@ fn every_oracle_recovers_a_planted_mode() {
 #[test]
 fn estimates_sum_to_about_one() {
     for kind in FoKind::ALL {
-        for seed in [5u64, 50, 500] {
+        for key in [5u64, 50, 500] {
             let budget = PrivacyBudget::new(3.0).unwrap();
             let domain = 12;
             let oracle = Oracle::new(kind, budget, domain);
-            let mut rng = StdRng::seed_from_u64(seed);
             let inputs: Vec<usize> = (0..6000).map(|i| i % domain).collect();
-            let reports: Vec<Report> = inputs
-                .iter()
-                .map(|i| oracle.perturb(*i, &mut rng))
-                .collect();
-            let est = oracle.estimate(&oracle.aggregate(&reports), inputs.len());
+            let supports = aggregated(&oracle, &perturbed(&oracle, &inputs, key), domain);
+            let est = oracle.estimate(&supports, inputs.len());
             let total: f64 = est.frequencies().iter().sum();
             assert!(
                 (total - 1.0).abs() < 0.2,
-                "kind {kind} seed {seed}: total = {total}"
+                "kind {kind} key {key}: total = {total}"
             );
         }
     }
@@ -232,77 +279,31 @@ fn candidate_domain_matches_a_hash_map_oracle() {
     }
 }
 
-/// `aggregate` and `aggregate_into` match an independently written scalar
-/// reference (per-report support counting straight from the paper's
-/// definitions), bit for bit, for every oracle kind.
+/// `aggregate_vectorized` matches an independently written count loop
+/// over the columnar batch ([`reference_supports`], straight from the
+/// paper's support definitions), bit for bit, for GRR and OUE; and for
+/// every oracle kind it adds to what its arena holds: a second pass doubles
+/// every count.
 #[test]
 fn aggregation_matches_a_scalar_reference() {
-    use fedhh_fo::{OlhOracle, SupportCounts, UniversalHash};
-
-    // Reference support counting, implemented independently of the crate's
-    // aggregation loops.
-    fn reference(
-        kind: FoKind,
-        domain: usize,
-        reports: &[Report],
-        olh: &OlhOracle,
-    ) -> SupportCounts {
-        let mut supports = SupportCounts::zeros(domain);
-        for report in reports {
-            match (kind, report) {
-                (FoKind::Grr, Report::Item(idx)) => supports.add(*idx as usize, 1.0),
-                (FoKind::Oue, Report::Bits(bits)) => {
-                    for (slot, bit) in bits.iter().enumerate().take(domain) {
-                        if *bit {
-                            supports.add(slot, 1.0);
-                        }
-                    }
-                }
-                (FoKind::Olh, Report::Hashed { seed, value }) => {
-                    let hash = UniversalHash::new(*seed, olh.buckets());
-                    for candidate in 0..domain {
-                        if hash.hash(candidate as u64) == *value {
-                            supports.add(candidate, 1.0);
-                        }
-                    }
-                }
-                _ => {}
-            }
-            supports.record_reports(1);
-        }
-        supports
-    }
-
     for kind in FoKind::ALL {
-        for seed in [3u64, 19, 4242] {
+        for key in [3u64, 19, 4242] {
             let domain = 23usize;
-            let budget = PrivacyBudget::new(2.0).unwrap();
-            let oracle = Oracle::new(kind, budget, domain);
-            let olh = OlhOracle::new(budget, domain).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut reports: Vec<Report> = (0..400)
-                .map(|i| oracle.perturb(i % domain, &mut rng))
-                .collect();
-            // A foreign report must be counted but contribute no support.
-            reports.push(match kind {
-                FoKind::Grr => Report::Bits(vec![true; domain]),
-                _ => Report::Item(3),
-            });
+            let oracle = Oracle::new(kind, PrivacyBudget::new(2.0).unwrap(), domain);
+            let inputs: Vec<usize> = (0..400).map(|i| i % domain).collect();
+            let batch = perturbed(&oracle, &inputs, key);
+            let mut arena = aggregated(&oracle, &batch, domain);
+            if let Some(want) = reference_supports(&batch, domain) {
+                assert_eq!(arena, want, "kind {kind} key {key}");
+            }
 
-            let want = reference(kind, domain, &reports, &olh);
-            assert_eq!(oracle.aggregate(&reports), want, "kind {kind} seed {seed}");
-
-            let mut arena = SupportCounts::zeros(domain);
-            oracle.aggregate_into(&reports, &mut arena);
-            assert_eq!(arena, want, "kind {kind} seed {seed} (aggregate_into)");
-
-            // aggregate_into accumulates: a second pass doubles every count.
-            oracle.aggregate_into(&reports, &mut arena);
-            assert_eq!(arena.reports(), 2 * want.reports(), "kind {kind}");
+            let once = arena.clone();
+            oracle.aggregate_vectorized(&batch, &mut arena);
+            assert_eq!(arena.reports(), 2 * once.reports(), "kind {kind}");
             for slot in 0..domain {
                 assert_eq!(
                     arena.support(slot),
-                    2.0 * want.support(slot),
+                    2.0 * once.support(slot),
                     "kind {kind} slot {slot}"
                 );
             }
@@ -310,26 +311,45 @@ fn aggregation_matches_a_scalar_reference() {
     }
 }
 
-/// Splitting a batch into chunks aggregated into one arena gives the same
-/// supports as one scalar pass — the shard-local accumulation the engine
-/// workers rely on.
+/// Perturbing and aggregating a population chunk by chunk into one arena
+/// gives the supports the reference counts over the whole batch (for OLH,
+/// the whole batch's own aggregate) — the shard-local accumulation the
+/// engine workers rely on.
 #[test]
 fn chunked_aggregation_matches_whole_batch() {
     for kind in FoKind::ALL {
         let domain = 17usize;
-        let budget = PrivacyBudget::new(3.0).unwrap();
-        let oracle = Oracle::new(kind, budget, domain);
-        let mut rng = StdRng::seed_from_u64(99);
-        let reports: Vec<Report> = (0..300)
-            .map(|i| oracle.perturb((i * 7) % domain, &mut rng))
-            .collect();
+        let oracle = Oracle::new(kind, PrivacyBudget::new(3.0).unwrap(), domain);
+        let inputs: Vec<usize> = (0..300).map(|i| (i * 7) % domain).collect();
+        let whole = perturbed(&oracle, &inputs, 99);
+        let want = reference_supports(&whole, domain)
+            .unwrap_or_else(|| aggregated(&oracle, &whole, domain));
 
-        let whole = oracle.aggregate(&reports);
-        let mut arena = fedhh_fo::SupportCounts::zeros(domain);
-        for chunk in reports.chunks(37) {
-            oracle.aggregate_into(chunk, &mut arena);
+        let mut arena = SupportCounts::zeros(domain);
+        let mut batch = ReportBatch::new();
+        for (i, chunk) in inputs.chunks(37).enumerate() {
+            batch.clear();
+            oracle.perturb_vectorized(chunk, &CtrRng::new(99), (i * 37) as u64, &mut batch);
+            oracle.aggregate_vectorized(&batch, &mut arena);
         }
-        assert_eq!(arena, whole, "kind {kind}");
+        assert_eq!(arena, want, "kind {kind}");
+    }
+}
+
+/// Each report of `batch` as its column words: a GRR item, an OUE row, an
+/// OLH seed and value.
+fn rows(batch: &ReportBatch) -> Vec<Vec<u64>> {
+    match batch.columns() {
+        Columns::Items(items) => items.iter().map(|&item| vec![item.into()]).collect(),
+        Columns::Packed { width, words } => words
+            .chunks(width.div_ceil(64))
+            .map(<[u64]>::to_vec)
+            .collect(),
+        Columns::Hashed { seeds, values } => seeds
+            .iter()
+            .zip(values)
+            .map(|(&seed, &value)| vec![seed, value.into()])
+            .collect(),
     }
 }
 
@@ -339,8 +359,6 @@ fn chunked_aggregation_matches_whole_batch() {
 /// oracle kind, budget and domain in the grid.
 #[test]
 fn vectorized_path_is_chunk_invariant() {
-    use fedhh_fo::{CtrRng, ReportBatch, SupportCounts};
-
     for kind in FoKind::ALL {
         for eps in [0.5f64, 2.0, 6.0] {
             for domain in [2usize, 5, 64, 257] {
@@ -353,7 +371,7 @@ fn vectorized_path_is_chunk_invariant() {
                     let mut whole = ReportBatch::new();
                     oracle.perturb_vectorized(&inputs, &rng, 0, &mut whole);
                     assert_eq!(whole.len(), inputs.len());
-                    let want_reports = whole.to_reports();
+                    let want_reports = rows(&whole);
                     let mut want_supports = SupportCounts::zeros(domain);
                     oracle.aggregate_vectorized(&whole, &mut want_supports);
 
@@ -367,7 +385,7 @@ fn vectorized_path_is_chunk_invariant() {
                             batch.clear();
                             oracle.perturb_vectorized(chunk, &rng, base, &mut batch);
                             oracle.aggregate_vectorized(&batch, &mut supports);
-                            reports.extend(batch.to_reports());
+                            reports.extend(rows(&batch));
                             base += chunk.len() as u64;
                         }
                         assert_eq!(
@@ -389,8 +407,6 @@ fn vectorized_path_is_chunk_invariant() {
 /// reproduces the batch bit for bit, a different key changes it.
 #[test]
 fn vectorized_path_is_deterministic_per_key() {
-    use fedhh_fo::{CtrRng, ReportBatch};
-
     for kind in FoKind::ALL {
         let budget = PrivacyBudget::new(2.0).unwrap();
         let oracle = Oracle::new(kind, budget, 32);
@@ -407,63 +423,77 @@ fn vectorized_path_is_deterministic_per_key() {
     }
 }
 
-/// For GRR and OUE the vectorized aggregation counts exactly like the
-/// row-oriented path over the materialized reports (OLH is exempt: its
-/// vectorized path is pinned to its own division-free hash family, so only
-/// the perturb+aggregate *pair* is comparable, which
-/// `vectorized_path_recovers_a_planted_mode` covers).
+/// For GRR and OUE, across domains on both sides of a 64-slot word, the
+/// kernels count exactly like [`reference_supports`] reading the batch
+/// report by report.  For every kind the batch accounts 32 bits per GRR
+/// report, d per OUE report and 96 per OLH report.
 #[test]
 fn vectorized_aggregation_matches_row_reference_for_grr_and_oue() {
-    use fedhh_fo::{CtrRng, ReportBatch, SupportCounts};
-
-    for kind in [FoKind::Grr, FoKind::Oue] {
+    for kind in FoKind::ALL {
         for domain in [2usize, 63, 64, 65, 200] {
-            let budget = PrivacyBudget::new(1.5).unwrap();
-            let oracle = Oracle::new(kind, budget, domain);
-            let rng = CtrRng::new(99);
+            let oracle = Oracle::new(kind, PrivacyBudget::new(1.5).unwrap(), domain);
             let inputs: Vec<usize> = (0..400).map(|i| (i * 13) % domain).collect();
-            let mut batch = ReportBatch::new();
-            oracle.perturb_vectorized(&inputs, &rng, 0, &mut batch);
+            let batch = perturbed(&oracle, &inputs, 99);
+            if let Some(want) = reference_supports(&batch, domain) {
+                assert_eq!(
+                    aggregated(&oracle, &batch, domain),
+                    want,
+                    "kind {kind} domain {domain}"
+                );
+            }
 
-            let mut vectorized = SupportCounts::zeros(domain);
-            oracle.aggregate_vectorized(&batch, &mut vectorized);
-            let rows = batch.to_reports();
+            let bits_per_report = match kind {
+                FoKind::Grr => 32,
+                FoKind::Oue => domain,
+                FoKind::Olh => 96,
+            };
+            assert_eq!(batch.len(), inputs.len(), "kind {kind} domain {domain}");
             assert_eq!(
-                vectorized,
-                oracle.aggregate(&rows),
+                batch.size_bits(),
+                batch.len() * bits_per_report,
                 "kind {kind} domain {domain}"
             );
-
-            // Wire-size accounting matches the row reports too.
-            let row_bits: usize = rows.iter().map(Report::size_bits).sum();
-            assert_eq!(batch.size_bits(), row_bits, "kind {kind} domain {domain}");
         }
     }
 }
 
-/// The whole vectorized pipeline (counter RNG → SoA perturb → blocked
-/// aggregate → de-bias) recovers a planted majority for every oracle kind,
-/// i.e. the new kernels implement the same mechanism, not just fast noise.
+/// `aggregate_vectorized` handed a batch another oracle wrote — another
+/// kind, or OUE of another width — panics with a message naming the shape
+/// it expects and the batch's; a batch of its own shape aggregates.
 #[test]
-fn vectorized_path_recovers_a_planted_mode() {
-    use fedhh_fo::{CtrRng, ReportBatch, SupportCounts};
-
-    for kind in FoKind::ALL {
-        for key in [1u64, 99, 123_456] {
-            let budget = PrivacyBudget::new(4.0).unwrap();
-            let domain = 8usize;
-            let oracle = Oracle::new(kind, budget, domain);
-            let inputs: Vec<usize> = (0..4000)
-                .map(|i| if i % 10 != 0 { 5 } else { (6 + i / 10) % 8 })
-                .collect();
-            let mut batch = ReportBatch::new();
-            oracle.perturb_vectorized(&inputs, &CtrRng::new(key), 0, &mut batch);
-            let mut supports = SupportCounts::zeros(domain);
-            oracle.aggregate_vectorized(&batch, &mut supports);
-            let est = oracle.estimate(&supports, inputs.len());
-            assert_eq!(mode(est.frequencies()), 5, "kind {kind} key {key}");
-            let total: f64 = est.frequencies().iter().sum();
-            assert!((total - 1.0).abs() < 0.2, "kind {kind} key {key}: {total}");
+fn aggregating_a_foreign_batch_panics_naming_both_shapes() {
+    let budget = PrivacyBudget::new(2.0).unwrap();
+    let shape = |kind, domain| match kind {
+        FoKind::Grr => "GRR items".to_string(),
+        FoKind::Oue => format!("OUE rows of width {domain}"),
+        FoKind::Olh => "OLH seed/value pairs".to_string(),
+    };
+    let oracles = [
+        (FoKind::Grr, 8),
+        (FoKind::Oue, 8),
+        (FoKind::Oue, 70),
+        (FoKind::Olh, 8),
+    ];
+    for (kind, domain) in oracles {
+        let oracle = Oracle::new(kind, budget, domain);
+        for (writer_kind, writer_domain) in oracles {
+            let writer = Oracle::new(writer_kind, budget, writer_domain);
+            let batch = perturbed(&writer, &[1, 0, 1], 5);
+            let call = std::panic::catch_unwind(|| aggregated(&oracle, &batch, domain));
+            let (expected, got) = (shape(kind, domain), shape(writer_kind, writer_domain));
+            let what = format!("{kind} over {domain} handed a batch of {got}");
+            if expected == got {
+                assert_eq!(call.map(|s| s.reports()).ok(), Some(3), "{what}");
+                continue;
+            }
+            let payload = call.expect_err(&what);
+            let message = payload
+                .downcast_ref::<String>()
+                .unwrap_or_else(|| panic!("{what}: panicked without a message"));
+            assert!(
+                message.contains(&expected) && message.contains(&got),
+                "{what}: {message}"
+            );
         }
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example fo_comparison`
 
-use fedhh::fo::{FrequencyOracle, Oracle};
+use fedhh::fo::{CtrRng, FrequencyOracle, Oracle, ReportBatch};
 use fedhh::prelude::*;
 use std::time::Instant;
 
@@ -24,12 +24,9 @@ fn main() -> Result<(), ProtocolError> {
     println!("per-report size over a 64-candidate domain (eps = 4):");
     let budget = PrivacyBudget::new(4.0).unwrap();
     for fo in [FoKind::Grr, FoKind::Oue, FoKind::Olh] {
-        let oracle = Oracle::new(fo, budget, 64);
-        println!(
-            "  {:>4}: {:>4} bits/report",
-            fo.name(),
-            oracle.report_bits()
-        );
+        let mut report = ReportBatch::new();
+        Oracle::new(fo, budget, 64).perturb_vectorized(&[0], &CtrRng::new(0), 0, &mut report);
+        println!("  {:>4}: {:>4} bits/report", fo.name(), report.size_bits());
     }
 
     println!(

@@ -423,6 +423,28 @@ fn vectorized_path_is_deterministic_per_key() {
     }
 }
 
+/// The whole vectorized pipeline (counter RNG → SoA perturb → blocked
+/// aggregate → de-bias) recovers a planted majority for every oracle kind,
+/// i.e. the kernels implement the same mechanism, not just fast noise.
+#[test]
+fn vectorized_path_recovers_a_planted_mode() {
+    for kind in FoKind::ALL {
+        for key in [1u64, 99, 123_456] {
+            let budget = PrivacyBudget::new(4.0).unwrap();
+            let domain = 8usize;
+            let oracle = Oracle::new(kind, budget, domain);
+            let inputs: Vec<usize> = (0..4000)
+                .map(|i| if i % 10 != 0 { 5 } else { (6 + i / 10) % 8 })
+                .collect();
+            let supports = aggregated(&oracle, &perturbed(&oracle, &inputs, key), domain);
+            let est = oracle.estimate(&supports, inputs.len());
+            assert_eq!(mode(est.frequencies()), 5, "kind {kind} key {key}");
+            let total: f64 = est.frequencies().iter().sum();
+            assert!((total - 1.0).abs() < 0.2, "kind {kind} key {key}: {total}");
+        }
+    }
+}
+
 /// For GRR and OUE, across domains on both sides of a 64-slot word, the
 /// kernels count exactly like [`reference_supports`] reading the batch
 /// report by report.  For every kind the batch accounts 32 bits per GRR

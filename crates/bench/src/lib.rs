@@ -66,9 +66,6 @@ pub mod report;
 pub mod runner;
 pub mod scale;
 pub mod scenario;
-#[cfg(test)]
-#[path = "scenario_tree_tests.rs"]
-mod topology;
 
 pub use epochs::{
     run_epochs, EpochPoint, EpochServiceSpec, EpochsOptions, EpochsReport, MechanismExecutor,

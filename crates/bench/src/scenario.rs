@@ -576,7 +576,15 @@ mod tests {
 
     #[test]
     fn json_round_trips_including_failed_cells() {
-        let report = sample_report();
+        let mut report = sample_report();
+        assert_eq!(
+            ScenarioReport::from_json(&report.to_json()),
+            Ok(report.clone())
+        );
+        // Counters past 2^53 come back exact: they are never read as f64.
+        report.rows[2].root_frames = (1 << 53) + 1;
+        report.rows[2].root_bytes = u64::MAX - 1;
+        report.rows[2].flat_bytes = u64::MAX;
         assert_eq!(ScenarioReport::from_json(&report.to_json()), Ok(report));
     }
 
@@ -596,6 +604,14 @@ mod tests {
              "ncr_drop": 0.000000}]}"#;
         let err = ScenarioReport::from_json(old).unwrap_err();
         assert!(err.contains("\"topology\""), "{err}");
+        // So is a row in the layout of the former topology sweep, whose
+        // `fraction` was the quorum.
+        let old = r#"{"schema": 1, "suite": "quick", "dataset": "SYN", "rows": [
+            {"mechanism": "TAPS", "topology": "tree:4", "fraction": 0.500000,
+             "f1": 0.900000, "uplink_kb": 12.500000, "root_frames": 8,
+             "root_bytes": 4096, "flat_bytes": 9216}]}"#;
+        let err = ScenarioReport::from_json(old).unwrap_err();
+        assert!(err.contains("\"adversary\""), "{err}");
         report::assert_reader_is_strict::<ScenarioRow>(&sample_report());
     }
 
@@ -614,6 +630,16 @@ mod tests {
         let violations = report::check(&baseline, &[], 0.1);
         assert_eq!(violations.len(), 3);
         assert!(violations[0].starts_with("TAPS/none/0/flat/1: new cell missing from the baseline"));
+        // The quorum is part of a tree cell's identity.
+        let mut requorumed = baseline.clone();
+        requorumed[2].quorum = 1.0;
+        assert_eq!(
+            report::check(&requorumed, &baseline, 10.0),
+            [
+                "TAPS/none/0/tree:4/0.5: missing from the current run",
+                "TAPS/none/0/tree:4/1: new cell missing from the baseline (regenerate it)"
+            ]
+        );
         // A flipped ok or a moved frame count is a violation even inside
         // the score tolerance.
         let mut flipped = baseline.clone();

@@ -26,7 +26,7 @@ use crate::mechanism::{Mechanism, MechanismOutput};
 use crate::pem::{PartyRun, Seeding};
 use crate::run::RunContext;
 use fedhh_federated::{
-    aggregate_reports_into, Broadcast, CandidateReport, EstimateScratch, LevelEstimator,
+    aggregate_reports_into, ranked, Broadcast, CandidateReport, EstimateScratch, LevelEstimator,
     PartyDriver, ProtocolError, RoundCollection, RoundInput, RoundOutcome, RoundPayload, RunPhase,
     PAIR_BITS,
 };
@@ -150,11 +150,7 @@ impl Mechanism for Gtf {
                 &mut freq_sums,
             );
             let party_count = active.len().max(1) as f64;
-            let mut averaged: Vec<(u64, f64)> = freq_sums
-                .iter()
-                .map(|(v, total)| (*v, total / party_count))
-                .collect();
-            averaged.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            let mut averaged = ranked(freq_sums.iter().map(|(v, total)| (*v, total / party_count)));
             averaged.truncate(config.k);
             global = averaged.iter().map(|(v, _)| *v).collect();
             global_len = schedule.prefix_len(h);
@@ -194,12 +190,9 @@ impl Mechanism for Gtf {
             .collect();
         locals.sort_by_key(|(from, _)| *from);
         let total_users = dataset.total_users() as f64;
-        let counts: HashMap<u64, f64> = last_avg
-            .iter()
-            .map(|(v, f)| (*v, f * total_users))
-            .collect();
-        let mut heavy_hitters: Vec<u64> = last_avg.iter().map(|(v, _)| *v).collect();
-        heavy_hitters.sort_by(|a, b| counts[b].total_cmp(&counts[a]).then(a.cmp(b)));
+        let scaled = ranked(last_avg.iter().map(|(v, f)| (*v, f * total_users)));
+        let heavy_hitters = scaled.iter().map(|(v, _)| *v).collect();
+        let counts: HashMap<u64, f64> = scaled.into_iter().collect();
 
         Ok(MechanismOutput {
             heavy_hitters,

@@ -11,7 +11,7 @@
 //! Equation 5, penalised by the previous party's population confidence γ
 //! and the non-intersection ratio α.
 
-use fedhh_federated::{LevelEstimate, PruneCandidates};
+use fedhh_federated::{ranked_values, LevelEstimate, PruneCandidates};
 
 /// The τ constant of Equation 7, avoiding division by zero.
 pub const TAU: f64 = 1e-11;
@@ -108,37 +108,20 @@ fn validated_frequency<'a>(
 /// here come first.
 pub fn contrast_ordering(previous_frequent: &[(u64, f64)], validated: &LevelEstimate) -> Vec<u64> {
     let frequency = validated_frequency(validated, previous_frequent.iter().map(|(v, _)| *v));
-    let mut scored: Vec<(u64, f64)> = previous_frequent
-        .iter()
-        .enumerate()
-        .map(|(i, &(value, prev_freq))| {
-            let local = frequency(i, value).max(0.0);
-            (value, prev_freq.max(0.0) / (local + TAU))
-        })
-        .collect();
-    scored.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    scored.into_iter().map(|(v, _)| v).collect()
+    let scored = previous_frequent.iter().enumerate();
+    ranked_values(scored.map(|(i, &(value, prev_freq))| {
+        let local = frequency(i, value).max(0.0);
+        (value, prev_freq.max(0.0) / (local + TAU))
+    }))
 }
 
 /// The ascending-frequency ordering of a validation estimate restricted to
 /// the given candidates (most infrequent first).
 pub fn ascending_validated_order(candidates: &[u64], validated: &LevelEstimate) -> Vec<u64> {
     let frequency = validated_frequency(validated, candidates.iter().copied());
-    let mut scored: Vec<(u64, f64)> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, &value)| (value, frequency(i, value)))
-        .collect();
-    scored.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    scored.into_iter().map(|(v, _)| v).collect()
+    // Descending by −frequency is ascending by frequency, with NaN still last.
+    let scored = candidates.iter().enumerate();
+    ranked_values(scored.map(|(i, &value)| (value, -frequency(i, value))))
 }
 
 /// The full consensus-based pruning decision for one level of one party
@@ -184,7 +167,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn estimate(candidates: Vec<u64>, frequencies: Vec<f64>) -> LevelEstimate {
         LevelEstimate::new(candidates, frequencies, 0.01, 1000, 0)
@@ -325,15 +307,19 @@ mod tests {
     }
 
     /// The two orderings as they were written before a validation estimate
-    /// was read by position: every value looked up with `frequency_of`.
-    fn sorted_by(mut scored: Vec<(u64, f64)>, descending: bool) -> Vec<u64> {
+    /// was read by position (every value looked up with `frequency_of`), on
+    /// the NaN-free pairs.  The NaN pairs follow, by value.
+    fn sorted_by(scored: Vec<(u64, f64)>, descending: bool) -> Vec<u64> {
+        let (mut scored, mut nans): (Vec<_>, Vec<_>) =
+            scored.into_iter().partition(|(_, f)| !f.is_nan());
         scored.sort_by(|a, b| {
             let (x, y) = if descending { (b.1, a.1) } else { (a.1, b.1) };
             x.partial_cmp(&y)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.0.cmp(&b.0))
         });
-        scored.into_iter().map(|(v, _)| v).collect()
+        nans.sort_by_key(|(v, _)| *v);
+        scored.into_iter().chain(nans).map(|(v, _)| v).collect()
     }
 
     fn contrast_ordering_oracle(previous: &[(u64, f64)], validated: &LevelEstimate) -> Vec<u64> {
@@ -417,14 +403,11 @@ mod tests {
         LevelEstimate::new(candidates, frequencies, 0.01, 1000, 0)
     }
 
-    /// The orderings sort by frequency with a comparator a NaN breaks, so
-    /// either version may panic on a case: then both must, on the same one.
+    /// NaN-free cases equal the oracles exactly; in a NaN case every NaN
+    /// ranks after every number in both orderings, and the numbers keep the
+    /// oracles' order.
     #[test]
     fn consensus_pruning_matches_the_hash_set_and_lookup_oracles() {
-        let same = |new: &dyn Fn() -> Vec<u64>, old: &dyn Fn() -> Vec<u64>, what: &str| {
-            let new = catch_unwind(AssertUnwindSafe(new)).ok();
-            assert_eq!(new, catch_unwind(AssertUnwindSafe(old)).ok(), "{what}");
-        };
         let mut rng = StdRng::seed_from_u64(0xC0_5E_25);
         for case in 0..2000 {
             let infrequent = random_values(&mut rng);
@@ -440,15 +423,15 @@ mod tests {
             let gamma = [0.0, 0.3, 1.0][rng.gen_range(0..3usize)];
             let what = format!("case {case}: k {k}, ε {epsilon}, γ {gamma}");
 
-            same(
-                &|| ascending_validated_order(&infrequent, &val_inf),
-                &|| ascending_validated_order_oracle(&infrequent, &val_inf),
-                &what,
+            assert_eq!(
+                ascending_validated_order(&infrequent, &val_inf),
+                ascending_validated_order_oracle(&infrequent, &val_inf),
+                "{what}"
             );
-            same(
-                &|| contrast_ordering(&frequent, &val_freq),
-                &|| contrast_ordering_oracle(&frequent, &val_freq),
-                &what,
+            assert_eq!(
+                contrast_ordering(&frequent, &val_freq),
+                contrast_ordering_oracle(&frequent, &val_freq),
+                "{what}"
             );
             let other = random_values(&mut rng);
             for (a, b) in [(&infrequent, &values), (&values, &other), (&other, &other)] {
@@ -462,10 +445,10 @@ mod tests {
                 infrequent,
                 frequent,
             };
-            same(
-                &|| consensus_pruning_set(&previous, &val_inf, &val_freq, k, epsilon, gamma),
-                &|| consensus_pruning_set_oracle(&previous, &val_inf, &val_freq, k, epsilon, gamma),
-                &what,
+            assert_eq!(
+                consensus_pruning_set(&previous, &val_inf, &val_freq, k, epsilon, gamma),
+                consensus_pruning_set_oracle(&previous, &val_inf, &val_freq, k, epsilon, gamma),
+                "{what}"
             );
         }
     }

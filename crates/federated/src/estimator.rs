@@ -9,6 +9,7 @@
 
 use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
+use crate::server::ranked;
 use crate::session::IdleWorkers;
 use fedhh_fo::{
     CandidateDomain, CtrRng, FoKind, FrequencyOracle, Oracle, PrivacyBudget, ReportBatch,
@@ -171,22 +172,12 @@ impl LevelEstimate {
     }
 
     /// `(candidate, frequency)` pairs sorted by estimated frequency,
-    /// descending (ties by value, ascending; a NaN ties with everything).
+    /// descending, in the order of [`ranked`] (ties by value,
+    /// ascending; NaN last).
     pub fn ranked_candidates(&self) -> &[(u64, f64)] {
-        self.ranked.get_or_init(|| {
-            let mut pairs: Vec<(u64, f64)> = self
-                .candidates
-                .iter()
-                .copied()
-                .zip(self.frequencies.iter().copied())
-                .collect();
-            pairs.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.0.cmp(&b.0))
-            });
-            pairs
-        })
+        let frequencies = self.frequencies.iter().copied();
+        self.ranked
+            .get_or_init(|| ranked(self.candidates.iter().copied().zip(frequencies)))
     }
 
     /// The top-`t` candidate values by estimated frequency.
@@ -833,18 +824,21 @@ mod tests {
     }
 
     /// The ranking as every reader computed it before an estimate kept its
-    /// own: collect the pairs, stable-sort them.
+    /// own, on the NaN-free pairs: collect them, stable-sort them.  The NaN
+    /// pairs follow, by value.
     fn ranking_oracle(candidates: &[u64], frequencies: &[f64]) -> Vec<(u64, f64)> {
-        let mut pairs: Vec<(u64, f64)> = candidates
+        let (mut pairs, mut nans): (Vec<_>, Vec<_>) = candidates
             .iter()
             .copied()
             .zip(frequencies.iter().copied())
-            .collect();
+            .partition(|(_, f)| !f.is_nan());
         pairs.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.0.cmp(&b.0))
         });
+        nans.sort_by_key(|(v, _)| *v);
+        pairs.extend(nans);
         pairs
     }
 
@@ -852,15 +846,15 @@ mod tests {
     fn stored_ranking_and_top_t_match_the_sort_oracle() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        use std::panic::catch_unwind;
 
         let bits = |pairs: &[(u64, f64)]| -> Vec<(u64, u64)> {
             pairs.iter().map(|(v, f)| (*v, f.to_bits())).collect()
         };
         // Values from a small range (repeats are common); frequencies with
         // ties and ±0.0 among ordinary draws, and in every fourth case one
-        // or two NaNs.  A NaN ties with everything, so the comparator is no
-        // total order and the sort may panic on it: then both must.
+        // or two NaNs.  NaN-free cases equal the oracle bit for bit; in a
+        // NaN case every NaN ranks last (`server::ranked`) and the numbers
+        // keep the oracle's order.
         let pool = [0.25, 0.1, 0.0, -0.0, -0.1, 1e-12, 0.25];
         let mut rng = StdRng::seed_from_u64(0x5EED);
         for case in 0..400usize {
@@ -878,14 +872,13 @@ mod tests {
                     frequencies[rng.gen_range(0..n)] = f64::NAN;
                 }
             }
-            let oracle = catch_unwind(|| ranking_oracle(&candidates, &frequencies));
+            let oracle = ranking_oracle(&candidates, &frequencies);
             let estimate = LevelEstimate::new(candidates.clone(), frequencies, 0.01, 1000, 0);
-            let ranked = catch_unwind(|| bits(estimate.ranked_candidates()));
-            let (Ok(oracle), Ok(ranked)) = (&oracle, &ranked) else {
-                assert_eq!(oracle.is_ok(), ranked.is_ok(), "case {case}");
-                continue;
-            };
-            assert_eq!(ranked, &bits(oracle), "case {case}");
+            assert_eq!(
+                bits(estimate.ranked_candidates()),
+                bits(&oracle),
+                "case {case}"
+            );
             for t in 0..=n + 1 {
                 let expected: Vec<u64> = oracle.iter().take(t).map(|(v, _)| *v).collect();
                 assert_eq!(estimate.top_t(t), expected, "case {case}, t = {t}");

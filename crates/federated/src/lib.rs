@@ -129,7 +129,10 @@ pub use observer::{
 };
 pub use scenario::{AdversaryModel, FlipMode, FrameCorruption, ScenarioPlan};
 pub use scheduler::GroupAssignment;
-pub use server::{aggregate_reports, aggregate_reports_into, federated_top_k, top_k_from_counts};
+pub use server::{
+    aggregate_reports, aggregate_reports_into, federated_top_k, ranked, ranked_values,
+    top_k_from_counts,
+};
 pub use session::{
     Broadcast, EngineConfig, IdleWorkers, PartyDriver, PartyEvent, RoundCollection, RoundInput,
     RoundOutcome, Session, TransportKind,

@@ -40,15 +40,41 @@ pub fn aggregate_reports_into<'a>(
     }
 }
 
-/// Ranks aggregated counts and returns the top-`k` candidate values.
-/// Ties break by candidate value so results are deterministic; counts are
-/// compared with [`f64::total_cmp`], whose total order keeps the ranking
-/// deterministic even when a NaN estimate slips in (a NaN used to collapse
-/// every comparison to `Equal`, letting it scramble the whole top-k).
+/// Ranks aggregated counts and returns the top-`k` candidate values, in
+/// the order of [`ranked`] (ties by value; a NaN would rank last).
 pub fn top_k_from_counts(totals: &HashMap<u64, f64>, k: usize) -> Vec<u64> {
-    let mut pairs: Vec<(u64, f64)> = totals.iter().map(|(v, c)| (*v, *c)).collect();
-    pairs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    pairs.into_iter().take(k).map(|(v, _)| v).collect()
+    let mut top = ranked_values(totals.iter().map(|(v, c)| (*v, *c)));
+    top.truncate(k);
+    top
+}
+
+/// Sorts `(value, score)` pairs into the one ranking order every ranking of
+/// estimates uses: score descending, +0.0 equal to −0.0, every NaN after
+/// every number, and ties (NaN with NaN included) broken by value
+/// ascending.  The sort is stable.  A site that wants ascending scores
+/// ranks their negations, which keeps NaN last.
+pub fn ranked(pairs: impl IntoIterator<Item = (u64, f64)>) -> Vec<(u64, f64)> {
+    let mut pairs: Vec<(u64, f64)> = pairs.into_iter().collect();
+    pairs.sort_by(|a, b| rank_key(a.1).cmp(&rank_key(b.1)).then(a.0.cmp(&b.0)));
+    pairs
+}
+
+/// A score's place in [`ranked`]'s order as an integer: higher scores get
+/// lower keys, +0.0 and −0.0 one key, and every NaN the last key.
+fn rank_key(score: f64) -> u64 {
+    if score.is_nan() {
+        return u64::MAX;
+    }
+    // −0.0 + 0.0 is +0.0.  Flipping maps IEEE order onto unsigned order
+    // (all bits of a negative, the sign bit of a positive); `!` reverses it.
+    let b = (score + 0.0).to_bits();
+    let ascending = if b >> 63 == 1 { !b } else { b | 1 << 63 };
+    !ascending
+}
+
+/// The values of [`ranked`]`(pairs)`, in rank order.
+pub fn ranked_values(pairs: impl IntoIterator<Item = (u64, f64)>) -> Vec<u64> {
+    ranked(pairs).into_iter().map(|(v, _)| v).collect()
 }
 
 /// Convenience: aggregate reports and return the top-`k` candidates.
@@ -125,15 +151,38 @@ mod tests {
 
     #[test]
     fn nan_counts_cannot_scramble_the_finite_ranking() {
-        // A NaN total must not disturb the relative order of the finite
-        // counts, whatever set it lands in.
-        let totals: HashMap<u64, f64> = [(1, 10.0), (2, f64::NAN), (3, 30.0), (4, 20.0)]
+        // A NaN total ranks after every number and leaves the finite
+        // counts in their own order.
+        let mut totals: HashMap<u64, f64> = [(1, 10.0), (2, f64::NAN), (3, 30.0), (4, 20.0)]
             .into_iter()
             .collect();
-        let ranked = top_k_from_counts(&totals, 4);
-        let finite: Vec<u64> = ranked.iter().copied().filter(|v| *v != 2).collect();
-        assert_eq!(finite, vec![3, 4, 1]);
-        // And the full ranking is reproducible.
-        assert_eq!(ranked, top_k_from_counts(&totals, 4));
+        assert_eq!(top_k_from_counts(&totals, 4), vec![3, 4, 1, 2]);
+        assert_eq!(top_k_from_counts(&totals, 3), vec![3, 4, 1]);
+        // Whatever its sign bit; ±0.0 tie and break by value.
+        totals.extend([
+            (5, -f64::NAN),
+            (6, f64::INFINITY),
+            (7, -0.0),
+            (8, 0.0),
+            (0, 0.0),
+        ]);
+        assert_eq!(top_k_from_counts(&totals, 9), [6, 3, 4, 1, 0, 7, 8, 2, 5]);
+    }
+
+    #[test]
+    fn totals_are_never_negative_zero_or_nan() {
+        // The rankings of summed counts rely on this: every total starts at
+        // +0.0 and only clamped counts are added, so −0.0 and NaN counts
+        // leave a +0.0 total behind.
+        let reports = vec![
+            report("a", vec![(1, -0.0), (2, f64::NAN), (3, -0.0)]),
+            report("b", vec![(1, -0.0), (2, -0.0), (3, f64::NAN)]),
+            report("c", vec![(4, f64::NAN), (5, -7.5)]),
+        ];
+        let totals = aggregate_reports(&reports);
+        assert_eq!(totals.len(), 5);
+        for (value, total) in &totals {
+            assert_eq!(total.to_bits(), 0.0f64.to_bits(), "value {value}: {total}");
+        }
     }
 }

@@ -49,7 +49,7 @@
 //! let estimate = oracle.estimate(&supports, inputs.len());
 //! // The estimated frequency of 0b10 should dominate.
 //! let best = (0..domain.len()).max_by(|a, b| {
-//!     estimate.frequency(*a).partial_cmp(&estimate.frequency(*b)).unwrap()
+//!     estimate.frequency(*a).total_cmp(&estimate.frequency(*b))
 //! }).unwrap();
 //! assert_eq!(domain.value_at(best), Some(&0b10));
 //! ```

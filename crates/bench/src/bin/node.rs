@@ -35,11 +35,13 @@
 //! adversary on the coordinator; the welcome ships it to every party, so
 //! the whole federation replays the same deterministic attack.
 //!
-//! `--topology tree:FANOUT[:DEPTH]` arms the aggregation tree: party
+//! `--topology tree:FANOUT` arms the aggregation tree: party
 //! processes are grouped into cohorts of FANOUT consecutive ranks, each
 //! cohort's first rank plays sub-aggregator (it merges the cohort's
 //! reports into one lossless frame), and the coordinator receives one
-//! uplink frame per cohort instead of one per rank.  `--quorum FRACTION`
+//! uplink frame per cohort instead of one per rank.  The tree has one
+//! level: `tree:FANOUT:1` is the same tree, and any other depth is
+//! refused (a deeper tree is a wider one).  `--quorum FRACTION`
 //! closes every round at the configured response fraction; which parties
 //! count as on time is a pure function of the plan seed and round number,
 //! never of socket timing, so a quorum run is reproducible bit-for-bit.
@@ -128,7 +130,7 @@ usage: fedhh-node <coordinator|party|service> [options]
               [--seed S] [--quick] [--user-scale F] [--k N] [--epsilon F] [--fo KIND]
               [--parallelism N] [--dropout F] [--stragglers]
               [--scenario NAME:FRACTION]
-              [--topology flat|tree:FANOUT[:DEPTH]] [--quorum FRACTION]
+              [--topology flat|tree:FANOUT] [--quorum FRACTION]
               [--timeout-secs N] [--check-inmemory] [--telemetry PATH]
   party --connect HOST:PORT [--timeout-secs N] [--telemetry PATH]
   service --mechanism <name> --dataset <name> [--epochs N] [--churn F] [--drift N]

@@ -1,7 +1,8 @@
 //! # fedhh-bench — benchmark harness for the paper's evaluation
 //!
 //! Every table and figure of the paper's Section 7 is one **declaration**
-//! in [`experiments`] (on the synthetic stand-in datasets, see DESIGN.md):
+//! in [`experiments`] (on the synthetic stand-in datasets, see
+//! `ARCHITECTURE.md`, "Substitutions"):
 //!
 //! | Experiment | Paper artefact | Declaration |
 //! |---|---|---|

@@ -10,7 +10,7 @@ use fedhh_telemetry::Telemetry;
 /// How large the simulated populations are and how many repetitions each
 /// point is averaged over.  The paper runs every configuration 50 times on
 /// the full-size datasets; the default scale here runs in minutes on a
-/// laptop while preserving the user-to-item ratios (see DESIGN.md).
+/// laptop (see `ARCHITECTURE.md`, "Substitutions", item 5).
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentScale {
     /// Multiplier on the paper's user populations.

@@ -194,6 +194,10 @@ fn fedhh_node_rejects_malformed_command_lines_before_running_anything() {
             ("coordinator --k ten", &["--k", "\"ten\""]),
             ("coordinator --mechanism bogus", &["--mechanism:"]),
             ("coordinator --topology tree:1", &["fanout >= 2"]),
+            (
+                "coordinator --topology tree:2:3",
+                &["depth 1", "got fanout 2 depth 3"],
+            ),
             ("coordinator --quorum 1.5", &["must be in (0, 1]"]),
             // The plan has one seed, and it is not an option.
             ("coordinator --quorum 0.75:9", &["--quorum", "\"0.75:9\""]),

@@ -51,7 +51,8 @@ impl ExtensionStrategy {
 
 /// The adaptive extension number `t` of Section 5.4.
 ///
-/// Two boundary interpretations (documented in DESIGN.md):
+/// Two boundary interpretations (`ARCHITECTURE.md`, "Substitutions",
+/// item 4):
 ///
 /// * When the candidate domain is no larger than `k + 1` the anchor
 ///   objective cannot even be formed (there is no "tail" of less frequent

@@ -4,8 +4,8 @@
 //! 2023) builds local and global heavy hitters hierarchically but does not
 //! satisfy ε-LDP; the paper substitutes its GRRX randomizer with k-RR and
 //! calls the result GTF.  We do not have the original code, so this module
-//! implements the faithful behavioural proxy documented in DESIGN.md
-//! (substitution 2):
+//! implements the faithful behavioural proxy documented in
+//! `ARCHITECTURE.md`, "Substitutions", items 2 and 3:
 //!
 //! * the server maintains a single *global* candidate prefix set;
 //! * at every level each party estimates the extended candidates with the

@@ -6,9 +6,9 @@
 //!   al.) independently in every party and let the server sum the reported
 //!   counts.
 //! * [`Gtf`] — the adapted hierarchical baseline of Shao et al. with the
-//!   GRRX mechanism replaced by k-RR (see DESIGN.md, substitution 2): the
-//!   server filters a single global candidate set level by level, ignoring
-//!   party populations.
+//!   GRRX mechanism replaced by k-RR (see `ARCHITECTURE.md`,
+//!   "Substitutions", item 2): the server filters a single global candidate
+//!   set level by level, ignoring party populations.
 //! * [`Taps`] — the target-aligning prefix tree mechanisms.  With
 //!   `use_pruning` off ([`Taps::without_pruning`], built by
 //!   [`MechanismKind::Tap`]) it is TAP (Algorithms 2–3): a shared shallow

@@ -12,7 +12,9 @@ pub struct MechanismOutput {
     /// The identified federated top-k heavy hitters (item codes), most
     /// frequent first.
     pub heavy_hitters: Vec<u64>,
-    /// The aggregated estimated count behind each identified heavy hitter.
+    /// The aggregated estimated counts the server ranked.  FedPEM, TAP and
+    /// TAPS hold the summed count of every candidate any party reported, a
+    /// superset of `heavy_hitters`; GTF holds exactly its heavy hitters.
     pub counts: HashMap<u64, f64>,
     /// Per-party local heavy hitters as uploaded to the server (used by the
     /// Table 7 statistical-heterogeneity study).
@@ -24,7 +26,8 @@ pub struct MechanismOutput {
 }
 
 impl MechanismOutput {
-    /// The estimated count of one identified heavy hitter (0 when absent).
+    /// The aggregated estimated count of `value` in [`Self::counts`] (0 when
+    /// absent).
     pub fn count_of(&self, value: u64) -> f64 {
         self.counts.get(&value).copied().unwrap_or(0.0)
     }

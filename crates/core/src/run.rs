@@ -409,9 +409,10 @@ impl<'a> Run<'a> {
             });
         }
         if dataset.code_bits() != self.config.max_bits {
-            return Err(ProtocolError::BitWidthMismatch {
-                dataset_bits: dataset.code_bits(),
-                config_bits: self.config.max_bits,
+            return Err(ProtocolError::InvalidParameter {
+                name: "max_bits",
+                value: self.config.max_bits.to_string(),
+                rule: format!("equal the dataset's {}-bit code width", dataset.code_bits()),
             });
         }
 
@@ -423,7 +424,11 @@ impl<'a> Run<'a> {
                 .is_some_and(|high| high != 0)
         };
         if let Some(&code) = self.warm.iter().flatten().find(out_of_range) {
-            return Err(ProtocolError::WarmCodeOutOfRange { code, max_bits });
+            return Err(ProtocolError::InvalidParameter {
+                name: "warm-start code",
+                value: format!("{code:#x}"),
+                rule: format!("fit in max_bits = {max_bits}"),
+            });
         }
         let mechanism = self.mechanism.as_dyn();
         // Declared before the context so the `run` span closes after the
@@ -498,12 +503,16 @@ mod tests {
             .config(ProtocolConfig::default()) // max_bits = 48
             .execute()
             .unwrap_err();
-        assert_eq!(
+        assert!(matches!(
             err,
-            ProtocolError::BitWidthMismatch {
-                dataset_bits: 16,
-                config_bits: 48
+            ProtocolError::InvalidParameter {
+                name: "max_bits",
+                ..
             }
+        ));
+        assert_eq!(
+            err.to_string(),
+            "max_bits must equal the dataset's 16-bit code width, got 48"
         );
     }
 
@@ -515,7 +524,13 @@ mod tests {
             .config(ProtocolConfig { k: 0, ..config() })
             .execute()
             .unwrap_err();
-        assert_eq!(err, ProtocolError::InvalidQuery { k: 0 });
+        assert!(matches!(
+            err,
+            ProtocolError::InvalidParameter {
+                name: "query k",
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! The mechanisms only observe item frequencies and party sizes, so
 //! preserving these properties preserves the relative behaviour of the
-//! mechanisms (see DESIGN.md, substitution 1).
+//! mechanisms (see `ARCHITECTURE.md`, "Substitutions", item 1).
 //!
 //! Entry point: [`registry::DatasetKind`] + [`registry::DatasetConfig`]
 //! build a [`FederatedDataset`], a collection of [`PartyData`] whose users

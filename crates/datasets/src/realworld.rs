@@ -15,8 +15,8 @@
 //! * per-party item popularity follows a Zipf law, the classic shape of
 //!   word and purchase frequencies.
 //!
-//! See DESIGN.md, substitution 1, for why this preserves the evaluation's
-//! qualitative conclusions.
+//! See `ARCHITECTURE.md`, "Substitutions", item 1, for why this preserves
+//! the evaluation's qualitative conclusions.
 
 use crate::cdf::GuidedCdf;
 use crate::federated::FederatedDataset;

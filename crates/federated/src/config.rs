@@ -102,12 +102,10 @@ impl ProtocolConfig {
         self.schedule().shared_levels(self.shared_ratio)
     }
 
-    /// The validated privacy budget: ε must have 1 < e^ε < ∞ (see
-    /// [`PrivacyBudget::new`]).
+    /// The validated privacy budget; [`PrivacyBudget::new`] owns the rule
+    /// and its error.
     pub fn budget(&self) -> Result<PrivacyBudget, ProtocolError> {
-        PrivacyBudget::new(self.epsilon).map_err(|_| ProtocolError::InvalidBudget {
-            epsilon: self.epsilon,
-        })
+        Ok(PrivacyBudget::new(self.epsilon)?)
     }
 
     /// Returns a copy with a different privacy budget (used by ε sweeps).
@@ -153,38 +151,48 @@ impl ProtocolConfig {
     }
 
     /// Validates internal consistency; called by the run API before any
-    /// mechanism executes.  Every violation maps to a dedicated
-    /// [`ProtocolError`] variant.
+    /// mechanism executes.  Every violation is a
+    /// [`ProtocolError::InvalidParameter`] naming its rule, except the
+    /// budget's, which [`PrivacyBudget::new`] owns.
     pub fn validate(&self) -> Result<(), ProtocolError> {
         if self.k == 0 {
-            return Err(ProtocolError::InvalidQuery { k: self.k });
+            return Err(ProtocolError::invalid("query k", "be positive", self.k));
         }
         self.budget()?;
         if !(1..=64).contains(&self.max_bits) {
-            return Err(ProtocolError::InvalidBitWidth {
-                max_bits: self.max_bits,
-            });
+            return Err(ProtocolError::invalid(
+                "max_bits",
+                "be in 1..=64",
+                self.max_bits,
+            ));
         }
         if self.granularity == 0 || self.granularity > self.max_bits {
-            return Err(ProtocolError::InvalidGranularity {
-                granularity: self.granularity,
-                max_bits: self.max_bits,
-            });
+            return Err(ProtocolError::invalid(
+                "granularity",
+                format!("be in 1..=max_bits ({})", self.max_bits),
+                self.granularity,
+            ));
         }
         if !(0.0..=1.0).contains(&self.shared_ratio) {
-            return Err(ProtocolError::InvalidSharedRatio {
-                ratio: self.shared_ratio,
-            });
+            return Err(ProtocolError::invalid(
+                "shared ratio",
+                "be in [0, 1]",
+                self.shared_ratio,
+            ));
         }
         if !(0.0..0.5).contains(&self.dividing_ratio) {
-            return Err(ProtocolError::InvalidDividingRatio {
-                ratio: self.dividing_ratio,
-            });
+            return Err(ProtocolError::invalid(
+                "dividing ratio",
+                "be in [0, 0.5)",
+                self.dividing_ratio,
+            ));
         }
         if !(0.0..1.0).contains(&self.phase1_user_fraction) {
-            return Err(ProtocolError::InvalidPhase1Fraction {
-                fraction: self.phase1_user_fraction,
-            });
+            return Err(ProtocolError::invalid(
+                "phase-1 user fraction",
+                "be in [0, 1)",
+                self.phase1_user_fraction,
+            ));
         }
         Ok(())
     }
@@ -193,6 +201,7 @@ impl ProtocolConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedhh_fo::FoError;
 
     #[test]
     fn defaults_match_paper_settings() {
@@ -222,77 +231,79 @@ mod tests {
 
     #[test]
     fn validation_maps_each_violation_to_its_variant() {
-        assert_eq!(
-            ProtocolConfig {
-                k: 0,
-                ..Default::default()
-            }
-            .validate(),
-            Err(ProtocolError::InvalidQuery { k: 0 })
-        );
+        let base = ProtocolConfig::default();
+        let cases = [
+            (
+                ProtocolConfig { k: 0, ..base },
+                "query k",
+                "query k must be positive, got 0",
+            ),
+            (
+                ProtocolConfig {
+                    max_bits: 65,
+                    granularity: 8,
+                    ..base
+                },
+                "max_bits",
+                "max_bits must be in 1..=64, got 65",
+            ),
+            (
+                ProtocolConfig {
+                    granularity: 0,
+                    ..base
+                },
+                "granularity",
+                "granularity must be in 1..=max_bits (48), got 0",
+            ),
+            (
+                ProtocolConfig {
+                    granularity: 64,
+                    max_bits: 48,
+                    ..base
+                },
+                "granularity",
+                "granularity must be in 1..=max_bits (48), got 64",
+            ),
+            (
+                ProtocolConfig {
+                    dividing_ratio: 0.7,
+                    ..base
+                },
+                "dividing ratio",
+                "dividing ratio must be in [0, 0.5), got 0.7",
+            ),
+            (
+                ProtocolConfig {
+                    shared_ratio: 1.5,
+                    ..base
+                },
+                "shared ratio",
+                "shared ratio must be in [0, 1], got 1.5",
+            ),
+            (
+                ProtocolConfig {
+                    phase1_user_fraction: 1.0,
+                    ..base
+                },
+                "phase-1 user fraction",
+                "phase-1 user fraction must be in [0, 1), got 1",
+            ),
+        ];
+        for (config, rejected, message) in cases {
+            let err = config.validate().unwrap_err();
+            assert!(
+                matches!(err, ProtocolError::InvalidParameter { name, .. } if name == rejected),
+                "{err:?}"
+            );
+            assert_eq!(err.to_string(), message);
+        }
         assert_eq!(
             ProtocolConfig {
                 epsilon: -1.0,
-                ..Default::default()
+                ..base
             }
             .validate(),
-            Err(ProtocolError::InvalidBudget { epsilon: -1.0 })
-        );
-        assert_eq!(
-            ProtocolConfig {
-                max_bits: 65,
-                granularity: 8,
-                ..Default::default()
-            }
-            .validate(),
-            Err(ProtocolError::InvalidBitWidth { max_bits: 65 })
-        );
-        assert_eq!(
-            ProtocolConfig {
-                granularity: 0,
-                ..Default::default()
-            }
-            .validate(),
-            Err(ProtocolError::InvalidGranularity {
-                granularity: 0,
-                max_bits: 48
-            })
-        );
-        assert_eq!(
-            ProtocolConfig {
-                granularity: 64,
-                max_bits: 48,
-                ..Default::default()
-            }
-            .validate(),
-            Err(ProtocolError::InvalidGranularity {
-                granularity: 64,
-                max_bits: 48
-            })
-        );
-        assert_eq!(
-            ProtocolConfig {
-                dividing_ratio: 0.7,
-                ..Default::default()
-            }
-            .validate(),
-            Err(ProtocolError::InvalidDividingRatio { ratio: 0.7 })
-        );
-        assert_eq!(
-            ProtocolConfig {
-                shared_ratio: 1.5,
-                ..Default::default()
-            }
-            .validate(),
-            Err(ProtocolError::InvalidSharedRatio { ratio: 1.5 })
-        );
-        assert_eq!(
-            ProtocolConfig {
-                phase1_user_fraction: 1.0,
-                ..Default::default()
-            }
-            .validate(),
-            Err(ProtocolError::InvalidPhase1Fraction { fraction: 1.0 })
+            Err(ProtocolError::Oracle(FoError::InvalidBudget(-1.0)))
         );
     }
 
@@ -307,7 +318,7 @@ mod tests {
             // NaN never compares equal, so match on the variant instead.
             assert!(matches!(
                 config.budget(),
-                Err(ProtocolError::InvalidBudget { .. })
+                Err(ProtocolError::Oracle(FoError::InvalidBudget(_)))
             ));
         }
     }

@@ -295,7 +295,7 @@ impl EpochRunner {
 
     /// Resumes from a checkpoint, verifying the spec bytes match the run
     /// being reconstructed and that every ledger spend is finite and
-    /// non-negative ([`ProtocolError::InvalidLedgerSpend`] otherwise): the
+    /// non-negative ([`ProtocolError::InvalidParameter`] otherwise): the
     /// codec carries any `f64` bit-exactly, but a negative spend would let
     /// the cap admit a user for extra epochs.
     pub fn resume(
@@ -318,8 +318,11 @@ impl EpochRunner {
                 .iter()
                 .position(|spent| !(spent.is_finite() && *spent >= 0.0));
             if let Some(user) = invalid {
-                let spent = spends[user];
-                return Err(ProtocolError::InvalidLedgerSpend { party, user, spent });
+                return Err(ProtocolError::invalid(
+                    "ledger spend",
+                    format!("be finite and non-negative for party {party} user {user}"),
+                    spends[user],
+                ));
             }
         }
         Ok(Self {
@@ -647,10 +650,18 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    ProtocolError::InvalidLedgerSpend { party: 0, user: 1, spent }
-                        if spent.to_bits() == bad.to_bits()
+                    ProtocolError::InvalidParameter {
+                        name: "ledger spend",
+                        ..
+                    }
                 ),
                 "{bad}: {err:?}"
+            );
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "ledger spend must be finite and non-negative for party 0 user 1, got {bad}"
+                )
             );
         }
         std::fs::remove_file(&path).ok();

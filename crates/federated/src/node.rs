@@ -1023,8 +1023,8 @@ mod tests {
         use crate::scenario::{AdversaryModel, FlipMode};
         let benign = ScenarioPlan::benign();
         let quorum = |quorum| ScenarioPlan { quorum, ..benign };
-        let tree = |fanout| ScenarioPlan {
-            topology: Topology::Tree { fanout, depth: 1 },
+        let tree = |fanout, depth| ScenarioPlan {
+            topology: Topology::Tree { fanout, depth },
             ..benign
         };
         let flip = AdversaryModel::ReportFlip {
@@ -1048,8 +1048,9 @@ mod tests {
             ),
             ("quorum 0", quorum(0.0)),
             ("quorum NaN", quorum(f64::NAN)),
-            ("fanout 0", tree(0)),
-            ("fanout 1", tree(1)),
+            ("fanout 0", tree(0, 1)),
+            ("fanout 1", tree(1, 1)),
+            ("depth 3", tree(2, 3)),
         ];
         let refused = |actions: &[Action]| {
             matches!(actions, [Action::Abort(WireError::Protocol { detail })]

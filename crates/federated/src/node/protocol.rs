@@ -432,7 +432,7 @@ impl Node {
 }
 
 /// The multi-rank cohorts of a tree run as rank ranges; none under the flat
-/// star.  The node plane always uses depth 1 over ranks.
+/// star.  A tree has one level ([`Topology::validate`]).
 fn cohorts(welcome: &NodeWelcome) -> Vec<(usize, usize)> {
     let (Topology::Tree { fanout, .. }, ranks) =
         (welcome.scenario.topology, welcome.assignments.len())

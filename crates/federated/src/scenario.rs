@@ -202,19 +202,27 @@ impl ScenarioPlan {
     /// quorum would close rounds with no reports).
     pub fn validate(&self) -> Result<(), ProtocolError> {
         if !(0.0..=1.0).contains(&self.dropout) {
-            return Err(ProtocolError::InvalidDropout {
-                fraction: self.dropout,
-            });
+            return Err(ProtocolError::invalid(
+                "dropout fraction",
+                "be in [0, 1]",
+                self.dropout,
+            ));
         }
         let fraction = self.adversary.fraction();
         if !matches!(self.adversary, AdversaryModel::None) && !(0.0..=1.0).contains(&fraction) {
-            return Err(ProtocolError::InvalidAdversaryFraction { fraction });
+            return Err(ProtocolError::invalid(
+                "adversary fraction",
+                "be in [0, 1]",
+                fraction,
+            ));
         }
         self.topology.validate()?;
         if !(self.quorum > 0.0 && self.quorum <= 1.0) {
-            return Err(ProtocolError::InvalidQuorum {
-                fraction: self.quorum,
-            });
+            return Err(ProtocolError::invalid(
+                "quorum fraction",
+                "be in (0, 1]",
+                self.quorum,
+            ));
         }
         Ok(())
     }
@@ -429,9 +437,16 @@ mod tests {
         for fraction in [-0.1, 1.5, f64::NAN] {
             assert!(matches!(
                 dropout(fraction, 1).validate(),
-                Err(ProtocolError::InvalidDropout { .. })
+                Err(ProtocolError::InvalidParameter {
+                    name: "dropout fraction",
+                    ..
+                })
             ));
         }
+        assert_eq!(
+            dropout(1.5, 1).validate().unwrap_err().to_string(),
+            "dropout fraction must be in [0, 1], got 1.5"
+        );
     }
 
     #[test]
@@ -589,12 +604,23 @@ mod tests {
                 assert!(
                     matches!(
                         attacked(adversary, 1).validate(),
-                        Err(ProtocolError::InvalidAdversaryFraction { .. })
+                        Err(ProtocolError::InvalidParameter {
+                            name: "adversary fraction",
+                            ..
+                        })
                     ),
                     "{adversary:?}"
                 );
             }
         }
+        let sybil = AdversaryModel::Sybil {
+            fraction: -0.1,
+            target_item: 7,
+        };
+        assert_eq!(
+            attacked(sybil, 1).validate().unwrap_err().to_string(),
+            "adversary fraction must be in [0, 1], got -0.1"
+        );
     }
 
     #[test]
@@ -603,33 +629,29 @@ mod tests {
             topology: Topology::Tree { fanout, depth },
             ..ScenarioPlan::benign()
         };
-        assert_eq!(
-            tree(1, 1).validate(),
-            Err(ProtocolError::InvalidTopology {
-                fanout: 1,
-                depth: 1
-            })
-        );
-        assert_eq!(
-            tree(2, 9).validate(),
-            Err(ProtocolError::InvalidTopology {
-                fanout: 2,
-                depth: 9
-            })
-        );
-        assert_eq!(tree(2, 8).validate(), Ok(()));
+        for (fanout, depth) in [(1, 1), (2, 8)] {
+            assert!(matches!(
+                tree(fanout, depth).validate(),
+                Err(ProtocolError::InvalidParameter {
+                    name: "aggregation tree",
+                    ..
+                })
+            ));
+        }
+        assert_eq!(tree(256, 1).validate(), Ok(()));
         let quorum = |quorum| ScenarioPlan {
             quorum,
             ..ScenarioPlan::benign()
         };
-        assert_eq!(
-            quorum(0.0).validate(),
-            Err(ProtocolError::InvalidQuorum { fraction: 0.0 })
-        );
-        assert!(matches!(
-            quorum(f64::NAN).validate(),
-            Err(ProtocolError::InvalidQuorum { .. })
-        ));
+        for fraction in [0.0, f64::NAN] {
+            assert!(matches!(
+                quorum(fraction).validate(),
+                Err(ProtocolError::InvalidParameter {
+                    name: "quorum fraction",
+                    ..
+                })
+            ));
+        }
         assert_eq!(quorum(0.75).validate(), Ok(()));
     }
 

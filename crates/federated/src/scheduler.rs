@@ -33,10 +33,10 @@ impl GroupAssignment {
     /// materializing its [`ItemStream`](https://docs.rs/fedhh-datasets) once
     /// for the shuffle) pay for exactly one resident copy.
     ///
-    /// Fails with [`ProtocolError::InvalidGroupCount`] when `g` is zero.
+    /// Fails with a typed [`ProtocolError`] when `g` is zero.
     pub fn uniform_owned(mut items: Vec<u64>, g: u8, seed: u64) -> Result<Self, ProtocolError> {
         if g == 0 {
-            return Err(ProtocolError::InvalidGroupCount { groups: g });
+            return Err(ProtocolError::invalid("group count", "be at least 1", g));
         }
         shuffle(&mut items, seed);
         Ok(Self::deal(&items, &[(items.len(), g as usize)]))
@@ -60,13 +60,14 @@ impl GroupAssignment {
         seed: u64,
     ) -> Result<Self, ProtocolError> {
         if g == 0 {
-            return Err(ProtocolError::InvalidGroupCount { groups: g });
+            return Err(ProtocolError::invalid("group count", "be at least 1", g));
         }
         if phase1_levels > g {
-            return Err(ProtocolError::InvalidPhaseSplit {
+            return Err(ProtocolError::invalid(
+                "phase-1 levels",
+                format!("not exceed the {g} groups"),
                 phase1_levels,
-                groups: g,
-            });
+            ));
         }
         if phase1_levels == 0 || phase1_levels == g || phase1_fraction <= 0.0 {
             return Self::uniform_owned(items, g, seed);
@@ -318,20 +319,31 @@ mod tests {
     #[test]
     fn impossible_splits_are_typed_errors_not_panics() {
         let items: Vec<u64> = (0..10).collect();
-        assert!(matches!(
+        let no_groups = [
             GroupAssignment::uniform_owned(items.to_vec(), 0, 1),
-            Err(ProtocolError::InvalidGroupCount { groups: 0 })
-        ));
-        assert!(matches!(
             GroupAssignment::weighted_owned(items.clone(), 0, 0, 0.1, 1),
-            Err(ProtocolError::InvalidGroupCount { groups: 0 })
-        ));
+        ];
+        for err in no_groups.map(Result::unwrap_err) {
+            assert!(matches!(
+                err,
+                ProtocolError::InvalidParameter {
+                    name: "group count",
+                    ..
+                }
+            ));
+            assert_eq!(err.to_string(), "group count must be at least 1, got 0");
+        }
+        let err = GroupAssignment::weighted_owned(items.clone(), 4, 5, 0.1, 1).unwrap_err();
         assert!(matches!(
-            GroupAssignment::weighted_owned(items.clone(), 4, 5, 0.1, 1),
-            Err(ProtocolError::InvalidPhaseSplit {
-                phase1_levels: 5,
-                groups: 4
-            })
+            err,
+            ProtocolError::InvalidParameter {
+                name: "phase-1 levels",
+                ..
+            }
         ));
+        assert_eq!(
+            err.to_string(),
+            "phase-1 levels must not exceed the 4 groups, got 5"
+        );
     }
 }

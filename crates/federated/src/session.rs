@@ -165,9 +165,11 @@ impl EngineConfig {
     /// Validates the engine parameters.
     pub fn validate(&self) -> Result<(), ProtocolError> {
         if self.parallelism == 0 {
-            return Err(ProtocolError::InvalidParallelism {
-                parallelism: self.parallelism,
-            });
+            return Err(ProtocolError::invalid(
+                "engine parallelism",
+                "be at least 1",
+                self.parallelism,
+            ));
         }
         self.scenario.validate()
     }
@@ -687,8 +689,8 @@ impl Session {
             None => {
                 let messages = match self.scenario.topology {
                     Topology::Flat => messages,
-                    Topology::Tree { fanout, depth } => {
-                        tree_route(round, messages, fanout, depth, &self.telemetry)?
+                    Topology::Tree { fanout, .. } => {
+                        tree_route(round, messages, fanout, &self.telemetry)?
                     }
                 };
                 Ok(assemble(round, messages, events, &self.scenario))
@@ -789,13 +791,13 @@ fn run_party<D: PartyDriver>(
 }
 
 /// Routes one round's drained uploads through an in-memory aggregation
-/// tree: parties group into cohorts of `fanout` per level, `depth` levels
-/// deep, each multi-member cohort coalescing its reports into one
-/// [`RoundPayload::MergedSupports`] frame.  Every final root-inbound frame
-/// round-trips through the real `fedhh-wire` frame codec, so the
-/// `tree.root.*` byte counters are frame-exact and lossless decoding is
-/// exercised on every round — the reconstructed flat collection is
-/// bit-identical to what [`Topology::Flat`] would have produced.
+/// tree: parties group into cohorts of `fanout`, each multi-member cohort
+/// coalescing its reports into one [`RoundPayload::MergedSupports`]
+/// frame.  Every final root-inbound frame round-trips through the real
+/// `fedhh-wire` frame codec, so the `tree.root.*` byte counters are
+/// frame-exact and lossless decoding is exercised on every round — the
+/// reconstructed flat collection is bit-identical to what
+/// [`Topology::Flat`] would have produced.
 ///
 /// Single-member cohorts pass through as flat report frames: merging a
 /// cohort of one *adds* envelope bytes, so `tree.root.bytes <=
@@ -807,7 +809,6 @@ fn tree_route(
     round: u32,
     messages: Vec<RoundMessage>,
     fanout: usize,
-    depth: usize,
     telemetry: &Telemetry,
 ) -> Result<Vec<RoundMessage>, ProtocolError> {
     let all_reports = !messages.is_empty()
@@ -829,31 +830,22 @@ fn tree_route(
         flat_bytes += framed(message)?.len() as u64;
     }
 
-    // Units start as one message each — the transport drains them in
-    // canonical ascending order — and group level by level; a unit's key is
-    // its smallest constituent sender.
-    let mut units: Vec<Vec<RoundMessage>> = messages.into_iter().map(|m| vec![m]).collect();
-    for level in 1..=depth {
-        let divisor = fanout.saturating_pow(level as u32).max(1);
-        let mut grouped: Vec<Vec<RoundMessage>> = Vec::with_capacity(units.len());
-        let mut iter = units.into_iter().peekable();
-        while let Some(first) = iter.next() {
-            let cohort = first[0].from / divisor;
-            let mut parts = first;
-            let mut merge_span = None;
-            while iter
-                .peek()
-                .is_some_and(|unit| unit[0].from / divisor == cohort)
-            {
-                if merge_span.is_none() {
-                    merge_span = Some(telemetry.span_idx(SpanName::AggregateMerge, cohort as u64));
-                }
-                parts.extend(iter.next().expect("peeked"));
+    // The transport drains messages in canonical ascending order, so each
+    // cohort `from / fanout` is one run of consecutive messages.
+    let mut units: Vec<Vec<RoundMessage>> = Vec::new();
+    let mut iter = messages.into_iter().peekable();
+    while let Some(first) = iter.next() {
+        let cohort = first.from / fanout;
+        let mut parts = vec![first];
+        let mut merge_span = None;
+        while iter.peek().is_some_and(|m| m.from / fanout == cohort) {
+            if merge_span.is_none() {
+                merge_span = Some(telemetry.span_idx(SpanName::AggregateMerge, cohort as u64));
             }
-            drop(merge_span);
-            grouped.push(parts);
+            parts.push(iter.next().expect("peeked"));
         }
-        units = grouped;
+        drop(merge_span);
+        units.push(parts);
     }
 
     // Frame each final unit through the real wire codec and decode it
@@ -956,7 +948,7 @@ mod tests {
 
         fn run_round(&mut self, input: &RoundInput) -> Result<RoundOutcome, ProtocolError> {
             if self.fail {
-                return Err(ProtocolError::InvalidQuery { k: 0 });
+                return Err(ProtocolError::MissingDataset);
             }
             let mut outcome = RoundOutcome::default();
             outcome.level(LevelEstimated {
@@ -1088,7 +1080,7 @@ mod tests {
             let err = session
                 .run_round(&mut drivers, &active, &start(0))
                 .unwrap_err();
-            assert_eq!(err, ProtocolError::InvalidQuery { k: 0 });
+            assert_eq!(err, ProtocolError::MissingDataset);
         }
     }
 
@@ -1140,17 +1132,28 @@ mod tests {
 
     #[test]
     fn invalid_engine_configs_are_rejected() {
+        let err = Session::new(&EngineConfig::parallel(0), 2).unwrap_err();
         assert!(matches!(
-            Session::new(&EngineConfig::parallel(0), 2),
-            Err(ProtocolError::InvalidParallelism { parallelism: 0 })
+            err,
+            ProtocolError::InvalidParameter {
+                name: "engine parallelism",
+                ..
+            }
         ));
+        assert_eq!(
+            err.to_string(),
+            "engine parallelism must be at least 1, got 0"
+        );
         let bad = EngineConfig::sequential().with_scenario(ScenarioPlan {
             dropout: 2.0,
             ..ScenarioPlan::benign()
         });
         assert!(matches!(
             Session::new(&bad, 2),
-            Err(ProtocolError::InvalidDropout { .. })
+            Err(ProtocolError::InvalidParameter {
+                name: "dropout fraction",
+                ..
+            })
         ));
     }
 
@@ -1208,7 +1211,7 @@ mod tests {
     fn scenario_builders_replace_only_their_part_of_the_plan() {
         let tree = Topology::Tree {
             fanout: 4,
-            depth: 2,
+            depth: 1,
         };
         let plan = ScenarioPlan {
             dropout: 0.25,
@@ -1342,7 +1345,10 @@ mod tests {
         };
         assert!(matches!(
             Session::new(&EngineConfig::sequential().with_scenario(plan), 2),
-            Err(ProtocolError::InvalidAdversaryFraction { .. })
+            Err(ProtocolError::InvalidParameter {
+                name: "adversary fraction",
+                ..
+            })
         ));
     }
 
@@ -1363,15 +1369,14 @@ mod tests {
             rounds
         };
         let flat = run(EngineConfig::sequential());
-        for (fanout, depth) in [(2, 1), (2, 2), (3, 1), (4, 2), (16, 1)] {
+        for fanout in [2, 3, 4, 16] {
             for parallelism in [1usize, 4] {
                 let engine = EngineConfig::parallel(parallelism)
-                    .with_topology(Topology::Tree { fanout, depth });
+                    .with_topology(Topology::Tree { fanout, depth: 1 });
                 assert_eq!(
                     run(engine),
                     flat,
-                    "tree fanout {fanout} depth {depth} parallelism {parallelism} \
-                     diverged from the flat star"
+                    "tree fanout {fanout} parallelism {parallelism} diverged from the flat star"
                 );
             }
         }
@@ -1512,7 +1517,7 @@ mod tests {
             // This thread is busy, so at most `parallelism - 1` are idle.
             assert!(self.idle.available() < self.parallelism);
             if self.fail {
-                return Err(ProtocolError::InvalidQuery { k: 0 });
+                return Err(ProtocolError::MissingDataset);
             }
             let candidates: Vec<u64> = (0..64).collect();
             let mut outcome = RoundOutcome::default();
@@ -1644,24 +1649,26 @@ mod tests {
 
     #[test]
     fn invalid_topologies_and_quorums_are_rejected_at_construction() {
-        let skinny = EngineConfig::sequential().with_topology(Topology::Tree {
-            fanout: 1,
-            depth: 1,
-        });
-        assert!(matches!(
-            Session::new(&skinny, 2),
-            Err(ProtocolError::InvalidTopology {
-                fanout: 1,
-                depth: 1
-            })
-        ));
+        for (fanout, depth) in [(1, 1), (2, 2)] {
+            let tree = EngineConfig::sequential().with_topology(Topology::Tree { fanout, depth });
+            assert!(matches!(
+                Session::new(&tree, 2),
+                Err(ProtocolError::InvalidParameter {
+                    name: "aggregation tree",
+                    ..
+                })
+            ));
+        }
         let starved = EngineConfig::sequential().with_scenario(ScenarioPlan {
             quorum: 0.0,
             ..ScenarioPlan::benign()
         });
         assert!(matches!(
             Session::new(&starved, 2),
-            Err(ProtocolError::InvalidQuorum { .. })
+            Err(ProtocolError::InvalidParameter {
+                name: "quorum fraction",
+                ..
+            })
         ));
     }
 }

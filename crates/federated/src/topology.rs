@@ -2,7 +2,7 @@
 //!
 //! [`Topology`] selects how party uploads reach the root aggregator:
 //! `Flat` is the star every release so far has run (each upload is its own
-//! root-inbound frame), `Tree { fanout, depth }` interposes cohort-level
+//! root-inbound frame), `Tree { fanout, depth: 1 }` interposes cohort-level
 //! sub-aggregators that fold their parties' reports into one
 //! `MergedSupports` frame each, so the root receives `O(cohorts)` frames
 //! instead of `O(parties)`.  Merging is **lossless by construction**: the
@@ -27,13 +27,14 @@ pub enum Topology {
     #[default]
     Flat,
     /// Cohort-level sub-aggregation: parties group into cohorts of
-    /// `fanout` per level, `depth` levels deep; each cohort forwards one
-    /// merged frame.
+    /// `fanout`; each cohort forwards one merged frame.
     Tree {
-        /// Cohort width per tree level (at least 2).
+        /// Cohort width (at least 2).
         fanout: usize,
-        /// Number of merge levels between the parties and the root (at
-        /// least 1).
+        /// Number of merge levels between the parties and the root; must
+        /// be 1.  Cohorts nest, so `depth` levels of `fanout` reach the
+        /// root in exactly the frames and bytes of one level of
+        /// `fanout^depth`: a deeper tree is that wider one.
         depth: usize,
     },
 }
@@ -44,17 +45,17 @@ impl Topology {
         matches!(self, Topology::Flat)
     }
 
-    /// The canonical CLI spelling: `flat` or `tree:FANOUT[:DEPTH]`.
+    /// The canonical CLI spelling: `flat` or `tree:FANOUT`.
     pub fn name(&self) -> String {
         match self {
             Topology::Flat => "flat".to_string(),
-            Topology::Tree { fanout, depth } if *depth == 1 => format!("tree:{fanout}"),
-            Topology::Tree { fanout, depth } => format!("tree:{fanout}:{depth}"),
+            Topology::Tree { fanout, .. } => format!("tree:{fanout}"),
         }
     }
 
-    /// Parses the canonical spelling, in any letter case; `None` on
-    /// anything else.
+    /// Parses `flat` or `tree:FANOUT[:DEPTH]`, in any letter case; `None`
+    /// on anything else.  Any depth parses, so that [`Topology::validate`]
+    /// names the rule a depth other than 1 breaks.
     pub fn parse(raw: &str) -> Option<Topology> {
         if raw.eq_ignore_ascii_case("flat") {
             return Some(Topology::Flat);
@@ -75,18 +76,16 @@ impl Topology {
         Some(Topology::Tree { fanout, depth })
     }
 
-    /// Checks the shape: a 1-wide cohort merges nothing, the depth must
-    /// lie in `1..=8`, and the root group divisor `fanout^depth` must not
-    /// overflow usize.  A malformed tree is
-    /// [`ProtocolError::InvalidTopology`] carrying its shape.
+    /// Checks the shape: a 1-wide cohort merges nothing, and the depth
+    /// must be 1 (see [`Topology::Tree`]).
     pub fn validate(&self) -> Result<(), ProtocolError> {
         match *self {
-            Topology::Tree { fanout, depth }
-                if fanout < 2
-                    || !(1..=8).contains(&depth)
-                    || fanout.checked_pow(depth as u32).is_none() =>
-            {
-                Err(ProtocolError::InvalidTopology { fanout, depth })
+            Topology::Tree { fanout, depth } if fanout < 2 || depth != 1 => {
+                Err(ProtocolError::invalid(
+                    "aggregation tree",
+                    "have fanout >= 2 and depth 1",
+                    format!("fanout {fanout} depth {depth}"),
+                ))
             }
             _ => Ok(()),
         }
@@ -122,13 +121,13 @@ mod tests {
                 depth: 1,
             },
             Topology::Tree {
-                fanout: 16,
-                depth: 2,
+                fanout: 256,
+                depth: 1,
             },
         ] {
             assert_eq!(Topology::parse(&topology.name()), Some(topology));
         }
-        for raw in ["tree:4", "TREE:4", "Tree:4"] {
+        for raw in ["tree:4", "TREE:4", "Tree:4", "tree:4:1"] {
             assert_eq!(
                 Topology::parse(raw),
                 Some(Topology::Tree {
@@ -160,34 +159,52 @@ mod tests {
     #[test]
     fn validation_rejects_degenerate_shapes() {
         let tree = |fanout, depth| Topology::Tree { fanout, depth };
-        for valid in [Topology::Flat, tree(2, 1), tree(16, 2), tree(2, 8)] {
+        for valid in [
+            Topology::Flat,
+            tree(2, 1),
+            tree(256, 1),
+            tree(usize::MAX, 1),
+        ] {
             assert_eq!(valid.validate(), Ok(()), "{valid:?}");
         }
-        for (fanout, depth) in [(1, 1), (0, 1), (2, 0), (2, 9), (usize::MAX, 2)] {
-            assert_eq!(
-                tree(fanout, depth).validate(),
-                Err(ProtocolError::InvalidTopology { fanout, depth }),
+        for (fanout, depth) in [(1, 1), (0, 1), (2, 0), (2, 2), (2, 9), (usize::MAX, 2)] {
+            assert!(
+                matches!(
+                    tree(fanout, depth).validate(),
+                    Err(ProtocolError::InvalidParameter {
+                        name: "aggregation tree",
+                        ..
+                    })
+                ),
                 "fanout {fanout} depth {depth}"
             );
         }
+        assert_eq!(
+            tree(2, 3).validate().unwrap_err().to_string(),
+            "aggregation tree must have fanout >= 2 and depth 1, got fanout 2 depth 3"
+        );
     }
 
     #[test]
     fn quorum_validation_bounds_the_fraction() {
         assert_eq!(ScenarioPlan::benign().validate(), Ok(()));
         assert_eq!(quorum(0.25, 7).validate(), Ok(()));
-        for fraction in [0.0, -0.5, 1.5, f64::INFINITY] {
-            assert_eq!(
-                quorum(fraction, 7).validate(),
-                Err(ProtocolError::InvalidQuorum { fraction }),
+        for fraction in [0.0, -0.5, 1.5, f64::INFINITY, f64::NAN] {
+            assert!(
+                matches!(
+                    quorum(fraction, 7).validate(),
+                    Err(ProtocolError::InvalidParameter {
+                        name: "quorum fraction",
+                        ..
+                    })
+                ),
                 "fraction {fraction}"
             );
         }
-        // NaN compares unequal to itself, so match the variant.
-        assert!(matches!(
-            quorum(f64::NAN, 7).validate(),
-            Err(ProtocolError::InvalidQuorum { fraction }) if fraction.is_nan()
-        ));
+        assert_eq!(
+            quorum(1.5, 7).validate().unwrap_err().to_string(),
+            "quorum fraction must be in (0, 1], got 1.5"
+        );
     }
 
     #[test]

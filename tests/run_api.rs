@@ -1,8 +1,9 @@
 //! Tests of the fallible, observable run API: every invalid configuration
-//! surfaces as the matching `ProtocolError` variant through `Run::execute()`
+//! surfaces as the matching `ProtocolError` through `Run::execute()`
 //! — never a panic — and the run's one event stream feeds the output's
 //! `CommTracker`, a `RecordingObserver` and the telemetry trace alike.
 
+use fedhh::fo::FoError;
 use fedhh::prelude::*;
 use fedhh::telemetry::Counter;
 use fedhh::trie::ItemEncoder;
@@ -29,8 +30,8 @@ fn execute(kind: MechanismKind, config: ProtocolConfig) -> Result<MechanismOutpu
         .execute()
 }
 
-/// Property-style sweep: every invalid parameter value yields its dedicated
-/// error variant, for every mechanism, without panicking.
+/// Property-style sweep: every invalid parameter value yields the error
+/// naming its rule, for every mechanism, without panicking.
 #[test]
 fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
     let base = valid_config();
@@ -38,7 +39,15 @@ fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
     let cases: Vec<Case> = vec![
         (
             ProtocolConfig { k: 0, ..base },
-            |e| matches!(e, ProtocolError::InvalidQuery { k: 0 }),
+            |e| {
+                matches!(
+                    e,
+                    ProtocolError::InvalidParameter {
+                        name: "query k",
+                        ..
+                    }
+                )
+            },
             "k = 0",
         ),
         (
@@ -46,7 +55,7 @@ fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
                 epsilon: 0.0,
                 ..base
             },
-            |e| matches!(e, ProtocolError::InvalidBudget { .. }),
+            |e| matches!(e, ProtocolError::Oracle(FoError::InvalidBudget(_))),
             "epsilon = 0",
         ),
         (
@@ -54,7 +63,7 @@ fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
                 epsilon: -1.5,
                 ..base
             },
-            |e| matches!(e, ProtocolError::InvalidBudget { .. }),
+            |e| matches!(e, ProtocolError::Oracle(FoError::InvalidBudget(_))),
             "epsilon < 0",
         ),
         (
@@ -62,7 +71,7 @@ fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
                 epsilon: f64::NAN,
                 ..base
             },
-            |e| matches!(e, ProtocolError::InvalidBudget { .. }),
+            |e| matches!(e, ProtocolError::Oracle(FoError::InvalidBudget(_))),
             "epsilon = NaN",
         ),
         (
@@ -70,7 +79,7 @@ fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
                 epsilon: f64::INFINITY,
                 ..base
             },
-            |e| matches!(e, ProtocolError::InvalidBudget { .. }),
+            |e| matches!(e, ProtocolError::Oracle(FoError::InvalidBudget(_))),
             "epsilon = inf",
         ),
         (
@@ -78,7 +87,7 @@ fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
                 granularity: 0,
                 ..base
             },
-            |e| matches!(e, ProtocolError::InvalidGranularity { granularity: 0, .. }),
+            |e| matches!(e, ProtocolError::InvalidParameter { name: "granularity", value, .. } if value == "0"),
             "granularity = 0",
         ),
         (
@@ -86,15 +95,7 @@ fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
                 granularity: 17,
                 ..base
             },
-            |e| {
-                matches!(
-                    e,
-                    ProtocolError::InvalidGranularity {
-                        granularity: 17,
-                        max_bits: 16
-                    }
-                )
-            },
+            |e| e.to_string() == "granularity must be in 1..=max_bits (16), got 17",
             "granularity > max_bits",
         ),
         (
@@ -102,7 +103,15 @@ fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
                 shared_ratio: -0.1,
                 ..base
             },
-            |e| matches!(e, ProtocolError::InvalidSharedRatio { .. }),
+            |e| {
+                matches!(
+                    e,
+                    ProtocolError::InvalidParameter {
+                        name: "shared ratio",
+                        ..
+                    }
+                )
+            },
             "shared_ratio < 0",
         ),
         (
@@ -110,7 +119,15 @@ fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
                 shared_ratio: 1.5,
                 ..base
             },
-            |e| matches!(e, ProtocolError::InvalidSharedRatio { .. }),
+            |e| {
+                matches!(
+                    e,
+                    ProtocolError::InvalidParameter {
+                        name: "shared ratio",
+                        ..
+                    }
+                )
+            },
             "shared_ratio > 1",
         ),
         (
@@ -118,7 +135,15 @@ fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
                 dividing_ratio: 0.5,
                 ..base
             },
-            |e| matches!(e, ProtocolError::InvalidDividingRatio { .. }),
+            |e| {
+                matches!(
+                    e,
+                    ProtocolError::InvalidParameter {
+                        name: "dividing ratio",
+                        ..
+                    }
+                )
+            },
             "dividing_ratio = 0.5",
         ),
         (
@@ -126,7 +151,15 @@ fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
                 dividing_ratio: -0.2,
                 ..base
             },
-            |e| matches!(e, ProtocolError::InvalidDividingRatio { .. }),
+            |e| {
+                matches!(
+                    e,
+                    ProtocolError::InvalidParameter {
+                        name: "dividing ratio",
+                        ..
+                    }
+                )
+            },
             "dividing_ratio < 0",
         ),
         (
@@ -134,7 +167,15 @@ fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
                 phase1_user_fraction: 1.0,
                 ..base
             },
-            |e| matches!(e, ProtocolError::InvalidPhase1Fraction { .. }),
+            |e| {
+                matches!(
+                    e,
+                    ProtocolError::InvalidParameter {
+                        name: "phase-1 user fraction",
+                        ..
+                    }
+                )
+            },
             "phase1 fraction = 1",
         ),
         (
@@ -142,7 +183,15 @@ fn invalid_configs_yield_matching_error_variants_for_every_mechanism() {
                 phase1_user_fraction: -0.5,
                 ..base
             },
-            |e| matches!(e, ProtocolError::InvalidPhase1Fraction { .. }),
+            |e| {
+                matches!(
+                    e,
+                    ProtocolError::InvalidParameter {
+                        name: "phase-1 user fraction",
+                        ..
+                    }
+                )
+            },
             "phase1 fraction < 0",
         ),
     ];
@@ -175,7 +224,13 @@ fn mechanism_execute_validates_without_the_builder() {
         );
         let err = mechanism.execute(&mut ctx).unwrap_err();
         assert!(
-            matches!(err, ProtocolError::InvalidQuery { k: 0 }),
+            matches!(
+                err,
+                ProtocolError::InvalidParameter {
+                    name: "query k",
+                    ..
+                }
+            ),
             "{kind}: {err:?}"
         );
     }
@@ -196,13 +251,13 @@ fn missing_dataset_and_bit_width_mismatch_are_typed_errors() {
         .config(ProtocolConfig::default())
         .execute()
         .unwrap_err();
-    assert_eq!(
+    assert!(matches!(
         err,
-        ProtocolError::BitWidthMismatch {
-            dataset_bits: 16,
-            config_bits: 48
+        ProtocolError::InvalidParameter {
+            name: "max_bits",
+            ..
         }
-    );
+    ));
 }
 
 #[test]
@@ -245,13 +300,20 @@ fn warm_start_codes_wider_than_max_bits_are_typed_errors() {
                 .execute()
         };
         assert!(warm(vec![code]).is_ok(), "{kind}");
-        assert_eq!(
-            warm(vec![code, wide]).unwrap_err(),
-            ProtocolError::WarmCodeOutOfRange {
-                code: wide,
-                max_bits: 16
-            },
+        let err = warm(vec![code, wide]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ProtocolError::InvalidParameter {
+                    name: "warm-start code",
+                    ..
+                }
+            ),
             "{kind}"
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("warm-start code must fit in max_bits = 16, got {wide:#x}")
         );
     }
 }
@@ -477,5 +539,11 @@ fn custom_instances_run_through_the_builder_after_shim_removal() {
         })
         .execute()
         .unwrap_err();
-    assert_eq!(err, ProtocolError::InvalidQuery { k: 0 });
+    assert!(matches!(
+        err,
+        ProtocolError::InvalidParameter {
+            name: "query k",
+            ..
+        }
+    ));
 }

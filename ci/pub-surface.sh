@@ -132,6 +132,7 @@ FNR == 1 {
     if (def != "") {
         key = crate "::" (owner != "" ? owner "::" : "") def
         n_items++; item_key[n_items] = key; item_name[n_items] = def; item_at[n_items] = FILENAME ":" FNR
+        crate_items[crate]++
     }
 
     # Count every identifier outside literals, minus the definition itself.
@@ -162,5 +163,10 @@ END {
         exit 1
     }
     printf "[pub-surface] %d pub items, each referenced or allowlisted\n", n_items
+    fflush()
+    # Per crate, so a change that narrows one crate shows where the surface
+    # moved.
+    for (c in crate_items) printf "[pub-surface]   %-10s %4d\n", c, crate_items[c] | "sort"
+    close("sort")
 }
 ' "${DEFS[@]}" "${REFS[@]}"

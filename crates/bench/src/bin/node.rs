@@ -454,6 +454,11 @@ fn service_command(args: &[String]) -> Result<ExitCode, String> {
     let spec = options.spec(warm);
     let spec_bytes = spec.to_spec_bytes();
     let epoch_config = spec.epoch_config();
+    // A plan no population can evolve under is refused here, before the
+    // base dataset is built or a checkpoint read.
+    let mut exec = MechanismExecutor::new(spec)
+        .map_err(|err| format!("[fedhh-node] {err}"))?
+        .with_engine(EngineConfig::parallel(options.parallelism.max(1)));
     let mut runner = match &resume_path {
         Some(path) => {
             let ckpt = checkpoint::load(std::path::Path::new(path))
@@ -487,8 +492,6 @@ fn service_command(args: &[String]) -> Result<ExitCode, String> {
         warm.name(),
         options.epsilon_cap
     );
-    let mut exec = MechanismExecutor::new(spec)
-        .with_engine(EngineConfig::parallel(options.parallelism.max(1)));
     while let Some(record) = runner
         .step(&mut exec)
         .map_err(|err| format!("[fedhh-node] service failed: {err}"))?

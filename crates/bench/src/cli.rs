@@ -306,10 +306,7 @@ pub fn epoch_option(
         "--mechanism" => options.mechanism = cursor.parsed(option)?,
         "--dataset" => options.dataset = cursor.parsed(option)?,
         "--epochs" => options.epochs = cursor.value_where(option, |v| *v > 0, "be at least 1")?,
-        "--churn" => {
-            let in_unit = |v: &f64| (0.0..=1.0).contains(v);
-            options.churn_fraction = cursor.value_where(option, in_unit, "be in [0, 1]")?
-        }
+        "--churn" => options.churn_fraction = cursor.value(option)?,
         "--drift" => options.drift_stride = cursor.value(option)?,
         "--epsilon" => options.epsilon = cursor.value(option)?,
         "--cap" => options.epsilon_cap = Some(cursor.value(option)?),

@@ -73,9 +73,11 @@
 //! ```
 
 use crate::json::Fmt;
+use crate::nodespec::NodeRunSpec;
 use crate::report::{self, column, Column, Row, Shown, SCHEMA};
 use fedhh_datasets::{
-    DatasetConfig, DatasetKind, EvolutionPlan, FederatedDataset, PartyData, PopulationEvolver,
+    DatasetConfig, DatasetKind, EvolutionPlan, FederatedDataset, InvalidDatasetConfig, PartyData,
+    PopulationEvolver,
 };
 use fedhh_federated::{
     EngineConfig, EpochConfig, EpochExecutor, EpochOutput, EpochRunner, PartyPopulation,
@@ -151,9 +153,16 @@ impl EpochServiceSpec {
     }
 
     /// Builds the population evolver this spec describes (deterministic:
-    /// every call yields a bit-identical population history).
-    pub fn build_evolver(&self) -> PopulationEvolver {
-        PopulationEvolver::new(self.dataset_config.build(self.dataset), self.plan)
+    /// every call yields a bit-identical population history).  An invalid
+    /// dataset configuration or evolution plan is refused before the base
+    /// dataset is built.
+    pub fn build_evolver(&self) -> Result<PopulationEvolver, InvalidDatasetConfig> {
+        self.dataset_config.validate()?;
+        self.plan.validate()?;
+        Ok(PopulationEvolver::new(
+            self.dataset_config.build(self.dataset),
+            self.plan,
+        ))
     }
 
     /// Encodes the spec into checkpoint spec bytes.  The encoding is
@@ -166,13 +175,14 @@ impl EpochServiceSpec {
 
 impl Encode for EpochServiceSpec {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.mechanism.name().encode(out);
-        self.dataset.name().encode(out);
-        put_f64(out, self.dataset_config.user_scale);
-        put_f64(out, self.dataset_config.item_scale);
-        self.dataset_config.code_bits.encode(out);
-        put_f64(out, self.dataset_config.syn_beta);
-        put_u64_fixed(out, self.dataset_config.seed);
+        // The run half is a node run spec's bytes: one encoding of
+        // mechanism, dataset and generator parameters.
+        NodeRunSpec {
+            mechanism: self.mechanism,
+            dataset: self.dataset,
+            dataset_config: self.dataset_config,
+        }
+        .encode(out);
         put_f64(out, self.plan.churn_fraction);
         self.plan.drift_stride.encode(out);
         put_u64_fixed(out, self.plan.seed);
@@ -207,14 +217,15 @@ pub struct MechanismExecutor {
 }
 
 impl MechanismExecutor {
-    /// Prepares an executor for `spec` (builds the base dataset once).
-    pub fn new(spec: EpochServiceSpec) -> Self {
-        let evolver = spec.build_evolver();
-        Self {
+    /// Prepares an executor for `spec` (builds the base dataset once), or
+    /// refuses an invalid spec before building anything.
+    pub fn new(spec: EpochServiceSpec) -> Result<Self, InvalidDatasetConfig> {
+        let evolver = spec.build_evolver()?;
+        Ok(Self {
             spec,
             evolver,
             engine: EngineConfig::from_env(),
-        }
+        })
     }
 
     /// Replaces the engine configuration (parallelism; results are
@@ -510,8 +521,8 @@ impl EpochsReport {
 }
 
 /// Scores a slice of epoch records against their epochs' exact ground
-/// truths (shared by [`run_epochs`] and the `fedhh-node service` CLI).
-pub fn score_records(
+/// truths.
+fn score_records(
     exec: &MechanismExecutor,
     records: &[fedhh_federated::EpochRecord],
     k: usize,
@@ -541,6 +552,7 @@ pub fn run_epochs(options: &EpochsOptions) -> Result<EpochsReport, String> {
         let spec_bytes = spec.to_spec_bytes();
         let epoch_config = spec.epoch_config();
         let mut exec = MechanismExecutor::new(spec)
+            .map_err(|err| err.to_string())?
             .with_engine(EngineConfig::parallel(options.parallelism.max(1)));
         let mut runner = EpochRunner::new(epoch_config, spec_bytes);
         runner
@@ -660,6 +672,23 @@ mod tests {
         }
     }
 
+    /// The quick service spec's bytes, as checkpoints of earlier builds
+    /// embed them: a resume compares spec bytes, so moving any byte here
+    /// orphans every checkpoint already written.
+    #[test]
+    fn quick_spec_bytes_match_the_pinned_bytes() {
+        let bytes = EpochsOptions::quick()
+            .spec(WarmStart::Previous)
+            .to_spec_bytes();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "0454415053035244427b14ae47e17a943f7b14ae47e17a943f10000000000000\
+             e03f2a000000000000009a9999999999c93f0234a10ce7000000000301000000\
+             00000010400005c5be00000000000001"
+        );
+    }
+
     /// A checkpoint written under one spec is refused, with the typed
     /// spec-mismatch error, by a resume under a spec that differs only in
     /// a dataset parameter.
@@ -697,8 +726,8 @@ mod tests {
     #[test]
     fn the_executor_replays_epochs_bit_identically() {
         let spec = tiny_options().spec(WarmStart::Cold);
-        let mut a = MechanismExecutor::new(spec.clone());
-        let mut b = MechanismExecutor::new(spec);
+        let mut a = MechanismExecutor::new(spec.clone()).unwrap();
+        let mut b = MechanismExecutor::new(spec).unwrap();
         for epoch in 0..2u32 {
             let pop = a.population(epoch).unwrap();
             assert_eq!(pop, b.population(epoch).unwrap());
@@ -712,7 +741,7 @@ mod tests {
     #[test]
     fn enrollment_masks_shrink_the_population() {
         let spec = tiny_options().spec(WarmStart::Cold);
-        let mut exec = MechanismExecutor::new(spec);
+        let mut exec = MechanismExecutor::new(spec).unwrap();
         let pop = exec.population(0).unwrap();
         // Enroll only every other user: uplink must drop versus everyone.
         let all: Vec<Vec<bool>> = pop.iter().map(|p| vec![true; p.users]).collect();

@@ -65,7 +65,16 @@ fn fedhh_bench_rejects_malformed_command_lines_before_running_anything() {
             // An unparsable or out-of-range value names the option.
             ("epochs --epochs many", &["--epochs", "\"many\""]),
             ("epochs --epochs 0", &["--epochs must be at least 1"]),
-            ("epochs --churn 1.5", &["--churn must be in [0, 1]"]),
+            // The evolution plan owns the churn rule: the parser only
+            // parses, and the plan refuses before the dataset is built.
+            (
+                "epochs --churn 1.5",
+                &["invalid dataset config: churn_fraction = 1.5 (must be in [0, 1])"],
+            ),
+            (
+                "epochs --churn NaN",
+                &["invalid dataset config: churn_fraction = NaN (must be in [0, 1])"],
+            ),
             ("scenario --fanouts 2,x", &["--fanouts", "\"2,x\""]),
             // A plan rule is checked by the plan, before any trial runs.
             ("scenario --fanouts 1", &["fanout >= 2"]),
@@ -213,7 +222,14 @@ fn fedhh_node_rejects_malformed_command_lines_before_running_anything() {
             // The options shared with `fedhh-bench epochs` go through the
             // same function, so the two commands agree on every range.
             ("service --epochs 0", &["--epochs must be at least 1"]),
-            ("service --churn 1.5", &["--churn must be in [0, 1]"]),
+            (
+                "service --mechanism taps --dataset rdb --churn 1.5",
+                &["invalid dataset config: churn_fraction = 1.5 (must be in [0, 1])"],
+            ),
+            (
+                "service --mechanism taps --dataset rdb --churn NaN",
+                &["invalid dataset config: churn_fraction = NaN (must be in [0, 1])"],
+            ),
             ("service --warm tepid", &["must be cold or previous"]),
             ("service --mechanism taps", &["--dataset are required"]),
             (

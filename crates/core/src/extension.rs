@@ -37,16 +37,6 @@ impl ExtensionStrategy {
         };
         t.clamp(1, n)
     }
-
-    /// Human-readable label used by the ablation tables.
-    pub fn label(&self, k: usize) -> String {
-        match self {
-            ExtensionStrategy::Fixed(t) if *t == k => "t=k".to_string(),
-            ExtensionStrategy::TopK => "t=k".to_string(),
-            ExtensionStrategy::Fixed(t) => format!("t={t}"),
-            ExtensionStrategy::Adaptive => "adaptive".to_string(),
-        }
-    }
 }
 
 /// The adaptive extension number `t` of Section 5.4.
@@ -256,14 +246,6 @@ mod tests {
         for k in [1, 3, 5, 7] {
             assert_eq!(ExtensionStrategy::TopK.extension_count(&est, k), k.min(n));
         }
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(ExtensionStrategy::Fixed(10).label(10), "t=k");
-        assert_eq!(ExtensionStrategy::Fixed(20).label(10), "t=20");
-        assert_eq!(ExtensionStrategy::TopK.label(10), "t=k");
-        assert_eq!(ExtensionStrategy::Adaptive.label(10), "adaptive");
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub(crate) fn cumulative(weights: &[f64]) -> Vec<f64> {
 /// guide read plus a forward scan over the entries of `u`'s bucket — one
 /// entry per bucket on average, whatever the shape of the distribution.
 #[derive(Debug, Clone)]
-pub struct GuidedCdf {
+pub(crate) struct GuidedCdf {
     cdf: Vec<f64>,
     /// `guide[j]`: the number of CDF entries whose bucket is below `j`.
     guide: Vec<u32>,
@@ -45,7 +45,7 @@ pub struct GuidedCdf {
 
 impl GuidedCdf {
     /// Guides `cdf` (one pass; `cdf` must be non-decreasing).
-    pub fn new(cdf: Vec<f64>) -> Self {
+    pub(crate) fn new(cdf: Vec<f64>) -> Self {
         assert!(
             u32::try_from(cdf.len()).is_ok(),
             "a guided CDF holds at most u32::MAX ranks"
@@ -63,13 +63,8 @@ impl GuidedCdf {
     }
 
     /// Number of ranks.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cdf.len()
-    }
-
-    /// True when the distribution has no ranks.
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
     }
 
     /// The CDF entries, for tests that pin a distribution bit for bit.
@@ -79,7 +74,8 @@ impl GuidedCdf {
     }
 
     /// Probability of rank `r` (0 outside the ranks).
-    pub fn probability(&self, r: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn probability(&self, r: usize) -> f64 {
         if r >= self.cdf.len() {
             return 0.0;
         }
@@ -92,7 +88,7 @@ impl GuidedCdf {
     /// Bucketing is monotone, so every rank below `guide[bucket(u)]` has an
     /// entry below `u`: the scan from there finds the first entry above
     /// `u` without skipping one.
-    pub fn index(&self, u: f64) -> usize {
+    fn index(&self, u: f64) -> usize {
         let mut rank = self.guide[bucket(u, self.guide.len())] as usize;
         while rank < self.cdf.len() && self.cdf[rank] <= u {
             rank += 1;
@@ -107,7 +103,7 @@ impl GuidedCdf {
     }
 
     /// Samples a rank by inverse transform: exactly one `f64` draw.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         self.index(rng.gen())
     }
 }
@@ -120,7 +116,8 @@ fn bucket(x: f64, buckets: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PoissonWeights, ZipfSampler};
+    use crate::poisson::poisson_cdf;
+    use crate::zipf::zipf_cdf;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -158,11 +155,11 @@ mod tests {
     fn guided_lookup_equals_bisection_on_every_cdf_shape() {
         assert_guided_equals_searched(vec![1.0], "one rank");
         for alpha in [0.5, 1.1, 2.0] {
-            let cdf = ZipfSampler::new(2_000, alpha).into_cdf().cdf;
+            let cdf = zipf_cdf(2_000, alpha).cdf;
             assert_guided_equals_searched(cdf, &format!("zipf {alpha}"));
         }
         for (n, lambda) in [(400, 2.0), (3_000, 40.0)] {
-            let cdf = PoissonWeights::new(n, lambda).into_cdf().cdf;
+            let cdf = poisson_cdf(n, lambda).cdf;
             // A Poisson tail underflows into a plateau of equal entries:
             // the tie rule is exercised, not just assumed.
             assert!(cdf.windows(2).any(|w| w[0] == w[1]), "poisson {n}/{lambda}");

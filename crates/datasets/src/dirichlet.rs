@@ -11,7 +11,7 @@ use rand::Rng;
 
 /// A symmetric Dirichlet(β, …, β) sampler over `n` components.
 #[derive(Debug, Clone, Copy)]
-pub struct DirichletSampler {
+pub(crate) struct DirichletSampler {
     n: usize,
     beta: f64,
 }
@@ -19,7 +19,7 @@ pub struct DirichletSampler {
 impl DirichletSampler {
     /// Creates a symmetric Dirichlet sampler with concentration `beta > 0`
     /// over `n ≥ 1` components.
-    pub fn new(n: usize, beta: f64) -> Self {
+    pub(crate) fn new(n: usize, beta: f64) -> Self {
         assert!(n >= 1, "Dirichlet needs at least one component");
         assert!(
             beta > 0.0 && beta.is_finite(),
@@ -29,7 +29,7 @@ impl DirichletSampler {
     }
 
     /// Samples a proportion vector that sums to one.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         let mut gammas: Vec<f64> = (0..self.n).map(|_| sample_gamma(self.beta, rng)).collect();
         let total: f64 = gammas.iter().sum();
         if total <= f64::MIN_POSITIVE {
@@ -45,7 +45,7 @@ impl DirichletSampler {
 
 /// Samples Gamma(shape, 1) via Marsaglia & Tsang (2000), with the usual
 /// boosting trick for shape < 1.
-pub fn sample_gamma<R: Rng + ?Sized>(shape: f64, rng: &mut R) -> f64 {
+fn sample_gamma<R: Rng + ?Sized>(shape: f64, rng: &mut R) -> f64 {
     assert!(shape > 0.0, "gamma shape must be positive");
     if shape < 1.0 {
         // Gamma(a) = Gamma(a + 1) · U^(1/a).

@@ -46,6 +46,7 @@
 use crate::cdf::GuidedCdf;
 use crate::federated::FederatedDataset;
 use crate::party::PartyData;
+use crate::registry::InvalidDatasetConfig;
 use crate::stream::ItemStream;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,6 +62,22 @@ pub struct EvolutionPlan {
     pub drift_stride: usize,
     /// Seed for all churn/drift randomness.
     pub seed: u64,
+}
+
+impl EvolutionPlan {
+    /// Checks the plan: `churn_fraction` in `[0, 1]` (NaN refused).  Any
+    /// drift stride and seed are valid.
+    pub fn validate(&self) -> Result<(), InvalidDatasetConfig> {
+        if (0.0..=1.0).contains(&self.churn_fraction) {
+            Ok(())
+        } else {
+            Err(InvalidDatasetConfig::new(
+                "churn_fraction",
+                self.churn_fraction,
+                "in [0, 1]",
+            ))
+        }
+    }
 }
 
 /// Per-party resample pool: the base popularity ranking and its CDF.
@@ -130,12 +147,15 @@ pub struct PopulationEvolver {
 
 impl PopulationEvolver {
     /// Prepares an evolver over `base` (one frequency pass per party).
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`EvolutionPlan::validate`]'s message when the plan is
+    /// invalid.
     pub fn new(base: FederatedDataset, plan: EvolutionPlan) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&plan.churn_fraction),
-            "churn fraction must be in [0, 1], got {}",
-            plan.churn_fraction
-        );
+        if let Err(err) = plan.validate() {
+            panic!("{err}");
+        }
         let pools = base.parties().iter().map(PartyPool::from_party).collect();
         Self {
             base,
@@ -283,6 +303,31 @@ mod tests {
                 seed: 42,
             },
         )
+    }
+
+    #[test]
+    fn plans_validate_the_churn_fraction() {
+        let plan = |churn_fraction| EvolutionPlan {
+            churn_fraction,
+            drift_stride: usize::MAX,
+            seed: 7,
+        };
+        for churn in [0.0, 0.5, 1.0] {
+            assert_eq!(plan(churn).validate(), Ok(()));
+        }
+        for churn in [f64::NAN, -f64::MIN_POSITIVE, 1.5, f64::INFINITY] {
+            let err = plan(churn).validate().unwrap_err().to_string();
+            assert!(err.contains("churn_fraction"), "{churn}: {err}");
+        }
+        let base = DatasetConfig::test_scale().build(DatasetKind::Rdb);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            PopulationEvolver::new(base, plan(f64::NAN))
+        }));
+        let payload = refused.expect_err("a NaN churn fraction evolved a population");
+        assert_eq!(
+            payload.downcast_ref::<String>(),
+            Some(&plan(f64::NAN).validate().unwrap_err().to_string())
+        );
     }
 
     #[test]

@@ -16,12 +16,18 @@
 //! preserving these properties preserves the relative behaviour of the
 //! mechanisms (see `ARCHITECTURE.md`, "Substitutions", item 1).
 //!
-//! Entry point: [`registry::DatasetKind`] + [`registry::DatasetConfig`]
-//! build a [`FederatedDataset`], a collection of [`PartyData`] whose users
-//! each hold a single m-bit item code.  At large populations
-//! ([`DatasetConfig::paper_scale`]), [`DatasetConfig::build_streamed`]
-//! keeps only per-party generator state and regenerates the identical item
-//! sequences chunk by chunk through [`stream::ItemStream`].
+//! Entry point: a [`DatasetConfig`] is the one description of a dataset
+//! (scales, code width, SYN β, seed), and [`DatasetConfig::build`] turns it
+//! into a [`FederatedDataset`] of a given [`DatasetKind`]: a collection of
+//! [`PartyData`] whose users each hold a single m-bit item code.  At large
+//! populations ([`DatasetConfig::paper_scale`]),
+//! [`DatasetConfig::build_streamed`] keeps only per-party generator state
+//! and regenerates the identical item sequences chunk by chunk through
+//! [`ItemStream`].  The generators behind the entry point (Table 2's group
+//! and party tables, the Zipf, Poisson and Dirichlet samplers, the guided
+//! CDF every draw inverts) are private to the crate.  A
+//! [`PopulationEvolver`] turns a built dataset into a sequence of churning,
+//! drifting epoch populations under an [`EvolutionPlan`].
 //!
 //! This crate feeds the pipeline its workloads (party item streams
 //! consumed by the mechanisms' drivers); the full system map lives in
@@ -30,26 +36,22 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cdf;
-pub mod dirichlet;
+mod cdf;
+mod dirichlet;
 pub mod evolve;
 pub mod federated;
 pub mod party;
-pub mod poisson;
-pub mod realworld;
+mod poisson;
+mod realworld;
 pub mod registry;
 pub mod stats;
 pub mod stream;
-pub mod synthetic;
-pub mod zipf;
+mod synthetic;
+mod zipf;
 
-pub use cdf::GuidedCdf;
-pub use dirichlet::DirichletSampler;
 pub use evolve::{EvolutionPlan, PopulationEvolver};
 pub use federated::FederatedDataset;
 pub use party::PartyData;
-pub use poisson::PoissonWeights;
 pub use registry::{DatasetConfig, DatasetKind, InvalidDatasetConfig, ParseDatasetKindError};
 pub use stats::FrequencyTable;
-pub use stream::{ItemGen, ItemStream, PartyChunks, DEFAULT_CHUNK_SIZE};
-pub use zipf::ZipfSampler;
+pub use stream::{ItemStream, PartyChunks};

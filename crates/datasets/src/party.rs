@@ -15,7 +15,7 @@
 //! item memory — for both backings.
 
 use crate::stats::FrequencyTable;
-use crate::stream::{ItemGen, ItemStream};
+use crate::stream::ItemStream;
 use fedhh_trie::PrefixTree;
 
 /// One party's local dataset: a name and the item code held by each user.
@@ -38,19 +38,9 @@ impl PartyData {
         }
     }
 
-    /// Creates a party whose items are regenerated on demand from dataset
-    /// generator state (see [`crate::stream`]).
-    pub fn from_gen(name: impl Into<String>, gen: ItemGen, code_bits: u8) -> Self {
-        Self {
-            name: name.into(),
-            items: ItemStream::from_gen(gen),
-            code_bits,
-        }
-    }
-
     /// Creates a party over an existing stream handle (any backing) — used
-    /// by the epoch evolver to hand out parties that share its item
-    /// vectors.
+    /// by the streamed dataset builds and by the epoch evolver to hand out
+    /// parties that share its item vectors.
     pub fn from_stream(name: impl Into<String>, items: ItemStream, code_bits: u8) -> Self {
         Self {
             name: name.into(),
@@ -85,7 +75,7 @@ impl PartyData {
     /// The materialized item codes, one entry per user.
     ///
     /// Only available for eagerly built parties; use [`PartyData::stream`]
-    /// (or [`PartyData::try_items`]) to consume a streamed party.
+    /// to consume a streamed party.
     ///
     /// # Panics
     ///
@@ -93,17 +83,12 @@ impl PartyData {
     /// [`crate::DatasetConfig::build_streamed`] — a streamed party has no
     /// resident item vector to borrow.
     pub fn items(&self) -> &[u64] {
-        self.try_items().unwrap_or_else(|| {
+        self.items.as_slice().unwrap_or_else(|| {
             panic!(
                 "party {:?} is streamed; use PartyData::stream() instead of items()",
                 self.name
             )
         })
-    }
-
-    /// The materialized item codes, or `None` for a streamed party.
-    pub fn try_items(&self) -> Option<&[u64]> {
-        self.items.as_slice()
     }
 
     /// Width of the item codes in bits.
@@ -148,7 +133,7 @@ mod tests {
         assert_eq!(p.distinct_items(), 3);
         assert_eq!(p.code_bits(), 8);
         assert!(!p.is_streamed());
-        assert_eq!(p.try_items(), Some(&[1, 1, 2, 3, 3, 3][..]));
+        assert_eq!(p.stream().as_slice(), Some(&[1, 1, 2, 3, 3, 3][..]));
         assert_eq!(p.stream().materialize(), p.items());
     }
 

@@ -14,51 +14,14 @@
 //! entry and every SYN item — is bit-identical to the per-rank pmf.
 
 use crate::cdf::{cumulative, GuidedCdf};
-use rand::Rng;
 
-/// A sampler over ranks `0..n` weighted by the Poisson(λ) pmf.
-#[derive(Debug, Clone)]
-pub struct PoissonWeights {
-    cdf: GuidedCdf,
-}
-
-impl PoissonWeights {
-    /// Creates a Poisson-weighted sampler over `n` ranks.
-    pub fn new(n: usize, lambda: f64) -> Self {
-        assert!(n > 0, "Poisson sampler needs at least one rank");
-        assert!(lambda > 0.0 && lambda.is_finite(), "λ must be positive");
-        Self {
-            cdf: GuidedCdf::new(cumulative(&pmf(n, lambda))),
-        }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when the sampler has no ranks (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Probability of rank `r` after normalization over `0..n`.
-    pub fn probability(&self, r: usize) -> f64 {
-        self.cdf.probability(r)
-    }
-
-    /// Samples a rank in `0..n`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.cdf.sample(rng)
-    }
-
-    /// Consumes the sampler, returning its guided cumulative distribution
-    /// (used by the streaming dataset generators, which sample the CDF
-    /// directly so a party's item sequence can be regenerated chunk by
-    /// chunk).
-    pub fn into_cdf(self) -> GuidedCdf {
-        self.cdf
-    }
+/// The Poisson(λ)-weighted distribution over ranks `0..n` (`n > 0`,
+/// `lambda > 0`), normalized over those ranks, as a guided CDF to sample
+/// ranks from.
+pub(crate) fn poisson_cdf(n: usize, lambda: f64) -> GuidedCdf {
+    assert!(n > 0, "Poisson sampler needs at least one rank");
+    assert!(lambda > 0.0 && lambda.is_finite(), "λ must be positive");
+    GuidedCdf::new(cumulative(&pmf(n, lambda)))
 }
 
 /// The Poisson(λ) pmf at ranks `0..n`, computed in log space for
@@ -103,7 +66,7 @@ mod tests {
 
     #[test]
     fn pmf_peaks_near_lambda() {
-        let p = PoissonWeights::new(40, 10.0);
+        let p = poisson_cdf(40, 10.0);
         let mode = (0..40)
             .max_by(|a, b| p.probability(*a).partial_cmp(&p.probability(*b)).unwrap())
             .unwrap();
@@ -114,8 +77,8 @@ mod tests {
 
     #[test]
     fn smaller_lambda_concentrates_on_low_ranks() {
-        let small = PoissonWeights::new(30, 2.0);
-        let large = PoissonWeights::new(30, 15.0);
+        let small = poisson_cdf(30, 2.0);
+        let large = poisson_cdf(30, 15.0);
         let small_head: f64 = (0..5).map(|r| small.probability(r)).sum();
         let large_head: f64 = (0..5).map(|r| large.probability(r)).sum();
         assert!(small_head > large_head);
@@ -123,7 +86,7 @@ mod tests {
 
     #[test]
     fn empirical_distribution_matches_pmf() {
-        let p = PoissonWeights::new(25, 6.0);
+        let p = poisson_cdf(25, 6.0);
         let mut rng = StdRng::seed_from_u64(7);
         let n = 100_000;
         let mut counts = [0usize; 25];
@@ -225,8 +188,8 @@ mod tests {
         ];
         for (n, want) in expected {
             let got = [4.0, 6.0, 8.0, 10.0].map(|lambda| {
-                let cdf = PoissonWeights::new(n, lambda).into_cdf();
-                cdf.entries()
+                poisson_cdf(n, lambda)
+                    .entries()
                     .iter()
                     .fold(0xcbf2_9ce4_8422_2325u64, |hash, p| {
                         (hash ^ p.to_bits()).wrapping_mul(0x100_0000_01b3)
@@ -239,6 +202,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn rejects_non_positive_lambda() {
-        PoissonWeights::new(10, -1.0);
+        poisson_cdf(10, -1.0);
     }
 }

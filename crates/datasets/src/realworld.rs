@@ -17,12 +17,19 @@
 //!
 //! See `ARCHITECTURE.md`, "Substitutions", item 1, for why this preserves
 //! the evaluation's qualitative conclusions.
+//!
+//! `DatasetConfig::build` reaches this module through `build_group`, with
+//! one of the four Table 2 tables (`rdb_spec` … `uba_spec`) and the
+//! configuration's scales, code width and seed; both are private to the
+//! crate.  `finish_party`, shared with SYN, is where a party's items are
+//! either drawn now (eager) or left to its stream (streamed).
 
 use crate::cdf::GuidedCdf;
 use crate::federated::FederatedDataset;
 use crate::party::PartyData;
-use crate::stream::ItemGen;
-use crate::zipf::ZipfSampler;
+use crate::registry::DatasetConfig;
+use crate::stream::{ItemGen, ItemStream};
+use crate::zipf::zipf_cdf;
 use fedhh_trie::ItemEncoder;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -30,81 +37,41 @@ use rand::{Rng, RngCore, SeedableRng};
 
 /// Structural description of one party in a stand-in dataset.
 #[derive(Debug, Clone)]
-pub struct PartySpec {
+struct PartySpec {
     /// Party name, e.g. `"reddit"`.
-    pub name: &'static str,
+    name: &'static str,
     /// User population reported in Table 2 (unscaled).
-    pub users: usize,
+    users: usize,
     /// Unique item count reported in Table 2 (unscaled).
-    pub unique_items: usize,
+    unique_items: usize,
     /// Zipf exponent of the party's popularity profile.
-    pub zipf_alpha: f64,
+    zipf_alpha: f64,
 }
 
 /// Structural description of a whole dataset group.
 #[derive(Debug, Clone)]
-pub struct GroupSpec {
+pub(crate) struct GroupSpec {
     /// Group name, e.g. `"RDB"`.
-    pub name: &'static str,
+    name: &'static str,
     /// The participating parties.
-    pub parties: Vec<PartySpec>,
+    parties: Vec<PartySpec>,
     /// Number of items common to all parties (unscaled).
-    pub common_items: usize,
+    common_items: usize,
     /// Probability that the next rank of a party's popularity order is
     /// drawn from the (not yet placed) common pool rather than from the
     /// party's exclusive items.  Higher values make global heavy hitters
     /// easier; the default 0.55 keeps them discoverable but contested.
-    pub common_head_bias: f64,
+    common_head_bias: f64,
 }
 
-/// How much to scale the paper's populations so the simulation runs on a
-/// laptop while preserving the user-to-item ratio.
-#[derive(Debug, Clone, Copy)]
-pub struct ScaleConfig {
-    /// Multiplier applied to user populations (default 0.02).
-    pub user_scale: f64,
-    /// Multiplier applied to item-pool sizes (default 0.1).
-    pub item_scale: f64,
-    /// Width of the item code space in bits.
-    pub code_bits: u8,
+/// A Table 2 user population scaled by `config.user_scale`, at least 50.
+pub(crate) fn scale_users(config: &DatasetConfig, users: usize) -> usize {
+    ((users as f64) * config.user_scale).round().max(50.0) as usize
 }
 
-impl Default for ScaleConfig {
-    fn default() -> Self {
-        Self {
-            user_scale: 0.02,
-            item_scale: 0.1,
-            code_bits: 48,
-        }
-    }
-}
-
-impl ScaleConfig {
-    fn scale_users(&self, users: usize) -> usize {
-        ((users as f64) * self.user_scale).round().max(50.0) as usize
-    }
-
-    fn scale_items(&self, items: usize) -> usize {
-        ((items as f64) * self.item_scale).round().max(20.0) as usize
-    }
-}
-
-/// Generates a federated dataset from a group specification, materializing
-/// every party's items eagerly.
-pub fn generate_group(spec: &GroupSpec, scale: ScaleConfig, seed: u64) -> FederatedDataset {
-    build_group(spec, scale, seed, false)
-}
-
-/// Like [`generate_group`], but every party keeps only its generator state
-/// and regenerates its items in chunks on demand — bit-identical to the
-/// eager build (`stream.materialize()` equals the eager `items()`), with
-/// `O(item pool)` instead of `O(users)` resident memory per party.
-pub fn generate_group_streamed(
-    spec: &GroupSpec,
-    scale: ScaleConfig,
-    seed: u64,
-) -> FederatedDataset {
-    build_group(spec, scale, seed, true)
+/// A Table 2 item count scaled by `config.item_scale`, at least 20.
+fn scale_items(config: &DatasetConfig, items: usize) -> usize {
+    ((items as f64) * config.item_scale).round().max(20.0) as usize
 }
 
 /// One party's materialization policy: either sample `users` items now
@@ -127,7 +94,7 @@ pub(crate) fn finish_party(
         for _ in 0..users {
             rng.next_u64();
         }
-        PartyData::from_gen(name, gen, code_bits)
+        PartyData::from_stream(name, ItemStream::from_gen(gen), code_bits)
     } else {
         let mut items = Vec::new();
         gen.fill_into(rng, &mut items, users);
@@ -135,16 +102,19 @@ pub(crate) fn finish_party(
     }
 }
 
-fn build_group(
+/// Generates a stand-in for the group `spec` under `config`.  A `streamed`
+/// build keeps only each party's generator state and regenerates its items
+/// in chunks on demand, bit-identical to the eager build.
+pub(crate) fn build_group(
     spec: &GroupSpec,
-    scale: ScaleConfig,
-    seed: u64,
+    config: &DatasetConfig,
     streamed: bool,
 ) -> FederatedDataset {
+    let seed = config.seed;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_0001);
-    let encoder = ItemEncoder::new(scale.code_bits, seed ^ 0xC0DE_BEEF);
+    let encoder = ItemEncoder::new(config.code_bits, seed ^ 0xC0DE_BEEF);
 
-    let common_count = scale.scale_items(spec.common_items);
+    let common_count = scale_items(config, spec.common_items);
     // Item identifiers: the common pool occupies [0, common_count); each
     // party's exclusive items follow in disjoint ranges.
     let common_pool: Vec<u64> = (0..common_count as u64).collect();
@@ -152,7 +122,7 @@ fn build_group(
 
     let mut parties = Vec::with_capacity(spec.parties.len());
     for pspec in spec.parties.iter() {
-        let pool_size = scale.scale_items(pspec.unique_items).max(common_count + 1);
+        let pool_size = scale_items(config, pspec.unique_items).max(common_count + 1);
         let exclusive_count = pool_size - common_count;
         let exclusive_pool: Vec<u64> =
             (next_exclusive_id..next_exclusive_id + exclusive_count as u64).collect();
@@ -164,23 +134,23 @@ fn build_group(
             spec.common_head_bias,
             &mut rng,
         );
-        let users = scale.scale_users(pspec.users);
-        let sampler = ZipfSampler::new(ranking.len(), pspec.zipf_alpha);
+        let users = scale_users(config, pspec.users);
+        let cdf = zipf_cdf(ranking.len(), pspec.zipf_alpha);
         // Pre-encode the ranked pool once; sampling then indexes straight
         // into codes (identical values and RNG draws as encoding per draw).
         let codes: Vec<u64> = ranking.iter().map(|id| encoder.encode(*id)).collect();
         parties.push(finish_party(
             format!("{}/{}", spec.name, pspec.name),
             codes,
-            sampler.into_cdf(),
+            cdf,
             users,
-            scale.code_bits,
+            config.code_bits,
             &mut rng,
             streamed,
         ));
     }
 
-    FederatedDataset::new(spec.name, parties, scale.code_bits, encoder)
+    FederatedDataset::new(spec.name, parties, config.code_bits, encoder)
 }
 
 /// Builds a party-specific popularity ranking by interleaving a shuffled
@@ -213,7 +183,7 @@ fn rank_pool(common: &[u64], exclusive: &[u64], bias: f64, rng: &mut StdRng) -> 
 }
 
 /// The RDB group: Reddit comments + IMDB movie reviews (Table 2).
-pub fn rdb_spec() -> GroupSpec {
+pub(crate) fn rdb_spec() -> GroupSpec {
     GroupSpec {
         name: "RDB",
         parties: vec![
@@ -236,7 +206,7 @@ pub fn rdb_spec() -> GroupSpec {
 }
 
 /// The YCM group: Yahoo, CNN/DailyMail, MIND and SWAG (Table 2).
-pub fn ycm_spec() -> GroupSpec {
+pub(crate) fn ycm_spec() -> GroupSpec {
     GroupSpec {
         name: "YCM",
         parties: vec![
@@ -272,7 +242,7 @@ pub fn ycm_spec() -> GroupSpec {
 
 /// The TYS group: Twitter, Yelp, Scientific Papers, Amazon Arts, SQuAD and
 /// AG News (Table 2).
-pub fn tys_spec() -> GroupSpec {
+pub(crate) fn tys_spec() -> GroupSpec {
     GroupSpec {
         name: "TYS",
         parties: vec![
@@ -320,7 +290,7 @@ pub fn tys_spec() -> GroupSpec {
 
 /// The UBA group: six slices of the Alibaba user-behaviour dataset
 /// (Table 2).
-pub fn uba_spec() -> GroupSpec {
+pub(crate) fn uba_spec() -> GroupSpec {
     GroupSpec {
         name: "UBA",
         parties: vec![
@@ -369,18 +339,21 @@ pub fn uba_spec() -> GroupSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::DatasetKind;
 
-    fn tiny_scale() -> ScaleConfig {
-        ScaleConfig {
+    fn tiny_scale(seed: u64) -> DatasetConfig {
+        DatasetConfig {
             user_scale: 0.002,
             item_scale: 0.01,
             code_bits: 16,
+            seed,
+            ..DatasetConfig::default()
         }
     }
 
     #[test]
     fn rdb_stand_in_matches_structure() {
-        let ds = generate_group(&rdb_spec(), tiny_scale(), 1);
+        let ds = tiny_scale(1).build(DatasetKind::Rdb);
         assert_eq!(ds.party_count(), 2);
         assert_eq!(ds.code_bits(), 16);
         // Party sizes preserve the Reddit ≫ IMDB ordering.
@@ -398,7 +371,7 @@ mod tests {
 
     #[test]
     fn common_items_create_shared_heavy_hitters() {
-        let ds = generate_group(&rdb_spec(), tiny_scale(), 7);
+        let ds = tiny_scale(7).build(DatasetKind::Rdb);
         // At least one of the global top-10 heavy hitters must be locally
         // popular (top-50) in both parties — i.e. the common pool is doing
         // its job of creating cross-party heavy hitters.
@@ -414,9 +387,9 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_per_seed() {
-        let a = generate_group(&rdb_spec(), tiny_scale(), 3);
-        let b = generate_group(&rdb_spec(), tiny_scale(), 3);
-        let c = generate_group(&rdb_spec(), tiny_scale(), 4);
+        let a = tiny_scale(3).build(DatasetKind::Rdb);
+        let b = tiny_scale(3).build(DatasetKind::Rdb);
+        let c = tiny_scale(4).build(DatasetKind::Rdb);
         assert_eq!(a.parties()[0].items(), b.parties()[0].items());
         assert_ne!(a.parties()[0].items(), c.parties()[0].items());
     }

@@ -1,10 +1,8 @@
 //! Dataset registry: build any of the paper's five dataset groups by name.
 
 use crate::federated::FederatedDataset;
-use crate::realworld::{
-    generate_group, generate_group_streamed, rdb_spec, tys_spec, uba_spec, ycm_spec, ScaleConfig,
-};
-use crate::synthetic::{generate_syn, generate_syn_streamed, SynConfig};
+use crate::realworld::{build_group, rdb_spec, tys_spec, uba_spec, ycm_spec};
+use crate::synthetic::build_syn;
 
 /// The five dataset groups used in the paper's evaluation (Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,13 +97,25 @@ impl std::str::FromStr for DatasetKind {
     }
 }
 
-/// Error returned by [`DatasetConfig::validate`]: a generator parameter no
-/// dataset group can be built with.
+/// Error returned by [`DatasetConfig::validate`] and
+/// [`crate::EvolutionPlan::validate`]: a parameter no dataset, or no epoch
+/// of one, can be built with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvalidDatasetConfig {
     field: &'static str,
     value: String,
     expected: &'static str,
+}
+
+impl InvalidDatasetConfig {
+    /// `field` holds `value`, which is not `expected`.
+    pub(crate) fn new(field: &'static str, value: impl ToString, expected: &'static str) -> Self {
+        Self {
+            field,
+            value: value.to_string(),
+            expected,
+        }
+    }
 }
 
 impl std::fmt::Display for InvalidDatasetConfig {
@@ -174,37 +184,48 @@ impl DatasetConfig {
         }
     }
 
-    /// Checks the parameters the generators assert on: both scales and the
-    /// SYN β positive and finite, and a code width the item encoder's
-    /// Feistel network accepts (even, in `2..=64`).  Scales have no upper
-    /// bound here: a large one is a large build.
+    /// Checks that every dataset group can be built under this
+    /// configuration: both scales and the SYN β positive and finite (the
+    /// generators would floor a NaN or non-positive scale into a tiny
+    /// dataset instead of refusing it), and a code width the item
+    /// encoder's Feistel network accepts (even, in `2..=64`).  Scales have
+    /// no upper bound here: a large one is a large build.
+    ///
+    /// [`DatasetConfig::build`] and [`DatasetConfig::build_streamed`] panic
+    /// on an error; a configuration that arrives from outside the program
+    /// (a node welcome's bytes) is checked here first, for a typed error.
     pub fn validate(&self) -> Result<(), InvalidDatasetConfig> {
         let positive = |field, value: f64| {
             if value > 0.0 && value.is_finite() {
                 Ok(())
             } else {
-                Err(InvalidDatasetConfig {
+                Err(InvalidDatasetConfig::new(
                     field,
-                    value: value.to_string(),
-                    expected: "positive and finite",
-                })
+                    value,
+                    "positive and finite",
+                ))
             }
         };
         positive("user_scale", self.user_scale)?;
         positive("item_scale", self.item_scale)?;
         positive("syn_beta", self.syn_beta)?;
         if !(2..=64).contains(&self.code_bits) || !self.code_bits.is_multiple_of(2) {
-            return Err(InvalidDatasetConfig {
-                field: "code_bits",
-                value: self.code_bits.to_string(),
-                expected: "even and in 2..=64",
-            });
+            return Err(InvalidDatasetConfig::new(
+                "code_bits",
+                self.code_bits,
+                "even and in 2..=64",
+            ));
         }
         Ok(())
     }
 
     /// Builds a dataset of the given kind under this configuration, with
     /// every party's items materialized eagerly.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`DatasetConfig::validate`]'s message when the
+    /// configuration is invalid.
     pub fn build(&self, kind: DatasetKind) -> FederatedDataset {
         self.build_with(kind, false)
     }
@@ -220,42 +241,25 @@ impl DatasetConfig {
     /// frequency tables, prefix trees) work unchanged; only
     /// [`crate::PartyData::items`] is unavailable (use
     /// [`crate::PartyData::stream`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`DatasetConfig::validate`]'s message when the
+    /// configuration is invalid.
     pub fn build_streamed(&self, kind: DatasetKind) -> FederatedDataset {
         self.build_with(kind, true)
     }
 
     fn build_with(&self, kind: DatasetKind, streamed: bool) -> FederatedDataset {
-        let scale = ScaleConfig {
-            user_scale: self.user_scale,
-            item_scale: self.item_scale,
-            code_bits: self.code_bits,
-        };
-        let group = |spec: &crate::realworld::GroupSpec| {
-            if streamed {
-                generate_group_streamed(spec, scale, self.seed)
-            } else {
-                generate_group(spec, scale, self.seed)
-            }
-        };
+        if let Err(err) = self.validate() {
+            panic!("{err}");
+        }
         match kind {
-            DatasetKind::Rdb => group(&rdb_spec()),
-            DatasetKind::Ycm => group(&ycm_spec()),
-            DatasetKind::Tys => group(&tys_spec()),
-            DatasetKind::Uba => group(&uba_spec()),
-            DatasetKind::Syn => {
-                let config = SynConfig {
-                    beta: self.syn_beta,
-                    user_scale: self.user_scale,
-                    item_scale: self.item_scale,
-                    code_bits: self.code_bits,
-                    ..SynConfig::default()
-                };
-                if streamed {
-                    generate_syn_streamed(&config, self.seed)
-                } else {
-                    generate_syn(&config, self.seed)
-                }
-            }
+            DatasetKind::Rdb => build_group(&rdb_spec(), self, streamed),
+            DatasetKind::Ycm => build_group(&ycm_spec(), self, streamed),
+            DatasetKind::Tys => build_group(&tys_spec(), self, streamed),
+            DatasetKind::Uba => build_group(&uba_spec(), self, streamed),
+            DatasetKind::Syn => build_syn(self, streamed),
         }
     }
 }
@@ -303,6 +307,47 @@ mod tests {
             DatasetConfig::paper_scale(),
         ] {
             assert_eq!(config.validate(), Ok(()));
+        }
+    }
+
+    /// The generators would floor a NaN or non-positive scale into a tiny
+    /// dataset (2 parties of 50 users on RDB) and fail on a bad β or code
+    /// width deep inside: every build refuses them first, naming the field.
+    #[test]
+    fn invalid_configs_refuse_to_build_naming_the_field() {
+        type Corrupt = fn(&mut DatasetConfig);
+        let cases: [(&str, Corrupt); 8] = [
+            ("user_scale", |c| c.user_scale = f64::NAN),
+            ("user_scale", |c| c.user_scale = -1.0),
+            ("item_scale", |c| c.item_scale = f64::NAN),
+            ("item_scale", |c| c.item_scale = 0.0),
+            ("syn_beta", |c| c.syn_beta = f64::INFINITY),
+            ("syn_beta", |c| c.syn_beta = 0.0),
+            ("code_bits", |c| c.code_bits = 7),
+            ("code_bits", |c| c.code_bits = 66),
+        ];
+        for (field, corrupt) in cases {
+            let mut config = DatasetConfig::test_scale();
+            corrupt(&mut config);
+            for kind in [DatasetKind::Rdb, DatasetKind::Syn] {
+                for streamed in [false, true] {
+                    let build = std::panic::catch_unwind(|| {
+                        if streamed {
+                            config.build_streamed(kind)
+                        } else {
+                            config.build(kind)
+                        }
+                    });
+                    let Err(payload) = build else {
+                        panic!("{config:?} built {kind} (streamed: {streamed})");
+                    };
+                    let message = payload
+                        .downcast_ref::<String>()
+                        .expect("a formatted panic message");
+                    assert_eq!(*message, config.validate().unwrap_err().to_string());
+                    assert!(message.contains(field), "{field}: {message}");
+                }
+            }
         }
     }
 

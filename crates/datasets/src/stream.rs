@@ -24,8 +24,8 @@
 //! (one RNG word per user), so `stream.materialize()` equals the eager
 //! `items()` vector for the same dataset spec and seed.  The equality is
 //! enforced per [`crate::DatasetKind`] by `tests/streaming.rs`.  Every draw
-//! inverts its CDF through a [`GuidedCdf`], one guide-table lookup instead
-//! of a binary search.
+//! inverts its CDF through a guide table (the crate-private `GuidedCdf`),
+//! one lookup instead of a binary search.
 //!
 //! ```
 //! use fedhh_datasets::{DatasetConfig, DatasetKind};
@@ -49,10 +49,9 @@ use crate::cdf::GuidedCdf;
 use rand::rngs::StdRng;
 use std::sync::Arc;
 
-/// The default chunk size used when a consumer asks for "a reasonable
-/// chunk" ([`ItemStream::chunks_auto`]): large enough to amortize per-chunk
-/// overhead, small enough that a chunk of reports never dominates memory.
-pub const DEFAULT_CHUNK_SIZE: usize = 16_384;
+/// The chunk size of [`ItemStream::for_each`]: large enough to amortize
+/// per-chunk overhead, small enough that a chunk never dominates memory.
+const CHUNK_SIZE: usize = 16_384;
 
 /// Generator state for one party: regenerates the party's item codes
 /// deterministically, in order, without materializing them.
@@ -62,7 +61,7 @@ pub const DEFAULT_CHUNK_SIZE: usize = 16_384;
 /// sampling loop.  One RNG word is consumed per item, so a generated stream
 /// of `len` users replays exactly the `len` draws the eager build performs.
 #[derive(Debug, Clone)]
-pub struct ItemGen {
+pub(crate) struct ItemGen {
     /// Popularity-ranked, pre-encoded item codes (`codes[rank]`).
     codes: Arc<Vec<u64>>,
     /// Cumulative distribution over ranks (`cdf[rank] = P(r <= rank)`).
@@ -76,7 +75,7 @@ pub struct ItemGen {
 impl ItemGen {
     /// Creates a generator from the ranked code pool, its sampling CDF and
     /// the RNG state at the head of the sequence.
-    pub fn new(codes: Vec<u64>, cdf: GuidedCdf, rng: StdRng, len: usize) -> Self {
+    pub(crate) fn new(codes: Vec<u64>, cdf: GuidedCdf, rng: StdRng, len: usize) -> Self {
         assert_eq!(codes.len(), cdf.len(), "one CDF entry per ranked item code");
         assert!(!codes.is_empty() || len == 0, "non-empty pool required");
         Self {
@@ -103,7 +102,7 @@ impl ItemGen {
 /// chunk, so the mapped stream stays `O(chunk)` resident and — the function
 /// being stateless — deterministic, re-iterable and chunk-size independent.
 #[derive(Clone)]
-pub struct MapGen {
+struct MapGen {
     /// The untransformed stream (any backing — transforms compose).
     inner: Box<ItemStream>,
     /// The pure item transform.
@@ -165,7 +164,7 @@ impl ItemStream {
     }
 
     /// A stream backed by a dataset generator.
-    pub fn from_gen(gen: ItemGen) -> Self {
+    pub(crate) fn from_gen(gen: ItemGen) -> Self {
         let len = gen.len;
         Self {
             backing: Backing::Generated(gen),
@@ -199,7 +198,7 @@ impl ItemStream {
 
     /// True when the stream regenerates its items on demand instead of
     /// holding them resident.
-    pub fn is_generated(&self) -> bool {
+    pub(crate) fn is_generated(&self) -> bool {
         !matches!(self.backing, Backing::Eager(_))
     }
 
@@ -227,15 +226,10 @@ impl ItemStream {
         PartyChunks { chunk_size, state }
     }
 
-    /// A chunked pass with the [`DEFAULT_CHUNK_SIZE`].
-    pub fn chunks_auto(&self) -> PartyChunks<'_> {
-        self.chunks(DEFAULT_CHUNK_SIZE)
-    }
-
     /// Applies `f` to every item in sequence order, in chunks, without
     /// materializing the stream.
     pub fn for_each(&self, mut f: impl FnMut(u64)) {
-        let mut chunks = self.chunks_auto();
+        let mut chunks = self.chunks(CHUNK_SIZE);
         while let Some(chunk) = chunks.next_chunk() {
             for item in chunk {
                 f(*item);

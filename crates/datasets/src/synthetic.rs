@@ -5,22 +5,37 @@
 //! proportion vector q ~ Dir_N(β) and allocating a q_j share of group j to
 //! that party's item domain, and (3) building each party's frequency
 //! distribution from a Zipf or Poisson profile (Table 2, SYN rows).  This
-//! module reproduces that construction over a synthetic item universe; β
-//! controls the degree of domain skew (Table 8 sweeps β ∈ {0.2, 0.5, 0.8}).
+//! module reproduces that construction over a synthetic item universe.
+//!
+//! `DatasetConfig::build` reaches it through `build_syn`, which reads β
+//! (`DatasetConfig::syn_beta`), both scales, the code width and the seed
+//! from the configuration; N, the universe size and the eight-party table
+//! are fixed.  β controls the degree of domain skew (Table 8 sweeps
+//! β ∈ {0.2, 0.5, 0.8}), not how much the parties' heads overlap: each
+//! party ranks its own shuffled domain (ROADMAP item 11).
 
 use crate::dirichlet::DirichletSampler;
 use crate::federated::FederatedDataset;
-use crate::poisson::PoissonWeights;
-use crate::realworld::finish_party;
-use crate::zipf::ZipfSampler;
+use crate::poisson::poisson_cdf;
+use crate::realworld::{finish_party, scale_users};
+use crate::registry::DatasetConfig;
+use crate::zipf::zipf_cdf;
 use fedhh_trie::ItemEncoder;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+/// Number of item groups N the Dirichlet allocation splits the universe
+/// into.
+const GROUPS: usize = 6;
+
+/// Items in the universe before allocation (unscaled; the Tmall universe
+/// the paper samples from).
+const UNIVERSE_ITEMS: usize = 44_000;
+
 /// The frequency profile of one SYN party.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FrequencyProfile {
+enum FrequencyProfile {
     /// Zipf(α) over the party's item domain.
     Zipf(f64),
     /// Poisson(λ)-shaped weights over the party's item domain.
@@ -29,49 +44,17 @@ pub enum FrequencyProfile {
 
 /// Specification of one SYN party.
 #[derive(Debug, Clone)]
-pub struct SynPartySpec {
+struct SynPartySpec {
     /// Party name, e.g. `"syn0"`.
-    pub name: &'static str,
+    name: &'static str,
     /// User population (unscaled).
-    pub users: usize,
+    users: usize,
     /// Frequency profile.
-    pub profile: FrequencyProfile,
-}
-
-/// Configuration of the SYN generator.
-#[derive(Debug, Clone)]
-pub struct SynConfig {
-    /// Dirichlet concentration β controlling domain skew (smaller = more
-    /// non-IID).  The paper's default is 0.5.
-    pub beta: f64,
-    /// Number of item groups N used by the Dirichlet allocation.
-    pub groups: usize,
-    /// Total number of items in the universe before allocation (unscaled;
-    /// the Tmall universe the paper samples from).
-    pub universe_items: usize,
-    /// Multiplier applied to user populations.
-    pub user_scale: f64,
-    /// Multiplier applied to the item universe.
-    pub item_scale: f64,
-    /// Width of the item code space in bits.
-    pub code_bits: u8,
-}
-
-impl Default for SynConfig {
-    fn default() -> Self {
-        Self {
-            beta: 0.5,
-            groups: 6,
-            universe_items: 44_000,
-            user_scale: 0.02,
-            item_scale: 0.1,
-            code_bits: 48,
-        }
-    }
+    profile: FrequencyProfile,
 }
 
 /// The eight SYN parties of Table 2.
-pub fn syn_party_specs() -> Vec<SynPartySpec> {
+fn syn_party_specs() -> Vec<SynPartySpec> {
     vec![
         SynPartySpec {
             name: "syn0",
@@ -116,47 +99,24 @@ pub fn syn_party_specs() -> Vec<SynPartySpec> {
     ]
 }
 
-/// Generates the SYN dataset.
-pub fn generate_syn(config: &SynConfig, seed: u64) -> FederatedDataset {
-    generate_syn_with_parties(config, &syn_party_specs(), seed)
-}
-
-/// Like [`generate_syn`], but every party keeps only its generator state
-/// and regenerates its items in chunks on demand — bit-identical to the
-/// eager build.
-pub fn generate_syn_streamed(config: &SynConfig, seed: u64) -> FederatedDataset {
-    build_syn(config, &syn_party_specs(), seed, true)
-}
-
-/// Generates a SYN-style dataset with custom party specifications (used by
-/// tests and by the heterogeneity sweep of Table 8).
-pub fn generate_syn_with_parties(
-    config: &SynConfig,
-    parties: &[SynPartySpec],
-    seed: u64,
-) -> FederatedDataset {
-    build_syn(config, parties, seed, false)
-}
-
-fn build_syn(
-    config: &SynConfig,
-    parties: &[SynPartySpec],
-    seed: u64,
-    streamed: bool,
-) -> FederatedDataset {
-    assert!(!parties.is_empty(), "SYN needs at least one party");
+/// Generates SYN under `config` (its β, scales, code width and seed).  A
+/// `streamed` build keeps only each party's generator state and
+/// regenerates its items in chunks on demand, bit-identical to the eager
+/// build.
+pub(crate) fn build_syn(config: &DatasetConfig, streamed: bool) -> FederatedDataset {
+    let seed = config.seed;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
     let encoder = ItemEncoder::new(config.code_bits, seed ^ 0xFACE_FEED);
 
     // Build the item universe and split it into N groups of equal size.
-    let universe = ((config.universe_items as f64) * config.item_scale)
+    let universe = ((UNIVERSE_ITEMS as f64) * config.item_scale)
         .round()
         .max(60.0) as u64;
-    let group_size = (universe as usize / config.groups).max(1);
-    let groups: Vec<Vec<u64>> = (0..config.groups)
+    let group_size = (universe as usize / GROUPS).max(1);
+    let groups: Vec<Vec<u64>> = (0..GROUPS)
         .map(|g| {
             let start = (g * group_size) as u64;
-            let end = if g == config.groups - 1 {
+            let end = if g == GROUPS - 1 {
                 universe
             } else {
                 start + group_size as u64
@@ -165,10 +125,11 @@ fn build_syn(
         })
         .collect();
 
-    let dirichlet = DirichletSampler::new(config.groups, config.beta);
+    let dirichlet = DirichletSampler::new(GROUPS, config.syn_beta);
+    let parties = syn_party_specs();
     let mut out_parties = Vec::with_capacity(parties.len());
 
-    for spec in parties {
+    for spec in &parties {
         // Allocate a q_j share of each item group to this party's domain.
         let q = dirichlet.sample(&mut rng);
         let mut domain: Vec<u64> = Vec::new();
@@ -186,12 +147,10 @@ fn build_syn(
         }
         domain.shuffle(&mut rng);
 
-        let users = ((spec.users as f64) * config.user_scale).round().max(50.0) as usize;
+        let users = scale_users(config, spec.users);
         let cdf = match spec.profile {
-            FrequencyProfile::Zipf(alpha) => ZipfSampler::new(domain.len(), alpha).into_cdf(),
-            FrequencyProfile::Poisson(lambda) => {
-                PoissonWeights::new(domain.len(), lambda).into_cdf()
-            }
+            FrequencyProfile::Zipf(alpha) => zipf_cdf(domain.len(), alpha),
+            FrequencyProfile::Poisson(lambda) => poisson_cdf(domain.len(), lambda),
         };
         // Pre-encode the allocated domain once; sampling then indexes
         // straight into codes (identical values and RNG draws as encoding
@@ -214,21 +173,21 @@ fn build_syn(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::DatasetKind;
 
-    fn tiny_config(beta: f64) -> SynConfig {
-        SynConfig {
-            beta,
-            groups: 6,
-            universe_items: 44_000,
+    fn tiny_config(beta: f64, seed: u64) -> DatasetConfig {
+        DatasetConfig {
             user_scale: 0.002,
             item_scale: 0.01,
             code_bits: 16,
+            syn_beta: beta,
+            seed,
         }
     }
 
     #[test]
     fn syn_has_eight_parties_with_descending_sizes() {
-        let ds = generate_syn(&tiny_config(0.5), 1);
+        let ds = tiny_config(0.5, 1).build(DatasetKind::Syn);
         assert_eq!(ds.party_count(), 8);
         let sizes: Vec<usize> = ds.parties().iter().map(|p| p.user_count()).collect();
         assert!(sizes[0] >= sizes[7], "sizes {sizes:?}");
@@ -236,8 +195,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_per_seed() {
-        let a = generate_syn(&tiny_config(0.5), 11);
-        let b = generate_syn(&tiny_config(0.5), 11);
+        let a = tiny_config(0.5, 11).build(DatasetKind::Syn);
+        let b = tiny_config(0.5, 11).build(DatasetKind::Syn);
         assert_eq!(a.parties()[0].items(), b.parties()[0].items());
     }
 
@@ -250,12 +209,12 @@ mod tests {
             let mut total = 0.0;
             let mut count = 0.0;
             for seed in [23, 24, 25] {
-                let config = tiny_config(beta);
-                let ds = generate_syn(&config, seed);
-                let universe = ((config.universe_items as f64) * config.item_scale).round() as u64;
-                let group_size = (universe as usize / config.groups).max(1) as u64;
+                let config = tiny_config(beta, seed);
+                let ds = config.build(DatasetKind::Syn);
+                let universe = ((UNIVERSE_ITEMS as f64) * config.item_scale).round() as u64;
+                let group_size = (universe as usize / GROUPS).max(1) as u64;
                 for party in ds.parties() {
-                    let mut group_counts = vec![0.0f64; config.groups];
+                    let mut group_counts = [0.0f64; GROUPS];
                     let mut distinct: Vec<u64> = party
                         .items()
                         .iter()
@@ -264,7 +223,7 @@ mod tests {
                     distinct.sort_unstable();
                     distinct.dedup();
                     for raw in &distinct {
-                        let g = ((raw / group_size) as usize).min(config.groups - 1);
+                        let g = ((raw / group_size) as usize).min(GROUPS - 1);
                         group_counts[g] += 1.0;
                     }
                     let n: f64 = group_counts.iter().sum();
@@ -294,7 +253,7 @@ mod tests {
     fn profiles_shape_the_frequency_head() {
         // A Zipf(1.7) party concentrates more mass on its top item than a
         // Poisson(10) party does.
-        let ds = generate_syn(&tiny_config(0.5), 3);
+        let ds = tiny_config(0.5, 3).build(DatasetKind::Syn);
         let head_share = |idx: usize| {
             let p = &ds.parties()[idx];
             let table = p.frequency_table();
@@ -303,24 +262,5 @@ mod tests {
         };
         // Party 7 is Zipf(1.7), party 0 is Poisson(10).
         assert!(head_share(7) > head_share(0));
-    }
-
-    #[test]
-    fn custom_party_specs_are_respected() {
-        let custom = vec![
-            SynPartySpec {
-                name: "a",
-                users: 30_000,
-                profile: FrequencyProfile::Zipf(1.2),
-            },
-            SynPartySpec {
-                name: "b",
-                users: 60_000,
-                profile: FrequencyProfile::Poisson(5.0),
-            },
-        ];
-        let ds = generate_syn_with_parties(&tiny_config(0.5), &custom, 2);
-        assert_eq!(ds.party_count(), 2);
-        assert!(ds.parties()[1].user_count() > ds.parties()[0].user_count());
     }
 }

@@ -34,7 +34,7 @@ fn temp_file(tag: &str) -> PathBuf {
 fn reference_run(warm: WarmStart) -> EpochRunner {
     let options = tiny_options();
     let spec = options.spec(warm);
-    let mut exec = MechanismExecutor::new(spec.clone());
+    let mut exec = MechanismExecutor::new(spec.clone()).unwrap();
     let mut runner = EpochRunner::new(spec.epoch_config(), spec.to_spec_bytes());
     runner.run(&mut exec).unwrap();
     runner
@@ -54,7 +54,7 @@ fn kill_at_every_epoch_boundary_resumes_bit_identically() {
             // only the checkpoint file survives).
             let spec = options.spec(warm);
             {
-                let mut exec = MechanismExecutor::new(spec.clone());
+                let mut exec = MechanismExecutor::new(spec.clone()).unwrap();
                 let mut runner = EpochRunner::new(spec.epoch_config(), spec.to_spec_bytes());
                 runner.checkpoint_to(&path);
                 if split == 0 {
@@ -71,7 +71,7 @@ fn kill_at_every_epoch_boundary_resumes_bit_identically() {
             // the remaining epochs.
             let checkpoint = load(&path).unwrap();
             assert_eq!(checkpoint.state.next_epoch, split);
-            let mut exec = MechanismExecutor::new(spec.clone());
+            let mut exec = MechanismExecutor::new(spec.clone()).unwrap();
             let mut resumed =
                 EpochRunner::resume(spec.epoch_config(), spec.to_spec_bytes(), checkpoint).unwrap();
             resumed.run(&mut exec).unwrap();
@@ -95,7 +95,7 @@ fn a_foreign_spec_checkpoint_is_refused_on_resume() {
     let options = tiny_options();
     let spec = options.spec(WarmStart::Cold);
     let path = temp_file("foreign");
-    let mut exec = MechanismExecutor::new(spec.clone());
+    let mut exec = MechanismExecutor::new(spec.clone()).unwrap();
     let mut runner = EpochRunner::new(spec.epoch_config(), spec.to_spec_bytes());
     runner.checkpoint_to(&path);
     runner.step(&mut exec).unwrap();
@@ -126,7 +126,7 @@ fn the_budget_ledger_eventually_refuses_everyone() {
         ..EpochsOptions::quick()
     };
     let spec = options.spec(WarmStart::Cold);
-    let mut exec = MechanismExecutor::new(spec.clone());
+    let mut exec = MechanismExecutor::new(spec.clone()).unwrap();
     let mut runner = EpochRunner::new(spec.epoch_config(), spec.to_spec_bytes());
     let err = runner.run(&mut exec).unwrap_err();
     assert_eq!(err, ProtocolError::BudgetExhausted { epoch: 2 });
@@ -148,7 +148,7 @@ fn churned_in_users_keep_a_capped_service_alive() {
         ..EpochsOptions::quick()
     };
     let spec = options.spec(WarmStart::Cold);
-    let mut exec = MechanismExecutor::new(spec.clone());
+    let mut exec = MechanismExecutor::new(spec.clone()).unwrap();
     let mut runner = EpochRunner::new(spec.epoch_config(), spec.to_spec_bytes());
     runner.run(&mut exec).unwrap();
     assert_eq!(runner.records().len(), 4);

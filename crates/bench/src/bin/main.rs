@@ -114,7 +114,7 @@ usage: fedhh-bench <list|run|trial|perf|scale|epochs|scenario|trace-check> [args
         [--trace PATH]
   perf [--quick] [--out PATH] [--check BASELINE] [--threshold F] [--trace PATH]
   perf --overhead-gate RATIO [--quick]
-  scale [--quick] [--dataset KIND] [--mechanism KIND] [--eager] [--parallelism N]
+  scale [--quick] [--dataset KIND] [--mechanism KIND] [--parallelism N]
         [--user-scales F,F,...] [--out PATH] [--max-rss-mb N] [--trace PATH]
   epochs [--quick] [--dataset KIND] [--mechanism KIND] [--epochs N] [--churn F]
          [--drift N] [--epsilon F] [--cap F] [--k N] [--seed N] [--user-scale F]
@@ -266,7 +266,6 @@ fn scale_command(args: &[String]) -> Result<ExitCode, String> {
         }
         match arg {
             "--quick" => options.quick = true,
-            "--eager" => options.eager = true,
             "--dataset" => options.dataset = cursor.parsed("--dataset")?,
             "--mechanism" => options.mechanism = cursor.parsed("--mechanism")?,
             "--parallelism" => options.parallelism = cursor.value("--parallelism")?,
@@ -287,11 +286,8 @@ fn scale_command(args: &[String]) -> Result<ExitCode, String> {
     }
 
     eprintln!(
-        "[fedhh-bench] scale sweep: {} on {} ({} data plane, user scales {:?})",
-        options.mechanism,
-        options.dataset,
-        if options.eager { "eager" } else { "streamed" },
-        options.user_scales
+        "[fedhh-bench] scale sweep: {} on {} (user scales {:?})",
+        options.mechanism, options.dataset, options.user_scales
     );
     let run = || match &trace_path {
         Some(path) => cli::write_trace(path, |writer| {

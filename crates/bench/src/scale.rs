@@ -4,12 +4,11 @@
 //! The ROADMAP's north star is "heavy traffic from millions of users";
 //! this module measures how the system approaches it.  A scale run sweeps
 //! `user_scale` up through the paper's full populations
-//! (`DatasetConfig::paper_scale`, `user_scale = 1.0`), builds each dataset
-//! **streamed** (parties regenerate their items in chunks, see
-//! `fedhh_datasets::stream`), executes one mechanism end-to-end per point
-//! with the chunked report pipeline, and records throughput, uplink
-//! traffic and the process's peak resident set size — the axis the
-//! streaming data plane exists to bound.
+//! (`DatasetConfig::paper_scale`, `user_scale = 1.0`), builds each dataset,
+//! executes one mechanism end-to-end per point with the chunked report
+//! pipeline, and records throughput, uplink traffic and the process's peak
+//! resident set size, which the dataset and the parties' group stores (8
+//! bytes per user each) dominate.
 //!
 //! ## `BENCH_scale.json` schema (version 1)
 //!
@@ -18,7 +17,6 @@
 //!   "schema": 1,
 //!   "dataset": "RDB",
 //!   "mechanism": "TAPS",
-//!   "mode": "streamed",
 //!   "points": [
 //!     {
 //!       "user_scale": 1.0,
@@ -34,8 +32,6 @@
 //!
 //! * `schema` — format version (currently 1).
 //! * `dataset` / `mechanism` — the swept workload.
-//! * `mode` — `"streamed"` (chunked data plane) or `"eager"` (datasets
-//!   built with materialized items, selected by `--eager`).
 //! * `user_scale` — multiplier on the paper's Table 2 populations.
 //! * `users` — total federation population at that point.
 //! * `elapsed_ms` — mechanism wall-clock (dataset build excluded).
@@ -74,8 +70,8 @@
 //!
 //! `fedhh-bench scale --quick --max-rss-mb N` runs a reduced sweep and
 //! exits non-zero when the sweep's peak RSS exceeds the ceiling — CI's
-//! guard that the streamed data plane keeps memory bounded as populations
-//! grow.
+//! guard that a run keeps no more resident copies of the dataset than it
+//! needs as populations grow.
 
 use crate::json::Fmt;
 use crate::report::{self, column, Column, Row, Shown, SCHEMA};
@@ -114,8 +110,6 @@ pub struct ScaleReport {
     pub dataset: String,
     /// The executed mechanism.
     pub mechanism: String,
-    /// `"streamed"` or `"eager"`.
-    pub mode: String,
     /// The measured points, ascending by `user_scale`.
     pub points: Vec<ScalePoint>,
 }
@@ -141,11 +135,8 @@ impl ScaleReport {
 impl Row for ScalePoint {
     type Report = ScaleReport;
     const NAME: &'static str = "scale";
-    const HEAD: &'static [Column<ScaleReport>] = &[
-        column!(dataset, "", Info),
-        column!(mechanism, "", Info),
-        column!(mode, "", Info),
-    ];
+    const HEAD: &'static [Column<ScaleReport>] =
+        &[column!(dataset, "", Info), column!(mechanism, "", Info)];
     const ROWS: &'static str = "points";
     const COLUMNS: &'static [Column<Self>] = &[
         column!(
@@ -187,8 +178,8 @@ impl Row for ScalePoint {
     ];
     fn title(report: &ScaleReport) -> String {
         format!(
-            "fedhh scale sweep ({} on {}, {} data plane)",
-            report.mechanism, report.dataset, report.mode
+            "fedhh scale sweep ({} on {})",
+            report.mechanism, report.dataset
         )
     }
     fn groups(report: &ScaleReport) -> Vec<(&str, &[Self])> {
@@ -208,9 +199,6 @@ pub struct ScaleOptions {
     pub user_scales: Vec<f64>,
     /// Use the reduced quick shape (16-bit codes, 8 levels, small scales).
     pub quick: bool,
-    /// Build each point's dataset eagerly (materialized items) instead of
-    /// streamed.
-    pub eager: bool,
     /// Engine worker threads per round.
     pub parallelism: usize,
 }
@@ -223,7 +211,6 @@ impl ScaleOptions {
             mechanism: MechanismKind::Taps,
             user_scales: vec![0.05, 0.1, 0.25, 0.5, 1.0],
             quick: false,
-            eager: false,
             parallelism: 1,
         }
     }
@@ -308,12 +295,7 @@ pub fn run_scale_traced(
     user_scales.sort_by(f64::total_cmp);
     let mut points = Vec::with_capacity(user_scales.len());
     for &user_scale in &user_scales {
-        let dataset_config = options.dataset_config(user_scale);
-        let dataset = if options.eager {
-            dataset_config.build(options.dataset)
-        } else {
-            dataset_config.build_streamed(options.dataset)
-        };
+        let dataset = options.dataset_config(user_scale).build(options.dataset);
         let users = dataset.total_users();
         let config = options.protocol_config();
         let telemetry = if trace.is_some() {
@@ -360,7 +342,6 @@ pub fn run_scale_traced(
         schema: SCHEMA,
         dataset: options.dataset.name().to_string(),
         mechanism: options.mechanism.name().to_string(),
-        mode: if options.eager { "eager" } else { "streamed" }.to_string(),
         points,
     })
 }
@@ -374,7 +355,6 @@ mod tests {
             schema: 1,
             dataset: "RDB".to_string(),
             mechanism: "TAPS".to_string(),
-            mode: "streamed".to_string(),
             points: vec![
                 ScalePoint {
                     user_scale: 0.05,
@@ -406,7 +386,6 @@ mod tests {
   "schema": 1,
   "dataset": "R\"D\\B\n",
   "mechanism": "TAPS",
-  "mode": "streamed",
   "points": [
     {"user_scale": 0.050000, "users": 17642, "elapsed_ms": 64.250, "reports_per_sec": 274583.0, "uplink_bits": 98304, "peak_rss_kb": 30720},
     {"user_scale": 1.000000, "users": 352830, "elapsed_ms": 1250.500, "reports_per_sec": 282152.2, "uplink_bits": 123456, "peak_rss_kb": null}
@@ -442,16 +421,15 @@ mod tests {
 
     #[test]
     fn tiny_sweep_produces_monotone_points() {
-        // A minimal end-to-end sweep: two tiny points through the streamed
-        // data plane.  The scales are listed descending on purpose — the
-        // sweep must still emit ascending points (the schema invariant).
+        // A minimal end-to-end sweep: two tiny points.  The scales are
+        // listed descending on purpose — the sweep must still emit
+        // ascending points (the schema invariant).
         let options = ScaleOptions {
             user_scales: vec![0.004, 0.002],
             ..ScaleOptions::quick()
         };
         let report = run_scale(&options).unwrap();
         assert_eq!(report.points.len(), 2);
-        assert_eq!(report.mode, "streamed");
         assert!(report.points[0].user_scale < report.points[1].user_scale);
         assert!(report.points[0].users < report.points[1].users);
         for p in &report.points {
@@ -462,24 +440,5 @@ mod tests {
         let table = report.to_table();
         assert!(table.contains("TAPS"));
         assert!(table.contains("user_scale"));
-    }
-
-    #[test]
-    fn eager_and_streamed_sweeps_agree_on_uplink() {
-        // The data plane changes memory, never results: the same point
-        // measured eagerly and streamed reports identical uplink traffic.
-        let options = ScaleOptions {
-            user_scales: vec![0.004],
-            ..ScaleOptions::quick()
-        };
-        let streamed = run_scale(&options).unwrap();
-        let eager = run_scale(&ScaleOptions {
-            eager: true,
-            ..options
-        })
-        .unwrap();
-        assert_eq!(eager.mode, "eager");
-        assert_eq!(streamed.points[0].uplink_bits, eager.points[0].uplink_bits);
-        assert_eq!(streamed.points[0].users, eager.points[0].users);
     }
 }

@@ -89,6 +89,7 @@ fn fedhh_bench_rejects_malformed_command_lines_before_running_anything() {
             ("scale --user-scales 0.1,-1", &["--user-scales"]),
             // The report pipeline's chunk size is not a setting.
             ("scale --chunk 64", &["unknown option --chunk"]),
+            ("scale --eager", &["unknown option --eager"]),
             ("scale --max-rss-mb 0", &["--max-rss-mb must be positive"]),
             ("perf --threshold 0", &["--threshold must be positive"]),
             ("scenario --threshold -1", &["must be non-negative"]),

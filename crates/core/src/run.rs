@@ -146,12 +146,12 @@ impl<'a> RunContext<'a> {
     /// The item stream party `party_index` reports from: the honest
     /// dataset stream, unless the engine's scenario compromises the party
     /// under an input-poisoning or Sybil adversary, in which case the
-    /// items are rewritten on the fly ([`ItemStream::map`]).  The rewrite
-    /// is a pure per-item function, so the adversarial stream stays
-    /// chunk-size independent and replays bit-identically at any
-    /// parallelism.  Mechanisms must draw party items through here rather
-    /// than calling `PartyData::stream` directly — that is what applies a
-    /// scenario uniformly across every mechanism.
+    /// items are rewritten into a new stream ([`ItemStream::map`]).  The
+    /// rewrite is a pure per-item function, so the adversarial stream
+    /// replays bit-identically at any parallelism.  Mechanisms must draw
+    /// party items through here rather than calling `PartyData::stream`
+    /// directly — that is what applies a scenario uniformly across every
+    /// mechanism.
     pub fn party_stream(&self, party_index: usize) -> ItemStream {
         let stream = self.dataset.parties()[party_index].stream();
         let scenario = self.engine.scenario;

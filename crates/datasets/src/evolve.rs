@@ -211,7 +211,7 @@ impl PopulationEvolver {
     /// passes over the users, done in place (free of copies once the
     /// caller has dropped the frontier's previous parties); any earlier
     /// epoch is replayed from the base in `epoch` passes.  The parties
-    /// returned are eager and share the frontier's item vectors.
+    /// returned share the frontier's item vectors.
     pub fn epoch(&self, epoch: u32) -> FederatedDataset {
         if epoch == 0 {
             return self.base.clone();
@@ -234,11 +234,7 @@ impl PopulationEvolver {
                 }
                 let items = Arc::make_mut(items);
                 items.clear();
-                let stream = party.stream();
-                match stream.as_slice() {
-                    Some(slice) => items.extend_from_slice(slice),
-                    None => stream.for_each(|item| items.push(item)),
-                }
+                items.extend_from_slice(party.items());
             }
         }
         if frontier.epoch < epoch {

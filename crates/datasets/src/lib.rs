@@ -19,11 +19,9 @@
 //! Entry point: a [`DatasetConfig`] is the one description of a dataset
 //! (scales, code width, SYN β, seed), and [`DatasetConfig::build`] turns it
 //! into a [`FederatedDataset`] of a given [`DatasetKind`]: a collection of
-//! [`PartyData`] whose users each hold a single m-bit item code.  At large
-//! populations ([`DatasetConfig::paper_scale`]),
-//! [`DatasetConfig::build_streamed`] keeps only per-party generator state
-//! and regenerates the identical item sequences chunk by chunk through
-//! [`ItemStream`].  The generators behind the entry point (Table 2's group
+//! [`PartyData`] whose users each hold a single m-bit item code, shared
+//! with its readers through an [`ItemStream`].  The generators behind the
+//! entry point (Table 2's group
 //! and party tables, the Zipf, Poisson and Dirichlet samplers, the guided
 //! CDF every draw inverts) are private to the crate.  A
 //! [`PopulationEvolver`] turns a built dataset into a sequence of churning,
@@ -54,4 +52,4 @@ pub use federated::FederatedDataset;
 pub use party::PartyData;
 pub use registry::{DatasetConfig, DatasetKind, InvalidDatasetConfig, ParseDatasetKindError};
 pub use stats::FrequencyTable;
-pub use stream::{ItemStream, PartyChunks};
+pub use stream::ItemStream;

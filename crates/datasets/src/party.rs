@@ -3,16 +3,8 @@
 //! Each party holds a distinct set of users and every user holds exactly one
 //! item ("Each user in a party holds only a single word or item, and
 //! multiple occurrences are sampled as one", Section 7.1).  Items are stored
-//! as m-bit codes so the mechanisms can extract prefixes directly.
-//!
-//! Since 0.6 a party's items live behind an [`ItemStream`]: a regular
-//! [`crate::DatasetConfig::build`] materializes them (the eager backing,
-//! where [`PartyData::items`] returns the resident slice), while
-//! [`crate::DatasetConfig::build_streamed`] keeps only the generator state
-//! and regenerates the identical sequence chunk by chunk.  All statistics
-//! ([`PartyData::frequency_table`], [`PartyData::prefix_tree`], ...) are
-//! computed through the stream, so they work — with `O(chunk)` resident
-//! item memory — for both backings.
+//! as m-bit codes so the mechanisms can extract prefixes directly, in an
+//! [`ItemStream`] that the party shares with every reader it hands out.
 
 use crate::stats::FrequencyTable;
 use crate::stream::ItemStream;
@@ -22,14 +14,14 @@ use fedhh_trie::PrefixTree;
 #[derive(Debug, Clone)]
 pub struct PartyData {
     name: String,
-    /// One m-bit item code per user, materialized or regenerable.
+    /// One m-bit item code per user.
     items: ItemStream,
     /// Width of the item codes in bits.
     code_bits: u8,
 }
 
 impl PartyData {
-    /// Creates a party dataset from materialized per-user item codes.
+    /// Creates a party dataset from per-user item codes.
     pub fn new(name: impl Into<String>, items: Vec<u64>, code_bits: u8) -> Self {
         Self {
             name: name.into(),
@@ -38,10 +30,9 @@ impl PartyData {
         }
     }
 
-    /// Creates a party over an existing stream handle (any backing) — used
-    /// by the streamed dataset builds and by the epoch evolver to hand out
-    /// parties that share its item vectors.
-    pub fn from_stream(name: impl Into<String>, items: ItemStream, code_bits: u8) -> Self {
+    /// Creates a party over an existing stream handle: how the epoch
+    /// evolver hands out parties that share its item vectors.
+    pub(crate) fn from_stream(name: impl Into<String>, items: ItemStream, code_bits: u8) -> Self {
         Self {
             name: name.into(),
             items,
@@ -59,36 +50,15 @@ impl PartyData {
         self.items.len()
     }
 
-    /// A cheap, re-iterable handle on the party's item sequence — the
-    /// canonical way mechanisms consume party data since 0.6 (works for
-    /// both materialized and streamed parties).
+    /// A cheap handle on the party's item sequence, shared with the party:
+    /// the way mechanisms consume party data.
     pub fn stream(&self) -> ItemStream {
         self.items.clone()
     }
 
-    /// True when the party regenerates its items on demand instead of
-    /// holding them resident.
-    pub fn is_streamed(&self) -> bool {
-        self.items.is_generated()
-    }
-
-    /// The materialized item codes, one entry per user.
-    ///
-    /// Only available for eagerly built parties; use [`PartyData::stream`]
-    /// to consume a streamed party.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the party was built by
-    /// [`crate::DatasetConfig::build_streamed`] — a streamed party has no
-    /// resident item vector to borrow.
+    /// The item codes, one entry per user.
     pub fn items(&self) -> &[u64] {
-        self.items.as_slice().unwrap_or_else(|| {
-            panic!(
-                "party {:?} is streamed; use PartyData::stream() instead of items()",
-                self.name
-            )
-        })
+        self.items.as_slice()
     }
 
     /// Width of the item codes in bits.
@@ -101,18 +71,21 @@ impl PartyData {
         self.frequency_table().distinct()
     }
 
-    /// Exact local frequency table (streamed in chunks; `O(distinct items)`
-    /// resident memory).
+    /// Exact local frequency table.
     pub fn frequency_table(&self) -> FrequencyTable {
         let mut table = FrequencyTable::new();
-        self.items.for_each(|item| table.add(item, 1));
+        for &item in self.items() {
+            table.add(item, 1);
+        }
         table
     }
 
     /// Exact counted prefix tree over this party's items.
     pub fn prefix_tree(&self) -> PrefixTree {
         let mut tree = PrefixTree::new(self.code_bits);
-        self.items.for_each(|item| tree.insert(item, 1));
+        for &item in self.items() {
+            tree.insert(item, 1);
+        }
         tree
     }
 }
@@ -132,8 +105,7 @@ mod tests {
         assert_eq!(p.user_count(), 6);
         assert_eq!(p.distinct_items(), 3);
         assert_eq!(p.code_bits(), 8);
-        assert!(!p.is_streamed());
-        assert_eq!(p.stream().as_slice(), Some(&[1, 1, 2, 3, 3, 3][..]));
+        assert_eq!(p.stream().as_slice(), &[1, 1, 2, 3, 3, 3]);
         assert_eq!(p.stream().materialize(), p.items());
     }
 

@@ -21,19 +21,17 @@
 //! `DatasetConfig::build` reaches this module through `build_group`, with
 //! one of the four Table 2 tables (`rdb_spec` … `uba_spec`) and the
 //! configuration's scales, code width and seed; both are private to the
-//! crate.  `finish_party`, shared with SYN, is where a party's items are
-//! either drawn now (eager) or left to its stream (streamed).
+//! crate.  `finish_party`, shared with SYN, draws a party's items.
 
 use crate::cdf::GuidedCdf;
 use crate::federated::FederatedDataset;
 use crate::party::PartyData;
 use crate::registry::DatasetConfig;
-use crate::stream::{ItemGen, ItemStream};
 use crate::zipf::zipf_cdf;
 use fedhh_trie::ItemEncoder;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 /// Structural description of one party in a stand-in dataset.
 #[derive(Debug, Clone)]
@@ -74,11 +72,8 @@ fn scale_items(config: &DatasetConfig, items: usize) -> usize {
     ((items as f64) * config.item_scale).round().max(20.0) as usize
 }
 
-/// One party's materialization policy: either sample `users` items now
-/// (consuming the shared RNG, exactly as pre-0.6 builds did) or pin the
-/// RNG state inside an [`ItemGen`] and advance the shared RNG by the same
-/// number of draws, so subsequent parties see an identical stream either
-/// way.
+/// Samples `users` items for one party from its popularity-ranked `codes`
+/// (`codes[rank]`) under `cdf`, one draw of the shared RNG per user.
 pub(crate) fn finish_party(
     name: String,
     codes: Vec<u64>,
@@ -86,30 +81,14 @@ pub(crate) fn finish_party(
     users: usize,
     code_bits: u8,
     rng: &mut StdRng,
-    streamed: bool,
 ) -> PartyData {
-    let gen = ItemGen::new(codes, cdf, rng.clone(), users);
-    if streamed {
-        // One RNG word per item: skip the draws the eager path would make.
-        for _ in 0..users {
-            rng.next_u64();
-        }
-        PartyData::from_stream(name, ItemStream::from_gen(gen), code_bits)
-    } else {
-        let mut items = Vec::new();
-        gen.fill_into(rng, &mut items, users);
-        PartyData::new(name, items, code_bits)
-    }
+    assert_eq!(codes.len(), cdf.len(), "one CDF entry per ranked item code");
+    let items = (0..users).map(|_| codes[cdf.sample(rng)]).collect();
+    PartyData::new(name, items, code_bits)
 }
 
-/// Generates a stand-in for the group `spec` under `config`.  A `streamed`
-/// build keeps only each party's generator state and regenerates its items
-/// in chunks on demand, bit-identical to the eager build.
-pub(crate) fn build_group(
-    spec: &GroupSpec,
-    config: &DatasetConfig,
-    streamed: bool,
-) -> FederatedDataset {
+/// Generates a stand-in for the group `spec` under `config`.
+pub(crate) fn build_group(spec: &GroupSpec, config: &DatasetConfig) -> FederatedDataset {
     let seed = config.seed;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_0001);
     let encoder = ItemEncoder::new(config.code_bits, seed ^ 0xC0DE_BEEF);
@@ -146,7 +125,6 @@ pub(crate) fn build_group(
             users,
             config.code_bits,
             &mut rng,
-            streamed,
         ));
     }
 

@@ -171,9 +171,8 @@ impl DatasetConfig {
 
     /// The paper's full evaluation scale: unscaled Table 2 user populations
     /// (`user_scale = 1.0`, millions of users on UBA/TYS) and item pools
-    /// over 48-bit codes.  Populations this large should be built with
-    /// [`DatasetConfig::build_streamed`] so parties regenerate their items
-    /// in chunks instead of materializing one `u64` per user.
+    /// over 48-bit codes.  A build holds one `u64` per user: 52 MB for
+    /// UBA's 6.48M users.
     pub fn paper_scale() -> Self {
         Self {
             user_scale: 1.0,
@@ -191,9 +190,9 @@ impl DatasetConfig {
     /// encoder's Feistel network accepts (even, in `2..=64`).  Scales have
     /// no upper bound here: a large one is a large build.
     ///
-    /// [`DatasetConfig::build`] and [`DatasetConfig::build_streamed`] panic
-    /// on an error; a configuration that arrives from outside the program
-    /// (a node welcome's bytes) is checked here first, for a typed error.
+    /// [`DatasetConfig::build`] panics on an error; a configuration that
+    /// arrives from outside the program (a node welcome's bytes) is checked
+    /// here first, for a typed error.
     pub fn validate(&self) -> Result<(), InvalidDatasetConfig> {
         let positive = |field, value: f64| {
             if value > 0.0 && value.is_finite() {
@@ -219,48 +218,32 @@ impl DatasetConfig {
         Ok(())
     }
 
-    /// Builds a dataset of the given kind under this configuration, with
-    /// every party's items materialized eagerly.
+    /// Builds a dataset of the given kind under this configuration.
     ///
     /// # Panics
     ///
     /// Panics with [`DatasetConfig::validate`]'s message when the
     /// configuration is invalid.
     pub fn build(&self, kind: DatasetKind) -> FederatedDataset {
-        self.build_with(kind, false)
-    }
-
-    /// Builds a dataset whose parties keep only generator state and
-    /// regenerate their item sequences in chunks on demand (see
-    /// [`crate::stream::ItemStream`]).
-    ///
-    /// The streamed dataset is **bit-identical** to the eager one — every
-    /// party's `stream().materialize()` equals the eager party's `items()`
-    /// — while holding `O(item pool)` instead of `O(users)` resident memory
-    /// per party.  Statistics ([`FederatedDataset::ground_truth_top_k`],
-    /// frequency tables, prefix trees) work unchanged; only
-    /// [`crate::PartyData::items`] is unavailable (use
-    /// [`crate::PartyData::stream`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`DatasetConfig::validate`]'s message when the
-    /// configuration is invalid.
-    pub fn build_streamed(&self, kind: DatasetKind) -> FederatedDataset {
-        self.build_with(kind, true)
-    }
-
-    fn build_with(&self, kind: DatasetKind, streamed: bool) -> FederatedDataset {
         if let Err(err) = self.validate() {
             panic!("{err}");
         }
         match kind {
-            DatasetKind::Rdb => build_group(&rdb_spec(), self, streamed),
-            DatasetKind::Ycm => build_group(&ycm_spec(), self, streamed),
-            DatasetKind::Tys => build_group(&tys_spec(), self, streamed),
-            DatasetKind::Uba => build_group(&uba_spec(), self, streamed),
-            DatasetKind::Syn => build_syn(self, streamed),
+            DatasetKind::Rdb => build_group(&rdb_spec(), self),
+            DatasetKind::Ycm => build_group(&ycm_spec(), self),
+            DatasetKind::Tys => build_group(&tys_spec(), self),
+            DatasetKind::Uba => build_group(&uba_spec(), self),
+            DatasetKind::Syn => build_syn(self),
         }
+    }
+
+    /// The same as [`DatasetConfig::build`].
+    ///
+    /// Kept only for the benchmark harness's per-layer probe, until the
+    /// benchmark change of ROADMAP item 8(b) calls `build` instead.
+    #[doc(hidden)]
+    pub fn build_streamed(&self, kind: DatasetKind) -> FederatedDataset {
+        self.build(kind)
     }
 }
 
@@ -330,23 +313,14 @@ mod tests {
             let mut config = DatasetConfig::test_scale();
             corrupt(&mut config);
             for kind in [DatasetKind::Rdb, DatasetKind::Syn] {
-                for streamed in [false, true] {
-                    let build = std::panic::catch_unwind(|| {
-                        if streamed {
-                            config.build_streamed(kind)
-                        } else {
-                            config.build(kind)
-                        }
-                    });
-                    let Err(payload) = build else {
-                        panic!("{config:?} built {kind} (streamed: {streamed})");
-                    };
-                    let message = payload
-                        .downcast_ref::<String>()
-                        .expect("a formatted panic message");
-                    assert_eq!(*message, config.validate().unwrap_err().to_string());
-                    assert!(message.contains(field), "{field}: {message}");
-                }
+                let Err(payload) = std::panic::catch_unwind(|| config.build(kind)) else {
+                    panic!("{config:?} built {kind}");
+                };
+                let message = payload
+                    .downcast_ref::<String>()
+                    .expect("a formatted panic message");
+                assert_eq!(*message, config.validate().unwrap_err().to_string());
+                assert!(message.contains(field), "{field}: {message}");
             }
         }
     }

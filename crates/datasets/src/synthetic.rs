@@ -99,11 +99,8 @@ fn syn_party_specs() -> Vec<SynPartySpec> {
     ]
 }
 
-/// Generates SYN under `config` (its β, scales, code width and seed).  A
-/// `streamed` build keeps only each party's generator state and
-/// regenerates its items in chunks on demand, bit-identical to the eager
-/// build.
-pub(crate) fn build_syn(config: &DatasetConfig, streamed: bool) -> FederatedDataset {
+/// Generates SYN under `config` (its β, scales, code width and seed).
+pub(crate) fn build_syn(config: &DatasetConfig) -> FederatedDataset {
     let seed = config.seed;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
     let encoder = ItemEncoder::new(config.code_bits, seed ^ 0xFACE_FEED);
@@ -163,7 +160,6 @@ pub(crate) fn build_syn(config: &DatasetConfig, streamed: bool) -> FederatedData
             users,
             config.code_bits,
             &mut rng,
-            streamed,
         ));
     }
 

@@ -29,9 +29,9 @@ pub struct GroupAssignment {
 
 impl GroupAssignment {
     /// Splits `items` (one per user) into `g` groups uniformly at random.
-    /// Takes ownership of the item vector so streaming callers (a party
-    /// materializing its [`ItemStream`](https://docs.rs/fedhh-datasets) once
-    /// for the shuffle) pay for exactly one resident copy.
+    /// Takes ownership of the item vector so a party copying its
+    /// [`ItemStream`](https://docs.rs/fedhh-datasets) once for the shuffle
+    /// pays for exactly one resident copy.
     ///
     /// Fails with a typed [`ProtocolError`] when `g` is zero.
     pub fn uniform_owned(mut items: Vec<u64>, g: u8, seed: u64) -> Result<Self, ProtocolError> {

@@ -30,14 +30,6 @@ impl SupportCounts {
         }
     }
 
-    /// Adds `amount` support to slot `idx`.
-    #[inline]
-    pub fn add(&mut self, idx: usize, amount: f64) {
-        if let Some(c) = self.counts.get_mut(idx) {
-            *c += amount;
-        }
-    }
-
     /// Records `n` more aggregated reports.
     #[inline]
     pub fn record_reports(&mut self, n: usize) {
@@ -152,12 +144,12 @@ mod tests {
     #[test]
     fn support_counts_accumulate_and_merge() {
         let mut a = SupportCounts::zeros(3);
-        a.add(0, 1.0);
-        a.add(2, 2.0);
+        a.as_mut_slice()[0] += 1.0;
+        a.as_mut_slice()[2] += 2.0;
         a.record_reports(2);
         let mut b = SupportCounts::zeros(3);
-        for slot in 0..3 {
-            b.add(slot, 1.0);
+        for support in b.as_mut_slice() {
+            *support += 1.0;
         }
         b.record_reports(3);
         a.merge(&b);
@@ -169,7 +161,7 @@ mod tests {
     #[test]
     fn reset_reuses_the_arena_across_widths() {
         let mut arena = SupportCounts::zeros(4);
-        arena.add(1, 3.0);
+        arena.as_mut_slice()[1] += 3.0;
         arena.record_reports(5);
         assert_eq!(arena.reports(), 5);
         arena.reset(2);
@@ -192,7 +184,7 @@ mod tests {
         let f_true = 0.3;
         let expected_support = n as f64 * (f_true * p + (1.0 - f_true) * q);
         let mut supports = SupportCounts::zeros(1);
-        supports.add(0, expected_support);
+        supports.as_mut_slice()[0] += expected_support;
         supports.record_reports(n);
         let est = FrequencyEstimate::from_supports(&supports, p, q, n);
         assert!((est.frequency(0) - f_true).abs() < 1e-12);

@@ -37,14 +37,14 @@ fn reference_supports(batch: &ReportBatch, domain: usize) -> Option<SupportCount
     match batch.columns() {
         Columns::Items(items) => {
             for &item in items {
-                supports.add(item as usize, 1.0);
+                supports.as_mut_slice()[item as usize] += 1.0;
             }
         }
         Columns::Packed { width, words } => {
             for row in words.chunks(width.div_ceil(64)) {
                 for slot in 0..width {
                     if (row[slot / 64] >> (slot % 64)) & 1 == 1 {
-                        supports.add(slot, 1.0);
+                        supports.as_mut_slice()[slot] += 1.0;
                     }
                 }
             }

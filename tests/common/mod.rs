@@ -3,28 +3,20 @@
 // Each test file compiles its own copy of this module and uses a subset.
 #![allow(dead_code)]
 
-use fedhh_datasets::{FederatedDataset, ItemStream, PartyData};
+use fedhh_datasets::{FederatedDataset, PartyData};
 use fedhh_mechanisms::MechanismOutput;
 use fedhh_trie::ItemEncoder;
 
 /// A federation whose first party has more users than eight levels of the
 /// report pipeline's 16 384-user chunk: every mechanism's level groups on
 /// that party cross a chunk boundary, which no test-scale dataset does.
-///
-/// With `streamed`, each party holds the same items behind a stream that
-/// regenerates them chunk by chunk (an identity map) instead of a resident
-/// vector.
-pub fn chunk_crossing_dataset(streamed: bool) -> FederatedDataset {
+pub fn chunk_crossing_dataset() -> FederatedDataset {
     let encoder = ItemEncoder::new(16, 3);
     let party = |name: &str, users: u64, shift: u64| {
         let items: Vec<u64> = (0..users)
             .map(|u| encoder.encode((u % 89) % (1 + (u + shift) % 17)))
             .collect();
-        if streamed {
-            PartyData::from_stream(name, ItemStream::from_items(items).map(|code| code), 16)
-        } else {
-            PartyData::new(name, items, 16)
-        }
+        PartyData::new(name, items, 16)
     };
     FederatedDataset::new(
         "chunk-crossing",

@@ -53,7 +53,7 @@ fn run(
 /// and under the env-driven default engine, on both federations.
 #[test]
 fn selected_path_is_invariant_across_chunking_and_parallelism() {
-    for ds in [dataset(), chunk_crossing_dataset(false)] {
+    for ds in [dataset(), chunk_crossing_dataset()] {
         for kind in MechanismKind::ALL {
             let reference = run(kind, &ds, config(), Some(EngineConfig::sequential()));
             let baseline = digest(&reference);

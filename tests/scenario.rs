@@ -102,6 +102,58 @@ fn every_adversary_is_bit_identical_across_reruns_and_parallelism() {
     }
 }
 
+/// What each adversary in `adversaries()` makes each mechanism output at
+/// scenario seed 42 (see `common::digest`).  Only the input-poisoning and
+/// Sybil rows read a compromised party's rewritten items; the report-flip
+/// rows pin the report plane next to them.
+const ADVERSARY_DIGESTS: [[(MechanismKind, u64); 4]; 4] = [
+    [
+        (MechanismKind::FedPem, 0x1B68_DE02_6B2A_C960),
+        (MechanismKind::Gtf, 0xFD48_5054_94D7_8FFE),
+        (MechanismKind::Tap, 0x7A70_F6E8_2666_F49C),
+        (MechanismKind::Taps, 0xA0D8_588F_8DE9_821E),
+    ],
+    [
+        (MechanismKind::FedPem, 0x8984_96F0_AC26_80FE),
+        (MechanismKind::Gtf, 0x29AA_C764_646D_FB35),
+        (MechanismKind::Tap, 0x5C7B_13D3_FD6C_BC6A),
+        (MechanismKind::Taps, 0x8535_E1DA_1596_60FF),
+    ],
+    [
+        (MechanismKind::FedPem, 0x90B5_7588_0FC5_E725),
+        (MechanismKind::Gtf, 0xFB22_0071_5AD4_30F7),
+        (MechanismKind::Tap, 0xCE37_6BA9_B4BC_C7F9),
+        (MechanismKind::Taps, 0x2D89_10D0_B256_A69C),
+    ],
+    [
+        (MechanismKind::FedPem, 0x810A_D15F_1817_6527),
+        (MechanismKind::Gtf, 0xC2B8_56FF_1A06_A413),
+        (MechanismKind::Tap, 0x4241_4C9B_65E3_06F2),
+        (MechanismKind::Taps, 0x4306_1F27_0DB8_2DBA),
+    ],
+];
+
+/// Every adversary's output is pinned, not only self-consistent: a change
+/// to how a compromised party's items are rewritten moves a digest here
+/// even when reruns and parallel runs still agree with each other.
+#[test]
+fn every_adversary_output_matches_pinned_digests() {
+    let ds = dataset();
+    for (adversary, row) in adversaries().into_iter().zip(ADVERSARY_DIGESTS) {
+        let plan = ScenarioPlan {
+            adversary,
+            seed: 42,
+            ..ScenarioPlan::benign()
+        };
+        for (kind, pin) in row {
+            let output = execute(kind, &ds, EngineConfig::sequential().with_scenario(plan))
+                .unwrap_or_else(|e| panic!("{kind} under {adversary:?}: {e}"));
+            let got = common::digest(&output);
+            assert_eq!(got, pin, "{kind} under {adversary:?}: digest {got:#018X}");
+        }
+    }
+}
+
 /// A different adversary seed picks different victims and hence a different
 /// attack — the seed is a real input, not decoration.
 #[test]

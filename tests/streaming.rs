@@ -1,19 +1,16 @@
-//! Chunk-invariance and streamed-dataset properties of the 0.6 data plane.
-//!
-//! Two guarantees are enforced here:
+//! Chunk-invariance and dataset-sequence pins of the data plane.
 //!
 //! 1. **Chunked execution is bit-identical to the unchunked path**: the
 //!    report pipeline perturbs a level group in chunks of a fixed 16 384
 //!    users, and for every mechanism the same seed produces the digest
 //!    (heavy hitters, counts bit-for-bit, uplink accounting) that running
 //!    each group as one chunk gave, at parallelism {1, 8} on a federation
-//!    whose level groups span several chunks, over eager and streamed
-//!    parties alike.  Where chunk and level-split boundaries fall at every
-//!    chunk size is pinned in `fedhh-federated`'s estimator tests.
-//! 2. **Streamed datasets equal eager datasets**: for every `DatasetKind`,
-//!    `build_streamed` regenerates exactly the item sequences `build`
-//!    materializes, and every mechanism produces the same output over
-//!    either, at parallelism {1, 4, 8}.
+//!    whose level groups span several chunks.  Where chunk and level-split
+//!    boundaries fall at every chunk size is pinned in `fedhh-federated`'s
+//!    estimator tests.
+//! 2. **Dataset sequences are pinned**: every `DatasetKind`'s items at
+//!    `test_scale`, SYN at the paper's item scale, and evolved epochs each
+//!    hash to digests recorded from earlier generators.
 
 mod common;
 
@@ -47,41 +44,10 @@ fn run(
         .unwrap_or_else(|e| panic!("{kind}: {e}"))
 }
 
-fn assert_outputs_identical(a: &MechanismOutput, b: &MechanismOutput, what: &str) {
-    assert_eq!(a.heavy_hitters, b.heavy_hitters, "{what}: heavy hitters");
-    assert_eq!(a.counts.len(), b.counts.len(), "{what}: count entries");
-    for (value, count) in &a.counts {
-        let other = b
-            .counts
-            .get(value)
-            .unwrap_or_else(|| panic!("{what}: count for {value} missing from the other run"));
-        assert_eq!(
-            count.to_bits(),
-            other.to_bits(),
-            "{what}: count of {value} differs bit-wise"
-        );
-    }
-    assert_eq!(
-        a.comm.total_uplink_bits(),
-        b.comm.total_uplink_bits(),
-        "{what}: uplink bits"
-    );
-    assert_eq!(
-        a.comm.total_downlink_bits(),
-        b.comm.total_downlink_bits(),
-        "{what}: downlink bits"
-    );
-    assert_eq!(
-        a.local_results.len(),
-        b.local_results.len(),
-        "{what}: local results"
-    );
-}
-
 /// Per-mechanism digests (see `common::digest`) of the chunk-crossing
 /// federation, recorded when each level group could still be run as one
 /// whole chunk: that unchunked path, chunks of 7 and chunks of 16 384 all
-/// gave these, at parallelism 1 and 8, over eager and streamed parties.
+/// gave these, at parallelism 1 and 8.
 const UNCHUNKED_DIGESTS: [(MechanismKind, u64); 4] = [
     (MechanismKind::FedPem, 0x4CBD_F3A4_B5CF_A86B),
     (MechanismKind::Gtf, 0xA620_57C9_E698_7654),
@@ -90,85 +56,18 @@ const UNCHUNKED_DIGESTS: [(MechanismKind, u64); 4] = [
 ];
 
 /// Guarantee 1: level groups cut into several of the pipeline's chunks give
-/// the unchunked run's bits at parallelism {1, 8}, for all four mechanisms,
-/// whether the parties hold their items or regenerate them.
+/// the unchunked run's bits at parallelism {1, 8}, for all four mechanisms.
 #[test]
 fn chunked_execution_is_bit_identical_across_chunk_sizes_and_parallelism() {
-    let eager = common::chunk_crossing_dataset(false);
-    let streamed = common::chunk_crossing_dataset(true);
-    assert!(streamed.parties().iter().all(|p| p.is_streamed()));
+    let dataset = common::chunk_crossing_dataset();
     for (kind, pin) in UNCHUNKED_DIGESTS {
         for parallelism in [1usize, 8] {
             let engine = EngineConfig::parallel(parallelism);
-            for (backing, dataset) in [("eager", &eager), ("streamed", &streamed)] {
-                let got = common::digest(&run(kind, dataset, config(), engine));
-                assert_eq!(
-                    got, pin,
-                    "{kind} {backing} parties at parallelism {parallelism}: digest {got:#018X}"
-                );
-            }
-        }
-    }
-}
-
-/// Streamed datasets regenerate exactly the sequences eager builds
-/// materialize, for every dataset group.
-#[test]
-fn streamed_datasets_are_bit_identical_to_eager_builds_per_kind() {
-    let config = DatasetConfig::test_scale();
-    for kind in DatasetKind::ALL {
-        let eager = config.build(kind);
-        let streamed = config.build_streamed(kind);
-        assert_eq!(eager.party_count(), streamed.party_count(), "{kind}");
-        assert_eq!(eager.total_users(), streamed.total_users(), "{kind}");
-        for (a, b) in eager.parties().iter().zip(streamed.parties()) {
-            assert_eq!(a.name(), b.name(), "{kind}");
-            assert_eq!(a.user_count(), b.user_count(), "{kind}");
-            assert!(!a.is_streamed(), "{kind}: eager party claims streamed");
-            assert!(b.is_streamed(), "{kind}: streamed party claims eager");
-            // Full-sequence equality...
+            let got = common::digest(&run(kind, &dataset, config(), engine));
             assert_eq!(
-                a.items(),
-                b.stream().materialize(),
-                "{kind}/{}: streamed sequence diverged",
-                a.name()
+                got, pin,
+                "{kind} at parallelism {parallelism}: digest {got:#018X}"
             );
-            // ...and chunk tiling equality at an odd chunk size.
-            let mut rebuilt = Vec::with_capacity(b.user_count());
-            let stream = b.stream();
-            let mut chunks = stream.chunks(97);
-            while let Some(chunk) = chunks.next_chunk() {
-                rebuilt.extend_from_slice(chunk);
-            }
-            assert_eq!(a.items(), rebuilt, "{kind}/{}: chunk tiling", a.name());
-        }
-        // Ground truths agree (computed through the stream on one side).
-        assert_eq!(
-            eager.ground_truth_top_k(10),
-            streamed.ground_truth_top_k(10),
-            "{kind}"
-        );
-    }
-}
-
-/// Mechanisms produce identical outputs over streamed and eager datasets,
-/// at every parallelism.
-#[test]
-fn mechanism_outputs_are_identical_over_streamed_and_eager_datasets() {
-    let dataset_config = DatasetConfig::test_scale();
-    let eager = dataset_config.build(DatasetKind::Rdb);
-    let streamed = dataset_config.build_streamed(DatasetKind::Rdb);
-    for kind in MechanismKind::ALL {
-        let reference = run(kind, &eager, config(), EngineConfig::sequential());
-        for parallelism in [1usize, 4, 8] {
-            let engine = EngineConfig::parallel(parallelism);
-            for (backing, dataset) in [("eager", &eager), ("streamed", &streamed)] {
-                assert_outputs_identical(
-                    &reference,
-                    &run(kind, dataset, config(), engine),
-                    &format!("{kind} {backing} dataset at parallelism {parallelism}"),
-                );
-            }
         }
     }
 }
@@ -236,9 +135,8 @@ fn fnv(parties: impl IntoIterator<Item = Vec<u64>>) -> u64 {
 
 /// Evolved populations are pinned independently of how churn is computed:
 /// epochs 0..=8 of RDB and SYN under churn 0.2 and 1.0 (drift 2), digested
-/// from the materialized streams.  Eager-vs-streamed equality cannot catch
-/// a change to the churn sampler, because both sides would move together.
-/// The digests hold whatever order the epochs are asked for in, since each
+/// from the materialized streams, so a change to the churn sampler moves
+/// them.  The digests hold whatever order the epochs are asked for in, since each
 /// epoch is a pure function of `(base, plan, e)`.
 #[test]
 fn evolved_epochs_match_pinned_digests() {

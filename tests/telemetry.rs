@@ -114,7 +114,7 @@ fn telemetry_is_inert_across_exec_paths_parallelism_and_transports() {
 /// at parallelism 2 gives the same bits traced or untraced.
 #[test]
 fn telemetry_is_inert_across_chunk_sizes() {
-    let ds = common::chunk_crossing_dataset(false);
+    let ds = common::chunk_crossing_dataset();
     let engine = EngineConfig::parallel(2);
     let untraced = Run::mechanism(MechanismKind::FedPem)
         .dataset(&ds)

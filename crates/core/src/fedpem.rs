@@ -45,12 +45,13 @@ impl FedPem {
 
 /// One party's FedPEM round: descend every level and upload the top-k
 /// report.  The driver holds an [`ItemStream`] handle (cheap to clone,
-/// `Send`); the party state — the materialized, shuffled items — is built
-/// inside the round, on the worker, and dropped with it, so one arena is
-/// resident per worker rather than one per party.
+/// `Send`) until its one round hands it to the party state — the shuffled
+/// items — which is built inside the round, on the worker, and dropped with
+/// it, so one arena is resident per worker rather than one per party.
 struct FedPemDriver<'a> {
     name: &'a str,
-    items: ItemStream,
+    /// The party's items, taken by its round.
+    items: Option<ItemStream>,
     estimator: &'a LevelEstimator,
     extension: ExtensionStrategy,
     seed: u64,
@@ -63,9 +64,17 @@ impl PartyDriver for FedPemDriver<'_> {
         self.name
     }
 
-    fn run_round(&mut self, _input: &RoundInput) -> Result<RoundOutcome, ProtocolError> {
+    fn run_round(&mut self, input: &RoundInput) -> Result<RoundOutcome, ProtocolError> {
         let config = self.estimator.config();
-        let mut party = PartyRun::new(self.name, &self.items, config, Seeding::FedPem, self.seed)?;
+        let items = self
+            .items
+            .take()
+            .ok_or_else(|| ProtocolError::InvalidParameter {
+                name: "FedPEM round",
+                value: input.round.to_string(),
+                rule: "be the party's only round".into(),
+            })?;
+        let mut party = PartyRun::new(self.name, items, config, Seeding::FedPem, self.seed)?;
         let mut round = RoundOutcome::default();
         party.descend(
             &mut self.scratch,
@@ -98,7 +107,7 @@ impl Mechanism for FedPem {
             .enumerate()
             .map(|(idx, party)| FedPemDriver {
                 name: party.name(),
-                items: ctx.party_stream(idx),
+                items: Some(ctx.party_stream(idx)),
                 estimator: &estimator,
                 extension: self.extension,
                 seed: ctx.party_seed(idx),

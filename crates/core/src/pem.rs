@@ -119,13 +119,14 @@ pub(crate) struct PartyRun {
 }
 
 impl PartyRun {
-    /// Builds one party's state at the trie root.  The stream is
-    /// materialized exactly once here, into the group shuffle; the
-    /// per-level report pipeline then runs chunked through the estimator,
-    /// so no full per-party report vector ever exists.
+    /// Builds one party's state at the trie root.  The stream becomes the
+    /// group shuffle here ([`ItemStream::into_vec`]: one copy of a shared
+    /// stream, none of a rewritten one); the per-level report pipeline then
+    /// runs chunked through the estimator, so no full per-party report
+    /// vector ever exists.
     pub fn new(
         name: &str,
-        items: &ItemStream,
+        items: ItemStream,
         config: &ProtocolConfig,
         seeding: Seeding,
         party_seed: u64,
@@ -133,7 +134,7 @@ impl PartyRun {
         Ok(PartyRun {
             name: name.to_string(),
             users_total: items.len(),
-            assignment: seeding.assignment(items.materialize(), config, party_seed)?,
+            assignment: seeding.assignment(items.into_vec(), config, party_seed)?,
             current: vec![0],
             current_len: 0,
             last_estimate: None,
@@ -155,7 +156,7 @@ impl PartyRun {
             .map(|(idx, party)| {
                 PartyRun::new(
                     party.name(),
-                    &ctx.party_stream(idx),
+                    ctx.party_stream(idx),
                     &config,
                     seeding,
                     ctx.party_seed(idx),
@@ -434,7 +435,7 @@ mod tests {
         let stream = dataset.parties()[0].stream();
         let groups = |seed: u64| {
             let cfg = config(seed);
-            PartyRun::new("p", &stream, &cfg, Seeding::FedPem, seed ^ PARTY)
+            PartyRun::new("p", stream.clone(), &cfg, Seeding::FedPem, seed ^ PARTY)
                 .unwrap()
                 .assignment
                 .level(1)

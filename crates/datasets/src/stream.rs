@@ -2,10 +2,11 @@
 //!
 //! [`ItemStream`] holds a party's item codes, one `u64` per user, in a
 //! shared vector: cloning a handle is cheap, and every holder reads the same
-//! sequence.  A mechanism's party driver copies the items once, into its
-//! group shuffle ([`ItemStream::materialize`]); the per-level report
-//! pipeline then runs over that shuffle in chunks, so no full per-party
-//! report vector ever exists.
+//! sequence.  A mechanism's party driver hands its handle to its group
+//! shuffle ([`ItemStream::into_vec`]), which copies the items once, or takes
+//! a rewritten party's vector outright since no other handle holds it; the
+//! per-level report pipeline then runs over that shuffle in chunks, so no
+//! full per-party report vector ever exists.
 //!
 //! ```
 //! use fedhh_datasets::{DatasetConfig, DatasetKind};
@@ -66,6 +67,13 @@ impl ItemStream {
         self.items.as_ref().clone()
     }
 
+    /// The items as an owned vector: taken without a copy when this is the
+    /// only handle on them (a rewritten stream from [`ItemStream::map`]),
+    /// copied otherwise.
+    pub fn into_vec(self) -> Vec<u64> {
+        Arc::try_unwrap(self.items).unwrap_or_else(|shared| shared.as_ref().clone())
+    }
+
     /// The items in slices of at most `chunk_size` (clamped to at least 1).
     ///
     /// Kept only for the benchmark harness's per-layer probe, until the
@@ -124,6 +132,24 @@ mod tests {
         assert_eq!(stream.materialize(), vec![4, 1, 4, 2]);
         assert_eq!(stream.materialize(), stream.as_slice());
         assert_eq!(stream.clone().as_slice(), stream.as_slice());
+    }
+
+    #[test]
+    fn into_vec_takes_a_sole_handle_and_copies_a_shared_one() {
+        let shared = ItemStream::from_items(vec![4, 1, 4, 2]);
+        let kept = shared.clone();
+        assert_eq!(shared.into_vec(), vec![4, 1, 4, 2]);
+        assert_eq!(kept.as_slice(), &[4, 1, 4, 2]);
+
+        let rewritten = kept.map(|code| code + 1);
+        let address = rewritten.as_slice().as_ptr();
+        let taken = rewritten.into_vec();
+        assert_eq!(taken, vec![5, 2, 5, 3]);
+        assert_eq!(
+            taken.as_ptr(),
+            address,
+            "a sole handle's vector is moved, not copied"
+        );
     }
 
     #[test]
